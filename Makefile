@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: all ci build vet fmt-check test race soak soak-disk bench bench-smoke bench-tuner bench-plan bench-plan-check bench-sim bench-sim-check bench-scale bench-scale-check bench-recover bench-recover-check bench-quote bench-quote-check fuzz repro repro-full ablations golden golden-check golden-check-registered golden-check-speculate golden-check-full clean
+.PHONY: all ci build vet fmt-check test race soak soak-disk bench bench-smoke bench-tuner bench-plan bench-plan-check bench-sim bench-sim-check bench-scale bench-scale-check bench-recover bench-recover-check bench-quote bench-quote-check bench-e2e bench-e2e-agree fuzz repro repro-full ablations golden golden-check golden-check-registered golden-check-speculate golden-check-full clean
 
 all: build vet test
 
@@ -124,11 +124,27 @@ bench-quote:
 bench-quote-check:
 	$(GO) run ./cmd/benchquote -check BENCH_quote.json
 
+# The repository's one end-to-end benchmark (BENCHMARK.json is its
+# contract, benchmark/README.md its manual): every workload, untraced.
+# Needs GOMAXPROCS >= 2.
+bench-e2e:
+	$(GO) run ./benchmark -workload all
+
+# Two sets of runs of the same code, compared against the metrics'
+# bounds: how steady the benchmark is on this host.
+bench-e2e-agree:
+	$(GO) run ./benchmark -agree
+
+# FuzzBuildVsNaive caps input minimisation: its inputs are whole queues
+# (hundreds of bytes), and with the default 60 s minimisation budget per
+# new-coverage input a 30 s run spends itself minimising after a few
+# thousand executions instead of exploring (~600 execs/s with the cap).
 fuzz:
 	$(GO) test -fuzz=FuzzRead -fuzztime=30s ./internal/swf/
 	$(GO) test -fuzz=FuzzServeConn -fuzztime=30s ./internal/rms/
 	$(GO) test -fuzz=FuzzJournalRecover -fuzztime=30s ./internal/rms/
 	$(GO) test -fuzz=FuzzProfileVsReference -fuzztime=30s ./internal/profile/
+	$(GO) test -fuzz=FuzzBuildVsNaive -fuzztime=30s -fuzzminimizetime=10x ./internal/plan/
 	$(GO) test -fuzz=FuzzSpeculationDifferential -fuzztime=30s ./internal/sim/
 
 # Reduced-scale reproduction of every table and figure (about 4 minutes).

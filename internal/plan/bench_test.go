@@ -7,6 +7,7 @@ import (
 	"dynp/internal/job"
 	"dynp/internal/policy"
 	"dynp/internal/rng"
+	"dynp/internal/workload"
 )
 
 // BenchmarkBuild measures full-schedule construction at several queue
@@ -131,6 +132,68 @@ func BenchmarkBuildFromPooled(b *testing.B) {
 				base.Release()
 			}
 		})
+	}
+}
+
+// ctcState draws a machine state shaped like the benchmark's sim-heavy
+// workload (CTC at shrink 0.8) right after a scheduling event: 430
+// processors, about 35 jobs from the CTC model running — the first ones
+// some way into their estimates — and a queue in which nothing can start
+// now, because everything that could was started (the planner's own
+// backfilling, replayed here until it launches nothing more).
+func ctcState(tb testing.TB, queued int) (now int64, running []Running, waiting []*job.Job) {
+	set, err := workload.CTC.Generate(4*queued, rng.New(2004))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	now = 1 << 20
+	r := rng.New(12)
+	used, next := 0, 0
+	for ; len(running) < 25 && used+set.Jobs[next].Width <= workload.CTC.Machine; next++ {
+		j := set.Jobs[next]
+		used += j.Width
+		running = append(running, Running{Job: j, Start: now - int64(r.Intn(int(j.Estimate)))})
+	}
+	for len(waiting) < queued {
+		for ; len(waiting) < queued; next++ {
+			set.Jobs[next].Submit = now - int64(r.Intn(3600))
+			waiting = append(waiting, set.Jobs[next])
+		}
+		kept := waiting[:0]
+		for _, e := range Build(now, workload.CTC.Machine, running, waiting, policy.FCFS).Entries {
+			if e.Start == now {
+				running = append(running, Running{Job: e.Job, Start: now})
+			} else {
+				kept = append(kept, e.Job)
+			}
+		}
+		waiting = kept
+	}
+	return now, running, waiting
+}
+
+// BenchmarkBuildSaturated measures candidate placement where simulations
+// spend their time: long queues placed onto a profile whose head the
+// running jobs and the first placements have already filled. One op is one
+// candidate build from a shared pooled base in policy order — what the
+// tuner does three times per event. ns/job is the cost per job placed;
+// allocs/op must stay what it was before the builders bounded their
+// searches (the witness table is on the placement loop's stack).
+func BenchmarkBuildSaturated(b *testing.B) {
+	for _, queued := range []int{128, 340} {
+		now, running, waiting := ctcState(b, queued)
+		base := BuildBasePooled(now, workload.CTC.Machine, running)
+		for _, p := range policy.Candidates {
+			ordered := policy.Order(p, waiting)
+			b.Run(fmt.Sprintf("queue%d/%s", queued, p), func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					BuildFromOrdered(base, ordered, p).Release()
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(ordered)), "ns/job")
+			})
+		}
+		base.Release()
 	}
 }
 

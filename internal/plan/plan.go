@@ -255,7 +255,11 @@ func Build(now int64, capacity int, running []Running, waiting []*job.Job, p pol
 
 // buildOnto places the ordered jobs onto prof, which it consumes (the
 // caller must not reuse it), filling s. Metric sums are accumulated in the
-// same pass (see aggregates), so scoring the result re-walks nothing.
+// same pass (see aggregates), so scoring the result re-walks nothing. This
+// is the one placement loop behind every builder. Each hole search starts
+// not at now but at the latest start the build's earlier placements prove
+// no such job can beat (see witness.go); the result is the same earliest
+// fit either way.
 func buildOnto(s *Schedule, prof *profile.Profile, now int64, capacity int, ordered []*job.Job, p policy.Policy) {
 	entries := s.Entries[:0]
 	if entries == nil || cap(entries) < len(ordered) {
@@ -268,8 +272,13 @@ func buildOnto(s *Schedule, prof *profile.Profile, now int64, capacity int, orde
 		scored:  true,
 		sums:    aggregates{minStart: math.MaxInt64},
 	}
+	var proven witnesses // per build: a witness says nothing about another profile
 	for _, j := range ordered {
-		start := prof.Place(now, j.Width, j.Estimate)
+		from := proven.bound(now, j.Width, j.Estimate)
+		start, depth := prof.PlaceDepth(from, j.Width, j.Estimate)
+		if depth >= witnessMinDepth && start > from {
+			proven.record(j.Width, j.Estimate, start)
+		}
 		s.Entries = append(s.Entries, Entry{Job: j, Start: start})
 		s.sums.accumulate(j, start)
 	}
@@ -400,10 +409,16 @@ func (s *Schedule) MinStart() int64 {
 	return min
 }
 
-// Verify checks that the schedule is feasible: no entry starts before Now
-// or before its submission, and the profile including running jobs is never
-// over-subscribed. It is used by tests and by the simulator's paranoid
-// mode.
+// Verify checks that the schedule is the one planning produces: no entry
+// starts before Now or before its submission, the profile including
+// running jobs is never over-subscribed, and — taking the entries in
+// placement order — every job sits at the earliest hole that fits it, not
+// merely at a hole that fits. The search behind that last check starts at
+// Now and uses plain profile.EarliestFit, sharing nothing with the
+// builders' bounded search, so a start that is feasible but late (what an
+// unsound search bound would produce) fails here. Static, dynP and EASY
+// schedules all place in Entries order and satisfy it. It is used by
+// tests and by the simulator's paranoid mode.
 func (s *Schedule) Verify(running []Running) error {
 	prof := profile.New(s.Capacity, s.Now)
 	for _, r := range running {
@@ -418,8 +433,11 @@ func (s *Schedule) Verify(running []Running) error {
 		if e.Start < e.Job.Submit {
 			return fmt.Errorf("plan: %s starts at %d before its submission", e.Job, e.Start)
 		}
-		if got := prof.EarliestFit(e.Start, e.Job.Width, e.Job.Estimate); got != e.Start {
+		switch got := prof.EarliestFit(s.Now, e.Job.Width, e.Job.Estimate); {
+		case got > e.Start:
 			return fmt.Errorf("plan: %s does not fit at %d (earliest %d)", e.Job, e.Start, got)
+		case got < e.Start:
+			return fmt.Errorf("plan: %s starts at %d, later than its earliest fit %d", e.Job, e.Start, got)
 		}
 		prof.Alloc(e.Start, e.Job.Width, e.Job.Estimate)
 	}

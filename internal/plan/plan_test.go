@@ -167,6 +167,24 @@ func TestVerifyCatchesOverlap(t *testing.T) {
 	}
 }
 
+func TestVerifyCatchesLateStart(t *testing.T) {
+	// Two jobs that fit side by side on an idle machine. Moving the second
+	// to a later instant keeps the schedule feasible — all eight
+	// processors are free there — but it is no longer the earliest hole,
+	// which is what a planner-built schedule promises and what an unsound
+	// search bound would break.
+	a := mkJob(1, 0, 4, 10)
+	b := mkJob(2, 0, 4, 10)
+	s := Build(10, 8, nil, []*job.Job{a, b}, policy.FCFS)
+	if err := s.Verify(nil); err != nil {
+		t.Fatalf("Verify rejected the built schedule: %v", err)
+	}
+	s.Entries[1].Start = 60
+	if err := s.Verify(nil); err == nil {
+		t.Fatal("Verify accepted a feasible but late start")
+	}
+}
+
 func TestPropertySchedulesAlwaysFeasible(t *testing.T) {
 	// Random machine states and queues: every policy must produce a
 	// feasible plan and never start a job before now.

@@ -36,20 +36,8 @@ func TestPooledMatchesUnpooled(t *testing.T) {
 
 func assertSameSchedule(t *testing.T, got, want *Schedule) {
 	t.Helper()
-	if len(got.Entries) != len(want.Entries) ||
-		got.Now != want.Now || got.Capacity != want.Capacity || got.Policy != want.Policy {
-		t.Fatalf("schedule header mismatch: %+v vs %+v", got, want)
-	}
-	for i := range want.Entries {
-		if got.Entries[i] != want.Entries[i] {
-			t.Fatalf("entry %d: %+v vs %+v", i, got.Entries[i], want.Entries[i])
-		}
-	}
-	type scores struct{ a, b, c, d, e float64 }
-	g := scores{got.PlannedSLDwA(), got.PlannedART(), got.PlannedARTwW(), got.PlannedAWT(), got.PlannedMakespan()}
-	w := scores{want.PlannedSLDwA(), want.PlannedART(), want.PlannedARTwW(), want.PlannedAWT(), want.PlannedMakespan()}
-	if g != w {
-		t.Fatalf("scores mismatch: %+v vs %+v", g, w)
+	if err := sameSchedule(got, want); err != nil {
+		t.Fatal(err)
 	}
 }
 

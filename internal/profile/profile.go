@@ -352,6 +352,16 @@ func (p *Profile) panicNegative(c *chunk, width int) {
 // threads that position through to the reservation instead of re-locating
 // the interval from the root like an EarliestFit + Alloc pair would.
 func (p *Profile) Place(earliest int64, width int, duration int64) int64 {
+	start, _ := p.PlaceDepth(earliest, width, duration)
+	return start
+}
+
+// PlaceDepth is Place also reporting how deep into the profile the
+// reservation landed: the number of steps that precede the step beginning
+// at the returned start. A caller placing many jobs onto one profile reads
+// it as the length of the saturated head a search from the profile start
+// had to cross (see plan's dominance-bounded search).
+func (p *Profile) PlaceDepth(earliest int64, width int, duration int64) (start int64, depth int) {
 	p.check(earliest, width, duration)
 	ci, si, start, eci, esi := p.earliestFitPos(earliest, width, duration)
 	end := start + duration
@@ -371,7 +381,10 @@ func (p *Profile) Place(earliest int64, width int, duration int64) int64 {
 		ci, si = p.insertStep(ci, si, start)
 	}
 	p.subtractRange(ci, si, end, width)
-	return start
+	for depth = si; ci > 0; ci-- {
+		depth += len(p.chunks[ci-1].steps)
+	}
+	return start, depth
 }
 
 // splitAt ensures a step boundary exists exactly at time t, so that a

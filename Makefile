@@ -125,10 +125,12 @@ bench-quote-check:
 	$(GO) run ./cmd/benchquote -check BENCH_quote.json
 
 # The repository's one end-to-end benchmark (BENCHMARK.json is its
-# contract, benchmark/README.md its manual): every workload, untraced.
-# Needs GOMAXPROCS >= 2.
+# contract, benchmark/README.md its manual), untraced: every workload, or
+# the one named by WORKLOAD= (make bench-e2e WORKLOAD=sweep-paper). All of
+# them at once needs GOMAXPROCS >= 2.
+WORKLOAD ?= all
 bench-e2e:
-	$(GO) run ./benchmark -workload all
+	$(GO) run ./benchmark -workload $(WORKLOAD)
 
 # Two sets of runs of the same code, compared against the metrics'
 # bounds: how steady the benchmark is on this host.
@@ -146,6 +148,7 @@ fuzz:
 	$(GO) test -fuzz=FuzzProfileVsReference -fuzztime=30s ./internal/profile/
 	$(GO) test -fuzz=FuzzBuildVsNaive -fuzztime=30s -fuzzminimizetime=10x ./internal/plan/
 	$(GO) test -fuzz=FuzzSpeculationDifferential -fuzztime=30s ./internal/sim/
+	$(GO) test -fuzz=FuzzStaticLockstep -fuzztime=30s ./internal/sim/
 
 # Reduced-scale reproduction of every table and figure (about 4 minutes).
 repro:

@@ -222,12 +222,7 @@ func (t *SelfTuner) trySpec(now int64, capacity int, base *plan.Base, waiting []
 
 	// The previous event's memo state is superseded exactly as on a full
 	// rebuild: release its base before saveMemo retains the new one.
-	if t.prevBase != nil {
-		t.prevBase.Release()
-		t.prevBase = nil
-	}
-	t.prevValid = false
-
+	t.dropMemoBase()
 	t.commit(now, chosen, res.values)
 	t.saveMemo(now, capacity, base, waiting, res.schedules, chosenIdx, res.values)
 	return res.schedules[chosenIdx]

@@ -163,7 +163,7 @@ func TestSpeculateHitSurvivesDeciderFlip(t *testing.T) {
 	if st.Active() != policy.LJF || s.Policy != policy.LJF {
 		t.Fatalf("active = %v, schedule policy = %v, want LJF", st.Active(), s.Policy)
 	}
-	want := plan.Build(10, 2, running, waiting, policy.LJF)
+	want := plan.BuildFrom(plan.BuildBase(10, 2, running), waiting, policy.LJF)
 	if len(s.Entries) != len(want.Entries) {
 		t.Fatalf("schedule has %d entries, fresh LJF build %d", len(s.Entries), len(want.Entries))
 	}

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"runtime"
-	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -42,13 +41,11 @@ type Stats struct {
 //   - Incremental policy orders. A front end that reports every waiting
 //     queue change through NoteSubmit/NoteRemove (the scheduling engine
 //     does, via engine.QueueTracker) keeps one sorted view per candidate
-//     policy spliced up to date, so Plan skips the per-candidate
-//     O(n log n) re-sort. Every policy's order is total (submission time
-//     and job ID break all ties), so a spliced view is byte-identical to
-//     policy.Order's stable sort. Plan verifies the views cover exactly
-//     the waiting slice it was handed and silently falls back to full
-//     sorts when they do not (e.g. when the engine withholds unplaceable
-//     jobs during a capacity failure).
+//     policy spliced up to date (policy.Views), so Plan skips the
+//     per-candidate O(n log n) re-sort. Plan verifies the views cover
+//     exactly the waiting slice it was handed and silently falls back to
+//     full sorts when they do not (e.g. when the engine withholds
+//     unplaceable jobs during a capacity failure).
 //
 //   - Plan memoization. When an event provably cannot change the what-if
 //     schedules — the waiting queue is the same, the availability profile
@@ -70,16 +67,15 @@ type SelfTuner struct {
 	hasLast    bool
 	workers    int // bound on concurrent candidate builds; <= 1 = sequential
 
-	// Incrementally maintained per-policy orders of the waiting queue,
-	// active once the front end starts calling NoteSubmit/NoteRemove.
-	tracking bool
-	tracked  map[job.ID]*job.Job
-	views    [][]*job.Job // parallel to candidates, each in its policy's order
+	// Incrementally maintained per-candidate orders of the waiting queue,
+	// fed by NoteSubmit/NoteRemove.
+	views *policy.Views
 
 	// Memoization of the previous event's planning step. prevChosen is
-	// also the schedule handed to the caller, so the tuner never recycles
-	// its storage; the losing candidates never escape and are released
-	// back to the plan pools every step.
+	// also the schedule handed to the caller: it goes back to the plan
+	// pools when the next rebuild replaces it (saveMemo), never on a memo
+	// hit, which hands the same object out again. The losing candidates
+	// never escape and are released every step.
 	schedBuf      []*plan.Schedule // reused result slots of one step
 	prevValid     bool
 	prevNow       int64
@@ -117,6 +113,7 @@ func NewSelfTuner(candidates []policy.Policy, d Decider, m Metric) *SelfTuner {
 		active:     cs[0],
 		stats:      Stats{Chosen: make(map[string]int)},
 		workers:    1,
+		views:      policy.NewViews(cs...),
 	}
 }
 
@@ -201,67 +198,17 @@ func (t *SelfTuner) Stats() Stats {
 	return s
 }
 
-// NoteSubmit tells the tuner a job entered the waiting queue. The first
-// call enables the incremental policy-order views; from then on every
-// queue change must be reported (NoteRemove on start or cancel) for the
-// views to stay authoritative — Plan cross-checks them against the
-// waiting slice it is handed and falls back to full sorts on any
-// mismatch, so a missed notification costs speed, never correctness.
-func (t *SelfTuner) NoteSubmit(j *job.Job) {
-	if t.tracked == nil {
-		t.tracked = make(map[job.ID]*job.Job)
-		t.views = make([][]*job.Job, len(t.candidates))
-	}
-	t.tracking = true
-	if old, ok := t.tracked[j.ID]; ok {
-		// Re-submission of a live ID: replace the stale entry so the
-		// views never hold two jobs with one ID.
-		t.NoteRemove(old)
-	}
-	t.tracked[j.ID] = j
-	for i, p := range t.candidates {
-		v := t.views[i]
-		k := sort.Search(len(v), func(m int) bool { return p.Less(j, v[m]) })
-		v = append(v, nil)
-		copy(v[k+1:], v[k:])
-		v[k] = j
-		t.views[i] = v
-	}
-}
+// NoteSubmit tells the tuner a job entered the waiting queue. From the
+// first call on every queue change must be reported (NoteRemove on start
+// or cancel) for the order views to stay authoritative — Plan
+// cross-checks them against the waiting slice it is handed and falls
+// back to full sorts on any mismatch, so a missed notification costs
+// speed, never correctness.
+func (t *SelfTuner) NoteSubmit(j *job.Job) { t.views.Insert(j) }
 
 // NoteRemove tells the tuner a job left the waiting queue (it started,
 // finished or was cancelled). Unknown jobs are ignored.
-func (t *SelfTuner) NoteRemove(j *job.Job) {
-	if !t.tracking || t.tracked[j.ID] != j {
-		return
-	}
-	delete(t.tracked, j.ID)
-	for i, p := range t.candidates {
-		v := t.views[i]
-		// The policy orders are total, so the leftmost element not less
-		// than j is j itself.
-		k := sort.Search(len(v), func(m int) bool { return !p.Less(v[m], j) })
-		if k >= len(v) || v[k] != j {
-			panic(fmt.Sprintf("core: job %d not at its ordered position in the %v view", j.ID, p))
-		}
-		t.views[i] = append(v[:k], v[k+1:]...)
-	}
-}
-
-// orderedViews returns the per-candidate orders of waiting when the
-// incremental views cover exactly that slice, or nil to request the full
-// sort fallback.
-func (t *SelfTuner) orderedViews(waiting []*job.Job) [][]*job.Job {
-	if !t.tracking || len(t.tracked) != len(waiting) {
-		return nil
-	}
-	for _, j := range waiting {
-		if t.tracked[j.ID] != j {
-			return nil
-		}
-	}
-	return t.views
-}
+func (t *SelfTuner) NoteRemove(j *job.Job) { t.views.Remove(j) }
 
 // Plan performs one self-tuning dynP step: build a what-if schedule per
 // candidate policy, score each, decide, and return the schedule of the
@@ -272,10 +219,11 @@ func (t *SelfTuner) orderedViews(waiting []*job.Job) [][]*job.Job {
 // over a bounded worker pool. Plan panics — before touching any tuner
 // state — when the decider returns a policy outside the candidate set.
 //
-// Ownership: the returned schedule belongs to the caller and is never
-// recycled by the tuner; its entries stay valid indefinitely. All other
+// Ownership: the returned schedule is valid until the next Plan call
+// that rebuilds, which releases it to the plan pools once its replacement
+// exists; a memo hit hands the same live object out again. All other
 // planning storage (candidate profiles, losing schedules, base profiles)
-// cycles through the plan package's pools.
+// cycles through the same pools within the step.
 func (t *SelfTuner) Plan(now int64, capacity int, running []plan.Running, waiting []*job.Job) *plan.Schedule {
 	base := plan.BuildBasePooled(now, capacity, running)
 
@@ -289,12 +237,7 @@ func (t *SelfTuner) Plan(now int64, capacity int, running []plan.Running, waitin
 		return s
 	}
 
-	// Full rebuild: the previous event's base is no longer needed.
-	if t.prevBase != nil {
-		t.prevBase.Release()
-		t.prevBase = nil
-	}
-	t.prevValid = false
+	t.dropMemoBase()
 
 	n := len(t.candidates)
 	if cap(t.schedBuf) < n {
@@ -302,7 +245,7 @@ func (t *SelfTuner) Plan(now int64, capacity int, running []plan.Running, waitin
 	}
 	schedules := t.schedBuf[:n]
 	values := make([]float64, n)
-	buildCandidates(t.candidates, t.metric, base, waiting, t.orderedViews(waiting),
+	buildCandidates(t.candidates, t.metric, base, waiting, t.views.Covering(waiting),
 		t.Workers(), schedules, values)
 	chosen := t.decider.Decide(t.active, t.candidates, values)
 
@@ -398,12 +341,23 @@ func (t *SelfTuner) commit(now int64, chosen policy.Policy, values []float64) {
 	t.active = chosen
 }
 
+// dropMemoBase invalidates the memoized step and releases its base: a
+// rebuild or a consumed speculation is about to replace both.
+func (t *SelfTuner) dropMemoBase() {
+	if t.prevBase != nil {
+		t.prevBase.Release()
+		t.prevBase = nil
+	}
+	t.prevValid = false
+}
+
 // saveMemo retains everything the next event needs to prove (or refute)
 // that rebuilding would reproduce this event's schedules, then releases
-// the losing candidates' storage. The aggregates needed for re-scoring
-// are copied out first: a released schedule may be handed to any other
-// build — including one in a concurrently running simulation — at any
-// moment.
+// the losing candidates' storage and the chosen schedule of the previous
+// step, which the one returned now supersedes. The aggregates needed for
+// re-scoring are copied out first: a released schedule may be handed to
+// any other build — including one in a concurrently running simulation —
+// at any moment.
 func (t *SelfTuner) saveMemo(now int64, capacity int, base *plan.Base, waiting []*job.Job, schedules []*plan.Schedule, chosenIdx int, values []float64) {
 	n := len(schedules)
 	if cap(t.prevMaxEnds) < n {
@@ -422,6 +376,9 @@ func (t *SelfTuner) saveMemo(now int64, capacity int, base *plan.Base, waiting [
 			s.Release()
 			schedules[i] = nil
 		}
+	}
+	if t.prevChosen != nil {
+		t.prevChosen.Release()
 	}
 	t.prevValid = true
 	t.prevNow, t.prevCap = now, capacity

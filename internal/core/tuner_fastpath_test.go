@@ -56,10 +56,10 @@ func TestIncrementalViewsMatchFallback(t *testing.T) {
 			t.Fatalf("%s: stats differ", d.Name())
 		}
 		// The fast path must actually have been live at the end.
-		if tracked.orderedViews(waiting) == nil {
+		if tracked.views.Covering(waiting) == nil {
 			t.Fatalf("%s: incremental views not authoritative after clean tracking", d.Name())
 		}
-		if plain.orderedViews(waiting) != nil {
+		if plain.views.Covering(waiting) != nil {
 			t.Fatalf("%s: untracked tuner claims authoritative views", d.Name())
 		}
 	}
@@ -75,11 +75,11 @@ func TestViewsFallBackOnPartialQueue(t *testing.T) {
 		st.NoteSubmit(j)
 	}
 	subset := []*job.Job{jobs[0], jobs[2]} // job 2 withheld (too wide)
-	if st.orderedViews(subset) != nil {
+	if st.views.Covering(subset) != nil {
 		t.Fatal("views claimed authority over a filtered queue")
 	}
 	sched := st.Plan(0, 4, nil, subset)
-	want := plan.Build(0, 4, nil, subset, sched.Policy)
+	want := plan.BuildFrom(plan.BuildBase(0, 4, nil), subset, sched.Policy)
 	if !reflect.DeepEqual(sched.Entries, want.Entries) {
 		t.Fatalf("fallback schedule differs from direct build:\n%v\n%v", sched.Entries, want.Entries)
 	}
@@ -91,7 +91,7 @@ func TestNoteRemoveUnknownIgnored(t *testing.T) {
 	a := mkJob(1, 0, 1, 10)
 	st.NoteSubmit(a)
 	st.NoteRemove(mkJob(2, 0, 1, 10)) // never submitted: no-op
-	if got := st.orderedViews([]*job.Job{a}); got == nil {
+	if got := st.views.Covering([]*job.Job{a}); got == nil {
 		t.Fatal("stray NoteRemove disturbed the views")
 	}
 }
@@ -102,13 +102,13 @@ func TestNoteSubmitReplacesLiveID(t *testing.T) {
 	st.NoteSubmit(a)
 	b := mkJob(1, 5, 2, 20) // same ID, different object
 	st.NoteSubmit(b)
-	if st.orderedViews([]*job.Job{b}) == nil {
+	if st.views.Covering([]*job.Job{b}) == nil {
 		t.Fatal("replacement job not tracked")
 	}
-	if st.orderedViews([]*job.Job{a}) != nil {
+	if st.views.Covering([]*job.Job{a}) != nil {
 		t.Fatal("stale job still tracked after ID reuse")
 	}
-	for _, v := range st.views {
+	for _, v := range st.views.Covering([]*job.Job{b}) {
 		if len(v) != 1 || v[0] != b {
 			t.Fatalf("view holds %v, want just the replacement", v)
 		}

@@ -70,7 +70,7 @@ func TestPlanReturnsChosenSchedule(t *testing.T) {
 	waiting := []*job.Job{mkJob(1, 0, 1, 1000), mkJob(2, 0, 1, 10)}
 	st := NewSelfTuner(nil, Advanced{}, MetricSLDwA)
 	s := st.Plan(0, 1, nil, waiting)
-	want := plan.Build(0, 1, nil, waiting, policy.SJF)
+	want := plan.BuildFrom(plan.BuildBase(0, 1, nil), waiting, policy.SJF)
 	if len(s.Entries) != len(want.Entries) {
 		t.Fatalf("schedule length mismatch")
 	}
@@ -187,7 +187,7 @@ func TestPlanIdenticalAcrossWorkerCounts(t *testing.T) {
 		var out outcome
 		for s, wave := range waves {
 			sched := st.Plan(int64(1000+100*s), capacity, running, wave)
-			out.schedules = append(out.schedules, sched.Entries)
+			out.schedules = append(out.schedules, append([]plan.Entry(nil), sched.Entries...)) // valid only until the next Plan
 			out.policies = append(out.policies, sched.Policy)
 		}
 		out.trace = st.Trace()
@@ -271,7 +271,7 @@ func TestPlanRejectsRogueDeciderBeforeMutatingState(t *testing.T) {
 func TestMetricScoreDispatch(t *testing.T) {
 	a := mkJob(1, 0, 2, 10)
 	b := mkJob(2, 0, 1, 40)
-	s := plan.Build(0, 2, nil, []*job.Job{a, b}, policy.FCFS)
+	s := plan.BuildFrom(plan.BuildBase(0, 2, nil), []*job.Job{a, b}, policy.FCFS)
 	// a starts 0 (width 2)? capacity 2: a takes both, b waits to 10.
 	checks := map[Metric]float64{
 		MetricART:      ((0 + 10) + (10 + 40)) / 2.0,

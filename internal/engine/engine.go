@@ -42,16 +42,21 @@ import (
 type Driver interface {
 	// Name identifies the scheduler in result tables.
 	Name() string
-	// Plan computes a full schedule for the waiting jobs.
+	// Plan computes a full schedule for the waiting jobs. The result is
+	// the caller's to read until this driver's next Plan call returns a
+	// different schedule, at which point the driver may recycle the old
+	// one's storage; a Plan that returns the same object again (the
+	// tuner's memo hit) extends the claim. Copy out what must outlive
+	// that. One driver therefore serves one engine at a time.
 	Plan(now int64, capacity int, running []plan.Running, waiting []*job.Job) *plan.Schedule
 	// ActivePolicy returns the policy the last plan was built with.
 	ActivePolicy() policy.Policy
 }
 
 // QueueTracker is an optional Driver extension. A driver that keeps
-// incrementally-updated orders of the waiting queue (the self-tuning
-// dynP driver does, see core.SelfTuner.NoteSubmit) implements it to be
-// told about every waiting-queue change; the engine then reports each
+// incrementally-updated orders of the waiting queue (the static and
+// self-tuning dynP drivers do, on policy.Views) implements it to be told
+// about every waiting-queue change; the engine then reports each
 // submission and each removal (start or cancel) as it happens. Purely an
 // optimisation: a driver that never hears a notification just re-sorts.
 type QueueTracker interface {
@@ -191,7 +196,8 @@ func (e *Engine) Waiting() []*job.Job { return e.waiting }
 func (e *Engine) Running() []plan.Running { return e.running }
 
 // Schedule returns the most recent plan (nil before the first replan or
-// while the machine is fully drained).
+// while the machine is fully drained). It is only valid until the next
+// Replan (see Driver.Plan): read it, do not keep it.
 func (e *Engine) Schedule() *plan.Schedule { return e.plan }
 
 // IsWaiting reports whether the job is in the waiting queue.
@@ -499,9 +505,13 @@ func (e *Engine) removeWaiting(id job.ID) (*job.Job, bool) {
 }
 
 // CheckInvariants verifies the engine's internal consistency: index maps
-// match the queues, the running set fits the effective capacity, and no
-// job is both waiting and running. A healthy engine always returns nil.
+// match the queues, the running set fits the effective capacity, no job
+// is both waiting and running, and the plan in force has not been
+// recycled under the engine. A healthy engine always returns nil.
 func (e *Engine) CheckInvariants() error {
+	if e.plan != nil && e.plan.Released() {
+		return fmt.Errorf("engine: the plan in force (t=%d, %v) was released to the pool", e.plan.Now, e.plan.Policy)
+	}
 	if e.failed < 0 || e.failed > e.capacity {
 		return fmt.Errorf("engine: %d failed processors out of [0, %d]", e.failed, e.capacity)
 	}

@@ -346,3 +346,28 @@ func BenchmarkEngineEventLoop(b *testing.B) {
 		}
 	}
 }
+
+// recyclingDriver breaks the Driver.Plan lifetime rule: it hands out a
+// schedule it has already released to the pool.
+type recyclingDriver struct{ engine.Driver }
+
+func (d recyclingDriver) Plan(now int64, capacity int, running []plan.Running, waiting []*job.Job) *plan.Schedule {
+	s := d.Driver.Plan(now, capacity, running, waiting)
+	s.Release()
+	return s
+}
+
+// TestVerifyRejectsRecycledPlan: a plan whose storage went back to the
+// pool while the engine holds it is an error on the verify path, not a
+// quietly wrong launch decision.
+func TestVerifyRejectsRecycledPlan(t *testing.T) {
+	eng := engine.New(2, recyclingDriver{&sim.EASY{Base: policy.FCFS}}, 0, engine.WithVerify())
+	eng.Submit(mkJob(1, 0, 1, 10))
+	err := eng.Replan()
+	if err == nil || !strings.Contains(err.Error(), "released to the pool") {
+		t.Fatalf("Replan with a recycled plan: %v, want a released-to-the-pool error", err)
+	}
+	if err := eng.CheckInvariants(); err == nil || !strings.Contains(err.Error(), "released to the pool") {
+		t.Fatalf("CheckInvariants with a recycled plan in force: %v", err)
+	}
+}

@@ -51,6 +51,10 @@ func TestCheckInvariantsDetectsCorruption(t *testing.T) {
 			e.running = append(e.running, e.running[0])
 			e.runningIdx[e.running[0].Job.ID] = 2
 		}, "running index"},
+		{"plan recycled under the engine", func(e *Engine) {
+			e.plan = &plan.Schedule{}
+			e.plan.Release()
+		}, "released to the pool"},
 		{"waiting and running", func(e *Engine) {
 			j := e.running[1].Job
 			e.waitingIdx[j.ID] = len(e.waiting)

@@ -28,7 +28,7 @@ func BenchmarkBuild(b *testing.B) {
 				}
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					Build(1000, 128, nil, waiting, p)
+					build(1000, 128, nil, waiting, p)
 				}
 			})
 		}
@@ -37,8 +37,8 @@ func BenchmarkBuild(b *testing.B) {
 
 // BenchmarkBuildBaseReuse contrasts the two ways of building the what-if
 // schedules of one self-tuning step when running jobs occupy the machine:
-// rebuilding the availability profile from scratch per candidate (the old
-// Build path) against building the base once and cloning it per candidate
+// rebuilding the availability profile from scratch per candidate against
+// building the base once and cloning it per candidate
 // (the BuildBase/BuildFrom path the tuner uses).
 func BenchmarkBuildBaseReuse(b *testing.B) {
 	const capacity = 1024
@@ -67,7 +67,7 @@ func BenchmarkBuildBaseReuse(b *testing.B) {
 			b.Run(name+"/rebuild", func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
 					for _, p := range policy.Candidates {
-						Build(1000, capacity, running, waiting, p)
+						build(1000, capacity, running, waiting, p)
 					}
 				}
 			})
@@ -160,7 +160,7 @@ func ctcState(tb testing.TB, queued int) (now int64, running []Running, waiting 
 			waiting = append(waiting, set.Jobs[next])
 		}
 		kept := waiting[:0]
-		for _, e := range Build(now, workload.CTC.Machine, running, waiting, policy.FCFS).Entries {
+		for _, e := range build(now, workload.CTC.Machine, running, waiting, policy.FCFS).Entries {
 			if e.Start == now {
 				running = append(running, Running{Job: e.Job, Start: now})
 			} else {
@@ -208,7 +208,7 @@ func BenchmarkPlannedSLDwA(b *testing.B) {
 			Width: 1 + r.Intn(128), Estimate: est, Runtime: est,
 		}
 	}
-	s := Build(1000, 128, nil, waiting, policy.SJF)
+	s := build(1000, 128, nil, waiting, policy.SJF)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		s.PlannedSLDwA()

@@ -67,7 +67,6 @@ func checkAgainstNaive(t testing.TB, policies []policy.Policy, now int64, capaci
 		}
 		ordered := policy.Order(p, waiting)
 		for name, got := range map[string]*Schedule{
-			"Build":            Build(now, capacity, running, waiting, p),
 			"BuildFrom":        BuildFrom(base, waiting, p),
 			"BuildFromPooled":  BuildFromPooled(pooled, waiting, p),
 			"BuildFromOrdered": BuildFromOrdered(pooled, ordered, p),

@@ -101,15 +101,16 @@ type Base struct {
 	prof     *profile.Profile
 }
 
-// The hot-path arenas. One self-tuning step builds a base profile, one
+// The hot-path arenas. One planning step builds a base profile, one
 // candidate profile clone per policy, and one Schedule (with its Entry
 // slice) per policy — at every scheduling event, over a full SWF trace.
 // The pools let that storage cycle instead of being reallocated: candidate
 // profiles are returned the moment a build finishes, losing candidate
-// schedules after scoring (see Schedule.Release), base profiles when the
-// next event's base replaces them (see Base.Release). sync.Pool is safe
-// for the tuner's concurrent candidate builds and for concurrent
-// simulations sharing the package-level pools.
+// schedules after scoring, the schedule a driver handed out when its next
+// one replaces it (see Schedule.Release), base profiles when the next
+// event's base replaces them (see Base.Release). sync.Pool is safe for
+// the tuner's concurrent candidate builds and for concurrent simulations
+// sharing the package-level pools.
 var (
 	profilePool  = sync.Pool{New: func() any { return new(profile.Profile) }}
 	schedulePool = sync.Pool{New: func() any { return new(Schedule) }}
@@ -190,7 +191,7 @@ func BuildFromPooled(b *Base, waiting []*job.Job, p policy.Policy) *Schedule {
 
 // BuildFromOrdered is BuildFromPooled for a waiting queue that is already
 // in policy p's order (policy.Order's output, or an incrementally
-// maintained view of it — see core.SelfTuner). The ordered slice is not
+// maintained view of it — see policy.Views). The ordered slice is not
 // modified and must not change while the build runs.
 func BuildFromOrdered(b *Base, ordered []*job.Job, p policy.Policy) *Schedule {
 	return buildPooled(b, ordered, p)
@@ -220,11 +221,15 @@ func ReleaseSchedules(ss []*Schedule) {
 }
 
 // Release returns a schedule's storage (the Entry slice and the Schedule
-// struct itself) to the pool. Only an owner that knows no other reference
-// exists may call it: the self-tuner releases the losing what-if
-// candidates after scoring, which never escape it; the chosen schedule is
-// handed to the caller and must NOT be released by the tuner. Double
-// release panics.
+// struct itself) to the pool. Only the builder's owner may call it, and
+// only when no reader is left: the self-tuner releases the losing what-if
+// candidates after scoring, which never escape it, and every planning
+// driver releases the schedule its previous Plan returned once the next
+// Plan has built a different one — the moment the engine.Driver contract
+// ends the caller's claim on it. Double release panics; the entries are
+// wiped (which also keeps a pooled schedule from pinning finished jobs),
+// so a reader that outlived its claim finds Released true and nil jobs
+// rather than a plausible stale plan.
 //
 // Ownership may cross goroutines: the speculative planning pipeline
 // builds pooled bases and schedules on a worker goroutine and hands them
@@ -239,19 +244,15 @@ func (s *Schedule) Release() {
 		panic("plan: Schedule released twice")
 	}
 	s.released = true
+	clear(s.Entries)
 	schedulePool.Put(s)
 }
 
-// Build computes a full schedule for the waiting jobs under policy p.
-// Running jobs block their processors until their estimated end. The
-// waiting slice is not modified. One-shot equivalent of BuildBase +
-// BuildFrom without the defensive clone.
-func Build(now int64, capacity int, running []Running, waiting []*job.Job, p policy.Policy) *Schedule {
-	b := BuildBase(now, capacity, running)
-	s := &Schedule{}
-	buildOnto(s, b.prof, b.Now, b.Capacity, policy.Order(p, waiting), p)
-	return s
-}
+// Released reports whether the schedule has gone back to the pool and
+// must not be read anymore. The engine's invariant check and Verify use
+// it to turn a use-after-recycle into an error instead of a silently
+// wrong plan.
+func (s *Schedule) Released() bool { return s.released }
 
 // buildOnto places the ordered jobs onto prof, which it consumes (the
 // caller must not reuse it), filling s. Metric sums are accumulated in the
@@ -417,9 +418,13 @@ func (s *Schedule) MinStart() int64 {
 // Now and uses plain profile.EarliestFit, sharing nothing with the
 // builders' bounded search, so a start that is feasible but late (what an
 // unsound search bound would produce) fails here. Static, dynP and EASY
-// schedules all place in Entries order and satisfy it. It is used by
-// tests and by the simulator's paranoid mode.
+// schedules all place in Entries order and satisfy it. A schedule that
+// was released to the pool fails outright. It is used by tests and by the
+// simulator's paranoid mode.
 func (s *Schedule) Verify(running []Running) error {
+	if s.released {
+		return fmt.Errorf("plan: schedule at %d under %v was released to the pool", s.Now, s.Policy)
+	}
 	prof := profile.New(s.Capacity, s.Now)
 	for _, r := range running {
 		if rem := r.EstimatedEnd() - s.Now; rem > 0 {

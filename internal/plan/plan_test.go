@@ -14,6 +14,12 @@ func mkJob(id job.ID, submit int64, width int, est int64) *job.Job {
 	return &job.Job{ID: id, Submit: submit, Width: width, Estimate: est, Runtime: est}
 }
 
+// build is the one-shot build most tests here have as their subject: a
+// fresh unpooled base per call and a full sort of the queue.
+func build(now int64, capacity int, running []Running, waiting []*job.Job, p policy.Policy) *Schedule {
+	return BuildFrom(BuildBase(now, capacity, running), waiting, p)
+}
+
 func startOf(s *Schedule, id job.ID) int64 {
 	for _, e := range s.Entries {
 		if e.Job.ID == id {
@@ -24,7 +30,7 @@ func startOf(s *Schedule, id job.ID) int64 {
 }
 
 func TestBuildEmpty(t *testing.T) {
-	s := Build(100, 8, nil, nil, policy.FCFS)
+	s := build(100, 8, nil, nil, policy.FCFS)
 	if len(s.Entries) != 0 {
 		t.Fatal("empty build produced entries")
 	}
@@ -38,7 +44,7 @@ func TestBuildEmpty(t *testing.T) {
 
 func TestBuildIdleMachineStartsNow(t *testing.T) {
 	j := mkJob(1, 0, 4, 100)
-	s := Build(50, 8, nil, []*job.Job{j}, policy.FCFS)
+	s := build(50, 8, nil, []*job.Job{j}, policy.FCFS)
 	if got := startOf(s, 1); got != 50 {
 		t.Fatalf("start = %d, want 50 (now)", got)
 	}
@@ -47,7 +53,7 @@ func TestBuildIdleMachineStartsNow(t *testing.T) {
 func TestBuildWaitsForRunning(t *testing.T) {
 	running := []Running{{Job: mkJob(9, 0, 6, 100), Start: 0}}
 	j := mkJob(1, 0, 4, 10)
-	s := Build(20, 8, running, []*job.Job{j}, policy.FCFS)
+	s := build(20, 8, running, []*job.Job{j}, policy.FCFS)
 	// 2 processors free until 100; width 4 must wait for the running
 	// job's estimated end.
 	if got := startOf(s, 1); got != 100 {
@@ -62,7 +68,7 @@ func TestImplicitBackfilling(t *testing.T) {
 	running := []Running{{Job: mkJob(9, 0, 6, 100), Start: 0}}
 	wide := mkJob(1, 1, 8, 50)
 	narrow := mkJob(2, 2, 2, 80)
-	s := Build(10, 8, running, []*job.Job{wide, narrow}, policy.FCFS)
+	s := build(10, 8, running, []*job.Job{wide, narrow}, policy.FCFS)
 	if got := startOf(s, 1); got != 100 {
 		t.Fatalf("wide start = %d, want 100", got)
 	}
@@ -80,7 +86,7 @@ func TestBackfillNeverDelaysEarlierJob(t *testing.T) {
 	running := []Running{{Job: mkJob(9, 0, 6, 100), Start: 0}}
 	wide := mkJob(1, 1, 8, 50)
 	long := mkJob(2, 2, 2, 200)
-	s := Build(10, 8, running, []*job.Job{wide, long}, policy.FCFS)
+	s := build(10, 8, running, []*job.Job{wide, long}, policy.FCFS)
 	if got := startOf(s, 1); got != 100 {
 		t.Fatalf("wide start = %d, want 100", got)
 	}
@@ -96,11 +102,11 @@ func TestPolicyOrderMatters(t *testing.T) {
 	long := mkJob(2, 0, 1, 100)
 	waiting := []*job.Job{long, short}
 
-	sjf := Build(0, 1, nil, waiting, policy.SJF)
+	sjf := build(0, 1, nil, waiting, policy.SJF)
 	if startOf(sjf, 1) != 0 || startOf(sjf, 2) != 10 {
 		t.Fatalf("SJF plan wrong: short at %d, long at %d", startOf(sjf, 1), startOf(sjf, 2))
 	}
-	ljf := Build(0, 1, nil, waiting, policy.LJF)
+	ljf := build(0, 1, nil, waiting, policy.LJF)
 	if startOf(ljf, 2) != 0 || startOf(ljf, 1) != 100 {
 		t.Fatalf("LJF plan wrong: long at %d, short at %d", startOf(ljf, 2), startOf(ljf, 1))
 	}
@@ -111,7 +117,7 @@ func TestPlannedMetrics(t *testing.T) {
 	// then b (est 40, width 1), FCFS order, now = 0.
 	a := mkJob(1, 0, 1, 10)
 	b := mkJob(2, 0, 1, 40)
-	s := Build(0, 1, nil, []*job.Job{a, b}, policy.FCFS)
+	s := build(0, 1, nil, []*job.Job{a, b}, policy.FCFS)
 	// a: start 0, response 10, slowdown 1, area 10.
 	// b: start 10, response 50, slowdown 50/40 = 1.25, area 40.
 	wantSLDwA := (10.0*1 + 40*1.25) / 50
@@ -135,7 +141,7 @@ func TestPlannedMetrics(t *testing.T) {
 func TestStartingNow(t *testing.T) {
 	a := mkJob(1, 0, 4, 10)
 	b := mkJob(2, 0, 8, 10)
-	s := Build(0, 8, nil, []*job.Job{a, b}, policy.FCFS)
+	s := build(0, 8, nil, []*job.Job{a, b}, policy.FCFS)
 	starting := s.StartingNow()
 	if len(starting) != 1 || starting[0].Job.ID != 1 {
 		t.Fatalf("StartingNow = %v", starting)
@@ -144,12 +150,12 @@ func TestStartingNow(t *testing.T) {
 
 func TestVerifyCatchesBadSchedule(t *testing.T) {
 	a := mkJob(1, 5, 4, 10)
-	s := Build(10, 8, nil, []*job.Job{a}, policy.FCFS)
+	s := build(10, 8, nil, []*job.Job{a}, policy.FCFS)
 	s.Entries[0].Start = 3 // before now and before submit
 	if err := s.Verify(nil); err == nil {
 		t.Fatal("Verify accepted a start before now")
 	}
-	s = Build(10, 8, nil, []*job.Job{a}, policy.FCFS)
+	s = build(10, 8, nil, []*job.Job{a}, policy.FCFS)
 	s.Entries[0].Job = mkJob(2, 20, 4, 10) // submitted after now
 	s.Entries[0].Start = 10
 	if err := s.Verify(nil); err == nil {
@@ -160,7 +166,7 @@ func TestVerifyCatchesBadSchedule(t *testing.T) {
 func TestVerifyCatchesOverlap(t *testing.T) {
 	a := mkJob(1, 0, 6, 10)
 	b := mkJob(2, 0, 6, 10)
-	s := Build(0, 8, nil, []*job.Job{a, b}, policy.FCFS)
+	s := build(0, 8, nil, []*job.Job{a, b}, policy.FCFS)
 	s.Entries[1].Start = 0 // force overlap: 12 > 8 processors
 	if err := s.Verify(nil); err == nil {
 		t.Fatal("Verify accepted over-subscription")
@@ -175,7 +181,7 @@ func TestVerifyCatchesLateStart(t *testing.T) {
 	// search bound would break.
 	a := mkJob(1, 0, 4, 10)
 	b := mkJob(2, 0, 4, 10)
-	s := Build(10, 8, nil, []*job.Job{a, b}, policy.FCFS)
+	s := build(10, 8, nil, []*job.Job{a, b}, policy.FCFS)
 	if err := s.Verify(nil); err != nil {
 		t.Fatalf("Verify rejected the built schedule: %v", err)
 	}
@@ -218,7 +224,7 @@ func TestPropertySchedulesAlwaysFeasible(t *testing.T) {
 			}
 		}
 		for _, p := range policy.Candidates {
-			s := Build(now, capacity, running, waiting, p)
+			s := build(now, capacity, running, waiting, p)
 			if len(s.Entries) != len(waiting) {
 				return false
 			}
@@ -246,9 +252,9 @@ func TestPropertySJFMinimisesPlannedSLDwAOnUnitMachine(t *testing.T) {
 				Estimate: int64(1 + r.Intn(500)), Runtime: 1,
 			})
 		}
-		sjf := Build(0, 1, nil, waiting, policy.SJF).PlannedSLDwA()
+		sjf := build(0, 1, nil, waiting, policy.SJF).PlannedSLDwA()
 		for _, p := range []policy.Policy{policy.FCFS, policy.LJF} {
-			if Build(0, 1, nil, waiting, p).PlannedSLDwA() < sjf-1e-9 {
+			if build(0, 1, nil, waiting, p).PlannedSLDwA() < sjf-1e-9 {
 				return false
 			}
 		}
@@ -284,13 +290,13 @@ func randomState(seed uint64, capacity, nRunning, queued int) ([]Running, []*job
 }
 
 // TestBuildFromMatchesBuild: deriving a schedule from a shared base must
-// be indistinguishable from a from-scratch Build, for every policy.
+// be indistinguishable from a from-scratch naive build, for every policy.
 func TestBuildFromMatchesBuild(t *testing.T) {
 	const capacity = 64
 	running, waiting := randomState(3, capacity, 8, 50)
 	base := BuildBase(1000, capacity, running)
 	for _, p := range policy.All {
-		want := Build(1000, capacity, running, waiting, p)
+		want, _ := naiveBuild(1000, capacity, running, waiting, p)
 		got := BuildFrom(base, waiting, p)
 		if got.Now != want.Now || got.Capacity != want.Capacity || got.Policy != want.Policy {
 			t.Fatalf("%s: header differs: %+v vs %+v", p, got, want)
@@ -339,7 +345,7 @@ func TestBaseNotMutatedBySiblingBuilds(t *testing.T) {
 		}
 	}
 	for p, schedules := range byPolicy {
-		want := Build(1000, capacity, running, waiting, p)
+		want, _ := naiveBuild(1000, capacity, running, waiting, p)
 		for _, got := range schedules {
 			for i := range got.Entries {
 				if got.Entries[i].Job.ID != want.Entries[i].Job.ID ||

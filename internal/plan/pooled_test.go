@@ -48,7 +48,7 @@ func TestFusedScoresMatchWalked(t *testing.T) {
 	for seed := uint64(0); seed < 20; seed++ {
 		running, waiting := randomState(seed, 16, 4, 32)
 		for _, p := range policy.Candidates {
-			s := Build(0, 16, running, waiting, p)
+			s := build(0, 16, running, waiting, p)
 			if !s.scored {
 				t.Fatal("builder output not marked scored")
 			}

@@ -8,7 +8,7 @@
 // places jobs at their earliest feasible start time in that order. The
 // ordering contract is strict: Less must be a total order over distinct
 // jobs (use TieBreak to fall back to submission time and job ID), because
-// the self-tuner's incrementally spliced order views and the planner's
+// the incrementally spliced order views (see Views) and the planner's
 // stable sorts are only byte-equivalent when every pair of jobs orders
 // the same way everywhere.
 //
@@ -19,7 +19,7 @@ package policy
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"dynp/internal/job"
 )
@@ -131,10 +131,21 @@ func TieBreak(a, b *job.Job) bool {
 }
 
 // Order returns a new slice with the jobs sorted according to p. The
-// input slice is not modified; the planner orders a fresh copy of the
-// waiting queue for every what-if schedule of a self-tuning step.
+// input slice is not modified. Planning drivers fed by queue
+// notifications read their orders off spliced Views instead; Order is the
+// full-sort fallback and the reference those views are checked against.
 func Order(p Policy, jobs []*job.Job) []*job.Job {
 	out := append([]*job.Job(nil), jobs...)
-	sort.SliceStable(out, func(i, j int) bool { return p.Less(out[i], out[j]) })
+	// Less is total over distinct jobs, so "not less" means "greater" for
+	// every pair the stable sort compares.
+	slices.SortStableFunc(out, func(a, b *job.Job) int {
+		switch {
+		case a == b:
+			return 0
+		case p.Less(a, b):
+			return -1
+		}
+		return 1
+	})
 	return out
 }

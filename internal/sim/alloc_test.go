@@ -1,0 +1,83 @@
+package sim
+
+import (
+	"testing"
+
+	"dynp/internal/core"
+	"dynp/internal/job"
+	"dynp/internal/plan"
+	"dynp/internal/policy"
+	"dynp/internal/rng"
+)
+
+// allocScenario draws a queue of the given length plus one spare job to
+// churn it with, and a machine with one running job.
+func allocScenario(queued int) (waiting []*job.Job, spare *job.Job, running []plan.Running) {
+	r := rng.New(uint64(queued))
+	waiting = make([]*job.Job, queued+1)
+	for i := range waiting {
+		est := int64(1 + r.Intn(20000))
+		waiting[i] = &job.Job{ID: job.ID(i + 1), Submit: int64(r.Intn(1000)),
+			Width: 1 + r.Intn(64), Estimate: est, Runtime: est}
+	}
+	running = []plan.Running{{Job: &job.Job{ID: 9999, Width: 32, Estimate: 5000, Runtime: 5000}}}
+	return waiting[:queued], waiting[queued], running
+}
+
+// TestStaticPlanAllocs is the allocation gate of the static lane: with
+// the pools warm, a Plan call allocates nothing of its own. One object a
+// call on average is allowed, because a garbage collection during the
+// measurement may empty the pools once.
+func TestStaticPlanAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items under the race detector")
+	}
+	for _, queued := range []int{64, 256} {
+		waiting, _, running := allocScenario(queued)
+		s := &Static{Policy: policy.SJF}
+		for _, j := range waiting {
+			s.NoteSubmit(j)
+		}
+		step := func() { s.Plan(1000, 128, running, waiting) }
+		step()
+		step()
+		if avg := testing.AllocsPerRun(200, step); avg > 1 {
+			t.Errorf("queue %d: Static.Plan allocates %.2f objects per call, want at most 1", queued, avg)
+		}
+	}
+}
+
+// TestTunerRebuildAllocs gates the self-tuner's rebuild path: the queue
+// changes before every Plan, so each call builds all three candidates
+// anew. At the parent commit that allocated 5 objects a call — the chosen
+// Schedule and its Entries among them, garbage one event later. Those two
+// now cycle through the pool; what is left is the values slice the
+// decision retains, the build closure and the decider's tie set.
+func TestTunerRebuildAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items under the race detector")
+	}
+	const parent = 5
+	for _, queued := range []int{64, 256} {
+		waiting, spare, running := allocScenario(queued)
+		d := NewDynP(core.Advanced{})
+		for _, j := range waiting {
+			d.NoteSubmit(j)
+		}
+		i := 0
+		rebuild := func() {
+			k := i % queued
+			i++
+			d.NoteRemove(waiting[k])
+			waiting[k], spare = spare, waiting[k]
+			d.NoteSubmit(waiting[k])
+			d.Plan(1000, 128, running, waiting)
+		}
+		rebuild()
+		rebuild()
+		if avg := testing.AllocsPerRun(200, rebuild); avg >= parent-1 {
+			t.Errorf("queue %d: a rebuilding Plan allocates %.2f objects, want under %d (parent: %d)",
+				queued, avg, parent-1, parent)
+		}
+	}
+}

@@ -37,21 +37,52 @@ import (
 type Driver = engine.Driver
 
 // Static is a Driver that always uses a single policy — the paper's basic
-// scheduling approach used as the baseline.
+// scheduling approach used as the baseline. It plans on the same lane as
+// the self-tuner: pooled base and schedule storage, and the policy's
+// order read off a spliced view of the waiting queue instead of a sort
+// per event. Policy must not change once the driver is in use.
 type Static struct {
 	Policy policy.Policy
+
+	views *policy.Views  // Policy's order of the waiting queue, fed by the engine
+	last  *plan.Schedule // the schedule handed out by the previous Plan
 }
 
 // Name implements Driver.
 func (s *Static) Name() string { return s.Policy.Name() }
 
-// Plan implements Driver.
+// Plan implements Driver. When the view does not cover the waiting slice
+// (no engine feeding it, or unplaceable jobs withheld) the queue is
+// sorted in full — the same schedule either way.
 func (s *Static) Plan(now int64, capacity int, running []plan.Running, waiting []*job.Job) *plan.Schedule {
-	return plan.Build(now, capacity, running, waiting, s.Policy)
+	base := plan.BuildBasePooled(now, capacity, running)
+	var next *plan.Schedule
+	if ordered := s.views.Covering(waiting); ordered != nil {
+		next = plan.BuildFromOrdered(base, ordered[0], s.Policy)
+	} else {
+		next = plan.BuildFromPooled(base, waiting, s.Policy)
+	}
+	base.Release()
+	if s.last != nil {
+		s.last.Release() // superseded: see the lifetime rule on engine.Driver
+	}
+	s.last = next
+	return next
 }
 
 // ActivePolicy implements Driver.
 func (s *Static) ActivePolicy() policy.Policy { return s.Policy }
+
+// NoteSubmit implements engine.QueueTracker.
+func (s *Static) NoteSubmit(j *job.Job) {
+	if s.views == nil {
+		s.views = policy.NewViews(s.Policy)
+	}
+	s.views.Insert(j)
+}
+
+// NoteRemove implements engine.QueueTracker.
+func (s *Static) NoteRemove(j *job.Job) { s.views.Remove(j) }
 
 // Record is the outcome of one job.
 type Record struct {

@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: all ci build vet fmt-check test race soak soak-disk bench bench-smoke bench-tuner bench-plan bench-plan-check bench-sim bench-sim-check bench-scale bench-scale-check bench-recover bench-recover-check bench-quote bench-quote-check bench-e2e bench-e2e-agree fuzz repro repro-full ablations golden golden-check golden-check-registered golden-check-speculate golden-check-full clean
+.PHONY: all ci build vet fmt-check test race soak soak-disk bench bench-smoke bench-sim bench-sim-check bench-scale bench-scale-check bench-recover bench-recover-check bench-quote bench-quote-check bench-e2e bench-e2e-agree fuzz repro repro-full ablations golden golden-check golden-check-registered golden-check-full clean
 
 all: build vet test
 
@@ -33,10 +33,10 @@ test:
 	$(GO) test -shuffle=on ./...
 
 # Race-check everything. The concurrent pieces — the work-stealing shard
-# pool, the experiment sweep, parallel what-if planning in the tuner,
-# sim.RunParallel, the RMS snapshot readers, the chaos harness — all have
-# tests that exercise real concurrency, and the sequential packages are
-# cheap enough that whole-module coverage costs little extra.
+# pool, the experiment sweep, sim.RunParallel, the RMS snapshot readers,
+# the chaos harness — all have tests that exercise real concurrency, and
+# the sequential packages are cheap enough that whole-module coverage
+# costs little extra.
 race:
 	$(GO) test -race ./...
 
@@ -61,20 +61,6 @@ bench:
 bench-smoke:
 	$(GO) test -bench=SelfTuner -benchtime=1x ./... | tee bench-smoke.txt
 
-# Refresh the committed planning-cost snapshot.
-bench-tuner:
-	$(GO) run ./cmd/benchtuner -out BENCH_tuner.json
-
-# Refresh the committed allocation snapshot of the what-if planning path
-# (pooled vs unpooled builds, memoized vs rebuilt tuner steps).
-bench-plan:
-	$(GO) run ./cmd/benchplan -out BENCH_plan.json
-
-# Fail when the tuner step's allocs/op regressed >10% against the
-# committed BENCH_plan.json. CI runs this in the bench-smoke job.
-bench-plan-check:
-	$(GO) run ./cmd/benchplan -check BENCH_plan.json
-
 # Refresh the committed simulation-throughput snapshot: indexed-vs-linear
 # profile micro-benchmarks plus end-to-end sim.Run rates at 1k/10k jobs.
 bench-sim:
@@ -88,7 +74,7 @@ bench-sim-check:
 	$(GO) run ./cmd/benchsim -check BENCH_sim.json
 
 # Refresh the committed multi-core scaling snapshot: experiment-sweep and
-# sim.RunParallel jobs/s plus tuner plan latency at GOMAXPROCS 1/2/4/N.
+# sim.RunParallel jobs/s at GOMAXPROCS 1/2/4/N.
 bench-scale:
 	$(GO) run ./cmd/benchscale -out BENCH_scale.json
 
@@ -141,13 +127,14 @@ bench-e2e-agree:
 # (hundreds of bytes), and with the default 60 s minimisation budget per
 # new-coverage input a 30 s run spends itself minimising after a few
 # thousand executions instead of exploring (~600 execs/s with the cap).
+# FuzzTunerLockstep's inputs are whole event streams: same cap, same reason.
 fuzz:
 	$(GO) test -fuzz=FuzzRead -fuzztime=30s ./internal/swf/
 	$(GO) test -fuzz=FuzzServeConn -fuzztime=30s ./internal/rms/
 	$(GO) test -fuzz=FuzzJournalRecover -fuzztime=30s ./internal/rms/
 	$(GO) test -fuzz=FuzzProfileVsReference -fuzztime=30s ./internal/profile/
 	$(GO) test -fuzz=FuzzBuildVsNaive -fuzztime=30s -fuzzminimizetime=10x ./internal/plan/
-	$(GO) test -fuzz=FuzzSpeculationDifferential -fuzztime=30s ./internal/sim/
+	$(GO) test -fuzz=FuzzTunerLockstep -fuzztime=30s -fuzzminimizetime=10x ./internal/sim/
 	$(GO) test -fuzz=FuzzStaticLockstep -fuzztime=30s ./internal/sim/
 
 # Reduced-scale reproduction of every table and figure (about 4 minutes).
@@ -181,17 +168,6 @@ golden-check:
 # the paper pipeline. CI runs this next to golden-check.
 golden-check-registered:
 	$(GO) run ./cmd/paper -register-inactive > paper_output.check.txt
-	cmp paper_output.check.txt paper_output.txt
-	rm -f paper_output.check.txt
-
-# Like golden-check, but with the speculative cross-event planning
-# pipeline enabled in every dynP tuner — plain and with the inactive
-# registrations: speculation is an execution detail that must not perturb
-# a single byte of the paper pipeline. CI runs this next to golden-check.
-golden-check-speculate:
-	$(GO) run ./cmd/paper -speculate > paper_output.check.txt
-	cmp paper_output.check.txt paper_output.txt
-	$(GO) run ./cmd/paper -register-inactive -speculate > paper_output.check.txt
 	cmp paper_output.check.txt paper_output.txt
 	rm -f paper_output.check.txt
 

@@ -6,7 +6,6 @@
 package dynp_test
 
 import (
-	"fmt"
 	"io"
 	"testing"
 
@@ -301,25 +300,6 @@ func BenchmarkSimulateDynP(b *testing.B) {
 		if _, err := dynp.Simulate(set, dynp.NewDynPScheduler(dynp.PreferredDecider(dynp.SJF))); err != nil {
 			b.Fatal(err)
 		}
-	}
-}
-
-// BenchmarkSimulateDynPWorkers measures the end-to-end effect of parallel
-// what-if planning on a full dynP simulation (jobs/op scale: 2000).
-func BenchmarkSimulateDynPWorkers(b *testing.B) {
-	set, err := dynp.CTC.Generate(2000, dynp.NewStream(15))
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, workers := range []int{1, 2, 4} {
-		b.Run(fmt.Sprintf("workers%d", workers), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				s := dynp.SetPlanningWorkers(dynp.NewDynPScheduler(dynp.PreferredDecider(dynp.SJF)), workers)
-				if _, err := dynp.Simulate(set, s); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
 	}
 }
 

@@ -1,6 +1,6 @@
 // Command benchscale measures how the scheduler's throughput scales with
 // cores and writes the measurements as a JSON snapshot (BENCH_scale.json)
-// so CI can fail on multi-core scaling regressions. Three families of
+// so CI can fail on multi-core scaling regressions. Two families of
 // rows, each at GOMAXPROCS 1, 2, 4 and all cores (deduplicated):
 //
 //   - experiment: the (shrink, scheduler, set) sweep of internal/
@@ -8,11 +8,7 @@
 //     the paper's evaluation harness;
 //
 //   - simpar: sim.RunParallel over independent replicas of one job set —
-//     end-to-end jobs/s of the sharded simulator;
-//
-//   - planlat: one self-tuning Plan step with the tuner's candidate
-//     builds fanned over SetWorkers(p) — the per-event planning latency
-//     a single scheduling event pays (PR 1's parallel planning pool).
+//     end-to-end jobs/s of the sharded simulator.
 //
 //     benchscale -out BENCH_scale.json
 //     benchscale -check BENCH_scale.json   # compare a fresh run against a baseline
@@ -39,9 +35,7 @@ import (
 	"dynp/internal/core"
 	"dynp/internal/experiment"
 	"dynp/internal/job"
-	"dynp/internal/plan"
 	"dynp/internal/policy"
-	"dynp/internal/rng"
 	"dynp/internal/sim"
 	"dynp/internal/workload"
 )
@@ -51,7 +45,7 @@ type row struct {
 	Name       string  `json:"name"`
 	Procs      int     `json:"procs"` // GOMAXPROCS and worker count of this row
 	NsPerOp    int64   `json:"ns_per_op"`
-	JobsPerSec float64 `json:"jobs_per_sec,omitempty"` // throughput families only
+	JobsPerSec float64 `json:"jobs_per_sec"`
 }
 
 // scalingRow is a derived row: how many times faster the family runs at
@@ -76,9 +70,6 @@ const (
 	expShrink              = 0.8
 	// The sim.RunParallel family: independent replicas of one set.
 	simReplicas, simJobs = 8, 400
-	// The planlat family: one planning event over a deep queue, where the
-	// three candidate builds dominate and fanning them out can win.
-	planQueue, planCapacity, planRunning = 1024, 128, 32
 	// maxRegression is how far a scaling ratio may fall below its
 	// baseline before -check fails the build.
 	maxRegression = 0.10
@@ -137,10 +128,9 @@ func measure() snapshot {
 		NumCPU: runtime.NumCPU(),
 		Note: "end-to-end multi-core scaling of the sharded paths: the " +
 			"experiment sweep and sim.RunParallel on the internal/shard " +
-			"work-stealing pool, and the tuner's parallel candidate " +
-			"planning (plan latency, lower is better). Ratios beyond " +
-			"numcpu record time-slicing overhead, not scaling; -check " +
-			"gates only ratios both machines have the cores for.",
+			"work-stealing pool. Ratios beyond numcpu record " +
+			"time-slicing overhead, not scaling; -check gates only " +
+			"ratios both machines have the cores for.",
 	}
 
 	// Shrink rescales submit times but never drops jobs, so the sweep
@@ -191,30 +181,6 @@ func measure() snapshot {
 			}
 		})
 		snap.Rows = append(snap.Rows, throughputRow("simpar", procs, res.NsPerOp(), simReplicas*len(shrunk.Jobs)))
-
-		// planlat: one self-tuning step, candidate builds fanned over
-		// procs workers. The queue churns every iteration so the memo
-		// fast path never hides the build cost.
-		running, waiting := planState()
-		res = testing.Benchmark(func(b *testing.B) {
-			st := core.NewSelfTuner(nil, core.Advanced{}, core.MetricSLDwA)
-			st.SetWorkers(procs)
-			w := append([]*job.Job(nil), waiting...)
-			nextID := job.ID(100 + len(w))
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				old := w[i%len(w)]
-				w[i%len(w)] = &job.Job{
-					ID: nextID, Submit: old.Submit,
-					Width: old.Width, Estimate: old.Estimate, Runtime: old.Runtime,
-				}
-				nextID++
-				st.Plan(1000, planCapacity, running, w)
-			}
-		})
-		r := row{Name: "planlat", Procs: procs, NsPerOp: res.NsPerOp()}
-		fmt.Fprintf(os.Stderr, "%-12s procs %2d  %12d ns/op\n", r.Name, r.Procs, r.NsPerOp)
-		snap.Rows = append(snap.Rows, r)
 	}
 
 	snap.Scaling = scaling(snap.Rows)
@@ -233,33 +199,8 @@ func throughputRow(name string, procs int, nsPerOp int64, jobs int) row {
 	return r
 }
 
-// planState builds the deterministic deep-queue planning event the
-// planlat family replans (mirrors cmd/benchplan's state).
-func planState() ([]plan.Running, []*job.Job) {
-	r := rng.New(5)
-	running := make([]plan.Running, planRunning)
-	for i := range running {
-		running[i] = plan.Running{
-			Job: &job.Job{
-				ID: job.ID(i + 1), Submit: 0,
-				Width: 1 + r.Intn(4), Estimate: int64(1000 + r.Intn(20000)),
-			},
-			Start: 0,
-		}
-	}
-	waiting := make([]*job.Job, planQueue)
-	for i := range waiting {
-		est := int64(1 + r.Intn(20000))
-		waiting[i] = &job.Job{
-			ID: job.ID(100 + i), Submit: int64(r.Intn(1000)),
-			Width: 1 + r.Intn(planCapacity), Estimate: est, Runtime: est,
-		}
-	}
-	return running, waiting
-}
-
 // scaling derives each family's 1-core-over-p-core time ratio (== p-core
-// throughput gain; for planlat, latency reduction).
+// throughput gain).
 func scaling(rows []row) []scalingRow {
 	oneCore := make(map[string]int64)
 	for _, r := range rows {

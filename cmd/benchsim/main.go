@@ -61,22 +61,6 @@ type simRow struct {
 	JobsPerSec float64 `json:"jobs_per_sec"`
 }
 
-// specRow is one speculative end-to-end row: the same sim.Run with the
-// speculative cross-event pipeline on. Ratio is spec-on jobs/s over the
-// spec-off row at the same size — the machine-shape-sensitive number
-// (speculation buys nothing without a spare core) — and HitRate is the
-// fraction of dispatched speculative builds consumed by verification,
-// which is a property of workload and pipeline, not hardware, so -check
-// gates it on every machine.
-type specRow struct {
-	Name       string  `json:"name"`
-	Jobs       int     `json:"jobs"`
-	NsPerOp    int64   `json:"ns_per_op"`
-	JobsPerSec float64 `json:"jobs_per_sec"`
-	Ratio      float64 `json:"ratio"`
-	HitRate    float64 `json:"hit_rate"`
-}
-
 type snapshot struct {
 	GoMaxProcs int       `json:"gomaxprocs"`
 	Capacity   int       `json:"capacity"`
@@ -84,7 +68,6 @@ type snapshot struct {
 	Micro      []micro   `json:"micro"`
 	Speedups   []speedup `json:"speedups"`
 	Sim        []simRow  `json:"sim"`
-	Spec       []specRow `json:"spec,omitempty"`
 }
 
 const (
@@ -112,16 +95,6 @@ const (
 	// simShrink compresses the KTH interarrival times so the machine is
 	// contended and queues (and thus profiles) grow.
 	simShrink = 0.8
-	// specHitFloor is the absolute speculation hit-rate floor on the KTH
-	// workload: a virtual-clock run predicts its own event stream exactly,
-	// so a rate below this means the pipeline is silently miss-recycling
-	// (a verification condition drifted) — gated on every machine.
-	specHitFloor = 0.80
-	// specRatioFloor is the absolute spec-on-over-spec-off throughput
-	// floor at the largest job count. The overlap needs a spare core, so
-	// the ratio is only gated when the run has GOMAXPROCS > 1; one-core
-	// machines report it ungated.
-	specRatioFloor = 1.25
 )
 
 var microSizes = []int{256, 1024, 4096}
@@ -310,34 +283,6 @@ func measure() snapshot {
 		fmt.Fprintf(os.Stderr, "%-12s %5d jobs   %12d ns/op  %10.0f jobs/s\n",
 			row.Name, row.Jobs, row.NsPerOp, row.JobsPerSec)
 		snap.Sim = append(snap.Sim, row)
-
-		// The same run with the speculative cross-event pipeline on. The
-		// hit rate comes from one instrumented run outside the timer: it
-		// is a deterministic property of the workload, not a measurement.
-		spec := testing.Benchmark(func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := sim.Run(set, sim.NewDynP(core.Advanced{}).SetSpeculation(true)); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-		probe := sim.NewDynP(core.Advanced{}).SetSpeculation(true)
-		if _, err := sim.Run(set, probe); err != nil {
-			fail(err)
-		}
-		srow := specRow{
-			Name:       "sim/dynp/spec",
-			Jobs:       jobs,
-			NsPerOp:    spec.NsPerOp(),
-			JobsPerSec: float64(jobs) / (float64(spec.NsPerOp()) / 1e9),
-			HitRate:    probe.SpecStats().HitRate(),
-		}
-		if row.JobsPerSec > 0 {
-			srow.Ratio = srow.JobsPerSec / row.JobsPerSec
-		}
-		fmt.Fprintf(os.Stderr, "%-12s %5d jobs   %12d ns/op  %10.0f jobs/s  (%.2fx, hit %.0f%%)\n",
-			srow.Name, srow.Jobs, srow.NsPerOp, srow.JobsPerSec, srow.Ratio, srow.HitRate*100)
-		snap.Spec = append(snap.Spec, srow)
 	}
 	return snap
 }
@@ -423,64 +368,11 @@ func compare(base, fresh snapshot) int {
 		fmt.Fprintf(os.Stderr, "benchsim: sim scaling %d->%d jobs %.2f (limit %.2f): %s\n",
 			simJobs[0], simJobs[len(simJobs)-1], fs, limit, status)
 	}
-	bad += compareSpec(base, fresh)
 	if bad > 0 {
 		fmt.Fprintf(os.Stderr, "benchsim: %d performance regression(s) beyond %.0f%%\n", bad, maxRegression*100)
 		return 1
 	}
 	return 0
-}
-
-// compareSpec gates the speculative rows. The hit rate is gated on every
-// machine — it is workload-determined, so it must meet both the absolute
-// floor and the baseline to within maxRegression. The spec-over-baseline
-// throughput ratio needs a spare core for the overlapped build, so it is
-// gated (absolute floor at the largest size plus baseline regression)
-// only when the pinned GOMAXPROCS exceeds 1, and reported as explicitly
-// skipped otherwise — a silent skip would read as a pass.
-func compareSpec(base, fresh snapshot) int {
-	baseline := make(map[int]specRow, len(base.Spec))
-	for _, s := range base.Spec {
-		baseline[s.Jobs] = s
-	}
-	bad := 0
-	for _, s := range fresh.Spec {
-		hitLimit := specHitFloor
-		b, hasBase := baseline[s.Jobs]
-		if hasBase {
-			if l := b.HitRate * (1 - maxRegression); l > hitLimit {
-				hitLimit = l
-			}
-		}
-		status := "ok"
-		if s.HitRate < hitLimit {
-			status = "REGRESSION"
-			bad++
-		}
-		fmt.Fprintf(os.Stderr, "benchsim: spec %5d jobs hit-rate %.2f (limit %.2f): %s\n",
-			s.Jobs, s.HitRate, hitLimit, status)
-
-		if fresh.GoMaxProcs <= 1 {
-			fmt.Fprintf(os.Stderr, "benchsim: spec %5d jobs ratio %.2fx: not gated at GOMAXPROCS=1 "+
-				"(the overlap needs a spare core)\n", s.Jobs, s.Ratio)
-			continue
-		}
-		limit := 0.0
-		if hasBase {
-			limit = b.Ratio * (1 - maxRegression)
-		}
-		if s.Jobs == simJobs[len(simJobs)-1] && limit < specRatioFloor {
-			limit = specRatioFloor
-		}
-		status = "ok"
-		if s.Ratio < limit {
-			status = "REGRESSION"
-			bad++
-		}
-		fmt.Fprintf(os.Stderr, "benchsim: spec %5d jobs ratio %.2fx (limit %.2fx): %s\n",
-			s.Jobs, s.Ratio, limit, status)
-	}
-	return bad
 }
 
 func fail(err error) {

@@ -80,8 +80,6 @@ func main() {
 			"concurrent digital-twin simulations for the 'quote' op (0 disables quotes)")
 		quoteMax = flag.Int("quote-max", 0,
 			"quotes in flight before shedding with busy (0 = 4x -quote-workers, negative sheds all)")
-		quoteSpeculate = flag.Bool("quote-speculate", false,
-			"speculative cross-event planning inside quote twins (identical quotes, lower latency with spare cores)")
 		traceLen = flag.Int("trace", 512,
 			"engine event trace: ring-buffer length backing the 'trace' and 'metrics' ops (0 = disabled)")
 	)
@@ -95,7 +93,6 @@ func main() {
 	// was built from, so twin decisions replay the live tuner's exactly.
 	if *quoteWorkers > 0 {
 		fail(sched.EnableQuotes(spec.New))
-		sched.SetQuoteSpeculation(*quoteSpeculate)
 	}
 
 	// Attach the engine observer before journal replay so the trace and

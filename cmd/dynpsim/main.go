@@ -30,11 +30,7 @@ func main() {
 		shrink    = flag.Float64("shrink", 1.0, "shrinking factor for submission times")
 		scheduler = flag.String("scheduler", "dynP/SJF-preferred",
 			"scheduler: FCFS, SJF, LJF, dynP/simple, dynP/advanced, dynP/<POLICY>-preferred")
-		seed    = flag.Uint64("seed", 1, "random seed for workload generation")
-		workers = flag.Int("workers", 0,
-			"what-if planning workers for dynP schedulers (0 = all cores, 1 = sequential)")
-		speculate = flag.Bool("speculate", false,
-			"overlap the next event's what-if builds with the current event's bookkeeping (dynP schedulers; identical results)")
+		seed      = flag.Uint64("seed", 1, "random seed for workload generation")
 		decisions = flag.Int("decisions", 0, "print the first N self-tuning decisions")
 		cases     = flag.Bool("cases", false, "print the Table 1 case histogram of all decisions")
 		timelines = flag.Bool("timeline", false, "print queue-length and active-policy strips")
@@ -65,7 +61,6 @@ func main() {
 	fail(err)
 	driver := spec.New()
 	if d, ok := driver.(*sim.DynP); ok {
-		d.SetWorkers(*workers).SetSpeculation(*speculate)
 		if *decisions > 0 || *cases || *timelines {
 			d.Tuner.EnableTrace()
 		}
@@ -114,10 +109,6 @@ func main() {
 	if d, ok := driver.(*sim.DynP); ok {
 		st := d.Stats()
 		fmt.Printf("self-tuning: %d steps, %d policy switches\n", st.Steps, st.Switches)
-		if sp := d.SpecStats(); sp.Dispatched > 0 {
-			fmt.Printf("speculation: %d dispatched, %d hits (%.0f%%), %d misses, %d cancelled\n",
-				sp.Dispatched, sp.Hits, 100*sp.HitRate(), sp.Misses, sp.Cancelled)
-		}
 		if *decisions > 0 {
 			tr := d.Tuner.Trace()
 			if len(tr) > *decisions {

@@ -44,10 +44,6 @@ func main() {
 		seed     = flag.Uint64("seed", 2004, "base random seed")
 		full     = flag.Bool("full", false, "paper-scale configuration (10 sets x 10000 jobs)")
 		workers  = flag.Int("workers", 0, "simulation worker pool size (0 = GOMAXPROCS)")
-		tunerW   = flag.Int("tuner-workers", 0,
-			"what-if planning workers inside each dynP tuner (0/1 = sequential; simulations already run in parallel)")
-		speculate = flag.Bool("speculate", false,
-			"speculative cross-event planning inside each dynP tuner (CI: output must be byte-identical)")
 		fairness = flag.Bool("fairness", false,
 			"run the fairness study: size-based (PSBS) scheduling under estimate overestimation")
 		overestimates = flag.String("overestimates", "1,2,5",
@@ -93,14 +89,12 @@ func main() {
 
 	baseCfg := func(schedulers []dynp.SchedulerSpec, label string) dynp.ExperimentConfig {
 		cfg := dynp.ExperimentConfig{
-			Shrinks:      shrinkVals,
-			Sets:         *sets,
-			JobsPerSet:   *jobs,
-			Seed:         *seed,
-			Schedulers:   schedulers,
-			Workers:      *workers,
-			TunerWorkers: *tunerW,
-			Speculate:    *speculate,
+			Shrinks:    shrinkVals,
+			Sets:       *sets,
+			JobsPerSet: *jobs,
+			Seed:       *seed,
+			Schedulers: schedulers,
+			Workers:    *workers,
 		}
 		if !*quiet {
 			fmt.Fprintf(os.Stderr, "%s: %d traces x %d shrinks x %d schedulers x %d sets x %d jobs\n",

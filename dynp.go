@@ -259,18 +259,6 @@ func NewDynPSchedulerWith(candidates []Policy, d Decider, m DecisionMetric) Sche
 	return sim.NewDynPWith(candidates, d, m)
 }
 
-// SetPlanningWorkers configures the number of goroutines a dynP scheduler
-// uses to build and score its candidate what-if schedules at every
-// self-tuning step: 1 (the default) keeps planning sequential, n <= 0
-// selects all cores. The simulation outcome is identical for every worker
-// count. Schedulers without a self-tuning core are returned unchanged.
-func SetPlanningWorkers(s Scheduler, n int) Scheduler {
-	if d, ok := s.(*sim.DynP); ok {
-		d.SetWorkers(n)
-	}
-	return s
-}
-
 // NewEASYScheduler returns the queueing-based EASY-backfilling scheduler
 // (one reservation for the queue head, aggressive backfilling behind it) —
 // the classic contrast to planning-based scheduling discussed in reference

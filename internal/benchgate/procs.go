@@ -1,5 +1,5 @@
 // Package benchgate holds helpers shared by the benchmark gate commands
-// (cmd/benchplan, cmd/benchsim, cmd/benchscale) that compare fresh
+// (cmd/benchsim, cmd/benchscale) that compare fresh
 // measurements against committed baseline snapshots.
 package benchgate
 

@@ -24,10 +24,10 @@ func BenchmarkDeciders(b *testing.B) {
 }
 
 // BenchmarkSelfTunerPlan measures one full self-tuning step across
-// waiting-queue depths, candidate-set sizes and worker counts. workers=1
-// is the sequential baseline; the CI acceptance target is a >= 1.5x
-// speedup at 4 workers on queues of 256+ jobs. Running jobs are present
-// so the shared base profile carries real reservations.
+// waiting-queue depths and candidate-set sizes on the full-sort lane (no
+// queue notifications, so every candidate sorts the queue itself).
+// Running jobs are present so the shared base profile carries real
+// reservations.
 func BenchmarkSelfTunerPlan(b *testing.B) {
 	const capacity = 128
 	candidateSets := []struct {
@@ -39,47 +39,42 @@ func BenchmarkSelfTunerPlan(b *testing.B) {
 	}
 	for _, queued := range []int{64, 256, 1024} {
 		for _, cs := range candidateSets {
-			for _, workers := range []int{1, 2, 4} {
-				b.Run(fmt.Sprintf("queue%d/%s/workers%d", queued, cs.name, workers), func(b *testing.B) {
-					r := rng.New(5)
-					running := make([]plan.Running, 32)
-					for i := range running {
-						running[i] = plan.Running{
-							Job: &job.Job{
-								ID: job.ID(i + 1), Submit: 0,
-								Width: 1 + r.Intn(4), Estimate: int64(1000 + r.Intn(20000)),
-							},
-							Start: 0,
-						}
+			b.Run(fmt.Sprintf("queue%d/%s", queued, cs.name), func(b *testing.B) {
+				r := rng.New(5)
+				running := make([]plan.Running, 32)
+				for i := range running {
+					running[i] = plan.Running{
+						Job: &job.Job{
+							ID: job.ID(i + 1), Submit: 0,
+							Width: 1 + r.Intn(4), Estimate: int64(1000 + r.Intn(20000)),
+						},
+						Start: 0,
 					}
-					waiting := make([]*job.Job, queued)
-					for i := range waiting {
-						est := int64(1 + r.Intn(20000))
-						waiting[i] = &job.Job{
-							ID: job.ID(100 + i), Submit: int64(r.Intn(1000)),
-							Width: 1 + r.Intn(capacity), Estimate: est, Runtime: est,
-						}
+				}
+				waiting := make([]*job.Job, queued)
+				for i := range waiting {
+					est := int64(1 + r.Intn(20000))
+					waiting[i] = &job.Job{
+						ID: job.ID(100 + i), Submit: int64(r.Intn(1000)),
+						Width: 1 + r.Intn(capacity), Estimate: est, Runtime: est,
 					}
-					st := NewSelfTuner(cs.set, Advanced{}, MetricSLDwA)
-					st.SetWorkers(workers)
-					b.ResetTimer()
-					b.ReportAllocs()
-					for i := 0; i < b.N; i++ {
-						st.Plan(1000, capacity, running, waiting)
-					}
-				})
-			}
+				}
+				st := NewSelfTuner(cs.set, Advanced{}, MetricSLDwA)
+				b.ResetTimer()
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					st.Plan(1000, capacity, running, waiting)
+				}
+			})
 		}
 	}
 }
 
 // BenchmarkSelfTunerPlanIncremental measures the pooled + incremental-view
-// planning path with the memoization deliberately defeated: every
-// iteration removes one job and submits a replacement through the
-// NoteSubmit/NoteRemove interface, as the scheduling engine does, so each
-// Plan is a genuine rebuild over spliced views. This is the honest
-// steady-state cost of one scheduling event; BenchmarkSelfTunerPlan's
-// identical repeated calls now measure the memo hit instead.
+// planning path: every iteration removes one job and submits a
+// replacement through the NoteSubmit/NoteRemove interface, as the
+// scheduling engine does, so each Plan reads spliced views — the
+// steady-state cost of one scheduling event.
 func BenchmarkSelfTunerPlanIncremental(b *testing.B) {
 	const capacity = 128
 	for _, queued := range []int{64, 256, 1024} {
@@ -110,8 +105,6 @@ func BenchmarkSelfTunerPlanIncremental(b *testing.B) {
 			b.ResetTimer()
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				// Churn one job so neither the memo nor the base profile
-				// can short-circuit the rebuild.
 				old := waiting[i%queued]
 				st.NoteRemove(old)
 				est := int64(1 + r.Intn(20000))

@@ -114,101 +114,3 @@ func TestNoteSubmitReplacesLiveID(t *testing.T) {
 		}
 	}
 }
-
-// TestMemoHitReusesSchedule pins the memoization fast path: when nothing
-// observable changed between two events — same queue, same availability
-// from the new instant on, no planned start overtaken — Plan returns the
-// very same schedule object, advanced to the new Now, with statistics and
-// trace moving exactly as a rebuild's would.
-func TestMemoHitReusesSchedule(t *testing.T) {
-	const capacity = 8
-	// The machine is fully blocked until t=2000, so every planned start
-	// is >= 2000 and instants 1000 and 1500 see identical futures.
-	running := []plan.Running{{Job: mkJob(1, 0, capacity, 2000), Start: 0}}
-	waiting := []*job.Job{mkJob(10, 900, 2, 300), mkJob(11, 950, 4, 100), mkJob(12, 980, 1, 700)}
-
-	st := NewSelfTuner(nil, Advanced{}, MetricSLDwA)
-	st.EnableTrace()
-	first := st.Plan(1000, capacity, running, waiting)
-	second := st.Plan(1500, capacity, running, waiting)
-	if first != second {
-		t.Fatal("memoizable event rebuilt: different schedule object returned")
-	}
-	if second.Now != 1500 {
-		t.Fatalf("memo hit left Now at %d, want 1500", second.Now)
-	}
-
-	// A rebuild at 1500 must agree entry for entry and value for value.
-	control := NewSelfTuner(nil, Advanced{}, MetricSLDwA)
-	control.EnableTrace()
-	control.Plan(1000, capacity, running, waiting)
-	control.prevValid = false // force the rebuild path
-	rebuilt := control.Plan(1500, capacity, running, waiting)
-	if first == rebuilt {
-		t.Fatal("control did not rebuild")
-	}
-	if !reflect.DeepEqual(second.Entries, rebuilt.Entries) || second.Policy != rebuilt.Policy {
-		t.Fatal("memoized schedule differs from rebuild")
-	}
-	if !reflect.DeepEqual(st.Trace(), control.Trace()) {
-		t.Fatalf("memo trace %v differs from rebuild trace %v", st.Trace(), control.Trace())
-	}
-	if !reflect.DeepEqual(st.Stats(), control.Stats()) {
-		t.Fatalf("memo stats %+v differ from rebuild stats %+v", st.Stats(), control.Stats())
-	}
-}
-
-// TestMemoMissOnChange enumerates the invalidation conditions: any
-// observable change must force a rebuild that reflects it.
-func TestMemoMissOnChange(t *testing.T) {
-	const capacity = 8
-	running := []plan.Running{{Job: mkJob(1, 0, capacity, 2000), Start: 0}}
-	waiting := []*job.Job{mkJob(10, 900, 2, 300), mkJob(11, 950, 4, 100)}
-
-	t.Run("queue-grew", func(t *testing.T) {
-		st := NewSelfTuner(nil, Advanced{}, MetricSLDwA)
-		first := st.Plan(1000, capacity, running, waiting)
-		grown := append(append([]*job.Job(nil), waiting...), mkJob(12, 1100, 1, 50))
-		second := st.Plan(1500, capacity, running, grown)
-		if first == second {
-			t.Fatal("queue growth did not invalidate the memo")
-		}
-		if len(second.Entries) != 3 {
-			t.Fatalf("rebuild has %d entries, want 3", len(second.Entries))
-		}
-	})
-	t.Run("availability-changed", func(t *testing.T) {
-		st := NewSelfTuner(nil, Advanced{}, MetricSLDwA)
-		st.Plan(1000, capacity, running, waiting)
-		// The running job vanished early: the machine is free from 1500.
-		second := st.Plan(1500, capacity, nil, waiting)
-		for _, e := range second.Entries {
-			if e.Start >= 2000 {
-				t.Fatalf("entry %v still waits for the departed job", e)
-			}
-		}
-	})
-	t.Run("start-overtaken", func(t *testing.T) {
-		// A planned start at 2000 is in the past of an event at 2500: the
-		// retained plan is unusable even though the queue is unchanged.
-		st := NewSelfTuner(nil, Advanced{}, MetricSLDwA)
-		first := st.Plan(1000, capacity, running, waiting)
-		second := st.Plan(2500, capacity, nil, waiting)
-		if first == second {
-			t.Fatal("overtaken start did not invalidate the memo")
-		}
-		for _, e := range second.Entries {
-			if e.Start < 2500 {
-				t.Fatalf("rebuilt entry %v starts before now", e)
-			}
-		}
-	})
-	t.Run("capacity-changed", func(t *testing.T) {
-		st := NewSelfTuner(nil, Advanced{}, MetricSLDwA)
-		first := st.Plan(1000, capacity, running, waiting)
-		second := st.Plan(1500, capacity-4, nil, waiting)
-		if first == second {
-			t.Fatal("capacity change did not invalidate the memo")
-		}
-	})
-}

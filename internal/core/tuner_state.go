@@ -1,12 +1,10 @@
 // Checkpoint serialisation of the self-tuner's decision state: the
 // active policy, the aggregated statistics and the decision trace — all
 // keyed by policy *name*, so journals survive registry changes and work
-// for any registered policy. The allocation-lean fast paths (incremental
-// views, plan memoization) are deliberately not captured — both are pure
-// optimisations proven byte-identical to the slow paths, so a restored
-// tuner that rebuilds its first plan from scratch produces exactly the
-// schedules a never-restarted tuner would have. The views are re-primed
-// by the engine's queue-tracker notifications during restore.
+// for any registered policy. The incremental order views are deliberately
+// not captured — they are a pure optimisation, byte-identical to the
+// full-sort fallback, and are re-primed by the engine's queue-tracker
+// notifications during restore.
 //
 // A stateful decider (see StatefulDecider) rides the same encoding: its
 // name and opaque state bytes are included when present. The fields are
@@ -137,10 +135,7 @@ func (t *SelfTuner) MarshalState() ([]byte, error) {
 // registry); unknown names are refused with a clear error. A serialized
 // decider state is handed to the tuner's decider, which must carry the
 // same name and implement StatefulDecider. Queue-tracking state is
-// untouched (it is rebuilt by the restore's NoteSubmit notifications),
-// and the memoized previous step is left invalid — the first Plan after
-// a restore is a full rebuild, which is byte-identical to what the memo
-// would have produced.
+// untouched (it is rebuilt by the restore's NoteSubmit notifications).
 func (t *SelfTuner) UnmarshalState(data []byte) error {
 	var st tunerState
 	if err := json.Unmarshal(data, &st); err != nil {
@@ -209,6 +204,5 @@ func (t *SelfTuner) UnmarshalState(data []byte) error {
 	if t.traceOn {
 		t.trace = trace
 	}
-	t.prevValid = false
 	return nil
 }

@@ -2,14 +2,11 @@ package core
 
 import (
 	"math"
-	"reflect"
-	"runtime"
 	"testing"
 
 	"dynp/internal/job"
 	"dynp/internal/plan"
 	"dynp/internal/policy"
-	"dynp/internal/rng"
 )
 
 func mkJob(id job.ID, submit int64, width int, est int64) *job.Job {
@@ -134,103 +131,6 @@ func TestEmptyQueueKeepsTies(t *testing.T) {
 	pref.Plan(0, 4, nil, nil)
 	if pref.Active() != policy.SJF {
 		t.Errorf("preferred did not return to SJF on empty queue: %v", pref.Active())
-	}
-}
-
-// tunerScenario builds a deterministic machine state: some running jobs
-// and a sequence of waiting queues, one per self-tuning step.
-func tunerScenario(capacity, steps, queued int) (running []plan.Running, waves [][]*job.Job) {
-	r := rng.New(99)
-	for i := 0; i < 16; i++ {
-		running = append(running, plan.Running{
-			Job: &job.Job{
-				ID: job.ID(i + 1), Submit: 0,
-				Width: 1 + r.Intn(capacity/16), Estimate: int64(500 + r.Intn(5000)),
-			},
-			Start: 0,
-		})
-	}
-	id := 100
-	for s := 0; s < steps; s++ {
-		wave := make([]*job.Job, queued)
-		for i := range wave {
-			est := int64(1 + r.Intn(20000))
-			wave[i] = &job.Job{
-				ID: job.ID(id), Submit: int64(r.Intn(1000)),
-				Width: 1 + r.Intn(capacity), Estimate: est, Runtime: est,
-			}
-			id++
-		}
-		waves = append(waves, wave)
-	}
-	return running, waves
-}
-
-// TestPlanIdenticalAcrossWorkerCounts is the correctness contract of
-// parallel what-if planning: for every decider, the schedules, decider
-// choices, decision values and statistics must be byte-identical for
-// Workers in {1, 2, GOMAXPROCS}.
-func TestPlanIdenticalAcrossWorkerCounts(t *testing.T) {
-	const capacity = 64
-	running, waves := tunerScenario(capacity, 6, 40)
-
-	type outcome struct {
-		schedules [][]plan.Entry
-		policies  []policy.Policy
-		trace     []Decision
-		stats     Stats
-	}
-	run := func(d Decider, workers int) outcome {
-		st := NewSelfTuner(nil, d, MetricSLDwA)
-		st.SetWorkers(workers)
-		st.EnableTrace()
-		var out outcome
-		for s, wave := range waves {
-			sched := st.Plan(int64(1000+100*s), capacity, running, wave)
-			out.schedules = append(out.schedules, append([]plan.Entry(nil), sched.Entries...)) // valid only until the next Plan
-			out.policies = append(out.policies, sched.Policy)
-		}
-		out.trace = st.Trace()
-		out.stats = st.Stats()
-		return out
-	}
-
-	deciders := []Decider{Simple{}, Advanced{}, Preferred{Policy: policy.SJF}}
-	workerCounts := []int{1, 2, runtime.GOMAXPROCS(0)}
-	for _, d := range deciders {
-		want := run(d, 1)
-		for _, w := range workerCounts[1:] {
-			got := run(d, w)
-			if !reflect.DeepEqual(got.policies, want.policies) {
-				t.Errorf("%s/workers=%d: chosen policies %v, want %v",
-					d.Name(), w, got.policies, want.policies)
-			}
-			if !reflect.DeepEqual(got.schedules, want.schedules) {
-				t.Errorf("%s/workers=%d: schedules differ from sequential", d.Name(), w)
-			}
-			if !reflect.DeepEqual(got.trace, want.trace) {
-				t.Errorf("%s/workers=%d: decision trace differs from sequential", d.Name(), w)
-			}
-			if !reflect.DeepEqual(got.stats, want.stats) {
-				t.Errorf("%s/workers=%d: stats %+v, want %+v", d.Name(), w, got.stats, want.stats)
-			}
-		}
-	}
-}
-
-// TestSetWorkers checks the knob's clamping rules.
-func TestSetWorkers(t *testing.T) {
-	st := NewSelfTuner(nil, Advanced{}, MetricSLDwA)
-	if st.Workers() != 1 {
-		t.Fatalf("default workers = %d, want 1", st.Workers())
-	}
-	st.SetWorkers(4)
-	if st.Workers() != 4 {
-		t.Fatalf("workers = %d after SetWorkers(4)", st.Workers())
-	}
-	st.SetWorkers(0)
-	if st.Workers() != runtime.GOMAXPROCS(0) {
-		t.Fatalf("SetWorkers(0) = %d, want GOMAXPROCS", st.Workers())
 	}
 }
 

@@ -43,11 +43,10 @@ type Driver interface {
 	// Name identifies the scheduler in result tables.
 	Name() string
 	// Plan computes a full schedule for the waiting jobs. The result is
-	// the caller's to read until this driver's next Plan call returns a
-	// different schedule, at which point the driver may recycle the old
-	// one's storage; a Plan that returns the same object again (the
-	// tuner's memo hit) extends the claim. Copy out what must outlive
-	// that. One driver therefore serves one engine at a time.
+	// the caller's to read until this driver's next Plan call returns,
+	// at which point the driver may recycle the old one's storage. Copy
+	// out what must outlive that. One driver therefore serves one engine
+	// at a time.
 	Plan(now int64, capacity int, running []plan.Running, waiting []*job.Job) *plan.Schedule
 	// ActivePolicy returns the policy the last plan was built with.
 	ActivePolicy() policy.Policy

@@ -142,12 +142,6 @@ func Fairness(cfg Config, factors []float64) (*FairnessResult, error) {
 	err = shard.Run(workers, len(tasks), func(i int) error {
 		tk := tasks[i]
 		driver := cfg.Schedulers[tk.schedIdx].New()
-		if d, ok := driver.(*sim.DynP); ok {
-			if cfg.TunerWorkers != 0 {
-				d.SetWorkers(cfg.TunerWorkers)
-			}
-			d.SetSpeculation(cfg.Speculate)
-		}
 		res, err := sim.Run(scaledSets[tk.factorIdx][tk.setIdx], driver)
 		if err != nil {
 			return fmt.Errorf("experiment: %s estimate x%.2f set %d: %w",

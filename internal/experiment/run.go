@@ -26,20 +26,6 @@ type Config struct {
 	Schedulers []SchedulerSpec
 	Workers    int // worker pool size; 0 = GOMAXPROCS
 
-	// TunerWorkers bounds the goroutines each dynP tuner uses for its
-	// candidate what-if builds within one self-tuning step. The default 0
-	// keeps tuner planning sequential — the sweep already parallelises
-	// across whole simulations — while values > 1 help when Workers is
-	// small relative to the core count. Results are identical for every
-	// value.
-	TunerWorkers int
-
-	// Speculate enables the speculative cross-event planning pipeline in
-	// every dynP driver of the sweep (core.SelfTuner.SetSpeculation).
-	// Results are identical with or without — the golden checks prove it
-	// byte-for-byte — only the serial/overlapped execution shape changes.
-	Speculate bool
-
 	// Progress, when set, is invoked after each completed simulation.
 	// Calls are serialized (never concurrent) and done is strictly
 	// increasing from 1 to the final task count, regardless of the worker
@@ -155,12 +141,6 @@ func Run(cfg Config) (*Result, error) {
 	err = shard.Run(workers, len(tasks), func(i int) error {
 		tk := tasks[i]
 		driver := cfg.Schedulers[tk.schedIdx].New()
-		if d, ok := driver.(*sim.DynP); ok {
-			if cfg.TunerWorkers != 0 {
-				d.SetWorkers(cfg.TunerWorkers)
-			}
-			d.SetSpeculation(cfg.Speculate)
-		}
 		res, err := sim.Run(shrunk[tk.shrinkIdx][tk.setIdx], driver)
 		if err != nil {
 			return fmt.Errorf("experiment: %s shrink %.2f set %d: %w",

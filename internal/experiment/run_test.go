@@ -65,26 +65,6 @@ func TestRunDeterministicAcrossWorkerCounts(t *testing.T) {
 	}
 }
 
-func TestRunDeterministicAcrossTunerWorkers(t *testing.T) {
-	cfg := smallConfig()
-	cfg.Sets, cfg.JobsPerSet = 2, 200
-	a, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg.TunerWorkers = 4
-	b, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range a.Cells {
-		if a.Cells[i].SLDwA != b.Cells[i].SLDwA || a.Cells[i].Util != b.Cells[i].Util ||
-			a.Cells[i].Switches != b.Cells[i].Switches {
-			t.Fatalf("cell %d differs across tuner worker counts", i)
-		}
-	}
-}
-
 func TestRunRejectsBadConfig(t *testing.T) {
 	bads := []func(*Config){
 		func(c *Config) { c.Sets = 0 },

@@ -14,7 +14,6 @@ package plan
 
 import (
 	"fmt"
-	"math"
 	"sync"
 
 	"dynp/internal/job"
@@ -66,7 +65,6 @@ type aggregates struct {
 	artwwNum, artwwDen float64 // PlannedARTwW
 	awtSum             float64 // PlannedAWT
 	maxEnd             int64   // PlannedMakespan (0 when no entries)
-	minStart           int64   // earliest planned start (MaxInt64 when none)
 }
 
 // accumulate folds one placed entry into the running sums.
@@ -82,9 +80,6 @@ func (a *aggregates) accumulate(j *job.Job, start int64) {
 	a.awtSum += float64(start - j.Submit)
 	if end := j.EstimatedEnd(start); end > a.maxEnd {
 		a.maxEnd = end
-	}
-	if start < a.minStart {
-		a.minStart = start
 	}
 }
 
@@ -107,10 +102,9 @@ type Base struct {
 // The pools let that storage cycle instead of being reallocated: candidate
 // profiles are returned the moment a build finishes, losing candidate
 // schedules after scoring, the schedule a driver handed out when its next
-// one replaces it (see Schedule.Release), base profiles when the next
-// event's base replaces them (see Base.Release). sync.Pool is safe for
-// the tuner's concurrent candidate builds and for concurrent simulations
-// sharing the package-level pools.
+// one replaces it (see Schedule.Release), base profiles once the step's
+// candidates are built (see Base.Release). sync.Pool is safe for
+// concurrent simulations sharing the package-level pools.
 var (
 	profilePool  = sync.Pool{New: func() any { return new(profile.Profile) }}
 	schedulePool = sync.Pool{New: func() any { return new(Schedule) }}
@@ -163,13 +157,6 @@ func (b *Base) Release() {
 // debugging output.
 func (b *Base) Profile() *profile.Profile { return b.prof.Clone() }
 
-// EqualFrom reports whether two bases promise the same free processors
-// over [from, infinity) — the availability-equality half of the tuner's
-// plan-memoization check (see core.SelfTuner).
-func (b *Base) EqualFrom(o *Base, from int64) bool {
-	return b.prof.EqualFrom(o.prof, from)
-}
-
 // BuildFrom computes the schedule for the waiting jobs under policy p,
 // starting from a clone of the base profile. The base is not modified,
 // so sibling candidate builds may run concurrently from the same base.
@@ -208,9 +195,9 @@ func buildPooled(b *Base, ordered []*job.Job, p policy.Policy) *Schedule {
 
 // ReleaseSchedules releases every non-nil schedule in ss and nils the
 // slots, for owners discarding a whole batch of pooled builds at once —
-// the self-tuner's speculative pipeline uses it when a prediction missed
-// and none of the prebuilt candidates can be consumed. The slots are
-// nilled so a second sweep over the same slice cannot double-release.
+// the self-tuner hands it one step's candidates with the chosen slot
+// already nilled. The slots are nilled so a second sweep over the same
+// slice cannot double-release.
 func ReleaseSchedules(ss []*Schedule) {
 	for i, s := range ss {
 		if s != nil {
@@ -229,16 +216,9 @@ func ReleaseSchedules(ss []*Schedule) {
 // ends the caller's claim on it. Double release panics; the entries are
 // wiped (which also keeps a pooled schedule from pinning finished jobs),
 // so a reader that outlived its claim finds Released true and nil jobs
-// rather than a plausible stale plan.
-//
-// Ownership may cross goroutines: the speculative planning pipeline
-// builds pooled bases and schedules on a worker goroutine and hands them
-// to the consuming goroutine over a channel, whose send/receive pair
-// orders the builder's writes before the consumer's reads. The pools
-// themselves are sync.Pools, safe for that traffic; the
-// release-exactly-once discipline (enforced by the double-release
-// panics here and in Base.Release) is what keeps an arena from serving
-// two owners at once.
+// rather than a plausible stale plan. The release-exactly-once discipline
+// (enforced by the double-release panics here and in Base.Release) is
+// what keeps an arena from serving two owners at once.
 func (s *Schedule) Release() {
 	if s.released {
 		panic("plan: Schedule released twice")
@@ -271,7 +251,6 @@ func buildOnto(s *Schedule, prof *profile.Profile, now int64, capacity int, orde
 	*s = Schedule{Now: now, Capacity: capacity, Policy: p,
 		Entries: entries,
 		scored:  true,
-		sums:    aggregates{minStart: math.MaxInt64},
 	}
 	var proven witnesses // per build: a witness says nothing about another profile
 	for _, j := range ordered {
@@ -378,9 +357,7 @@ func (s *Schedule) PlannedMakespan() float64 {
 }
 
 // MaxEstimatedEnd returns the latest estimated completion time over the
-// entries, 0 when there are none (PlannedMakespan's convention). Together
-// with a later Now it reproduces PlannedMakespan without the entries —
-// the tuner's memoization uses it to re-score a retained plan.
+// entries, 0 when there are none (PlannedMakespan's convention).
 func (s *Schedule) MaxEstimatedEnd() int64 {
 	if s.scored {
 		return s.sums.maxEnd
@@ -392,22 +369,6 @@ func (s *Schedule) MaxEstimatedEnd() int64 {
 		}
 	}
 	return end
-}
-
-// MinStart returns the earliest planned start over the entries, or
-// math.MaxInt64 when there are none. The tuner's memoization requires it
-// to be >= the new event time before reusing a retained plan.
-func (s *Schedule) MinStart() int64 {
-	if s.scored {
-		return s.sums.minStart
-	}
-	min := int64(math.MaxInt64)
-	for _, e := range s.Entries {
-		if e.Start < min {
-			min = e.Start
-		}
-	}
-	return min
 }
 
 // Verify checks that the schedule is the one planning produces: no entry

@@ -1,7 +1,6 @@
 package plan
 
 import (
-	"math"
 	"testing"
 
 	"dynp/internal/policy"
@@ -17,7 +16,7 @@ func TestPooledMatchesUnpooled(t *testing.T) {
 
 		base := BuildBase(now, 32, running)
 		pooled := BuildBasePooled(now, 32, running)
-		if !base.EqualFrom(pooled, now) {
+		if !base.Profile().EqualFrom(pooled.Profile(), now) {
 			t.Fatalf("seed %d: pooled base differs from unpooled", seed)
 		}
 		for _, p := range policy.Candidates {
@@ -58,8 +57,7 @@ func TestFusedScoresMatchWalked(t *testing.T) {
 				s.PlannedARTwW() != walked.PlannedARTwW() ||
 				s.PlannedAWT() != walked.PlannedAWT() ||
 				s.PlannedMakespan() != walked.PlannedMakespan() ||
-				s.MaxEstimatedEnd() != walked.MaxEstimatedEnd() ||
-				s.MinStart() != walked.MinStart() {
+				s.MaxEstimatedEnd() != walked.MaxEstimatedEnd() {
 				t.Fatalf("seed %d %v: fused scores differ from walked", seed, p)
 			}
 		}
@@ -70,9 +68,6 @@ func TestUnscoredEmptyScheduleConventions(t *testing.T) {
 	s := &Schedule{Now: 10, Capacity: 4}
 	if s.PlannedSLDwA() != 0 || s.PlannedART() != 0 || s.PlannedMakespan() != 0 {
 		t.Fatal("empty unscored schedule must score 0")
-	}
-	if s.MinStart() != math.MaxInt64 {
-		t.Fatalf("empty MinStart = %d, want MaxInt64", s.MinStart())
 	}
 	if s.MaxEstimatedEnd() != 0 {
 		t.Fatalf("empty MaxEstimatedEnd = %d, want 0", s.MaxEstimatedEnd())

@@ -86,7 +86,7 @@ func (f FairSize) Robust() float64 { return f.robust }
 // key computes the virtual-time ordering key. Deterministic: a pure
 // float function of the job's immutable fields and the policy's
 // parameters, so every comparison of the same pair agrees everywhere
-// (sorts, spliced views, memoized plans).
+// (sorts, spliced views).
 func (f FairSize) key(j *job.Job) float64 {
 	area := float64(j.EstimatedArea())
 	if f.robust > 1 && area > 0 {

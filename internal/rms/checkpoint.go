@@ -6,7 +6,7 @@
 // same Status, same Report (the float aggregates are refolded in the
 // original finish order, so even the bit patterns match), same job
 // histories, and the same future behaviour (the tuner's decision state
-// travels in the checkpoint; its pure-optimisation fast paths rebuild).
+// travels in the checkpoint; its order views rebuild).
 package rms
 
 import (

@@ -114,17 +114,6 @@ func (s *Scheduler) EnableQuotes(newDriver func() sim.Driver) error {
 	return nil
 }
 
-// SetQuoteSpeculation toggles speculative cross-event planning inside
-// quote twins (default off, like everything speculative in the online
-// RMS — see core.SelfTuner.SetSpeculation). A twin is the one online
-// component whose future IS predictable: every twin job runs to its
-// estimate, so each estimate expiry — and with it the inputs of the next
-// planning step — is known before the twin advances, and the forward run
-// overlaps the next step's what-if builds with the current one's
-// bookkeeping (sim.SpeculateNextKills). Quotes are byte-identical either
-// way; only dynP-driven twins speculate, other drivers ignore the knob.
-func (s *Scheduler) SetQuoteSpeculation(on bool) { s.quoteSpec.Store(on) }
-
 // Quote predicts when a hypothetical job (width processors, estimate
 // seconds) would start, finish and wait if submitted right now, without
 // submitting it and without perturbing live scheduling. count > 1 asks
@@ -240,17 +229,9 @@ func (s *Scheduler) runTwin(tw *twin, snap *readSnapshot, width int, estimate in
 	})}
 	// Observer-driven deciders watch the engine they decide for, in the
 	// twin exactly as in the live scheduler (see New).
-	var spec engine.Lookaheader
 	if dp, ok := drv.(*sim.DynP); ok {
 		if o := dp.DeciderObserver(); o != nil {
 			engOpts = append(engOpts, engine.WithObserver(o))
-		}
-		// Twins opt in to speculative planning: their forward run is the
-		// predictable-future replay the pipeline was built for.
-		if s.quoteSpec.Load() {
-			dp.SetSpeculation(true)
-			spec = dp
-			defer dp.CancelLookahead()
 		}
 	}
 	eng := engine.New(st.Capacity, drv, st.Now, engOpts...)
@@ -297,7 +278,6 @@ func (s *Scheduler) runTwin(tw *twin, snap *readSnapshot, width int, estimate in
 			break // drained with hypotheticals unplaced: never starts
 		}
 		prevNow, prevRun, prevWait := eng.Now(), len(eng.Running()), len(eng.Waiting())
-		sim.SpeculateNextKills(spec, eng, next)
 		if err := eng.AdvanceTo(next, false); err != nil {
 			return nil, fmt.Errorf("rms: quote: twin advance: %w", err)
 		}

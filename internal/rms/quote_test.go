@@ -805,77 +805,3 @@ func TestQuotePooledTwinReuse(t *testing.T) {
 		t.Errorf("repeated quote diverged: %+v then %+v", first, again)
 	}
 }
-
-// TestQuoteSpeculationEquivalence is the quote-side byte-identity gate
-// for the speculative planning pipeline: with twin speculation on, every
-// quote — across deciders, shapes and batch sizes — must equal the
-// spec-off answer exactly, and the concurrent-quote path must stay
-// race-clean and leak-free (twins check their pooled arenas back in with
-// speculation cancelled).
-func TestQuoteSpeculationEquivalence(t *testing.T) {
-	shapes := []struct {
-		width    int
-		estimate int64
-		count    int
-	}{
-		{1, 60, 1}, {3, 250, 4}, {8, 500, 1}, {16, 120, 3},
-	}
-	for name, factory := range quoteDeciders() {
-		t.Run(name, func(t *testing.T) {
-			s := loadedQuoteScheduler(t, 32, 0xA11CE, factory)
-			for _, shape := range shapes {
-				base, err := s.Quote(shape.width, shape.estimate, shape.count)
-				if err != nil {
-					t.Fatal(err)
-				}
-				s.SetQuoteSpeculation(true)
-				spec, err := s.Quote(shape.width, shape.estimate, shape.count)
-				s.SetQuoteSpeculation(false)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !reflect.DeepEqual(base, spec) {
-					t.Errorf("%s width=%d est=%d count=%d: speculative quote diverged:\n spec-off %+v\n spec-on  %+v",
-						name, shape.width, shape.estimate, shape.count, base, spec)
-				}
-			}
-			if live := s.QuoteTwinsLive(); live != 0 {
-				t.Errorf("%d twins leaked", live)
-			}
-		})
-	}
-
-	// Concurrent speculative quotes: each twin speculates privately; the
-	// answers must all agree and no twin may leak.
-	factory := quoteDeciders()["advanced"]
-	s := loadedQuoteScheduler(t, 32, 0xBEEF, factory)
-	s.SetQuoteSpeculation(true)
-	want, err := s.Quote(4, 200, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var wg sync.WaitGroup
-	errs := make(chan error, 16)
-	for g := 0; g < 16; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			got, err := s.Quote(4, 200, 2)
-			if err != nil {
-				errs <- err
-				return
-			}
-			if !reflect.DeepEqual(got, want) {
-				errs <- fmt.Errorf("concurrent speculative quote diverged: %+v != %+v", got, want)
-			}
-		}()
-	}
-	wg.Wait()
-	close(errs)
-	for err := range errs {
-		t.Error(err)
-	}
-	if live := s.QuoteTwinsLive(); live != 0 {
-		t.Errorf("%d twins leaked", live)
-	}
-}

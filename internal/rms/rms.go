@@ -139,7 +139,6 @@ type Scheduler struct {
 	// flips and read lock-free afterwards.
 	quotesOn  atomic.Bool
 	quoteNew  func() sim.Driver
-	quoteSpec atomic.Bool
 	twinPool  sync.Pool
 	twinsLive atomic.Int64
 }

@@ -47,17 +47,15 @@ func TestStaticPlanAllocs(t *testing.T) {
 	}
 }
 
-// TestTunerRebuildAllocs gates the self-tuner's rebuild path: the queue
-// changes before every Plan, so each call builds all three candidates
-// anew. At the parent commit that allocated 5 objects a call — the chosen
-// Schedule and its Entries among them, garbage one event later. Those two
-// now cycle through the pool; what is left is the values slice the
-// decision retains, the build closure and the decider's tie set.
+// TestTunerRebuildAllocs gates the self-tuner's planning step: the queue
+// changes before every Plan, as it does between scheduling events. Bases,
+// candidate profiles and schedules all cycle through the plan pools; what
+// is left is the values slice the decision retains and the decider's tie
+// set.
 func TestTunerRebuildAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops items under the race detector")
 	}
-	const parent = 5
 	for _, queued := range []int{64, 256} {
 		waiting, spare, running := allocScenario(queued)
 		d := NewDynP(core.Advanced{})
@@ -75,9 +73,8 @@ func TestTunerRebuildAllocs(t *testing.T) {
 		}
 		rebuild()
 		rebuild()
-		if avg := testing.AllocsPerRun(200, rebuild); avg >= parent-1 {
-			t.Errorf("queue %d: a rebuilding Plan allocates %.2f objects, want under %d (parent: %d)",
-				queued, avg, parent-1, parent)
+		if avg := testing.AllocsPerRun(200, rebuild); avg > 2 {
+			t.Errorf("queue %d: a rebuilding Plan allocates %.2f objects, want at most 2", queued, avg)
 		}
 	}
 }

@@ -7,10 +7,8 @@ import (
 	"strings"
 	"testing"
 
-	"dynp/internal/adaptive"
 	"dynp/internal/core"
 	"dynp/internal/job"
-	"dynp/internal/policy"
 	"dynp/internal/workload"
 )
 
@@ -31,12 +29,11 @@ func traceFingerprint(trace []core.Decision) string {
 	return b.String()
 }
 
-// TestDeterminismAcrossGOMAXPROCS is the regression gate for the PR's
-// central invariant: parallelism is an implementation detail that never
+// TestDeterminismAcrossGOMAXPROCS is the regression gate for the
+// invariant that parallelism is an implementation detail that never
 // leaks into results. One contended workload is simulated at GOMAXPROCS
-// 1, 2 and 8 with every parallel width tied to the setting — the tuner's
-// candidate what-if builds fan out over GOMAXPROCS workers, and the
-// batch runs through RunParallel with GOMAXPROCS shards. The schedule
+// 1, 2 and 8, alone and as a batch through RunParallel with GOMAXPROCS
+// shards (all drawing from the shared plan pools). The schedule
 // fingerprint (every start and finish) and the full decider trace
 // (every decision's bit-exact candidate scores) must be byte-identical
 // across all three settings.
@@ -54,7 +51,7 @@ func TestDeterminismAcrossGOMAXPROCS(t *testing.T) {
 	}
 	run := func(procs int) outcome {
 		runtime.GOMAXPROCS(procs)
-		d := NewDynP(core.Advanced{}).SetWorkers(0) // 0: fan out over all of GOMAXPROCS
+		d := NewDynP(core.Advanced{})
 		d.Tuner.EnableTrace()
 		res, err := Run(set, d)
 		if err != nil {
@@ -83,7 +80,7 @@ func TestDeterminismAcrossGOMAXPROCS(t *testing.T) {
 	for _, procs := range []int{2, 8} {
 		runtime.GOMAXPROCS(procs)
 		results, err := RunParallel([]*job.Set{set, set, set},
-			func() Driver { return NewDynP(core.Advanced{}).SetWorkers(0) }, procs)
+			func() Driver { return NewDynP(core.Advanced{}) }, procs)
 		if err != nil {
 			t.Fatalf("RunParallel procs=%d: %v", procs, err)
 		}
@@ -92,101 +89,5 @@ func TestDeterminismAcrossGOMAXPROCS(t *testing.T) {
 				t.Errorf("GOMAXPROCS=%d replica %d: parallel schedule diverged from sequential", procs, i)
 			}
 		}
-	}
-}
-
-// TestDeterminismSpeculationMatrix is the regression gate for the
-// speculative cross-event pipeline's central invariant: speculation is an
-// implementation detail that never leaks into results. Every decider —
-// the three paper deciders plus the observer-driven adaptive decider,
-// the likeliest victim of a speculation-invalidation bug because it can
-// flip its choice between the prediction and the event — runs the same
-// contended workload at {speculation off, on} × {GOMAXPROCS 1, 2, 8};
-// the schedule fingerprint and the bit-exact decider trace must be
-// byte-identical across all six settings, and the speculative runs must
-// actually speculate (hits > 0), so a silently disabled pipeline cannot
-// pass vacuously.
-func TestDeterminismSpeculationMatrix(t *testing.T) {
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
-
-	sets, err := workload.KTH.GenerateSets(1, 300, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	set := sets[0].Shrink(0.8)
-
-	// Fresh decider per run: the adaptive decider is stateful (it
-	// observes the engine it decides for), so instances never cross runs.
-	deciders := []struct {
-		name string
-		make func(t *testing.T) core.Decider
-	}{
-		{"simple", func(*testing.T) core.Decider { return core.Simple{} }},
-		{"advanced", func(*testing.T) core.Decider { return core.Advanced{} }},
-		{"preferred", func(*testing.T) core.Decider { return core.Preferred{Policy: policy.SJF} }},
-		{"adaptive", func(*testing.T) core.Decider { return adaptive.Must(policy.SJF, 4, 2) }},
-	}
-
-	type outcome struct {
-		schedule, trace string
-		stats           core.SpecStats
-	}
-	for _, dec := range deciders {
-		t.Run(dec.name, func(t *testing.T) {
-			run := func(spec bool, procs int) outcome {
-				runtime.GOMAXPROCS(procs)
-				d := NewDynP(dec.make(t)).SetWorkers(0).SetSpeculation(spec)
-				d.Tuner.EnableTrace()
-				res, err := Run(set, d)
-				if err != nil {
-					t.Fatalf("spec=%v procs=%d: %v", spec, procs, err)
-				}
-				return outcome{fingerprint(res), traceFingerprint(d.Tuner.Trace()), d.SpecStats()}
-			}
-
-			want := run(false, 1)
-			if want.trace == "" {
-				t.Fatal("decider trace is empty: the workload exercised no self-tuning steps")
-			}
-			if want.stats.Dispatched != 0 {
-				t.Fatalf("speculation off dispatched %d builds", want.stats.Dispatched)
-			}
-			for _, spec := range []bool{false, true} {
-				for _, procs := range []int{1, 2, 8} {
-					if !spec && procs == 1 {
-						continue // the baseline itself
-					}
-					got := run(spec, procs)
-					if got.schedule != want.schedule {
-						t.Errorf("spec=%v GOMAXPROCS=%d: schedule diverged from spec-off baseline", spec, procs)
-					}
-					if got.trace != want.trace {
-						t.Errorf("spec=%v GOMAXPROCS=%d: decider trace diverged from spec-off baseline", spec, procs)
-					}
-					if spec {
-						if got.stats.Hits == 0 {
-							t.Errorf("GOMAXPROCS=%d: speculation enabled but no hits (%+v)", procs, got.stats)
-						}
-						if total := got.stats.Hits + got.stats.Misses + got.stats.Cancelled; total != got.stats.Dispatched {
-							t.Errorf("GOMAXPROCS=%d: speculation outcomes %+v do not account for every dispatch", procs, got.stats)
-						}
-					}
-				}
-			}
-
-			// The sharded batch path with speculation on: every replica
-			// speculates in its own shard and must reproduce the baseline.
-			runtime.GOMAXPROCS(8)
-			results, err := RunParallel([]*job.Set{set, set, set},
-				func() Driver { return NewDynP(dec.make(t)).SetWorkers(0).SetSpeculation(true) }, 8)
-			if err != nil {
-				t.Fatalf("RunParallel spec-on: %v", err)
-			}
-			for i, res := range results {
-				if got := fingerprint(res); got != want.schedule {
-					t.Errorf("spec-on replica %d: parallel schedule diverged from sequential baseline", i)
-				}
-			}
-		})
 	}
 }

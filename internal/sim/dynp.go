@@ -31,40 +31,6 @@ func NewDynPWith(candidates []policy.Policy, d core.Decider, m core.Metric) *Dyn
 		label: "dynP/" + d.Name() + "/" + m.String()}
 }
 
-// SetWorkers bounds the goroutines used for the candidate what-if builds
-// of every self-tuning step (see core.SelfTuner.SetWorkers): 1 keeps
-// planning sequential, n <= 0 selects all cores. The simulation outcome
-// is identical for every worker count. It returns d for chaining.
-func (d *DynP) SetWorkers(n int) *DynP {
-	d.Tuner.SetWorkers(n)
-	return d
-}
-
-// SetSpeculation toggles the tuner's speculative cross-event planning
-// pipeline (see core.SelfTuner.SetSpeculation): with it on, Run overlaps
-// the next event's what-if builds with the current event's bookkeeping
-// via the engine.Lookaheader protocol. The simulation outcome is
-// byte-identical either way. It returns d for chaining.
-func (d *DynP) SetSpeculation(on bool) *DynP {
-	d.Tuner.SetSpeculation(on)
-	return d
-}
-
-// SpeculationEnabled implements engine.Lookaheader.
-func (d *DynP) SpeculationEnabled() bool { return d.Tuner.SpeculationEnabled() }
-
-// Lookahead implements engine.Lookaheader by dispatching a speculative
-// self-tuning build for the predicted next event.
-func (d *DynP) Lookahead(now int64, capacity int, running []plan.Running, waiting []*job.Job) {
-	d.Tuner.Speculate(now, capacity, running, waiting)
-}
-
-// CancelLookahead implements engine.Lookaheader.
-func (d *DynP) CancelLookahead() { d.Tuner.CancelSpeculation() }
-
-// SpecStats exposes the tuner's speculation outcome counters.
-func (d *DynP) SpecStats() core.SpecStats { return d.Tuner.SpecStats() }
-
 // Name implements Driver.
 func (d *DynP) Name() string { return d.label }
 

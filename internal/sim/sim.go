@@ -216,39 +216,10 @@ func Run(set *job.Set, driver Driver, opts ...Option) (*Result, error) {
 	}
 	eng := engine.New(set.Machine, driver, res.First, engOpts...)
 
-	// Speculating drivers overlap the next event's what-if builds with
-	// this loop's bookkeeping: right after each replanning step the
-	// harness pre-pops the next instant's whole batch — safe, because
-	// events are only ever pushed during Replan (the Started hook), so
-	// the batch is complete the moment the step returns — predicts the
-	// post-batch machine state and hands it over (engine.Lookaheader).
-	la, _ := driver.(engine.Lookaheader)
-	if la != nil && !la.SpeculationEnabled() {
-		la = nil
-	}
-	if la != nil {
-		defer la.CancelLookahead()
-	}
-
-	// Two batch buffers alternate: while one holds the pre-popped next
-	// batch, the other (already consumed) is free to take the one after.
-	var bufs [2][]eventq.Event[event]
-	bufs[0] = make([]eventq.Event[event], 0, 16)
-	bufs[1] = make([]eventq.Event[event], 0, 16)
-	cur := 0
-	var pending []eventq.Event[event]
-
 	lastEvent := res.First
-	for events.Len() > 0 || pending != nil {
-		// The instant's batch: pre-popped by the previous iteration's
-		// lookahead, or drained from the queue head now.
-		batch := pending
-		pending = nil
-		if batch == nil {
-			head, _ := events.Peek()
-			batch = popBatch(&events, head.Time, bufs[cur][:0])
-		}
-		now := batch[0].Time
+	for events.Len() > 0 {
+		head, _ := events.Peek()
+		now := head.Time
 
 		// Attribute the elapsed span to the policy active since the
 		// previous event.
@@ -260,7 +231,7 @@ func Run(set *job.Set, driver Driver, opts ...Option) (*Result, error) {
 
 		// Apply every event at this instant before replanning:
 		// completions free processors, submissions extend the queue.
-		for _, ev := range batch {
+		for ev, ok := events.PopIf(now); ok; ev, ok = events.PopIf(now) {
 			switch ev.Payload.kind {
 			case evFinish:
 				j := ev.Payload.job
@@ -290,16 +261,6 @@ func Run(set *job.Set, driver Driver, opts ...Option) (*Result, error) {
 			return nil, err
 		}
 		res.Events++
-
-		// Hand the driver the next event's predicted inputs while its
-		// batch is still queued knowledge, not applied state.
-		if la != nil && events.Len() > 0 {
-			head, _ := events.Peek()
-			cur ^= 1
-			pending = popBatch(&events, head.Time, bufs[cur][:0])
-			la.Lookahead(head.Time, eng.Effective(),
-				predictRunning(eng, pending), predictWaiting(eng, pending))
-		}
 	}
 
 	// The last completion is itself a scheduling event, so this tail span
@@ -317,56 +278,4 @@ func Run(set *job.Set, driver Driver, opts ...Option) (*Result, error) {
 		return nil, fmt.Errorf("sim: %d of %d jobs completed", len(res.Records), len(set.Jobs))
 	}
 	return res, nil
-}
-
-// popBatch drains every event scheduled at exactly time t into buf and
-// returns it, preserving dispatch order. The queue head must lie at t.
-func popBatch(q *eventq.Queue[event], t int64, buf []eventq.Event[event]) []eventq.Event[event] {
-	for {
-		ev, ok := q.PopIf(t)
-		if !ok {
-			return buf
-		}
-		buf = append(buf, ev)
-	}
-}
-
-// predictRunning returns the running set as the next replanning step will
-// see it: the current one minus the batch's completions. The order of the
-// survivors is preserved but need not match the engine's post-splice
-// representation — speculative base profiles are verified with
-// plan.Base.EqualFrom, which compares promised availability, not
-// representation.
-func predictRunning(eng *engine.Engine, batch []eventq.Event[event]) []plan.Running {
-	running := eng.Running()
-	out := make([]plan.Running, 0, len(running))
-outer:
-	for _, r := range running {
-		for _, ev := range batch {
-			if ev.Payload.kind == evFinish && ev.Payload.job == r.Job {
-				continue outer
-			}
-		}
-		out = append(out, r)
-	}
-	return out
-}
-
-// predictWaiting returns the waiting queue as the next replanning step
-// will see it: the current one plus the batch's submissions, in dispatch
-// order — exactly how engine.Submit will append them, so the speculative
-// verification's elementwise comparison holds. Completions never touch
-// the waiting queue, and the set validation's width bound (no job wider
-// than the machine) means the engine's unplaceable filter never splits
-// it either.
-func predictWaiting(eng *engine.Engine, batch []eventq.Event[event]) []*job.Job {
-	waiting := eng.Waiting()
-	out := make([]*job.Job, 0, len(waiting)+len(batch))
-	out = append(out, waiting...)
-	for _, ev := range batch {
-		if ev.Payload.kind == evSubmit {
-			out = append(out, ev.Payload.job)
-		}
-	}
-	return out
 }

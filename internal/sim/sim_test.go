@@ -142,8 +142,7 @@ func TestPolicyTimeAccounting(t *testing.T) {
 
 // TestPolicyTimeSpansTotal locks the final-span attribution: for every
 // driver — including the self-tuning ones, whose active policy changes
-// mid-run, with and without the speculative pipeline — the per-policy
-// spans must sum exactly to Makespan - First.
+// mid-run — the per-policy spans must sum exactly to Makespan - First.
 //
 // This is the regression gate for Run's tail guard: on every real
 // workload the last event is a completion, Makespan only advances on
@@ -159,9 +158,6 @@ func TestPolicyTimeSpansTotal(t *testing.T) {
 		func() Driver { return NewDynP(core.Simple{}) },
 		func() Driver { return NewDynP(core.Advanced{}) },
 		func() Driver { return NewDynP(core.Preferred{Policy: policy.SJF}) },
-		func() Driver { return NewDynP(core.Simple{}).SetSpeculation(true) },
-		func() Driver { return NewDynP(core.Advanced{}).SetSpeculation(true) },
-		func() Driver { return NewDynP(core.Preferred{Policy: policy.SJF}).SetSpeculation(true) },
 		func() Driver { return &EASY{Base: policy.FCFS} },
 	}
 	for seed := uint64(0); seed < 5; seed++ {

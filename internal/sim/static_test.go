@@ -13,21 +13,30 @@ import (
 	"dynp/internal/rng"
 )
 
+// laneCount tallies the plans a lockstep driver checked, by the lane
+// that served them: the spliced order view or the full-sort fallback.
+// One count outlives the drivers of a stream, which restarts replace.
+type laneCount struct{ view, sort int }
+
+func (c *laneCount) note(covered bool) {
+	if covered {
+		c.view++
+	} else {
+		c.sort++
+	}
+}
+
 // lockstepStatic is a Static driver that checks every schedule it plans
 // against referencePlan before handing it to the engine. Embedding keeps
 // it an engine.QueueTracker, so the order view stays engaged.
 type lockstepStatic struct {
 	*Static
-	t                    testing.TB
-	viewPlans, sortPlans int // plans served by the spliced view / by the full-sort fallback
+	t     testing.TB
+	lanes *laneCount
 }
 
 func (d *lockstepStatic) Plan(now int64, capacity int, running []plan.Running, waiting []*job.Job) *plan.Schedule {
-	if d.views.Covering(waiting) != nil {
-		d.viewPlans++
-	} else {
-		d.sortPlans++
-	}
+	d.lanes.note(d.views.Covering(waiting) != nil)
 	got := d.Static.Plan(now, capacity, running, waiting)
 	want := referencePlan(now, capacity, running, waiting, d.Policy)
 	if got.Now != want.Now || got.Capacity != want.Capacity || got.Policy != want.Policy ||
@@ -43,11 +52,12 @@ func (d *lockstepStatic) Plan(now int64, capacity int, running []plan.Running, w
 	return got
 }
 
-// referencePlan is what Static.Plan must equal, built the slow obvious
-// way at every event: a full policy.Order sort placed job by job on the
-// flat-array profile.Linear. It shares nothing with the planner — no
-// pools, no views, no bounded search — and its schedule is assembled by
-// hand, so its Planned* scores walk the entries.
+// referencePlan is what a planning driver's schedule for policy p must
+// equal, built the slow obvious way at every event: a full policy.Order
+// sort placed job by job on the flat-array profile.Linear. It shares
+// nothing with the planner — no pools, no views, no bounded search — and
+// its schedule is assembled by hand, so its Planned* scores walk the
+// entries.
 func referencePlan(now int64, capacity int, running []plan.Running, waiting []*job.Job, p policy.Policy) *plan.Schedule {
 	prof := profile.NewLinear(capacity, now)
 	for _, r := range running {
@@ -64,21 +74,21 @@ func referencePlan(now int64, capacity int, running []plan.Running, waiting []*j
 	return s
 }
 
-// runStaticLockstep interprets data as an event stream — two bytes an
-// event — against an engine planning with a lockstepStatic, replanning
-// and checking the engine's invariants after every event. The streams
-// reach everything that changes what Plan is handed: submissions with
-// heavily tied keys, clock advances that fire kills at the estimate and
-// planned starts, early completions, cancellations, an ID cancelled and
+// runLockstep interprets data as an event stream — two bytes an event —
+// against an engine planning with the self-checking driver newDriver
+// returns (a lockstepStatic or a lockstepDynP), replanning and checking
+// the engine's invariants after every event. The streams reach
+// everything that changes what Plan is handed: submissions with heavily
+// tied keys, clock advances that fire kills at the estimate and planned
+// starts, early completions, cancellations, an ID cancelled and
 // re-submitted as a new job within one instant, processor failures that
 // make the engine withhold jobs too wide for what is left (the view no
 // longer covers the planned queue: full-sort fallback) or drain the
 // machine entirely, and a checkpoint restored into a fresh engine and
 // driver, which primes the new view through NoteSubmit.
-func runStaticLockstep(t testing.TB, p policy.Policy, data []byte) (viewPlans, sortPlans int) {
+func runLockstep(t testing.TB, newDriver func() Driver, data []byte) {
 	const capacity = 16
-	d := &lockstepStatic{Static: &Static{Policy: p}, t: t}
-	eng := engine.New(capacity, d, 0)
+	eng := engine.New(capacity, newDriver(), 0)
 	submit := func(id job.ID, arg byte) {
 		est := []int64{30, 30, 600, 3600}[int(arg/5)%4]
 		eng.Submit(&job.Job{ID: id, Submit: eng.Now(), Width: 1 << (arg % 5), Estimate: est, Runtime: est})
@@ -117,8 +127,7 @@ func runStaticLockstep(t testing.TB, p policy.Policy, data []byte) (viewPlans, s
 		case 7:
 			st := engine.State{Now: eng.Now(), Failed: eng.FailedProcs(),
 				Waiting: slices.Clone(eng.Waiting()), Running: slices.Clone(eng.Running())}
-			d.Static = &Static{Policy: p} // a restart: nothing of the old driver survives
-			eng = engine.New(capacity, d, 0)
+			eng = engine.New(capacity, newDriver(), 0) // a restart: nothing of the old driver survives
 			if err := eng.RestoreState(st); err != nil {
 				t.Fatal(err)
 			}
@@ -130,7 +139,11 @@ func runStaticLockstep(t testing.TB, p policy.Policy, data []byte) (viewPlans, s
 			t.Fatalf("after event %d (op %d): %v", i/2, op%8, err)
 		}
 	}
-	return d.viewPlans, d.sortPlans
+}
+
+// staticLockstep returns runLockstep's driver factory for policy p.
+func staticLockstep(t testing.TB, p policy.Policy, lanes *laneCount) func() Driver {
+	return func() Driver { return &lockstepStatic{Static: &Static{Policy: p}, t: t, lanes: lanes} }
 }
 
 // lockstepPolicies are the paper's three static baselines and one member
@@ -145,20 +158,25 @@ func lockstepPolicies() []policy.Policy {
 // to have actually planned.
 func TestStaticLockstep(t *testing.T) {
 	for _, p := range lockstepPolicies() {
-		views, sorts := 0, 0
+		var lanes laneCount
 		for seed := uint64(0); seed < 6; seed++ {
-			r := rng.New(100 + seed)
-			data := make([]byte, 2*500)
-			for i := range data {
-				data[i] = byte(r.Intn(256))
-			}
-			v, s := runStaticLockstep(t, p, data)
-			views, sorts = views+v, sorts+s
+			runLockstep(t, staticLockstep(t, p, &lanes), lockstepStream(seed))
 		}
-		if views == 0 || sorts == 0 {
-			t.Errorf("%v: %d plans read the view, %d sorted in full; the streams must reach both", p, views, sorts)
+		if lanes.view == 0 || lanes.sort == 0 {
+			t.Errorf("%v: %d plans read the view, %d sorted in full; the streams must reach both", p, lanes.view, lanes.sort)
 		}
 	}
+}
+
+// lockstepStream is the seeded random event stream (500 events) of the
+// lockstep tests.
+func lockstepStream(seed uint64) []byte {
+	r := rng.New(100 + seed)
+	data := make([]byte, 2*500)
+	for i := range data {
+		data[i] = byte(r.Intn(256))
+	}
+	return data
 }
 
 // FuzzStaticLockstep hands the event stream to the fuzzer; the first
@@ -176,7 +194,7 @@ func FuzzStaticLockstep(f *testing.F) {
 			data = data[:801]
 		}
 		ps := lockstepPolicies()
-		runStaticLockstep(t, ps[int(data[0])%len(ps)], data[1:])
+		runLockstep(t, staticLockstep(t, ps[int(data[0])%len(ps)], new(laneCount)), data[1:])
 	})
 }
 

@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: all ci build vet fmt-check test race soak soak-disk bench bench-smoke bench-sim bench-sim-check bench-scale bench-scale-check bench-recover bench-recover-check bench-quote bench-quote-check bench-e2e bench-e2e-agree fuzz repro repro-full ablations golden golden-check golden-check-registered golden-check-full clean
+.PHONY: all ci build vet fmt-check test race soak soak-disk bench bench-smoke bench-scale bench-scale-check bench-recover bench-recover-check bench-quote bench-quote-check bench-e2e bench-e2e-agree fuzz repro repro-full ablations golden golden-check golden-check-registered golden-check-full clean
 
 all: build vet test
 
@@ -60,18 +60,6 @@ bench:
 # output as an artifact for trajectory tracking.
 bench-smoke:
 	$(GO) test -bench=SelfTuner -benchtime=1x ./... | tee bench-smoke.txt
-
-# Refresh the committed simulation-throughput snapshot: indexed-vs-linear
-# profile micro-benchmarks plus end-to-end sim.Run rates at 1k/10k jobs.
-bench-sim:
-	$(GO) run ./cmd/benchsim -out BENCH_sim.json
-
-# Fail when an indexed-over-linear speedup ratio (1024+ steps) or the
-# 1k->10k throughput scaling regressed >10% against the committed
-# BENCH_sim.json. Ratios, not absolute ns, so the gate is machine-neutral.
-# CI runs this in the bench-smoke job.
-bench-sim-check:
-	$(GO) run ./cmd/benchsim -check BENCH_sim.json
 
 # Refresh the committed multi-core scaling snapshot: experiment-sweep and
 # sim.RunParallel jobs/s at GOMAXPROCS 1/2/4/N.

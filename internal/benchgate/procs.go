@@ -1,5 +1,5 @@
 // Package benchgate holds helpers shared by the benchmark gate commands
-// (cmd/benchsim, cmd/benchscale) that compare fresh
+// (cmd/benchrecover, cmd/benchquote) that compare fresh
 // measurements against committed baseline snapshots.
 package benchgate
 

@@ -7,18 +7,18 @@ import (
 
 	"dynp/internal/job"
 	"dynp/internal/policy"
-	"dynp/internal/profile"
+	"dynp/internal/profile/profiletest"
 	"dynp/internal/rng"
 )
 
 // naiveBuild is the deliberately naive reference builder every production
-// builder is compared against: the flat-array profile.Linear, a full
+// builder is compared against: the array-of-structs profiletest.Linear, a full
 // policy.Order sort, every hole search started at now, an EarliestFit +
 // Alloc pair per job, no pools, no fused scores and no search bounds. It
 // returns the schedule (unscored, so its Planned* accessors walk the
 // entries) and the profile it ended with.
-func naiveBuild(now int64, capacity int, running []Running, waiting []*job.Job, p policy.Policy) (*Schedule, *profile.Linear) {
-	prof := profile.NewLinear(capacity, now)
+func naiveBuild(now int64, capacity int, running []Running, waiting []*job.Job, p policy.Policy) (*Schedule, *profiletest.Linear) {
+	prof := profiletest.NewLinear(capacity, now)
 	for _, r := range running {
 		if rem := r.EstimatedEnd() - now; rem > 0 {
 			prof.Alloc(now, r.Job.Width, rem)

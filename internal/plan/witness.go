@@ -18,20 +18,21 @@ const (
 	// pass over them, whether or not a bound ever applies (under LJF almost
 	// none can: each job is shorter than those before it). Measured on
 	// BenchmarkBuildSaturated at queue 340, one build per candidate policy
-	// summed, best of six runs: 2 slots 249 us, 4 slots 235 us, 8 slots
-	// 260 us — two lose SJF's bounds, eight cost FCFS and LJF more than
-	// they gain SJF.
+	// summed, best of eighteen runs, re-taken on the flat profile kernel
+	// (DESIGN.md §11): 2 slots 176 us, 4 slots 160 us, 8 slots 208 us — two
+	// lose SJF's bounds, eight cost FCFS and LJF more than they gain SJF.
 	witnessSlots = 4
 	// witnessMinDepth gates recording on the profile itself: a placement is
 	// kept as a witness only when it landed at least this many steps into
 	// the profile, i.e. when a later search from now would have that many
-	// steps to cross. Ungated bookkeeping cost the benchmark's sim-light
-	// workload (LANL: 11-step profiles, queues of 7) about 10% for bounds
-	// that save nothing there, and a gate of 16 still cost builds of 20-40
-	// random jobs 3-10%; at 32 both are back at the ungated parent's time
-	// — the table stays empty on short profiles, and consulting an empty
-	// table is one compare — while sim-heavy (67-step profiles on average,
-	// its time in events with well over a hundred) keeps its gain.
+	// steps to cross. Re-measured on the flat profile kernel, median of
+	// three benchmark runs each: on sim-light (LANL: 11-step profiles,
+	// queues of 7, so no bound ever pays) ungated bookkeeping reads 128k
+	// jobs/s and a gate of 16 123k against 142k at 32 and at 64 — the table
+	// stays empty on short profiles, and consulting an empty table is one
+	// compare — while sim-heavy (67-step profiles on average, its time in
+	// events with well over a hundred) reads 13.4k at 16, 13.9k at 32 and
+	// 12.1k at 64, where the bounds it lives on stop being recorded.
 	witnessMinDepth = 32
 )
 

@@ -1,16 +1,20 @@
 package profile
 
 import (
+	"fmt"
 	"testing"
 
 	"dynp/internal/rng"
 )
 
 // BenchmarkPlace measures earliest-hole placement on profiles of growing
-// fragmentation — the inner loop of every full-schedule build.
+// fragmentation — the inner loop of every full-schedule build. Every
+// search starts at the profile start and the profile ends with about as
+// many steps as jobs, so the sizes run from what a planning step builds
+// (DESIGN.md §11) to far beyond it.
 func BenchmarkPlace(b *testing.B) {
-	for _, queued := range []int{10, 100, 1000} {
-		b.Run(benchName(queued), func(b *testing.B) {
+	for _, queued := range []int{10, 100, 1000, 10000} {
+		b.Run(fmt.Sprintf("queue%d", queued), func(b *testing.B) {
 			r := rng.New(1)
 			widths := make([]int, queued)
 			durs := make([]int64, queued)
@@ -26,17 +30,6 @@ func BenchmarkPlace(b *testing.B) {
 				}
 			}
 		})
-	}
-}
-
-func benchName(n int) string {
-	switch {
-	case n >= 1000:
-		return "queue1000"
-	case n >= 100:
-		return "queue100"
-	default:
-		return "queue10"
 	}
 }
 

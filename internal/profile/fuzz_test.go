@@ -2,6 +2,8 @@ package profile
 
 import (
 	"testing"
+
+	"dynp/internal/profile/profiletest"
 )
 
 // refModel is a brute-force per-second free-array model of a machine: the
@@ -60,17 +62,27 @@ func (m *refModel) alloc(start int64, width int, dur int64) {
 	}
 }
 
-// FuzzProfileVsReference drives the indexed Profile, the flat-array
-// Linear implementation, and the per-second reference model through the
-// same operation sequence and requires identical EarliestFit results,
-// identical FreeAt values, and a step-for-step identical step function
-// between the indexed and linear representations — plus CloneInto/Reset
-// equivalence with Clone/New along the way. The fuzz input is decoded as
-// (op, width, duration, earliest) nibbles.
+// FuzzProfileVsReference drives the Profile, the naive profiletest.Linear
+// and the per-second reference model through the same operation sequence
+// and requires identical EarliestFit results, identical FreeAt values, and
+// a step sequence identical element for element between the Profile and
+// Linear — plus CloneInto/Reset equivalence with Clone/New along the way.
+// The fuzz input is decoded as (op, width, duration, earliest) bytes; the
+// op byte also says whether the Profile first moves to other storage — a
+// clone into a zero value, which must grow from nothing, or into a dirty
+// pooled destination holding stale steps in alternately more and less
+// storage than it needs — and carries on there, as the planner's pooled
+// profiles do.
 func FuzzProfileVsReference(f *testing.F) {
 	f.Add([]byte{0x00}, uint8(8), uint8(3))
 	f.Add([]byte{0x12, 0x34, 0x56, 0x78, 0x9a}, uint8(16), uint8(0))
 	f.Add([]byte{0xff, 0x00, 0xff, 0x00}, uint8(3), uint8(50))
+	// Place on a zero-value clone (0x08), then hop through the larger and
+	// the smaller dirty destination (0x0c) with placements in between.
+	f.Add([]byte{
+		0x08, 5, 9, 0, 0x08, 2, 30, 7, 0x0c, 3, 20, 4, 0x00, 1, 31, 10,
+		0x0c, 7, 3, 2, 0x01, 4, 12, 40, 0x0c, 2, 8, 1, 0x0d, 6, 5, 90,
+	}, uint8(16), uint8(5))
 	f.Fuzz(func(t *testing.T, ops []byte, cap8 uint8, start8 uint8) {
 		capacity := int(cap8%32) + 1
 		start := int64(start8)
@@ -78,18 +90,35 @@ func FuzzProfileVsReference(f *testing.F) {
 		// cheap: reservations live in [start, start+horizon/2), scans may
 		// run to the horizon.
 		const horizon = 512
-		// Shrink the chunk split threshold so even these small profiles
-		// exercise multi-chunk structures, lazy deltas and chunk splits.
-		defer func(old int) { chunkMax = old }(chunkMax)
-		chunkMax = 8
 		p := New(capacity, start)
-		lin := NewLinear(capacity, start)
+		lin := profiletest.NewLinear(capacity, start)
 		ref := newRefModel(capacity, start, horizon)
+
+		// Dirty destinations: one with far more storage than these small
+		// profiles need, one with less. A move swaps p with one of them.
+		larger, smaller := New(64, 0), New(3, 0)
+		for k := int64(0); k < 40; k++ {
+			larger.Place(k, 1+int(k%7), 1+k%13)
+		}
+		smaller.Alloc(1, 2, 7)
+		dirty := [2]*Profile{larger, smaller}
+		turn := 0
 
 		if len(ops) > 64 {
 			ops = ops[:64]
 		}
 		for i := 0; i+3 < len(ops); i += 4 {
+			switch (ops[i] >> 2) % 4 {
+			case 2:
+				var zero Profile
+				p.CloneInto(&zero)
+				p = &zero
+			case 3:
+				dst := dirty[turn]
+				p.CloneInto(dst)
+				dirty[turn], p = p, dst
+				turn ^= 1
+			}
 			width := int(ops[i+1])%capacity + 1
 			dur := int64(ops[i+2]%32) + 1
 			earliest := start + int64(ops[i+3])%(horizon/2)
@@ -129,19 +158,14 @@ func FuzzProfileVsReference(f *testing.F) {
 					t.Fatalf("op %d: linear FreeAt(%d) = %d, oracle %d", i, earliest, lgot, want)
 				}
 			}
-			// The indexed and linear representations must agree step for
-			// step — same boundaries, same free counts, redundant steps
-			// included — and every boundary must match the oracle.
-			times, free := p.Steps()
-			ltimes, lfree := lin.Steps()
-			if len(times) != len(ltimes) {
-				t.Fatalf("op %d: indexed has %d steps, linear %d", i, len(times), len(ltimes))
+			// The two representations must agree step for step — same
+			// boundaries, same free counts, redundant steps included — and
+			// every boundary must match the per-second model.
+			if err := sameSteps(p, lin); err != nil {
+				t.Fatalf("op %d: %v", i, err)
 			}
+			times, free := p.Steps()
 			for k, tm := range times {
-				if tm != ltimes[k] || free[k] != lfree[k] {
-					t.Fatalf("op %d: step %d indexed (%d,%d), linear (%d,%d)",
-						i, k, tm, free[k], ltimes[k], lfree[k])
-				}
 				if tm < start+horizon && free[k] != ref.freeAt(tm) {
 					t.Fatalf("op %d: step at %d has free %d, oracle %d", i, tm, free[k], ref.freeAt(tm))
 				}
@@ -151,30 +175,16 @@ func FuzzProfileVsReference(f *testing.F) {
 			}
 		}
 
-		// CloneInto into a dirty destination must equal Clone.
-		dirty := New(3, 0)
-		dirty.Alloc(1, 2, 7)
-		p.CloneInto(dirty)
-		want := p.Clone()
-		if !dirty.EqualFrom(want, start) || dirty.Capacity() != want.Capacity() {
-			t.Fatalf("CloneInto != Clone: %v vs %v", dirty, want)
+		// CloneInto into a dirty destination must equal Clone, and Reset
+		// must equal New: same capacity, same steps (String renders both).
+		dst := dirty[turn]
+		p.CloneInto(dst)
+		if want := p.Clone(); !dst.EqualFrom(want, start) || dst.String() != want.String() {
+			t.Fatalf("CloneInto != Clone: %v vs %v", dst, want)
 		}
-		wt, wf := want.Steps()
-		gt, gf := dirty.Steps()
-		if len(wt) != len(gt) {
-			t.Fatalf("CloneInto step count %d, Clone %d", len(gt), len(wt))
-		}
-		for k := range wt {
-			if wt[k] != gt[k] || wf[k] != gf[k] {
-				t.Fatalf("CloneInto step %d = (%d,%d), Clone (%d,%d)", k, gt[k], gf[k], wt[k], wf[k])
-			}
-		}
-
-		// Reset must equal New, byte for byte.
-		dirty.Reset(capacity, start)
-		fresh := New(capacity, start)
-		if !dirty.EqualFrom(fresh, start) {
-			t.Fatalf("Reset != New: %v vs %v", dirty, fresh)
+		dst.Reset(capacity, start)
+		if fresh := New(capacity, start); !dst.EqualFrom(fresh, start) || dst.String() != fresh.String() {
+			t.Fatalf("Reset != New: %v vs %v", dst, fresh)
 		}
 	})
 }

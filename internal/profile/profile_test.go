@@ -2,14 +2,16 @@ package profile
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 	"testing/quick"
 
+	"dynp/internal/profile/profiletest"
 	"dynp/internal/rng"
 )
 
-// checkInv fails the test when the indexed representation violates its
-// own invariants (aggregates vs recomputed-from-steps, ordering, bounds).
+// checkInv fails the test when the representation violates its own
+// invariants (slice lengths, ordering, bounds).
 func checkInv(t *testing.T, p *Profile) {
 	t.Helper()
 	if err := p.CheckInvariants(); err != nil {
@@ -390,7 +392,7 @@ func TestFreeAtPanicsPreStart(t *testing.T) {
 }
 
 func TestLinearFreeAtPanicsPreStart(t *testing.T) {
-	p := NewLinear(4, 100)
+	p := profiletest.NewLinear(4, 100)
 	if got := p.FreeAt(100); got != 4 {
 		t.Fatalf("FreeAt at the start boundary = %d, want 4", got)
 	}
@@ -402,39 +404,108 @@ func TestLinearFreeAtPanicsPreStart(t *testing.T) {
 	p.FreeAt(99)
 }
 
-// TestPropertyIndexedMatchesLinear interleaves Place, Alloc, CloneInto and
-// Reset on the indexed profile and the flat-array Linear implementation
-// and requires the two step functions to stay identical step for step —
-// same boundaries, same free counts, redundant steps included — with the
-// indexed invariants holding after every operation. The chunk threshold is
-// shrunk so the sequences cross many chunk splits and lazy deltas.
-func TestPropertyIndexedMatchesLinear(t *testing.T) {
-	defer func(old int) { chunkMax = old }(chunkMax)
-	chunkMax = 8
+// sameSteps requires the profile and the oracle to hold the same step
+// sequence element for element — same boundaries, same free counts,
+// redundant equal-valued steps included.
+func sameSteps(p *Profile, l *profiletest.Linear) error {
+	pt, pf := p.Steps()
+	lt, lf := l.Steps()
+	if !slices.Equal(pt, lt) || !slices.Equal(pf, lf) {
+		return fmt.Errorf("step sequences differ:\n got %v\nwant %v", p, l)
+	}
+	return nil
+}
 
-	sameSteps := func(p *Profile, l *Linear) error {
-		pt, pf := p.Steps()
-		lt, lf := l.Steps()
-		if len(pt) != len(lt) {
-			return fmt.Errorf("indexed has %d steps, linear %d", len(pt), len(lt))
+// TestReserveBoundaryCases walks the fused insertion through its four
+// cases — start boundary needed or not, end boundary needed or not — at
+// every position that moves a different part of the arrays: the first
+// step, mid-profile, ending exactly at the last step, ending past it and
+// lying wholly past it, plus windows that swallow existing steps. Alloc
+// and Place both go through it; each result is compared step for step
+// with the oracle's two independent splits.
+func TestReserveBoundaryCases(t *testing.T) {
+	// Steps [0:10] [10:9] [20:8] [30:7] [40:10]: every step a different
+	// free count, so a boundary copied from the wrong neighbour shows.
+	build := func() (*Profile, *profiletest.Linear) {
+		p, l := New(10, 0), profiletest.NewLinear(10, 0)
+		for w := 1; w <= 3; w++ {
+			p.Alloc(int64(10*w), w, 10)
+			l.Alloc(int64(10*w), w, 10)
 		}
-		for k := range pt {
-			if pt[k] != lt[k] || pf[k] != lf[k] {
-				return fmt.Errorf("step %d: indexed (%d,%d), linear (%d,%d)",
-					k, pt[k], pf[k], lt[k], lf[k])
+		return p, l
+	}
+	for _, c := range []struct {
+		name             string
+		start, duration  int64
+		newStart, newEnd bool
+		startIndex       int
+	}{
+		{"first step, neither", 0, 10, false, false, 0},
+		{"first step, end only", 0, 5, false, true, 0},
+		{"start == Start(), across steps, end only", 0, 25, false, true, 0},
+		{"first step, start only", 5, 5, true, false, 1},
+		{"first step, both", 3, 4, true, true, 1},
+		{"mid, neither", 10, 10, false, false, 1},
+		{"mid, neither, across steps", 10, 20, false, false, 1},
+		{"mid, end only", 10, 5, false, true, 1},
+		{"mid, end only, across steps", 10, 15, false, true, 1},
+		{"mid, start only", 15, 5, true, false, 2},
+		{"mid, start only, across steps", 15, 15, true, false, 2},
+		{"mid, both in one step", 12, 3, true, true, 2},
+		{"mid, both, across steps", 15, 10, true, true, 2},
+		{"ending at the last step, neither", 30, 10, false, false, 3},
+		{"ending at the last step, start only", 35, 5, true, false, 4},
+		{"ending past the last step, end only", 30, 15, false, true, 3},
+		{"ending past the last step, both", 35, 10, true, true, 4},
+		{"at the last step, end only", 40, 5, false, true, 4},
+		{"past the last step, both", 50, 5, true, true, 5},
+		{"whole profile and beyond, end only", 0, 60, false, true, 0},
+	} {
+		wantSteps := 5
+		if c.newStart {
+			wantSteps++
+		}
+		if c.newEnd {
+			wantSteps++
+		}
+		for _, op := range []string{"Alloc", "Place"} {
+			p, l := build()
+			if op == "Alloc" {
+				p.Alloc(c.start, 3, c.duration)
+			} else {
+				// Width 3 fits everywhere, so the search lands on c.start.
+				start, depth := p.PlaceDepth(c.start, 3, c.duration)
+				if start != c.start || depth != c.startIndex {
+					t.Errorf("%s: PlaceDepth = (%d, %d), want (%d, %d)", c.name, start, depth, c.start, c.startIndex)
+				}
+			}
+			l.Alloc(c.start, 3, c.duration)
+			if err := sameSteps(p, l); err != nil {
+				t.Errorf("%s via %s: %v", c.name, op, err)
+			}
+			if err := p.CheckInvariants(); err != nil {
+				t.Errorf("%s via %s: %v", c.name, op, err)
+			}
+			if len(p.times) != wantSteps {
+				t.Errorf("%s via %s: %d steps, want %d", c.name, op, len(p.times), wantSteps)
 			}
 		}
-		return nil
 	}
+}
 
+// TestPropertyMatchesLinear interleaves Place, Alloc, CloneInto and Reset
+// on the profile and the oracle and requires the two step functions to
+// stay identical step for step with the invariants holding after every
+// operation.
+func TestPropertyMatchesLinear(t *testing.T) {
 	if err := quick.Check(func(seed uint64) bool {
 		r := rng.New(seed)
 		capacity := 4 + r.Intn(60)
 		start := int64(r.Intn(100))
 		p := New(capacity, start)
-		l := NewLinear(capacity, start)
+		l := profiletest.NewLinear(capacity, start)
 		var pClone Profile
-		var lClone Linear
+		var lClone profiletest.Linear
 		for i := 0; i < 120; i++ {
 			width := 1 + r.Intn(capacity)
 			dur := int64(1 + r.Intn(40))
@@ -481,13 +552,11 @@ func TestPropertyIndexedMatchesLinear(t *testing.T) {
 	}
 }
 
-// TestCheckInvariantsDetectsCorruption corrupts the white-box aggregates
-// and expects CheckInvariants to notice — the guard that the property and
-// fuzz tests are actually asserting something.
+// TestCheckInvariantsDetectsCorruption corrupts the representation and
+// expects CheckInvariants to notice — the guard that the property and fuzz
+// tests are actually asserting something.
 func TestCheckInvariantsDetectsCorruption(t *testing.T) {
 	build := func() *Profile {
-		defer func(old int) { chunkMax = old }(chunkMax)
-		chunkMax = 8
 		r := rng.New(7)
 		p := New(16, 0)
 		for i := 0; i < 40; i++ {
@@ -499,11 +568,12 @@ func TestCheckInvariantsDetectsCorruption(t *testing.T) {
 		t.Fatalf("freshly built profile violates invariants: %v", err)
 	}
 	for name, corrupt := range map[string]func(p *Profile){
-		"min":      func(p *Profile) { p.chunks[len(p.chunks)/2].min-- },
-		"max":      func(p *Profile) { p.chunks[len(p.chunks)/2].max++ },
-		"add":      func(p *Profile) { p.chunks[len(p.chunks)/2].add -= 100 },
-		"ordering": func(p *Profile) { p.chunks[0].steps[0].time = 1 << 40 },
-		"capacity": func(p *Profile) { p.chunks[0].steps[0].free = 99 },
+		"ordering": func(p *Profile) { p.times[0] = 1 << 40 },
+		"equal":    func(p *Profile) { p.times[len(p.times)/2] = p.times[len(p.times)/2-1] },
+		"capacity": func(p *Profile) { p.free[0] = 99 },
+		"negative": func(p *Profile) { p.free[len(p.free)/2] = -1 },
+		"lengths":  func(p *Profile) { p.free = p.free[:len(p.free)-1] },
+		"empty":    func(p *Profile) { p.times, p.free = p.times[:0], p.free[:0] },
 	} {
 		p := build()
 		corrupt(p)
@@ -513,27 +583,83 @@ func TestCheckInvariantsDetectsCorruption(t *testing.T) {
 	}
 }
 
-// TestChunkSplitKeepsSequence drives a profile far past one chunk and
-// checks the flattened sequence stays sorted and the structure actually
-// split — the cheap-split path is exercised, not bypassed.
-func TestChunkSplitKeepsSequence(t *testing.T) {
+// TestLongRunKeepsSequence places 20 000 jobs on one profile and its
+// oracle — thousands of steps, every tail move and storage growth the
+// kernel has — comparing every start and depth as it goes and the whole
+// step sequence at intervals and at the end.
+func TestLongRunKeepsSequence(t *testing.T) {
 	r := rng.New(11)
 	p := New(128, 0)
-	l := NewLinear(128, 0)
-	for i := 0; i < 400; i++ {
+	l := profiletest.NewLinear(128, 0)
+	for i := 0; i < 20000; i++ {
 		w := 1 + r.Intn(64)
 		d := int64(1 + r.Intn(5000))
-		if got, want := p.Place(0, w, d), l.Place(0, w, d); got != want {
+		// Mostly from the profile start; sometimes from deep inside it.
+		var earliest int64
+		if r.Intn(4) == 0 {
+			earliest = int64(r.Intn(400000))
+		}
+		want := l.EarliestFit(earliest, w, d)
+		l.Alloc(want, w, d)
+		got, depth := p.PlaceDepth(earliest, w, d)
+		if got != want {
 			t.Fatalf("op %d: Place %d vs linear %d", i, got, want)
 		}
+		if p.times[depth] != got {
+			t.Fatalf("op %d: depth %d is the step at %d, start is %d", i, depth, p.times[depth], got)
+		}
+		if i%1000 == 999 {
+			checkInv(t, p)
+			if err := sameSteps(p, l); err != nil {
+				t.Fatalf("op %d: %v", i, err)
+			}
+		}
 	}
-	checkInv(t, p)
-	if len(p.chunks) < 4 {
-		t.Fatalf("400 placements produced only %d chunks; splits not exercised", len(p.chunks))
+	if n := len(p.times); n < 4000 {
+		t.Fatalf("20000 placements left only %d steps; the long profile was not exercised", n)
 	}
-	pt, pf := p.Steps()
-	lt, lf := l.Steps()
-	if fmt.Sprint(pt, pf) != fmt.Sprint(lt, lf) {
-		t.Fatal("indexed and linear step functions diverged")
+}
+
+// TestSteadyStateAllocatesNothing pins the pool discipline the planner
+// relies on: once a profile's storage has grown to its working size,
+// rebuilding on it (Reset + Place xN) and cloning onto it allocate
+// nothing.
+func TestSteadyStateAllocatesNothing(t *testing.T) {
+	r := rng.New(5)
+	type shape struct {
+		w int
+		d int64
+	}
+	jobs := make([]shape, 300)
+	for i := range jobs {
+		jobs[i] = shape{1 + r.Intn(64), int64(1 + r.Intn(5000))}
+	}
+	var p Profile
+	rebuild := func() {
+		p.Reset(128, 0)
+		for _, j := range jobs {
+			p.Place(0, j.w, j.d)
+		}
+	}
+	rebuild() // warm: grow the storage once
+	if n := testing.AllocsPerRun(20, rebuild); n != 0 {
+		t.Errorf("Reset + %d placements on warmed storage: %v allocs, want 0", len(jobs), n)
+	}
+	var dst Profile
+	p.CloneInto(&dst) // warm
+	if n := testing.AllocsPerRun(20, func() { p.CloneInto(&dst) }); n != 0 {
+		t.Errorf("CloneInto warmed storage: %v allocs, want 0", n)
+	}
+	// A clone that keeps building must settle too: the planner clones the
+	// base into a pooled profile and places the whole queue on it.
+	step := func() {
+		p.CloneInto(&dst)
+		for _, j := range jobs[:50] {
+			dst.Place(0, j.w, j.d)
+		}
+	}
+	step()
+	if n := testing.AllocsPerRun(20, step); n != 0 {
+		t.Errorf("CloneInto + placements on warmed storage: %v allocs, want 0", n)
 	}
 }

@@ -1,18 +1,31 @@
-// Linear is the pre-index flat-array availability profile, kept verbatim
-// as a differential oracle and benchmarking baseline for the indexed
-// Profile. Every operation has the same contract as Profile's — including
-// the pre-start panics — but the costs are the original ones: EarliestFit
-// scans the step array linearly and splitAt memmoves the whole tail, so
-// EarliestFit and Alloc are O(S) in the number of steps. Production code
-// must use Profile; Linear exists for FuzzProfileVsReference, the
-// step-for-step property tests, and cmd/benchsim's before/after rows.
-
-package profile
+// Package profiletest holds the oracle the availability profile is tested
+// against. It is test support: only _test files import it, and it imports
+// nothing from the package it checks.
+//
+// Linear is the deliberately naive availability profile: one array of
+// (time, free) structs, EarliestFit and Alloc as two separate operations
+// that each locate their interval from scratch, a linear scan from the
+// search start, and two independent boundary splits that each memmove the
+// tail. Every operation has the same contract as profile.Profile's —
+// including the panics and their messages — and leaves the same step
+// sequence behind, redundant boundaries included, so FuzzProfileVsReference,
+// the step-for-step property tests and the lockstep oracles of plan and sim
+// compare against it element for element. It shares no code with
+// profile.Profile's fused search-and-reserve pass.
+package profiletest
 
 import "fmt"
 
-// Linear is a free-processor timeline backed by a flat step array. Create
-// one with NewLinear; the zero value is not usable.
+// step is one piece of the step function: free processors are available
+// from time (inclusive) until the time of the next step (exclusive). The
+// last step extends to infinity.
+type step struct {
+	time int64
+	free int
+}
+
+// Linear is a free-processor timeline backed by one step array. Create one
+// with NewLinear, or Reset / CloneInto a zero value.
 type Linear struct {
 	capacity int
 	steps    []step
@@ -38,7 +51,7 @@ func (p *Linear) Capacity() int { return p.capacity }
 func (p *Linear) Start() int64 { return p.steps[0].time }
 
 // FreeAt returns the number of free processors at time t. It panics when t
-// precedes the profile start, matching Profile.FreeAt.
+// precedes the profile start, matching profile.Profile.FreeAt.
 func (p *Linear) FreeAt(t int64) int {
 	if t < p.steps[0].time {
 		panic(fmt.Sprintf("profile: time %d precedes profile start %d", t, p.steps[0].time))
@@ -100,7 +113,7 @@ func (p *Linear) EarliestFit(earliest int64, width int, duration int64) int64 {
 }
 
 // Alloc reserves width processors over [start, start+duration), with the
-// same contract as Profile.Alloc.
+// same contract as profile.Profile.Alloc.
 func (p *Linear) Alloc(start int64, width int, duration int64) {
 	p.check(start, width, duration)
 	end := start + duration

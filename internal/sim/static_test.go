@@ -9,7 +9,7 @@ import (
 	"dynp/internal/job"
 	"dynp/internal/plan"
 	"dynp/internal/policy"
-	"dynp/internal/profile"
+	"dynp/internal/profile/profiletest"
 	"dynp/internal/rng"
 )
 
@@ -54,12 +54,12 @@ func (d *lockstepStatic) Plan(now int64, capacity int, running []plan.Running, w
 
 // referencePlan is what a planning driver's schedule for policy p must
 // equal, built the slow obvious way at every event: a full policy.Order
-// sort placed job by job on the flat-array profile.Linear. It shares
+// sort placed job by job on the array-of-structs profiletest.Linear. It shares
 // nothing with the planner — no pools, no views, no bounded search — and
 // its schedule is assembled by hand, so its Planned* scores walk the
 // entries.
 func referencePlan(now int64, capacity int, running []plan.Running, waiting []*job.Job, p policy.Policy) *plan.Schedule {
-	prof := profile.NewLinear(capacity, now)
+	prof := profiletest.NewLinear(capacity, now)
 	for _, r := range running {
 		if rem := r.EstimatedEnd() - now; rem > 0 {
 			prof.Alloc(now, r.Job.Width, rem)

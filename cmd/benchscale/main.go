@@ -4,7 +4,7 @@
 // rows, each at GOMAXPROCS 1, 2, 4 and all cores (deduplicated):
 //
 //   - experiment: the (shrink, scheduler, set) sweep of internal/
-//     experiment on the work-stealing shard pool — end-to-end jobs/s of
+//     experiment on the shard pool — end-to-end jobs/s of
 //     the paper's evaluation harness;
 //
 //   - simpar: sim.RunParallel over independent replicas of one job set —
@@ -128,7 +128,7 @@ func measure() snapshot {
 		NumCPU: runtime.NumCPU(),
 		Note: "end-to-end multi-core scaling of the sharded paths: the " +
 			"experiment sweep and sim.RunParallel on the internal/shard " +
-			"work-stealing pool. Ratios beyond numcpu record " +
+			"pool. Ratios beyond numcpu record " +
 			"time-slicing overhead, not scaling; -check gates only " +
 			"ratios both machines have the cores for.",
 	}

@@ -268,10 +268,10 @@ func NewEASYScheduler(base Policy) Scheduler { return &sim.EASY{Base: base} }
 // Simulate runs a job set to completion under the given scheduler.
 func Simulate(set *JobSet, s Scheduler) (*Result, error) { return sim.Run(set, s) }
 
-// SimulateMany runs several independent job sets concurrently on a
-// work-stealing shard pool and returns the results in input order. Each
-// run gets a fresh scheduler from newScheduler (schedulers carry tuner
-// state); workers <= 0 selects all cores. Results are byte-identical to
+// SimulateMany runs several independent job sets concurrently on the
+// shard pool and returns the results in input order. Each run gets a
+// fresh scheduler from newScheduler (schedulers carry tuner state);
+// workers <= 0 selects all cores. Results are byte-identical to
 // sequential Simulate calls with the same factory — the worker count
 // decides only the wall clock. Repeated entries run independent replicas.
 func SimulateMany(sets []*JobSet, newScheduler func() Scheduler, workers int) ([]*Result, error) {

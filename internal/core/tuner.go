@@ -30,15 +30,8 @@ type Stats struct {
 // event, Plan builds a full what-if schedule per candidate policy, scores
 // them with Metric and lets Decider pick the policy whose schedule is
 // executed. The zero value is not usable; construct with NewSelfTuner.
-//
-// A front end that reports every waiting queue change through
-// NoteSubmit/NoteRemove (the scheduling engine does, via
-// engine.QueueTracker) keeps one sorted view per candidate policy spliced
-// up to date (policy.Views), so Plan skips the per-candidate O(n log n)
-// re-sort. Plan verifies the views cover exactly the waiting slice it was
-// handed and silently falls back to full sorts when they do not (e.g. when
-// the engine withholds unplaceable jobs during a capacity failure) — the
-// same schedules either way, because the policy orders are total.
+// The placement work of a step — and the order views NoteSubmit/NoteRemove
+// feed — is the shared Lane's.
 type SelfTuner struct {
 	candidates []policy.Policy
 	decider    Decider
@@ -50,12 +43,7 @@ type SelfTuner struct {
 	last       Decision // most recent decision, kept regardless of tracing
 	hasLast    bool
 
-	// Incrementally maintained per-candidate orders of the waiting queue,
-	// fed by NoteSubmit/NoteRemove.
-	views *policy.Views
-
-	schedBuf []*plan.Schedule // reused result slots of one step
-	lastPlan *plan.Schedule   // the schedule handed out by the previous Plan
+	lane *Lane // over candidates
 }
 
 // NewSelfTuner returns a self-tuner over the given candidate policies
@@ -75,7 +63,7 @@ func NewSelfTuner(candidates []policy.Policy, d Decider, m Metric) *SelfTuner {
 		metric:     m,
 		active:     cs[0],
 		stats:      Stats{Chosen: make(map[string]int)},
-		views:      policy.NewViews(cs...),
+		lane:       NewLane(cs...),
 	}
 }
 
@@ -137,50 +125,29 @@ func (t *SelfTuner) Stats() Stats {
 	return s
 }
 
-// NoteSubmit tells the tuner a job entered the waiting queue. From the
-// first call on every queue change must be reported (NoteRemove on start
-// or cancel) for the order views to stay authoritative — Plan
-// cross-checks them against the waiting slice it is handed and falls
-// back to full sorts on any mismatch, so a missed notification costs
-// speed, never correctness.
-func (t *SelfTuner) NoteSubmit(j *job.Job) { t.views.Insert(j) }
+// NoteSubmit tells the tuner a job entered the waiting queue (see Lane).
+func (t *SelfTuner) NoteSubmit(j *job.Job) { t.lane.NoteSubmit(j) }
 
-// NoteRemove tells the tuner a job left the waiting queue (it started,
-// finished or was cancelled). Unknown jobs are ignored.
-func (t *SelfTuner) NoteRemove(j *job.Job) { t.views.Remove(j) }
+// NoteRemove tells the tuner a job left the waiting queue (it started or
+// was cancelled). Unknown jobs are ignored.
+func (t *SelfTuner) NoteRemove(j *job.Job) { t.lane.NoteRemove(j) }
 
 // Plan performs one self-tuning dynP step: build a what-if schedule per
 // candidate policy, score each, decide, and return the schedule of the
 // chosen policy (reused, not rebuilt). The chosen policy becomes active.
 //
-// The running-job availability profile is built once and shared by all
-// candidate builds. Plan panics — before touching any tuner state — when
-// the decider returns a policy outside the candidate set.
+// Plan panics — before touching any tuner state — when the decider
+// returns a policy outside the candidate set.
 //
 // Ownership: the returned schedule is valid until the next Plan call,
 // which releases it to the plan pools once its replacement exists (the
-// lifetime rule on engine.Driver). All other planning storage (candidate
-// profiles, losing schedules, the base profile) cycles through the same
-// pools within the step.
+// lifetime rule on engine.Driver). All other planning storage cycles
+// through the same pools within the step (see Lane).
 func (t *SelfTuner) Plan(now int64, capacity int, running []plan.Running, waiting []*job.Job) *plan.Schedule {
-	n := len(t.candidates)
-	if cap(t.schedBuf) < n {
-		t.schedBuf = make([]*plan.Schedule, n)
+	values := make([]float64, len(t.candidates))
+	for i, s := range t.lane.Build(now, capacity, running, waiting, t.candidates...) {
+		values[i] = t.metric.Score(s)
 	}
-	schedules := t.schedBuf[:n]
-	values := make([]float64, n)
-
-	base := plan.BuildBasePooled(now, capacity, running)
-	ordered := t.views.Covering(waiting)
-	for i, p := range t.candidates {
-		if ordered != nil {
-			schedules[i] = plan.BuildFromOrdered(base, ordered[i], p)
-		} else {
-			schedules[i] = plan.BuildFromPooled(base, waiting, p)
-		}
-		values[i] = t.metric.Score(schedules[i])
-	}
-	base.Release()
 
 	chosen := t.decider.Decide(t.active, t.candidates, values)
 
@@ -198,15 +165,7 @@ func (t *SelfTuner) Plan(now int64, capacity int, running []plan.Running, waitin
 		panic(fmt.Sprintf("core: decider %s returned non-candidate %v", t.decider.Name(), chosen))
 	}
 	t.commit(now, chosen, values)
-
-	next := schedules[chosenIdx]
-	schedules[chosenIdx] = nil
-	plan.ReleaseSchedules(schedules) // the losers never escape
-	if t.lastPlan != nil {
-		t.lastPlan.Release() // superseded
-	}
-	t.lastPlan = next
-	return next
+	return t.lane.Keep(chosenIdx)
 }
 
 // commit applies one decision to the tuner's statistics, trace and active

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"dynp/internal/job"
-	"dynp/internal/plan"
 	"dynp/internal/policy"
 )
 
@@ -67,7 +66,7 @@ func TestPlanReturnsChosenSchedule(t *testing.T) {
 	waiting := []*job.Job{mkJob(1, 0, 1, 1000), mkJob(2, 0, 1, 10)}
 	st := NewSelfTuner(nil, Advanced{}, MetricSLDwA)
 	s := st.Plan(0, 1, nil, waiting)
-	want := plan.BuildFrom(plan.BuildBase(0, 1, nil), waiting, policy.SJF)
+	want := sorted(0, 1, waiting, policy.SJF)
 	if len(s.Entries) != len(want.Entries) {
 		t.Fatalf("schedule length mismatch")
 	}
@@ -171,7 +170,7 @@ func TestPlanRejectsRogueDeciderBeforeMutatingState(t *testing.T) {
 func TestMetricScoreDispatch(t *testing.T) {
 	a := mkJob(1, 0, 2, 10)
 	b := mkJob(2, 0, 1, 40)
-	s := plan.BuildFrom(plan.BuildBase(0, 2, nil), []*job.Job{a, b}, policy.FCFS)
+	s := sorted(0, 2, []*job.Job{a, b}, policy.FCFS)
 	// a starts 0 (width 2)? capacity 2: a takes both, b waits to 10.
 	checks := map[Metric]float64{
 		MetricART:      ((0 + 10) + (10 + 40)) / 2.0,

@@ -103,37 +103,45 @@ func (a Ablation) Title() string {
 // results: one row per trace and shrinking factor, SLDwA and utilization
 // columns per scheduler.
 func Comparison(title string, results []*Result, shrinks []float64, schedulers []string) *table.Table {
-	headers := []string{"trace", "shrink"}
+	return comparison(title, "shrink", "util% ", results, shrinks, schedulers,
+		func(r *Result) string { return r.Model.Name },
+		func(r *Result, f float64, s string) (float64, float64, bool) {
+			c := r.Cell(f, s)
+			if c == nil {
+				return 0, 0, false
+			}
+			return c.SLDwA, 100 * c.Util, true
+		})
+}
+
+// comparison is the table Comparison and FairnessTable share: one row
+// per result and variant of the job sets, a SLDwA column per scheduler,
+// then a column of a second metric per scheduler. A row missing any
+// scheduler's cell is left out.
+func comparison[R any](title, variant, second string, results []R, variants []float64, schedulers []string,
+	name func(R) string, cell func(r R, variant float64, scheduler string) (sldwa, second float64, ok bool)) *table.Table {
+	headers := []string{"trace", variant}
 	for _, s := range schedulers {
 		headers = append(headers, "SLDwA "+s)
 	}
 	for _, s := range schedulers {
-		headers = append(headers, "util% "+s)
+		headers = append(headers, second+s)
 	}
 	t := table.New(title, headers...)
 	for _, r := range results {
-		for _, f := range shrinks {
-			cells := []any{r.Model.Name, fmt.Sprintf("%.1f", f)}
-			ok := true
+	rows:
+		for _, f := range variants {
+			cells := []any{name(r), fmt.Sprintf("%.1f", f)}
+			seconds := make([]any, 0, len(schedulers))
 			for _, s := range schedulers {
-				c := r.Cell(f, s)
-				if c == nil {
-					ok = false
-					break
+				a, b, ok := cell(r, f, s)
+				if !ok {
+					continue rows
 				}
-				cells = append(cells, c.SLDwA)
+				cells = append(cells, a)
+				seconds = append(seconds, b)
 			}
-			for _, s := range schedulers {
-				c := r.Cell(f, s)
-				if c == nil {
-					ok = false
-					break
-				}
-				cells = append(cells, 100*c.Util)
-			}
-			if ok {
-				t.AddRowf(cells...)
-			}
+			t.AddRowf(append(cells, seconds...)...)
 		}
 		t.AddSeparator()
 	}

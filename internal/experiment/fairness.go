@@ -2,15 +2,12 @@ package experiment
 
 import (
 	"fmt"
-	"runtime"
-	"sync"
 
 	"dynp/internal/adaptive"
 	"dynp/internal/core"
 	"dynp/internal/job"
 	"dynp/internal/metrics"
 	"dynp/internal/policy"
-	"dynp/internal/shard"
 	"dynp/internal/sim"
 	"dynp/internal/stats"
 	"dynp/internal/table"
@@ -86,100 +83,38 @@ func FairnessSchedulers() []SchedulerSpec {
 // factors model users overestimating run times). Size-based policies
 // order by estimated area, so their quality under estimate error is
 // exactly what this sweep measures. cfg.Shrinks is ignored; the sets are
-// simulated at their native load. Like Run, the sweep distributes
-// simulations over a work-stealing shard pool and aggregates per-set
-// values with the paper's drop-min/max rule.
+// simulated at their native load. It is Run's sweep over another variant
+// of the job sets, aggregated with the same drop-min/max rule.
 func Fairness(cfg Config, factors []float64) (*FairnessResult, error) {
-	if cfg.Sets < 1 || cfg.JobsPerSet < 1 {
-		return nil, fmt.Errorf("experiment: need at least one set and one job, got %d/%d",
-			cfg.Sets, cfg.JobsPerSet)
-	}
-	if len(factors) == 0 || len(cfg.Schedulers) == 0 {
-		return nil, fmt.Errorf("experiment: empty factor or scheduler list")
-	}
-	sets, err := cfg.Model.GenerateSets(cfg.Sets, cfg.JobsPerSet, cfg.Seed)
-	if err != nil {
-		return nil, err
-	}
-
-	// Pre-scale each set once per factor (shared, read-only).
-	scaledSets := make([][]*job.Set, len(factors))
-	for fi, f := range factors {
-		scaledSets[fi] = make([]*job.Set, len(sets))
-		for k, s := range sets {
-			sc, err := workload.ScaleEstimates(s, f)
-			if err != nil {
-				return nil, err
-			}
-			scaledSets[fi][k] = sc
-		}
-	}
-
-	type task struct {
-		factorIdx, schedIdx, setIdx int
-	}
 	type outcome struct {
 		sldwa, util, awt float64
 	}
-	var tasks []task
-	for fi := range factors {
-		for di := range cfg.Schedulers {
-			for k := range sets {
-				tasks = append(tasks, task{fi, di, k})
-			}
-		}
+	labels := make([]string, len(factors))
+	for i, f := range factors {
+		labels[i] = fmt.Sprintf("estimate x%.2f", f)
 	}
-	outcomes := make([]outcome, len(tasks))
-
-	workers := cfg.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	var (
-		mu   sync.Mutex
-		done int
-	)
-	err = shard.Run(workers, len(tasks), func(i int) error {
-		tk := tasks[i]
-		driver := cfg.Schedulers[tk.schedIdx].New()
-		res, err := sim.Run(scaledSets[tk.factorIdx][tk.setIdx], driver)
-		if err != nil {
-			return fmt.Errorf("experiment: %s estimate x%.2f set %d: %w",
-				cfg.Schedulers[tk.schedIdx].Name, factors[tk.factorIdx], tk.setIdx, err)
-		}
-		outcomes[i] = outcome{
-			sldwa: metrics.SLDwA(res),
-			util:  metrics.Utilization(res),
-			awt:   metrics.AWT(res),
-		}
-		if cfg.Progress != nil {
-			mu.Lock()
-			done++
-			cfg.Progress(done, len(tasks))
-			mu.Unlock()
-		}
-		return nil
-	})
+	outcomes, err := runSweep(cfg, labels,
+		func(vi int, s *job.Set) (*job.Set, error) { return workload.ScaleEstimates(s, factors[vi]) },
+		func(res *sim.Result, _ sim.Driver) outcome {
+			return outcome{sldwa: metrics.SLDwA(res), util: metrics.Utilization(res), awt: metrics.AWT(res)}
+		})
 	if err != nil {
 		return nil, err
 	}
 
 	result := &FairnessResult{Model: cfg.Model}
-	ti := 0
 	for _, f := range factors {
-		for di := range cfg.Schedulers {
-			cell := FairnessCell{Factor: f, Scheduler: cfg.Schedulers[di].Name}
-			var utils []float64
-			for range sets {
-				o := outcomes[ti]
-				cell.SLDwAPerSet = append(cell.SLDwAPerSet, o.sldwa)
-				cell.AWTPerSet = append(cell.AWTPerSet, o.awt)
-				utils = append(utils, o.util)
-				ti++
+		for _, spec := range cfg.Schedulers {
+			perSet := outcomes[len(result.Cells)*cfg.Sets:][:cfg.Sets]
+			cell := FairnessCell{
+				Factor:      f,
+				Scheduler:   spec.Name,
+				SLDwAPerSet: column(perSet, func(o outcome) float64 { return o.sldwa }),
+				AWTPerSet:   column(perSet, func(o outcome) float64 { return o.awt }),
 			}
 			cell.SLDwA = stats.DropMinMaxMean(cell.SLDwAPerSet)
 			cell.AWT = stats.DropMinMaxMean(cell.AWTPerSet)
-			cell.Util = stats.DropMinMaxMean(utils)
+			cell.Util = stats.DropMinMaxMean(column(perSet, func(o outcome) float64 { return o.util }))
 			result.Cells = append(result.Cells, cell)
 		}
 	}
@@ -189,39 +124,14 @@ func Fairness(cfg Config, factors []float64) (*FairnessResult, error) {
 // FairnessTable renders fairness-study results: one row per trace and
 // overestimation factor, SLDwA and average-wait columns per scheduler.
 func FairnessTable(results []*FairnessResult, factors []float64, schedulers []string) *table.Table {
-	headers := []string{"trace", "est x"}
-	for _, s := range schedulers {
-		headers = append(headers, "SLDwA "+s)
-	}
-	for _, s := range schedulers {
-		headers = append(headers, "AWT "+s)
-	}
-	t := table.New("fairness study: size-based scheduling under estimate overestimation", headers...)
-	for _, r := range results {
-		for _, f := range factors {
-			cells := []any{r.Model.Name, fmt.Sprintf("%.1f", f)}
-			ok := true
-			for _, s := range schedulers {
-				c := r.Cell(f, s)
-				if c == nil {
-					ok = false
-					break
-				}
-				cells = append(cells, c.SLDwA)
+	return comparison("fairness study: size-based scheduling under estimate overestimation", "est x", "AWT ",
+		results, factors, schedulers,
+		func(r *FairnessResult) string { return r.Model.Name },
+		func(r *FairnessResult, f float64, s string) (float64, float64, bool) {
+			c := r.Cell(f, s)
+			if c == nil {
+				return 0, 0, false
 			}
-			for _, s := range schedulers {
-				c := r.Cell(f, s)
-				if c == nil {
-					ok = false
-					break
-				}
-				cells = append(cells, c.AWT)
-			}
-			if ok {
-				t.AddRowf(cells...)
-			}
-		}
-		t.AddSeparator()
-	}
-	return t
+			return c.SLDwA, c.AWT, true
+		})
 }

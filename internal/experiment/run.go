@@ -79,53 +79,38 @@ func (r *Result) Cell(shrink float64, scheduler string) *Cell {
 	return nil
 }
 
-// Run executes the sweep. Independent simulations are distributed over a
-// work-stealing shard pool (internal/shard): each worker owns a strided
-// slice of the (shrink, scheduler, set) task list and steals from the
-// fullest remaining shard when its own runs dry, so one
-// expensive cell never strands the tail of the sweep. Every task writes
-// into its fixed outcome slot, so results are byte-identical regardless
-// of worker count. The first simulation failure cancels the sweep:
-// workers stop claiming tasks and Run returns that failure instead of
-// simulating the remainder.
-func Run(cfg Config) (*Result, error) {
+// runSweep is the body Run and Fairness share. It generates cfg's job
+// sets, derives one variant of each per label with transform (a shrinking
+// factor, an estimate scale — once, shared read-only), simulates every
+// (variant, scheduler, set) combination on the shard pool
+// (internal/shard: workers claim the next task off one shared counter, so
+// an expensive cell never strands the tail of the sweep) and returns what
+// extract makes of each run: variant-major, scheduler-minor, cfg.Sets
+// consecutive entries per cell. Every task writes its fixed slot, so the
+// result is byte-identical at any worker count. The first simulation
+// failure cancels the sweep: workers stop claiming tasks and runSweep
+// returns that failure instead of simulating the remainder.
+func runSweep[O any](cfg Config, labels []string, transform func(variant int, s *job.Set) (*job.Set, error),
+	extract func(*sim.Result, sim.Driver) O) ([]O, error) {
 	if cfg.Sets < 1 || cfg.JobsPerSet < 1 {
 		return nil, fmt.Errorf("experiment: need at least one set and one job, got %d/%d",
 			cfg.Sets, cfg.JobsPerSet)
 	}
-	if len(cfg.Shrinks) == 0 || len(cfg.Schedulers) == 0 {
-		return nil, fmt.Errorf("experiment: empty shrink or scheduler list")
+	if len(labels) == 0 || len(cfg.Schedulers) == 0 {
+		return nil, fmt.Errorf("experiment: nothing to sweep: %d variants of the job sets, %d schedulers",
+			len(labels), len(cfg.Schedulers))
 	}
 	sets, err := cfg.Model.GenerateSets(cfg.Sets, cfg.JobsPerSet, cfg.Seed)
 	if err != nil {
 		return nil, err
 	}
-
-	type task struct {
-		shrinkIdx, schedIdx, setIdx int
-	}
-	type outcome struct {
-		sldwa, util float64
-		switches    float64
-		policyShare map[policy.Policy]float64
-	}
-
-	var tasks []task
-	for si := range cfg.Shrinks {
-		for di := range cfg.Schedulers {
-			for k := range sets {
-				tasks = append(tasks, task{si, di, k})
-			}
-		}
-	}
-	outcomes := make([]outcome, len(tasks))
-
-	// Pre-shrink each set once per factor (shared, read-only).
-	shrunk := make([][]*job.Set, len(cfg.Shrinks))
-	for si, f := range cfg.Shrinks {
-		shrunk[si] = make([]*job.Set, len(sets))
+	variants := make([][]*job.Set, len(labels))
+	for vi := range labels {
+		variants[vi] = make([]*job.Set, len(sets))
 		for k, s := range sets {
-			shrunk[si][k] = s.Shrink(f)
+			if variants[vi][k], err = transform(vi, s); err != nil {
+				return nil, err
+			}
 		}
 	}
 
@@ -133,41 +118,25 @@ func Run(cfg Config) (*Result, error) {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-
 	var (
 		mu   sync.Mutex // serializes cfg.Progress and its done counter
 		done int
 	)
-	err = shard.Run(workers, len(tasks), func(i int) error {
-		tk := tasks[i]
-		driver := cfg.Schedulers[tk.schedIdx].New()
-		res, err := sim.Run(shrunk[tk.shrinkIdx][tk.setIdx], driver)
+	outcomes := make([]O, len(labels)*len(cfg.Schedulers)*len(sets))
+	err = shard.Run(workers, len(outcomes), func(i int) error {
+		k := i % len(sets)
+		spec := cfg.Schedulers[i/len(sets)%len(cfg.Schedulers)]
+		vi := i / len(sets) / len(cfg.Schedulers)
+		driver := spec.New()
+		res, err := sim.Run(variants[vi][k], driver)
 		if err != nil {
-			return fmt.Errorf("experiment: %s shrink %.2f set %d: %w",
-				cfg.Schedulers[tk.schedIdx].Name, cfg.Shrinks[tk.shrinkIdx], tk.setIdx, err)
+			return fmt.Errorf("experiment: %s %s set %d: %w", spec.Name, labels[vi], k, err)
 		}
-		o := outcome{
-			sldwa:       metrics.SLDwA(res),
-			util:        metrics.Utilization(res),
-			policyShare: make(map[policy.Policy]float64),
-		}
-		var span int64
-		for _, d := range res.PolicyTime {
-			span += d
-		}
-		if span > 0 {
-			for p, d := range res.PolicyTime {
-				o.policyShare[p] = float64(d) / float64(span)
-			}
-		}
-		if d, ok := driver.(*sim.DynP); ok {
-			o.switches = float64(d.Stats().Switches)
-		}
-		outcomes[i] = o
+		outcomes[i] = extract(res, driver)
 		if cfg.Progress != nil {
 			mu.Lock()
 			done++
-			cfg.Progress(done, len(tasks))
+			cfg.Progress(done, len(outcomes))
 			mu.Unlock()
 		}
 		return nil
@@ -175,31 +144,78 @@ func Run(cfg Config) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
+	return outcomes, nil
+}
+
+// column reads one per-set value off a cell's outcomes.
+func column[O any](cell []O, value func(O) float64) []float64 {
+	out := make([]float64, len(cell))
+	for i, o := range cell {
+		out[i] = value(o)
+	}
+	return out
+}
+
+// Run executes the sweep: every scheduler over every job set at every
+// shrinking factor (see runSweep for how the simulations are distributed
+// and why the result does not depend on the worker count).
+func Run(cfg Config) (*Result, error) {
+	type outcome struct {
+		sldwa, util float64
+		switches    float64
+		policyShare map[policy.Policy]float64
+	}
+	labels := make([]string, len(cfg.Shrinks))
+	for i, f := range cfg.Shrinks {
+		labels[i] = fmt.Sprintf("shrink %.2f", f)
+	}
+	outcomes, err := runSweep(cfg, labels,
+		func(vi int, s *job.Set) (*job.Set, error) { return s.Shrink(cfg.Shrinks[vi]), nil },
+		func(res *sim.Result, driver sim.Driver) outcome {
+			o := outcome{
+				sldwa:       metrics.SLDwA(res),
+				util:        metrics.Utilization(res),
+				policyShare: make(map[policy.Policy]float64),
+			}
+			var span int64
+			for _, d := range res.PolicyTime {
+				span += d
+			}
+			if span > 0 {
+				for p, d := range res.PolicyTime {
+					o.policyShare[p] = float64(d) / float64(span)
+				}
+			}
+			if d, ok := driver.(*sim.DynP); ok {
+				o.switches = float64(d.Stats().Switches)
+			}
+			return o
+		})
+	if err != nil {
+		return nil, err
+	}
 
 	result := &Result{Model: cfg.Model}
-	ti := 0
+	n := float64(cfg.Sets)
 	for _, f := range cfg.Shrinks {
-		for di := range cfg.Schedulers {
+		for _, spec := range cfg.Schedulers {
+			perSet := outcomes[len(result.Cells)*cfg.Sets:][:cfg.Sets]
 			cell := Cell{
 				Shrink:      f,
-				Scheduler:   cfg.Schedulers[di].Name,
+				Scheduler:   spec.Name,
+				SLDwAPerSet: column(perSet, func(o outcome) float64 { return o.sldwa }),
+				UtilPerSet:  column(perSet, func(o outcome) float64 { return o.util }),
 				PolicyShare: make(map[policy.Policy]float64),
 			}
-			var switches float64
-			for range sets {
-				o := outcomes[ti]
-				cell.SLDwAPerSet = append(cell.SLDwAPerSet, o.sldwa)
-				cell.UtilPerSet = append(cell.UtilPerSet, o.util)
-				switches += o.switches
+			for _, o := range perSet {
+				cell.Switches += o.switches
 				for p, s := range o.policyShare {
 					cell.PolicyShare[p] += s
 				}
-				ti++
 			}
-			n := float64(len(sets))
 			cell.SLDwA = stats.DropMinMaxMean(cell.SLDwAPerSet)
 			cell.Util = stats.DropMinMaxMean(cell.UtilPerSet)
-			cell.Switches = switches / n
+			cell.Switches /= n
 			for p := range cell.PolicyShare {
 				cell.PolicyShare[p] /= n
 			}

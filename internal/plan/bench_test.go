@@ -35,103 +35,41 @@ func BenchmarkBuild(b *testing.B) {
 	}
 }
 
-// BenchmarkBuildBaseReuse contrasts the two ways of building the what-if
-// schedules of one self-tuning step when running jobs occupy the machine:
-// rebuilding the availability profile from scratch per candidate against
-// building the base once and cloning it per candidate
-// (the BuildBase/BuildFrom path the tuner uses).
-func BenchmarkBuildBaseReuse(b *testing.B) {
-	const capacity = 1024
-	for _, nRunning := range []int{64, 256} {
-		for _, queued := range []int{16, 256} {
-			r := rng.New(9)
-			running := make([]Running, nRunning)
-			for i := range running {
-				running[i] = Running{
-					Job: &job.Job{
-						ID: job.ID(i + 1), Submit: 0,
-						Width: 1 + r.Intn(3), Estimate: int64(1000 + r.Intn(20000)),
-					},
-					Start: 0,
-				}
-			}
-			waiting := make([]*job.Job, queued)
-			for i := range waiting {
-				est := int64(1 + r.Intn(20000))
-				waiting[i] = &job.Job{
-					ID: job.ID(nRunning + i + 1), Submit: int64(r.Intn(1000)),
-					Width: 1 + r.Intn(128), Estimate: est, Runtime: est,
-				}
-			}
-			name := fmt.Sprintf("running%d/queue%d", nRunning, queued)
-			b.Run(name+"/rebuild", func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					for _, p := range policy.Candidates {
-						build(1000, capacity, running, waiting, p)
-					}
-				}
-			})
-			b.Run(name+"/shared-base", func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					base := BuildBase(1000, capacity, running)
-					for _, p := range policy.Candidates {
-						BuildFrom(base, waiting, p)
-					}
-				}
-			})
-		}
-	}
-}
-
-// BenchmarkBuildFromPooled contrasts the pooled and unpooled candidate
-// build at a running-job-heavy event, with allocation reporting — the
-// headline measurement of the allocation-lean planning path. Each
-// iteration builds one full candidate set (the work of one self-tuning
-// step) and releases what a tuner would release.
-func BenchmarkBuildFromPooled(b *testing.B) {
+// BenchmarkCandidateSet measures the placement work of one self-tuning
+// step at a running-job-heavy event, with allocation reporting: one base,
+// one build per candidate policy, everything released the way the lane
+// releases it. "sorted" pays the full-sort fallback per candidate,
+// "ordered" reads orders kept up to date elsewhere (policy.Views).
+func BenchmarkCandidateSet(b *testing.B) {
 	const capacity = 128
 	for _, queued := range []int{64, 256, 1024} {
 		running, waiting := randomState(5, capacity, 32, queued)
-		name := fmt.Sprintf("queue%d", queued)
-		b.Run(name+"/unpooled", func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				base := BuildBase(1000, capacity, running)
-				for _, p := range policy.Candidates {
-					s := BuildFrom(base, waiting, p)
-					s.PlannedSLDwA()
+		orders := make([][]*job.Job, len(policy.Candidates))
+		for i, p := range policy.Candidates {
+			orders[i] = policy.Order(p, waiting)
+		}
+		for _, sorted := range []bool{true, false} {
+			name := fmt.Sprintf("queue%d/ordered", queued)
+			if sorted {
+				name = fmt.Sprintf("queue%d/sorted", queued)
+			}
+			b.Run(name, func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					base := BuildBasePooled(1000, capacity, running)
+					for k, p := range policy.Candidates {
+						ordered := orders[k]
+						if sorted {
+							ordered = policy.Order(p, waiting)
+						}
+						s := BuildFromOrdered(base, ordered, p)
+						s.PlannedSLDwA()
+						s.Release()
+					}
+					base.Release()
 				}
-			}
-		})
-		b.Run(name+"/pooled", func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				base := BuildBasePooled(1000, capacity, running)
-				for _, p := range policy.Candidates {
-					s := BuildFromPooled(base, waiting, p)
-					s.PlannedSLDwA()
-					s.Release()
-				}
-				base.Release()
-			}
-		})
-		b.Run(name+"/pooled-ordered", func(b *testing.B) {
-			orders := make([][]*job.Job, len(policy.Candidates))
-			for i, p := range policy.Candidates {
-				orders[i] = policy.Order(p, waiting)
-			}
-			b.ResetTimer()
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				base := BuildBasePooled(1000, capacity, running)
-				for k, p := range policy.Candidates {
-					s := BuildFromOrdered(base, orders[k], p)
-					s.PlannedSLDwA()
-					s.Release()
-				}
-				base.Release()
-			}
-		})
+			})
+		}
 	}
 }
 

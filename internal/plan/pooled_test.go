@@ -6,40 +6,6 @@ import (
 	"dynp/internal/policy"
 )
 
-// TestPooledMatchesUnpooled drives the pooled builders through many random
-// machine states — repeatedly, so pooled storage actually cycles — and
-// requires byte-identical schedules and scores from the unpooled path.
-func TestPooledMatchesUnpooled(t *testing.T) {
-	for seed := uint64(0); seed < 20; seed++ {
-		running, waiting := randomState(seed, 32, 6, 24)
-		now := int64(0)
-
-		base := BuildBase(now, 32, running)
-		pooled := BuildBasePooled(now, 32, running)
-		if !base.Profile().EqualFrom(pooled.Profile(), now) {
-			t.Fatalf("seed %d: pooled base differs from unpooled", seed)
-		}
-		for _, p := range policy.Candidates {
-			want := BuildFrom(base, waiting, p)
-			got := BuildFromPooled(pooled, waiting, p)
-			assertSameSchedule(t, got, want)
-			ordered := policy.Order(p, waiting)
-			got2 := BuildFromOrdered(pooled, ordered, p)
-			assertSameSchedule(t, got2, want)
-			got.Release()
-			got2.Release()
-		}
-		pooled.Release()
-	}
-}
-
-func assertSameSchedule(t *testing.T, got, want *Schedule) {
-	t.Helper()
-	if err := sameSchedule(got, want); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // TestFusedScoresMatchWalked compares the fused (accumulated during
 // placement) scores against the walking fallback, which an unscored copy
 // of the same schedule exercises. Byte equality required, not tolerance.
@@ -76,7 +42,7 @@ func TestUnscoredEmptyScheduleConventions(t *testing.T) {
 
 func TestScheduleDoubleReleasePanics(t *testing.T) {
 	base := BuildBasePooled(0, 8, nil)
-	s := BuildFromPooled(base, nil, policy.FCFS)
+	s := BuildFromOrdered(base, nil, policy.FCFS)
 	s.Release()
 	func() {
 		defer func() {
@@ -106,10 +72,11 @@ func TestBaseDoubleReleasePanics(t *testing.T) {
 func TestPooledScheduleReuseDoesNotAliasEscaped(t *testing.T) {
 	running, waiting := randomState(7, 16, 3, 16)
 	base := BuildBasePooled(0, 16, running)
-	kept := BuildFromPooled(base, waiting, policy.SJF)
+	kept := BuildFromOrdered(base, policy.Order(policy.SJF, waiting), policy.SJF)
 	snapshot := append([]Entry(nil), kept.Entries...)
 	for i := 0; i < 50; i++ {
-		loser := BuildFromPooled(base, waiting, policy.Candidates[i%len(policy.Candidates)])
+		p := policy.Candidates[i%len(policy.Candidates)]
+		loser := BuildFromOrdered(base, policy.Order(p, waiting), p)
 		loser.Release()
 	}
 	base.Release()

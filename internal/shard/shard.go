@@ -1,8 +1,8 @@
-// Package shard is the work-stealing task pool behind every parallel
-// fan-out of independent event streams: the experiment sweep's
-// (shrink, scheduler, set) cells, sim.RunParallel's simulation replicas,
-// and any future sharded event loop. It exists so the repo has exactly
-// one answer to "run n independent tasks on w cores deterministically".
+// Package shard is the task pool behind every parallel fan-out of
+// independent event streams: the experiment sweep's (shrink, scheduler,
+// set) cells and sim.RunParallel's simulation replicas. It exists so the
+// repo has exactly one answer to "run n independent tasks on w cores
+// deterministically".
 //
 // The pool is deterministic by construction: tasks are identified by
 // their index in [0, n), every task runs exactly once, and a caller that
@@ -10,58 +10,18 @@
 // that is byte-identical for every worker count — scheduling decides only
 // *when* a task runs, never *what* it computes or where its result lands.
 //
-// Work distribution is sharded with stealing. The index range is split
-// into one strided shard per worker — worker w owns w, w+workers,
-// w+2·workers, … — so systematic cost patterns in the task list (an
-// experiment sweep lists all sets of one expensive scheduler
-// consecutively) spread across all workers instead of landing on one.
-// Each worker drains its own shard first, contention-free while the load
-// is balanced, and when it runs dry it steals single tasks from the
-// fullest remaining shard. Long tasks therefore never strand a tail of
-// work behind them: an uneven sweep — one slow dynP cell among cheap
-// static cells — finishes in the time of its slowest single task plus an
-// even share of the rest, not in the time of the unluckiest pre-assigned
-// chunk.
+// Work distribution is one shared claim counter: each worker takes the
+// next unclaimed index when it finishes its last task. A long task never
+// strands work behind it — the other workers simply keep claiming — so an
+// uneven sweep finishes in the time of its slowest single task plus an
+// even share of the rest. Tasks are whole simulations, so one atomic add
+// per task is noise.
 package shard
 
 import (
 	"sync"
 	"sync/atomic"
 )
-
-// shardState is one worker's strided index sequence base, base+stride,
-// …, base+(count-1)·stride. next counts claimed positions; the owner and
-// thieves claim through the same atomic counter, so a task can never run
-// twice. base, stride and count are immutable after construction.
-type shardState struct {
-	next   atomic.Int64
-	base   int64
-	stride int64
-	count  int64
-	// pad spaces the hot counters one cache line apart so owner claims on
-	// neighbouring shards do not false-share.
-	_ [32]byte
-}
-
-// remaining returns how many unclaimed tasks the shard still holds.
-func (s *shardState) remaining() int64 {
-	r := s.count - s.next.Load()
-	if r < 0 {
-		return 0
-	}
-	return r
-}
-
-// claim takes the next unclaimed index, reporting false when the shard
-// is exhausted. Over-claims (racing thieves) burn a counter increment
-// beyond count but never yield an index twice.
-func (s *shardState) claim() (int64, bool) {
-	k := s.next.Add(1) - 1
-	if k >= s.count {
-		return 0, false
-	}
-	return s.base + k*s.stride, true
-}
 
 // Run executes task(0) … task(n-1) exactly once each over min(workers, n)
 // goroutines (workers <= 0 means 1). The first failure observed stops
@@ -72,19 +32,12 @@ func (s *shardState) claim() (int64, bool) {
 // completion.
 //
 // With workers == 1 the tasks run on the calling goroutine in index
-// order, with no goroutines spawned — the sequential path and the
-// parallel path are the same code.
+// order, with no goroutines spawned.
 func Run(workers, n int, task func(i int) error) error {
-	if n <= 0 {
-		return nil
-	}
-	if workers < 1 {
-		workers = 1
-	}
 	if workers > n {
 		workers = n
 	}
-	if workers == 1 {
+	if workers <= 1 {
 		for i := 0; i < n; i++ {
 			if err := task(i); err != nil {
 				return err
@@ -93,78 +46,34 @@ func Run(workers, n int, task func(i int) error) error {
 		return nil
 	}
 
-	// Strided shards, sized within one task of each other: worker w owns
-	// w, w+workers, w+2·workers, ….
-	shards := make([]shardState, workers)
-	for w := 0; w < workers; w++ {
-		shards[w].base = int64(w)
-		shards[w].stride = int64(workers)
-		shards[w].count = int64((n - w + workers - 1) / workers)
-	}
-
 	var (
+		next      atomic.Int64 // the next unclaimed index
 		cancelled atomic.Bool
 		mu        sync.Mutex
-		failIdx   int64 = -1
+		failIdx   = -1
 		failure   error
 		wg        sync.WaitGroup
 	)
-	fail := func(i int64, err error) {
-		mu.Lock()
-		if failIdx < 0 || i < failIdx {
-			failIdx, failure = i, err
-		}
-		mu.Unlock()
-		cancelled.Store(true)
-	}
-	runTask := func(i int64) bool {
-		if err := task(int(i)); err != nil {
-			fail(i, err)
-			return false
-		}
-		return true
-	}
-
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
-		go func(self int) {
+		go func() {
 			defer wg.Done()
-			// Drain the own shard first.
 			for !cancelled.Load() {
-				i, ok := shards[self].claim()
-				if !ok {
-					break
-				}
-				runTask(i)
-			}
-			// Steal: repeatedly pick the fullest other shard and take one
-			// task. One at a time keeps the tail balanced — two thieves on
-			// the same victim split its remainder instead of racing for a
-			// chunk — and the extra atomic per task is noise against task
-			// granularity (whole simulations).
-			for !cancelled.Load() {
-				victim := -1
-				var most int64
-				for v := range shards {
-					if v == self {
-						continue
-					}
-					if r := shards[v].remaining(); r > most {
-						victim, most = v, r
-					}
-				}
-				if victim < 0 {
+				i := int(next.Add(1) - 1)
+				if i >= n {
 					return
 				}
-				if i, ok := shards[victim].claim(); ok {
-					runTask(i)
+				if err := task(i); err != nil {
+					mu.Lock()
+					if failIdx < 0 || i < failIdx {
+						failIdx, failure = i, err
+					}
+					mu.Unlock()
+					cancelled.Store(true)
 				}
 			}
-		}(w)
+		}()
 	}
 	wg.Wait()
-	if failIdx >= 0 {
-		return failure
-	}
-	return nil
+	return failure
 }

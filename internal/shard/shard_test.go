@@ -53,13 +53,12 @@ func TestDeterministicResultSlots(t *testing.T) {
 	}
 }
 
-// TestStealingDrainsBlockedShard proves tasks migrate between shards:
-// with 2 workers over 8 tasks, worker 0 owns the even indices and claims
-// task 0 first, which blocks until tasks 1, 2 and 3 have run. Tasks 1
-// and 3 belong to worker 1, but task 2 belongs to the blocked worker 0 —
-// only stealing can run it; a pool without stealing would deadlock here
-// (bounded by the timeout).
-func TestStealingDrainsBlockedShard(t *testing.T) {
+// TestBlockedWorkerStrandsNoTask: with 2 workers over 8 tasks, task 0
+// blocks until tasks 1, 2 and 3 have run. No task is pre-assigned to the
+// blocked worker, so the other one must reach all three; a pool that
+// parked any of them behind task 0 would deadlock here (bounded by the
+// timeout).
+func TestBlockedWorkerStrandsNoTask(t *testing.T) {
 	var ownShardDone sync.WaitGroup
 	ownShardDone.Add(3)
 	released := make(chan struct{})
@@ -74,7 +73,7 @@ func TestStealingDrainsBlockedShard(t *testing.T) {
 			case <-released:
 				return nil
 			case <-time.After(10 * time.Second):
-				return errors.New("tasks 1-3 never ran: no stealing")
+				return errors.New("tasks 1-3 never ran behind the blocked worker")
 			}
 		case i < 4:
 			ownShardDone.Done()

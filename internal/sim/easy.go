@@ -4,7 +4,6 @@ import (
 	"dynp/internal/job"
 	"dynp/internal/plan"
 	"dynp/internal/policy"
-	"dynp/internal/profile"
 )
 
 // EASY is a queueing-based scheduler with aggressive (EASY) backfilling,
@@ -37,12 +36,9 @@ func (e *EASY) ActivePolicy() policy.Policy { return e.Base }
 // (the engine only acts on entries starting now, so those placements never
 // bind).
 func (e *EASY) Plan(now int64, capacity int, running []plan.Running, waiting []*job.Job) *plan.Schedule {
-	prof := profile.New(capacity, now)
-	for _, r := range running {
-		if rem := r.EstimatedEnd() - now; rem > 0 {
-			prof.Alloc(now, r.Job.Width, rem)
-		}
-	}
+	base := plan.BuildBasePooled(now, capacity, running)
+	prof := base.Profile()
+	base.Release()
 	s := &plan.Schedule{Now: now, Capacity: capacity, Policy: e.Base,
 		Entries: make([]plan.Entry, 0, len(waiting))}
 

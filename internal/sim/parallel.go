@@ -7,11 +7,11 @@ import (
 	"dynp/internal/shard"
 )
 
-// RunParallel simulates several independent job sets concurrently on a
-// work-stealing shard pool (internal/shard) and returns the results in
-// input order. Each run gets a fresh driver from newDriver — drivers
-// carry tuner state, so one instance must never serve two concurrent
-// runs. workers <= 0 selects GOMAXPROCS.
+// RunParallel simulates several independent job sets concurrently on the
+// shard pool (internal/shard) and returns the results in input order.
+// Each run gets a fresh driver from newDriver — drivers carry tuner
+// state, so one instance must never serve two concurrent runs.
+// workers <= 0 selects GOMAXPROCS.
 //
 // The output is byte-identical to running the same sets sequentially
 // through Run with drivers from the same factory: every simulation is an

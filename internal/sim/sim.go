@@ -23,6 +23,7 @@ package sim
 import (
 	"fmt"
 
+	"dynp/internal/core"
 	"dynp/internal/engine"
 	"dynp/internal/eventq"
 	"dynp/internal/job"
@@ -37,52 +38,43 @@ import (
 type Driver = engine.Driver
 
 // Static is a Driver that always uses a single policy — the paper's basic
-// scheduling approach used as the baseline. It plans on the same lane as
-// the self-tuner: pooled base and schedule storage, and the policy's
-// order read off a spliced view of the waiting queue instead of a sort
-// per event. Policy must not change once the driver is in use.
+// scheduling approach used as the baseline. It plans on the same
+// core.Lane as the self-tuner, run over one policy. The lane's order view
+// is primed with the Policy of the driver's first use; changing Policy
+// afterwards is legal but every later Plan sorts the queue in full.
 type Static struct {
 	Policy policy.Policy
 
-	views *policy.Views  // Policy's order of the waiting queue, fed by the engine
-	last  *plan.Schedule // the schedule handed out by the previous Plan
+	lane *core.Lane
+}
+
+// primed returns the driver's lane, created at first use so that the
+// literal &Static{Policy: p} stays the way to make one.
+func (s *Static) primed() *core.Lane {
+	if s.lane == nil {
+		s.lane = core.NewLane(s.Policy)
+	}
+	return s.lane
 }
 
 // Name implements Driver.
 func (s *Static) Name() string { return s.Policy.Name() }
 
-// Plan implements Driver. When the view does not cover the waiting slice
-// (no engine feeding it, or unplaceable jobs withheld) the queue is
-// sorted in full — the same schedule either way.
+// Plan implements Driver.
 func (s *Static) Plan(now int64, capacity int, running []plan.Running, waiting []*job.Job) *plan.Schedule {
-	base := plan.BuildBasePooled(now, capacity, running)
-	var next *plan.Schedule
-	if ordered := s.views.Covering(waiting); ordered != nil {
-		next = plan.BuildFromOrdered(base, ordered[0], s.Policy)
-	} else {
-		next = plan.BuildFromPooled(base, waiting, s.Policy)
-	}
-	base.Release()
-	if s.last != nil {
-		s.last.Release() // superseded: see the lifetime rule on engine.Driver
-	}
-	s.last = next
-	return next
+	l := s.primed()
+	l.Build(now, capacity, running, waiting, s.Policy)
+	return l.Keep(0)
 }
 
 // ActivePolicy implements Driver.
 func (s *Static) ActivePolicy() policy.Policy { return s.Policy }
 
 // NoteSubmit implements engine.QueueTracker.
-func (s *Static) NoteSubmit(j *job.Job) {
-	if s.views == nil {
-		s.views = policy.NewViews(s.Policy)
-	}
-	s.views.Insert(j)
-}
+func (s *Static) NoteSubmit(j *job.Job) { s.primed().NoteSubmit(j) }
 
 // NoteRemove implements engine.QueueTracker.
-func (s *Static) NoteRemove(j *job.Job) { s.views.Remove(j) }
+func (s *Static) NoteRemove(j *job.Job) { s.primed().NoteRemove(j) }
 
 // Record is the outcome of one job.
 type Record struct {

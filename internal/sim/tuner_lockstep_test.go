@@ -1,67 +1,22 @@
 package sim
 
 import (
-	"slices"
 	"testing"
 
 	"dynp/internal/core"
-	"dynp/internal/job"
-	"dynp/internal/plan"
+	"dynp/internal/plan/plantest"
 	"dynp/internal/policy"
 )
 
-// lockstepDynP is a DynP driver that checks every self-tuning step
-// against the step done the slow obvious way: every candidate rebuilt
-// with referencePlan, scored by walking its entries, and decided by a
-// second instance of the decider from the policy that was active. The
-// candidate scores, the chosen policy and the chosen schedule must all
-// be identical. It mirrors the queue notifications into views of its own
-// to know which lane the tuner planned on.
-type lockstepDynP struct {
-	*DynP
-	t       testing.TB
-	metric  core.Metric
-	decider core.Decider // the reference's own instance
-	mirror  *policy.Views
-	lanes   *laneCount
-}
-
-func newLockstepDynP(t testing.TB, newDecider func() core.Decider, m core.Metric, lanes *laneCount) *lockstepDynP {
-	return &lockstepDynP{DynP: NewDynPWith(nil, newDecider(), m), t: t,
-		metric: m, decider: newDecider(), mirror: policy.NewViews(policy.FCFS), lanes: lanes}
-}
-
-func (d *lockstepDynP) NoteSubmit(j *job.Job) { d.mirror.Insert(j); d.DynP.NoteSubmit(j) }
-func (d *lockstepDynP) NoteRemove(j *job.Job) { d.mirror.Remove(j); d.DynP.NoteRemove(j) }
-
-func (d *lockstepDynP) Plan(now int64, capacity int, running []plan.Running, waiting []*job.Job) *plan.Schedule {
-	d.lanes.note(d.mirror.Covering(waiting) != nil)
-	active, candidates := d.Tuner.Active(), d.Tuner.Candidates()
-	got := d.DynP.Plan(now, capacity, running, waiting)
-
-	refs := make([]*plan.Schedule, len(candidates))
-	values := make([]float64, len(candidates))
-	for i, p := range candidates {
-		refs[i] = referencePlan(now, capacity, running, waiting, p)
-		values[i] = d.metric.Score(refs[i])
+// tunerLockstep returns plantest.Run's driver factory for a dynP driver:
+// a fresh DynP per (re)start, every self-tuning step checked against one
+// naive tuner that outlives the restarts.
+func tunerLockstep(t testing.TB, newDecider func() core.Decider, m core.Metric, lanes *plantest.Lanes) func() Driver {
+	ref := plantest.NewTuner(newDecider(), m)
+	return func() Driver {
+		d := NewDynPWith(nil, newDecider(), m)
+		return plantest.TunerLockstep(t, d, d.Tuner, ref, lanes)
 	}
-	chosen := d.decider.Decide(active, candidates, values)
-	want := refs[slices.Index(candidates, chosen)]
-
-	dec, _ := d.Tuner.LastDecision()
-	if dec.Time != now || dec.Old != active || !slices.Equal(dec.Values, values) {
-		d.t.Fatalf("%s at t=%d from %v (%d running, %d waiting): decided at t=%d from %v on %v, want %v",
-			d.Name(), now, active, len(running), len(waiting), dec.Time, dec.Old, dec.Values, values)
-	}
-	if dec.Chosen != chosen || got.Policy != chosen || d.Tuner.Active() != chosen {
-		d.t.Fatalf("%s at t=%d from %v on %v: chose %v (schedule %v, active %v), want %v",
-			d.Name(), now, active, values, dec.Chosen, got.Policy, d.Tuner.Active(), chosen)
-	}
-	if got.Now != want.Now || got.Capacity != want.Capacity || !slices.Equal(got.Entries, want.Entries) {
-		d.t.Fatalf("%s at t=%d under %v (%d running, %d waiting):\n got %v\nwant %v",
-			d.Name(), now, chosen, len(running), len(waiting), got.Entries, want.Entries)
-	}
-	return got
 }
 
 // lockstepDeciders are the paper's three decider mechanisms.
@@ -81,12 +36,12 @@ var lockstepMetrics = []core.Metric{core.MetricSLDwA, core.MetricART, core.Metri
 func TestTunerLockstep(t *testing.T) {
 	for _, newDecider := range lockstepDeciders() {
 		t.Run(newDecider().Name(), func(t *testing.T) {
-			var lanes laneCount
+			var lanes plantest.Lanes
 			for seed := uint64(0); seed < 6; seed++ {
-				runLockstep(t, func() Driver { return newLockstepDynP(t, newDecider, core.MetricSLDwA, &lanes) }, lockstepStream(seed))
+				plantest.Run(t, tunerLockstep(t, newDecider, core.MetricSLDwA, &lanes), plantest.Stream(seed))
 			}
-			if lanes.view == 0 || lanes.sort == 0 {
-				t.Errorf("%d steps read the views, %d sorted in full; the streams must reach both", lanes.view, lanes.sort)
+			if lanes.View == 0 || lanes.Sort == 0 {
+				t.Errorf("%d steps read the views, %d sorted in full; the streams must reach both", lanes.View, lanes.Sort)
 			}
 		})
 	}
@@ -109,6 +64,6 @@ func FuzzTunerLockstep(f *testing.F) {
 		ds := lockstepDeciders()
 		newDecider := ds[int(data[0])%len(ds)]
 		m := lockstepMetrics[int(data[0])/len(ds)%len(lockstepMetrics)]
-		runLockstep(t, func() Driver { return newLockstepDynP(t, newDecider, m, new(laneCount)) }, data[1:])
+		plantest.Run(t, tunerLockstep(t, newDecider, m, new(plantest.Lanes)), data[1:])
 	})
 }

@@ -70,10 +70,10 @@ func BenchmarkSelfTunerPlan(b *testing.B) {
 	}
 }
 
-// BenchmarkSelfTunerPlanIncremental measures the pooled + incremental-view
-// planning path: every iteration removes one job and submits a
-// replacement through the NoteSubmit/NoteRemove interface, as the
-// scheduling engine does, so each Plan reads spliced views — the
+// BenchmarkSelfTunerPlanIncremental measures the in-place +
+// incremental-view planning path: every iteration removes one job and
+// submits a replacement through the NoteSubmit/NoteRemove interface, as
+// the scheduling engine does, so each Plan reads spliced views — the
 // steady-state cost of one scheduling event.
 func BenchmarkSelfTunerPlanIncremental(b *testing.B) {
 	const capacity = 128

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"slices"
+
 	"dynp/internal/job"
 	"dynp/internal/plan"
 	"dynp/internal/policy"
@@ -9,9 +11,18 @@ import (
 // Lane is the one way from a waiting queue to schedules, shared by every
 // planning driver: the static drivers run it over one policy, the
 // self-tuner over its candidates. Build does a scheduling event's
-// placement work — pooled base profile, each policy's order of the queue,
-// one schedule per policy, base released — and Keep ends the event by
-// handing one of those schedules out and recycling the rest.
+// placement work — base profile, each policy's order of the queue, one
+// schedule per policy — and Keep ends the event by handing one of those
+// schedules out.
+//
+// The lane owns its storage and rebuilds it in place: one plan.Base and
+// k+1 schedules for k policies, double buffered. Build writes policy i's
+// schedule into slot i; Keep(i) swaps slot i with the schedule the
+// previous Keep handed out, which this one supersedes (the lifetime rule
+// on engine.Driver), and marks every slot superseded (plan.Schedule's
+// Release), so a reader that outlives its claim fails Verify and
+// engine.CheckInvariants instead of reading a rebuilt plan. The handed-out
+// schedule is never a slot, so the next Build leaves it intact.
 //
 // A front end that reports every waiting-queue change through
 // NoteSubmit/NoteRemove (the scheduling engine does, via
@@ -26,7 +37,8 @@ import (
 type Lane struct {
 	policies []policy.Policy // what the views are primed with
 	views    *policy.Views
-	built    []*plan.Schedule // the current event's schedules
+	base     plan.Base
+	slots    []*plan.Schedule // the current event's schedules
 	kept     *plan.Schedule   // handed out by the previous Keep
 }
 
@@ -47,34 +59,31 @@ func (l *Lane) NoteRemove(j *job.Job) { l.views.Remove(j) }
 // schedules in that order. They are the lane's until Keep: score them,
 // pick one, call Keep.
 func (l *Lane) Build(now int64, capacity int, running []plan.Running, waiting []*job.Job, policies ...policy.Policy) []*plan.Schedule {
-	if cap(l.built) < len(policies) {
-		l.built = make([]*plan.Schedule, len(policies))
-	}
-	l.built = l.built[:len(policies)]
-	base := plan.BuildBasePooled(now, capacity, running)
+	l.slots = slices.Grow(l.slots[:0], len(policies))[:len(policies)]
+	l.base.Reset(now, capacity, running)
 	ordered := l.views.Covering(waiting)
 	for i, p := range policies {
+		if l.slots[i] == nil {
+			l.slots[i] = new(plan.Schedule)
+		}
 		if ordered != nil && i < len(l.policies) && l.policies[i] == p {
-			l.built[i] = plan.BuildFromOrdered(base, ordered[i], p)
+			l.base.BuildInto(l.slots[i], ordered[i], p)
 		} else {
-			l.built[i] = plan.BuildFromOrdered(base, policy.Order(p, waiting), p)
+			l.base.BuildInto(l.slots[i], policy.Order(p, waiting), p)
 		}
 	}
-	base.Release()
-	return l.built
+	return l.slots
 }
 
-// Keep returns the i-th schedule of the last Build and releases the
-// others to the plan pools — they never escape — along with the schedule
-// the previous Keep returned, which this one supersedes (the lifetime
-// rule on engine.Driver).
+// Keep returns the i-th schedule of the last Build, valid until the next
+// Keep, and marks the others superseded together with the schedule the
+// previous Keep returned.
 func (l *Lane) Keep(i int) *plan.Schedule {
-	next := l.built[i]
-	l.built[i] = nil
-	plan.ReleaseSchedules(l.built)
-	if l.kept != nil {
-		l.kept.Release()
+	l.slots[i], l.kept = l.kept, l.slots[i]
+	for _, s := range l.slots {
+		if s != nil {
+			s.Release()
+		}
 	}
-	l.kept = next
-	return next
+	return l.kept
 }

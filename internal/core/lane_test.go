@@ -12,9 +12,11 @@ import (
 // sorted builds the schedule of waiting under p from a full sort, on an
 // idle machine.
 func sorted(now int64, capacity int, waiting []*job.Job, p policy.Policy) *plan.Schedule {
-	base := plan.BuildBasePooled(now, capacity, nil)
-	defer base.Release()
-	return plan.BuildFromOrdered(base, policy.Order(p, waiting), p)
+	var base plan.Base
+	base.Reset(now, capacity, nil)
+	s := new(plan.Schedule)
+	base.BuildInto(s, policy.Order(p, waiting), p)
+	return s
 }
 
 // TestViewsFallBackOnPartialQueue covers the lane's two reasons to sort
@@ -39,5 +41,64 @@ func TestViewsFallBackOnPartialQueue(t *testing.T) {
 	}
 	if kept := l.Keep(0); kept != got {
 		t.Fatal("Keep returned another schedule than Build's")
+	}
+}
+
+// TestKeepDoubleBuffers pins the lane's storage rule: the schedule Keep
+// hands out is never a slot, so later Builds leave it intact, and the
+// next Keep supersedes it together with every losing candidate.
+func TestKeepDoubleBuffers(t *testing.T) {
+	l := NewLane(policy.Candidates...)
+	jobs := []*job.Job{mkJob(1, 0, 4, 100), mkJob(2, 0, 8, 50), mkJob(3, 0, 1, 10)}
+	built := l.Build(0, 8, nil, jobs, policy.Candidates...)
+	losers := []*plan.Schedule{built[0], built[2]}
+	kept := l.Keep(1)
+	want := slices.Clone(kept.Entries)
+	for _, s := range losers {
+		if !s.Released() {
+			t.Fatal("a losing candidate was not marked superseded")
+		}
+	}
+	for round := 0; round < 3; round++ {
+		for _, s := range l.Build(int64(round), 8, nil, jobs[round:], policy.Candidates...) {
+			if s == kept {
+				t.Fatal("Build rebuilt the schedule Keep handed out")
+			}
+		}
+		if kept.Released() || !slices.Equal(kept.Entries, want) {
+			t.Fatalf("round %d: the kept schedule changed under a Build", round)
+		}
+	}
+	if next := l.Keep(0); next == kept || !kept.Released() {
+		t.Fatal("the next Keep did not supersede the schedule handed out before")
+	}
+}
+
+// TestLaneStorageGrowsGeometrically grows the queue by one job per event
+// from 1 to n. About a dozen arrays grow with the queue — four schedules'
+// entries, the base and scratch profiles' two slices each, the three
+// views — and each grows by doubling, so the whole run allocates
+// O(log n) times, not once per event: doubling n adds about one
+// allocation per array, where reallocating to the exact length would add
+// n.
+func TestLaneStorageGrowsGeometrically(t *testing.T) {
+	const n = 512
+	jobs := make([]*job.Job, n)
+	for i := range jobs {
+		jobs[i] = mkJob(job.ID(i+1), int64(i), 1+i%8, int64(10+i%50))
+	}
+	grow := func(n int) float64 {
+		return testing.AllocsPerRun(1, func() {
+			l := NewLane(policy.Candidates...)
+			for k := 1; k <= n; k++ {
+				l.NoteSubmit(jobs[k-1])
+				l.Build(int64(k), 8, nil, jobs[:k], policy.Candidates...)
+				l.Keep(k % len(policy.Candidates))
+			}
+		})
+	}
+	half, full := grow(n/2), grow(n)
+	if extra := full - half; extra > 32 {
+		t.Fatalf("growing the queue from %d to %d jobs cost %.0f more allocations (%.0f in all), want at most 32", n/2, n, extra, full)
 	}
 }

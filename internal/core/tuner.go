@@ -140,9 +140,9 @@ func (t *SelfTuner) NoteRemove(j *job.Job) { t.lane.NoteRemove(j) }
 // returns a policy outside the candidate set.
 //
 // Ownership: the returned schedule is valid until the next Plan call,
-// which releases it to the plan pools once its replacement exists (the
-// lifetime rule on engine.Driver). All other planning storage cycles
-// through the same pools within the step (see Lane).
+// which supersedes it once its replacement exists (the lifetime rule on
+// engine.Driver). All planning storage is the lane's, rebuilt in place
+// at every step (see Lane).
 func (t *SelfTuner) Plan(now int64, capacity int, running []plan.Running, waiting []*job.Job) *plan.Schedule {
 	values := make([]float64, len(t.candidates))
 	for i, s := range t.lane.Build(now, capacity, running, waiting, t.candidates...) {

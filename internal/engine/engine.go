@@ -506,10 +506,10 @@ func (e *Engine) removeWaiting(id job.ID) (*job.Job, bool) {
 // CheckInvariants verifies the engine's internal consistency: index maps
 // match the queues, the running set fits the effective capacity, no job
 // is both waiting and running, and the plan in force has not been
-// recycled under the engine. A healthy engine always returns nil.
+// superseded by its driver. A healthy engine always returns nil.
 func (e *Engine) CheckInvariants() error {
 	if e.plan != nil && e.plan.Released() {
-		return fmt.Errorf("engine: the plan in force (t=%d, %v) was released to the pool", e.plan.Now, e.plan.Policy)
+		return fmt.Errorf("engine: the plan in force (t=%d, %v) was superseded", e.plan.Now, e.plan.Policy)
 	}
 	if e.failed < 0 || e.failed > e.capacity {
 		return fmt.Errorf("engine: %d failed processors out of [0, %d]", e.failed, e.capacity)

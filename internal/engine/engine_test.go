@@ -348,7 +348,7 @@ func BenchmarkEngineEventLoop(b *testing.B) {
 }
 
 // recyclingDriver breaks the Driver.Plan lifetime rule: it hands out a
-// schedule it has already released to the pool.
+// schedule it has already marked superseded.
 type recyclingDriver struct{ engine.Driver }
 
 func (d recyclingDriver) Plan(now int64, capacity int, running []plan.Running, waiting []*job.Job) *plan.Schedule {
@@ -357,17 +357,17 @@ func (d recyclingDriver) Plan(now int64, capacity int, running []plan.Running, w
 	return s
 }
 
-// TestVerifyRejectsRecycledPlan: a plan whose storage went back to the
-// pool while the engine holds it is an error on the verify path, not a
-// quietly wrong launch decision.
+// TestVerifyRejectsRecycledPlan: a plan its driver superseded while the
+// engine holds it is an error on the verify path, not a quietly wrong
+// launch decision.
 func TestVerifyRejectsRecycledPlan(t *testing.T) {
 	eng := engine.New(2, recyclingDriver{&sim.EASY{Base: policy.FCFS}}, 0, engine.WithVerify())
 	eng.Submit(mkJob(1, 0, 1, 10))
 	err := eng.Replan()
-	if err == nil || !strings.Contains(err.Error(), "released to the pool") {
-		t.Fatalf("Replan with a recycled plan: %v, want a released-to-the-pool error", err)
+	if err == nil || !strings.Contains(err.Error(), "superseded") {
+		t.Fatalf("Replan with a recycled plan: %v, want a superseded-plan error", err)
 	}
-	if err := eng.CheckInvariants(); err == nil || !strings.Contains(err.Error(), "released to the pool") {
+	if err := eng.CheckInvariants(); err == nil || !strings.Contains(err.Error(), "superseded") {
 		t.Fatalf("CheckInvariants with a recycled plan in force: %v", err)
 	}
 }

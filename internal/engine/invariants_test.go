@@ -54,7 +54,7 @@ func TestCheckInvariantsDetectsCorruption(t *testing.T) {
 		{"plan recycled under the engine", func(e *Engine) {
 			e.plan = &plan.Schedule{}
 			e.plan.Release()
-		}, "released to the pool"},
+		}, "superseded"},
 		{"waiting and running", func(e *Engine) {
 			j := e.running[1].Job
 			e.waitingIdx[j.ID] = len(e.waiting)

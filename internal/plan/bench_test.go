@@ -36,10 +36,11 @@ func BenchmarkBuild(b *testing.B) {
 }
 
 // BenchmarkCandidateSet measures the placement work of one self-tuning
-// step at a running-job-heavy event, with allocation reporting: one base,
-// one build per candidate policy, everything released the way the lane
-// releases it. "sorted" pays the full-sort fallback per candidate,
-// "ordered" reads orders kept up to date elsewhere (policy.Views).
+// step at a running-job-heavy event, with allocation reporting: one base
+// reset, one build per candidate policy into that candidate's schedule,
+// all kept across iterations the way core.Lane keeps them. "sorted" pays
+// the full-sort fallback per candidate, "ordered" reads orders kept up to
+// date elsewhere (policy.Views).
 func BenchmarkCandidateSet(b *testing.B) {
 	const capacity = 128
 	for _, queued := range []int{64, 256, 1024} {
@@ -54,19 +55,19 @@ func BenchmarkCandidateSet(b *testing.B) {
 				name = fmt.Sprintf("queue%d/sorted", queued)
 			}
 			b.Run(name, func(b *testing.B) {
+				var base Base
+				slots := make([]Schedule, len(policy.Candidates))
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
-					base := BuildBasePooled(1000, capacity, running)
+					base.Reset(1000, capacity, running)
 					for k, p := range policy.Candidates {
 						ordered := orders[k]
 						if sorted {
 							ordered = policy.Order(p, waiting)
 						}
-						s := BuildFromOrdered(base, ordered, p)
-						s.PlannedSLDwA()
-						s.Release()
+						base.BuildInto(&slots[k], ordered, p)
+						slots[k].PlannedSLDwA()
 					}
-					base.Release()
 				}
 			})
 		}
@@ -113,25 +114,26 @@ func ctcState(tb testing.TB, queued int) (now int64, running []Running, waiting 
 // BenchmarkBuildSaturated measures candidate placement where simulations
 // spend their time: long queues placed onto a profile whose head the
 // running jobs and the first placements have already filled. One op is one
-// candidate build from a shared pooled base in policy order — what the
-// tuner does three times per event. ns/job is the cost per job placed;
-// allocs/op must stay what it was before the builders bounded their
-// searches (the witness table is on the placement loop's stack).
+// candidate build from a shared base in policy order, into a schedule
+// rebuilt in place — what the tuner does three times per event. ns/job is
+// the cost per job placed; allocs/op must stay 0 (the witness table is on
+// the placement loop's stack).
 func BenchmarkBuildSaturated(b *testing.B) {
 	for _, queued := range []int{128, 340} {
 		now, running, waiting := ctcState(b, queued)
-		base := BuildBasePooled(now, workload.CTC.Machine, running)
+		var base Base
+		base.Reset(now, workload.CTC.Machine, running)
 		for _, p := range policy.Candidates {
 			ordered := policy.Order(p, waiting)
 			b.Run(fmt.Sprintf("queue%d/%s", queued, p), func(b *testing.B) {
+				var s Schedule
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
-					BuildFromOrdered(base, ordered, p).Release()
+					base.BuildInto(&s, ordered, p)
 				}
 				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(ordered)), "ns/job")
 			})
 		}
-		base.Release()
 	}
 }
 

@@ -28,20 +28,23 @@ func registeredPolicies(t testing.TB) []policy.Policy {
 	return out
 }
 
-// checkAgainstNaive requires the builders to reproduce the naive oracle's
+// checkAgainstNaive requires the builder to reproduce the naive oracle's
 // schedule entry for entry and score for score (BC-1), and that schedule
-// to pass the strict Verify.
+// to pass the strict Verify. Every policy's build lands in the same
+// schedule, so each one overwrites the previous policy's entries, sums and
+// Release mark, as a lane slot does from event to event.
 func checkAgainstNaive(t testing.TB, policies []policy.Policy, now int64, capacity int, running []plan.Running, waiting []*job.Job) {
 	t.Helper()
-	base := plan.BuildBasePooled(now, capacity, running)
-	defer base.Release()
+	var base plan.Base
+	base.Reset(now, capacity, running)
+	var got plan.Schedule
 	for _, p := range policies {
 		want := plantest.Plan(now, capacity, running, waiting, p)
 		if err := want.Verify(running); err != nil {
 			t.Fatalf("%s: naive schedule fails Verify: %v", p, err)
 		}
-		got := plan.BuildFromOrdered(base, policy.Order(p, waiting), p)
-		if err := plantest.SameSchedule(got, want); err != nil {
+		base.BuildInto(&got, policy.Order(p, waiting), p)
+		if err := plantest.SameSchedule(&got, want); err != nil {
 			t.Fatalf("%s (capacity %d, %d running, %d waiting): %v", p, capacity, len(running), len(waiting), err)
 		}
 		got.Release()
@@ -107,28 +110,25 @@ func FuzzBuildVsNaive(f *testing.F) {
 	})
 }
 
-// TestBaseNotMutatedBySiblingBuilds: concurrent candidate builds from one
-// base must never mutate it — each works on its own clone — and each must
-// still equal the oracle's schedule. Run with -race to catch write sharing.
+// TestBaseNotMutatedBySiblingBuilds: candidate builds from one base, one
+// after another, must never mutate it — each places onto the scratch
+// copy — and each must still equal the oracle's schedule.
 func TestBaseNotMutatedBySiblingBuilds(t *testing.T) {
 	const capacity, now = 64, 1000
 	r := rng.New(4)
 	running := plan.BusyMachine(r, capacity, now)
 	waiting := plan.ShapedQueue(r, plan.ShapeRandom, capacity, 80, now)
-	base := plan.BuildBasePooled(now, capacity, running)
-	defer base.Release()
+	var base plan.Base
+	base.Reset(now, capacity, running)
 	beforeTimes, beforeFree := base.Profile().Steps()
 
-	done := make(chan *plan.Schedule, 3*len(policy.All))
 	for round := 0; round < 3; round++ {
 		for _, p := range policy.All {
-			go func(p policy.Policy) { done <- plan.BuildFromOrdered(base, policy.Order(p, waiting), p) }(p)
-		}
-	}
-	for i := 0; i < cap(done); i++ {
-		got := <-done
-		if err := plantest.SameSchedule(got, plantest.Plan(now, capacity, running, waiting, got.Policy)); err != nil {
-			t.Errorf("%s: concurrent build diverged: %v", got.Policy, err)
+			var got plan.Schedule
+			base.BuildInto(&got, policy.Order(p, waiting), p)
+			if err := plantest.SameSchedule(&got, plantest.Plan(now, capacity, running, waiting, p)); err != nil {
+				t.Errorf("%s, round %d: sibling build diverged: %v", p, round, err)
+			}
 		}
 	}
 	afterTimes, afterFree := base.Profile().Steps()

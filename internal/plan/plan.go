@@ -14,7 +14,7 @@ package plan
 
 import (
 	"fmt"
-	"sync"
+	"slices"
 
 	"dynp/internal/job"
 	"dynp/internal/policy"
@@ -53,7 +53,7 @@ type Schedule struct {
 	// driver's) leave scored false and the accessors fall back to walking.
 	scored   bool
 	sums     aggregates
-	released bool // guards double-Release of pooled storage
+	released bool // superseded by its owner (see Release)
 }
 
 // aggregates holds the per-metric running sums of one placement pass. The
@@ -83,93 +83,76 @@ func (a *aggregates) accumulate(j *job.Job, start int64) {
 	}
 }
 
-// Base is the reusable starting state of schedule construction at one
-// scheduling event: the availability profile with every running job's
-// reservation already applied. The self-tuning dynP step builds it once
-// per event and derives each candidate policy's what-if schedule from a
-// clone, instead of re-allocating the running jobs once per candidate.
-// A Base is never mutated after construction, so any number of
-// BuildFromOrdered calls — including concurrent ones — may share it.
+// Base is the starting state of schedule construction at one scheduling
+// event: the availability profile with every running job's reservation
+// already applied. The self-tuning dynP step resets it once per event and
+// derives each candidate policy's what-if schedule from it, instead of
+// re-allocating the running jobs once per candidate. Its owner keeps it
+// across events and rebuilds it in place, so at steady state neither Reset
+// nor BuildInto allocates. The base profile is never mutated by a build:
+// each build places onto the scratch profile, a fresh copy of it, which
+// is why one Base serves one build at a time.
 type Base struct {
 	Now      int64
 	Capacity int
-	prof     *profile.Profile
+	prof     profile.Profile // running jobs' reservations
+	scratch  profile.Profile // the current build's copy of prof
 }
 
-// The hot-path arenas. One planning step builds a base profile, one
-// candidate profile clone per policy, and one Schedule (with its Entry
-// slice) per policy — at every scheduling event, over a full SWF trace.
-// The pools let that storage cycle instead of being reallocated: candidate
-// profiles are returned the moment a build finishes, losing candidate
-// schedules after scoring, the schedule a driver handed out when its next
-// one replaces it (see Schedule.Release), base profiles once the step's
-// candidates are built (see Base.Release). sync.Pool is safe for
-// concurrent simulations sharing the package-level pools.
-var (
-	profilePool  = sync.Pool{New: func() any { return new(profile.Profile) }}
-	schedulePool = sync.Pool{New: func() any { return new(Schedule) }}
-	basePool     = sync.Pool{New: func() any { return new(Base) }}
-)
-
-// BuildBasePooled constructs the shared planning state for one scheduling
-// event — running jobs block their processors until their estimated end —
-// on storage drawn from the package pools. The caller owns the result and
-// must call Release exactly once when no builds derived from it can run
-// anymore; until then the Base must stay alive (BuildFromOrdered clones
-// it per candidate).
-func BuildBasePooled(now int64, capacity int, running []Running) *Base {
-	b := basePool.Get().(*Base)
-	prof := profilePool.Get().(*profile.Profile)
-	prof.Reset(capacity, now)
+// Reset makes b the base of a scheduling event at now on a machine of the
+// given capacity: running jobs block their processors until their
+// estimated end. A zero-value Base is valid.
+func (b *Base) Reset(now int64, capacity int, running []Running) {
+	b.Now, b.Capacity = now, capacity
+	b.prof.Reset(capacity, now)
 	for _, r := range running {
 		if rem := r.EstimatedEnd() - now; rem > 0 {
-			prof.Alloc(now, r.Job.Width, rem)
+			b.prof.Alloc(now, r.Job.Width, rem)
 		}
 	}
-	b.Now, b.Capacity, b.prof = now, capacity, prof
+}
+
+// BuildBasePooled returns a new Base reset to the given event.
+//
+// Deprecated: it allocates a Base per call; keep a Base and Reset it.
+// It stays while benchmark/trace.go calls it (ROADMAP.md, item 1(c)).
+func BuildBasePooled(now int64, capacity int, running []Running) *Base {
+	b := new(Base)
+	b.Reset(now, capacity, running)
 	return b
 }
 
-// Release returns the base's storage to the arena. Only the owner of the
-// Base may call it, and only once; the Base is invalid afterwards.
-func (b *Base) Release() {
-	if b.prof == nil {
-		panic("plan: Base released twice")
-	}
-	profilePool.Put(b.prof)
-	b.prof = nil
-	basePool.Put(b)
-}
+// Release does nothing: a Base holds no storage anyone else shares.
+//
+// Deprecated: drop the call. It stays while benchmark/trace.go calls it
+// (ROADMAP.md, item 1(c)).
+func (b *Base) Release() {}
 
 // Profile returns a copy of the base availability profile, the caller's
 // to mutate: the EASY driver backfills on one.
 func (b *Base) Profile() *profile.Profile { return b.prof.Clone() }
 
-// BuildFromOrdered computes the schedule for a waiting queue that is
-// already in policy p's order (policy.Order's output, or an incrementally
-// maintained view of it — see policy.Views), starting from a clone of the
-// base profile. The base is not modified, so sibling candidate builds may
-// run concurrently from the same base; the ordered slice is not modified
-// and must not change while the build runs. All scratch storage comes from
-// the package pools: the candidate profile clone goes back before
-// BuildFromOrdered returns and the caller owns the returned Schedule; if
-// it never escapes, Release recycles it.
+// BuildInto computes the schedule for a waiting queue that is already in
+// policy p's order (policy.Order's output, or an incrementally maintained
+// view of it — see policy.Views) and writes it into s, reusing s's entry
+// storage. The base profile is not modified; the ordered slice is not
+// modified and must not change while the build runs. Whatever s held
+// before is overwritten, including a Release mark.
 //
 // This is the one placement loop of the tree. Metric sums are accumulated
 // in the same pass (see aggregates), so scoring the result re-walks
 // nothing. Each hole search starts not at now but at the latest start the
 // build's earlier placements prove no such job can beat (see witness.go);
 // the result is the same earliest fit either way.
-func BuildFromOrdered(b *Base, ordered []*job.Job, p policy.Policy) *Schedule {
-	prof := profilePool.Get().(*profile.Profile)
+func (b *Base) BuildInto(s *Schedule, ordered []*job.Job, p policy.Policy) {
+	prof := &b.scratch
 	b.prof.CloneInto(prof)
-	s := schedulePool.Get().(*Schedule)
-	entries := s.Entries[:0]
-	if entries == nil || cap(entries) < len(ordered) {
+	entries := slices.Grow(s.Entries[:0], len(ordered))
+	if entries == nil {
 		// Always non-nil, even for an empty queue: nil and empty differ
 		// to reflect.DeepEqual and encoding/json, and no reader of a
 		// schedule should have to care which it got.
-		entries = make([]Entry, 0, len(ordered))
+		entries = []Entry{}
 	}
 	*s = Schedule{Now: b.Now, Capacity: b.Capacity, Policy: p,
 		Entries: entries,
@@ -185,15 +168,24 @@ func BuildFromOrdered(b *Base, ordered []*job.Job, p policy.Policy) *Schedule {
 		s.Entries = append(s.Entries, Entry{Job: j, Start: start})
 		s.sums.accumulate(j, start)
 	}
-	profilePool.Put(prof)
+}
+
+// BuildFromOrdered returns a new schedule built by b.BuildInto.
+//
+// Deprecated: it allocates a Schedule per call; keep the schedules and
+// BuildInto them. It stays while benchmark/trace.go calls it (ROADMAP.md,
+// item 1(c)).
+func BuildFromOrdered(b *Base, ordered []*job.Job, p policy.Policy) *Schedule {
+	s := new(Schedule)
+	b.BuildInto(s, ordered, p)
 	return s
 }
 
 // ReleaseSchedules releases every non-nil schedule in ss and nils the
-// slots, for owners discarding a whole batch of pooled builds at once —
-// the self-tuner hands it one step's candidates with the chosen slot
-// already nilled. The slots are nilled so a second sweep over the same
-// slice cannot double-release.
+// slots.
+//
+// Deprecated: a schedule only its builder rebuilds needs no release. It
+// stays while benchmark/trace.go calls it (ROADMAP.md, item 1(c)).
 func ReleaseSchedules(ss []*Schedule) {
 	for i, s := range ss {
 		if s != nil {
@@ -203,31 +195,26 @@ func ReleaseSchedules(ss []*Schedule) {
 	}
 }
 
-// Release returns a schedule's storage (the Entry slice and the Schedule
-// struct itself) to the pool. Only the builder's owner may call it, and
-// only when no reader is left: the self-tuner releases the losing what-if
-// candidates after scoring, which never escape it, and every planning
-// driver releases the schedule its previous Plan returned once the next
-// Plan has built a different one — the moment the engine.Driver contract
-// ends the caller's claim on it. Double release panics; the entries are
-// wiped (which also keeps a pooled schedule from pinning finished jobs),
-// so a reader that outlived its claim finds Released true and nil jobs
-// rather than a plausible stale plan. The release-exactly-once discipline
-// (enforced by the double-release panics here and in Base.Release) is
-// what keeps an arena from serving two owners at once.
+// Release marks the schedule superseded: its owner is about to rebuild it
+// in place, so nobody may read it anymore. Only the owner may call it,
+// once per build: core.Lane marks every schedule of an event except the
+// one it hands out, and the one it handed out before once its replacement
+// exists — the moment the engine.Driver contract ends the caller's claim
+// on it. A second mark panics, which catches an owner that lost track of
+// its slots. The entries are wiped (which also keeps an idle slot from
+// pinning finished jobs), so a reader that outlived its claim finds
+// Released true and nil jobs rather than a plausible stale plan.
 func (s *Schedule) Release() {
 	if s.released {
 		panic("plan: Schedule released twice")
 	}
 	s.released = true
 	clear(s.Entries)
-	schedulePool.Put(s)
 }
 
-// Released reports whether the schedule has gone back to the pool and
-// must not be read anymore. The engine's invariant check and Verify use
-// it to turn a use-after-recycle into an error instead of a silently
-// wrong plan.
+// Released reports whether the schedule has been superseded and must not
+// be read anymore. The engine's invariant check and Verify use it to turn
+// a use after supersession into an error instead of a silently wrong plan.
 func (s *Schedule) Released() bool { return s.released }
 
 // PlannedSLDwA is the slowdown weighted by job area of the planned
@@ -332,12 +319,12 @@ func (s *Schedule) MaxEstimatedEnd() int64 {
 // Now and uses plain profile.EarliestFit, sharing nothing with the
 // builders' bounded search, so a start that is feasible but late (what an
 // unsound search bound would produce) fails here. Static, dynP and EASY
-// schedules all place in Entries order and satisfy it. A schedule that
-// was released to the pool fails outright. It is used by tests and by the
+// schedules all place in Entries order and satisfy it. A schedule its
+// owner has superseded fails outright. It is used by tests and by the
 // simulator's paranoid mode.
 func (s *Schedule) Verify(running []Running) error {
 	if s.released {
-		return fmt.Errorf("plan: schedule at %d under %v was released to the pool", s.Now, s.Policy)
+		return fmt.Errorf("plan: schedule at %d under %v was superseded", s.Now, s.Policy)
 	}
 	prof := profile.New(s.Capacity, s.Now)
 	for _, r := range running {

@@ -15,11 +15,13 @@ func mkJob(id job.ID, submit int64, width int, est int64) *job.Job {
 }
 
 // build is the one-shot build most tests here have as their subject: a
-// base per call and a full sort of the queue.
+// fresh base and schedule per call and a full sort of the queue.
 func build(now int64, capacity int, running []Running, waiting []*job.Job, p policy.Policy) *Schedule {
-	base := BuildBasePooled(now, capacity, running)
-	defer base.Release()
-	return BuildFromOrdered(base, policy.Order(p, waiting), p)
+	var base Base
+	base.Reset(now, capacity, running)
+	s := new(Schedule)
+	base.BuildInto(s, policy.Order(p, waiting), p)
+	return s
 }
 
 func startOf(s *Schedule, id job.ID) int64 {

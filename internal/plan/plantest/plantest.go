@@ -1,7 +1,7 @@
 // Package plantest is the naive oracle of the planner stack: the one
-// reference every fast path — pooled builders, spliced order views,
-// dominance-bounded hole searches, fused scores, the shared lane, the
-// daemon's delivery loop — is checked against, in lockstep, event by
+// reference every fast path — schedules rebuilt in place, spliced order
+// views, dominance-bounded hole searches, fused scores, the shared lane,
+// the daemon's delivery loop — is checked against, in lockstep, event by
 // event. It is test support, imported only from _test files.
 //
 // The behavioural contracts it checks:
@@ -22,9 +22,9 @@
 // what it checks: a full sort per policy per event, the array-of-structs
 // profiletest.Linear, an EarliestFit + Alloc pair per job with every
 // search started at now, schedules assembled by hand (so their Planned*
-// accessors walk the entries), no pools, no views, no witness bounds. It
-// does share policy.Order, the Policy orders themselves, core.Metric's
-// dispatch and the deciders: those have their own tests
+// accessors walk the entries), no reused storage, no views, no witness
+// bounds. It does share policy.Order, the Policy orders themselves,
+// core.Metric's dispatch and the deciders: those have their own tests
 // (policy.TestOrderMatchesSliceStable, the exhaustive decider tables).
 package plantest
 

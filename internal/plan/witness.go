@@ -13,7 +13,7 @@ package plan
 // eviction needs no care.
 
 const (
-	// witnessSlots bounds the table, which lives on BuildFromOrdered's stack.
+	// witnessSlots bounds the table, which lives on BuildInto's stack.
 	// Every job pays a consult of all slots and every recorded placement a
 	// pass over them, whether or not a bound ever applies (under LJF almost
 	// none can: each job is shorter than those before it). Measured on

@@ -9,7 +9,7 @@ import (
 )
 
 // QueueShape names one way of drawing a waiting queue. The shapes are the
-// inputs that stress the dominance proof behind BuildFromOrdered's search
+// inputs that stress the dominance proof behind BuildInto's search
 // bounds. The generators are exported to the oracle tests, which live in
 // package plan_test because plantest imports plan.
 type QueueShape int
@@ -129,9 +129,9 @@ func TestDecreasingEstimatesNeverBound(t *testing.T) {
 	r := rng.New(11)
 	const capacity, now = 64, 5000
 	ordered := policy.Order(policy.LJF, ShapedQueue(r, ShapeDecreasing, capacity, 300, now))
-	base := BuildBasePooled(now, capacity, BusyMachine(r, capacity, now))
+	var base Base
+	base.Reset(now, capacity, BusyMachine(r, capacity, now))
 	prof := base.Profile()
-	base.Release()
 	var proven witnesses
 	recorded := 0
 	for _, j := range ordered {

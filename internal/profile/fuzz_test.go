@@ -70,8 +70,8 @@ func (m *refModel) alloc(start int64, width int, dur int64) {
 // The fuzz input is decoded as (op, width, duration, earliest) bytes; the
 // op byte also says whether the Profile first moves to other storage — a
 // clone into a zero value, which must grow from nothing, or into a dirty
-// pooled destination holding stale steps in alternately more and less
-// storage than it needs — and carries on there, as the planner's pooled
+// reused destination holding stale steps in alternately more and less
+// storage than it needs — and carries on there, as the planner's reused
 // profiles do.
 func FuzzProfileVsReference(f *testing.F) {
 	f.Add([]byte{0x00}, uint8(8), uint8(3))

@@ -235,8 +235,8 @@ func (p *Profile) Clone() *Profile {
 
 // CloneInto makes dst an independent deep copy of p, reusing dst's storage
 // when it is large enough. A zero-value dst is valid. This is the
-// allocation-lean sibling of Clone: a pooled destination reaches a steady
-// state where cloning allocates nothing.
+// allocation-lean sibling of Clone: a destination kept across calls
+// reaches a steady state where cloning allocates nothing.
 func (p *Profile) CloneInto(dst *Profile) {
 	dst.capacity = p.capacity
 	dst.times = append(dst.times[:0], p.times...)

@@ -620,7 +620,7 @@ func TestLongRunKeepsSequence(t *testing.T) {
 	}
 }
 
-// TestSteadyStateAllocatesNothing pins the pool discipline the planner
+// TestSteadyStateAllocatesNothing pins the reuse the planner's lane
 // relies on: once a profile's storage has grown to its working size,
 // rebuilding on it (Reset + Place xN) and cloning onto it allocate
 // nothing.
@@ -651,7 +651,7 @@ func TestSteadyStateAllocatesNothing(t *testing.T) {
 		t.Errorf("CloneInto warmed storage: %v allocs, want 0", n)
 	}
 	// A clone that keeps building must settle too: the planner clones the
-	// base into a pooled profile and places the whole queue on it.
+	// base into its scratch profile and places the whole queue on it.
 	step := func() {
 		p.CloneInto(&dst)
 		for _, j := range jobs[:50] {

@@ -48,8 +48,8 @@ type Quote struct {
 // bytes is the only construction proven byte-identical to the live
 // tuner's decisions); what the pool recycles is the O(live jobs)
 // memory: the job arena the twin engine points into, the queue slices,
-// and the started-time map. Release discipline mirrors plan.Schedule:
-// exactly one release per acquire, double release panics.
+// and the started-time map. Exactly one release per acquire; a double
+// release panics.
 type twin struct {
 	jobs     []job.Job // arena backing every *job.Job handed to the twin engine
 	waiting  []*job.Job
@@ -71,7 +71,7 @@ func (s *Scheduler) acquireTwin() *twin {
 
 // release returns the twin's scratch state to the pool. Exactly once
 // per acquire: releasing twice would let two concurrent quotes share an
-// arena, so it panics loudly instead, like plan.Schedule.Release.
+// arena, so it panics loudly instead.
 func (tw *twin) release(s *Scheduler) {
 	if tw.released {
 		panic("rms: quote twin released twice")

@@ -33,10 +33,10 @@ func traceFingerprint(trace []core.Decision) string {
 // invariant that parallelism is an implementation detail that never
 // leaks into results. One contended workload is simulated at GOMAXPROCS
 // 1, 2 and 8, alone and as a batch through RunParallel with GOMAXPROCS
-// shards (all drawing from the shared plan pools). The schedule
-// fingerprint (every start and finish) and the full decider trace
-// (every decision's bit-exact candidate scores) must be byte-identical
-// across all three settings.
+// shards (sharing no planning storage: each driver owns its lane). The
+// schedule fingerprint (every start and finish) and the full decider
+// trace (every decision's bit-exact candidate scores) must be
+// byte-identical across all three settings.
 func TestDeterminismAcrossGOMAXPROCS(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 

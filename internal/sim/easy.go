@@ -17,6 +17,8 @@ import (
 type EASY struct {
 	// Base orders the queue; the original EASY scheduler uses FCFS.
 	Base policy.Policy
+
+	reserved plan.Base // the running jobs' reservations, reset per Plan
 }
 
 // Name implements Driver.
@@ -36,9 +38,8 @@ func (e *EASY) ActivePolicy() policy.Policy { return e.Base }
 // (the engine only acts on entries starting now, so those placements never
 // bind).
 func (e *EASY) Plan(now int64, capacity int, running []plan.Running, waiting []*job.Job) *plan.Schedule {
-	base := plan.BuildBasePooled(now, capacity, running)
-	prof := base.Profile()
-	base.Release()
+	e.reserved.Reset(now, capacity, running)
+	prof := e.reserved.Profile()
 	s := &plan.Schedule{Now: now, Capacity: capacity, Policy: e.Base,
 		Entries: make([]plan.Entry, 0, len(waiting))}
 

@@ -81,9 +81,9 @@ func TestStaticPolicyChangedInUse(t *testing.T) {
 }
 
 // TestRunParallelStaticDrivers puts twelve static simulations on eight
-// workers at once, every Plan drawing from and returning to the shared
-// plan pools, and requires each to equal its sequential run. Under -race
-// this is the cross-simulation pool traffic check.
+// workers at once and requires each to equal its sequential run.
+// Simulations share no planning storage — each driver's lane owns its
+// own — so under -race this checks that nothing else is shared either.
 func TestRunParallelStaticDrivers(t *testing.T) {
 	sets := parallelTestSets(t)
 	sets = append(sets, sets...)

@@ -63,6 +63,15 @@ type QueueTracker interface {
 	NoteRemove(j *job.Job)
 }
 
+// ObservingDriver is an optional Driver extension: a driver whose
+// decisions depend on watching the engine it plans for (the self-tuning
+// driver with an observer-driven decider) returns that observer, and New
+// attaches it after the option observers. A nil observer attaches
+// nothing, so plain drivers keep the allocation-free emit path.
+type ObservingDriver interface {
+	DeciderObserver() Observer
+}
+
 // FinishState says why a job left the machine.
 type FinishState int
 
@@ -147,6 +156,9 @@ func New(capacity int, driver Driver, start int64, opts ...Option) *Engine {
 	}
 	for _, o := range opts {
 		o(e)
+	}
+	if od, ok := driver.(ObservingDriver); ok {
+		e.AddObserver(od.DeciderObserver())
 	}
 	return e
 }
@@ -520,6 +532,9 @@ func (e *Engine) CheckInvariants() error {
 	for i, w := range e.waiting {
 		if got, ok := e.waitingIdx[w.ID]; !ok || got != i {
 			return fmt.Errorf("engine: waiting job %d at position %d indexed at %d", w.ID, i, got)
+		}
+		if i > 0 && w.Submit < e.waiting[i-1].Submit {
+			return fmt.Errorf("engine: waiting job %d (submitted t=%d) queued behind a later submission", w.ID, w.Submit)
 		}
 	}
 	if len(e.runningIdx) != len(e.running) {

@@ -17,6 +17,11 @@
 //     candidate planned as in BC-1, scored by walking the entries,
 //     decided by a second instance of the decider from the policy the
 //     naive tuner itself holds active.
+//   - BC-3. A system forked from saved state — a journal replayed into a
+//     fresh scheduler, a quote twin restored from a read snapshot —
+//     continues in lockstep from the restored state: every plan it makes
+//     holds to BC-1 and BC-2, its naive tuner taking the restored active
+//     policy at the restore, and a replay lands on the state it saved.
 //
 // The oracle is slow and obvious on purpose. It shares no mechanism with
 // what it checks: a full sort per policy per event, the array-of-structs
@@ -83,9 +88,11 @@ func SameSchedule(got, want *plan.Schedule) error {
 }
 
 // Tuner is the naive self-tuner (BC-2). It keeps its own active policy,
-// starting — like core.NewSelfTuner — at the first candidate, and is
-// never restarted: a system under test that is checkpointed and restored
-// mid-stream must come back agreeing with it.
+// starting — like core.NewSelfTuner — at the first candidate. Shared by
+// the drivers of a restarted stream, it is never restarted: a system
+// under test restored mid-stream must come back agreeing with it. A
+// fresh one behind a fresh lockstep driver instead takes the active
+// policy the driver restores (BC-3).
 type Tuner struct {
 	Candidates []policy.Policy
 	Decider    core.Decider // the oracle's own instance
@@ -135,6 +142,18 @@ type lockstep struct {
 type statefulLockstep struct {
 	*lockstep
 	engine.StatefulDriver
+}
+
+// RestoreState restores the wrapped driver, and the naive tuner takes
+// the active policy it restored (BC-3).
+func (d *statefulLockstep) RestoreState(data []byte) error {
+	if err := d.StatefulDriver.RestoreState(data); err != nil {
+		return err
+	}
+	if d.live != nil {
+		d.ref.Active = d.live.Active()
+	}
+	return nil
 }
 
 // Lockstep wraps a one-policy driver (BC-1 against its ActivePolicy).
@@ -287,6 +306,9 @@ func Run(t testing.TB, newDriver func() engine.Driver, data []byte) {
 				if err != nil {
 					t.Fatal(err)
 				}
+			}
+			if got, want := driver.ActivePolicy(), old.ActivePolicy(); got != want {
+				t.Fatalf("restart restored active policy %v, want %v", got, want)
 			}
 		}
 		if err := eng.Replan(); err != nil {

@@ -10,12 +10,15 @@
 package rms
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 
 	"dynp/internal/engine"
 	"dynp/internal/job"
 	"dynp/internal/plan"
 	"dynp/internal/policy"
+	"dynp/internal/sim"
 )
 
 // captureCheckpointLocked serialises the current scheduler state as a
@@ -62,12 +65,12 @@ func (s *Scheduler) captureCheckpointLocked(events int64) (checkpointState, erro
 }
 
 // restoreCheckpoint installs a checkpoint into a virgin scheduler (fresh
-// from New, nothing submitted). The finished history is refolded into
-// the report aggregates in its original finish order, the engine's
-// machine state is rebuilt (priming the driver's queue tracker), and
-// driver and observer state reinstalled; replayed tail events then take
-// it from there. No replanning happens here — the checkpointed plan is
-// the one that was in force.
+// from New, nothing submitted). It checks the image read from disk,
+// reinstalls the job infos, refolds the finished history into the report
+// aggregates in its original finish order and restores observer state;
+// restoreEngine does the rest. Replayed tail events then take it from
+// there. No replanning happens here — the checkpointed plan is the one
+// that was in force.
 func (s *Scheduler) restoreCheckpoint(cs *checkpointState) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -75,63 +78,81 @@ func (s *Scheduler) restoreCheckpoint(cs *checkpointState) error {
 	if s.nextID != 0 || len(s.done) != 0 {
 		return fmt.Errorf("rms: checkpoint restore on a non-virgin scheduler")
 	}
-
-	install := func(info JobInfo) (*JobInfo, error) {
-		if info.ID < 1 || int64(info.ID) > cs.NextID {
-			return nil, fmt.Errorf("rms: checkpoint job %d outside the issued ID range", info.ID)
+	install := func(infos []JobInfo, what string, states ...JobState) error {
+		for _, info := range infos {
+			if !slices.Contains(states, info.State) {
+				return fmt.Errorf("rms: checkpoint %s job %d in state %s", what, info.ID, info.State)
+			}
+			if info.ID < 1 || int64(info.ID) > cs.NextID {
+				return fmt.Errorf("rms: checkpoint job %d outside the issued ID range", info.ID)
+			}
+			if _, dup := s.infos[info.ID]; dup {
+				return fmt.Errorf("rms: checkpoint lists job %d twice", info.ID)
+			}
+			cp := info
+			s.infos[info.ID] = &cp
 		}
-		if _, dup := s.infos[info.ID]; dup {
-			return nil, fmt.Errorf("rms: checkpoint lists job %d twice", info.ID)
-		}
-		cp := info
-		s.infos[info.ID] = &cp
-		return &cp, nil
+		return nil
 	}
-
+	if err := install(cs.Done, "done", StateCompleted, StateKilled, StateFailed); err != nil {
+		return err
+	}
+	if err := install(cs.Waiting, "waiting", StateWaiting); err != nil {
+		return err
+	}
+	if err := install(cs.Running, "running", StateRunning); err != nil {
+		return err
+	}
 	for i, d := range cs.Done {
-		if d.State != StateCompleted && d.State != StateKilled && d.State != StateFailed {
-			return fmt.Errorf("rms: checkpoint done job %d in state %s", d.ID, d.State)
-		}
-		if _, err := install(d); err != nil {
-			return err
-		}
 		s.done = append(s.done, d)
 		s.agg.add(d)
 		s.doneIdx[d.ID] = i
 	}
+	if err := restoreEngine(s.eng, s.driver, cs); err != nil {
+		return fmt.Errorf("rms: checkpoint restore: %w", err)
+	}
+	s.nextID = job.ID(cs.NextID)
+	for _, os := range cs.Observers {
+		for _, so := range s.stateful {
+			if so.StateKey() == os.Key {
+				if err := so.RestoreState(os.State); err != nil {
+					return fmt.Errorf("rms: checkpoint observer %q state: %w", os.Key, err)
+				}
+				break
+			}
+		}
+	}
+	return nil
+}
 
-	// The engine job objects behind the live infos. The run time is
-	// unknown online; like Submit, the planner never reads it.
-	mkJob := func(info JobInfo) *job.Job {
-		return &job.Job{
+// restoreEngine forks a job image into a virgin engine planning with
+// driver: the one step both checkpoint restore and quote twins take. It
+// rebuilds the live jobs into one arena — waiting jobs in ascending ID
+// order, which is submission order since IDs are issued monotonically —
+// installs the plan, restores the driver's decision state and hands the
+// machine state to the engine, priming the driver's queue tracker. The
+// run time is unknown online; like Submit, Runtime is the estimate, which
+// the planner never reads and at which the engine kills.
+func restoreEngine(eng *engine.Engine, driver sim.Driver, cs *checkpointState) error {
+	arena := make([]job.Job, 0, len(cs.Waiting)+len(cs.Running))
+	byID := make(map[job.ID]*job.Job, cap(arena))
+	mk := func(info JobInfo) *job.Job {
+		arena = append(arena, job.Job{
 			ID: info.ID, Submit: info.Submitted, Width: info.Width,
 			Estimate: info.Estimate, Runtime: info.Estimate,
-		}
-	}
-	byID := make(map[job.ID]*job.Job, len(cs.Waiting)+len(cs.Running))
-	var waiting []*job.Job
-	for _, info := range cs.Waiting {
-		if info.State != StateWaiting {
-			return fmt.Errorf("rms: checkpoint waiting job %d in state %s", info.ID, info.State)
-		}
-		if _, err := install(info); err != nil {
-			return err
-		}
-		j := mkJob(info)
-		waiting = append(waiting, j)
+		})
+		j := &arena[len(arena)-1]
 		byID[j.ID] = j
+		return j
 	}
-	var running []plan.Running
-	for _, info := range cs.Running {
-		if info.State != StateRunning {
-			return fmt.Errorf("rms: checkpoint running job %d in state %s", info.ID, info.State)
-		}
-		if _, err := install(info); err != nil {
-			return err
-		}
-		j := mkJob(info)
-		running = append(running, plan.Running{Job: j, Start: info.Started})
-		byID[j.ID] = j
+	waiting := make([]*job.Job, len(cs.Waiting))
+	for i, info := range cs.Waiting {
+		waiting[i] = mk(info)
+	}
+	slices.SortFunc(waiting, func(a, b *job.Job) int { return cmp.Compare(a.ID, b.ID) })
+	running := make([]plan.Running, len(cs.Running))
+	for i, info := range cs.Running {
+		running[i] = plan.Running{Job: mk(info), Start: info.Started}
 	}
 
 	var sched *plan.Schedule
@@ -140,7 +161,7 @@ func (s *Scheduler) restoreCheckpoint(cs *checkpointState) error {
 		if cs.Plan.Policy != "" {
 			var err error
 			if pol, err = policy.Lookup(cs.Plan.Policy); err != nil {
-				return fmt.Errorf("rms: checkpoint plan references a policy this process does not know: %w (register it before restoring)", err)
+				return fmt.Errorf("plan references a policy this process does not know: %w (register it before restoring)", err)
 			}
 		}
 		sched = &plan.Schedule{Now: cs.Plan.Now, Capacity: cs.Plan.Capacity, Policy: pol}
@@ -156,36 +177,21 @@ func (s *Scheduler) restoreCheckpoint(cs *checkpointState) error {
 		}
 	}
 
-	if err := s.eng.RestoreState(engine.State{
+	if len(cs.Driver) > 0 {
+		sd, ok := driver.(engine.StatefulDriver)
+		if !ok {
+			return fmt.Errorf("image carries driver state but %s cannot restore it", driver.Name())
+		}
+		if err := sd.RestoreState(cs.Driver); err != nil {
+			return fmt.Errorf("driver state: %w", err)
+		}
+	}
+	return eng.RestoreState(engine.State{
 		Now:      cs.Now,
 		Failed:   cs.Failed,
 		Finished: len(cs.Done),
 		Waiting:  waiting,
 		Running:  running,
 		Plan:     sched,
-	}); err != nil {
-		return fmt.Errorf("rms: checkpoint restore: %w", err)
-	}
-	s.nextID = job.ID(cs.NextID)
-
-	if len(cs.Driver) > 0 {
-		sd, ok := s.driver.(engine.StatefulDriver)
-		if !ok {
-			return fmt.Errorf("rms: checkpoint carries driver state but %s cannot restore it", s.driver.Name())
-		}
-		if err := sd.RestoreState(cs.Driver); err != nil {
-			return fmt.Errorf("rms: checkpoint driver state: %w", err)
-		}
-	}
-	for _, os := range cs.Observers {
-		for _, so := range s.stateful {
-			if so.StateKey() == os.Key {
-				if err := so.RestoreState(os.State); err != nil {
-					return fmt.Errorf("rms: checkpoint observer %q state: %w", os.Key, err)
-				}
-				break
-			}
-		}
-	}
-	return nil
+	})
 }

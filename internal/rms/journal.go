@@ -347,6 +347,11 @@ type Journal struct {
 	header  *journalHeader // genesis configuration; nil until known
 	valid   int64          // validated length of the active segment at open
 	records int            // valid records in the active segment at open
+	// activeCkpt: the active segment is headed by a valid checkpoint —
+	// validated at open, set by every rotation. Its header's promise is
+	// not enough: a checkpoint corrupt at open leaves recovery resting on
+	// an older segment that Compact must keep.
+	activeCkpt bool
 
 	appended        bool
 	events          int64 // events since genesis folded into the log
@@ -526,6 +531,7 @@ func (j *Journal) recover() error {
 	j.records = 1 + len(sc.events)
 	if sc.ckpt != nil {
 		j.records++
+		j.activeCkpt = true
 	}
 	return j.countEvents(&sc, rot)
 }
@@ -768,6 +774,7 @@ func (j *Journal) rotateLocked(cs *checkpointState) {
 	j.f = nf
 	j.w = bufio.NewWriter(nf)
 	j.seg++
+	j.activeCkpt = false // until the checkpoint below is durable
 	h := *j.header
 	h.Segment = j.seg
 	h.Checkpoint = true
@@ -798,6 +805,7 @@ func (j *Journal) rotateLocked(cs *checkpointState) {
 		return
 	}
 	j.sinceCheckpoint = 0
+	j.activeCkpt = true
 	if j.keep >= 0 {
 		// The checkpoint just became durable; retire history beyond the
 		// retention bound. Failure to delete is not fatal to the journal.
@@ -818,7 +826,7 @@ func (j *Journal) Compact(keep int) (int, error) {
 		return 0, nil
 	}
 	rung := -1
-	if j.activeHasCheckpointLocked() {
+	if j.activeCkpt {
 		rung = j.seg
 	} else {
 		rot, err := j.rotatedSegments()
@@ -836,17 +844,6 @@ func (j *Journal) Compact(keep int) (int, error) {
 		return 0, nil // no durable checkpoint; everything is still needed
 	}
 	return j.compactLocked(keep, rung)
-}
-
-// activeHasCheckpointLocked reports whether the active segment is
-// headed by a checkpoint. Callers hold j.mu.
-func (j *Journal) activeHasCheckpointLocked() bool {
-	if j.activeScan != nil {
-		return j.activeScan.ckpt != nil
-	}
-	// After appends the cached scan is gone, but the segment structure
-	// cannot have changed: the header written at rotation promised it.
-	return j.header != nil && j.header.Checkpoint && j.seg > 0 && j.sinceCheckpoint < int(j.events)+1
 }
 
 // compactLocked deletes rotated segments with sequence numbers below

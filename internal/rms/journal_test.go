@@ -154,34 +154,6 @@ func TestJournalReplayEquivalence(t *testing.T) {
 	}
 }
 
-func TestJournalReplayThenContinue(t *testing.T) {
-	// A replayed scheduler must accept new journaled events and replay
-	// again to the same state: the crash/restart cycle is closed.
-	live, j, path := journaledScheduler(t, 8, 3)
-	driveRandomEvents(t, live, 7, 40)
-	j.Close()
-
-	restarted, j2, _, err := replayFresh(t, path, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := restarted.SetJournal(j2); err != nil {
-		t.Fatal(err)
-	}
-	driveRandomEvents(t, restarted, 8, 40)
-	want := fingerprint(t, restarted)
-	j2.Close()
-
-	again, j3, _, err := replayFresh(t, path, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer j3.Close()
-	if got := fingerprint(t, again); got != want {
-		t.Errorf("second-generation replay diverges\nlive:     %s\nreplayed: %s", want, got)
-	}
-}
-
 func TestJournalRecoversTruncatedTail(t *testing.T) {
 	live, j, path := journaledScheduler(t, 8, 0)
 	driveRandomEvents(t, live, 3, 30)

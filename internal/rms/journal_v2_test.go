@@ -122,6 +122,42 @@ func TestJournalLadderFallback(t *testing.T) {
 
 func itoa(n int) string { return strconv.Itoa(n) }
 
+// TestJournalCompactAfterLadderFallback: when the active segment's
+// checkpoint was corrupt at open, the rung recovery rests on is an older
+// segment — appending must not make Compact mistake the active segment
+// for a durable checkpoint and delete that rung.
+func TestJournalCompactAfterLadderFallback(t *testing.T) {
+	live, j, path := journaledScheduler(t, 8, 5)
+	driveRandomEvents(t, live, 0xabc, 60)
+	j.Close()
+	corruptSegmentRecord(t, path, 1)
+
+	s, j1, _, err := replayFresh(t, path, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.SetJournal(j1); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Advance(s.Now() + 1); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := j1.Compact(0); err != nil {
+		t.Fatal(err)
+	}
+	want := fingerprint(t, s)
+	j1.Close()
+
+	again, j2, _, err := replayFresh(t, path, 8)
+	if err != nil {
+		t.Fatalf("replay after compacting a fallen-back journal: %v", err)
+	}
+	j2.Close()
+	if got := fingerprint(t, again); got != want {
+		t.Errorf("replay after compaction diverges\nlive: %s\ngot:  %s", want, got)
+	}
+}
+
 // TestJournalCompact: compaction retires segments the newest durable
 // checkpoint makes redundant — fast replay keeps working, the genesis
 // audit honestly refuses.

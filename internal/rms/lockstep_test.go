@@ -1,6 +1,8 @@
 package rms
 
 import (
+	"encoding/json"
+	"path/filepath"
 	"testing"
 
 	"dynp/internal/core"
@@ -10,20 +12,67 @@ import (
 	"dynp/internal/sim"
 )
 
+// lockstepFactory builds one self-checking driver for the daemon streams:
+// the lockstep wrapper, plus — for a self-tuning one — the wrapped dynP
+// driver and the naive tuner it is held to (nil for a static driver).
+type lockstepFactory func() (sim.Driver, *sim.DynP, *plantest.Tuner)
+
 // runDeliverLockstep feeds a plantest event stream — two bytes an event —
 // through the daemon's entry points, with a lockstep driver inside the
 // Scheduler: every plan the daemon makes, including those of the sweep
 // Deliver performs on its way to a later instant, is checked against the
 // naive oracle, and the scheduler's invariants after every event. The
 // ops mirror plantest.Run's; a daemon assigns its own IDs, so a cancelled
-// job is re-submitted under a fresh one, and the restart op becomes what
-// only a daemon has: one batch completing a job and submitting another at
-// the same later instant.
-func runDeliverLockstep(t *testing.T, driver sim.Driver, data []byte) {
-	s, err := New(plantest.Capacity, driver, 0)
-	if err != nil {
-		t.Fatal(err)
+// job is re-submitted under a fresh one, and op 7 splits into what only a
+// daemon has, both forks of BC-3 among them:
+//
+//   - a restart: the journal (checkpointing every few events) is closed
+//     and replayed into a fresh Scheduler with a fresh lockstep driver,
+//     which must land on the pre-crash fingerprint, checkpoint image
+//     (plan and driver state included) and naive active policy, and the
+//     stream continues on it;
+//   - a quote, whose twin plans with a lockstep driver from the quote
+//     factory and must have continued from the live tuner's state;
+//   - one batch completing a job and submitting another at the same later
+//     instant.
+func runDeliverLockstep(t *testing.T, newDriver lockstepFactory, lanes *plantest.Lanes, data []byte) {
+	path := filepath.Join(t.TempDir(), "events.journal")
+	var (
+		s         *Scheduler
+		j         *Journal
+		live, tw  *sim.DynP
+		ref       *plantest.Tuner
+		twinMaker = func() sim.Driver {
+			drv, d, _ := newDriver()
+			tw = d
+			return drv
+		}
+	)
+	start := func() {
+		var drv sim.Driver
+		drv, live, ref = newDriver()
+		var err error
+		if s, err = New(plantest.Capacity, drv, 0); err != nil {
+			t.Fatal(err)
+		}
+		if j, err = OpenJournal(path); err != nil {
+			t.Fatal(err)
+		}
+		j.SetSnapshotEvery(4)
+		j.SetKeep(1)
+		if _, err = j.Replay(s); err == nil {
+			err = s.SetJournal(j)
+		}
+		if err == nil {
+			err = s.EnableQuotes(twinMaker)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
 	}
+	start()
+	defer func() { j.Close() }()
+
 	for i := 0; i+1 < len(data); i += 2 {
 		op, arg := data[i], data[i+1]
 		width, est := plantest.SubmitShape(arg)
@@ -52,14 +101,51 @@ func runDeliverLockstep(t *testing.T, driver sim.Driver, data []byte) {
 				err = s.Restore(1 + int(arg/2)%st.FailedProcs)
 			}
 		case 7:
-			at := st.Now + int64(arg)
-			var done []job.ID
-			if n := len(st.Running); n > 0 {
-				if r := st.Running[int(arg)%n]; r.Started+r.Estimate > at { // still running then
-					done = []job.ID{r.ID}
+			switch arg % 4 {
+			case 0:
+				want, wantImage := fingerprint(t, s), checkpointImage(t, s)
+				var wantActive policy.Policy
+				if ref != nil {
+					wantActive = ref.Active
 				}
+				if err = j.Close(); err != nil {
+					break
+				}
+				start()
+				if got := fingerprint(t, s); got != want {
+					t.Fatalf("event %d: replayed state diverges\nlive:     %s\nreplayed: %s", i/2, want, got)
+				}
+				if got := checkpointImage(t, s); got != wantImage {
+					t.Fatalf("event %d: replayed checkpoint image diverges\nlive:     %s\nreplayed: %s", i/2, wantImage, got)
+				}
+				if ref != nil && ref.Active != wantActive {
+					t.Fatalf("event %d: naive tuner restarted on %v, want %v", i/2, ref.Active, wantActive)
+				}
+			case 1:
+				count := 1 + int(arg/4)%3
+				tw = nil
+				plans := lanes.View + lanes.Sort
+				var qs []Quote
+				if qs, err = s.Quote(width, est, count); err == nil && len(qs) != count {
+					t.Fatalf("event %d: %d quotes for %d replicas", i/2, len(qs), count)
+				}
+				if tw != nil && live != nil {
+					twinPlans := lanes.View + lanes.Sort - plans
+					if got, want := tw.Stats().Steps, live.Stats().Steps+twinPlans; got != want {
+						t.Fatalf("event %d: twin tuner took %d steps after %d plans, want the live tuner's %d plus them",
+							i/2, got, twinPlans, live.Stats().Steps)
+					}
+				}
+			default:
+				at := st.Now + int64(arg)
+				var done []job.ID
+				if n := len(st.Running); n > 0 {
+					if r := st.Running[int(arg)%n]; r.Started+r.Estimate > at { // still running then
+						done = []job.ID{r.ID}
+					}
+				}
+				_, err = s.Deliver(at, done, sub)
 			}
-			_, err = s.Deliver(at, done, sub)
 		}
 		if err == nil {
 			err = s.CheckInvariants()
@@ -70,17 +156,60 @@ func runDeliverLockstep(t *testing.T, driver sim.Driver, data []byte) {
 	}
 }
 
-// TestDeliverLockstep holds the daemon to BC-1 and BC-2: the seeded
+// checkpointImage is what a checkpoint of s would hold — plan and
+// driver state included — as JSON.
+func checkpointImage(t *testing.T, s *Scheduler) string {
+	s.mu.Lock()
+	cs, err := s.captureCheckpointLocked(0)
+	s.mu.Unlock()
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := json.Marshal(&cs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(b)
+}
+
+// TestDeliverLockstep holds the daemon to BC-1, BC-2 and BC-3: the seeded
 // streams of the simulator's lockstep tests, through Deliver, Submit,
-// Cancel, Fail and Restore, under a static driver and a self-tuning one.
-// Both lanes — spliced views and full-sort fallback — must have planned.
+// Cancel, Fail, Restore, journal restarts and quote twins, under a static
+// driver and two self-tuning ones. Both lanes — spliced views and
+// full-sort fallback — must have planned, and every stream must have
+// restarted and quoted.
 func TestDeliverLockstep(t *testing.T) {
 	var lanes plantest.Lanes
+	static := func() (sim.Driver, *sim.DynP, *plantest.Tuner) {
+		return plantest.Lockstep(t, &sim.Static{Policy: policy.SJF}, &lanes), nil, nil
+	}
+	tuner := func(newDecider func() core.Decider) lockstepFactory {
+		return func() (sim.Driver, *sim.DynP, *plantest.Tuner) {
+			d := sim.NewDynP(newDecider())
+			ref := plantest.NewTuner(newDecider(), core.MetricSLDwA)
+			return plantest.TunerLockstep(t, d, d.Tuner, ref, &lanes), d, ref
+		}
+	}
 	for seed := uint64(0); seed < 3; seed++ {
-		runDeliverLockstep(t, plantest.Lockstep(t, &sim.Static{Policy: policy.SJF}, &lanes), plantest.Stream(seed))
-		d := sim.NewDynP(core.Preferred{Policy: policy.SJF})
-		ref := plantest.NewTuner(core.Preferred{Policy: policy.SJF}, core.MetricSLDwA)
-		runDeliverLockstep(t, plantest.TunerLockstep(t, d, d.Tuner, ref, &lanes), plantest.Stream(seed))
+		data := plantest.Stream(seed)
+		var restarts, quotes int
+		for i := 0; i+1 < len(data); i += 2 {
+			if data[i]%8 == 7 && data[i+1]%4 == 0 {
+				restarts++
+			} else if data[i]%8 == 7 && data[i+1]%4 == 1 {
+				quotes++
+			}
+		}
+		if restarts == 0 || quotes == 0 {
+			t.Fatalf("stream %d restarts %d times and quotes %d times; it must do both", seed, restarts, quotes)
+		}
+		for _, newDriver := range []lockstepFactory{
+			static,
+			tuner(func() core.Decider { return core.Preferred{Policy: policy.SJF} }),
+			tuner(func() core.Decider { return core.Advanced{} }),
+		} {
+			runDeliverLockstep(t, newDriver, &lanes, data)
+		}
 	}
 	if lanes.View == 0 || lanes.Sort == 0 {
 		t.Errorf("%d plans read the views, %d sorted in full; the streams must reach both", lanes.View, lanes.Sort)

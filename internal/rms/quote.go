@@ -1,15 +1,17 @@
 // The digital-twin quote service: "when will my job start?" answered at
 // high QPS without touching live scheduling state.
 //
-// A quote forks the scheduler's current state into a pooled twin — a
-// fresh engine + driver seeded from the lock-free read snapshot — then
-// injects the hypothetical job(s) and runs the twin forward through
-// kills, launches and self-tuning policy switches until every
-// hypothetical has started. The twin never shares mutable state with
-// the live engine: jobs are rebuilt from the snapshot's JobInfos
-// (exactly as checkpoint restore does), and the tuner's decision state
-// travels as the serialized bytes the snapshot captured under the
-// scheduling lock. Quotes therefore read like any other snapshot
+// A quote is a checkpoint restore without the history: the lock-free
+// read snapshot already holds the clock, the failed processors, the live
+// jobs and the driver's serialized decision state, so the quote forks it
+// through restoreEngine — the step journal replay takes — into a fresh
+// engine and a fresh driver from the quote factory, then injects the
+// hypothetical job(s) and runs the twin forward through kills, launches
+// and self-tuning policy switches until every hypothetical has started.
+// The twin never shares mutable state with the live engine: its jobs are
+// rebuilt from the snapshot's JobInfos into an arena of its own, and the
+// tuner's decision state travels as the bytes the snapshot captured under
+// the scheduling lock. Quotes therefore read like any other snapshot
 // consumer — a storm of them never delays a mutator — and the twin's
 // forward run is honest: on a quiescent scheduler the quoted start
 // equals the realized start of the same job submitted for real (see
@@ -18,11 +20,9 @@ package rms
 
 import (
 	"fmt"
-	"sort"
 
 	"dynp/internal/engine"
 	"dynp/internal/job"
-	"dynp/internal/plan"
 	"dynp/internal/sim"
 )
 
@@ -41,50 +41,6 @@ type Quote struct {
 	Start    int64 `json:"start"`
 	Finish   int64 `json:"finish"`
 	Wait     int64 `json:"wait"`
-}
-
-// twin is one reusable digital-twin scratch state. The engine and
-// driver are rebuilt per quote (a fresh driver restored from snapshot
-// bytes is the only construction proven byte-identical to the live
-// tuner's decisions); what the pool recycles is the O(live jobs)
-// memory: the job arena the twin engine points into, the queue slices,
-// and the started-time map. Exactly one release per acquire; a double
-// release panics.
-type twin struct {
-	jobs     []job.Job // arena backing every *job.Job handed to the twin engine
-	waiting  []*job.Job
-	running  []plan.Running
-	started  map[job.ID]int64 // hypothetical job ID -> realized twin start
-	released bool
-}
-
-// acquireTwin takes a twin from the pool (or builds one) and counts it
-// live for leak detection.
-func (s *Scheduler) acquireTwin() *twin {
-	s.twinsLive.Add(1)
-	if tw, ok := s.twinPool.Get().(*twin); ok {
-		tw.released = false
-		return tw
-	}
-	return &twin{started: make(map[job.ID]int64)}
-}
-
-// release returns the twin's scratch state to the pool. Exactly once
-// per acquire: releasing twice would let two concurrent quotes share an
-// arena, so it panics loudly instead.
-func (tw *twin) release(s *Scheduler) {
-	if tw.released {
-		panic("rms: quote twin released twice")
-	}
-	tw.released = true
-	tw.jobs = tw.jobs[:0]
-	tw.waiting = tw.waiting[:0]
-	tw.running = tw.running[:0]
-	for id := range tw.started {
-		delete(tw.started, id)
-	}
-	s.twinPool.Put(tw)
-	s.twinsLive.Add(-1)
 }
 
 // EnableQuotes switches the quote service on: newDriver must build a
@@ -122,9 +78,9 @@ func (s *Scheduler) EnableQuotes(newDriver func() sim.Driver) error {
 // effective capacity gets the NeverStart sentinel in all three fields.
 //
 // Quote never takes the scheduling lock: it forks the latest read
-// snapshot into a pooled digital twin and runs the twin forward under
-// the live tuner's decision state. It is safe for any number of
-// concurrent callers.
+// snapshot into a digital twin and runs the twin forward under the live
+// tuner's decision state. It is safe for any number of concurrent
+// callers.
 func (s *Scheduler) Quote(width int, estimate int64, count int) ([]Quote, error) {
 	if !s.quotesOn.Load() {
 		return nil, fmt.Errorf("rms: quotes not enabled on this scheduler")
@@ -162,100 +118,46 @@ func (s *Scheduler) Quote(width int, estimate int64, count int) ([]Quote, error)
 		}
 		return out, nil
 	}
-	tw := s.acquireTwin()
-	defer tw.release(s)
-	return s.runTwin(tw, snap, width, estimate, count)
+	return runTwin(snap, s.quoteNew(), width, estimate, count)
 }
 
-// QuoteTwinsLive reports the twins currently checked out of the pool; a
-// quiescent scheduler always reads 0. It exists for leak tests and
-// operational gauges.
-func (s *Scheduler) QuoteTwinsLive() int64 { return s.twinsLive.Load() }
-
-// runTwin seeds a twin engine from the snapshot, injects count
-// hypothetical jobs, and runs the twin forward until they all started.
-func (s *Scheduler) runTwin(tw *twin, snap *readSnapshot, width int, estimate int64, count int) ([]Quote, error) {
+// runTwin restores the snapshot, as a checkpoint without history, into a
+// fresh engine planning with drv, injects count hypothetical jobs, and
+// runs the twin forward until they all started.
+func runTwin(snap *readSnapshot, drv sim.Driver, width int, estimate int64, count int) ([]Quote, error) {
 	st := &snap.status
-
-	drv := s.quoteNew()
-	if len(snap.driverState) > 0 {
-		sd, ok := drv.(engine.StatefulDriver)
-		if !ok {
-			return nil, fmt.Errorf("rms: quote: snapshot carries driver state but %s cannot restore it", drv.Name())
-		}
-		if err := sd.RestoreState(snap.driverState); err != nil {
-			return nil, fmt.Errorf("rms: quote: driver state: %w", err)
+	cs := checkpointState{Now: st.Now, Failed: st.FailedProcs,
+		Waiting: st.Waiting, Running: st.Running, Driver: snap.driverState}
+	for _, infos := range [][]JobInfo{st.Waiting, st.Running} {
+		for _, info := range infos {
+			cs.NextID = max(cs.NextID, int64(info.ID))
 		}
 	}
-
-	// Rebuild the live jobs into the twin's arena, exactly as checkpoint
-	// restore does: the run time is unknown online, so Runtime=Estimate
-	// and the twin kills at the estimate — the same guarantee the real
-	// RMS enforces. The arena never aliases live scheduler memory.
-	need := len(st.Waiting) + len(st.Running) + count
-	if cap(tw.jobs) < need {
-		tw.jobs = make([]job.Job, 0, need)
-	}
-	mk := func(info JobInfo) *job.Job {
-		tw.jobs = append(tw.jobs, job.Job{
-			ID: info.ID, Submit: info.Submitted, Width: info.Width,
-			Estimate: info.Estimate, Runtime: info.Estimate,
-		})
-		return &tw.jobs[len(tw.jobs)-1]
-	}
-	var maxID job.ID
-	for _, info := range st.Waiting {
-		tw.waiting = append(tw.waiting, mk(info))
-		if info.ID > maxID {
-			maxID = info.ID
-		}
-	}
-	// The snapshot orders waiting jobs by planned start; the engine wants
-	// submission order, which is ID order (IDs are issued monotonically).
-	sort.Slice(tw.waiting, func(i, j int) bool { return tw.waiting[i].ID < tw.waiting[j].ID })
-	for _, info := range st.Running {
-		tw.running = append(tw.running, plan.Running{Job: mk(info), Start: info.Started})
-		if info.ID > maxID {
-			maxID = info.ID
-		}
-	}
-
-	engOpts := []engine.Option{engine.WithHooks(engine.Hooks{
+	// IDs of the hypotheticals continue past the highest live ID,
+	// preserving every policy tie-break against the live jobs — the real
+	// submission would draw an ID at least this high, and all orderings
+	// only compare IDs, never read their value.
+	hypBase := job.ID(cs.NextID)
+	started := make(map[job.ID]int64, count)
+	eng := engine.New(st.Capacity, drv, st.Now, engine.WithHooks(engine.Hooks{
 		Started: func(j *job.Job, now int64) {
-			if j.ID > maxID {
-				tw.started[j.ID] = now
+			if j.ID > hypBase {
+				started[j.ID] = now
 			}
 		},
-	})}
-	// Observer-driven deciders watch the engine they decide for, in the
-	// twin exactly as in the live scheduler (see New).
-	if dp, ok := drv.(*sim.DynP); ok {
-		if o := dp.DeciderObserver(); o != nil {
-			engOpts = append(engOpts, engine.WithObserver(o))
-		}
-	}
-	eng := engine.New(st.Capacity, drv, st.Now, engOpts...)
-	if err := eng.RestoreState(engine.State{
-		Now:     st.Now,
-		Failed:  st.FailedProcs,
-		Waiting: tw.waiting,
-		Running: tw.running,
-	}); err != nil {
-		return nil, fmt.Errorf("rms: quote: twin restore: %w", err)
+	}))
+	if err := restoreEngine(eng, drv, &cs); err != nil {
+		return nil, fmt.Errorf("rms: quote: %w", err)
 	}
 
 	// Inject the hypotheticals one by one, each with its own replanning
-	// step, mirroring real back-to-back submissions. IDs continue past
-	// the highest live ID, preserving every policy tie-break against the
-	// live jobs — the real submission would draw an ID at least this
-	// high, and all orderings only compare IDs, never read their value.
-	hypBase := maxID
-	for i := 0; i < count; i++ {
-		tw.jobs = append(tw.jobs, job.Job{
-			ID: hypBase + 1 + job.ID(i), Submit: st.Now, Width: width,
-			Estimate: estimate, Runtime: estimate,
-		})
-		eng.Submit(&tw.jobs[len(tw.jobs)-1])
+	// step, mirroring real back-to-back submissions. Their arena is sized
+	// once, so the pointers the engine holds stay stable.
+	hyp := make([]job.Job, count)
+	for i := range hyp {
+		hyp[i] = job.Job{ID: hypBase + 1 + job.ID(i), Submit: st.Now, Width: width,
+			Estimate: estimate, Runtime: estimate}
+		eng.Submit(&hyp[i])
 		if err := eng.Replan(); err != nil {
 			return nil, fmt.Errorf("rms: quote: twin replan: %w", err)
 		}
@@ -268,8 +170,8 @@ func (s *Scheduler) runTwin(tw *twin, snap *readSnapshot, width int, estimate in
 	// at all. The generous cap only guards against a rogue registered
 	// driver planning nonsense forever — every event starts or finishes a
 	// job, so an honest run takes at most ~2 actions per job.
-	limit := 4*need + 64
-	for iters := 0; len(tw.started) < count; iters++ {
+	limit := 4*(len(st.Waiting)+len(st.Running)+count) + 64
+	for iters := 0; len(started) < count; iters++ {
 		if iters > limit {
 			return nil, fmt.Errorf("rms: quote: twin did not converge within %d steps", limit)
 		}
@@ -297,7 +199,7 @@ func (s *Scheduler) runTwin(tw *twin, snap *readSnapshot, width int, estimate in
 	for i := range out {
 		q := Quote{Width: width, Estimate: estimate,
 			Start: NeverStart, Finish: NeverStart, Wait: NeverStart}
-		if start, ok := tw.started[hypBase+1+job.ID(i)]; ok {
+		if start, ok := started[hypBase+1+job.ID(i)]; ok {
 			q.Start = start
 			q.Finish = start + estimate
 			q.Wait = start - st.Now

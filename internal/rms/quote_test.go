@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"dynp/internal/adaptive"
 	"dynp/internal/core"
 	"dynp/internal/job"
 	"dynp/internal/policy"
@@ -18,13 +19,16 @@ import (
 	"dynp/internal/sim"
 )
 
-// quoteDeciders enumerates the paper's three decider mechanisms; the
-// honesty guarantee must hold for every one of them.
+// quoteDeciders enumerates the paper's three decider mechanisms plus an
+// observer-driven one, whose observed state the twin must restore and
+// whose observer the twin's engine must attach; the honesty guarantee
+// must hold for every one of them.
 func quoteDeciders() map[string]func() sim.Driver {
 	return map[string]func() sim.Driver{
 		"simple":        func() sim.Driver { return sim.NewDynP(core.Simple{}) },
 		"advanced":      func() sim.Driver { return sim.NewDynP(core.Advanced{}) },
 		"SJF-preferred": func() sim.Driver { return sim.NewDynP(core.Preferred{Policy: policy.SJF}) },
+		"adaptive":      func() sim.Driver { return sim.NewDynP(adaptive.Must(policy.SJF, 4, 2)) },
 	}
 }
 
@@ -81,7 +85,7 @@ func driveUntilDone(t *testing.T, s *Scheduler, id job.ID) JobInfo {
 // TestQuoteHonesty is the differential guarantee of the quote service:
 // on a quiescent scheduler (no further external submissions), the quote
 // for a job equals the realized start of the same job submitted for
-// real — for all three decider mechanisms, across job shapes. The twin
+// real — for every decider of quoteDeciders, across job shapes. The twin
 // must therefore replay future kills, launches and self-tuning policy
 // switches exactly as the live scheduler performs them.
 func TestQuoteHonesty(t *testing.T) {
@@ -158,68 +162,24 @@ func TestQuoteBatchHonesty(t *testing.T) {
 	}
 }
 
-// TestQuoteDoesNotPerturbScheduling interleaves a quote after every
-// mutation of a full drain and asserts the outcome is byte-identical to
-// a quote-free reference run: the twin shares nothing mutable with the
-// live engine.
-func TestQuoteDoesNotPerturbScheduling(t *testing.T) {
-	run := func(quoteEvery bool) (*Scheduler, []JobInfo, Report) {
-		factory := func() sim.Driver { return sim.NewDynP(core.Preferred{Policy: policy.SJF}) }
-		s, err := New(24, factory(), 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := s.EnableQuotes(factory); err != nil {
-			t.Fatal(err)
-		}
-		// Quote parameters come from their own stream so both runs submit
-		// the identical workload.
-		r, qr := rng.New(42), rng.New(777)
-		now := int64(0)
-		for i := 0; i < 40; i++ {
-			subs := []Submission{{Width: 1 + r.Intn(8), Estimate: int64(40 + r.Intn(300))}}
-			now += int64(10 + r.Intn(60))
-			if _, err := s.Deliver(now, nil, subs); err != nil {
-				t.Fatal(err)
-			}
-			if quoteEvery {
-				if _, err := s.Quote(1+qr.Intn(8), int64(50+qr.Intn(200)), 1+qr.Intn(3)); err != nil {
-					t.Fatal(err)
-				}
-			}
-		}
-		for i := 0; i < 1000 && s.Report().Jobs < 40; i++ {
-			now += 200
-			if err := s.Advance(now); err != nil {
-				t.Fatal(err)
-			}
-			if quoteEvery {
-				if _, err := s.Quote(2, 100, 1); err != nil {
-					t.Fatal(err)
-				}
-			}
-		}
-		return s, s.Finished(), s.Report()
+// TestQuoteTwinObservesDecider: the twin's engine attaches an
+// observer-driven decider exactly like the live one's, so the twin
+// decides on what it observes after the restore rather than on the state
+// frozen at the snapshot.
+func TestQuoteTwinObservesDecider(t *testing.T) {
+	var made []*adaptive.Decider // the live scheduler's first
+	factory := func() sim.Driver {
+		dec := adaptive.Must(policy.SJF, 4, 2)
+		made = append(made, dec)
+		return sim.NewDynP(dec)
 	}
-	sQ, finQ, repQ := run(true)
-	_, finRef, repRef := run(false)
-	if !reflect.DeepEqual(finQ, finRef) {
-		t.Errorf("finished histories diverged: with quotes %d jobs, reference %d", len(finQ), len(finRef))
-		for i := range finRef {
-			if i < len(finQ) && finQ[i] != finRef[i] {
-				t.Errorf("first divergence at %d: %+v vs %+v", i, finQ[i], finRef[i])
-				break
-			}
-		}
+	s := loadedQuoteScheduler(t, 32, 0xA11CE, factory)
+	restored := made[0].Snapshot().Plans
+	if _, err := s.Quote(3, 250, 1); err != nil {
+		t.Fatal(err)
 	}
-	if repQ != repRef {
-		t.Errorf("reports diverged: %+v vs %+v", repQ, repRef)
-	}
-	if err := sQ.CheckInvariants(); err != nil {
-		t.Error(err)
-	}
-	if live := sQ.QuoteTwinsLive(); live != 0 {
-		t.Errorf("%d twins still checked out after quiescence", live)
+	if got := made[len(made)-1].Snapshot().Plans; got <= restored {
+		t.Errorf("twin decider observed %d plan events, no more than the %d it restored", got, restored)
 	}
 }
 
@@ -241,9 +201,6 @@ func TestQuoteNeverStartWiderThanEffective(t *testing.T) {
 		if q.Start != NeverStart || q.Finish != NeverStart || q.Wait != NeverStart {
 			t.Errorf("replica %d of an unplaceable quote = %+v, want NeverStart sentinels", i, q)
 		}
-	}
-	if live := s.QuoteTwinsLive(); live != 0 {
-		t.Errorf("NeverStart fast path leaked %d twins", live)
 	}
 	// The same shape still fits the installed capacity: submitting it is
 	// legal (it queues until processors return).
@@ -272,8 +229,9 @@ func TestQuoteNeverStartWiderThanEffective(t *testing.T) {
 	}
 }
 
-// TestQuoteValidation pins the error paths that must answer without
-// ever acquiring a twin.
+// TestQuoteValidation pins the quote's error paths: bad arguments answer
+// before any twin is built, and a twin whose driver cannot restore the
+// snapshot's decision state fails the quote instead of answering it.
 func TestQuoteValidation(t *testing.T) {
 	plain := newFCFS(t, 8)
 	if _, err := plain.Quote(1, 1, 1); err == nil || !strings.Contains(err.Error(), "not enabled") {
@@ -299,14 +257,23 @@ func TestQuoteValidation(t *testing.T) {
 	if err != nil || len(qs) != 1 {
 		t.Errorf("Quote(count=0) = %v, %v; want one quote", qs, err)
 	}
-	if live := s.QuoteTwinsLive(); live != 0 {
-		t.Errorf("validation paths leaked %d twins", live)
+
+	// A factory whose driver wears the right name but cannot restore the
+	// live tuner's state passes EnableQuotes's probe and fails in the twin.
+	name := s.driver.Name()
+	if err := s.EnableQuotes(func() sim.Driver {
+		return &misnamedDriver{Static: sim.Static{Policy: policy.FCFS}, name: name}
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Quote(2, 100, 1); err == nil || !strings.Contains(err.Error(), "cannot restore") {
+		t.Errorf("quote with a stateless twin driver for a stateful scheduler: %v", err)
 	}
 }
 
 // TestQuoteJournalSticky: a failed journal refuses every mutation, so
 // quotes — predictions about submissions that can no longer happen —
-// are refused too, before any twin is acquired.
+// are refused too, before any twin is built.
 func TestQuoteJournalSticky(t *testing.T) {
 	s, j, _ := journaledScheduler(t, 8, 0)
 	if err := s.EnableQuotes(newDynP); err != nil {
@@ -324,14 +291,11 @@ func TestQuoteJournalSticky(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "journal") {
 		t.Errorf("quote with a failed journal: %v", err)
 	}
-	if live := s.QuoteTwinsLive(); live != 0 {
-		t.Errorf("journal-sticky path leaked %d twins", live)
-	}
 }
 
 // TestQuoteMidReplay: while the daemon replays its journal the server
 // is not ready, and the quote op is refused like every other non-health
-// op — without touching the twin pool.
+// op.
 func TestQuoteMidReplay(t *testing.T) {
 	s := loadedQuoteScheduler(t, 8, 5, quoteDeciders()["simple"])
 	sv := NewServer(s, true)
@@ -339,9 +303,6 @@ func TestQuoteMidReplay(t *testing.T) {
 	resp := sv.Handle(Request{Op: "quote", Width: 2, Estimate: 100})
 	if resp.OK || !strings.Contains(resp.Error, "replay") {
 		t.Errorf("quote mid-replay = %+v", resp)
-	}
-	if live := s.QuoteTwinsLive(); live != 0 {
-		t.Errorf("mid-replay refusal leaked %d twins", live)
 	}
 	sv.SetReady(true)
 	if resp := sv.Handle(Request{Op: "quote", Width: 2, Estimate: 100}); !resp.OK {
@@ -351,74 +312,13 @@ func TestQuoteMidReplay(t *testing.T) {
 
 // misnamedDriver wears the live driver's name but cannot restore its
 // state: EnableQuotes's name probe passes, and the failure surfaces
-// inside the twin run — after the twin was acquired.
+// inside the twin's restore.
 type misnamedDriver struct {
 	sim.Static
 	name string
 }
 
 func (d *misnamedDriver) Name() string { return d.name }
-
-// TestQuoteTwinLifecycle pins the pool discipline, mirroring
-// plan.Schedule.Release: every acquire is paired with exactly one
-// release on success and on the post-acquisition error path, and a
-// double release panics instead of corrupting the pool.
-func TestQuoteTwinLifecycle(t *testing.T) {
-	factory := quoteDeciders()["SJF-preferred"]
-	s := loadedQuoteScheduler(t, 16, 9, factory)
-
-	// Success path: a storm of quotes leaves nothing checked out.
-	for i := 0; i < 50; i++ {
-		if _, err := s.Quote(1+i%8, int64(50+10*i), 1+i%3); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if live := s.QuoteTwinsLive(); live != 0 {
-		t.Fatalf("%d twins live after sequential quotes", live)
-	}
-
-	// Post-acquisition error path: swap in a factory whose driver wears
-	// the right name but cannot restore the snapshot's tuner state. The
-	// twin is acquired, the run fails, and the twin must still come back.
-	name := factory().Name()
-	bad := func() sim.Driver {
-		return &misnamedDriver{Static: sim.Static{Policy: policy.FCFS}, name: name}
-	}
-	if err := s.EnableQuotes(bad); err != nil {
-		t.Fatal(err)
-	}
-	_, err := s.Quote(2, 100, 1)
-	if err == nil || !strings.Contains(err.Error(), "cannot restore") {
-		t.Fatalf("quote with a stateless twin driver for a stateful scheduler: %v", err)
-	}
-	if live := s.QuoteTwinsLive(); live != 0 {
-		t.Errorf("error path leaked %d twins", live)
-	}
-	if err := s.EnableQuotes(factory); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.Quote(2, 100, 1); err != nil {
-		t.Fatalf("quote after restoring the real factory: %v", err)
-	}
-
-	// Double release panics loudly.
-	tw := s.acquireTwin()
-	tw.release(s)
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Error("double twin release did not panic")
-			}
-		}()
-		tw.release(s)
-	}()
-	// The panicked release must not have corrupted the gauge. It went
-	// -1 transiently inside the panicking call? No: release panics
-	// before touching the gauge, so the count is exact.
-	if live := s.QuoteTwinsLive(); live != 0 {
-		t.Errorf("gauge at %d after double-release panic", live)
-	}
-}
 
 // TestEnableQuotesRejectsMismatchedFactory: a factory that builds a
 // different scheduler than the live one would produce confidently wrong
@@ -551,9 +451,6 @@ func TestConcurrentQuoteSoak(t *testing.T) {
 	}
 	if n := never.Load(); n != 0 {
 		t.Errorf("%d quotes answered NeverStart on a healthy machine", n)
-	}
-	if live := s.QuoteTwinsLive(); live != 0 {
-		t.Errorf("%d twins still live after the soak", live)
 	}
 	// Mutators never touch the quote path; the bound is generous enough
 	// for race-instrumented CI but catches real starvation outright.
@@ -709,9 +606,6 @@ func TestQuoteAdmissionLane(t *testing.T) {
 	if ok.Load() != 2 || busy.Load() != flood-2 {
 		t.Errorf("flood: %d served, %d shed; want 2 and %d", ok.Load(), busy.Load(), flood-2)
 	}
-	if live := s.QuoteTwinsLive(); live != 0 {
-		t.Errorf("%d twins live after the flood", live)
-	}
 }
 
 // TestClientQuoteRetriesBusy: busy sheds are not verdicts; the client
@@ -777,31 +671,5 @@ func TestClientQuoteRetriesNetworkFault(t *testing.T) {
 	c.conn.Close()
 	if _, err := c.Quote(2, 100, 1); err != nil {
 		t.Fatalf("quote after severed connection: %v", err)
-	}
-}
-
-// TestQuotePooledTwinReuse exercises arena reuse across quotes of very
-// different shapes: growing and shrinking live-job counts must never
-// leak state from one quote into the next.
-func TestQuotePooledTwinReuse(t *testing.T) {
-	factory := quoteDeciders()["SJF-preferred"]
-	s := loadedQuoteScheduler(t, 32, 0xF00D, factory)
-	first, err := s.Quote(4, 200, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 20; i++ {
-		if _, err := s.Quote(1+i%16, int64(60+i*13), 1+i%5); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// The same question must get the same answer: quotes are pure reads
-	// and the pool must not carry state between runs.
-	again, err := s.Quote(4, 200, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(first, again) {
-		t.Errorf("repeated quote diverged: %+v then %+v", first, again)
 	}
 }

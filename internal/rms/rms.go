@@ -137,10 +137,8 @@ type Scheduler struct {
 	// driver-state capture in publish, so schedulers that never call
 	// EnableQuotes pay nothing; quoteNew is written once before quotesOn
 	// flips and read lock-free afterwards.
-	quotesOn  atomic.Bool
-	quoteNew  func() sim.Driver
-	twinPool  sync.Pool
-	twinsLive atomic.Int64
+	quotesOn atomic.Bool
+	quoteNew func() sim.Driver
 }
 
 // readSnapshot is one immutable published state: a fully built Status
@@ -203,20 +201,11 @@ func New(capacity int, driver sim.Driver, startTime int64) (*Scheduler, error) {
 		infos:   make(map[job.ID]*JobInfo),
 		doneIdx: make(map[job.ID]int),
 	}
-	engOpts := []engine.Option{engine.WithHooks(engine.Hooks{
+	s.eng = engine.New(capacity, driver, startTime, engine.WithHooks(engine.Hooks{
 		Started:  s.onStarted,
 		Finished: s.onFinished,
 		Planned:  s.onPlanned,
-	})}
-	// Observer-driven deciders watch the engine they decide for; their
-	// observed state rides tuner checkpoints (core.StatefulDecider), so
-	// a journal restart resumes them mid-stream.
-	if dp, ok := driver.(*sim.DynP); ok {
-		if o := dp.DeciderObserver(); o != nil {
-			engOpts = append(engOpts, engine.WithObserver(o))
-		}
-	}
-	s.eng = engine.New(capacity, driver, startTime, engOpts...)
+	}))
 	s.replan()
 	s.publish()
 	return s, nil

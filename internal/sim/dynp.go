@@ -68,11 +68,11 @@ func (d *DynP) RestoreState(data []byte) error { return d.Tuner.UnmarshalState(d
 // Stats exposes the tuner's decision statistics.
 func (d *DynP) Stats() core.Stats { return d.Tuner.Stats() }
 
-// DeciderObserver returns the tuner's decider when it is observer-driven
-// (implements engine.Observer), or nil. Run and the online RMS attach it
-// to their engines, so such deciders see every transition without any
-// caller-side wiring — and unobserved runs keep their allocation-free
-// emit path, since nothing is attached for plain deciders.
+// DeciderObserver implements engine.ObservingDriver: it returns the
+// tuner's decider when it is observer-driven (implements
+// engine.Observer), or nil. engine.New attaches it, so such deciders see
+// every transition of the engine they decide for — in the simulator, the
+// online RMS and its quote twins alike — without caller-side wiring.
 func (d *DynP) DeciderObserver() engine.Observer {
 	if o, ok := d.Tuner.Decider().(engine.Observer); ok {
 		return o

@@ -200,12 +200,6 @@ func Run(set *job.Set, driver Driver, opts ...Option) (*Result, error) {
 	for _, o := range cfg.observers {
 		engOpts = append(engOpts, engine.WithObserver(o))
 	}
-	// Observer-driven deciders watch the engine they decide for.
-	if dp, ok := driver.(*DynP); ok {
-		if o := dp.DeciderObserver(); o != nil {
-			engOpts = append(engOpts, engine.WithObserver(o))
-		}
-	}
 	eng := engine.New(set.Machine, driver, res.First, engOpts...)
 
 	lastEvent := res.First

@@ -26,6 +26,10 @@
 // clients, and the health/ready protocol ops report liveness and readiness
 // even during journal replay.
 //
+// -cpuprofile <file> records a CPU profile (runtime/pprof) from startup
+// until a graceful shutdown on SIGINT or SIGTERM completes it; read it
+// with `go tool pprof`.
+//
 // Example session (with netcat):
 //
 //	$ dynpd -procs 64 -scheduler dynP/SJF-preferred &
@@ -41,6 +45,7 @@ import (
 	"fmt"
 	"os"
 	"os/signal"
+	"runtime/pprof"
 	"syscall"
 	"time"
 
@@ -82,8 +87,25 @@ func main() {
 			"quotes in flight before shedding with busy (0 = 4x -quote-workers, negative sheds all)")
 		traceLen = flag.Int("trace", 512,
 			"engine event trace: ring-buffer length backing the 'trace' and 'metrics' ops (0 = disabled)")
+		cpuProfile = flag.String("cpuprofile", "",
+			"write a CPU profile of the daemon's life to this file, completed on graceful shutdown (SIGINT/SIGTERM)")
 	)
 	flag.Parse()
+
+	// Registered first, so a shutdown signal that arrives during startup
+	// or journal replay still ends the daemon gracefully.
+	sigc := make(chan os.Signal, 1)
+	signal.Notify(sigc, os.Interrupt, syscall.SIGTERM)
+	stopProfile := func() {}
+	if *cpuProfile != "" {
+		f, err := os.Create(*cpuProfile)
+		fail(err)
+		fail(pprof.StartCPUProfile(f))
+		stopProfile = func() {
+			pprof.StopCPUProfile()
+			fail(f.Close())
+		}
+	}
 
 	spec, err := dynp.ParseSchedulerSpec(*scheduler)
 	fail(err)
@@ -182,11 +204,10 @@ func main() {
 		}()
 	}
 
-	sigc := make(chan os.Signal, 1)
-	signal.Notify(sigc, os.Interrupt, syscall.SIGTERM)
 	<-sigc
 	close(stopTicker)
 	fail(server.Close())
+	stopProfile()
 	st := sched.Status()
 	fmt.Fprintf(os.Stderr, "dynpd: shut down at t=%d, %d finished, %d running, %d waiting\n",
 		st.Now, st.Finished, len(st.Running), len(st.Waiting))

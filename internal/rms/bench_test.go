@@ -1,9 +1,11 @@
 package rms
 
 import (
+	"fmt"
 	"testing"
 
 	"dynp/internal/core"
+	"dynp/internal/job"
 	"dynp/internal/policy"
 	"dynp/internal/rng"
 	"dynp/internal/sim"
@@ -42,5 +44,63 @@ func BenchmarkOnlineLifecycle(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// BenchmarkCheckpoint measures what a journal checkpoint costs under the
+// scheduling lock — capture the state, frame the record — at 1k, 10k and
+// 50k finished jobs, one more finishing per checkpoint as in a running
+// daemon. "spliced" is the journal's path (the history log encodes each
+// finished job once); "encoded" encodes the whole record afresh, as
+// encodeRecord does.
+func BenchmarkCheckpoint(b *testing.B) {
+	finished := func(i int) JobInfo {
+		return JobInfo{ID: job.ID(1_000_000 + i), Width: 1 + i%64, Estimate: 3600,
+			Submitted: int64(i) * 10, State: StateCompleted, Started: int64(i)*10 + 60, Finished: int64(i)*10 + 1200}
+	}
+	for _, n := range []int{1_000, 10_000, 50_000} {
+		for _, spliced := range []bool{true, false} {
+			name := fmt.Sprintf("encoded/done=%dk", n/1000)
+			if spliced {
+				name = fmt.Sprintf("spliced/done=%dk", n/1000)
+			}
+			b.Run(name, func(b *testing.B) {
+				s, err := New(64, sim.NewDynP(core.Preferred{Policy: policy.SJF}), 0)
+				if err != nil {
+					b.Fatal(err)
+				}
+				for i := 0; i < 12; i++ { // a head of live jobs and a plan
+					if _, err := s.Submit(16, 3600); err != nil {
+						b.Fatal(err)
+					}
+				}
+				for i := 0; i < n; i++ {
+					s.done = append(s.done, finished(i))
+				}
+				if _, err := s.captureCheckpointLocked(0); err != nil { // the log a daemon already holds
+					b.Fatal(err)
+				}
+				logged := len(s.doneLog)
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					// Back to n finished jobs, then the one that finishes.
+					s.done, s.doneLog, s.doneLogged = s.done[:n], s.doneLog[:logged], n
+					s.done = append(s.done, finished(n))
+					cs, err := s.captureCheckpointLocked(int64(i))
+					if err != nil {
+						b.Fatal(err)
+					}
+					if spliced {
+						_, err = checkpointRecord(&cs, s.doneLog)
+					} else {
+						_, err = encodeRecord(&journalLine{Checkpoint: &cs})
+					}
+					if err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+		}
 	}
 }

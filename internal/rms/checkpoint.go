@@ -11,6 +11,7 @@ package rms
 
 import (
 	"cmp"
+	"encoding/json"
 	"fmt"
 	"slices"
 
@@ -22,8 +23,11 @@ import (
 )
 
 // captureCheckpointLocked serialises the current scheduler state as a
-// checkpoint that folds in the given number of events since genesis.
-// Callers hold the scheduling lock.
+// checkpoint that folds in the given number of events since genesis. The
+// finished history is shared, not copied: cs.Done aliases the scheduler's
+// done list capped at its current length, and s.doneLog is brought up to
+// the same length, ready for checkpointRecord to splice. Callers hold the
+// scheduling lock.
 func (s *Scheduler) captureCheckpointLocked(events int64) (checkpointState, error) {
 	cs := checkpointState{
 		Events: events,
@@ -37,8 +41,18 @@ func (s *Scheduler) captureCheckpointLocked(events int64) (checkpointState, erro
 	for _, r := range s.eng.Running() {
 		cs.Running = append(cs.Running, *s.infos[r.Job.ID])
 	}
-	if len(s.done) > 0 {
-		cs.Done = append([]JobInfo(nil), s.done...)
+	if n := len(s.done); n > 0 {
+		cs.Done = s.done[:n:n]
+		for ; s.doneLogged < n; s.doneLogged++ {
+			b, err := json.Marshal(&s.done[s.doneLogged])
+			if err != nil {
+				return checkpointState{}, fmt.Errorf("finished job %d: %w", s.done[s.doneLogged].ID, err)
+			}
+			if s.doneLogged > 0 {
+				s.doneLog = append(s.doneLog, ',')
+			}
+			s.doneLog = append(s.doneLog, b...)
+		}
 	}
 	if p := s.eng.Schedule(); p != nil {
 		pr := &planRec{Policy: policyName(p.Policy), Now: p.Now, Capacity: p.Capacity}

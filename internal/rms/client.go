@@ -1,7 +1,6 @@
 package rms
 
 import (
-	"bufio"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -86,8 +85,11 @@ type Client struct {
 	jitter *rng.Stream
 	sleep  func(time.Duration) // test hook; time.Sleep
 
+	// One encoder and one decoder per connection: responses are decoded
+	// straight off the socket, with no line copied out first. A fresh
+	// connection gets fresh ones, so a poisoned stream never outlives it.
 	conn net.Conn
-	r    *bufio.Reader
+	dec  *json.Decoder
 	enc  *json.Encoder
 }
 
@@ -134,7 +136,7 @@ func (c *Client) connect() error {
 		return err
 	}
 	c.conn = conn
-	c.r = bufio.NewReader(conn)
+	c.dec = json.NewDecoder(conn)
 	c.enc = json.NewEncoder(conn)
 	return nil
 }
@@ -175,13 +177,9 @@ func (c *Client) roundTrip(req Request) (Response, error) {
 	if err := c.enc.Encode(req); err != nil {
 		return Response{}, fmt.Errorf("rms: send: %w", err)
 	}
-	line, err := c.r.ReadBytes('\n')
-	if err != nil {
-		return Response{}, fmt.Errorf("rms: receive: %w", err)
-	}
 	var resp Response
-	if err := json.Unmarshal(line, &resp); err != nil {
-		return Response{}, fmt.Errorf("rms: decode: %w", err)
+	if err := c.dec.Decode(&resp); err != nil {
+		return Response{}, fmt.Errorf("rms: receive: %w", err)
 	}
 	return resp, nil
 }

@@ -37,6 +37,7 @@ package rms
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
@@ -158,15 +159,57 @@ func encodeRecord(l *journalLine) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	buf := make([]byte, 0, len(payload)+10)
-	var sum [4]byte
-	crc := crc32.Checksum(payload, crcTable)
-	sum[0], sum[1], sum[2], sum[3] = byte(crc>>24), byte(crc>>16), byte(crc>>8), byte(crc)
-	buf = hex.AppendEncode(buf, sum[:])
-	buf = append(buf, ' ')
+	buf := appendChecksum(make([]byte, 0, len(payload)+10), crc32.Checksum(payload, crcTable))
 	buf = append(buf, payload...)
 	buf = append(buf, '\n')
 	return buf, nil
+}
+
+// checkpointRecord frames cs as encodeRecord(&journalLine{Checkpoint: cs})
+// does, byte for byte, without encoding the finished history again: done
+// holds the JSON of cs.Done's jobs, comma-joined (the scheduler's doneLog),
+// and is spliced between the encoded head of the checkpoint (events up to
+// running) and its tail (plan, driver and observers). The record comes
+// back in pieces, to be written in order.
+func checkpointRecord(cs *checkpointState, done []byte) ([][]byte, error) {
+	if (len(cs.Done) > 0) != (len(done) > 0) {
+		return nil, fmt.Errorf("checkpoint holds %d finished jobs, history log %d bytes", len(cs.Done), len(done))
+	}
+	// Every field after running is omitempty, so the head alone encodes as
+	// the full record's prefix, and the record without its history as that
+	// prefix followed by the tail.
+	head, rest := *cs, *cs
+	head.Done, head.Plan, head.Driver, head.Observers = nil, nil, nil, nil
+	rest.Done = nil
+	h, err := json.Marshal(&head)
+	if err != nil {
+		return nil, err
+	}
+	r, err := json.Marshal(&rest)
+	if err != nil {
+		return nil, err
+	}
+	cut := len(h) - 1 // before the head's closing brace
+	if !bytes.HasPrefix(r, h[:cut]) {
+		return nil, fmt.Errorf("checkpoint head does not prefix its record")
+	}
+	payload := [][]byte{[]byte(`{"checkpoint":`), r[:cut]}
+	if len(done) > 0 {
+		payload = append(payload, []byte(`,"done":[`), done, []byte(`]`))
+	}
+	payload = append(payload, r[cut:], []byte(`}`))
+	crc := uint32(0)
+	for _, p := range payload {
+		crc = crc32.Update(crc, crcTable, p)
+	}
+	return append(append([][]byte{appendChecksum(nil, crc)}, payload...), []byte("\n")), nil
+}
+
+// appendChecksum appends a record's checksum field: the payload's
+// CRC32C as eight hex digits, then a space.
+func appendChecksum(buf []byte, crc uint32) []byte {
+	sum := [4]byte{byte(crc >> 24), byte(crc >> 16), byte(crc >> 8), byte(crc)}
+	return append(hex.AppendEncode(buf, sum[:]), ' ')
 }
 
 // decodeRecord validates and decodes one record line (without its
@@ -739,12 +782,13 @@ func (j *Journal) maybeCheckpoint(s *Scheduler) {
 		j.err = fmt.Errorf("rms: journal checkpoint: %w", err)
 		return
 	}
-	j.rotateLocked(&cs)
+	j.rotateLocked(&cs, s.doneLog)
 }
 
 // rotateLocked seals the active segment and opens its successor headed
-// by the given checkpoint. Any failure is sticky. Callers hold j.mu.
-func (j *Journal) rotateLocked(cs *checkpointState) {
+// by the given checkpoint, whose finished history done holds encoded (see
+// checkpointRecord). Any failure is sticky. Callers hold j.mu.
+func (j *Journal) rotateLocked(cs *checkpointState, done []byte) {
 	fail := func(stage string, err error) {
 		j.err = fmt.Errorf("rms: journal %s: %w", stage, err)
 	}
@@ -783,18 +827,16 @@ func (j *Journal) rotateLocked(cs *checkpointState) {
 		fail("encode", err)
 		return
 	}
-	cl, err := encodeRecord(&journalLine{Checkpoint: cs})
+	cl, err := checkpointRecord(cs, done)
 	if err != nil {
 		fail("encode", err)
 		return
 	}
-	if _, err := j.w.Write(hl); err != nil {
-		fail("write", err)
-		return
-	}
-	if _, err := j.w.Write(cl); err != nil {
-		fail("write", err)
-		return
+	for _, b := range append([][]byte{hl}, cl...) {
+		if _, err := j.w.Write(b); err != nil {
+			fail("write", err)
+			return
+		}
 	}
 	if err := j.w.Flush(); err != nil {
 		fail("flush", err)

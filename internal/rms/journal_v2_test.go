@@ -4,6 +4,7 @@
 package rms
 
 import (
+	"bytes"
 	"os"
 	"path/filepath"
 	"strconv"
@@ -29,6 +30,141 @@ func corruptSegmentRecord(t *testing.T, path string, n int) {
 	if err := os.WriteFile(path, []byte(strings.Join(lines, "")), 0o644); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// TestCheckpointRecordBytes pins the spliced checkpoint record to the
+// format: for states with and without each part of a checkpoint, for a
+// scheduler restored from a checkpoint (empty history log, full
+// history) and for one restored by a ladder fallback, the record
+// checkpointRecord frames must be byte for byte encodeRecord's, on disk as
+// in memory, so journals move freely between versions that frame either
+// way.
+func TestCheckpointRecordBytes(t *testing.T) {
+	check := func(t *testing.T, s *Scheduler) {
+		t.Helper()
+		s.mu.Lock()
+		cs, err := s.captureCheckpointLocked(42)
+		var pieces [][]byte
+		if err == nil {
+			pieces, err = checkpointRecord(&cs, s.doneLog)
+		}
+		s.mu.Unlock()
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := encodeRecord(&journalLine{Checkpoint: &cs})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := bytes.Join(pieces, nil); !bytes.Equal(got, want) {
+			t.Fatalf("spliced checkpoint record differs from encodeRecord's\nspliced: %s\nencoded: %s", got, want)
+		}
+	}
+	// checkDisk re-encodes the newest checkpoint record of the journal at
+	// path: decoding and encoding again must give back the same bytes.
+	checkDisk := func(t *testing.T, path string) {
+		t.Helper()
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		lines := bytes.SplitAfter(data, []byte("\n"))
+		if len(lines) < 2 {
+			t.Fatalf("active segment has %d records", len(lines))
+		}
+		l, ok := decodeRecord(bytes.TrimSuffix(lines[1], []byte("\n")))
+		if !ok || l.Checkpoint == nil {
+			t.Fatal("active segment's second record is not a valid checkpoint")
+		}
+		if want, err := encodeRecord(&l); err != nil || !bytes.Equal(lines[1], want) {
+			t.Fatalf("checkpoint record on disk is not encodeRecord's (%v)\ndisk:    %s\nencoded: %s", err, lines[1], want)
+		}
+	}
+	submit := func(t *testing.T, s *Scheduler, width int, estimate int64) {
+		t.Helper()
+		if _, err := s.Submit(width, estimate); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	t.Run("empty", func(t *testing.T) {
+		check(t, newFCFS(t, 8))
+	})
+	t.Run("live jobs, no history", func(t *testing.T) {
+		s := newFCFS(t, 8)
+		submit(t, s, 8, 100)
+		submit(t, s, 4, 50)
+		check(t, s)
+	})
+	t.Run("history only, no plan", func(t *testing.T) {
+		s := newFCFS(t, 8)
+		submit(t, s, 8, 100)
+		submit(t, s, 2, 10)
+		if err := s.Advance(500); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Fail(8); err != nil { // a drained machine has no plan
+			t.Fatal(err)
+		}
+		check(t, s)
+	})
+	t.Run("everything, driver and observer state", func(t *testing.T) {
+		s, err := New(8, newDynP(), 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s.AddObserver(NewEventTrace(64))
+		driveRandomEvents(t, s, 0x5eed, 80)
+		if failed := s.Status().FailedProcs; failed > 0 {
+			if err := s.Restore(failed); err != nil {
+				t.Fatal(err)
+			}
+		}
+		submit(t, s, 8, 100)
+		st := s.Status()
+		if len(st.Waiting) == 0 || len(st.Running) == 0 || st.Finished == 0 {
+			t.Fatalf("state lacks a part: %d waiting, %d running, %d finished", len(st.Waiting), len(st.Running), st.Finished)
+		}
+		check(t, s)
+		// The log grows with the history: one more job finished.
+		if err := s.Advance(s.Now() + 100); err != nil {
+			t.Fatal(err)
+		}
+		check(t, s)
+	})
+	t.Run("restored", func(t *testing.T) {
+		live, j, path := journaledScheduler(t, 8, 5)
+		driveRandomEvents(t, live, 0xabc, 60)
+		j.Close()
+		checkDisk(t, path)
+		s, j1, _, err := replayFresh(t, path, 8)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer j1.Close()
+		if s.doneLogged != 0 || len(s.done) == 0 {
+			t.Fatalf("restored scheduler logged %d of %d finished jobs before its first checkpoint", s.doneLogged, len(s.done))
+		}
+		check(t, s)
+		if err := s.SetJournal(j1); err != nil {
+			t.Fatal(err)
+		}
+		driveRandomEvents(t, s, 0xdef, 20)
+		check(t, s)
+		checkDisk(t, path)
+	})
+	t.Run("after a ladder fallback", func(t *testing.T) {
+		live, j, path := journaledScheduler(t, 8, 5)
+		driveRandomEvents(t, live, 0xabc, 60)
+		j.Close()
+		corruptSegmentRecord(t, path, 1)
+		s, j1, _, err := replayFresh(t, path, 8)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer j1.Close()
+		check(t, s)
+	})
 }
 
 // TestJournalCheckpointRestart: a restart from the newest checkpoint and

@@ -1,8 +1,13 @@
 package rms
 
 import (
+	"bytes"
 	"encoding/json"
+	"fmt"
+	"io"
 	"path/filepath"
+	"reflect"
+	"strings"
 	"testing"
 
 	"dynp/internal/core"
@@ -153,6 +158,45 @@ func runDeliverLockstep(t *testing.T, newDriver lockstepFactory, lanes *plantest
 		if err != nil {
 			t.Fatalf("after event %d (op %d): %v", i/2, op%8, err)
 		}
+		checkStatusOrder(t, fmt.Sprintf("event %d (op %d)", i/2, op%8), s)
+	}
+}
+
+// checkStatusOrder holds Status to its order contract, read directly and
+// through the protocol: waiting jobs by planned start, running jobs by
+// start time, ties by ID in both.
+func checkStatusOrder(t *testing.T, when string, s *Scheduler) {
+	t.Helper()
+	direct := s.Status()
+	var out bytes.Buffer
+	rw := struct {
+		io.Reader
+		io.Writer
+	}{strings.NewReader(`{"op":"status"}` + "\n"), &out}
+	if err := NewServer(s, true).ServeConn(rw); err != nil {
+		t.Fatalf("%s: status over ServeConn: %v", when, err)
+	}
+	var resp Response
+	if err := json.Unmarshal(out.Bytes(), &resp); err != nil || resp.Status == nil {
+		t.Fatalf("%s: status over ServeConn: %v (%s)", when, err, out.Bytes())
+	}
+	if !reflect.DeepEqual(*resp.Status, direct) {
+		t.Fatalf("%s: status over ServeConn differs from the direct one\nwire:   %+v\ndirect: %+v", when, *resp.Status, direct)
+	}
+	for _, l := range []struct {
+		name string
+		jobs []JobInfo
+		key  func(JobInfo) int64
+	}{
+		{"waiting", direct.Waiting, func(j JobInfo) int64 { return j.PlannedStart }},
+		{"running", direct.Running, func(j JobInfo) int64 { return j.Started }},
+	} {
+		for k := 1; k < len(l.jobs); k++ {
+			a, b := l.jobs[k-1], l.jobs[k]
+			if l.key(a) > l.key(b) || l.key(a) == l.key(b) && a.ID >= b.ID {
+				t.Fatalf("%s: %s job %d (at %d) listed before job %d (at %d)", when, l.name, a.ID, l.key(a), b.ID, l.key(b))
+			}
+		}
 	}
 }
 
@@ -177,7 +221,8 @@ func checkpointImage(t *testing.T, s *Scheduler) string {
 // Cancel, Fail, Restore, journal restarts and quote twins, under a static
 // driver and two self-tuning ones. Both lanes — spliced views and
 // full-sort fallback — must have planned, and every stream must have
-// restarted and quoted.
+// restarted and quoted. After every event, restarts included, Status
+// must keep its order contract, read directly and over ServeConn.
 func TestDeliverLockstep(t *testing.T) {
 	var lanes plantest.Lanes
 	static := func() (sim.Driver, *sim.DynP, *plantest.Tuner) {

@@ -123,7 +123,8 @@ func (s *Scheduler) Quote(width int, estimate int64, count int) ([]Quote, error)
 
 // runTwin restores the snapshot, as a checkpoint without history, into a
 // fresh engine planning with drv, injects count hypothetical jobs, and
-// runs the twin forward until they all started.
+// runs the twin forward until they all started. The snapshot's live jobs
+// are in engine order, as a checkpoint's are.
 func runTwin(snap *readSnapshot, drv sim.Driver, width int, estimate int64, count int) ([]Quote, error) {
 	st := &snap.status
 	cs := checkpointState{Now: st.Now, Failed: st.FailedProcs,

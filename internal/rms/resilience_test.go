@@ -7,9 +7,13 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"reflect"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
+
+	"dynp/internal/job"
 )
 
 // fastOptions keeps retry/backoff delays test-sized.
@@ -108,31 +112,135 @@ func TestClientRetriesThroughFlakyDialer(t *testing.T) {
 	}
 }
 
-// malformedServer accepts one connection and answers every request line
-// with a fixed raw response.
-func malformedServer(t *testing.T, raw string) string {
+// stubServer accepts any number of connections and answers request n —
+// counted from 0 across all of them — by calling respond with n and the
+// connection to write the response to. It returns the address and a
+// counter of accepted connections.
+func stubServer(t *testing.T, respond func(n int, conn net.Conn)) (string, *atomic.Int64) {
 	t.Helper()
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { l.Close() })
+	var conns, requests atomic.Int64
 	go func() {
 		for {
 			conn, err := l.Accept()
 			if err != nil {
 				return
 			}
+			conns.Add(1)
 			go func() {
 				defer conn.Close()
 				sc := bufio.NewScanner(conn)
 				for sc.Scan() {
-					fmt.Fprintf(conn, "%s\n", raw)
+					respond(int(requests.Add(1)-1), conn)
 				}
 			}()
 		}
 	}()
-	return l.Addr().String()
+	return l.Addr().String(), &conns
+}
+
+// malformedServer answers every request line with a fixed raw response.
+func malformedServer(t *testing.T, raw string) string {
+	t.Helper()
+	addr, _ := stubServer(t, func(_ int, conn net.Conn) { fmt.Fprintf(conn, "%s\n", raw) })
+	return addr
+}
+
+// TestClientDecodesOffTheSocket: the client decodes a response however
+// the bytes arrive — one per write, or far beyond the server's 64 KiB
+// request-line limit — and a malformed response fails only its own call:
+// the next one reconnects and succeeds.
+func TestClientDecodesOffTheSocket(t *testing.T) {
+	opts := fastOptions()
+	opts.Retries = -1
+
+	t.Run("one byte per write", func(t *testing.T) {
+		want := Status{Now: 7, Capacity: 8, Scheduler: "FCFS",
+			Waiting: []JobInfo{{ID: 2, Width: 4, Estimate: 50, PlannedStart: 100}},
+			Running: []JobInfo{{ID: 1, Width: 8, Estimate: 100, State: StateRunning}}}
+		line, err := json.Marshal(Response{OK: true, Status: &want, Now: 7})
+		if err != nil {
+			t.Fatal(err)
+		}
+		addr, _ := stubServer(t, func(_ int, conn net.Conn) {
+			for _, b := range append(line, '\n') {
+				if _, err := conn.Write([]byte{b}); err != nil {
+					return
+				}
+			}
+		})
+		c, err := DialOptions(addr, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer c.Close()
+		for i := 0; i < 2; i++ {
+			got, err := c.Status()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("status %+v, want %+v", got, want)
+			}
+		}
+	})
+
+	t.Run("finished over 64 KiB", func(t *testing.T) {
+		want := make([]JobInfo, 2000)
+		for i := range want {
+			want[i] = JobInfo{ID: job.ID(i + 1), Width: 1 + i%64, Estimate: 3600, Submitted: int64(i),
+				State: StateCompleted, Started: int64(i) + 10, Finished: int64(i) + 900}
+		}
+		line, err := json.Marshal(Response{OK: true, Finished: want})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(line) <= 1<<16 {
+			t.Fatalf("response is only %d bytes", len(line))
+		}
+		addr, _ := stubServer(t, func(_ int, conn net.Conn) { conn.Write(append(line, '\n')) })
+		c, err := DialOptions(addr, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer c.Close()
+		got, err := c.Finished()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("finished list of %d jobs came back as %d, or changed", len(want), len(got))
+		}
+	})
+
+	t.Run("malformed then valid", func(t *testing.T) {
+		addr, conns := stubServer(t, func(n int, conn net.Conn) {
+			if n == 0 {
+				fmt.Fprintf(conn, "%s\n", `{"ok":true,"now":x}`)
+				return
+			}
+			fmt.Fprintf(conn, "%s\n", `{"ok":true,"job":{"ID":3},"now":5}`)
+		})
+		c, err := DialOptions(addr, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer c.Close()
+		if _, err := c.Job(3); err == nil {
+			t.Fatal("malformed response accepted")
+		}
+		info, err := c.Job(3)
+		if err != nil || info.ID != 3 {
+			t.Fatalf("call after a malformed response: %+v, %v", info, err)
+		}
+		if n := conns.Load(); n != 2 {
+			t.Fatalf("%d connections, want the poisoned one dropped and one reconnect", n)
+		}
+	})
 }
 
 func TestClientSurvivesMalformedResponses(t *testing.T) {

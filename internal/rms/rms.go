@@ -24,8 +24,9 @@
 package rms
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -115,6 +116,14 @@ type Scheduler struct {
 	done  []JobInfo // completed, killed and failed jobs, in finish order
 	agg   reportAgg // running Report aggregates over done, in finish order
 
+	// doneLog is the finished history as a checkpoint record encodes it:
+	// the JSON of done[:doneLogged], comma-joined. Finished entries never
+	// change, so captureCheckpointLocked only appends the jobs that
+	// finished since the last checkpoint, and the journal splices the log
+	// into the record instead of encoding the whole history again.
+	doneLog    []byte
+	doneLogged int
+
 	// doneIdx maps a finished job to its index in done, letting Job(id)
 	// answer history lookups from the read snapshot without the
 	// scheduling lock. Guarded by doneMu, not mu, so readers resolving an
@@ -141,17 +150,18 @@ type Scheduler struct {
 	quoteNew func() sim.Driver
 }
 
-// readSnapshot is one immutable published state: a fully built Status
-// (the snapshot owns its slices), the precomputed Report, and the
-// finish-ordered done list. The done slice aliases the scheduler's
-// backing array capped at its published length — appends behind it touch
-// only indices the snapshot never reads, and finished entries are never
-// mutated in place, so sharing is safe.
+// readSnapshot is one immutable published state: a Status that owns its
+// slices, the precomputed Report, and the finish-ordered done list. The
+// Status keeps the live jobs in engine order — waiting jobs in submission
+// order, running ones in start order — and Status sorts its private copy
+// on read. The done slice aliases the scheduler's backing array capped at
+// its published length — appends behind it touch only indices the
+// snapshot never reads, and finished entries are never mutated in place,
+// so sharing is safe.
 type readSnapshot struct {
 	status Status
 	report Report
 	done   []JobInfo
-	byID   map[job.ID]JobInfo // the live (waiting + running) jobs
 
 	// driverState is the driver's serialized decision state as of this
 	// snapshot, captured only while quotes are enabled (see quote.go):
@@ -164,19 +174,10 @@ type readSnapshot struct {
 // publish rebuilds the read model from the current state and swaps it
 // in. Callers hold the scheduling lock; readers are never blocked by it.
 func (s *Scheduler) publish() {
-	st := s.statusLocked()
-	byID := make(map[job.ID]JobInfo, len(st.Waiting)+len(st.Running))
-	for _, ji := range st.Waiting {
-		byID[ji.ID] = ji
-	}
-	for _, ji := range st.Running {
-		byID[ji.ID] = ji
-	}
 	snap := &readSnapshot{
-		status: st,
+		status: s.statusLocked(),
 		report: s.reportLocked(),
 		done:   s.done[:len(s.done):len(s.done)],
-		byID:   byID,
 	}
 	if s.quotesOn.Load() {
 		if sd, ok := s.driver.(engine.StatefulDriver); ok {
@@ -621,8 +622,8 @@ type Status struct {
 	UsedProcs    int
 	ActivePolicy string // policy name; "" before the first plan
 	Scheduler    string
-	Waiting      []JobInfo // in planned-start order
-	Running      []JobInfo // in start order
+	Waiting      []JobInfo // by planned start, ties by ID
+	Running      []JobInfo // by start time, ties by ID
 	Finished     int       // completed + killed + failed so far
 }
 
@@ -633,12 +634,22 @@ type Status struct {
 func (s *Scheduler) Status() Status {
 	st := s.snap.Load().status
 	// The snapshot is shared by every concurrent reader; hand out copies
-	// of its slices so no caller can mutate another's view.
-	st.Waiting = append([]JobInfo(nil), st.Waiting...)
-	st.Running = append([]JobInfo(nil), st.Running...)
+	// of its slices so no caller can mutate another's view, and sort the
+	// copies: publishing keeps engine order so that a mutation pays for no
+	// sort nobody reads.
+	st.Waiting = slices.Clone(st.Waiting)
+	st.Running = slices.Clone(st.Running)
+	slices.SortFunc(st.Waiting, func(a, b JobInfo) int {
+		return cmp.Or(cmp.Compare(a.PlannedStart, b.PlannedStart), cmp.Compare(a.ID, b.ID))
+	})
+	slices.SortFunc(st.Running, func(a, b JobInfo) int {
+		return cmp.Or(cmp.Compare(a.Started, b.Started), cmp.Compare(a.ID, b.ID))
+	})
 	return st
 }
 
+// statusLocked builds the published Status, live jobs in engine order.
+// Callers hold the scheduling lock.
 func (s *Scheduler) statusLocked() Status {
 	st := Status{
 		Now:          s.eng.Now(),
@@ -648,32 +659,37 @@ func (s *Scheduler) statusLocked() Status {
 		Scheduler:    s.driver.Name(),
 		Finished:     len(s.done),
 	}
-	for _, r := range s.eng.Running() {
-		st.UsedProcs += r.Job.Width
-		st.Running = append(st.Running, *s.infos[r.Job.ID])
-	}
-	for _, w := range s.eng.Waiting() {
-		st.Waiting = append(st.Waiting, *s.infos[w.ID])
-	}
-	sort.Slice(st.Running, func(i, j int) bool { return st.Running[i].Started < st.Running[j].Started })
-	sort.Slice(st.Waiting, func(i, j int) bool {
-		if st.Waiting[i].PlannedStart != st.Waiting[j].PlannedStart {
-			return st.Waiting[i].PlannedStart < st.Waiting[j].PlannedStart
+	if running := s.eng.Running(); len(running) > 0 {
+		st.Running = make([]JobInfo, len(running))
+		for i, r := range running {
+			st.UsedProcs += r.Job.Width
+			st.Running[i] = *s.infos[r.Job.ID]
 		}
-		return st.Waiting[i].ID < st.Waiting[j].ID
-	})
+	}
+	if waiting := s.eng.Waiting(); len(waiting) > 0 {
+		st.Waiting = make([]JobInfo, len(waiting))
+		for i, w := range waiting {
+			st.Waiting[i] = *s.infos[w.ID]
+		}
+	}
 	return st
 }
 
 // Job returns the status of a single job (including finished ones). The
 // common cases — a live job or a finished one — are answered from the
 // published read snapshot without the scheduling lock, so single-job
-// pollers cannot be starved by a long replan. Only the race window
-// between a job finishing and the next publish falls back to the lock.
+// pollers cannot be starved by a long replan: a live job by scanning the
+// snapshot's waiting and running jobs, a finished one through the
+// history index. Only the race window between a job finishing and the
+// next publish falls back to the lock.
 func (s *Scheduler) Job(id job.ID) (JobInfo, error) {
 	snap := s.snap.Load()
-	if info, ok := snap.byID[id]; ok {
-		return info, nil
+	for _, live := range [][]JobInfo{snap.status.Waiting, snap.status.Running} {
+		for _, info := range live {
+			if info.ID == id {
+				return info, nil
+			}
+		}
 	}
 	s.doneMu.RLock()
 	idx, ok := s.doneIdx[id]

@@ -137,9 +137,10 @@ fuzz:
 	$(call fuzz,FuzzStaticLockstep,./internal/sim/)
 	@rm -f fuzz.out
 
-# Reduced-scale reproduction of every table and figure. Timed once as
-# `make golden-check` on a 2-core host with go1.24.0 (PR 23): 15 s wall,
-# 26 s CPU; `make golden-check-full` there: 4 min 41 s wall, 9 min CPU.
+# Reduced-scale reproduction of every table and figure. Timed as
+# `make golden-check` on a 2-core host with go1.24.0: 11 s wall, 22 s
+# CPU; `make golden-check-full` there, timed before the trace models'
+# calibration got faster: 4 min 41 s wall, 9 min CPU.
 repro:
 	$(GO) run ./cmd/paper
 

@@ -128,7 +128,7 @@ func measure() snapshot {
 		NumCPU: runtime.NumCPU(),
 		Note: "end-to-end multi-core scaling of the sharded paths: the " +
 			"experiment sweep and sim.RunParallel on the internal/shard " +
-			"pool. Ratios beyond numcpu record " +
+			"claim-counter pool. Ratios beyond numcpu record " +
 			"time-slicing overhead, not scaling; -check gates only " +
 			"ratios both machines have the cores for.",
 	}

@@ -17,10 +17,12 @@ package workload
 import (
 	"fmt"
 	"math"
+	"runtime"
 	"sync"
 
 	"dynp/internal/job"
 	"dynp/internal/rng"
+	"dynp/internal/shard"
 	"dynp/internal/stats"
 )
 
@@ -170,9 +172,18 @@ type widthSampler interface {
 	fromLatent(z, usnap float64) int
 }
 
-// sampleAct maps a latent normal deviate to an actual run time.
+// sampleAct maps a latent normal deviate to an actual run time. The bounds
+// are finite and >= 1, so the two comparisons clamp exactly as
+// math.Min(hi, math.Max(lo, x)) does, NaN and ±Inf included.
 func (g *generator) sampleAct(z float64) float64 {
-	return math.Min(g.actHi, math.Max(g.actLo, g.actLN.FromNormal(z)))
+	act := g.actLN.FromNormal(z)
+	if act < g.actLo {
+		act = g.actLo
+	}
+	if act > g.actHi {
+		act = g.actHi
+	}
+	return act
 }
 
 // sampleJob draws (width, actual run time) with the calibrated
@@ -235,6 +246,11 @@ func (m Model) newGenerator() (*generator, error) {
 // mean interarrival time — the offered load the paper's utilization at
 // shrinking factor 1.0 implies. The mean area is monotone increasing in
 // the correlation, so bisection over a fixed Monte Carlo sample converges.
+//
+// Each sample's width does not depend on the correlation, so it is mapped
+// once; each bisection step only recomputes the run times. The per-sample
+// terms are computed in chunks on the shard pool and then summed serially
+// in index order, so the result is bit-identical at every GOMAXPROCS.
 func (g *generator) calibrateCorrelation() error {
 	m := g.m
 	if m.LoadTarget == 0 {
@@ -248,26 +264,36 @@ func (g *generator) calibrateCorrelation() error {
 	const n = 200000
 	r := rng.New(0xc0a11a7e).Derive(hashName(m.Name))
 	zw := make([]float64, n)
-	us := make([]float64, n)
+	ws := make([]float64, n) // the snapping uniform, then the width it maps to
 	z2 := make([]float64, n)
 	for i := 0; i < n; i++ {
 		zw[i] = r.NormFloat64()
-		us[i] = r.Float64()
+		ws[i] = r.Float64()
 		z2[i] = r.NormFloat64()
 	}
+	inChunks(n, func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			ws[i] = float64(g.width.fromLatent(zw[i], ws[i]))
+		}
+	})
+	terms := make([]float64, n)
 	meanArea := func(rho float64) float64 {
-		g.corr = rho
+		s := math.Sqrt(1 - rho*rho)
+		inChunks(n, func(lo, hi int) {
+			for i := lo; i < hi; i++ {
+				terms[i] = ws[i] * g.sampleAct(rho*zw[i]+s*z2[i])
+			}
+		})
 		var sum float64
-		for i := 0; i < n; i++ {
-			w, act := g.sampleJob(zw[i], us[i], z2[i])
-			sum += float64(w) * act
+		for _, t := range terms {
+			sum += t
 		}
 		return sum / n
 	}
 	const bound = 0.999
-	if meanArea(bound) < target {
+	if top := meanArea(bound); top < target {
 		return fmt.Errorf("load target %v unattainable even at full correlation (max mean area %v, need %v)",
-			m.LoadTarget, meanArea(bound), target)
+			m.LoadTarget, top, target)
 	}
 	if meanArea(-bound) > target {
 		return fmt.Errorf("load target %v below the anti-correlated floor", m.LoadTarget)
@@ -283,6 +309,23 @@ func (g *generator) calibrateCorrelation() error {
 	}
 	g.corr = (lo + hi) / 2
 	return nil
+}
+
+// calibChunk is how many samples one shard task of the load calibration
+// maps: small enough to spread 200,000 samples over any core count,
+// large enough that a task's cost dwarfs claiming it.
+const calibChunk = 1 << 13
+
+// inChunks runs body over [0, n) in calibChunk-sized ranges on the shard
+// pool. Ranges are disjoint, so bodies that write only their own indices
+// need no synchronisation, and shard.Run returns after all of them.
+func inChunks(n int, body func(lo, hi int)) {
+	chunks := (n + calibChunk - 1) / calibChunk
+	_ = shard.Run(runtime.GOMAXPROCS(0), chunks, func(c int) error { // no task fails
+		lo := c * calibChunk
+		body(lo, min(lo+calibChunk, n))
+		return nil
+	})
 }
 
 // calibrateOverestimation solves for the overestimation scale so that the
@@ -347,7 +390,9 @@ func (g *generator) calibrateOverestimation() error {
 // genCache memoises fitted generators per model value: the distribution
 // fits and the two Monte Carlo calibrations are deterministic functions of
 // the model, and generators are immutable after construction, so sharing
-// them (also across goroutines) is safe.
+// them (also across goroutines) is safe. A miss costs ~0.15 s of CPU per
+// model, nearly all of it the load calibration's 12.4M exp calls, spread
+// over the cores (BenchmarkCalibrate: ~0.1 s wall on 2 cores).
 var genCache sync.Map // Model -> *generator
 
 func (m Model) cachedGenerator() (*generator, error) {

@@ -1,10 +1,15 @@
 package workload
 
 import (
+	"encoding/binary"
+	"fmt"
+	"hash/fnv"
 	"math"
+	"runtime"
 	"testing"
 
 	"dynp/internal/rng"
+	"dynp/internal/shard"
 )
 
 func TestModelsValidate(t *testing.T) {
@@ -263,5 +268,261 @@ func TestCharacterizeSmallSet(t *testing.T) {
 	c := Characterize(set)
 	if c.Jobs != 2 || c.IAT.N != 1 {
 		t.Fatalf("characteristics = %+v", c)
+	}
+}
+
+// --- calibration oracle ---
+//
+// naiveSampleAct, naiveCalibrateCorrelation and naiveCalibrateOverestimation
+// are the plain serial form of the two calibrations: every bisection step
+// maps every sample's width again, clamps with math.Min/math.Max and sums
+// in one loop. The generator's calibrations must reproduce them bit for
+// bit at every GOMAXPROCS.
+
+func naiveSampleAct(g *generator, z float64) float64 {
+	return math.Min(g.actHi, math.Max(g.actLo, g.actLN.FromNormal(z)))
+}
+
+func naiveCalibrateCorrelation(g *generator) error {
+	m := g.m
+	if m.LoadTarget == 0 {
+		g.corr = 0
+		return nil
+	}
+	target := m.LoadTarget * float64(m.Machine) * m.IATAvg
+	const n = 200000
+	r := rng.New(0xc0a11a7e).Derive(hashName(m.Name))
+	zw := make([]float64, n)
+	us := make([]float64, n)
+	z2 := make([]float64, n)
+	for i := 0; i < n; i++ {
+		zw[i] = r.NormFloat64()
+		us[i] = r.Float64()
+		z2[i] = r.NormFloat64()
+	}
+	meanArea := func(rho float64) float64 {
+		g.corr = rho
+		var sum float64
+		for i := 0; i < n; i++ {
+			w := g.width.fromLatent(zw[i], us[i])
+			zr := g.corr*zw[i] + math.Sqrt(1-g.corr*g.corr)*z2[i]
+			sum += float64(w) * naiveSampleAct(g, zr)
+		}
+		return sum / n
+	}
+	const bound = 0.999
+	if meanArea(bound) < target {
+		return fmt.Errorf("load target %v unattainable even at full correlation (max mean area %v, need %v)",
+			m.LoadTarget, meanArea(bound), target)
+	}
+	if meanArea(-bound) > target {
+		return fmt.Errorf("load target %v below the anti-correlated floor", m.LoadTarget)
+	}
+	lo, hi := -bound, bound
+	for i := 0; i < 60; i++ {
+		mid := (lo + hi) / 2
+		if meanArea(mid) < target {
+			lo = mid
+		} else {
+			hi = mid
+		}
+	}
+	g.corr = (lo + hi) / 2
+	return nil
+}
+
+func naiveCalibrateOverestimation(g *generator) error {
+	m := g.m
+	if m.Overest <= 1 {
+		g.overShift = 0
+		return nil
+	}
+	const n = 20000
+	r := rng.New(0xca11b8a7e).Derive(hashName(m.Name))
+	acts := make([]float64, n)
+	exps := make([]float64, n)
+	for i := 0; i < n; i++ {
+		acts[i] = naiveSampleAct(g, r.NormFloat64())
+		exps[i] = r.ExpFloat64()
+	}
+	meanEst := func(shift float64) float64 {
+		var sum float64
+		for i := 0; i < n; i++ {
+			est := acts[i] * (1 + shift*exps[i])
+			if est < float64(m.EstMin) {
+				est = float64(m.EstMin)
+			}
+			if est > float64(m.EstMax) {
+				est = float64(m.EstMax)
+			}
+			sum += est
+		}
+		return sum / n
+	}
+	lo, hi := 0.0, m.Overest-1
+	for meanEst(hi) < m.EstAvg {
+		hi *= 2
+		if hi > 1e6 {
+			return fmt.Errorf("cannot reach estimate mean %v", m.EstAvg)
+		}
+	}
+	if meanEst(lo) > m.EstAvg {
+		return fmt.Errorf("estimate mean %v below the no-overestimation floor %v",
+			m.EstAvg, meanEst(lo))
+	}
+	for i := 0; i < 80; i++ {
+		mid := (lo + hi) / 2
+		if meanEst(mid) < m.EstAvg {
+			lo = mid
+		} else {
+			hi = mid
+		}
+	}
+	g.overShift = (lo + hi) / 2
+	return nil
+}
+
+// fitted returns m's generator with its distributions fitted, ready for
+// either calibration to run. It is fitted with the load calibration off,
+// so it exists even when m's LoadTarget is unattainable.
+func fitted(t *testing.T, m Model) generator {
+	t.Helper()
+	free := m
+	free.LoadTarget = 0
+	g, err := free.newGenerator()
+	if err != nil {
+		t.Fatal(err)
+	}
+	g.m = m
+	return *g
+}
+
+// TestCalibrationMatchesNaive runs both calibrations on the four models
+// and on perturbed variants (other load targets, none, a power-of-two-only
+// width model, unattainable targets) at GOMAXPROCS 1, 2 and 7 — 7 leaves
+// the shard pool's last round of chunks uneven — and requires the same
+// correlation and overestimation shift bits, or the same error text, as
+// the naive serial reference.
+func TestCalibrationMatchesNaive(t *testing.T) {
+	type variant struct {
+		name    string
+		m       Model
+		wantErr bool
+	}
+	variants := make([]variant, 0, 10)
+	for _, m := range Models() {
+		variants = append(variants, variant{name: m.Name, m: m})
+	}
+	perturb := func(name string, base Model, wantErr bool, f func(*Model)) {
+		m := base
+		f(&m)
+		variants = append(variants, variant{name: name, m: m, wantErr: wantErr})
+	}
+	perturb("SDSC/load×0.8", SDSC, false, func(m *Model) { m.LoadTarget *= 0.8 })
+	perturb("LANL/load×1.1", LANL, false, func(m *Model) { m.LoadTarget *= 1.1 })
+	perturb("CTC/load0", CTC, false, func(m *Model) { m.LoadTarget = 0 })
+	perturb("SDSC/pow2only", SDSC, false, func(m *Model) { m.WidthPow2Only = true })
+	perturb("KTH/unattainable", KTH, true, func(m *Model) { m.LoadTarget = 50 })
+	perturb("KTH/belowfloor", KTH, true, func(m *Model) { m.LoadTarget = 1e-4 })
+
+	// The naive reference is the slow part: run the variants' references
+	// side by side on the shard pool.
+	wants := make([]generator, len(variants))
+	wantErrs := make([]error, len(variants))
+	for i, v := range variants {
+		wants[i] = fitted(t, v.m)
+	}
+	err := shard.Run(runtime.GOMAXPROCS(0), len(variants), func(i int) error {
+		if wantErrs[i] = naiveCalibrateCorrelation(&wants[i]); wantErrs[i] != nil {
+			return nil
+		}
+		return naiveCalibrateOverestimation(&wants[i])
+	})
+	if err != nil {
+		t.Fatalf("naive overestimation: %v", err)
+	}
+
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for i, v := range variants {
+		want, wantErr := wants[i], wantErrs[i]
+		if (wantErr != nil) != v.wantErr {
+			t.Fatalf("%s: naive calibration error %v, want error %v", v.name, wantErr, v.wantErr)
+		}
+		for _, procs := range []int{1, 2, 7} {
+			runtime.GOMAXPROCS(procs)
+			got := fitted(t, v.m)
+			err := got.calibrateCorrelation()
+			if fmt.Sprint(err) != fmt.Sprint(wantErr) {
+				t.Errorf("%s at GOMAXPROCS %d: error %q, naive %q", v.name, procs, err, wantErr)
+				continue
+			}
+			if err != nil {
+				continue
+			}
+			if err := got.calibrateOverestimation(); err != nil {
+				t.Fatalf("%s at GOMAXPROCS %d: overestimation: %v", v.name, procs, err)
+			}
+			if math.Float64bits(got.corr) != math.Float64bits(want.corr) {
+				t.Errorf("%s at GOMAXPROCS %d: corr %x, naive %x", v.name, procs,
+					math.Float64bits(got.corr), math.Float64bits(want.corr))
+			}
+			if math.Float64bits(got.overShift) != math.Float64bits(want.overShift) {
+				t.Errorf("%s at GOMAXPROCS %d: overShift %x, naive %x", v.name, procs,
+					math.Float64bits(got.overShift), math.Float64bits(want.overShift))
+			}
+		}
+	}
+}
+
+// TestGeneratedSetsPinned pins an FNV-1a hash over every field of every job
+// of GenerateSets(2, 2000, 2004) per model, recorded with the serial load
+// calibration. Any change to a generated job fails here in about a second;
+// a last-bit change of the correlation may round away, which is
+// TestCalibrationMatchesNaive's to catch. The generator cache is emptied
+// first, so each `go test -cpu` pass recalibrates at its own GOMAXPROCS.
+func TestGeneratedSetsPinned(t *testing.T) {
+	genCache.Range(func(k, _ any) bool {
+		genCache.Delete(k)
+		return true
+	})
+	want := map[string]uint64{
+		"CTC":  0x71c25943d1c39376,
+		"KTH":  0xb4fd94f56dfd63ca,
+		"LANL": 0x1b63c72087afe830,
+		"SDSC": 0x4e5bde17109b7275,
+	}
+	for _, m := range Models() {
+		sets, err := m.GenerateSets(2, 2000, 2004)
+		if err != nil {
+			t.Fatal(err)
+		}
+		h := fnv.New64a()
+		var buf [8]byte
+		for _, s := range sets {
+			for _, j := range s.Jobs {
+				for _, v := range []int64{int64(j.ID), j.Submit, int64(j.Width), j.Estimate, j.Runtime} {
+					binary.LittleEndian.PutUint64(buf[:], uint64(v))
+					h.Write(buf[:])
+				}
+			}
+		}
+		if got := h.Sum64(); got != want[m.Name] {
+			t.Errorf("%s: fingerprint %016x, pinned %016x", m.Name, got, want[m.Name])
+		}
+	}
+}
+
+// BenchmarkCalibrate fits and calibrates one model's generator per
+// iteration, bypassing the generator cache that every Generate call hits.
+func BenchmarkCalibrate(b *testing.B) {
+	for _, m := range Models() {
+		b.Run(m.Name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := m.newGenerator(); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

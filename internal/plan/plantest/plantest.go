@@ -18,10 +18,12 @@
 //     decided by a second instance of the decider from the policy the
 //     naive tuner itself holds active.
 //   - BC-3. A system forked from saved state — a journal replayed into a
-//     fresh scheduler, a quote twin restored from a read snapshot —
-//     continues in lockstep from the restored state: every plan it makes
-//     holds to BC-1 and BC-2, its naive tuner taking the restored active
-//     policy at the restore, and a replay lands on the state it saved.
+//     fresh scheduler, a quote twin restored from the daemon's published
+//     image — continues in lockstep from the restored state: every plan
+//     it makes holds to BC-1 and BC-2, its naive tuner taking the
+//     restored active policy at the restore, and a replay lands on the
+//     state it saved. A twin's answer equals that of a twin planning
+//     with Plan or a naive Tuner from the image's active policy.
 //
 // The oracle is slow and obvious on purpose. It shares no mechanism with
 // what it checks: a full sort per policy per event, the array-of-structs

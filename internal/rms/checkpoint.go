@@ -23,36 +23,28 @@ import (
 )
 
 // captureCheckpointLocked serialises the current scheduler state as a
-// checkpoint that folds in the given number of events since genesis. The
-// finished history is shared, not copied: cs.Done aliases the scheduler's
-// done list capped at its current length, and s.doneLog is brought up to
-// the same length, ready for checkpointRecord to splice. Callers hold the
-// scheduling lock.
+// checkpoint that folds in the given number of events since genesis: an
+// image of its own, cut now, plus what only a checkpoint carries — the
+// event count, the plan in force, the driver state when the image lacks
+// it, observer state. The finished history is shared, not copied: cs.Done
+// is the image's alias, and s.doneLog is brought up to the same length,
+// ready for checkpointRecord to splice. Callers hold the scheduling lock.
 func (s *Scheduler) captureCheckpointLocked(events int64) (checkpointState, error) {
-	cs := checkpointState{
-		Events: events,
-		Now:    s.eng.Now(),
-		NextID: int64(s.nextID),
-		Failed: s.eng.FailedProcs(),
+	img := s.imageLocked()
+	if img.driverErr != nil {
+		return checkpointState{}, fmt.Errorf("driver state: %w", img.driverErr)
 	}
-	for _, w := range s.eng.Waiting() {
-		cs.Waiting = append(cs.Waiting, *s.infos[w.ID])
-	}
-	for _, r := range s.eng.Running() {
-		cs.Running = append(cs.Running, *s.infos[r.Job.ID])
-	}
-	if n := len(s.done); n > 0 {
-		cs.Done = s.done[:n:n]
-		for ; s.doneLogged < n; s.doneLogged++ {
-			b, err := json.Marshal(&s.done[s.doneLogged])
-			if err != nil {
-				return checkpointState{}, fmt.Errorf("finished job %d: %w", s.done[s.doneLogged].ID, err)
-			}
-			if s.doneLogged > 0 {
-				s.doneLog = append(s.doneLog, ',')
-			}
-			s.doneLog = append(s.doneLog, b...)
+	cs := img.checkpointState
+	cs.Events = events
+	for ; s.doneLogged < len(cs.Done); s.doneLogged++ {
+		b, err := json.Marshal(&s.done[s.doneLogged])
+		if err != nil {
+			return checkpointState{}, fmt.Errorf("finished job %d: %w", s.done[s.doneLogged].ID, err)
 		}
+		if s.doneLogged > 0 {
+			s.doneLog = append(s.doneLog, ',')
+		}
+		s.doneLog = append(s.doneLog, b...)
 	}
 	if p := s.eng.Schedule(); p != nil {
 		pr := &planRec{Policy: policyName(p.Policy), Now: p.Now, Capacity: p.Capacity}
@@ -61,7 +53,7 @@ func (s *Scheduler) captureCheckpointLocked(events int64) (checkpointState, erro
 		}
 		cs.Plan = pr
 	}
-	if sd, ok := s.driver.(engine.StatefulDriver); ok {
+	if sd, ok := s.driver.(engine.StatefulDriver); ok && cs.Driver == nil {
 		b, err := sd.SaveState()
 		if err != nil {
 			return checkpointState{}, fmt.Errorf("driver state: %w", err)

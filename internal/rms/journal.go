@@ -257,7 +257,7 @@ func splitRecords(data []byte) []record {
 	var recs []record
 	off := int64(0)
 	for len(data) > 0 {
-		i := indexByte(data, '\n')
+		i := bytes.IndexByte(data, '\n')
 		if i < 0 {
 			recs = append(recs, record{off: off, data: data, terminated: false})
 			break
@@ -267,15 +267,6 @@ func splitRecords(data []byte) []record {
 		data = data[i+1:]
 	}
 	return recs
-}
-
-func indexByte(b []byte, c byte) int {
-	for i, x := range b {
-		if x == c {
-			return i
-		}
-	}
-	return -1
 }
 
 // segScan is the validated interpretation of one segment file.

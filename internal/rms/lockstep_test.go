@@ -7,11 +7,13 @@ import (
 	"io"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
 	"dynp/internal/core"
 	"dynp/internal/job"
+	"dynp/internal/plan"
 	"dynp/internal/plan/plantest"
 	"dynp/internal/policy"
 	"dynp/internal/sim"
@@ -37,7 +39,9 @@ type lockstepFactory func() (sim.Driver, *sim.DynP, *plantest.Tuner)
 //     (plan and driver state included) and naive active policy, and the
 //     stream continues on it;
 //   - a quote, whose twin plans with a lockstep driver from the quote
-//     factory and must have continued from the live tuner's state;
+//     factory and must have continued from the live tuner's state, and
+//     whose answer must equal that of a naive twin run forward from the
+//     same image;
 //   - one batch completing a job and submitting another at the same later
 //     instant.
 func runDeliverLockstep(t *testing.T, newDriver lockstepFactory, lanes *plantest.Lanes, data []byte) {
@@ -130,8 +134,9 @@ func runDeliverLockstep(t *testing.T, newDriver lockstepFactory, lanes *plantest
 				count := 1 + int(arg/4)%3
 				tw = nil
 				plans := lanes.View + lanes.Sort
+				img := s.img.Load()
 				var qs []Quote
-				if qs, err = s.Quote(width, est, count); err == nil && len(qs) != count {
+				if qs, err = s.quoteIn(img, width, est, count); err == nil && len(qs) != count {
 					t.Fatalf("event %d: %d quotes for %d replicas", i/2, len(qs), count)
 				}
 				if tw != nil && live != nil {
@@ -139,6 +144,11 @@ func runDeliverLockstep(t *testing.T, newDriver lockstepFactory, lanes *plantest
 					if got, want := tw.Stats().Steps, live.Stats().Steps+twinPlans; got != want {
 						t.Fatalf("event %d: twin tuner took %d steps after %d plans, want the live tuner's %d plus them",
 							i/2, got, twinPlans, live.Stats().Steps)
+					}
+				}
+				if err == nil {
+					if want := naiveQuotes(t, img, ref, width, est, count); !slices.Equal(qs, want) {
+						t.Fatalf("event %d: twin quoted %+v, the naive twin %+v", i/2, qs, want)
 					}
 				}
 			default:
@@ -160,6 +170,54 @@ func runDeliverLockstep(t *testing.T, newDriver lockstepFactory, lanes *plantest
 		}
 		checkStatusOrder(t, fmt.Sprintf("event %d (op %d)", i/2, op%8), s)
 	}
+}
+
+// naiveTwin is a quote twin's driver made of the oracle alone: every
+// plan is plantest.Plan under a fixed policy or, with a tuner, a naive
+// tuner step.
+type naiveTwin struct {
+	pol   policy.Policy
+	tuner *plantest.Tuner
+}
+
+func (d *naiveTwin) Name() string { return "naive" }
+
+func (d *naiveTwin) ActivePolicy() policy.Policy {
+	if d.tuner != nil {
+		return d.tuner.Active
+	}
+	return d.pol
+}
+
+func (d *naiveTwin) Plan(now int64, capacity int, running []plan.Running, waiting []*job.Job) *plan.Schedule {
+	if d.tuner == nil {
+		return plantest.Plan(now, capacity, running, waiting, d.pol)
+	}
+	_, sched := d.tuner.Step(now, capacity, running, waiting)
+	return sched
+}
+
+// naiveQuotes runs a twin from img on a naiveTwin (BC-3's quote fork):
+// it starts from the image's active policy — with ref, the live naive
+// tuner, as a naive tuner of the same decider, which the streams keep
+// stateless — and so needs none of the driver state the image carries.
+func naiveQuotes(t *testing.T, img *image, ref *plantest.Tuner, width int, estimate int64, count int) []Quote {
+	t.Helper()
+	active, err := policy.Lookup(img.active)
+	if err != nil {
+		t.Fatal(err)
+	}
+	drv := &naiveTwin{pol: active}
+	if ref != nil {
+		drv.tuner = &plantest.Tuner{Candidates: ref.Candidates, Decider: ref.Decider, Metric: ref.Metric, Active: active}
+	}
+	bare := *img
+	bare.Driver = nil
+	qs, err := runTwin(&bare, drv, width, estimate, count)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return qs
 }
 
 // checkStatusOrder holds Status to its order contract, read directly and

@@ -1,21 +1,21 @@
 // The digital-twin quote service: "when will my job start?" answered at
 // high QPS without touching live scheduling state.
 //
-// A quote is a checkpoint restore without the history: the lock-free
-// read snapshot already holds the clock, the failed processors, the live
-// jobs and the driver's serialized decision state, so the quote forks it
-// through restoreEngine — the step journal replay takes — into a fresh
-// engine and a fresh driver from the quote factory, then injects the
-// hypothetical job(s) and runs the twin forward through kills, launches
-// and self-tuning policy switches until every hypothetical has started.
-// The twin never shares mutable state with the live engine: its jobs are
-// rebuilt from the snapshot's JobInfos into an arena of its own, and the
-// tuner's decision state travels as the bytes the snapshot captured under
-// the scheduling lock. Quotes therefore read like any other snapshot
-// consumer — a storm of them never delays a mutator — and the twin's
-// forward run is honest: on a quiescent scheduler the quoted start
-// equals the realized start of the same job submitted for real (see
-// TestQuoteHonesty and DESIGN.md §15 for the argument).
+// A quote is a checkpoint restore: the published image is a checkpoint
+// without plan or observers — the clock, the next ID, the failed
+// processors, the live jobs and the driver's serialized decision state —
+// so the quote hands it as it is to restoreEngine, the step journal
+// replay takes, with a fresh engine and a fresh driver from the quote
+// factory, then injects the hypothetical job(s) and runs the twin forward
+// through kills, launches and self-tuning policy switches until every
+// hypothetical has started. The twin never shares mutable state with the
+// live engine: its jobs are rebuilt from the image's JobInfos into an
+// arena of its own, and the tuner's decision state travels as the bytes
+// the image captured under the scheduling lock. Quotes therefore read
+// like any other image consumer — a storm of them never delays a mutator
+// — and the twin's forward run is honest: on a quiescent scheduler the
+// quoted start equals the realized start of the same job submitted for
+// real (see TestQuoteHonesty and DESIGN.md §15 for the argument).
 package rms
 
 import (
@@ -47,9 +47,8 @@ type Quote struct {
 // fresh driver of the same configuration as the live one (dynpd passes
 // its scheduler spec's factory), so a twin restored from the live
 // tuner's serialized state makes identical decisions. From the next
-// publish on, every read snapshot additionally captures the driver's
-// decision state; schedulers that never enable quotes keep paying
-// nothing for it.
+// publish on, every image additionally captures the driver's decision
+// state; schedulers that never enable quotes keep paying nothing for it.
 func (s *Scheduler) EnableQuotes(newDriver func() sim.Driver) error {
 	if newDriver == nil {
 		return fmt.Errorf("rms: EnableQuotes: nil driver factory")
@@ -77,11 +76,16 @@ func (s *Scheduler) EnableQuotes(newDriver func() sim.Driver) error {
 // returned Quote is the i-th replica's. A job wider than the current
 // effective capacity gets the NeverStart sentinel in all three fields.
 //
-// Quote never takes the scheduling lock: it forks the latest read
-// snapshot into a digital twin and runs the twin forward under the live
-// tuner's decision state. It is safe for any number of concurrent
-// callers.
+// Quote never takes the scheduling lock: it forks the published image
+// into a digital twin and runs the twin forward under the live tuner's
+// decision state. It is safe for any number of concurrent callers.
 func (s *Scheduler) Quote(width int, estimate int64, count int) ([]Quote, error) {
+	return s.quoteIn(s.img.Load(), width, estimate, count)
+}
+
+// quoteIn answers a quote from img, whose clock its Wait is measured
+// from.
+func (s *Scheduler) quoteIn(img *image, width int, estimate int64, count int) ([]Quote, error) {
 	if !s.quotesOn.Load() {
 		return nil, fmt.Errorf("rms: quotes not enabled on this scheduler")
 	}
@@ -91,24 +95,19 @@ func (s *Scheduler) Quote(width int, estimate int64, count int) ([]Quote, error)
 	if count < 1 || count > MaxQuoteBatch {
 		return nil, fmt.Errorf("rms: quote count %d out of [1, %d]", count, MaxQuoteBatch)
 	}
-	snap := s.snap.Load()
-	st := &snap.status
-	if width < 1 || width > st.Capacity {
-		return nil, fmt.Errorf("rms: width %d out of [1, %d] (effective capacity now %d)",
-			width, st.Capacity, st.Capacity-st.FailedProcs)
-	}
-	if estimate < 1 {
-		return nil, fmt.Errorf("rms: estimate %d < 1", estimate)
+	effective := img.capacity - img.Failed
+	if err := checkShape(width, estimate, img.capacity, effective); err != nil {
+		return nil, err
 	}
 	// A failed journal refuses every mutation, so a quote would predict a
 	// future no submission can reach; refuse it for the same reason.
 	if err := s.JournalErr(); err != nil {
 		return nil, fmt.Errorf("rms: quotes unavailable: %w", err)
 	}
-	if snap.driverStateErr != nil {
-		return nil, fmt.Errorf("rms: quote: capturing driver state: %w", snap.driverStateErr)
+	if img.driverErr != nil {
+		return nil, fmt.Errorf("rms: quote: capturing driver state: %w", img.driverErr)
 	}
-	if width > st.Capacity-st.FailedProcs {
+	if width > effective {
 		// Unplaceable at the current effective capacity: the twin would
 		// queue it forever. Answer with the sentinel instead of running.
 		out := make([]Quote, count)
@@ -118,36 +117,25 @@ func (s *Scheduler) Quote(width int, estimate int64, count int) ([]Quote, error)
 		}
 		return out, nil
 	}
-	return runTwin(snap, s.quoteNew(), width, estimate, count)
+	return runTwin(img, s.quoteNew(), width, estimate, count)
 }
 
-// runTwin restores the snapshot, as a checkpoint without history, into a
-// fresh engine planning with drv, injects count hypothetical jobs, and
-// runs the twin forward until they all started. The snapshot's live jobs
-// are in engine order, as a checkpoint's are.
-func runTwin(snap *readSnapshot, drv sim.Driver, width int, estimate int64, count int) ([]Quote, error) {
-	st := &snap.status
-	cs := checkpointState{Now: st.Now, Failed: st.FailedProcs,
-		Waiting: st.Waiting, Running: st.Running, Driver: snap.driverState}
-	for _, infos := range [][]JobInfo{st.Waiting, st.Running} {
-		for _, info := range infos {
-			cs.NextID = max(cs.NextID, int64(info.ID))
-		}
-	}
-	// IDs of the hypotheticals continue past the highest live ID,
-	// preserving every policy tie-break against the live jobs — the real
-	// submission would draw an ID at least this high, and all orderings
-	// only compare IDs, never read their value.
-	hypBase := job.ID(cs.NextID)
+// runTwin restores the image, as a checkpoint, into a fresh engine
+// planning with drv, injects count hypothetical jobs, and runs the twin
+// forward until they all started.
+func runTwin(img *image, drv sim.Driver, width int, estimate int64, count int) ([]Quote, error) {
+	// The hypotheticals take the IDs the next real submissions would,
+	// preserving every policy tie-break against the live jobs.
+	hypBase := job.ID(img.NextID)
 	started := make(map[job.ID]int64, count)
-	eng := engine.New(st.Capacity, drv, st.Now, engine.WithHooks(engine.Hooks{
+	eng := engine.New(img.capacity, drv, img.Now, engine.WithHooks(engine.Hooks{
 		Started: func(j *job.Job, now int64) {
 			if j.ID > hypBase {
 				started[j.ID] = now
 			}
 		},
 	}))
-	if err := restoreEngine(eng, drv, &cs); err != nil {
+	if err := restoreEngine(eng, drv, &img.checkpointState); err != nil {
 		return nil, fmt.Errorf("rms: quote: %w", err)
 	}
 
@@ -156,7 +144,7 @@ func runTwin(snap *readSnapshot, drv sim.Driver, width int, estimate int64, coun
 	// once, so the pointers the engine holds stay stable.
 	hyp := make([]job.Job, count)
 	for i := range hyp {
-		hyp[i] = job.Job{ID: hypBase + 1 + job.ID(i), Submit: st.Now, Width: width,
+		hyp[i] = job.Job{ID: hypBase + 1 + job.ID(i), Submit: img.Now, Width: width,
 			Estimate: estimate, Runtime: estimate}
 		eng.Submit(&hyp[i])
 		if err := eng.Replan(); err != nil {
@@ -171,7 +159,7 @@ func runTwin(snap *readSnapshot, drv sim.Driver, width int, estimate int64, coun
 	// at all. The generous cap only guards against a rogue registered
 	// driver planning nonsense forever — every event starts or finishes a
 	// job, so an honest run takes at most ~2 actions per job.
-	limit := 4*(len(st.Waiting)+len(st.Running)+count) + 64
+	limit := 4*(len(img.Waiting)+len(img.Running)+count) + 64
 	for iters := 0; len(started) < count; iters++ {
 		if iters > limit {
 			return nil, fmt.Errorf("rms: quote: twin did not converge within %d steps", limit)
@@ -203,7 +191,7 @@ func runTwin(snap *readSnapshot, drv sim.Driver, width int, estimate int64, coun
 		if start, ok := started[hypBase+1+job.ID(i)]; ok {
 			q.Start = start
 			q.Finish = start + estimate
-			q.Wait = start - st.Now
+			q.Wait = start - img.Now
 		}
 		out[i] = q
 	}

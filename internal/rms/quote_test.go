@@ -165,7 +165,7 @@ func TestQuoteBatchHonesty(t *testing.T) {
 // TestQuoteTwinObservesDecider: the twin's engine attaches an
 // observer-driven decider exactly like the live one's, so the twin
 // decides on what it observes after the restore rather than on the state
-// frozen at the snapshot.
+// frozen in the image.
 func TestQuoteTwinObservesDecider(t *testing.T) {
 	var made []*adaptive.Decider // the live scheduler's first
 	factory := func() sim.Driver {
@@ -231,7 +231,7 @@ func TestQuoteNeverStartWiderThanEffective(t *testing.T) {
 
 // TestQuoteValidation pins the quote's error paths: bad arguments answer
 // before any twin is built, and a twin whose driver cannot restore the
-// snapshot's decision state fails the quote instead of answering it.
+// image's decision state fails the quote instead of answering it.
 func TestQuoteValidation(t *testing.T) {
 	plain := newFCFS(t, 8)
 	if _, err := plain.Quote(1, 1, 1); err == nil || !strings.Contains(err.Error(), "not enabled") {

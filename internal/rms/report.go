@@ -21,7 +21,7 @@ type Report struct {
 // at a time in finish order — the same order (and therefore the same
 // floating-point results) the retired per-read loop over the done list
 // produced. Maintaining it on the write path makes Report O(1) on the
-// read path, served straight from the published snapshot.
+// read path: every image carries a copy.
 type reportAgg struct {
 	n                int // finished jobs folded in
 	killed, failed   int
@@ -69,30 +69,25 @@ func (a *reportAgg) add(j JobInfo) {
 // Report computes the metrics over all finished jobs, as of the last
 // completed mutation. With no finished jobs, the zero Report (with the
 // current time) is returned. It never takes the scheduling lock: the
-// report is precomputed on the write path and served from the published
-// snapshot.
+// report is derived from the aggregates of the published image.
 func (s *Scheduler) Report() Report {
-	return s.snap.Load().report
-}
-
-// reportLocked derives the Report from the running aggregates. Callers
-// hold the scheduling lock.
-func (s *Scheduler) reportLocked() Report {
-	rep := Report{Now: s.eng.Now(), Jobs: len(s.done)}
-	if len(s.done) == 0 {
+	img := s.img.Load()
+	a := &img.agg
+	rep := Report{Now: img.Now, Jobs: a.n}
+	if a.n == 0 {
 		return rep
 	}
-	n := float64(len(s.done))
-	rep.Killed = s.agg.killed
-	rep.Failed = s.agg.failed
-	rep.SLDwA = s.agg.weighted / s.agg.area
-	rep.ART = s.agg.respSum / n
-	rep.AWT = s.agg.waitSum / n
-	rep.MaxWait = s.agg.maxWait
-	rep.FirstSub = s.agg.first
-	rep.LastFinish = s.agg.last
-	if span := s.agg.last - s.agg.first; span > 0 {
-		rep.Util = s.agg.area / (float64(s.eng.Capacity()) * float64(span))
+	n := float64(a.n)
+	rep.Killed = a.killed
+	rep.Failed = a.failed
+	rep.SLDwA = a.weighted / a.area
+	rep.ART = a.respSum / n
+	rep.AWT = a.waitSum / n
+	rep.MaxWait = a.maxWait
+	rep.FirstSub = a.first
+	rep.LastFinish = a.last
+	if span := a.last - a.first; span > 0 {
+		rep.Util = a.area / (float64(img.capacity) * float64(span))
 	}
 	return rep
 }

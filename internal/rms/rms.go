@@ -98,13 +98,13 @@ var (
 // methods are safe for concurrent use.
 //
 // Reads and writes are decoupled: every mutation, while still holding
-// the scheduling mutex, publishes an immutable snapshot of the
-// externally visible state, and the heavy-traffic read operations —
-// Status, Report, Finished, Now — serve from the latest snapshot with a
-// single atomic load. A storm of status readers therefore never delays
-// a scheduling event, and a long replan never delays a reader: readers
-// see the state as of the last completed mutation, which is exactly the
-// consistency a mutex would give them minus the waiting.
+// the scheduling mutex, publishes an immutable image of the scheduler,
+// and every read — Status, Report, Job, Finished, Now, QueueDepth and
+// Quote — answers from one image, loaded with a single atomic load. A
+// storm of readers therefore never delays a scheduling event, and a long
+// replan never delays a reader: readers see the state as of the last
+// completed mutation, which is exactly the consistency a mutex would give
+// them minus the waiting.
 type Scheduler struct {
 	mu      sync.Mutex
 	eng     *engine.Engine
@@ -125,9 +125,9 @@ type Scheduler struct {
 	doneLogged int
 
 	// doneIdx maps a finished job to its index in done, letting Job(id)
-	// answer history lookups from the read snapshot without the
-	// scheduling lock. Guarded by doneMu, not mu, so readers resolving an
-	// index never contend with a replan.
+	// answer history lookups from an image without the scheduling lock.
+	// Guarded by doneMu, not mu, so readers resolving an index never
+	// contend with a replan.
 	doneMu  sync.RWMutex
 	doneIdx map[job.ID]int
 
@@ -138,54 +138,79 @@ type Scheduler struct {
 	// jp mirrors journal for lock-free health checks (see JournalErr).
 	jp atomic.Pointer[Journal]
 
-	// snap is the immutable read model, swapped wholesale after every
-	// mutation (see publish). Never nil once New returns.
-	snap atomic.Pointer[readSnapshot]
+	// img is the published image, swapped wholesale after every mutation
+	// (see publish). Never nil once New returns.
+	img atomic.Pointer[image]
 
-	// Quote service state (see quote.go). quotesOn gates the extra
-	// driver-state capture in publish, so schedulers that never call
-	// EnableQuotes pay nothing; quoteNew is written once before quotesOn
-	// flips and read lock-free afterwards.
+	// Quote service state (see quote.go). quotesOn gates the driver-state
+	// capture in every image, so schedulers that never call EnableQuotes
+	// pay nothing for it; quoteNew is written once before quotesOn flips
+	// and read lock-free afterwards.
 	quotesOn atomic.Bool
 	quoteNew func() sim.Driver
 }
 
-// readSnapshot is one immutable published state: a Status that owns its
-// slices, the precomputed Report, and the finish-ordered done list. The
-// Status keeps the live jobs in engine order — waiting jobs in submission
-// order, running ones in start order — and Status sorts its private copy
-// on read. The done slice aliases the scheduler's backing array capped at
-// its published length — appends behind it touch only indices the
-// snapshot never reads, and finished entries are never mutated in place,
-// so sharing is safe.
-type readSnapshot struct {
-	status Status
-	report Report
-	done   []JobInfo
-
-	// driverState is the driver's serialized decision state as of this
-	// snapshot, captured only while quotes are enabled (see quote.go):
-	// it is what lets a digital twin resume the live tuner's decisions
-	// without ever touching the live driver. nil for stateless drivers.
-	driverState    []byte
-	driverStateErr error
+// image is one immutable state of the scheduler, cut after a mutation.
+// Its checkpointState holds the clock, the next ID, the failed
+// processors, the live jobs in engine order — waiting jobs in submission
+// order, running ones in start order — the finished history and, while
+// quotes are on, the driver's decision state: exactly what a quote twin
+// restores. The plan, observer state and event count stay empty; only a
+// checkpoint fills them (see captureCheckpointLocked). Done aliases the
+// scheduler's backing array capped at its length — appends behind it
+// touch only indices the image never reads, and finished entries are
+// never mutated in place, so sharing is safe.
+type image struct {
+	checkpointState
+	capacity  int // installed processors
+	used      int // processors held by running jobs
+	active    string
+	scheduler string
+	agg       reportAgg
+	driverErr error // capturing Driver failed; quotes refuse
 }
 
-// publish rebuilds the read model from the current state and swaps it
-// in. Callers hold the scheduling lock; readers are never blocked by it.
-func (s *Scheduler) publish() {
-	snap := &readSnapshot{
-		status: s.statusLocked(),
-		report: s.reportLocked(),
-		done:   s.done[:len(s.done):len(s.done)],
+// imageLocked cuts an image of the current state. Callers hold the
+// scheduling lock.
+func (s *Scheduler) imageLocked() *image {
+	img := &image{
+		checkpointState: checkpointState{
+			Now:    s.eng.Now(),
+			NextID: int64(s.nextID),
+			Failed: s.eng.FailedProcs(),
+		},
+		capacity:  s.eng.Capacity(),
+		active:    policyName(s.driver.ActivePolicy()),
+		scheduler: s.driver.Name(),
+		agg:       s.agg,
+	}
+	if waiting := s.eng.Waiting(); len(waiting) > 0 {
+		img.Waiting = make([]JobInfo, len(waiting))
+		for i, w := range waiting {
+			img.Waiting[i] = *s.infos[w.ID]
+		}
+	}
+	if running := s.eng.Running(); len(running) > 0 {
+		img.Running = make([]JobInfo, len(running))
+		for i, r := range running {
+			img.used += r.Job.Width
+			img.Running[i] = *s.infos[r.Job.ID]
+		}
+	}
+	if n := len(s.done); n > 0 {
+		img.Done = s.done[:n:n]
 	}
 	if s.quotesOn.Load() {
 		if sd, ok := s.driver.(engine.StatefulDriver); ok {
-			snap.driverState, snap.driverStateErr = sd.SaveState()
+			img.Driver, img.driverErr = sd.SaveState()
 		}
 	}
-	s.snap.Store(snap)
+	return img
 }
+
+// publish swaps in an image of the current state. Callers hold the
+// scheduling lock; readers are never blocked by it.
+func (s *Scheduler) publish() { s.img.Store(s.imageLocked()) }
 
 // New returns an online scheduler for a machine with the given capacity,
 // using the given planning driver (a static policy, dynP, or EASY). The
@@ -335,11 +360,9 @@ func (s *Scheduler) JournalErr() error {
 }
 
 // QueueDepth returns the number of waiting jobs as of the last
-// completed mutation, without taking the scheduling lock. The daemon's
-// readiness watermark reads it on every health probe.
-func (s *Scheduler) QueueDepth() int {
-	return len(s.snap.Load().status.Waiting)
-}
+// completed mutation, without taking the scheduling lock — the figure
+// the server's readiness watermark checks.
+func (s *Scheduler) QueueDepth() int { return len(s.img.Load().Waiting) }
 
 // journalAppend records an external event ahead of applying it. On a
 // journal write error the event must not be applied — the journal is the
@@ -365,9 +388,7 @@ func (s *Scheduler) journalCheckpoint() {
 
 // Now returns the scheduler's current time as of the last completed
 // mutation. It never takes the scheduling lock.
-func (s *Scheduler) Now() int64 {
-	return s.snap.Load().status.Now
-}
+func (s *Scheduler) Now() int64 { return s.img.Load().Now }
 
 // Submit enters a job (width processors for at most estimate seconds) at
 // the current time and returns its ID and planned start time. Width is
@@ -378,12 +399,8 @@ func (s *Scheduler) Submit(width int, estimate int64) (JobInfo, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	defer s.publish()
-	if width < 1 || width > s.eng.Capacity() {
-		return JobInfo{}, fmt.Errorf("rms: width %d out of [1, %d] (effective capacity now %d)",
-			width, s.eng.Capacity(), s.eng.Effective())
-	}
-	if estimate < 1 {
-		return JobInfo{}, fmt.Errorf("rms: estimate %d < 1", estimate)
+	if err := checkShape(width, estimate, s.eng.Capacity(), s.eng.Effective()); err != nil {
+		return JobInfo{}, err
 	}
 	if err := s.journalAppend(Event{Op: opSubmit, Width: width, Estimate: estimate}); err != nil {
 		return JobInfo{}, err
@@ -405,6 +422,19 @@ func (s *Scheduler) Submit(width int, estimate int64) (JobInfo, error) {
 	info := *s.infos[j.ID]
 	s.journalCheckpoint()
 	return info, nil
+}
+
+// checkShape validates a job's shape, as Submit, Deliver and Quote take
+// it: a width within the installed capacity (a job wider than the
+// effective capacity is legal and queues) and a positive estimate.
+func checkShape(width int, estimate int64, capacity, effective int) error {
+	if width < 1 || width > capacity {
+		return fmt.Errorf("rms: width %d out of [1, %d] (effective capacity now %d)", width, capacity, effective)
+	}
+	if estimate < 1 {
+		return fmt.Errorf("rms: estimate %d < 1", estimate)
+	}
+	return nil
 }
 
 // Complete reports that a running job finished at the current time.
@@ -576,12 +606,8 @@ func (s *Scheduler) Deliver(t int64, completions []job.ID, subs []Submission) ([
 		}
 	}
 	for _, sub := range subs {
-		if sub.Width < 1 || sub.Width > s.eng.Capacity() {
-			return nil, fmt.Errorf("rms: width %d out of [1, %d] (effective capacity now %d)",
-				sub.Width, s.eng.Capacity(), s.eng.Effective())
-		}
-		if sub.Estimate < 1 {
-			return nil, fmt.Errorf("rms: estimate %d < 1", sub.Estimate)
+		if err := checkShape(sub.Width, sub.Estimate, s.eng.Capacity(), s.eng.Effective()); err != nil {
+			return nil, err
 		}
 	}
 
@@ -630,15 +656,22 @@ type Status struct {
 // Status returns a consistent snapshot of the whole system as of the
 // last completed mutation. It never takes the scheduling lock: a storm
 // of status readers cannot delay a scheduling event. The slices are the
-// caller's to keep.
+// caller's to keep: copies of the shared image's, sorted here because an
+// image keeps engine order, so that a mutation pays for no sort nobody
+// reads.
 func (s *Scheduler) Status() Status {
-	st := s.snap.Load().status
-	// The snapshot is shared by every concurrent reader; hand out copies
-	// of its slices so no caller can mutate another's view, and sort the
-	// copies: publishing keeps engine order so that a mutation pays for no
-	// sort nobody reads.
-	st.Waiting = slices.Clone(st.Waiting)
-	st.Running = slices.Clone(st.Running)
+	img := s.img.Load()
+	st := Status{
+		Now:          img.Now,
+		Capacity:     img.capacity,
+		FailedProcs:  img.Failed,
+		UsedProcs:    img.used,
+		ActivePolicy: img.active,
+		Scheduler:    img.scheduler,
+		Waiting:      slices.Clone(img.Waiting),
+		Running:      slices.Clone(img.Running),
+		Finished:     len(img.Done),
+	}
 	slices.SortFunc(st.Waiting, func(a, b JobInfo) int {
 		return cmp.Or(cmp.Compare(a.PlannedStart, b.PlannedStart), cmp.Compare(a.ID, b.ID))
 	})
@@ -648,43 +681,17 @@ func (s *Scheduler) Status() Status {
 	return st
 }
 
-// statusLocked builds the published Status, live jobs in engine order.
-// Callers hold the scheduling lock.
-func (s *Scheduler) statusLocked() Status {
-	st := Status{
-		Now:          s.eng.Now(),
-		Capacity:     s.eng.Capacity(),
-		FailedProcs:  s.eng.FailedProcs(),
-		ActivePolicy: policyName(s.driver.ActivePolicy()),
-		Scheduler:    s.driver.Name(),
-		Finished:     len(s.done),
-	}
-	if running := s.eng.Running(); len(running) > 0 {
-		st.Running = make([]JobInfo, len(running))
-		for i, r := range running {
-			st.UsedProcs += r.Job.Width
-			st.Running[i] = *s.infos[r.Job.ID]
-		}
-	}
-	if waiting := s.eng.Waiting(); len(waiting) > 0 {
-		st.Waiting = make([]JobInfo, len(waiting))
-		for i, w := range waiting {
-			st.Waiting[i] = *s.infos[w.ID]
-		}
-	}
-	return st
-}
+// Job returns the status of a single job (including finished ones) as of
+// the last completed mutation. It never takes the scheduling lock, so
+// single-job pollers cannot be starved by a long replan.
+func (s *Scheduler) Job(id job.ID) (JobInfo, error) { return s.jobIn(s.img.Load(), id) }
 
-// Job returns the status of a single job (including finished ones). The
-// common cases — a live job or a finished one — are answered from the
-// published read snapshot without the scheduling lock, so single-job
-// pollers cannot be starved by a long replan: a live job by scanning the
-// snapshot's waiting and running jobs, a finished one through the
-// history index. Only the race window between a job finishing and the
-// next publish falls back to the lock.
-func (s *Scheduler) Job(id job.ID) (JobInfo, error) {
-	snap := s.snap.Load()
-	for _, live := range [][]JobInfo{snap.status.Waiting, snap.status.Running} {
+// jobIn looks a job up in img: a live job by scanning the image's waiting
+// and running jobs, a finished one through the history index. A job the
+// image does not hold is unknown as of that image, whatever happened
+// since.
+func (s *Scheduler) jobIn(img *image, id job.ID) (JobInfo, error) {
+	for _, live := range [][]JobInfo{img.Waiting, img.Running} {
 		for _, info := range live {
 			if info.ID == id {
 				return info, nil
@@ -694,13 +701,8 @@ func (s *Scheduler) Job(id job.ID) (JobInfo, error) {
 	s.doneMu.RLock()
 	idx, ok := s.doneIdx[id]
 	s.doneMu.RUnlock()
-	if ok && idx < len(snap.done) {
-		return snap.done[idx], nil
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if info, ok := s.infos[id]; ok {
-		return *info, nil
+	if ok && idx < len(img.Done) {
+		return img.Done[idx], nil
 	}
 	return JobInfo{}, fmt.Errorf("rms: unknown job %d", id)
 }
@@ -708,9 +710,7 @@ func (s *Scheduler) Job(id job.ID) (JobInfo, error) {
 // Finished returns the jobs that completed, were killed, or died to a
 // capacity failure, in finish order, as of the last completed mutation.
 // It never takes the scheduling lock.
-func (s *Scheduler) Finished() []JobInfo {
-	return append([]JobInfo(nil), s.snap.Load().done...)
-}
+func (s *Scheduler) Finished() []JobInfo { return slices.Clone(s.img.Load().Done) }
 
 // CheckInvariants verifies the scheduler's internal consistency: the
 // engine's machine state is coherent (see engine.CheckInvariants), every

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -52,7 +53,7 @@ import (
 // Overload policy. MaxConns bounds the connections served at full
 // service. The next MaxConns connections are still accepted but
 // degraded: reads — which every client can get from a retry later, and
-// which the scheduler answers from lock-free snapshots anyway — are
+// which the scheduler answers from lock-free images anyway — are
 // shed with busy responses, while mutating ops (submit, done, deliver)
 // execute normally, so a flood of status pollers can never starve the
 // operations that lose work when starved. Beyond that the connection is
@@ -62,7 +63,7 @@ import (
 // quote lane is bounded even at full service — QuoteWorkers simulations
 // run concurrently and at most QuoteMax quotes may be in flight (running
 // or waiting for a worker) before further ones get busy responses. A
-// snapshot read costs an atomic load and is never shed at full service;
+// plain read costs an atomic load and is never shed at full service;
 // a quote is the first thing to go when load climbs, and mutators never
 // wait on either.
 type Server struct {
@@ -133,14 +134,14 @@ type HealthInfo struct {
 	JournalErr string `json:"journal_err,omitempty"`
 }
 
-// healthInfo computes the current health verdict. Ready means: the
+// healthInfo computes the health verdict as of img. Ready means: the
 // replay gate is open, the journal (if any) has not failed, and the
 // waiting queue is under the watermark.
-func (sv *Server) healthInfo() HealthInfo {
+func (sv *Server) healthInfo(img *image) HealthInfo {
 	sv.mu.Lock()
 	conns := len(sv.conns)
 	sv.mu.Unlock()
-	h := HealthInfo{Ready: true, QueueDepth: sv.sched.QueueDepth(), Conns: conns}
+	h := HealthInfo{Ready: true, QueueDepth: len(img.Waiting), Conns: conns}
 	if !sv.ready.Load() {
 		h.Ready = false
 		h.Reason = "starting: journal replay in progress"
@@ -193,8 +194,8 @@ type Response struct {
 	Now      int64          `json:"now"`
 }
 
-// readOnlyOps are the ops a degraded connection sheds: all answered
-// from the scheduler's read snapshots, all safe to retry elsewhere.
+// readOnlyOps are the ops a degraded connection sheds: each answered
+// from one published image of the scheduler, all safe to retry elsewhere.
 // Quotes are in the set — and additionally bounded by their own
 // admission lane at full service, so they shed before plain reads do.
 var readOnlyOps = map[string]bool{
@@ -239,13 +240,14 @@ func (sv *Server) quote(req Request) Response {
 		}
 	}
 	sv.quoteSem <- struct{}{}
-	quotes, err := sv.sched.Quote(req.Width, req.Estimate, req.Count)
+	img := sv.sched.img.Load()
+	quotes, err := sv.sched.quoteIn(img, req.Width, req.Estimate, req.Count)
 	<-sv.quoteSem
 	sv.quotePending.Add(-1)
 	if err != nil {
-		return Response{Error: err.Error(), Now: sv.sched.Now()}
+		return Response{Error: err.Error(), Now: img.Now}
 	}
-	return Response{OK: true, Quotes: quotes, Now: sv.sched.Now()}
+	return Response{OK: true, Quotes: quotes, Now: img.Now}
 }
 
 // Handle executes one request against the scheduler at full service.
@@ -263,15 +265,13 @@ func (sv *Server) handle(req Request, degraded bool) Response {
 	// on degraded connections — so probes keep working exactly when
 	// things go wrong.
 	switch req.Op {
-	case "health":
-		h := sv.healthInfo()
-		return Response{OK: true, Health: &h, Now: sv.sched.Now()}
-	case "ready":
-		h := sv.healthInfo()
-		if !h.Ready {
-			return Response{Error: "rms: not ready: " + h.Reason, Health: &h, Now: sv.sched.Now()}
+	case "health", "ready":
+		img := sv.sched.img.Load()
+		h := sv.healthInfo(img)
+		if req.Op == "ready" && !h.Ready {
+			return Response{Error: "rms: not ready: " + h.Reason, Health: &h, Now: img.Now}
 		}
-		return Response{OK: true, Health: &h, Now: sv.sched.Now()}
+		return Response{OK: true, Health: &h, Now: img.Now}
 	}
 	if !sv.ready.Load() {
 		return fail(fmt.Errorf("rms: server starting (journal replay in progress)"))
@@ -302,16 +302,18 @@ func (sv *Server) handle(req Request, degraded bool) Response {
 		}
 		return Response{OK: true, Now: sv.sched.Now()}
 	case "job":
-		info, err := sv.sched.Job(job.ID(req.ID))
+		img := sv.sched.img.Load()
+		info, err := sv.sched.jobIn(img, job.ID(req.ID))
 		if err != nil {
-			return fail(err)
+			return Response{Error: err.Error(), Now: img.Now}
 		}
-		return Response{OK: true, Job: &info, Now: sv.sched.Now()}
+		return Response{OK: true, Job: &info, Now: img.Now}
 	case "status":
 		st := sv.sched.Status()
 		return Response{OK: true, Status: &st, Now: st.Now}
 	case "finished":
-		return Response{OK: true, Finished: sv.sched.Finished(), Now: sv.sched.Now()}
+		img := sv.sched.img.Load()
+		return Response{OK: true, Finished: slices.Clone(img.Done), Now: img.Now}
 	case "report":
 		rep := sv.sched.Report()
 		return Response{OK: true, Report: &rep, Now: rep.Now}

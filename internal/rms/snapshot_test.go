@@ -12,10 +12,10 @@ import (
 	"dynp/internal/sim"
 )
 
-// TestReadsBypassSchedulingLock is the direct proof of the snapshot read
+// TestReadsBypassSchedulingLock is the direct proof of the image read
 // model: with the scheduling mutex held — as it is for the whole of a
 // replanning event — Status, Report, Finished and Now must still return,
-// because they serve from the atomically published snapshot instead of
+// because they serve from the atomically published image instead of
 // the lock. Under the retired mutex-based readers this test deadlocks
 // until the watchdog fires.
 func TestReadsBypassSchedulingLock(t *testing.T) {
@@ -40,7 +40,7 @@ func TestReadsBypassSchedulingLock(t *testing.T) {
 	select {
 	case st := <-done:
 		if len(st.Running) != 1 || st.UsedProcs != 4 {
-			t.Fatalf("snapshot status lost the running job: %+v", st)
+			t.Fatalf("image status lost the running job: %+v", st)
 		}
 	case <-time.After(5 * time.Second):
 		t.Fatal("Status/Report/Finished/Now blocked on the scheduling mutex")
@@ -50,7 +50,7 @@ func TestReadsBypassSchedulingLock(t *testing.T) {
 // TestConcurrentReadersWhileScheduling floods the scheduler with status,
 // report and finished readers while 1000 jobs are submitted, scheduled
 // and reaped. Run under the race detector (make race) it proves the
-// snapshot handoff is race-free; the assertions pin the reader-facing
+// image handoff is race-free; the assertions pin the reader-facing
 // guarantees: every observed clock and finished count is monotone per
 // reader, no observed state is incoherent, and no single read takes
 // anywhere near a scheduling event's latency — readers never wait for
@@ -151,7 +151,7 @@ func TestConcurrentReadersWhileScheduling(t *testing.T) {
 	if reads.Load() == 0 {
 		t.Fatal("readers made no progress while the scheduler ran")
 	}
-	// A snapshot read is two atomic loads and a slice copy — microseconds.
+	// An image read is two atomic loads and a slice copy — microseconds.
 	// The bound is three orders of magnitude above that so slow race-mode
 	// CI machines pass, yet far below the seconds a reader stuck behind
 	// the scheduling mutex for a 1000-job drain would take.
@@ -159,4 +159,55 @@ func TestConcurrentReadersWhileScheduling(t *testing.T) {
 		t.Fatalf("worst read latency %v: readers are contending with the scheduler", worst)
 	}
 	t.Logf("%d reads, worst latency %v", reads.Load(), time.Duration(maxRead.Load()))
+}
+
+// TestReadResponsesOneImage: a read response is answered from one
+// image, so a quote's wait is measured from the clock its response
+// carries. Quotes served by Server.Handle while a writer keeps moving the
+// clock must all satisfy Start == Now + Wait.
+func TestReadResponsesOneImage(t *testing.T) {
+	factory := func() sim.Driver { return sim.NewDynP(core.Preferred{Policy: policy.SJF}) }
+	s, err := New(32, factory(), 0)
+	if err == nil {
+		err = s.EnableQuotes(factory)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	sv := NewServer(s, true)
+
+	var (
+		stop atomic.Bool
+		wg   sync.WaitGroup
+	)
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		r := rng.New(5)
+		for now := int64(0); !stop.Load(); {
+			now += 1 + int64(r.Intn(60))
+			sub := []Submission{{Width: 1 + r.Intn(8), Estimate: int64(20 + r.Intn(200))}}
+			if _, err := s.Deliver(now, nil, sub); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
+	const quotes = 5000
+	var torn, errs int
+	for i := 0; i < quotes; i++ {
+		resp := sv.Handle(Request{Op: "quote", Width: 4, Estimate: 100})
+		if !resp.OK {
+			errs++
+			continue
+		}
+		if q := resp.Quotes[0]; q.Start != NeverStart && q.Start != resp.Now+q.Wait {
+			torn++
+		}
+	}
+	stop.Store(true)
+	wg.Wait()
+	if errs > 0 || torn > 0 {
+		t.Fatalf("of %d quote responses, %d failed and %d pair a wait with another image's clock", quotes, errs, torn)
+	}
 }

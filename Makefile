@@ -139,8 +139,9 @@ fuzz:
 
 # Reduced-scale reproduction of every table and figure. Timed as
 # `make golden-check` on a 2-core host with go1.24.0: 11 s wall, 22 s
-# CPU; `make golden-check-full` there, timed before the trace models'
-# calibration got faster: 4 min 41 s wall, 9 min CPU.
+# CPU. The paper scale (repro-full, the built binary, two runs) took
+# 6 min 36 s and 6 min 38 s wall, 13 min 1 s and 13 min 5 s CPU on a
+# 2-core host of the same kind, timed in a busier hour.
 repro:
 	$(GO) run ./cmd/paper
 

@@ -8,6 +8,7 @@ import (
 	"dynp/internal/plan"
 	"dynp/internal/policy"
 	"dynp/internal/rng"
+	"dynp/internal/workload"
 )
 
 // BenchmarkDeciders measures the pure decision step (negligible next to
@@ -27,8 +28,20 @@ func BenchmarkDeciders(b *testing.B) {
 // waiting-queue depths and candidate-set sizes on the full-sort lane (no
 // queue notifications, so every candidate sorts the queue itself).
 // Running jobs are present so the shared base profile carries real
-// reservations.
+// reservations. The ctc rows plan a queue shaped like sim-heavy's, whose
+// FCFS and LJF orders share a head.
 func BenchmarkSelfTunerPlan(b *testing.B) {
+	for _, queued := range []int{128, 340} {
+		b.Run(fmt.Sprintf("ctc/queue%d/cand3", queued), func(b *testing.B) {
+			now, running, waiting := ctcQueue(b, queued)
+			st := NewSelfTuner(policy.Candidates, Advanced{}, MetricSLDwA)
+			b.ResetTimer()
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				st.Plan(now, workload.CTC.Machine, running, waiting)
+			}
+		})
+	}
 	const capacity = 128
 	candidateSets := []struct {
 		name string
@@ -68,6 +81,42 @@ func BenchmarkSelfTunerPlan(b *testing.B) {
 			})
 		}
 	}
+}
+
+// ctcQueue draws jobs from the CTC model (430 processors, estimates
+// clamped at 64,800 s): running jobs filling three quarters of the machine
+// some way into their estimates, and a queue of the given length drained
+// the way sim-heavy's deep queues are. Backfilling has let nearly every
+// shorter job overtake the ones at the maximum estimate, so those make up
+// most of the queue and have waited longest: FCFS and LJF order them
+// alike.
+func ctcQueue(tb testing.TB, queued int) (now int64, running []plan.Running, waiting []*job.Job) {
+	set, err := workload.CTC.Generate(16*queued, rng.New(2004))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	now = 1 << 20
+	r := rng.New(12)
+	jobs, used := set.Jobs, 0
+	for ; used+jobs[0].Width <= workload.CTC.Machine*3/4; jobs = jobs[1:] {
+		used += jobs[0].Width
+		running = append(running, plan.Running{Job: jobs[0], Start: now - int64(r.Intn(int(jobs[0].Estimate)))})
+	}
+	for i, j := range jobs {
+		if len(waiting) == queued {
+			break
+		}
+		long := j.Estimate == workload.CTC.EstMax
+		if !long && i%32 != 0 {
+			continue
+		}
+		j.Submit = now - int64(r.Intn(3600))
+		if long {
+			j.Submit -= 3600
+		}
+		waiting = append(waiting, j)
+	}
+	return now, running, waiting
 }
 
 // BenchmarkSelfTunerPlanIncremental measures the in-place +

@@ -39,6 +39,7 @@ type Lane struct {
 	views    *policy.Views
 	base     plan.Base
 	slots    []*plan.Schedule // the current event's schedules
+	orders   [][]*job.Job     // the current event's orders, one per slot
 	kept     *plan.Schedule   // handed out by the previous Keep
 }
 
@@ -57,21 +58,24 @@ func (l *Lane) NoteRemove(j *job.Job) { l.views.Remove(j) }
 
 // Build plans the waiting queue once per given policy and returns the
 // schedules in that order. They are the lane's until Keep: score them,
-// pick one, call Keep.
+// pick one, call Keep. All of them come from one plan.Base.BuildInto, so
+// orders that begin with the same jobs place those jobs once.
 func (l *Lane) Build(now int64, capacity int, running []plan.Running, waiting []*job.Job, policies ...policy.Policy) []*plan.Schedule {
 	l.slots = slices.Grow(l.slots[:0], len(policies))[:len(policies)]
+	l.orders = slices.Grow(l.orders[:0], len(policies))[:len(policies)]
 	l.base.Reset(now, capacity, running)
-	ordered := l.views.Covering(waiting)
+	viewed := l.views.Covering(waiting)
 	for i, p := range policies {
 		if l.slots[i] == nil {
 			l.slots[i] = new(plan.Schedule)
 		}
-		if ordered != nil && i < len(l.policies) && l.policies[i] == p {
-			l.base.BuildInto(l.slots[i], ordered[i], p)
+		if viewed != nil && i < len(l.policies) && l.policies[i] == p {
+			l.orders[i] = viewed[i]
 		} else {
-			l.base.BuildInto(l.slots[i], policy.Order(p, waiting), p)
+			l.orders[i] = policy.Order(p, waiting)
 		}
 	}
+	l.base.BuildInto(l.slots, l.orders, policies)
 	return l.slots
 }
 

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"reflect"
 	"slices"
 	"testing"
 
@@ -15,7 +16,7 @@ func sorted(now int64, capacity int, waiting []*job.Job, p policy.Policy) *plan.
 	var base plan.Base
 	base.Reset(now, capacity, nil)
 	s := new(plan.Schedule)
-	base.BuildInto(s, policy.Order(p, waiting), p)
+	base.BuildInto([]*plan.Schedule{s}, [][]*job.Job{policy.Order(p, waiting)}, []policy.Policy{p})
 	return s
 }
 
@@ -74,9 +75,62 @@ func TestKeepDoubleBuffers(t *testing.T) {
 	}
 }
 
+// forkingQueue returns a queue whose FCFS and LJF orders share their
+// first half: the oldest jobs are the longest, in submission order.
+func forkingQueue(n int) []*job.Job {
+	jobs := make([]*job.Job, n)
+	for i := range jobs {
+		est := int64(10 + i%50)
+		if i < n/2 {
+			est = int64(1000 - i)
+		}
+		jobs[i] = mkJob(job.ID(i+1), int64(i), 1+i%8, est)
+	}
+	return jobs
+}
+
+// TestForkedLaneBuildAllocatesNothing: once its storage has grown, a lane
+// whose candidate orders share a prefix builds and keeps without
+// allocating — the fork storage is kept across events like the slots.
+func TestForkedLaneBuildAllocatesNothing(t *testing.T) {
+	jobs := forkingQueue(64)
+	fcfs, ljf := policy.Order(policy.FCFS, jobs), policy.Order(policy.LJF, jobs)
+	if !slices.Equal(fcfs[:32], ljf[:32]) || fcfs[32] == ljf[32] {
+		t.Fatal("FCFS and LJF do not fork after the first half: the test proves nothing")
+	}
+	l := NewLane(policy.Candidates...)
+	for _, j := range jobs {
+		l.NoteSubmit(j)
+	}
+	step := func() {
+		l.Build(0, 8, nil, jobs, policy.Candidates...)
+		l.Keep(1)
+	}
+	step()
+	step()
+	if avg := testing.AllocsPerRun(100, step); avg != 0 {
+		t.Fatalf("a warmed forking Build allocates %.2f objects, want 0", avg)
+	}
+}
+
+// TestOnePolicyLaneHasNoForkStorage: a lane over one policy — every
+// static driver's — never forks, so its base keeps no fork storage.
+func TestOnePolicyLaneHasNoForkStorage(t *testing.T) {
+	jobs := forkingQueue(64)
+	l := NewLane(policy.FCFS)
+	for k := 1; k <= len(jobs); k++ {
+		l.NoteSubmit(jobs[k-1])
+		l.Build(int64(k), 8, nil, jobs[:k], policy.FCFS)
+		l.Keep(0)
+	}
+	if forks := reflect.ValueOf(&l.base).Elem().FieldByName("forks"); forks.Cap() != 0 {
+		t.Fatalf("a one-policy lane grew fork storage for %d forks", forks.Cap())
+	}
+}
+
 // TestLaneStorageGrowsGeometrically grows the queue by one job per event
 // from 1 to n. About a dozen arrays grow with the queue — four schedules'
-// entries, the base and scratch profiles' two slices each, the three
+// entries, the base, scratch and fork profiles' two slices each, the three
 // views — and each grows by doubling, so the whole run allocates
 // O(log n) times, not once per event: doubling n adds about one
 // allocation per array, where reallocating to the exact length would add

@@ -37,17 +37,17 @@ func BenchmarkBuild(b *testing.B) {
 
 // BenchmarkCandidateSet measures the placement work of one self-tuning
 // step at a running-job-heavy event, with allocation reporting: one base
-// reset, one build per candidate policy into that candidate's schedule,
-// all kept across iterations the way core.Lane keeps them. "sorted" pays
-// the full-sort fallback per candidate, "ordered" reads orders kept up to
-// date elsewhere (policy.Views).
+// reset, one build of every candidate policy's schedule, all kept across
+// iterations the way core.Lane keeps them. "sorted" pays the full-sort
+// fallback per candidate, "ordered" reads orders kept up to date
+// elsewhere (policy.Views).
 func BenchmarkCandidateSet(b *testing.B) {
 	const capacity = 128
 	for _, queued := range []int{64, 256, 1024} {
 		running, waiting := randomState(5, capacity, 32, queued)
-		orders := make([][]*job.Job, len(policy.Candidates))
+		viewed := make([][]*job.Job, len(policy.Candidates))
 		for i, p := range policy.Candidates {
-			orders[i] = policy.Order(p, waiting)
+			viewed[i] = policy.Order(p, waiting)
 		}
 		for _, sorted := range []bool{true, false} {
 			name := fmt.Sprintf("queue%d/ordered", queued)
@@ -56,22 +56,34 @@ func BenchmarkCandidateSet(b *testing.B) {
 			}
 			b.Run(name, func(b *testing.B) {
 				var base Base
-				slots := make([]Schedule, len(policy.Candidates))
+				slots := newSlots(len(policy.Candidates))
+				orders := make([][]*job.Job, len(policy.Candidates))
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
 					base.Reset(1000, capacity, running)
 					for k, p := range policy.Candidates {
-						ordered := orders[k]
+						orders[k] = viewed[k]
 						if sorted {
-							ordered = policy.Order(p, waiting)
+							orders[k] = policy.Order(p, waiting)
 						}
-						base.BuildInto(&slots[k], ordered, p)
-						slots[k].PlannedSLDwA()
+					}
+					base.BuildInto(slots, orders, policy.Candidates)
+					for _, s := range slots {
+						s.PlannedSLDwA()
 					}
 				}
 			})
 		}
 	}
+}
+
+// newSlots returns k empty schedules to build into.
+func newSlots(k int) []*Schedule {
+	slots := make([]*Schedule, k)
+	for i := range slots {
+		slots[i] = new(Schedule)
+	}
+	return slots
 }
 
 // ctcState draws a machine state shaped like the benchmark's sim-heavy
@@ -80,8 +92,18 @@ func BenchmarkCandidateSet(b *testing.B) {
 // some way into their estimates — and a queue in which nothing can start
 // now, because everything that could was started (the planner's own
 // backfilling, replayed here until it launches nothing more).
-func ctcState(tb testing.TB, queued int) (now int64, running []Running, waiting []*job.Job) {
-	set, err := workload.CTC.Generate(4*queued, rng.New(2004))
+//
+// A drained queue is what sim-heavy's deep queues hold: backfilling has
+// let nearly every job shorter than the clamped maximum estimate overtake
+// the ones at it, and those have waited longest. In sim-heavy's queues of
+// 250 jobs or more 97% of the jobs sit at the maximum; here 88% do, all
+// older than the rest, so FCFS and LJF order them alike.
+func ctcState(tb testing.TB, queued int, drained bool) (now int64, running []Running, waiting []*job.Job) {
+	n := 4 * queued
+	if drained {
+		n *= 4
+	}
+	set, err := workload.CTC.Generate(n, rng.New(2004))
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -95,8 +117,16 @@ func ctcState(tb testing.TB, queued int) (now int64, running []Running, waiting 
 	}
 	for len(waiting) < queued {
 		for ; len(waiting) < queued; next++ {
-			set.Jobs[next].Submit = now - int64(r.Intn(3600))
-			waiting = append(waiting, set.Jobs[next])
+			j := set.Jobs[next]
+			long := j.Estimate == workload.CTC.EstMax
+			if drained && !long && next%32 != 0 {
+				continue
+			}
+			j.Submit = now - int64(r.Intn(3600))
+			if drained && long {
+				j.Submit -= 3600
+			}
+			waiting = append(waiting, j)
 		}
 		kept := waiting[:0]
 		for _, e := range build(now, workload.CTC.Machine, running, waiting, policy.FCFS).Entries {
@@ -113,26 +143,44 @@ func ctcState(tb testing.TB, queued int) (now int64, running []Running, waiting 
 
 // BenchmarkBuildSaturated measures candidate placement where simulations
 // spend their time: long queues placed onto a profile whose head the
-// running jobs and the first placements have already filled. One op is one
-// candidate build from a shared base in policy order, into a schedule
-// rebuilt in place — what the tuner does three times per event. ns/job is
-// the cost per job placed; allocs/op must stay 0 (the witness table is on
-// the placement loop's stack).
+// running jobs and the first placements have already filled. In the
+// per-policy rows one op is one candidate build from a shared base in
+// policy order, into a schedule rebuilt in place. In the candidates rows
+// one op is what the tuner does per event: all three orders in one call.
+// On ctcState's queue the orders share no prefix, so that row prices
+// the fork lookup; on the drained queue LJF resumes FCFS's
+// build after the long jobs at the head of both. ns/job is the cost per
+// job of an order (queue length × orders); allocs/op must stay 0 (the
+// witness table is on the placement loop's stack, the fork storage grows
+// once).
 func BenchmarkBuildSaturated(b *testing.B) {
 	for _, queued := range []int{128, 340} {
-		now, running, waiting := ctcState(b, queued)
-		var base Base
-		base.Reset(now, workload.CTC.Machine, running)
-		for _, p := range policy.Candidates {
-			ordered := policy.Order(p, waiting)
-			b.Run(fmt.Sprintf("queue%d/%s", queued, p), func(b *testing.B) {
-				var s Schedule
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					base.BuildInto(&s, ordered, p)
-				}
-				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(ordered)), "ns/job")
-			})
+		for _, drained := range []bool{false, true} {
+			now, running, waiting := ctcState(b, queued, drained)
+			var base Base
+			base.Reset(now, workload.CTC.Machine, running)
+			orders := make([][]*job.Job, len(policy.Candidates))
+			for k, p := range policy.Candidates {
+				orders[k] = policy.Order(p, waiting)
+			}
+			bench := func(name string, ps []policy.Policy, orders [][]*job.Job) {
+				b.Run(fmt.Sprintf("queue%d/%s", queued, name), func(b *testing.B) {
+					slots := newSlots(len(ps))
+					b.ReportAllocs()
+					for i := 0; i < b.N; i++ {
+						base.BuildInto(slots, orders, ps)
+					}
+					b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(ps)*len(waiting)), "ns/job")
+				})
+			}
+			if drained {
+				bench("drained/candidates", policy.Candidates, orders)
+				continue
+			}
+			for k, p := range policy.Candidates {
+				bench(p.Name(), policy.Candidates[k:k+1], orders[k:k+1])
+			}
+			bench("candidates", policy.Candidates, orders)
 		}
 	}
 }

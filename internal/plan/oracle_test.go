@@ -30,24 +30,38 @@ func registeredPolicies(t testing.TB) []policy.Policy {
 
 // checkAgainstNaive requires the builder to reproduce the naive oracle's
 // schedule entry for entry and score for score (BC-1), and that schedule
-// to pass the strict Verify. Every policy's build lands in the same
-// schedule, so each one overwrites the previous policy's entries, sums and
-// Release mark, as a lane slot does from event to event.
+// to pass the strict Verify. All policies are built in one call, so orders
+// sharing a prefix resume each other's builds. The call is made twice, the
+// second time with the policies reversed, into the same schedules: every
+// slot is overwritten with another policy's entries, sums and Release mark,
+// as a lane slot is from event to event, and the forks run the other way.
 func checkAgainstNaive(t testing.TB, policies []policy.Policy, now int64, capacity int, running []plan.Running, waiting []*job.Job) {
 	t.Helper()
 	var base plan.Base
 	base.Reset(now, capacity, running)
-	var got plan.Schedule
-	for _, p := range policies {
-		want := plantest.Plan(now, capacity, running, waiting, p)
-		if err := want.Verify(running); err != nil {
-			t.Fatalf("%s: naive schedule fails Verify: %v", p, err)
+	got := make([]*plan.Schedule, len(policies))
+	for i := range got {
+		got[i] = new(plan.Schedule)
+	}
+	reversed := slices.Clone(policies)
+	slices.Reverse(reversed)
+	for _, ps := range [][]policy.Policy{policies, reversed} {
+		orders := make([][]*job.Job, len(ps))
+		for i, p := range ps {
+			orders[i] = policy.Order(p, waiting)
 		}
-		base.BuildInto(&got, policy.Order(p, waiting), p)
-		if err := plantest.SameSchedule(&got, want); err != nil {
-			t.Fatalf("%s (capacity %d, %d running, %d waiting): %v", p, capacity, len(running), len(waiting), err)
+		base.BuildInto(got, orders, ps)
+		for i, p := range ps {
+			want := plantest.Plan(now, capacity, running, waiting, p)
+			if err := want.Verify(running); err != nil {
+				t.Fatalf("%s: naive schedule fails Verify: %v", p, err)
+			}
+			if err := plantest.SameSchedule(got[i], want); err != nil {
+				t.Fatalf("%s, order %d of %v (capacity %d, %d running, %d waiting): %v",
+					p, i, ps, capacity, len(running), len(waiting), err)
+			}
+			got[i].Release()
 		}
-		got.Release()
 	}
 }
 
@@ -110,9 +124,78 @@ func FuzzBuildVsNaive(f *testing.F) {
 	})
 }
 
-// TestBaseNotMutatedBySiblingBuilds: candidate builds from one base, one
-// after another, must never mutate it — each places onto the scratch
-// copy — and each must still equal the oracle's schedule.
+// TestForkShapes builds, against the naive oracle, each way one order can
+// resume another's build. shared lists, per order, the longest prefix it
+// shares with an earlier order of the call — where its build resumes, 0
+// for a build from the base — so each case is pinned to the shape its
+// name says. The head of the long queues is what makes FCFS and LJF share
+// a prefix on CTC: the oldest waiting jobs all carry the maximum estimate,
+// and LJF breaks that tie by submission time.
+func TestForkShapes(t *testing.T) {
+	const capacity, now = 64, 100000
+	r := rng.New(11)
+	running := plan.BusyMachine(r, capacity, now)
+	var head, descending []*job.Job
+	for i := range 12 {
+		head = append(head, &job.Job{ID: job.ID(1 + i), Submit: now - 10000 + int64(i),
+			Width: 40, Estimate: 64800, Runtime: 64800})
+	}
+	for i := range 30 { // submission order is LJF order
+		est := int64(100 * (30 - i))
+		descending = append(descending, &job.Job{ID: job.ID(100 + i), Submit: now - 5000 + int64(i),
+			Width: 1 + 7*i%capacity, Estimate: est, Runtime: est})
+	}
+	tail := plan.ShapedQueue(r, plan.ShapeRandom, capacity, 40, now) // younger, shorter, smaller
+	long := slices.Concat(head, tail)
+	psbs, err := policy.Lookup("PSBS(a=0.5,r=2)")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name     string
+		policies []policy.Policy
+		waiting  []*job.Job
+		shared   []int
+	}{
+		{"one order", []policy.Policy{policy.SJF}, tail, []int{0}},
+		{"empty queue", policy.All, nil, []int{0, 0, 0, 0, 0}},
+		{"identical orders", []policy.Policy{policy.FCFS, policy.LJF}, descending, []int{0, 30}},
+		{"no common prefix", []policy.Policy{policy.SJF, policy.LJF}, tail, []int{0, 0}},
+		// An order never resumes its parent at the parent's own fork
+		// point: it would share as much with the grandparent, which comes
+		// first and wins the tie. Both then resume the grandparent there.
+		{"siblings at one fork point", []policy.Policy{policy.FCFS, policy.LJF, policy.LAF}, long, []int{0, 12, 12}},
+		// The second LJF resumes the first, itself resumed, at n.
+		{"duplicated policy", []policy.Policy{policy.FCFS, policy.LJF, policy.SJF, policy.LJF}, long, []int{0, 12, 0, 52}},
+		{"five policies", []policy.Policy{policy.FCFS, policy.SAF, policy.LJF, policy.LAF, psbs}, long, []int{0, 0, 12, 12, 2}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			shared := make([]int, len(c.policies))
+			for i, p := range c.policies {
+				for _, q := range c.policies[:i] {
+					shared[i] = max(shared[i], sharedPrefix(policy.Order(p, c.waiting), policy.Order(q, c.waiting)))
+				}
+			}
+			if !slices.Equal(shared, c.shared) {
+				t.Fatalf("orders share prefixes %v, want %v", shared, c.shared)
+			}
+			checkAgainstNaive(t, c.policies, now, capacity, running, c.waiting)
+		})
+	}
+}
+
+// sharedPrefix returns the number of leading jobs a and b have in common.
+func sharedPrefix(a, b []*job.Job) int {
+	n := 0
+	for n < len(a) && n < len(b) && a[n] == b[n] {
+		n++
+	}
+	return n
+}
+
+// TestBaseNotMutatedBySiblingBuilds: candidate builds from one base must
+// never mutate it — each places onto the scratch copy or a fork's — and
+// each must still equal the oracle's schedule.
 func TestBaseNotMutatedBySiblingBuilds(t *testing.T) {
 	const capacity, now = 64, 1000
 	r := rng.New(4)
@@ -122,11 +205,15 @@ func TestBaseNotMutatedBySiblingBuilds(t *testing.T) {
 	base.Reset(now, capacity, running)
 	beforeTimes, beforeFree := base.Profile().Steps()
 
+	got := make([]*plan.Schedule, len(policy.All))
+	orders := make([][]*job.Job, len(policy.All))
+	for i, p := range policy.All {
+		got[i], orders[i] = new(plan.Schedule), policy.Order(p, waiting)
+	}
 	for round := 0; round < 3; round++ {
-		for _, p := range policy.All {
-			var got plan.Schedule
-			base.BuildInto(&got, policy.Order(p, waiting), p)
-			if err := plantest.SameSchedule(&got, plantest.Plan(now, capacity, running, waiting, p)); err != nil {
+		base.BuildInto(got, orders, policy.All)
+		for i, p := range policy.All {
+			if err := plantest.SameSchedule(got[i], plantest.Plan(now, capacity, running, waiting, p)); err != nil {
 				t.Errorf("%s, round %d: sibling build diverged: %v", p, round, err)
 			}
 		}

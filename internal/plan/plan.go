@@ -90,13 +90,25 @@ func (a *aggregates) accumulate(j *job.Job, start int64) {
 // re-allocating the running jobs once per candidate. Its owner keeps it
 // across events and rebuilds it in place, so at steady state neither Reset
 // nor BuildInto allocates. The base profile is never mutated by a build:
-// each build places onto the scratch profile, a fresh copy of it, which
-// is why one Base serves one build at a time.
+// each build places onto the scratch profile, a fresh copy of it, or onto
+// a fork's copy of an earlier build (see BuildInto), which is why one Base
+// serves one BuildInto at a time.
 type Base struct {
 	Now      int64
 	Capacity int
 	prof     profile.Profile // running jobs' reservations
-	scratch  profile.Profile // the current build's copy of prof
+	scratch  profile.Profile // the copy of prof a build sharing no prefix places onto
+	forks    []fork          // the current BuildInto's, in child order
+}
+
+// fork is where one schedule of a BuildInto resumes an earlier one's
+// build: the state that build held after the first at placements, which
+// the two orders share. The storage is kept across events.
+type fork struct {
+	child, parent, at int
+	prof              profile.Profile
+	proven            witnesses
+	sums              aggregates
 }
 
 // Reset makes b the base of a scheduling event at now on a machine of the
@@ -132,34 +144,66 @@ func (b *Base) Release() {}
 // to mutate: the EASY driver backfills on one.
 func (b *Base) Profile() *profile.Profile { return b.prof.Clone() }
 
-// BuildInto computes the schedule for a waiting queue that is already in
-// policy p's order (policy.Order's output, or an incrementally maintained
-// view of it — see policy.Views) and writes it into s, reusing s's entry
-// storage. The base profile is not modified; the ordered slice is not
-// modified and must not change while the build runs. Whatever s held
+// BuildInto computes the schedules of one scheduling event: ss[i] receives
+// the plan of orders[i], a waiting queue already in policies[i]'s order
+// (policy.Order's output, or an incrementally maintained view of it — see
+// policy.Views), reusing ss[i]'s entry storage. The schedules must be
+// distinct. The base profile is not modified; the orders are not modified
+// and must not change while the build runs. Whatever a schedule held
 // before is overwritten, including a Release mark.
 //
-// This is the one placement loop of the tree. Metric sums are accumulated
-// in the same pass (see aggregates), so scoring the result re-walks
-// nothing. Each hole search starts not at now but at the latest start the
-// build's earlier placements prove no such job can beat (see witness.go);
-// the result is the same earliest fit either way.
-func (b *Base) BuildInto(s *Schedule, ordered []*job.Job, p policy.Policy) {
-	prof := &b.scratch
-	b.prof.CloneInto(prof)
-	entries := slices.Grow(s.Entries[:0], len(ordered))
-	if entries == nil {
-		// Always non-nil, even for an empty queue: nil and empty differ
-		// to reflect.DeepEqual and encoding/json, and no reader of a
-		// schedule should have to care which it got.
-		entries = []Entry{}
+// The place method it calls is the one placement loop of the tree. Metric
+// sums are accumulated in the same pass (see aggregates), so scoring the result
+// re-walks nothing. Each hole search starts not at now but at the latest
+// start the build's earlier placements prove no such job can beat (see
+// witness.go); the result is the same earliest fit either way.
+//
+// Orders that begin with the same jobs place those jobs once. Each order
+// resumes from the earlier one sharing its longest prefix, the earliest
+// on a tie: it takes over the profile, witness table, metric sums and
+// entries that build held after the shared placements. All four depend
+// only on the base and the jobs placed so far, so a resumed schedule is
+// bit for bit the one a build from the base produces.
+func (b *Base) BuildInto(ss []*Schedule, orders [][]*job.Job, policies []policy.Policy) {
+	b.findForks(orders)
+	resumes := b.forks
+	for i, ordered := range orders {
+		s := ss[i]
+		entries := slices.Grow(s.Entries[:0], len(ordered))
+		if entries == nil {
+			// Always non-nil, even for an empty queue: nil and empty differ
+			// to reflect.DeepEqual and encoding/json, and no reader of a
+			// schedule should have to care which it got.
+			entries = []Entry{}
+		}
+		*s = Schedule{Now: b.Now, Capacity: b.Capacity, Policy: policies[i],
+			Entries: entries,
+			scored:  true,
+		}
+		// A witness says nothing about another profile, so the table
+		// starts empty unless the profile is a resumed one.
+		prof, proven, placed := &b.scratch, witnesses{}, 0
+		if len(resumes) > 0 && resumes[0].child == i {
+			f := &resumes[0]
+			resumes = resumes[1:]
+			prof, proven, placed, s.sums = &f.prof, f.proven, f.at, f.sums
+			s.Entries = append(s.Entries, ss[f.parent].Entries[:placed]...)
+		} else {
+			b.prof.CloneInto(prof)
+		}
+		for next := b.nextFork(i, placed); next >= 0; next = b.nextFork(i, next+1) {
+			b.place(s, prof, &proven, ordered[placed:next])
+			b.hand(i, next, prof, proven, s.sums)
+			placed = next
+		}
+		b.place(s, prof, &proven, ordered[placed:])
 	}
-	*s = Schedule{Now: b.Now, Capacity: b.Capacity, Policy: p,
-		Entries: entries,
-		scored:  true,
-	}
-	var proven witnesses // per build: a witness says nothing about another profile
-	for _, j := range ordered {
+}
+
+// place appends the placements of jobs, in order, to s, reserving them on
+// prof and recording what they prove in proven.
+func (b *Base) place(s *Schedule, prof *profile.Profile, proven *witnesses, jobs []*job.Job) {
+	for _, j := range jobs {
 		from := proven.bound(b.Now, j.Width, j.Estimate)
 		start, depth := prof.PlaceDepth(from, j.Width, j.Estimate)
 		if depth >= witnessMinDepth && start > from {
@@ -170,6 +214,69 @@ func (b *Base) BuildInto(s *Schedule, ordered []*job.Job, p policy.Policy) {
 	}
 }
 
+// findForks records, for every order after the first, the earlier order
+// sharing its longest non-empty prefix, the earliest on a tie. Under that
+// rule a child never forks inside the part its parent itself resumed
+// from: were its prefix with the parent shorter than the parent's own
+// with the grandparent, it would share exactly as much with the
+// grandparent, which comes first. So each fork point is one the parent's
+// build passes through. A single order records nothing and keeps no fork
+// storage.
+func (b *Base) findForks(orders [][]*job.Job) {
+	b.forks = b.forks[:0]
+	for i := 1; i < len(orders); i++ {
+		parent, at := -1, 0
+		for p := range i {
+			if m := commonPrefix(orders[p], orders[i]); m > at {
+				parent, at = p, m
+			}
+		}
+		if parent < 0 {
+			continue
+		}
+		// Reslice rather than append a fresh value: a slot past the
+		// length keeps the profile storage an earlier event grew.
+		n := len(b.forks)
+		b.forks = slices.Grow(b.forks, 1)[:n+1]
+		f := &b.forks[n]
+		f.child, f.parent, f.at = i, parent, at
+	}
+}
+
+// commonPrefix returns the number of leading jobs a and b share.
+func commonPrefix(a, b []*job.Job) int {
+	n := min(len(a), len(b))
+	for i := range n {
+		if a[i] != b[i] {
+			return i
+		}
+	}
+	return n
+}
+
+// nextFork returns the first placement count at or after k at which a
+// later order forks from order i's build, or -1 when none does.
+func (b *Base) nextFork(i, k int) int {
+	next := -1
+	for f := range b.forks {
+		if at := b.forks[f].at; b.forks[f].parent == i && at >= k && (next < 0 || at < next) {
+			next = at
+		}
+	}
+	return next
+}
+
+// hand copies the state of order i's build after k placements to every
+// fork taken there.
+func (b *Base) hand(i, k int, prof *profile.Profile, proven witnesses, sums aggregates) {
+	for f := range b.forks {
+		if c := &b.forks[f]; c.parent == i && c.at == k {
+			prof.CloneInto(&c.prof)
+			c.proven, c.sums = proven, sums
+		}
+	}
+}
+
 // BuildFromOrdered returns a new schedule built by b.BuildInto.
 //
 // Deprecated: it allocates a Schedule per call; keep the schedules and
@@ -177,7 +284,7 @@ func (b *Base) BuildInto(s *Schedule, ordered []*job.Job, p policy.Policy) {
 // item 1(c)).
 func BuildFromOrdered(b *Base, ordered []*job.Job, p policy.Policy) *Schedule {
 	s := new(Schedule)
-	b.BuildInto(s, ordered, p)
+	b.BuildInto([]*Schedule{s}, [][]*job.Job{ordered}, []policy.Policy{p})
 	return s
 }
 

@@ -20,7 +20,7 @@ func build(now int64, capacity int, running []Running, waiting []*job.Job, p pol
 	var base Base
 	base.Reset(now, capacity, running)
 	s := new(Schedule)
-	base.BuildInto(s, policy.Order(p, waiting), p)
+	base.BuildInto([]*Schedule{s}, [][]*job.Job{policy.Order(p, waiting)}, []policy.Policy{p})
 	return s
 }
 

@@ -3,6 +3,7 @@ package plan
 import (
 	"testing"
 
+	"dynp/internal/job"
 	"dynp/internal/policy"
 )
 
@@ -47,7 +48,8 @@ func TestScheduleDoubleReleasePanics(t *testing.T) {
 	var base Base
 	base.Reset(0, 8, nil)
 	var s Schedule
-	base.BuildInto(&s, nil, policy.FCFS)
+	ss, orders, policies := []*Schedule{&s}, make([][]*job.Job, 1), []policy.Policy{policy.FCFS}
+	base.BuildInto(ss, orders, policies)
 	s.Release()
 	func() {
 		defer func() {
@@ -57,7 +59,7 @@ func TestScheduleDoubleReleasePanics(t *testing.T) {
 		}()
 		s.Release()
 	}()
-	base.BuildInto(&s, nil, policy.FCFS)
+	base.BuildInto(ss, orders, policies)
 	if s.Released() {
 		t.Fatal("a rebuilt schedule still reads as released")
 	}

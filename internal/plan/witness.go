@@ -13,7 +13,8 @@ package plan
 // eviction needs no care.
 
 const (
-	// witnessSlots bounds the table, which lives on BuildInto's stack.
+	// witnessSlots bounds the table, which lives on BuildInto's stack (and
+	// in a fork, copied, when a later order resumes the build).
 	// Every job pays a consult of all slots and every recorded placement a
 	// pass over them, whether or not a bound ever applies (under LJF almost
 	// none can: each job is shorter than those before it). Measured on

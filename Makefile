@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: all ci build vet fmt-check test race soak soak-disk bench bench-smoke bench-scale bench-scale-check bench-recover bench-recover-check bench-quote bench-quote-check bench-e2e bench-e2e-agree fuzz repro repro-full ablations golden golden-check golden-check-registered golden-check-full clean
+.PHONY: all ci build vet fmt-check test race soak soak-disk bench bench-smoke bench-e2e bench-e2e-agree fuzz repro repro-full ablations golden golden-check golden-check-registered golden-check-full clean
 
 all: build vet test
 
@@ -62,43 +62,6 @@ bench:
 bench-smoke:
 	$(GO) test -bench=SelfTuner -benchtime=1x ./... | tee bench-smoke.txt
 	@grep -q '^Benchmark' bench-smoke.txt || { echo "bench-smoke: -bench=SelfTuner matched no benchmark"; exit 1; }
-
-# Refresh the committed multi-core scaling snapshot: experiment-sweep and
-# sim.RunParallel jobs/s at GOMAXPROCS 1/2/4/N.
-bench-scale:
-	$(GO) run ./cmd/benchscale -out BENCH_scale.json
-
-# Fail when a p-core-over-1-core scaling ratio regressed >10% against the
-# committed BENCH_scale.json, or the experiment sweep scales under 2x at
-# 4 cores. Ratios only, and only for core counts the machine physically
-# has, so the gate is machine-neutral. CI runs this on a multi-core
-# runner in the bench-scale job.
-bench-scale-check:
-	$(GO) run ./cmd/benchscale -check BENCH_scale.json
-
-# Refresh the committed crash-recovery latency snapshot: checkpointed
-# restart vs full genesis replay at a 10k-event journal history.
-bench-recover:
-	$(GO) run ./cmd/benchrecover -out BENCH_recover.json
-
-# Fail when the checkpoint-over-genesis recovery speedup fell below 10x
-# or regressed >25% against the committed BENCH_recover.json. Ratios, not
-# absolute ns, so the gate is machine-neutral. CI runs this in the
-# bench-smoke job.
-bench-recover-check:
-	$(GO) run ./cmd/benchrecover -check BENCH_recover.json
-
-# Refresh the committed digital-twin quote snapshot: quote latency plus
-# mutator latency with and without concurrent quote load.
-bench-quote:
-	$(GO) run ./cmd/benchquote -out BENCH_quote.json
-
-# Fail when concurrent quotes inflate mutator latency beyond the
-# allowance (isolation broke: a quote path took the scheduling lock).
-# Ratios, not absolute ns, so the gate is machine-neutral. CI runs this
-# in the bench-smoke job.
-bench-quote-check:
-	$(GO) run ./cmd/benchquote -check BENCH_quote.json
 
 # The repository's one end-to-end benchmark (BENCHMARK.json is its
 # contract, benchmark/README.md its manual), untraced: every workload, or

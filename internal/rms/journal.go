@@ -49,6 +49,7 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 
 	"dynp/internal/vfs"
 )
@@ -394,7 +395,12 @@ type Journal struct {
 	keep            int // rotated segments auto-compact retains; < 0 keeps all
 
 	activeScan *segScan // cached open-time scan, consumed by Replay; dropped on append
-	err        error    // sticky failure; the journal refuses further appends
+
+	// err is the sticky failure; once set the journal refuses further
+	// appends. Set under mu (see fail) but read without it (see Err), so
+	// health probes and quotes never queue behind an append or a
+	// checkpoint's fsyncs.
+	err atomic.Pointer[error]
 }
 
 // OpenJournal opens (or creates) the journal at path on the real
@@ -675,11 +681,19 @@ func (j *Journal) Events() int64 {
 
 // Err returns the journal's sticky failure, if any. A journal with a
 // non-nil Err refuses every further append; the daemon's "ready" check
-// reports it.
+// reports it. Err never waits for the journal's lock.
 func (j *Journal) Err() error {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.err
+	if p := j.err.Load(); p != nil {
+		return *p
+	}
+	return nil
+}
+
+// fail records err as the journal's sticky failure and returns it.
+// Callers hold j.mu.
+func (j *Journal) fail(err error) error {
+	j.err.Store(&err)
+	return err
 }
 
 // SetSnapshotEvery sets the number of events between checkpoints (and
@@ -736,21 +750,18 @@ func (j *Journal) Append(ev Event) error {
 }
 
 func (j *Journal) appendLine(l *journalLine) error {
-	if j.err != nil {
-		return j.err
+	if err := j.Err(); err != nil {
+		return err
 	}
 	b, err := encodeRecord(l)
 	if err != nil {
-		j.err = fmt.Errorf("rms: journal encode: %w", err)
-		return j.err
+		return j.fail(fmt.Errorf("rms: journal encode: %w", err))
 	}
 	if _, err := j.w.Write(b); err != nil {
-		j.err = fmt.Errorf("rms: journal write: %w", err)
-		return j.err
+		return j.fail(fmt.Errorf("rms: journal write: %w", err))
 	}
 	if err := j.w.Flush(); err != nil {
-		j.err = fmt.Errorf("rms: journal flush: %w", err)
-		return j.err
+		return j.fail(fmt.Errorf("rms: journal flush: %w", err))
 	}
 	j.appended = true
 	j.activeScan = nil // the cached open-time scan no longer matches the file
@@ -765,12 +776,12 @@ func (j *Journal) appendLine(l *journalLine) error {
 func (j *Journal) maybeCheckpoint(s *Scheduler) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if j.err != nil || j.checkpointEvery < 1 || j.sinceCheckpoint < j.checkpointEvery {
+	if j.Err() != nil || j.checkpointEvery < 1 || j.sinceCheckpoint < j.checkpointEvery {
 		return
 	}
 	cs, err := s.captureCheckpointLocked(j.events)
 	if err != nil {
-		j.err = fmt.Errorf("rms: journal checkpoint: %w", err)
+		j.fail(fmt.Errorf("rms: journal checkpoint: %w", err))
 		return
 	}
 	j.rotateLocked(&cs, s.doneLog)
@@ -781,7 +792,7 @@ func (j *Journal) maybeCheckpoint(s *Scheduler) {
 // checkpointRecord). Any failure is sticky. Callers hold j.mu.
 func (j *Journal) rotateLocked(cs *checkpointState, done []byte) {
 	fail := func(stage string, err error) {
-		j.err = fmt.Errorf("rms: journal %s: %w", stage, err)
+		j.fail(fmt.Errorf("rms: journal %s: %w", stage, err))
 	}
 	// Seal: everything the clients were acknowledged for must be durable
 	// before the old segment becomes immutable.
@@ -911,16 +922,14 @@ func (j *Journal) compactLocked(keep, rung int) (int, error) {
 func (j *Journal) Sync() error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if j.err != nil {
-		return j.err
+	if err := j.Err(); err != nil {
+		return err
 	}
 	if err := j.w.Flush(); err != nil {
-		j.err = fmt.Errorf("rms: journal flush: %w", err)
-		return j.err
+		return j.fail(fmt.Errorf("rms: journal flush: %w", err))
 	}
 	if err := j.f.Sync(); err != nil {
-		j.err = fmt.Errorf("rms: journal sync: %w", err)
-		return j.err
+		return j.fail(fmt.Errorf("rms: journal sync: %w", err))
 	}
 	return nil
 }

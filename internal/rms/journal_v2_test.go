@@ -296,49 +296,62 @@ func TestJournalCompactAfterLadderFallback(t *testing.T) {
 
 // TestJournalCompact: compaction retires segments the newest durable
 // checkpoint makes redundant — fast replay keeps working, the genesis
-// audit honestly refuses.
+// audit honestly refuses. With keep=0 nothing but the active segment
+// remains, so a restart reads that one segment: the newest checkpoint
+// plus the events behind it.
 func TestJournalCompact(t *testing.T) {
-	live, j, path := journaledScheduler(t, 8, 5)
-	driveRandomEvents(t, live, 0x777, 80)
-	want := fingerprint(t, live)
-	top := j.Segment()
-	if top < 4 {
-		t.Fatalf("only %d segments", top)
-	}
-	removed, err := j.Compact(1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if removed == 0 {
-		t.Fatal("compaction removed nothing")
-	}
-	if _, err := os.Stat(path + ".0"); !os.IsNotExist(err) {
-		t.Error("genesis segment survived Compact(1)")
-	}
-	j.Close()
+	for _, keep := range []int{1, 0} {
+		t.Run("keep="+itoa(keep), func(t *testing.T) {
+			live, j, path := journaledScheduler(t, 8, 5)
+			driveRandomEvents(t, live, 0x777, 80)
+			want := fingerprint(t, live)
+			top := j.Segment()
+			if top < 4 {
+				t.Fatalf("only %d segments", top)
+			}
+			removed, err := j.Compact(keep)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if removed == 0 {
+				t.Fatal("compaction removed nothing")
+			}
+			if _, err := os.Stat(path + ".0"); !os.IsNotExist(err) {
+				t.Errorf("genesis segment survived Compact(%d)", keep)
+			}
+			rot, err := j.rotatedSegments()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(rot) > keep {
+				t.Errorf("%d rotated segments remain after Compact(%d): %v", len(rot), keep, rot)
+			}
+			j.Close()
 
-	fast, jf, _, err := replayFresh(t, path, 8)
-	if err != nil {
-		t.Fatalf("replay after compaction: %v", err)
-	}
-	jf.Close()
-	if got := fingerprint(t, fast); got != want {
-		t.Errorf("post-compaction replay diverges\nlive: %s\ngot:  %s", want, got)
-	}
+			fast, jf, _, err := replayFresh(t, path, 8)
+			if err != nil {
+				t.Fatalf("replay after compaction: %v", err)
+			}
+			jf.Close()
+			if got := fingerprint(t, fast); got != want {
+				t.Errorf("post-compaction replay diverges\nlive: %s\ngot:  %s", want, got)
+			}
 
-	jg, err := OpenJournal(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer jg.Close()
-	s, err := New(8, newDynP(), 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := jg.ReplayGenesis(s); err == nil {
-		t.Error("genesis audit succeeded without the genesis segment")
-	} else if !strings.Contains(err.Error(), "compacted") {
-		t.Errorf("error %q does not mention compaction", err)
+			jg, err := OpenJournal(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer jg.Close()
+			s, err := New(8, newDynP(), 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := jg.ReplayGenesis(s); err == nil {
+				t.Error("genesis audit succeeded without the genesis segment")
+			} else if !strings.Contains(err.Error(), "compacted") {
+				t.Errorf("error %q does not mention compaction", err)
+			}
+		})
 	}
 }
 

@@ -45,12 +45,10 @@ func (j *Journal) ReplayGenesis(s *Scheduler) (int, error) {
 }
 
 func (j *Journal) replayInto(s *Scheduler, genesis bool) (int, error) {
-	j.mu.Lock()
-	if j.err != nil {
-		err := j.err
-		j.mu.Unlock()
+	if err := j.Err(); err != nil {
 		return 0, err
 	}
+	j.mu.Lock()
 	if j.appended {
 		j.mu.Unlock()
 		return 0, fmt.Errorf("rms: journal: cannot replay after appending")

@@ -349,9 +349,9 @@ func (s *Scheduler) SetJournal(j *Journal) error {
 }
 
 // JournalErr reports the attached journal's sticky failure, if any,
-// without taking the scheduling lock. A scheduler whose journal has
-// failed still serves reads but refuses every mutation, and the
-// daemon's readiness check turns not-ready.
+// without taking the scheduling lock or the journal's. A scheduler
+// whose journal has failed still serves reads but refuses every
+// mutation, and the daemon's readiness check turns not-ready.
 func (s *Scheduler) JournalErr() error {
 	if j := s.jp.Load(); j != nil {
 		return j.Err()

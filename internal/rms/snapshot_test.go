@@ -14,36 +14,57 @@ import (
 
 // TestReadsBypassSchedulingLock is the direct proof of the image read
 // model: with the scheduling mutex held — as it is for the whole of a
-// replanning event — Status, Report, Finished and Now must still return,
-// because they serve from the atomically published image instead of
-// the lock. Under the retired mutex-based readers this test deadlocks
-// until the watchdog fires.
+// replanning event — and the journal's mutex held — as it is through an
+// append's write and a checkpoint's fsyncs — Status, Report, Finished,
+// Now, Quote and the health probe must still return, because they serve
+// from the atomically published image and the journal's lock-free sticky
+// error. A read that takes either lock deadlocks until the watchdog
+// fires.
 func TestReadsBypassSchedulingLock(t *testing.T) {
-	s, err := New(16, sim.NewDynP(core.Advanced{}), 0)
-	if err != nil {
+	s, j, _ := journaledScheduler(t, 16, 5)
+	defer j.Close()
+	if err := s.EnableQuotes(newDynP); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := s.Submit(4, 100); err != nil {
 		t.Fatal(err)
 	}
+	sv := NewServer(s, true)
 
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	done := make(chan Status, 1)
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	type answers struct {
+		st     Status
+		quotes []Quote
+		qerr   error
+		health Response
+	}
+	done := make(chan answers, 1)
 	go func() {
-		st := s.Status()
+		var a answers
+		a.st = s.Status()
 		_ = s.Report()
 		_ = s.Finished()
 		_ = s.Now()
-		done <- st
+		a.quotes, a.qerr = s.Quote(2, 50, 1)
+		a.health = sv.Handle(Request{Op: "health"})
+		done <- a
 	}()
 	select {
-	case st := <-done:
-		if len(st.Running) != 1 || st.UsedProcs != 4 {
-			t.Fatalf("image status lost the running job: %+v", st)
+	case a := <-done:
+		if len(a.st.Running) != 1 || a.st.UsedProcs != 4 {
+			t.Fatalf("image status lost the running job: %+v", a.st)
+		}
+		if a.qerr != nil || len(a.quotes) != 1 || a.quotes[0].Start != a.st.Now {
+			t.Fatalf("quote for an idle width: %+v, %v", a.quotes, a.qerr)
+		}
+		if !a.health.OK || a.health.Health == nil || !a.health.Health.Ready {
+			t.Fatalf("health probe: %+v", a.health)
 		}
 	case <-time.After(5 * time.Second):
-		t.Fatal("Status/Report/Finished/Now blocked on the scheduling mutex")
+		t.Fatal("Status/Report/Finished/Now/Quote/health blocked on the scheduling or journal mutex")
 	}
 }
 

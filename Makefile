@@ -90,9 +90,12 @@ endef
 # new-coverage input a 30 s run spends itself minimising after a few
 # thousand executions instead of exploring (~600 execs/s with the cap).
 # FuzzTunerLockstep's inputs are whole event streams: same cap, same reason.
+# FuzzWireCodec finds new coverage in most of its first minute's inputs
+# and stalls at 0 execs/s minimising them without the cap.
 fuzz:
 	$(call fuzz,FuzzRead,./internal/swf/)
 	$(call fuzz,FuzzServeConn,./internal/rms/)
+	$(call fuzz,FuzzWireCodec,./internal/rms/,-fuzzminimizetime=10x)
 	$(call fuzz,FuzzJournalRecover,./internal/rms/)
 	$(call fuzz,FuzzProfileVsReference,./internal/profile/)
 	$(call fuzz,FuzzBuildVsNaive,./internal/plan/,-fuzzminimizetime=10x)

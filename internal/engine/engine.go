@@ -364,9 +364,18 @@ func (e *Engine) Replan() error {
 		}
 		break
 	}
-	start := time.Now()
+	// The plan event's latency and decision case exist only for
+	// observers; an unobserved engine reads no clock and asks no driver.
+	observed := len(e.obs) > 0
+	var start time.Time
+	if observed {
+		start = time.Now()
+	}
 	e.plan = e.driver.Plan(e.now, eff, e.running, planned)
-	latency := time.Since(start)
+	var latency time.Duration
+	if observed {
+		latency = time.Since(start)
+	}
 	if e.verify {
 		if err := e.plan.Verify(e.running); err != nil {
 			return fmt.Errorf("engine: at t=%d: %w", e.now, err)
@@ -378,7 +387,9 @@ func (e *Engine) Replan() error {
 	if err := e.launchDue(); err != nil {
 		return err
 	}
-	e.emit(Event{Kind: EventPlan, Case: e.decisionCase(), Latency: latency})
+	if observed {
+		e.emit(Event{Kind: EventPlan, Case: e.decisionCase(), Latency: latency})
+	}
 	return nil
 }
 

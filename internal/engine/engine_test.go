@@ -281,6 +281,46 @@ func TestObserverStream(t *testing.T) {
 	}
 }
 
+// caseCounter is a DecisionCaser stub that counts how often the engine
+// asks for the decision case.
+type caseCounter struct {
+	sim.Static
+	calls int
+}
+
+func (c *caseCounter) LastDecisionCase() string { c.calls++; return "stub" }
+
+// TestReplanAsksCaseOnlyWhenObserved: the plan event's decision case is
+// built for observers only — an unobserved engine never asks the driver,
+// an observed one asks once per Replan and stamps the answer.
+func TestReplanAsksCaseOnlyWhenObserved(t *testing.T) {
+	drive := func(eng *engine.Engine) {
+		t.Helper()
+		eng.Submit(mkJob(1, 0, 1, 10))
+		eng.Submit(mkJob(2, 0, 2, 10))
+		for i := 0; i < 3; i++ {
+			if err := eng.Replan(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	bare := &caseCounter{Static: sim.Static{Policy: policy.FCFS}}
+	drive(engine.New(2, bare, 0))
+	if bare.calls != 0 {
+		t.Fatalf("unobserved engine asked for the decision case %d times", bare.calls)
+	}
+	watched := &caseCounter{Static: sim.Static{Policy: policy.FCFS}}
+	var cases []string
+	drive(engine.New(2, watched, 0, engine.WithObserver(engine.ObserverFunc(func(ev engine.Event) {
+		if ev.Kind == engine.EventPlan {
+			cases = append(cases, ev.Case)
+		}
+	}))))
+	if watched.calls != 3 || len(cases) != 3 || cases[0] != "stub" {
+		t.Fatalf("observed engine: %d case calls, plan cases %q; want 3 and 3 stamped", watched.calls, cases)
+	}
+}
+
 func TestEventKindNames(t *testing.T) {
 	names := map[engine.EventKind]string{
 		engine.EventSubmit:       "submit",

@@ -1,6 +1,7 @@
 package rms
 
 import (
+	"encoding/json"
 	"fmt"
 	"testing"
 
@@ -103,4 +104,54 @@ func BenchmarkCheckpoint(b *testing.B) {
 			})
 		}
 	}
+}
+
+// Sinks keep the compiler from dropping the measured calls.
+var (
+	codecSink  []byte
+	statusSink *Status
+)
+
+// BenchmarkStatusCodec prices one status response of 40 live jobs (about
+// 4.7 KB, what daemon-wire's reads carry) both ways, through the wire
+// codec and through encoding/json.
+func BenchmarkStatusCodec(b *testing.B) {
+	st := Status{Now: 123456, Capacity: 100, UsedProcs: 90, ActivePolicy: "SJF", Scheduler: "dynP/SJF-preferred", Finished: 5000}
+	for i := int64(0); i < 20; i++ {
+		st.Waiting = append(st.Waiting, JobInfo{ID: job.ID(10000 + i), Width: 8, Estimate: 3600, Submitted: 120000, PlannedStart: 130000 + i})
+		st.Running = append(st.Running, JobInfo{ID: job.ID(9000 + i), Width: 4, Estimate: 7200, Submitted: 110000, State: StateRunning, Started: 115000})
+	}
+	resp := Response{OK: true, Status: &st, Now: st.Now}
+	line, err := appendResponse(nil, &resp)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Run("encode/codec", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			codecSink, _ = appendResponse(codecSink[:0], &resp)
+		}
+	})
+	b.Run("encode/json", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			codecSink, _ = json.Marshal(&resp)
+		}
+	})
+	b.Run("decode/codec", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			var r Response
+			if !parseResponse(line, &r) {
+				b.Fatal("handed off")
+			}
+			statusSink = r.Status
+		}
+	})
+	b.Run("decode/json", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			var r Response
+			if err := json.Unmarshal(line, &r); err != nil {
+				b.Fatal(err)
+			}
+			statusSink = r.Status
+		}
+	})
 }

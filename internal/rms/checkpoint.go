@@ -11,7 +11,6 @@ package rms
 
 import (
 	"cmp"
-	"encoding/json"
 	"fmt"
 	"slices"
 
@@ -37,14 +36,10 @@ func (s *Scheduler) captureCheckpointLocked(events int64) (checkpointState, erro
 	cs := img.checkpointState
 	cs.Events = events
 	for ; s.doneLogged < len(cs.Done); s.doneLogged++ {
-		b, err := json.Marshal(&s.done[s.doneLogged])
-		if err != nil {
-			return checkpointState{}, fmt.Errorf("finished job %d: %w", s.done[s.doneLogged].ID, err)
-		}
 		if s.doneLogged > 0 {
 			s.doneLog = append(s.doneLog, ',')
 		}
-		s.doneLog = append(s.doneLog, b...)
+		s.doneLog = appendJobInfo(s.doneLog, &s.done[s.doneLogged])
 	}
 	if p := s.eng.Schedule(); p != nil {
 		pr := &planRec{Policy: policyName(p.Policy), Now: p.Now, Capacity: p.Capacity}

@@ -1,7 +1,7 @@
 package rms
 
 import (
-	"encoding/json"
+	"bufio"
 	"errors"
 	"fmt"
 	"net"
@@ -85,12 +85,13 @@ type Client struct {
 	jitter *rng.Stream
 	sleep  func(time.Duration) // test hook; time.Sleep
 
-	// One encoder and one decoder per connection: responses are decoded
-	// straight off the socket, with no line copied out first. A fresh
-	// connection gets fresh ones, so a poisoned stream never outlives it.
+	// One reader per connection: a response is one line, decoded where
+	// the reader buffered it. A fresh connection gets a fresh reader, so
+	// a poisoned stream never outlives it. out holds the request being
+	// sent, reused call after call.
 	conn net.Conn
-	dec  *json.Decoder
-	enc  *json.Encoder
+	r    *bufio.Reader
+	out  []byte
 }
 
 // Dial connects to a dynpd server with default reliability options.
@@ -136,8 +137,7 @@ func (c *Client) connect() error {
 		return err
 	}
 	c.conn = conn
-	c.dec = json.NewDecoder(conn)
-	c.enc = json.NewEncoder(conn)
+	c.r = bufio.NewReaderSize(conn, 1<<16)
 	return nil
 }
 
@@ -174,14 +174,38 @@ func (c *Client) roundTrip(req Request) (Response, error) {
 	if c.opts.Timeout > 0 {
 		_ = c.conn.SetDeadline(time.Now().Add(c.opts.Timeout))
 	}
-	if err := c.enc.Encode(req); err != nil {
+	c.out = append(appendRequest(c.out[:0], &req), '\n')
+	if _, err := c.conn.Write(c.out); err != nil {
 		return Response{}, fmt.Errorf("rms: send: %w", err)
 	}
+	line, err := c.readLine()
 	var resp Response
-	if err := c.dec.Decode(&resp); err != nil {
+	if err == nil {
+		err = decodeResponse(line, &resp)
+	}
+	if err != nil {
 		return Response{}, fmt.Errorf("rms: receive: %w", err)
 	}
 	return resp, nil
+}
+
+// readLine reads one response line, without its newline. A line that
+// fits the reader's buffer is returned in place, valid until the next
+// read; a longer one is assembled in a fresh slice.
+func (c *Client) readLine() ([]byte, error) {
+	line, err := c.r.ReadSlice('\n')
+	if errors.Is(err, bufio.ErrBufferFull) {
+		long := append([]byte(nil), line...)
+		for errors.Is(err, bufio.ErrBufferFull) {
+			line, err = c.r.ReadSlice('\n')
+			long = append(long, line...)
+		}
+		line = long
+	}
+	if err != nil {
+		return nil, err
+	}
+	return line[:len(line)-1], nil
 }
 
 // call executes one protocol request. Idempotent requests survive

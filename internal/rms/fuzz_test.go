@@ -27,6 +27,11 @@ func FuzzServeConn(f *testing.F) {
 	f.Add([]byte(`{"op":"tick","to":9223372036854775807}` + "\n"))
 	f.Add([]byte(`{"op":"quote","width":4,"estimate":100,"count":2}` + "\n"))
 	f.Add([]byte(`{"op":"quote","width":-1,"estimate":0,"count":1025}` + "\n"))
+	// Requests the wire codec hands to encoding/json (see codec.go).
+	f.Add([]byte(strings.Join(nonCanonical, "\n") + "\n"))
+	for _, line := range nonCanonical {
+		f.Add([]byte(line + "\n"))
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		s, err := New(8, &sim.Static{Policy: policy.FCFS}, 0)
 		if err != nil {

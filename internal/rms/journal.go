@@ -229,6 +229,9 @@ func decodeRecord(b []byte) (journalLine, bool) {
 	if sum[0] != byte(crc>>24) || sum[1] != byte(crc>>16) || sum[2] != byte(crc>>8) || sum[3] != byte(crc) {
 		return l, false
 	}
+	if ev, ok := parseEventRecord(payload); ok {
+		return journalLine{Event: ev}, true
+	}
 	if err := json.Unmarshal(payload, &l); err != nil {
 		return l, false
 	}
@@ -395,6 +398,7 @@ type Journal struct {
 	keep            int // rotated segments auto-compact retains; < 0 keeps all
 
 	activeScan *segScan // cached open-time scan, consumed by Replay; dropped on append
+	rec        []byte   // the event record being appended, reused append after append
 
 	// err is the sticky failure; once set the journal refuses further
 	// appends. Set under mu (see fail) but read without it (see Err), so
@@ -741,7 +745,8 @@ func (j *Journal) writeHeader(h journalHeader) error {
 func (j *Journal) Append(ev Event) error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if err := j.appendLine(&journalLine{Event: &ev}); err != nil {
+	j.rec = appendEventRecord(j.rec[:0], &ev)
+	if err := j.writeRecord(j.rec); err != nil {
 		return err
 	}
 	j.events++
@@ -750,12 +755,18 @@ func (j *Journal) Append(ev Event) error {
 }
 
 func (j *Journal) appendLine(l *journalLine) error {
-	if err := j.Err(); err != nil {
-		return err
-	}
 	b, err := encodeRecord(l)
 	if err != nil {
 		return j.fail(fmt.Errorf("rms: journal encode: %w", err))
+	}
+	return j.writeRecord(b)
+}
+
+// writeRecord writes one framed record through to the operating system,
+// unless the journal already failed.
+func (j *Journal) writeRecord(b []byte) error {
+	if err := j.Err(); err != nil {
+		return err
 	}
 	if _, err := j.w.Write(b); err != nil {
 		return j.fail(fmt.Errorf("rms: journal write: %w", err))

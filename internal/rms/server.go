@@ -2,7 +2,6 @@ package rms
 
 import (
 	"bufio"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -396,14 +395,25 @@ func (sv *Server) ServeConn(conn io.ReadWriter) error {
 func (sv *Server) serveConn(conn io.ReadWriter, degraded bool) error {
 	sc := bufio.NewScanner(conn)
 	sc.Buffer(make([]byte, 1<<16), 1<<16)
-	enc := json.NewEncoder(conn)
 	rdl, hasRead := conn.(readDeadliner)
 	wdl, hasWrite := conn.(writeDeadliner)
+	// One output buffer per connection, reused response after response;
+	// one grown past the line limit (a long finished list) is let go.
+	var out []byte
 	write := func(resp Response) error {
+		var err error
+		if out, err = appendResponse(out[:0], &resp); err != nil {
+			return err
+		}
+		out = append(out, '\n')
 		if hasWrite && sv.WriteTimeout > 0 {
 			_ = wdl.SetWriteDeadline(time.Now().Add(sv.WriteTimeout))
 		}
-		return enc.Encode(resp)
+		_, err = conn.Write(out)
+		if cap(out) > 1<<16 {
+			out = nil
+		}
+		return err
 	}
 	for {
 		if hasRead && sv.IdleTimeout > 0 {
@@ -418,7 +428,7 @@ func (sv *Server) serveConn(conn io.ReadWriter, degraded bool) error {
 		}
 		var req Request
 		var resp Response
-		if err := json.Unmarshal(line, &req); err != nil {
+		if err := decodeRequest(line, &req); err != nil {
 			resp = Response{Error: fmt.Sprintf("rms: bad request: %v", err), Now: sv.sched.Now()}
 		} else {
 			resp = sv.handle(req, degraded)
@@ -519,11 +529,12 @@ func (sv *Server) rejectBusy(conn net.Conn) {
 			timeout = 2 * time.Second
 		}
 		_ = conn.SetWriteDeadline(time.Now().Add(timeout))
-		_ = json.NewEncoder(conn).Encode(Response{
+		out, _ := appendResponse(nil, &Response{ // no rarely used field: cannot fail
 			Busy:  true,
 			Error: "rms: server busy: connection limit reached (retry)",
 			Now:   sv.sched.Now(),
 		})
+		_, _ = conn.Write(append(out, '\n'))
 	}()
 }
 

@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: all ci build vet fmt-check test race soak soak-disk bench bench-smoke bench-e2e bench-e2e-agree fuzz repro repro-full ablations golden golden-check golden-check-registered golden-check-full clean
+.PHONY: all ci build vet fmt-check test race soak soak-disk bench bench-smoke bench-e2e bench-e2e-agree fuzz repro repro-full ablations golden golden-check golden-check-registered golden-check-ablation golden-check-full clean
 
 all: build vet test
 
@@ -91,7 +91,8 @@ endef
 # thousand executions instead of exploring (~600 execs/s with the cap).
 # FuzzTunerLockstep's inputs are whole event streams: same cap, same reason.
 # FuzzWireCodec finds new coverage in most of its first minute's inputs
-# and stalls at 0 execs/s minimising them without the cap.
+# and stalls at 0 execs/s minimising them without the cap. FuzzRunGroup
+# simulates whole job sets per input: same cap, same reason.
 fuzz:
 	$(call fuzz,FuzzRead,./internal/swf/)
 	$(call fuzz,FuzzServeConn,./internal/rms/)
@@ -101,13 +102,18 @@ fuzz:
 	$(call fuzz,FuzzBuildVsNaive,./internal/plan/,-fuzzminimizetime=10x)
 	$(call fuzz,FuzzTunerLockstep,./internal/sim/,-fuzzminimizetime=10x)
 	$(call fuzz,FuzzStaticLockstep,./internal/sim/)
+	$(call fuzz,FuzzRunGroup,./internal/sim/,-fuzzminimizetime=10x)
 	@rm -f fuzz.out
 
-# Reduced-scale reproduction of every table and figure. Timed as
-# `make golden-check` on a 2-core host with go1.24.0: 11 s wall, 22 s
-# CPU. The paper scale (repro-full, the built binary, two runs) took
-# 6 min 36 s and 6 min 38 s wall, 13 min 1 s and 13 min 5 s CPU on a
-# 2-core host of the same kind, timed in a busier hour.
+# Reduced-scale reproduction of every table and figure. The built
+# binary took 15.3 s and 16.1 s wall, 29.8 s and 31.3 s CPU on a 2-core
+# host with go1.24.0 (the binary before the sweeps co-simulated their
+# dynP deciders: 17.2 s and 18.1 s wall in the same hour). The paper
+# scale (repro-full, the built binary, two runs) took 6 min 33 s and
+# 6 min 27 s wall, 12 min 45 s and 12 min 29 s CPU on the same host,
+# against 7 min 41 s and 6 min 39 s wall, 14 min 51 s and 13 min 5 s
+# CPU before, alternating in the same hour. `make ablations` took
+# 14.4–15.8 s wall, 26.2–28.1 s CPU (before: 15.7–19.1 s, 29.4–33.9 s).
 repro:
 	$(GO) run ./cmd/paper
 
@@ -141,6 +147,15 @@ golden-check-registered:
 	cmp paper_output.check.txt paper_output.txt
 	rm -f paper_output.check.txt
 
+# Byte-compare a fresh `make ablations` run against the committed
+# ablation_output.txt. The ablation sweeps hold the largest groups of
+# co-simulated deciders (sim.RunGroup: pref, decider, metric), so this
+# is their byte-level guard. CI runs this next to golden-check.
+golden-check-ablation:
+	$(GO) run ./cmd/paper -ablation all -shrinks 1.0,0.8 > ablation_output.check.txt
+	cmp ablation_output.check.txt ablation_output.txt
+	rm -f ablation_output.check.txt
+
 # Paper-scale variant of golden-check (the CI workflow runs it on
 # schedule and on manual dispatch rather than per push).
 golden-check-full:
@@ -150,4 +165,4 @@ golden-check-full:
 
 clean:
 	$(GO) clean ./...
-	rm -f paper_output.check.txt paper_output_full.check.txt fuzz.out
+	rm -f paper_output.check.txt paper_output_full.check.txt ablation_output.check.txt fuzz.out

@@ -56,21 +56,24 @@ type Decider interface {
 	Decide(old policy.Policy, candidates []policy.Policy, values []float64) policy.Policy
 }
 
-// minimal returns the indices of all candidates whose value ties the
-// minimum within Tolerance. NaN scores order deterministically last
-// (treated as +Inf): a NaN compares false to everything, so without the
-// normalisation a single NaN as values[0] would poison the minimum and
-// minimal would return an empty set for a non-empty input, making the
-// deciders report "no candidates" for a scoring problem.
-func minimal(values []float64) []int {
-	if len(values) == 0 {
-		return nil
+// norm orders NaN scores deterministically last (treated as +Inf): a
+// NaN compares false to everything, so without the normalisation a
+// single NaN as values[0] would poison the minimum and no candidate would
+// tie it, making the deciders report "no candidates" for a scoring
+// problem.
+func norm(v float64) float64 {
+	if math.IsNaN(v) {
+		return math.Inf(1)
 	}
-	norm := func(v float64) float64 {
-		if math.IsNaN(v) {
-			return math.Inf(1)
-		}
-		return v
+	return v
+}
+
+// minimum returns the smallest normalised value, the one every candidate
+// within Tolerance of it ties. The deciders read the ties off it in
+// place, so a decision allocates nothing.
+func minimum(who string, values []float64) float64 {
+	if len(values) == 0 {
+		panic("core: " + who + ".Decide with no candidates")
 	}
 	min := norm(values[0])
 	for _, v := range values[1:] {
@@ -78,27 +81,28 @@ func minimal(values []float64) []int {
 			min = norm(v)
 		}
 	}
-	var idx []int
-	for i, v := range values {
-		if approxEqual(norm(v), min) {
-			idx = append(idx, i)
-		}
-	}
-	return idx
+	return min
 }
 
-// mustMinimal wraps minimal for the deciders' precondition checks,
-// distinguishing an empty candidate set from values the decider cannot
-// order (impossible after NaN normalisation, kept as a backstop).
-func mustMinimal(who string, values []float64) []int {
-	if len(values) == 0 {
-		panic("core: " + who + ".Decide with no candidates")
+// firstTie returns the first candidate index whose value ties min. One
+// always does after NaN normalisation; the panic is a backstop.
+func firstTie(who string, values []float64, min float64) int {
+	for i, v := range values {
+		if approxEqual(norm(v), min) {
+			return i
+		}
 	}
-	mins := minimal(values)
-	if len(mins) == 0 {
-		panic("core: " + who + ".Decide with unorderable values")
+	panic("core: " + who + ".Decide with unorderable values")
+}
+
+// ties reports whether policy p is a candidate whose value ties min.
+func ties(p policy.Policy, candidates []policy.Policy, values []float64, min float64) bool {
+	for i, v := range values {
+		if candidates[i] == p && approxEqual(norm(v), min) {
+			return true
+		}
 	}
-	return mins
+	return false
 }
 
 // Simple is the three-if-then-else decider of [21]: it returns the policy
@@ -111,8 +115,7 @@ func (Simple) Name() string { return "simple" }
 
 // Decide implements Decider.
 func (Simple) Decide(_ policy.Policy, candidates []policy.Policy, values []float64) policy.Policy {
-	mins := mustMinimal("Simple", values)
-	return candidates[mins[0]]
+	return candidates[firstTie("Simple", values, minimum("Simple", values))]
 }
 
 // Advanced is the fair decider: the unique minimum wins; on ties the old
@@ -126,13 +129,11 @@ func (Advanced) Name() string { return "advanced" }
 
 // Decide implements Decider.
 func (Advanced) Decide(old policy.Policy, candidates []policy.Policy, values []float64) policy.Policy {
-	mins := mustMinimal("Advanced", values)
-	for _, i := range mins {
-		if candidates[i] == old {
-			return old
-		}
+	min := minimum("Advanced", values)
+	if ties(old, candidates, values, min) {
+		return old
 	}
-	return candidates[mins[0]]
+	return candidates[firstTie("Advanced", values, min)]
 }
 
 // Preferred is the paper's unfair decider. The preferred policy stays
@@ -149,16 +150,12 @@ func (p Preferred) Name() string { return p.Policy.Name() + "-preferred" }
 
 // Decide implements Decider.
 func (p Preferred) Decide(old policy.Policy, candidates []policy.Policy, values []float64) policy.Policy {
-	mins := mustMinimal("Preferred", values)
-	for _, i := range mins {
-		if candidates[i] == p.Policy {
-			return p.Policy
-		}
+	min := minimum("Preferred", values)
+	if ties(p.Policy, candidates, values, min) {
+		return p.Policy
 	}
-	for _, i := range mins {
-		if candidates[i] == old {
-			return old
-		}
+	if ties(old, candidates, values, min) {
+		return old
 	}
-	return candidates[mins[0]]
+	return candidates[firstTie("Preferred", values, min)]
 }

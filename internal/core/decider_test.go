@@ -247,8 +247,8 @@ func TestDecidersPanicOnEmptyCandidates(t *testing.T) {
 // TestDecidersWithNonFiniteValues pins the deciders' behavior when a
 // what-if score degenerates: NaN orders deterministically last (treated
 // as +Inf), equal infinities tie, and no decider ever panics on a
-// non-empty candidate set. Regression: a NaN used to poison minimal()'s
-// minimum (every comparison false), returning an empty index set and
+// non-empty candidate set. Regression: a NaN used to poison the minimum
+// (every comparison false), leaving no candidate tied to it and
 // panicking with the misleading "Decide with no candidates".
 func TestDecidersWithNonFiniteValues(t *testing.T) {
 	nan, inf := math.NaN(), math.Inf(1)
@@ -287,5 +287,18 @@ func TestDecidersWithNonFiniteValues(t *testing.T) {
 				t.Errorf("SJF-preferred = %v, want %v", got, c.sjfPr)
 			}
 		})
+	}
+}
+
+// TestDecidersAllocateNothing: the paper's deciders read the tie set off
+// the minimum in place. Every member of a co-simulated group decides at
+// every scheduling event, so a per-decision allocation would be paid
+// once per member per event.
+func TestDecidersAllocateNothing(t *testing.T) {
+	values := []float64{2, 1, 1}
+	for _, d := range []Decider{Simple{}, Advanced{}, Preferred{Policy: policy.SJF}} {
+		if avg := testing.AllocsPerRun(100, func() { d.Decide(policy.LJF, candidates, values) }); avg != 0 {
+			t.Errorf("%s.Decide allocates %.2f objects per call, want 0", d.Name(), avg)
+		}
 	}
 }

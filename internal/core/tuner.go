@@ -133,19 +133,34 @@ func (t *SelfTuner) NoteSubmit(j *job.Job) { t.lane.NoteSubmit(j) }
 func (t *SelfTuner) NoteRemove(j *job.Job) { t.lane.NoteRemove(j) }
 
 // Plan performs one self-tuning dynP step: build a what-if schedule per
-// candidate policy, score each, decide, and return the schedule of the
-// chosen policy (reused, not rebuilt). The chosen policy becomes active.
-//
-// Plan panics — before touching any tuner state — when the decider
-// returns a policy outside the candidate set.
+// candidate policy, let Choose score and decide, and return the schedule
+// of the chosen policy (reused, not rebuilt). The chosen policy becomes
+// active.
 //
 // Ownership: the returned schedule is valid until the next Plan call,
 // which supersedes it once its replacement exists (the lifetime rule on
 // engine.Driver). All planning storage is the lane's, rebuilt in place
 // at every step (see Lane).
 func (t *SelfTuner) Plan(now int64, capacity int, running []plan.Running, waiting []*job.Job) *plan.Schedule {
+	return t.lane.Keep(t.Choose(now, t.lane.Build(now, capacity, running, waiting, t.candidates...)))
+}
+
+// Choose is the deciding half of a self-tuning step: it scores the
+// schedules of one scheduling event — one per candidate, in candidate
+// order, as Lane.Build returns them — asks the decider, commits the
+// decision (statistics, trace, active policy) and returns the index of
+// the chosen schedule. Plan calls it on the tuner's own lane; a
+// co-simulation (sim.RunGroup) calls it on a lane several tuners with
+// the same candidates share, so each commits its decision exactly once.
+//
+// Choose panics — before touching any tuner state — when the decider
+// returns a policy outside the candidate set.
+func (t *SelfTuner) Choose(now int64, schedules []*plan.Schedule) int {
+	if len(schedules) != len(t.candidates) {
+		panic(fmt.Sprintf("core: Choose over %d schedules for %d candidates", len(schedules), len(t.candidates)))
+	}
 	values := make([]float64, len(t.candidates))
-	for i, s := range t.lane.Build(now, capacity, running, waiting, t.candidates...) {
+	for i, s := range schedules {
 		values[i] = t.metric.Score(s)
 	}
 
@@ -165,7 +180,7 @@ func (t *SelfTuner) Plan(now int64, capacity int, running []plan.Running, waitin
 		panic(fmt.Sprintf("core: decider %s returned non-candidate %v", t.decider.Name(), chosen))
 	}
 	t.commit(now, chosen, values)
-	return t.lane.Keep(chosenIdx)
+	return chosenIdx
 }
 
 // commit applies one decision to the tuner's statistics, trace and active

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"slices"
+	"strings"
 	"sync"
 
 	"dynp/internal/job"
@@ -82,14 +84,20 @@ func (r *Result) Cell(shrink float64, scheduler string) *Cell {
 // runSweep is the body Run and Fairness share. It generates cfg's job
 // sets, derives one variant of each per label with transform (a shrinking
 // factor, an estimate scale — once, shared read-only), simulates every
-// (variant, scheduler, set) combination on the shard pool
-// (internal/shard: workers claim the next task off one shared counter, so
-// an expensive cell never strands the tail of the sweep) and returns what
-// extract makes of each run: variant-major, scheduler-minor, cfg.Sets
-// consecutive entries per cell. Every task writes its fixed slot, so the
-// result is byte-identical at any worker count. The first simulation
-// failure cancels the sweep: workers stop claiming tasks and runSweep
-// returns that failure instead of simulating the remainder.
+// (variant, scheduler, set) combination and returns what extract makes of
+// each run: variant-major, scheduler-minor, cfg.Sets consecutive entries
+// per cell.
+//
+// Schedulers that sim.RunGroup co-simulates — dynP drivers over the same
+// candidates whose deciders observe nothing, or identical statics — form
+// one group, decided once per sweep from one probe driver per spec. Each
+// (variant, group, set) is one task on the shard pool (internal/shard:
+// workers claim the next task off one shared counter, so an expensive
+// task never strands the tail of the sweep), and each task writes its
+// members' fixed slots, so the result is byte-identical at any worker
+// count. cfg.Progress counts member simulations, not tasks. The first
+// simulation failure cancels the sweep: workers stop claiming tasks and
+// runSweep returns that failure instead of simulating the remainder.
 func runSweep[O any](cfg Config, labels []string, transform func(variant int, s *job.Set) (*job.Set, error),
 	extract func(*sim.Result, sim.Driver) O) ([]O, error) {
 	if cfg.Sets < 1 || cfg.JobsPerSet < 1 {
@@ -113,6 +121,7 @@ func runSweep[O any](cfg Config, labels []string, transform func(variant int, s 
 			}
 		}
 	}
+	groups := cosimulated(cfg.Schedulers)
 
 	workers := cfg.Workers
 	if workers <= 0 {
@@ -123,20 +132,31 @@ func runSweep[O any](cfg Config, labels []string, transform func(variant int, s 
 		done int
 	)
 	outcomes := make([]O, len(labels)*len(cfg.Schedulers)*len(sets))
-	err = shard.Run(workers, len(outcomes), func(i int) error {
+	err = shard.Run(workers, len(labels)*len(groups)*len(sets), func(i int) error {
 		k := i % len(sets)
-		spec := cfg.Schedulers[i/len(sets)%len(cfg.Schedulers)]
-		vi := i / len(sets) / len(cfg.Schedulers)
-		driver := spec.New()
-		res, err := sim.Run(variants[vi][k], driver)
-		if err != nil {
-			return fmt.Errorf("experiment: %s %s set %d: %w", spec.Name, labels[vi], k, err)
+		group := groups[i/len(sets)%len(groups)]
+		vi := i / len(sets) / len(groups)
+		drivers := make([]sim.Driver, len(group))
+		for m, si := range group {
+			drivers[m] = cfg.Schedulers[si].New()
 		}
-		outcomes[i] = extract(res, driver)
+		results, err := sim.RunGroup(variants[vi][k], drivers)
+		if err != nil {
+			names := make([]string, len(group))
+			for m, si := range group {
+				names[m] = cfg.Schedulers[si].Name
+			}
+			return fmt.Errorf("experiment: %s %s set %d: %w", strings.Join(names, ", "), labels[vi], k, err)
+		}
+		for m, si := range group {
+			outcomes[(vi*len(cfg.Schedulers)+si)*len(sets)+k] = extract(results[m], drivers[m])
+		}
 		if cfg.Progress != nil {
 			mu.Lock()
-			done++
-			cfg.Progress(done, len(outcomes))
+			for range group {
+				done++
+				cfg.Progress(done, len(outcomes))
+			}
 			mu.Unlock()
 		}
 		return nil
@@ -145,6 +165,41 @@ func runSweep[O any](cfg Config, labels []string, transform func(variant int, s 
 		return nil, err
 	}
 	return outcomes, nil
+}
+
+// cosimulated groups the schedulers sim.RunGroup runs on one trajectory,
+// as spec indices in order of first appearance, judging by one driver of
+// each spec. It mirrors RunGroup's rule; RunGroup regroups whatever it
+// gets, so a mismatch could only cost sharding granularity.
+func cosimulated(specs []SchedulerSpec) [][]int {
+	var groups [][]int
+	var probes []sim.Driver
+next:
+	for i, spec := range specs {
+		d := spec.New()
+		for g, p := range probes {
+			if shareLane(p, d) {
+				groups[g] = append(groups[g], i)
+				continue next
+			}
+		}
+		groups, probes = append(groups, []int{i}), append(probes, d)
+	}
+	return groups
+}
+
+// shareLane reports whether RunGroup puts a and b on one trajectory.
+func shareLane(a, b sim.Driver) bool {
+	switch a := a.(type) {
+	case *sim.DynP:
+		b, ok := b.(*sim.DynP)
+		return ok && a.DeciderObserver() == nil && b.DeciderObserver() == nil &&
+			slices.Equal(a.Tuner.Candidates(), b.Tuner.Candidates())
+	case *sim.Static:
+		b, ok := b.(*sim.Static)
+		return ok && a.Policy == b.Policy
+	}
+	return false
 }
 
 // column reads one per-set value off a cell's outcomes.

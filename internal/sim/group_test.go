@@ -1,0 +1,186 @@
+package sim_test
+
+import (
+	"reflect"
+	"sort"
+	"testing"
+
+	"dynp/internal/experiment"
+	"dynp/internal/job"
+	"dynp/internal/sim"
+	"dynp/internal/workload"
+)
+
+// schedulerSets are the scheduler sets the sweeps co-simulate: the
+// paper's five, every ablation's (EASY and the metric variants among
+// them) and the fairness study's, whose adaptive decider observes the
+// engine and must run on its own.
+func schedulerSets(t testing.TB) map[string][]experiment.SchedulerSpec {
+	sets := map[string][]experiment.SchedulerSpec{
+		"paper":    experiment.PaperSchedulers(),
+		"fairness": experiment.FairnessSchedulers(),
+	}
+	for _, a := range experiment.Ablations() {
+		specs, err := a.Schedulers()
+		if err != nil {
+			t.Fatal(err)
+		}
+		sets["ablation "+string(a)] = specs
+	}
+	return sets
+}
+
+// newDrivers returns a fresh driver per spec, tracing every tuner's
+// decisions.
+func newDrivers(specs []experiment.SchedulerSpec) []sim.Driver {
+	drivers := make([]sim.Driver, len(specs))
+	for i, spec := range specs {
+		drivers[i] = spec.New()
+		if d, ok := drivers[i].(*sim.DynP); ok {
+			d.Tuner.EnableTrace()
+		}
+	}
+	return drivers
+}
+
+// checkGroup runs the specs once through RunGroup and once each through
+// Run, and requires every result, tuner statistic and decision trace to
+// be equal. It reports how many members' records differ from the first
+// member's: a group whose members all agree never had to split.
+func checkGroup(t *testing.T, set *job.Set, specs []experiment.SchedulerSpec) (differ int) {
+	t.Helper()
+	grouped, alone := newDrivers(specs), newDrivers(specs)
+	results, err := sim.RunGroup(set, grouped)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(results) != len(specs) {
+		t.Fatalf("RunGroup returned %d results for %d drivers", len(results), len(specs))
+	}
+	for i, d := range alone {
+		want, err := sim.Run(set, d)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(results[i], want) {
+			t.Errorf("%s: RunGroup's result differs from Run's (makespan %d vs %d, %d vs %d events)",
+				specs[i].Name, results[i].Makespan, want.Makespan, results[i].Events, want.Events)
+			continue
+		}
+		if g, ok := grouped[i].(*sim.DynP); ok {
+			a := d.(*sim.DynP)
+			if !reflect.DeepEqual(g.Stats(), a.Stats()) {
+				t.Errorf("%s: tuner stats %+v, alone %+v", specs[i].Name, g.Stats(), a.Stats())
+			}
+			if !reflect.DeepEqual(g.Tuner.Trace(), a.Tuner.Trace()) {
+				t.Errorf("%s: decision traces differ", specs[i].Name)
+			}
+		}
+		if !reflect.DeepEqual(results[i].Records, results[0].Records) {
+			differ++
+		}
+	}
+	return differ
+}
+
+// TestRunGroupMatchesSeparateRuns co-simulates every scheduler set the
+// sweeps run over several models, loads and estimate scales, and holds
+// each result to the separate run of the same driver. The sets must
+// split somewhere, or the test proves nothing about splitting.
+func TestRunGroupMatchesSeparateRuns(t *testing.T) {
+	splits := 0
+	for name, specs := range schedulerSets(t) {
+		t.Run(name, func(t *testing.T) {
+			for _, m := range []workload.Model{workload.KTH, workload.CTC, workload.SDSC} {
+				sets, err := m.GenerateSets(2, 250, 11)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for k, s := range sets {
+					for _, shrink := range []float64{1.0, 0.7} {
+						set := s.Shrink(shrink)
+						if k == 1 {
+							if set, err = workload.ScaleEstimates(set, 2); err != nil {
+								t.Fatal(err)
+							}
+						}
+						splits += checkGroup(t, set, specs)
+					}
+				}
+			}
+		})
+	}
+	if splits == 0 {
+		t.Fatal("no co-simulated member ever left its group's first member's trajectory")
+	}
+}
+
+// TestRunGroupSplitsOnTiedCompletions: two jobs start together and end
+// together. All three candidate schedules tie, so the advanced decider
+// keeps FCFS (job 2 before job 3) while the SJF-preferred decider takes
+// SJF (job 3 first, by its shorter estimate). The launches hold the same
+// jobs in another order, and the equal run times make that order the
+// order of their completions, so the members must part there. Had the
+// two jobs' run times differed, the order would reach nothing and the
+// members could share the trajectory.
+func TestRunGroupSplitsOnTiedCompletions(t *testing.T) {
+	set := &job.Set{Name: "tied", Machine: 10, Jobs: []*job.Job{
+		{ID: 1, Submit: 0, Width: 10, Estimate: 100, Runtime: 100},
+		{ID: 2, Submit: 1, Width: 5, Estimate: 200, Runtime: 50},
+		{ID: 3, Submit: 1, Width: 5, Estimate: 60, Runtime: 50},
+	}}
+	specs := experiment.PaperSchedulers()[3:]
+	if differ := checkGroup(t, set, specs); differ != 1 {
+		t.Fatalf("%d members' records differ from the first's, want the SJF-preferred one", differ)
+	}
+	set.Jobs[2].Runtime = 49
+	checkGroup(t, set, specs)
+}
+
+// TestRunGroupRejectsRepeatedDriver: one tuner cannot decide twice per
+// event, so a driver passed twice is an error rather than a shared run.
+func TestRunGroupRejectsRepeatedDriver(t *testing.T) {
+	sets, err := workload.KTH.GenerateSets(1, 20, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := experiment.PaperSchedulers()[3].New()
+	if _, err := sim.RunGroup(sets[0], []sim.Driver{d, d}); err == nil {
+		t.Fatal("RunGroup accepted the same driver twice")
+	}
+}
+
+// FuzzRunGroup draws a small job set and any subset of the sweeps'
+// schedulers — repeats included — and holds RunGroup to separate runs.
+func FuzzRunGroup(f *testing.F) {
+	f.Add(uint64(1), uint8(0), uint8(3), uint32(0xffffffff))
+	f.Add(uint64(7), uint8(1), uint8(90), uint32(0x18))
+	f.Add(uint64(3), uint8(6), uint8(200), uint32(0x5a5a5))
+	sets := schedulerSets(f)
+	names := make([]string, 0, len(sets))
+	for name := range sets {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	var pool []experiment.SchedulerSpec
+	for _, name := range names {
+		pool = append(pool, sets[name]...)
+	}
+	f.Fuzz(func(t *testing.T, seed uint64, load uint8, jobs uint8, mask uint32) {
+		var specs []experiment.SchedulerSpec
+		for i, spec := range pool {
+			if mask>>(i%32)&1 == 1 && len(specs) < 8 {
+				specs = append(specs, spec)
+			}
+		}
+		if len(specs) == 0 {
+			return
+		}
+		models := workload.Models()
+		sets, err := models[int(load)%len(models)].GenerateSets(1, 10+int(jobs)%120, seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkGroup(t, sets[0].Shrink(0.5+float64(load/4%6)*0.1), specs)
+	})
+}

@@ -17,7 +17,10 @@
 // (internal/rms). Run is a thin virtual-clock harness over that engine:
 // it orders the known submission and completion events in a queue, jumps
 // the engine's clock to each instant, applies the instant's events, and
-// triggers one shared replanning step.
+// triggers one shared replanning step. RunGroup drives the same event
+// loop for several drivers at once, sharing one engine among drivers
+// over the same candidate policies for as long as they launch the same
+// jobs (group.go).
 package sim
 
 import (
@@ -151,7 +154,8 @@ func WithQueueProbe(probe func(now int64, queued int)) Option {
 }
 
 // Run simulates the job set under the given scheduler driver and returns
-// the per-job records and run statistics. The job set must validate.
+// the per-job records and run statistics. The job set must validate. It
+// is the one-driver case of RunGroup's event loop.
 func Run(set *job.Set, driver Driver, opts ...Option) (*Result, error) {
 	if err := set.Validate(); err != nil {
 		return nil, err
@@ -160,108 +164,199 @@ func Run(set *job.Set, driver Driver, opts ...Option) (*Result, error) {
 	for _, o := range opts {
 		o(&cfg)
 	}
+	res := newResult(set, driver)
+	if err := simulate(newTrajectory(set, []member{{driver, res}}, driver, cfg)); err != nil {
+		return nil, err
+	}
+	return res, nil
+}
 
+// newResult returns the empty result of driver's run over set.
+func newResult(set *job.Set, driver Driver) *Result {
 	res := &Result{
 		Set:        set,
 		Scheduler:  driver.Name(),
-		Records:    make([]Record, 0, len(set.Jobs)),
 		PolicyTime: make(map[policy.Policy]int64),
 	}
 	if len(set.Jobs) > 0 {
 		res.First = set.Jobs[0].Submit
 	}
+	return res
+}
 
+// member is one driver of a trajectory and the result it accumulates.
+type member struct {
+	driver Driver
+	res    *Result
+}
+
+// trajectory is one history of the machine: an engine, its event queue
+// and the records of the jobs finished so far. Every member's launches
+// have been the same along it; a group splits it where they differ
+// (group.go), handing each part a copy.
+type trajectory struct {
+	set      *job.Set
+	eng      *engine.Engine
+	events   eventq.Queue[event]
+	starts   map[job.ID]int64
+	finished map[job.ID]bool
+	records  []Record // in completion order
+	makespan int64
+	last     int64 // the previous scheduling event's instant
+	members  []member
+	group    *group // the engine's driver when it plans for a group, else nil
+
+	// resume marks a trajectory split at the current instant: its
+	// events are applied, its replan is still to come.
+	resume bool
+}
+
+// newTrajectory returns the trajectory of set from its first submission,
+// its engine planning with driver.
+func newTrajectory(set *job.Set, members []member, driver Driver, cfg runConfig) *trajectory {
+	t := &trajectory{
+		set:      set,
+		starts:   make(map[job.ID]int64, len(set.Jobs)),
+		finished: make(map[job.ID]bool, len(set.Jobs)),
+		records:  make([]Record, 0, len(set.Jobs)),
+		last:     members[0].res.First,
+		members:  members,
+	}
+	t.group, _ = driver.(*group)
 	// Every job submits once and finishes once, so the queue never holds
 	// more than two events per job; reserving that bound up front keeps
 	// the heap from reallocating mid-run — which adds up when RunParallel
 	// replays thousands of replicas.
-	var events eventq.Queue[event]
-	events.Reserve(2 * len(set.Jobs))
+	t.events.Reserve(2 * len(set.Jobs))
 	for _, j := range set.Jobs {
-		events.Push(j.Submit, int(evSubmit), event{evSubmit, j})
+		t.events.Push(j.Submit, int(evSubmit), event{evSubmit, j})
 	}
+	t.eng = engine.New(set.Machine, driver, t.last, t.engineOptions(cfg)...)
+	return t
+}
 
-	// The engine launches jobs; the harness turns every launch into the
-	// completion event the virtual clock already knows about.
-	starts := make(map[job.ID]int64, len(set.Jobs))
-	finished := make(map[job.ID]bool, len(set.Jobs))
-	engOpts := []engine.Option{
+// engineOptions configures the trajectory's engine: the engine launches
+// jobs, and the harness turns every launch into the completion event the
+// virtual clock already knows about.
+func (t *trajectory) engineOptions(cfg runConfig) []engine.Option {
+	opts := []engine.Option{
 		engine.WithStrictLaunch(),
 		engine.WithHooks(engine.Hooks{
 			Started: func(j *job.Job, now int64) {
-				starts[j.ID] = now
-				events.Push(now+j.Runtime, int(evFinish), event{evFinish, j})
+				t.starts[j.ID] = now
+				t.events.Push(now+j.Runtime, int(evFinish), event{evFinish, j})
 			},
 		}),
 	}
 	if cfg.verify {
-		engOpts = append(engOpts, engine.WithVerify())
+		opts = append(opts, engine.WithVerify())
 	}
 	for _, o := range cfg.observers {
-		engOpts = append(engOpts, engine.WithObserver(o))
+		opts = append(opts, engine.WithObserver(o))
 	}
-	eng := engine.New(set.Machine, driver, res.First, engOpts...)
+	return opts
+}
 
-	lastEvent := res.First
-	for events.Len() > 0 {
-		head, _ := events.Peek()
-		now := head.Time
-
-		// Attribute the elapsed span to the policy active since the
-		// previous event.
-		if now > lastEvent {
-			res.PolicyTime[driver.ActivePolicy()] += now - lastEvent
-			lastEvent = now
+// simulate runs t to its end, and every trajectory split off it to
+// theirs, filling the members' results.
+func simulate(t *trajectory) error {
+	for work := []*trajectory{t}; len(work) > 0; {
+		t, work = work[len(work)-1], work[:len(work)-1]
+		if err := t.run(&work); err != nil {
+			return err
 		}
-		eng.JumpTo(now)
+	}
+	return nil
+}
 
-		// Apply every event at this instant before replanning:
-		// completions free processors, submissions extend the queue.
-		for ev, ok := events.PopIf(now); ok; ev, ok = events.PopIf(now) {
-			switch ev.Payload.kind {
-			case evFinish:
-				j := ev.Payload.job
-				if !eng.Finish(j.ID, engine.FinishCompleted) {
-					if finished[j.ID] {
-						panic(fmt.Sprintf("sim: %s finished twice", j))
-					}
-					panic(fmt.Sprintf("sim: finish event for %s which is not running", j))
-				}
-				finished[j.ID] = true
-				res.Records = append(res.Records, Record{
-					Job:    j,
-					Start:  starts[j.ID],
-					Finish: now,
-				})
-				if now > res.Makespan {
-					res.Makespan = now
-				}
-			case evSubmit:
-				eng.Submit(ev.Payload.job)
-			}
+// run is the event loop. It advances the trajectory to its end; where a
+// group's members launch differently it splits, continuing with one part
+// and appending the others to work.
+func (t *trajectory) run(work *[]*trajectory) error {
+	for t.resume || t.events.Len() > 0 {
+		if !t.resume {
+			head, _ := t.events.Peek()
+			t.advance(head.Time)
 		}
+		t.resume = false
 
 		// One scheduling event: recompute the full schedule and launch
 		// the jobs planned to start right now.
-		if err := eng.Replan(); err != nil {
-			return nil, err
+		if err := t.eng.Replan(); err != nil {
+			return err
 		}
-		res.Events++
+		if t.group != nil && t.group.diverged != nil {
+			if err := t.split(work); err != nil {
+				return err
+			}
+			continue
+		}
+		for _, m := range t.members {
+			m.res.Events++
+		}
 	}
 
 	// The last completion is itself a scheduling event, so this tail span
-	// is empty today: Makespan only advances on finish events, every
+	// is empty today: the makespan only advances on finish events, every
 	// finish is processed by an iteration above, and that iteration's
-	// span attribution already reaches now == Makespan. The guard is kept
+	// span attribution already reaches now == makespan. The guard is kept
 	// so PolicyTime stays total by construction should the loop ever end
 	// before the makespan; TestPolicyTimeSpansTotal asserts the totality
 	// invariant either way.
-	if res.Makespan > lastEvent {
-		res.PolicyTime[driver.ActivePolicy()] += res.Makespan - lastEvent
+	if t.makespan > t.last {
+		t.attribute(t.makespan)
 	}
 
-	if len(res.Records) != len(set.Jobs) {
-		return nil, fmt.Errorf("sim: %d of %d jobs completed", len(res.Records), len(set.Jobs))
+	if len(t.records) != len(t.set.Jobs) {
+		return fmt.Errorf("sim: %d of %d jobs completed", len(t.records), len(t.set.Jobs))
 	}
-	return res, nil
+	for i, m := range t.members {
+		m.res.Records, m.res.Makespan = t.records, t.makespan
+		if i > 0 {
+			m.res.Records = append(make([]Record, 0, len(t.records)), t.records...)
+		}
+	}
+	return nil
+}
+
+// advance moves the trajectory to the instant now and applies every
+// event at it: completions free processors, submissions extend the
+// queue.
+func (t *trajectory) advance(now int64) {
+	if now > t.last {
+		t.attribute(now)
+	}
+	t.eng.JumpTo(now)
+	for ev, ok := t.events.PopIf(now); ok; ev, ok = t.events.PopIf(now) {
+		switch ev.Payload.kind {
+		case evFinish:
+			j := ev.Payload.job
+			if !t.eng.Finish(j.ID, engine.FinishCompleted) {
+				if t.finished[j.ID] {
+					panic(fmt.Sprintf("sim: %s finished twice", j))
+				}
+				panic(fmt.Sprintf("sim: finish event for %s which is not running", j))
+			}
+			t.finished[j.ID] = true
+			t.records = append(t.records, Record{
+				Job:    j,
+				Start:  t.starts[j.ID],
+				Finish: now,
+			})
+			if now > t.makespan {
+				t.makespan = now
+			}
+		case evSubmit:
+			t.eng.Submit(ev.Payload.job)
+		}
+	}
+}
+
+// attribute credits the span since the previous event to the policy each
+// member had active over it.
+func (t *trajectory) attribute(now int64) {
+	for _, m := range t.members {
+		m.res.PolicyTime[m.driver.ActivePolicy()] += now - t.last
+	}
+	t.last = now
 }

@@ -5,10 +5,10 @@
 //
 //	paper [flags]
 //
-// By default a reduced configuration is used (15 s on 2 cores with
-// go1.24.0); pass -full for the paper-scale run (10 sets of 10,000 jobs
-// per trace, 4 min 41 s there) or tune -sets/-jobs directly. Table 1
-// needs no simulation and always reproduces exactly.
+// By default a reduced configuration is used; pass -full for the
+// paper-scale run (10 sets of 10,000 jobs per trace) or tune -sets/-jobs
+// directly. The Makefile's repro target records how long both take.
+// Table 1 needs no simulation and always reproduces exactly.
 //
 // Examples:
 //

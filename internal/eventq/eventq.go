@@ -69,6 +69,13 @@ func (q *Queue[T]) Reserve(n int) {
 	q.heap = heap
 }
 
+// Clone returns an independent copy of the queue: its heap, with the
+// same spare capacity, and its insertion counter. The copy and the queue
+// then dispatch alike, ties included, as long as they are pushed alike.
+func (q *Queue[T]) Clone() Queue[T] {
+	return Queue[T]{heap: append(make([]entry[T], 0, cap(q.heap)), q.heap...), seq: q.seq}
+}
+
 // Pop removes and returns the next event. ok is false when the queue is
 // empty.
 func (q *Queue[T]) Pop() (ev Event[T], ok bool) {

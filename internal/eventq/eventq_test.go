@@ -177,13 +177,28 @@ func TestPopIf(t *testing.T) {
 
 func TestPopIfMatchesPeekPop(t *testing.T) {
 	// PopIf(t) is exactly the Peek-compare-Pop sequence it replaces:
-	// two queues built by the same push sequence drain identically.
+	// two queues built by the same push sequence drain identically. So
+	// does a clone of the first, taken mid-stream after some pops, once
+	// it is pushed the same further events: same-time, same-class ties
+	// among them and with the queued events. A clone that restarted the
+	// insertion counter would dispatch its new events ahead of the queued
+	// ones they tie with.
 	rnd := rand.New(rand.NewSource(7))
-	var a, b Queue[int]
-	for i := 0; i < 500; i++ {
+	var a, b, c Queue[int]
+	for i := 0; i < 800; i++ {
+		if i == 500 {
+			for k := 0; k < 100; k++ {
+				a.Pop()
+				b.Pop()
+			}
+			c = a.Clone()
+		}
 		tm, cl := int64(rnd.Intn(50)), rnd.Intn(2)
 		a.Push(tm, cl, i)
 		b.Push(tm, cl, i)
+		if i >= 500 {
+			c.Push(tm, cl, i)
+		}
 	}
 	for a.Len() > 0 {
 		head, _ := a.Peek()
@@ -198,10 +213,16 @@ func TestPopIfMatchesPeekPop(t *testing.T) {
 			if !ok || got != want {
 				t.Fatalf("PopIf(%d) = %+v ok=%v, Peek+Pop = %+v", now, got, ok, want)
 			}
+			if got, _ := c.Pop(); got != want {
+				t.Fatalf("clone popped %+v, original %+v", got, want)
+			}
 		}
 		if _, ok := b.PopIf(now); ok {
 			t.Fatalf("PopIf(%d) overran the instant", now)
 		}
+	}
+	if c.Len() != 0 {
+		t.Fatalf("clone holds %d events its original does not", c.Len())
 	}
 }
 

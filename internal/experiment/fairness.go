@@ -35,9 +35,10 @@ type FairnessResult struct {
 }
 
 // Cell returns the cell for the given factor and scheduler name, or nil.
+// The factor is matched as Result.Cell matches a shrink (sameFactor).
 func (r *FairnessResult) Cell(factor float64, scheduler string) *FairnessCell {
 	for i := range r.Cells {
-		if r.Cells[i].Factor == factor && r.Cells[i].Scheduler == scheduler {
+		if sameFactor(r.Cells[i].Factor, factor) && r.Cells[i].Scheduler == scheduler {
 			return &r.Cells[i]
 		}
 	}

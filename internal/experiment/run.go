@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"runtime"
-	"slices"
 	"strings"
 	"sync"
 
@@ -61,20 +60,21 @@ type Result struct {
 	Cells []Cell // shrink-major, scheduler-minor, in Config order
 }
 
-// shrinkEps bounds the distance within which two float64 shrink factors
-// are considered the same factor in Cell lookups. Factors live in (0, 1]
-// and adjacent configured factors differ by ≥ 0.01 in practice, so a 1e-9
-// tolerance absorbs accumulated rounding (e.g. a caller recomputing 0.7 as
-// 7*0.1 = 0.7000000000000001) without ever bridging two distinct factors.
-const shrinkEps = 1e-9
+// sameFactor reports whether two float64 factors of a sweep (a shrink,
+// an estimate scale) are the same factor in Cell lookups: equal within
+// 1e-9. Adjacent configured factors differ by ≥ 0.01 in practice, so the
+// tolerance absorbs accumulated rounding (e.g. a caller recomputing 0.7
+// as 7*0.1 = 0.7000000000000001) without ever bridging two distinct
+// factors.
+func sameFactor(a, b float64) bool { return math.Abs(a-b) <= 1e-9 }
 
 // Cell returns the cell for the given shrink and scheduler name, or nil.
-// The shrink factor is matched within a small epsilon, so callers that
-// recompute factors arithmetically (e.g. i*0.1 loops) find the cell they
+// The shrink factor is matched by sameFactor, so callers that recompute
+// factors arithmetically (e.g. i*0.1 loops) find the cell they
 // configured even when the recomputed float64 differs in the last bits.
 func (r *Result) Cell(shrink float64, scheduler string) *Cell {
 	for i := range r.Cells {
-		if math.Abs(r.Cells[i].Shrink-shrink) <= shrinkEps && r.Cells[i].Scheduler == scheduler {
+		if sameFactor(r.Cells[i].Shrink, shrink) && r.Cells[i].Scheduler == scheduler {
 			return &r.Cells[i]
 		}
 	}
@@ -89,15 +89,17 @@ func (r *Result) Cell(shrink float64, scheduler string) *Cell {
 // per cell.
 //
 // Schedulers that sim.RunGroup co-simulates — dynP drivers over the same
-// candidates whose deciders observe nothing, or identical statics — form
-// one group, decided once per sweep from one probe driver per spec. Each
-// (variant, group, set) is one task on the shard pool (internal/shard:
-// workers claim the next task off one shared counter, so an expensive
-// task never strands the tail of the sweep), and each task writes its
-// members' fixed slots, so the result is byte-identical at any worker
-// count. cfg.Progress counts member simulations, not tasks. The first
-// simulation failure cancels the sweep: workers stop claiming tasks and
-// runSweep returns that failure instead of simulating the remainder.
+// candidates whose deciders observe nothing — form one group, decided
+// once per sweep by sim.Groups over one probe driver per spec. Each
+// (variant, group, set) is one task, not each (variant, set): tasks stay
+// fine enough to balance on a few workers. Tasks run on the shard pool
+// (internal/shard: workers claim the next task off one shared counter,
+// so an expensive task never strands the tail of the sweep), and each
+// task writes its members' fixed slots, so the result is byte-identical
+// at any worker count. cfg.Progress counts member simulations, not
+// tasks. The first simulation failure cancels the sweep: workers stop
+// claiming tasks and runSweep returns that failure instead of simulating
+// the remainder.
 func runSweep[O any](cfg Config, labels []string, transform func(variant int, s *job.Set) (*job.Set, error),
 	extract func(*sim.Result, sim.Driver) O) ([]O, error) {
 	if cfg.Sets < 1 || cfg.JobsPerSet < 1 {
@@ -121,7 +123,14 @@ func runSweep[O any](cfg Config, labels []string, transform func(variant int, s 
 			}
 		}
 	}
-	groups := cosimulated(cfg.Schedulers)
+	probes := make([]sim.Driver, len(cfg.Schedulers))
+	for i, spec := range cfg.Schedulers {
+		probes[i] = spec.New()
+	}
+	groups, err := sim.Groups(probes)
+	if err != nil {
+		return nil, err
+	}
 
 	workers := cfg.Workers
 	if workers <= 0 {
@@ -165,41 +174,6 @@ func runSweep[O any](cfg Config, labels []string, transform func(variant int, s 
 		return nil, err
 	}
 	return outcomes, nil
-}
-
-// cosimulated groups the schedulers sim.RunGroup runs on one trajectory,
-// as spec indices in order of first appearance, judging by one driver of
-// each spec. It mirrors RunGroup's rule; RunGroup regroups whatever it
-// gets, so a mismatch could only cost sharding granularity.
-func cosimulated(specs []SchedulerSpec) [][]int {
-	var groups [][]int
-	var probes []sim.Driver
-next:
-	for i, spec := range specs {
-		d := spec.New()
-		for g, p := range probes {
-			if shareLane(p, d) {
-				groups[g] = append(groups[g], i)
-				continue next
-			}
-		}
-		groups, probes = append(groups, []int{i}), append(probes, d)
-	}
-	return groups
-}
-
-// shareLane reports whether RunGroup puts a and b on one trajectory.
-func shareLane(a, b sim.Driver) bool {
-	switch a := a.(type) {
-	case *sim.DynP:
-		b, ok := b.(*sim.DynP)
-		return ok && a.DeciderObserver() == nil && b.DeciderObserver() == nil &&
-			slices.Equal(a.Tuner.Candidates(), b.Tuner.Candidates())
-	case *sim.Static:
-		b, ok := b.(*sim.Static)
-		return ok && a.Policy == b.Policy
-	}
-	return false
 }
 
 // column reads one per-set value off a cell's outcomes.

@@ -164,6 +164,24 @@ func TestCellMatchesRecomputedShrink(t *testing.T) {
 	if c := res.Cell(0.4, NameSJF); c != nil {
 		t.Fatal("epsilon lookup matched a clearly different factor")
 	}
+
+	// The fairness study's estimate factors match by the same rule:
+	// 1.1+2.2 at run time is not the literal 3.3.
+	one, two := 1.1, 2.2
+	factor := one + two
+	if factor == 3.3 {
+		t.Fatal("runtime 1.1+2.2 == 3.3: the platform is not using IEEE 754 doubles")
+	}
+	fair, err := Fairness(cfg, []float64{factor})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c := fair.Cell(3.3, NameSJF); c == nil {
+		t.Fatalf("FairnessResult.Cell(3.3) missed the cell configured with factor %v", factor)
+	}
+	if c := fair.Cell(3.4, NameSJF); c != nil {
+		t.Fatal("epsilon lookup matched a clearly different estimate factor")
+	}
 }
 
 func TestProgressSerializedAndOrdered(t *testing.T) {

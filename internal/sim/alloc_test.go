@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"runtime"
 	"testing"
 
 	"dynp/internal/core"
@@ -8,6 +9,7 @@ import (
 	"dynp/internal/plan"
 	"dynp/internal/policy"
 	"dynp/internal/rng"
+	"dynp/internal/workload"
 )
 
 // allocScenario draws a queue of the given length plus one spare job to
@@ -69,5 +71,29 @@ func TestTunerRebuildAllocs(t *testing.T) {
 		if avg := testing.AllocsPerRun(200, rebuild); avg > 1 {
 			t.Errorf("queue %d: a rebuilding Plan allocates %.2f objects, want at most 1", queued, avg)
 		}
+	}
+}
+
+// TestRunBytesPerJob gates the heap a whole simulation allocates per
+// job: 1,000 LANL jobs under the SJF-preferred dynP. The events carry
+// what the harness needs of a job (its start rides on its finish event),
+// so nothing per job is kept beside them. Measured at 205–209 bytes per
+// job, under -race too; with per-job start and finished maps in the
+// trajectory it was 279–282, and with the start map alone 242.
+func TestRunBytesPerJob(t *testing.T) {
+	sets, err := workload.LANL.GenerateSets(1, 1000, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	set := sets[0]
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if _, err := Run(set, NewDynP(core.Preferred{Policy: policy.SJF})); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	if perJob := float64(after.TotalAlloc-before.TotalAlloc) / float64(len(set.Jobs)); perJob > 225 {
+		t.Errorf("Run allocates %.1f bytes per job, want at most 225", perJob)
 	}
 }

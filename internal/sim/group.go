@@ -2,12 +2,11 @@ package sim
 
 import (
 	"fmt"
-	"maps"
+	"reflect"
 	"slices"
 
 	"dynp/internal/core"
 	"dynp/internal/engine"
-	"dynp/internal/eventq"
 	"dynp/internal/job"
 	"dynp/internal/plan"
 	"dynp/internal/policy"
@@ -17,23 +16,20 @@ import (
 // result per driver, in order, each equal to what Run(set, driver) would
 // return. The drivers must be fresh, as for Run, and distinct.
 //
-// Drivers that plan over the same policies share one trajectory: *DynP
-// drivers with equal candidates whose decider observes nothing, or
-// *Static drivers with the same policy. At every scheduling event one
-// lane builds the candidate schedules, and each driver scores them and
-// decides with its own tuner state (core.SelfTuner.Choose). While every
-// choice launches the same (see sameLaunch), the drivers share one
-// engine and one event queue. Where their launches differ, the
-// trajectory splits before launching: each part continues from a copy of
-// the machine state, the pending events and the records so far,
-// launching its own schedule.
+// The drivers of each of Groups' groups share one trajectory. At every
+// scheduling event one lane builds the candidate schedules, and each
+// driver scores them and decides with its own tuner state
+// (core.SelfTuner.Choose). While every choice launches the same (see
+// sameLaunch), the drivers share one engine and one event queue. Where
+// their launches differ, the trajectory splits before launching: each
+// part continues from a copy of the machine state, the pending events
+// and the records so far, launching its own schedule.
 // Every decision therefore sees exactly the inputs it would see alone.
-// Any other driver runs on its own.
 func RunGroup(set *job.Set, drivers []Driver) ([]*Result, error) {
 	if err := set.Validate(); err != nil {
 		return nil, err
 	}
-	groups, err := partition(drivers)
+	groups, err := Groups(drivers)
 	if err != nil {
 		return nil, err
 	}
@@ -55,69 +51,53 @@ func RunGroup(set *job.Set, drivers []Driver) ([]*Result, error) {
 	return results, nil
 }
 
-// lanePolicies returns the policies d plans over on a lane it can share,
-// and whether it can share one at all. A decider that observes the
-// engine must observe its own, and EASY plans without a lane.
-func lanePolicies(d Driver) ([]policy.Policy, bool) {
-	switch d := d.(type) {
-	case *DynP:
-		return d.Tuner.Candidates(), d.DeciderObserver() == nil
-	case *Static:
-		return []policy.Policy{d.Policy}, true
+// Groups partitions the drivers into the groups RunGroup co-simulates,
+// as driver indices in order of first appearance. *DynP drivers with
+// equal candidates whose decider observes nothing share a group; every
+// other driver is a group of its own. A decider that observes the engine
+// must observe its own, EASY plans without a lane, and a static's
+// launches part from a dynP driver's after a few percent of the jobs.
+// A driver passed twice is an error: its second run would start from
+// the state its first one left.
+func Groups(drivers []Driver) ([][]int, error) {
+	for i, d := range drivers {
+		for _, e := range drivers[:i] {
+			// Comparing two values of one uncomparable type panics.
+			if reflect.TypeOf(d).Comparable() && d == e {
+				return nil, fmt.Errorf("sim: driver %s passed twice", d.Name())
+			}
+		}
 	}
-	return nil, false
-}
-
-// partition groups the drivers that share a trajectory, as driver
-// indices in order of first appearance. Statics and dynP drivers never
-// share one: their launches part after a few percent of the jobs.
-func partition(drivers []Driver) ([][]int, error) {
 	var groups [][]int
-	var keys [][]policy.Policy
+	var firsts []*DynP // each group's first driver, nil if it takes no others
 next:
 	for i, d := range drivers {
-		ps, ok := lanePolicies(d)
-		if !ok {
-			groups = append(groups, []int{i})
-			keys = append(keys, nil)
+		dp, ok := d.(*DynP)
+		if !ok || dp.DeciderObserver() != nil {
+			groups, firsts = append(groups, []int{i}), append(firsts, nil)
 			continue
 		}
-		for g, idx := range groups {
-			first := drivers[idx[0]]
-			if keys[g] == nil || !sameKind(first, d) || !slices.Equal(keys[g], ps) {
-				continue
+		for g, first := range firsts {
+			if first != nil && slices.Equal(first.Tuner.Candidates(), dp.Tuner.Candidates()) {
+				groups[g] = append(groups[g], i)
+				continue next
 			}
-			for _, j := range idx {
-				if drivers[j] == d {
-					return nil, fmt.Errorf("sim: RunGroup got driver %s twice", d.Name())
-				}
-			}
-			groups[g] = append(groups[g], i)
-			continue next
 		}
-		groups = append(groups, []int{i})
-		keys = append(keys, ps)
+		groups, firsts = append(groups, []int{i}), append(firsts, dp)
 	}
 	return groups, nil
 }
 
-// sameKind reports whether a and b are both statics or both dynP drivers.
-func sameKind(a, b Driver) bool {
-	_, as := a.(*Static)
-	_, bs := b.(*Static)
-	return as == bs
-}
-
-// group is the engine's driver for a trajectory several drivers share.
-// Plan builds the candidate schedules once on the group's lane and lets
-// every member choose; while all choices launch the same jobs now, it
-// hands out the first member's. Otherwise it launches nothing, leaving
-// the engine as it was before launching, and marks the trajectory for
-// its split.
+// group is the engine's driver for a trajectory several dynP drivers
+// share. Plan builds the candidate schedules once on the group's lane
+// and lets every member choose; while all choices launch the same jobs
+// now, it hands out the first member's. Otherwise it launches nothing,
+// leaving the engine as it was before launching, and marks the
+// trajectory for its split.
 type group struct {
 	policies []policy.Policy
 	lane     *core.Lane
-	drivers  []Driver
+	drivers  []*DynP
 	chosen   []int // each member's schedule index at the last Plan
 
 	// pending, when set, is what the next Plan hands out without
@@ -133,12 +113,20 @@ type group struct {
 }
 
 func newGroup(members []member) *group {
-	ps, _ := lanePolicies(members[0].driver)
-	g := &group{policies: ps, lane: core.NewLane(ps...), chosen: make([]int, len(members))}
-	for _, m := range members {
-		g.drivers = append(g.drivers, m.driver)
-	}
+	g := &group{chosen: make([]int, len(members))}
+	g.setMembers(members)
+	g.policies = g.drivers[0].Tuner.Candidates()
+	g.lane = core.NewLane(g.policies...)
 	return g
+}
+
+// setMembers makes the members' drivers the group's.
+func (g *group) setMembers(members []member) {
+	g.drivers = g.drivers[:0]
+	for _, m := range members {
+		g.drivers = append(g.drivers, m.driver.(*DynP))
+	}
+	g.chosen = g.chosen[:len(g.drivers)]
 }
 
 // Name implements Driver.
@@ -164,9 +152,7 @@ func (g *group) Plan(now int64, capacity int, running []plan.Running, waiting []
 	for i, d := range g.drivers {
 		// Every member decides, even after a difference shows: each
 		// commits exactly one decision per scheduling event.
-		if dp, ok := d.(*DynP); ok {
-			g.chosen[i] = dp.Tuner.Choose(now, ss)
-		}
+		g.chosen[i] = d.Tuner.Choose(now, ss)
 		same = same && g.sameLaunch(ss[g.chosen[0]], ss[g.chosen[i]], now)
 	}
 	if !same {
@@ -225,7 +211,7 @@ func launches(dst []*job.Job, s *plan.Schedule, now int64) []*job.Job {
 // split parts the members of a trajectory whose group launched nothing
 // because their choices differ, by the jobs each choice starts. The
 // first part goes on here; every other part gets a copy of the engine's
-// state, the pending events and the records, and is appended to work.
+// state, the event queue and the records, and is appended to work.
 // Each part then replans at the current instant, launching its schedule.
 func (t *trajectory) split(work *[]*trajectory) error {
 	g := t.group
@@ -244,30 +230,15 @@ func (t *trajectory) split(work *[]*trajectory) error {
 		parts[p] = append(parts[p], i)
 	}
 
-	// Drain the queue and push it back: re-pushed in dispatch order, the
-	// events keep their order in it and in every copy.
-	events := make([]eventq.Event[event], 0, t.events.Len())
-	for ev, ok := t.events.Pop(); ok; ev, ok = t.events.Pop() {
-		events = append(events, ev)
-	}
-	for _, ev := range events {
-		t.events.Push(ev.Time, ev.Class, ev.Payload)
-	}
-
 	for p := 1; p < len(parts); p++ {
 		f := &trajectory{
 			set:      t.set,
-			starts:   maps.Clone(t.starts),
-			finished: maps.Clone(t.finished),
+			events:   t.events.Clone(),
 			records:  append(make([]Record, 0, len(t.set.Jobs)), t.records...),
 			makespan: t.makespan,
 			last:     t.last,
 			members:  pick(t.members, parts[p]),
 			resume:   true,
-		}
-		f.events.Reserve(2 * len(t.set.Jobs))
-		for _, ev := range events {
-			f.events.Push(ev.Time, ev.Class, ev.Payload)
 		}
 		f.group = newGroup(f.members)
 		launch := *ss[reps[p]]
@@ -288,11 +259,7 @@ func (t *trajectory) split(work *[]*trajectory) error {
 	}
 
 	t.members = pick(t.members, parts[0])
-	g.drivers = g.drivers[:0]
-	for _, m := range t.members {
-		g.drivers = append(g.drivers, m.driver)
-	}
-	g.chosen = g.chosen[:len(g.drivers)]
+	g.setMembers(t.members)
 	g.pending = g.lane.Keep(reps[0])
 	t.resume = true
 	return nil

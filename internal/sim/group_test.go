@@ -7,6 +7,7 @@ import (
 
 	"dynp/internal/experiment"
 	"dynp/internal/job"
+	"dynp/internal/policy"
 	"dynp/internal/sim"
 	"dynp/internal/workload"
 )
@@ -137,16 +138,25 @@ func TestRunGroupSplitsOnTiedCompletions(t *testing.T) {
 	checkGroup(t, set, specs)
 }
 
-// TestRunGroupRejectsRepeatedDriver: one tuner cannot decide twice per
-// event, so a driver passed twice is an error rather than a shared run.
+// TestRunGroupRejectsRepeatedDriver: a driver passed twice would start
+// its second run from the state its first one left — one tuner cannot
+// decide twice per event either — so RunGroup refuses it, whether the
+// driver shares a group or runs on its own.
 func TestRunGroupRejectsRepeatedDriver(t *testing.T) {
 	sets, err := workload.KTH.GenerateSets(1, 20, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	d := experiment.PaperSchedulers()[3].New()
-	if _, err := sim.RunGroup(sets[0], []sim.Driver{d, d}); err == nil {
-		t.Fatal("RunGroup accepted the same driver twice")
+	for _, spec := range []experiment.SchedulerSpec{
+		experiment.PaperSchedulers()[3],
+		experiment.AdaptiveSpec(policy.MustFairSize(0.5, 2), 8, 3),
+		experiment.StaticSpec(policy.SJF),
+		experiment.EASYSpec(policy.FCFS),
+	} {
+		d, other := spec.New(), experiment.PaperSchedulers()[4].New()
+		if _, err := sim.RunGroup(sets[0], []sim.Driver{d, other, d}); err == nil {
+			t.Errorf("RunGroup accepted %s twice", spec.Name)
+		}
 	}
 }
 

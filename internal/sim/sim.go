@@ -109,7 +109,7 @@ type Result struct {
 	PolicyTime map[policy.Policy]int64
 }
 
-// event payloads.
+// evKind is an event's class in the queue.
 type evKind int
 
 const (
@@ -117,9 +117,11 @@ const (
 	evSubmit
 )
 
+// event is a queued event's payload: its job and, for a finish, the
+// instant the job started.
 type event struct {
-	kind evKind
-	job  *job.Job
+	job   *job.Job
+	start int64
 }
 
 // runConfig collects the per-run options.
@@ -198,8 +200,6 @@ type trajectory struct {
 	set      *job.Set
 	eng      *engine.Engine
 	events   eventq.Queue[event]
-	starts   map[job.ID]int64
-	finished map[job.ID]bool
 	records  []Record // in completion order
 	makespan int64
 	last     int64 // the previous scheduling event's instant
@@ -215,12 +215,10 @@ type trajectory struct {
 // its engine planning with driver.
 func newTrajectory(set *job.Set, members []member, driver Driver, cfg runConfig) *trajectory {
 	t := &trajectory{
-		set:      set,
-		starts:   make(map[job.ID]int64, len(set.Jobs)),
-		finished: make(map[job.ID]bool, len(set.Jobs)),
-		records:  make([]Record, 0, len(set.Jobs)),
-		last:     members[0].res.First,
-		members:  members,
+		set:     set,
+		records: make([]Record, 0, len(set.Jobs)),
+		last:    members[0].res.First,
+		members: members,
 	}
 	t.group, _ = driver.(*group)
 	// Every job submits once and finishes once, so the queue never holds
@@ -229,7 +227,7 @@ func newTrajectory(set *job.Set, members []member, driver Driver, cfg runConfig)
 	// replays thousands of replicas.
 	t.events.Reserve(2 * len(set.Jobs))
 	for _, j := range set.Jobs {
-		t.events.Push(j.Submit, int(evSubmit), event{evSubmit, j})
+		t.events.Push(j.Submit, int(evSubmit), event{job: j})
 	}
 	t.eng = engine.New(set.Machine, driver, t.last, t.engineOptions(cfg)...)
 	return t
@@ -243,8 +241,7 @@ func (t *trajectory) engineOptions(cfg runConfig) []engine.Option {
 		engine.WithStrictLaunch(),
 		engine.WithHooks(engine.Hooks{
 			Started: func(j *job.Job, now int64) {
-				t.starts[j.ID] = now
-				t.events.Push(now+j.Runtime, int(evFinish), event{evFinish, j})
+				t.events.Push(now+j.Runtime, int(evFinish), event{j, now})
 			},
 		}),
 	}
@@ -328,19 +325,15 @@ func (t *trajectory) advance(now int64) {
 	}
 	t.eng.JumpTo(now)
 	for ev, ok := t.events.PopIf(now); ok; ev, ok = t.events.PopIf(now) {
-		switch ev.Payload.kind {
+		switch evKind(ev.Class) {
 		case evFinish:
 			j := ev.Payload.job
 			if !t.eng.Finish(j.ID, engine.FinishCompleted) {
-				if t.finished[j.ID] {
-					panic(fmt.Sprintf("sim: %s finished twice", j))
-				}
 				panic(fmt.Sprintf("sim: finish event for %s which is not running", j))
 			}
-			t.finished[j.ID] = true
 			t.records = append(t.records, Record{
 				Job:    j,
-				Start:  t.starts[j.ID],
+				Start:  ev.Payload.start,
 				Finish: now,
 			})
 			if now > t.makespan {

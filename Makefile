@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: all ci build vet fmt-check test race soak soak-disk bench bench-smoke bench-e2e bench-e2e-agree fuzz repro repro-full ablations golden golden-check golden-check-registered golden-check-ablation golden-check-full clean
+.PHONY: all ci build vet fmt-check test race soak soak-disk bench bench-smoke bench-e2e bench-e2e-agree fuzz repro repro-full ablations golden golden-check golden-check-registered golden-check-ablation golden-check-fairness golden-check-full clean
 
 all: build vet test
 
@@ -106,14 +106,17 @@ fuzz:
 	@rm -f fuzz.out
 
 # Reduced-scale reproduction of every table and figure. The built
-# binary took 15.3 s and 16.1 s wall, 29.8 s and 31.3 s CPU on a 2-core
-# host with go1.24.0 (the binary before the sweeps co-simulated their
-# dynP deciders: 17.2 s and 18.1 s wall in the same hour). The paper
-# scale (repro-full, the built binary, two runs) took 6 min 33 s and
-# 6 min 27 s wall, 12 min 45 s and 12 min 29 s CPU on the same host,
-# against 7 min 41 s and 6 min 39 s wall, 14 min 51 s and 13 min 5 s
-# CPU before, alternating in the same hour. `make ablations` took
-# 14.4–15.8 s wall, 26.2–28.1 s CPU (before: 15.7–19.1 s, 29.4–33.9 s).
+# binary took 9.9 s and 10.7 s wall, 19.0 s and 19.8 s CPU on a 2-core
+# host with go1.24.0 (the binary before static drivers stopped at the
+# launch frontier: 14.8 s and 15.0 s wall, 28.7 s and 29.4 s CPU,
+# alternating in the same hour). The paper scale (repro-full, the built
+# binary, one run) took 3 min 30 s wall and 6 min 47 s CPU on the same
+# host, against 6 min 30 s wall and 12 min 42 s CPU before; per trace
+# (`-full -traces X`, one run each) CTC took 92 s, KTH 30 s, LANL 23 s
+# and SDSC 79 s (before: 136, 77, 30 and 142 s). `make
+# golden-check-full` took 3 min 55 s wall, build included. `make
+# ablations` took 15.0 s and 15.4 s wall, 27.8 s and 28.0 s CPU (before:
+# 14.8 s and 14.9 s, 26.2 s and 27.2 s).
 repro:
 	$(GO) run ./cmd/paper
 
@@ -156,6 +159,15 @@ golden-check-ablation:
 	cmp ablation_output.check.txt ablation_output.txt
 	rm -f ablation_output.check.txt
 
+# Byte-compare a fresh fairness study (cmd/paper -fairness) against the
+# committed fairness_output.txt. It is the one golden of the float-keyed
+# PSBS orders, planned by static drivers and by the adaptive decider. CI
+# runs this next to golden-check.
+golden-check-fairness:
+	$(GO) run ./cmd/paper -fairness > fairness_output.check.txt
+	cmp fairness_output.check.txt fairness_output.txt
+	rm -f fairness_output.check.txt
+
 # Paper-scale variant of golden-check (the CI workflow runs it on
 # schedule and on manual dispatch rather than per push).
 golden-check-full:
@@ -165,4 +177,4 @@ golden-check-full:
 
 clean:
 	$(GO) clean ./...
-	rm -f paper_output.check.txt paper_output_full.check.txt ablation_output.check.txt fuzz.out
+	rm -f paper_output.check.txt paper_output_full.check.txt ablation_output.check.txt fairness_output.check.txt fuzz.out

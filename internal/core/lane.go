@@ -13,7 +13,9 @@ import (
 // self-tuner over its candidates. Build does a scheduling event's
 // placement work — base profile, each policy's order of the queue, one
 // schedule per policy — and Keep ends the event by handing one of those
-// schedules out.
+// schedules out. BuildFrontier is Build's one-policy sibling for a driver
+// that scores nothing: it places only up to the launch frontier and
+// leaves the rest of the plan to plan.Schedule.Complete.
 //
 // The lane owns its storage and rebuilds it in place: one plan.Base and
 // k+1 schedules for k policies, double buffered. Build writes policy i's
@@ -61,22 +63,46 @@ func (l *Lane) NoteRemove(j *job.Job) { l.views.Remove(j) }
 // pick one, call Keep. All of them come from one plan.Base.BuildInto, so
 // orders that begin with the same jobs place those jobs once.
 func (l *Lane) Build(now int64, capacity int, running []plan.Running, waiting []*job.Job, policies ...policy.Policy) []*plan.Schedule {
-	l.slots = slices.Grow(l.slots[:0], len(policies))[:len(policies)]
 	l.orders = slices.Grow(l.orders[:0], len(policies))[:len(policies)]
-	l.base.Reset(now, capacity, running)
+	l.open(now, capacity, running, len(policies))
 	viewed := l.views.Covering(waiting)
 	for i, p := range policies {
-		if l.slots[i] == nil {
-			l.slots[i] = new(plan.Schedule)
-		}
-		if viewed != nil && i < len(l.policies) && l.policies[i] == p {
-			l.orders[i] = viewed[i]
-		} else {
-			l.orders[i] = policy.Order(p, waiting)
-		}
+		l.orders[i] = l.order(viewed, i, p, waiting)
 	}
 	l.base.BuildInto(l.slots, l.orders, policies)
 	return l.slots
+}
+
+// BuildFrontier plans the waiting queue under p up to its launch
+// frontier (plan.Base.FrontierInto) and returns the schedule, the lane's
+// until Keep(0) like Build's. It serves a driver that launches from the
+// plan and scores nothing: the entries that start now are all placed,
+// and a reader of the whole plan calls Complete, which the lane's next
+// build forbids.
+func (l *Lane) BuildFrontier(now int64, capacity int, running []plan.Running, waiting []*job.Job, p policy.Policy) *plan.Schedule {
+	l.open(now, capacity, running, 1)
+	l.base.FrontierInto(l.slots[0], l.order(l.views.Covering(waiting), 0, p, waiting), p)
+	return l.slots[0]
+}
+
+// open starts an event: n schedule slots and the base profile.
+func (l *Lane) open(now int64, capacity int, running []plan.Running, n int) {
+	l.slots = slices.Grow(l.slots[:0], n)[:n]
+	for i, s := range l.slots {
+		if s == nil {
+			l.slots[i] = new(plan.Schedule)
+		}
+	}
+	l.base.Reset(now, capacity, running)
+}
+
+// order returns the waiting queue in policy p's order for slot i: the
+// view primed for that slot when it covers the queue, else a full sort.
+func (l *Lane) order(viewed [][]*job.Job, i int, p policy.Policy, waiting []*job.Job) []*job.Job {
+	if viewed != nil && i < len(l.policies) && l.policies[i] == p {
+		return viewed[i]
+	}
+	return policy.Order(p, waiting)
 }
 
 // Keep returns the i-th schedule of the last Build, valid until the next

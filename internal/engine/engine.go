@@ -36,17 +36,24 @@ import (
 	"dynp/internal/policy"
 )
 
-// Driver produces the full schedule at every scheduling event. It is
+// Driver plans the waiting queue at every scheduling event. It is
 // the planning interface of the paper's scheduler; internal/sim aliases
 // it and provides the implementations (Static, DynP, EASY).
 type Driver interface {
 	// Name identifies the scheduler in result tables.
 	Name() string
-	// Plan computes a full schedule for the waiting jobs. The result is
-	// the caller's to read until this driver's next Plan call returns,
-	// at which point the driver may recycle the old one's storage. Copy
-	// out what must outlive that. One driver therefore serves one engine
-	// at a time.
+	// Plan schedules the waiting jobs. Its Entries must hold every job
+	// planned to start at now; they may stop short of the full plan (a
+	// static driver's frontier build, plan.Base.FrontierInto), provided
+	// every job left out starts after now. Launching reads the entries
+	// as they are, which is exact under that rule. A reader of the whole
+	// plan — Verify, the Planned* scores, NextActionTime, the RMS's
+	// planned starts and checkpoints — calls the schedule's Complete
+	// first. The result is the caller's to read, and to complete, until
+	// this driver's next Plan call returns, at which point the driver may
+	// recycle the old one's storage and Complete panics. Copy out what
+	// must outlive that. One driver therefore serves one engine at a
+	// time.
 	Plan(now int64, capacity int, running []plan.Running, waiting []*job.Job) *plan.Schedule
 	// ActivePolicy returns the policy the last plan was built with.
 	ActivePolicy() policy.Policy
@@ -94,6 +101,7 @@ type Hooks struct {
 	// launched. sched is nil when the machine is fully drained
 	// (effective capacity < 1); unplaceable lists the waiting jobs
 	// wider than the effective capacity, withheld from the planner.
+	// A hook reading the whole plan calls sched.Complete first.
 	Planned func(sched *plan.Schedule, unplaceable []*job.Job)
 }
 
@@ -208,7 +216,8 @@ func (e *Engine) Running() []plan.Running { return e.running }
 
 // Schedule returns the most recent plan (nil before the first replan or
 // while the machine is fully drained). It is only valid until the next
-// Replan (see Driver.Plan): read it, do not keep it.
+// Replan (see Driver.Plan): read it, do not keep it. Its entries may stop
+// at the launch frontier; call its Complete to read the whole plan.
 func (e *Engine) Schedule() *plan.Schedule { return e.plan }
 
 // IsWaiting reports whether the job is in the waiting queue.
@@ -393,7 +402,9 @@ func (e *Engine) Replan() error {
 	return nil
 }
 
-// launchDue starts every waiting job whose planned start is now. A plan
+// launchDue starts every waiting job whose planned start is now, reading
+// only the entries the driver placed: under Driver.Plan's rule every job
+// it left unplaced starts after now. A plan
 // entry that no longer fits — the capacity dropped after the plan was
 // built, or a rogue driver oversubscribed — is skipped (the job stays
 // waiting for the next replanning event) unless strict launching makes
@@ -475,7 +486,8 @@ func (e *Engine) AdvanceTo(to int64, exclusive bool) error {
 }
 
 // NextActionTime returns the earliest time at which the machine state
-// changes by itself: a planned start or an estimate expiry. With
+// changes by itself: a planned start or an estimate expiry. It reads the
+// whole plan, so it completes a frontier schedule. With
 // strictlyAfter set, actions due at the current instant are ignored —
 // AdvanceTo uses this to step past entries that proved infeasible.
 func (e *Engine) NextActionTime(strictlyAfter bool) (int64, bool) {
@@ -496,6 +508,7 @@ func (e *Engine) NextActionTime(strictlyAfter bool) (int64, bool) {
 		consider(r.EstimatedEnd())
 	}
 	if e.plan != nil {
+		e.plan.Complete()
 		for _, entry := range e.plan.Entries {
 			// Only entries of still-waiting jobs can act; started jobs
 			// leave stale entries behind until the next replan.

@@ -1,6 +1,7 @@
 package plan_test
 
 import (
+	"reflect"
 	"slices"
 	"testing"
 
@@ -35,10 +36,14 @@ func registeredPolicies(t testing.TB) []policy.Policy {
 // second time with the policies reversed, into the same schedules: every
 // slot is overwritten with another policy's entries, sums and Release mark,
 // as a lane slot is from event to event, and the forks run the other way.
+// Each order is also built up to its launch frontier, on a base and into a
+// schedule of its own, reused the same way (see checkFrontier).
 func checkAgainstNaive(t testing.TB, policies []policy.Policy, now int64, capacity int, running []plan.Running, waiting []*job.Job) {
 	t.Helper()
-	var base plan.Base
+	var base, frontier plan.Base
 	base.Reset(now, capacity, running)
+	frontier.Reset(now, capacity, running)
+	var fs plan.Schedule
 	got := make([]*plan.Schedule, len(policies))
 	for i := range got {
 		got[i] = new(plan.Schedule)
@@ -60,8 +65,29 @@ func checkAgainstNaive(t testing.TB, policies []policy.Policy, now int64, capaci
 				t.Fatalf("%s, order %d of %v (capacity %d, %d running, %d waiting): %v",
 					p, i, ps, capacity, len(running), len(waiting), err)
 			}
+			checkFrontier(t, &frontier, &fs, orders[i], p, got[i], want)
 			got[i].Release()
 		}
+	}
+}
+
+// checkFrontier builds order up to its launch frontier into s and
+// requires every job the build left unplaced to start after now in the
+// naive plan, and the completed schedule to equal whole, BuildInto's plan
+// of the same order, field for field: entries, metric sums and marks.
+func checkFrontier(t testing.TB, base *plan.Base, s *plan.Schedule, order []*job.Job, p policy.Policy, whole, naive *plan.Schedule) {
+	t.Helper()
+	base.FrontierInto(s, order, p)
+	placed := len(s.Entries)
+	for _, e := range naive.Entries[placed:] {
+		if e.Start == naive.Now {
+			t.Fatalf("%s: the frontier build stopped after %d of %d placements, but %s starts now",
+				p, placed, len(order), e.Job)
+		}
+	}
+	s.Complete()
+	if !reflect.DeepEqual(s, whole) {
+		t.Fatalf("%s: the completed frontier schedule differs from the whole build (%d placed before completion)", p, placed)
 	}
 }
 

@@ -40,7 +40,10 @@ type Entry struct {
 }
 
 // Schedule is a full plan: a start time for every waiting job, given the
-// machine state at time Now.
+// machine state at time Now. A frontier build (Base.FrontierInto) leaves
+// the jobs that cannot start at Now unplaced: Entries then holds only the
+// placed prefix of the plan, and Complete places the rest. Verify, the
+// Planned* accessors and MaxEstimatedEnd complete the plan themselves.
 type Schedule struct {
 	Now      int64
 	Capacity int
@@ -53,7 +56,8 @@ type Schedule struct {
 	// driver's) leave scored false and the accessors fall back to walking.
 	scored   bool
 	sums     aggregates
-	released bool // superseded by its owner (see Release)
+	released bool  // superseded by its owner (see Release)
+	rest     *Base // what Complete resumes from; nil once the plan is whole
 }
 
 // aggregates holds the per-metric running sums of one placement pass. The
@@ -99,6 +103,20 @@ type Base struct {
 	prof     profile.Profile // running jobs' reservations
 	scratch  profile.Profile // the copy of prof a build sharing no prefix places onto
 	forks    []fork          // the current BuildInto's, in child order
+	tail     tail            // what the last FrontierInto left unplaced
+}
+
+// tail is what a frontier build leaves for Complete besides the jobs it
+// did not place, which its schedule holds (see FrontierInto): how many
+// entries the complete plan has, and the witness table the build held.
+// The profile is the base's scratch one.
+type tail struct {
+	of     *Schedule // the schedule the jobs belong to; nil once placed or superseded
+	n      int
+	proven witnesses
+	// minWidth[k] is the narrowest width of the order under build from
+	// job k on. The storage is kept across events.
+	minWidth []int
 }
 
 // fork is where one schedule of a BuildInto resumes an earlier one's
@@ -152,7 +170,8 @@ func (b *Base) Profile() *profile.Profile { return b.prof.Clone() }
 // and must not change while the build runs. Whatever a schedule held
 // before is overwritten, including a Release mark.
 //
-// The place method it calls is the one placement loop of the tree. Metric
+// The place method it calls is the one placement loop of the tree (its
+// step, placeJob, is what FrontierInto and Complete run). Metric
 // sums are accumulated in the same pass (see aggregates), so scoring the result
 // re-walks nothing. Each hole search starts not at now but at the latest
 // start the build's earlier placements prove no such job can beat (see
@@ -165,21 +184,12 @@ func (b *Base) Profile() *profile.Profile { return b.prof.Clone() }
 // only on the base and the jobs placed so far, so a resumed schedule is
 // bit for bit the one a build from the base produces.
 func (b *Base) BuildInto(ss []*Schedule, orders [][]*job.Job, policies []policy.Policy) {
+	b.tail.of = nil // the scratch profile is about to be rebuilt
 	b.findForks(orders)
 	resumes := b.forks
 	for i, ordered := range orders {
 		s := ss[i]
-		entries := slices.Grow(s.Entries[:0], len(ordered))
-		if entries == nil {
-			// Always non-nil, even for an empty queue: nil and empty differ
-			// to reflect.DeepEqual and encoding/json, and no reader of a
-			// schedule should have to care which it got.
-			entries = []Entry{}
-		}
-		*s = Schedule{Now: b.Now, Capacity: b.Capacity, Policy: policies[i],
-			Entries: entries,
-			scored:  true,
-		}
+		b.open(s, len(ordered), policies[i])
 		// A witness says nothing about another profile, so the table
 		// starts empty unless the profile is a resumed one.
 		prof, proven, placed := &b.scratch, witnesses{}, 0
@@ -200,18 +210,96 @@ func (b *Base) BuildInto(ss []*Schedule, orders [][]*job.Job, policies []policy.
 	}
 }
 
+// open makes s an empty schedule of the base's event under p, with room
+// for n entries in the storage it already has.
+func (b *Base) open(s *Schedule, n int, p policy.Policy) {
+	entries := slices.Grow(s.Entries[:0], n)
+	if entries == nil {
+		// Always non-nil, even for an empty queue: nil and empty differ
+		// to reflect.DeepEqual and encoding/json, and no reader of a
+		// schedule should have to care which it got.
+		entries = []Entry{}
+	}
+	*s = Schedule{Now: b.Now, Capacity: b.Capacity, Policy: p,
+		Entries: entries,
+		scored:  true,
+	}
+}
+
+// FrontierInto builds s as BuildInto builds the plan of the one order,
+// but only up to the launch frontier: before placing each job it stops
+// unless a window as narrow as the narrowest job not yet placed and as
+// short as the shortest one fits at Now. Placements only fill the
+// profile, and every job from there on is at least that wide and that
+// long, so none of them can start at Now. What starts at Now — the only
+// part of a plan a launch reads — is therefore all in the placed prefix.
+//
+// The jobs not yet placed are copied into the schedule's entry storage
+// past its length — an order view changes as soon as the engine launches
+// a job, so the order itself cannot be kept — each with the shortest
+// estimate from it on as its start until it is placed there. The build's
+// profile and witness table stay in the base, and Complete places the
+// held jobs with the same loop BuildInto runs, so a completed schedule,
+// metric sums included, is bit for bit BuildInto's. The base's next build
+// supersedes that state: Complete panics after it.
+func (b *Base) FrontierInto(s *Schedule, ordered []*job.Job, p policy.Policy) {
+	t, n := &b.tail, len(ordered)
+	b.open(s, n, p)
+	held := s.Entries[:n]
+	t.minWidth = slices.Grow(t.minWidth[:0], n)[:n]
+	for k := n - 1; k >= 0; k-- {
+		j, w, d := ordered[k], ordered[k].Width, ordered[k].Estimate
+		if k+1 < n {
+			w, d = min(w, t.minWidth[k+1]), min(d, held[k+1].Start)
+		}
+		held[k], t.minWidth[k] = Entry{Job: j, Start: d}, w
+	}
+	b.prof.CloneInto(&b.scratch)
+	t.of, t.n, t.proven = nil, n, witnesses{}
+	for k := 0; k < n && b.scratch.FitsAt(b.Now, t.minWidth[k], held[k].Start); k++ {
+		b.placeJob(s, &b.scratch, &t.proven, held[k].Job)
+	}
+	if len(s.Entries) < n {
+		t.of, s.rest = s, b
+	}
+}
+
+// Complete places the jobs a frontier build left unplaced (see
+// FrontierInto), making the schedule the full plan; on a schedule that
+// has none it does nothing. It panics when the schedule's base has built
+// again since, or the schedule was released: the state the placements
+// resume from is gone.
+func (s *Schedule) Complete() {
+	b := s.rest
+	if b == nil {
+		return
+	}
+	if s.released || b.tail.of != s {
+		panic("plan: Complete on a schedule superseded by a later build")
+	}
+	s.rest, b.tail.of = nil, nil
+	for _, e := range s.Entries[len(s.Entries):b.tail.n] {
+		b.placeJob(s, &b.scratch, &b.tail.proven, e.Job)
+	}
+}
+
 // place appends the placements of jobs, in order, to s, reserving them on
 // prof and recording what they prove in proven.
 func (b *Base) place(s *Schedule, prof *profile.Profile, proven *witnesses, jobs []*job.Job) {
 	for _, j := range jobs {
-		from := proven.bound(b.Now, j.Width, j.Estimate)
-		start, depth := prof.PlaceDepth(from, j.Width, j.Estimate)
-		if depth >= witnessMinDepth && start > from {
-			proven.record(j.Width, j.Estimate, start)
-		}
-		s.Entries = append(s.Entries, Entry{Job: j, Start: start})
-		s.sums.accumulate(j, start)
+		b.placeJob(s, prof, proven, j)
 	}
+}
+
+// placeJob is one step of place.
+func (b *Base) placeJob(s *Schedule, prof *profile.Profile, proven *witnesses, j *job.Job) {
+	from := proven.bound(b.Now, j.Width, j.Estimate)
+	start, depth := prof.PlaceDepth(from, j.Width, j.Estimate)
+	if depth >= witnessMinDepth && start > from {
+		proven.record(j.Width, j.Estimate, start)
+	}
+	s.Entries = append(s.Entries, Entry{Job: j, Start: start})
+	s.sums.accumulate(j, start)
 }
 
 // findForks records, for every order after the first, the earlier order
@@ -330,6 +418,7 @@ func (s *Schedule) Released() bool { return s.released }
 // sum(a_i*s_i)/sum(a_i) with a_i the estimated area and s_i =
 // (wait_i+estimate_i)/estimate_i. An empty plan scores 0.
 func (s *Schedule) PlannedSLDwA() float64 {
+	s.Complete()
 	num, den := s.sums.sldNum, s.sums.sldDen
 	if !s.scored {
 		for _, e := range s.Entries {
@@ -348,6 +437,7 @@ func (s *Schedule) PlannedSLDwA() float64 {
 // PlannedART is the average planned response time (wait + estimate) of the
 // waiting jobs. An empty plan scores 0.
 func (s *Schedule) PlannedART() float64 {
+	s.Complete()
 	if len(s.Entries) == 0 {
 		return 0
 	}
@@ -364,6 +454,7 @@ func (s *Schedule) PlannedART() float64 {
 // which the paper notes is proportional to SLDwA for a fixed job set.
 // An empty plan scores 0.
 func (s *Schedule) PlannedARTwW() float64 {
+	s.Complete()
 	num, den := s.sums.artwwNum, s.sums.artwwDen
 	if !s.scored {
 		for _, e := range s.Entries {
@@ -380,6 +471,7 @@ func (s *Schedule) PlannedARTwW() float64 {
 
 // PlannedAWT is the average planned waiting time. An empty plan scores 0.
 func (s *Schedule) PlannedAWT() float64 {
+	s.Complete()
 	if len(s.Entries) == 0 {
 		return 0
 	}
@@ -404,8 +496,10 @@ func (s *Schedule) PlannedMakespan() float64 {
 }
 
 // MaxEstimatedEnd returns the latest estimated completion time over the
-// entries, 0 when there are none (PlannedMakespan's convention).
+// entries of the complete plan, 0 when there are none (PlannedMakespan's
+// convention).
 func (s *Schedule) MaxEstimatedEnd() int64 {
+	s.Complete()
 	if s.scored {
 		return s.sums.maxEnd
 	}
@@ -427,12 +521,14 @@ func (s *Schedule) MaxEstimatedEnd() int64 {
 // builders' bounded search, so a start that is feasible but late (what an
 // unsound search bound would produce) fails here. Static, dynP and EASY
 // schedules all place in Entries order and satisfy it. A schedule its
-// owner has superseded fails outright. It is used by tests and by the
+// owner has superseded fails outright. It checks the complete plan,
+// completing a frontier schedule first. It is used by tests and by the
 // simulator's paranoid mode.
 func (s *Schedule) Verify(running []Running) error {
 	if s.released {
 		return fmt.Errorf("plan: schedule at %d under %v was superseded", s.Now, s.Policy)
 	}
+	s.Complete()
 	prof := profile.New(s.Capacity, s.Now)
 	for _, r := range running {
 		if rem := r.EstimatedEnd() - s.Now; rem > 0 {

@@ -11,7 +11,10 @@
 //     each job in turn the first hole from now, on a profile holding the
 //     running jobs until their estimated ends, that fits its width for
 //     its whole estimate. Header (now, capacity, policy), entry order and
-//     all five planned scores match too, the scores bit for bit.
+//     all five planned scores match too, the scores bit for bit. A plan
+//     built only up to the launch frontier (plan.Base.FrontierInto) is
+//     held to this once completed, and before that every job it left
+//     unplaced must start after now.
 //   - BC-2. A self-tuning step's candidate values, its chosen policy and
 //     its chosen schedule equal the naive tuner's bit for bit: every
 //     candidate planned as in BC-1, scored by walking the entries,
@@ -67,8 +70,11 @@ func Plan(now int64, capacity int, running []plan.Running, waiting []*job.Job, p
 }
 
 // SameSchedule reports the first difference between two schedules:
-// header, entries in order, then every planned score, bit for bit.
+// header, entries in order, then every planned score, bit for bit. It
+// compares whole plans, so it completes both.
 func SameSchedule(got, want *plan.Schedule) error {
+	got.Complete()
+	want.Complete()
 	if got.Now != want.Now || got.Capacity != want.Capacity || got.Policy != want.Policy ||
 		len(got.Entries) != len(want.Entries) {
 		return fmt.Errorf("header: %d entries at %d on %d under %v, want %d at %d on %d under %v",
@@ -122,9 +128,11 @@ func (t *Tuner) Step(now int64, capacity int, running []plan.Running, waiting []
 }
 
 // Lanes tallies the plans a lockstep driver checked, by the lane that
-// served them: spliced order views or the full-sort fallback. One count
-// outlives the drivers of a stream, which restarts replace.
-type Lanes struct{ View, Sort int }
+// served them — spliced order views or the full-sort fallback — and by
+// how far they were built: stopped at the launch frontier with jobs left
+// unplaced, or placed whole. One count outlives the drivers of a stream,
+// which restarts replace.
+type Lanes struct{ View, Sort, Stopped, Whole int }
 
 // lockstep is the self-checking driver: it plans with the wrapped driver
 // and fails the test unless the result equals the oracle's. It mirrors
@@ -194,6 +202,12 @@ func (d *lockstep) Plan(now int64, capacity int, running []plan.Running, waiting
 		d.lanes.Sort++
 	}
 	got := d.Driver.Plan(now, capacity, running, waiting)
+	placed := len(got.Entries) // before anything completes it
+	if placed < len(waiting) {
+		d.lanes.Stopped++
+	} else {
+		d.lanes.Whole++
+	}
 	where := func() string {
 		return fmt.Sprintf("%s at t=%d (%d running, %d waiting)", d.Name(), now, len(running), len(waiting))
 	}
@@ -212,6 +226,15 @@ func (d *lockstep) Plan(now int64, capacity int, running []plan.Running, waiting
 		if dec.Chosen != want.Policy || d.live.Active() != want.Policy {
 			d.t.Fatalf("%s from %v on %v: chose %v (active %v), want %v",
 				where(), old, values, dec.Chosen, d.live.Active(), want.Policy)
+		}
+	}
+	// The frontier rule: a job the build left unplaced never starts now.
+	// Read off the oracle before got is completed; SameSchedule then
+	// holds the placed prefix and the completion to the oracle's plan.
+	for _, e := range want.Entries[min(placed, len(want.Entries)):] {
+		if e.Start == now {
+			d.t.Fatalf("%s: the build stopped after %d placements, but %s starts now",
+				where(), placed, e.Job)
 		}
 	}
 	if err := SameSchedule(got, want); err != nil {

@@ -65,3 +65,44 @@ func TestScheduleDoubleReleasePanics(t *testing.T) {
 	}
 	s.Release()
 }
+
+// TestCompleteAfterNextBuildPanics: the jobs a frontier build leaves
+// unplaced resume its scratch profile, which the base's next build —
+// frontier or whole — rebuilds, so completing the older schedule after it
+// panics; so does completing a released one. The newest build completes.
+func TestCompleteAfterNextBuildPanics(t *testing.T) {
+	jobs := []*job.Job{
+		{ID: 1, Width: 8, Estimate: 10},
+		{ID: 2, Width: 8, Estimate: 10}, // cannot start at 0 behind job 1
+	}
+	mustPanic := func(what string, s *Schedule) {
+		t.Helper()
+		defer func() {
+			if recover() == nil {
+				t.Errorf("Complete %s did not panic", what)
+			}
+		}()
+		s.Complete()
+	}
+	var base Base
+	base.Reset(0, 8, nil)
+	var old, next Schedule
+	base.FrontierInto(&old, jobs, policy.FCFS)
+	if len(old.Entries) != 1 {
+		t.Fatalf("frontier build placed %d jobs, want 1", len(old.Entries))
+	}
+	base.FrontierInto(&next, jobs, policy.FCFS)
+	mustPanic("after the next frontier build", &old)
+	next.Complete()
+	if len(next.Entries) != 2 || next.Entries[1].Start != 10 {
+		t.Fatalf("completed plan %v, want job 2 at 10 behind job 1", next.Entries)
+	}
+
+	base.FrontierInto(&old, jobs, policy.FCFS)
+	base.BuildInto([]*Schedule{&next}, [][]*job.Job{jobs}, []policy.Policy{policy.FCFS})
+	mustPanic("after the next whole build", &old)
+
+	base.FrontierInto(&old, jobs, policy.FCFS)
+	old.Release()
+	mustPanic("after Release", &old)
+}

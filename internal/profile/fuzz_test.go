@@ -64,10 +64,10 @@ func (m *refModel) alloc(start int64, width int, dur int64) {
 
 // FuzzProfileVsReference drives the Profile, the naive profiletest.Linear
 // and the per-second reference model through the same operation sequence
-// and requires identical EarliestFit results, identical FreeAt values, and
-// a step sequence identical element for element between the Profile and
-// Linear — plus CloneInto/Reset equivalence with Clone/New along the way.
-// The fuzz input is decoded as (op, width, duration, earliest) bytes; the
+// and requires identical EarliestFit and FitsAt results, identical FreeAt
+// values, and a step sequence identical element for element between the
+// Profile and Linear — plus CloneInto/Reset equivalence with Clone/New
+// along the way. The fuzz input is decoded as (op, width, duration, earliest) bytes; the
 // op byte also says whether the Profile first moves to other storage — a
 // clone into a zero value, which must grow from nothing, or into a dirty
 // reused destination holding stale steps in alternately more and less
@@ -149,6 +149,14 @@ func FuzzProfileVsReference(f *testing.F) {
 				}
 				if lgot := lin.EarliestFit(earliest, width, dur); lgot != want {
 					t.Fatalf("op %d: linear EarliestFit(%d,%d,%d) = %d, oracle %d", i, earliest, width, dur, lgot, want)
+				}
+				// FitsAt asks the same question at one instant.
+				fits := ref.fits(earliest, width, dur)
+				if got := p.FitsAt(earliest, width, dur); got != fits {
+					t.Fatalf("op %d: FitsAt(%d,%d,%d) = %v, oracle %v", i, earliest, width, dur, got, fits)
+				}
+				if lgot := lin.FitsAt(earliest, width, dur); lgot != fits {
+					t.Fatalf("op %d: linear FitsAt(%d,%d,%d) = %v, oracle %v", i, earliest, width, dur, lgot, fits)
 				}
 			case 3: // FreeAt sweep at the probe instant
 				if got, want := p.FreeAt(earliest), ref.freeAt(earliest); got != want {

@@ -125,6 +125,20 @@ func (p *Profile) search(earliest int64, width int, duration int64) (i, j int, s
 	}
 }
 
+// FitsAt reports whether width processors are free for the whole interval
+// [t, t+duration): whether EarliestFit(t, width, duration) would return t.
+// It has EarliestFit's panics.
+func (p *Profile) FitsAt(t int64, width int, duration int64) bool {
+	p.check(t, width, duration)
+	end := t + duration
+	for i := p.find(t); i < len(p.times) && p.times[i] < end; i++ {
+		if p.free[i] < width {
+			return false
+		}
+	}
+	return true
+}
+
 // Alloc reserves width processors over [start, start+duration). The caller
 // must have obtained start from EarliestFit (or otherwise guarantee the
 // interval fits); Alloc panics when the reservation would drive any step

@@ -112,6 +112,13 @@ func (p *Linear) EarliestFit(earliest int64, width int, duration int64) int64 {
 	}
 }
 
+// FitsAt reports whether width processors are free for the whole interval
+// [t, t+duration), with the same contract as profile.Profile.FitsAt: it
+// asks the linear search whether its earliest fit is t.
+func (p *Linear) FitsAt(t int64, width int, duration int64) bool {
+	return p.EarliestFit(t, width, duration) == t
+}
+
 // Alloc reserves width processors over [start, start+duration), with the
 // same contract as profile.Profile.Alloc.
 func (p *Linear) Alloc(start int64, width int, duration int64) {

@@ -42,6 +42,7 @@ func (s *Scheduler) captureCheckpointLocked(events int64) (checkpointState, erro
 		s.doneLog = appendJobInfo(s.doneLog, &s.done[s.doneLogged])
 	}
 	if p := s.eng.Schedule(); p != nil {
+		p.Complete()
 		pr := &planRec{Policy: policyName(p.Policy), Now: p.Now, Capacity: p.Capacity}
 		for _, e := range p.Entries {
 			pr.Entries = append(pr.Entries, planEntryRec{ID: int64(e.Job.ID), Start: e.Start})

@@ -264,11 +264,13 @@ func (s *Scheduler) onFinished(j *job.Job, st engine.FinishState, now int64) {
 	s.agg.add(*info)
 }
 
-// onPlanned refreshes the planned starts after every replanning step.
-// Unplaceable jobs (wider than the effective capacity) carry the
+// onPlanned refreshes the planned starts after every replanning step,
+// from the whole plan: a static driver's frontier schedule is completed
+// first. Unplaceable jobs (wider than the effective capacity) carry the
 // NeverStart sentinel until capacity returns.
 func (s *Scheduler) onPlanned(sched *plan.Schedule, unplaceable []*job.Job) {
 	if sched != nil {
+		sched.Complete()
 		for _, e := range sched.Entries {
 			if info, ok := s.infos[e.Job.ID]; ok && info.State == StateWaiting {
 				info.PlannedStart = e.Start

@@ -13,10 +13,10 @@ import (
 )
 
 // lifetimeProbe wraps a driver and holds what the engine holds: the
-// schedule the last Plan returned, next to a copy of its entries taken
-// at that moment. check compares the two, so calling it at every engine
-// transition and at the instant the next Plan is entered proves the
-// engine.Driver lifetime rule from the engine's side. It forwards
+// schedule the last Plan returned, completed, next to a copy of its
+// entries taken at that moment. check compares the two, so calling it at
+// every engine transition and at the instant the next Plan is entered
+// proves the engine.Driver lifetime rule from the engine's side. It forwards
 // engine.QueueTracker so the order views stay engaged.
 type lifetimeProbe struct {
 	inner Driver
@@ -43,6 +43,9 @@ func (p *lifetimeProbe) Plan(now int64, capacity int, running []plan.Running, wa
 	p.check("entering the next Plan")
 	s := p.inner.Plan(now, capacity, running, waiting)
 	p.plans++
+	// The probe reads the whole plan, as Verify will: a static driver's
+	// frontier schedule is completed before the snapshot.
+	s.Complete()
 	p.held, p.want = s, slices.Clone(s.Entries)
 	p.check("returned by Plan")
 	return s
@@ -92,4 +95,26 @@ func TestScheduleValidUntilNextPlan(t *testing.T) {
 			t.Errorf("%s: %d plans; no plan was ever replaced", d.Name(), p.plans)
 		}
 	}
+}
+
+// TestStaticCompleteAfterNextPlanPanics: a static driver's schedule may
+// be completed until the driver's next Plan returns and not after it, the
+// lifetime rule of engine.Driver.
+func TestStaticCompleteAfterNextPlanPanics(t *testing.T) {
+	s := &Static{Policy: policy.FCFS}
+	waiting := []*job.Job{
+		{ID: 1, Width: 4, Estimate: 10, Runtime: 10},
+		{ID: 2, Width: 4, Estimate: 10, Runtime: 10},
+	}
+	first := s.Plan(0, 4, nil, waiting)
+	if len(first.Entries) != 1 {
+		t.Fatalf("frontier plan holds %d entries, want job 1 alone", len(first.Entries))
+	}
+	s.Plan(0, 4, nil, waiting)
+	defer func() {
+		if recover() == nil {
+			t.Error("completing a schedule after its driver's next Plan did not panic")
+		}
+	}()
+	first.Complete()
 }

@@ -34,7 +34,7 @@ import (
 	"dynp/internal/policy"
 )
 
-// Driver produces the full schedule at every scheduling event. It is the
+// Driver plans the waiting queue at every scheduling event. It is the
 // engine's planning interface, implemented here by Static (one fixed
 // policy), DynP (the self-tuning dynP scheduler of internal/core) and
 // EASY (aggressive backfilling).
@@ -42,8 +42,11 @@ type Driver = engine.Driver
 
 // Static is a Driver that always uses a single policy — the paper's basic
 // scheduling approach used as the baseline. It plans on the same
-// core.Lane as the self-tuner, run over one policy. The lane's order view
-// is primed with the Policy of the driver's first use; changing Policy
+// core.Lane as the self-tuner, run over one policy, and only up to the
+// launch frontier (core.Lane.BuildFrontier): the schedule Plan returns
+// holds every entry that starts now, and plan.Schedule.Complete places
+// the rest for a reader of the whole plan. The lane's order view is
+// primed with the Policy of the driver's first use; changing Policy
 // afterwards is legal but every later Plan sorts the queue in full.
 type Static struct {
 	Policy policy.Policy
@@ -66,7 +69,7 @@ func (s *Static) Name() string { return s.Policy.Name() }
 // Plan implements Driver.
 func (s *Static) Plan(now int64, capacity int, running []plan.Running, waiting []*job.Job) *plan.Schedule {
 	l := s.primed()
-	l.Build(now, capacity, running, waiting, s.Policy)
+	l.BuildFrontier(now, capacity, running, waiting, s.Policy)
 	return l.Keep(0)
 }
 

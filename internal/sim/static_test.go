@@ -25,7 +25,8 @@ func lockstepPolicies() []policy.Policy {
 
 // TestStaticLockstep runs seeded random streams through the lockstep
 // harness and requires both lanes — spliced view and full-sort fallback —
-// to have actually planned.
+// to have actually planned, and the frontier build both to have stopped
+// with jobs left unplaced and to have placed a whole queue.
 func TestStaticLockstep(t *testing.T) {
 	for _, p := range lockstepPolicies() {
 		var lanes plantest.Lanes
@@ -34,6 +35,10 @@ func TestStaticLockstep(t *testing.T) {
 		}
 		if lanes.View == 0 || lanes.Sort == 0 {
 			t.Errorf("%v: %d plans read the view, %d sorted in full; the streams must reach both", p, lanes.View, lanes.Sort)
+		}
+		if lanes.Stopped == 0 || lanes.Whole == 0 {
+			t.Errorf("%v: %d builds stopped at the launch frontier, %d placed everything; the streams must reach both",
+				p, lanes.Stopped, lanes.Whole)
 		}
 	}
 }

@@ -92,7 +92,8 @@ endef
 # FuzzTunerLockstep's inputs are whole event streams: same cap, same reason.
 # FuzzWireCodec finds new coverage in most of its first minute's inputs
 # and stalls at 0 execs/s minimising them without the cap. FuzzRunGroup
-# simulates whole job sets per input: same cap, same reason.
+# simulates whole job sets per input: same cap, same reason. FuzzBaseReset
+# replays whole running-set histories and stalls the same way uncapped.
 fuzz:
 	$(call fuzz,FuzzRead,./internal/swf/)
 	$(call fuzz,FuzzServeConn,./internal/rms/)
@@ -100,23 +101,24 @@ fuzz:
 	$(call fuzz,FuzzJournalRecover,./internal/rms/)
 	$(call fuzz,FuzzProfileVsReference,./internal/profile/)
 	$(call fuzz,FuzzBuildVsNaive,./internal/plan/,-fuzzminimizetime=10x)
+	$(call fuzz,FuzzBaseReset,./internal/plan/,-fuzzminimizetime=10x)
 	$(call fuzz,FuzzTunerLockstep,./internal/sim/,-fuzzminimizetime=10x)
 	$(call fuzz,FuzzStaticLockstep,./internal/sim/)
 	$(call fuzz,FuzzRunGroup,./internal/sim/,-fuzzminimizetime=10x)
 	@rm -f fuzz.out
 
 # Reduced-scale reproduction of every table and figure. The built
-# binary took 9.9 s and 10.7 s wall, 19.0 s and 19.8 s CPU on a 2-core
-# host with go1.24.0 (the binary before static drivers stopped at the
-# launch frontier: 14.8 s and 15.0 s wall, 28.7 s and 29.4 s CPU,
-# alternating in the same hour). The paper scale (repro-full, the built
-# binary, one run) took 3 min 30 s wall and 6 min 47 s CPU on the same
-# host, against 6 min 30 s wall and 12 min 42 s CPU before; per trace
-# (`-full -traces X`, one run each) CTC took 92 s, KTH 30 s, LANL 23 s
-# and SDSC 79 s (before: 136, 77, 30 and 142 s). `make
-# golden-check-full` took 3 min 55 s wall, build included. `make
-# ablations` took 15.0 s and 15.4 s wall, 27.8 s and 28.0 s CPU (before:
-# 14.8 s and 14.9 s, 26.2 s and 27.2 s).
+# binary took 10.1 s and 9.1 s wall, 19.2 s and 17.4 s CPU on a 2-core
+# host with go1.24.0 (the binary before the base profile was kept across
+# events: 11.3 s and 11.7 s wall, 21.5 s and 22.3 s CPU, alternating in
+# the same hour). The paper scale (repro-full, the built binary, one
+# run) took 3 min 18 s wall and 6 min 25 s CPU on the same host, against
+# 3 min 32 s wall and 6 min 51 s CPU before; per trace (`-full -traces
+# X`, one run each) CTC took 85 s, KTH 29 s, LANL 17 s and SDSC 65 s
+# (before: 93, 35, 18 and 64 s). `make golden-check-full` took 3 min
+# 23 s wall, build included. The ablations (`make ablations`' command,
+# the built binary) took 16.4 s and 15.4 s wall, 28.6 s and 27.2 s CPU
+# (before: 18.4 s and 18.3 s, 31.8 s and 31.7 s).
 repro:
 	$(GO) run ./cmd/paper
 

@@ -52,7 +52,9 @@ type Decider interface {
 	// Decide returns the policy to activate. candidates and values are
 	// parallel slices ordered by the canonical candidate order (FCFS,
 	// SJF, LJF for the paper's configuration); lower values are better;
-	// old is the currently active policy.
+	// old is the currently active policy. Both slices are the tuner's
+	// and values is rewritten at its next step: a decider that keeps
+	// scores past the call copies them.
 	Decide(old policy.Policy, candidates []policy.Policy, values []float64) policy.Policy
 }
 

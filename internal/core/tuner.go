@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"dynp/internal/job"
 	"dynp/internal/plan"
@@ -42,6 +43,7 @@ type SelfTuner struct {
 	traceOn    bool
 	last       Decision // most recent decision, kept regardless of tracing
 	hasLast    bool
+	values     []float64 // Choose's scores, overwritten every step
 
 	lane *Lane // over candidates
 }
@@ -98,8 +100,14 @@ func (t *SelfTuner) EnableTrace() { t.traceOn = true }
 func (t *SelfTuner) Trace() []Decision { return t.trace }
 
 // LastDecision returns the most recent self-tuning decision and whether
-// one has been made. Unlike Trace it is always available.
-func (t *SelfTuner) LastDecision() (Decision, bool) { return t.last, t.hasLast }
+// one has been made. Unlike Trace it is always available. The decision
+// is a copy, Values included: the tuner rewrites its own in place at the
+// next step.
+func (t *SelfTuner) LastDecision() (Decision, bool) {
+	d := t.last
+	d.Values = slices.Clone(d.Values)
+	return d, t.hasLast
+}
 
 // LastDecisionCase classifies the most recent decision as one of the
 // paper's Table-1 cases (see CaseOf). It returns "" before the first
@@ -159,7 +167,8 @@ func (t *SelfTuner) Choose(now int64, schedules []*plan.Schedule) int {
 	if len(schedules) != len(t.candidates) {
 		panic(fmt.Sprintf("core: Choose over %d schedules for %d candidates", len(schedules), len(t.candidates)))
 	}
-	values := make([]float64, len(t.candidates))
+	values := slices.Grow(t.values[:0], len(schedules))[:len(schedules)]
+	t.values = values
 	for i, s := range schedules {
 		values[i] = t.metric.Score(s)
 	}
@@ -184,16 +193,17 @@ func (t *SelfTuner) Choose(now int64, schedules []*plan.Schedule) int {
 }
 
 // commit applies one decision to the tuner's statistics, trace and active
-// policy. values must be a fresh slice (it is retained by LastDecision).
+// policy. It copies values — into the last decision's storage, which each
+// commit overwrites, and into a trace entry when tracing — so the caller
+// may reuse the slice.
 func (t *SelfTuner) commit(now int64, chosen policy.Policy, values []float64) {
 	t.stats.Steps++
 	t.stats.Chosen[chosen.Name()]++
 	if chosen != t.active {
 		t.stats.Switches++
 	}
-	// values is built fresh every step and escapes only here, so the
-	// last decision can retain it without a copy.
-	t.last = Decision{Time: now, Old: t.active, Chosen: chosen, Values: values}
+	t.last = Decision{Time: now, Old: t.active, Chosen: chosen,
+		Values: append(t.last.Values[:0], values...)}
 	t.hasLast = true
 	if t.traceOn {
 		t.trace = append(t.trace, Decision{

@@ -56,10 +56,12 @@ func (q *Queue[T]) PopIf(time int64) (ev Event[T], ok bool) {
 }
 
 // Reserve grows the queue's storage so at least n more events can be
-// pushed without reallocating. Simulation harnesses that know the event
-// volume up front (every job submits once and finishes once) pre-size the
-// heap instead of growing it push by push — which adds up when thousands
-// of replica runs each build their own queue (sim.RunParallel).
+// pushed without reallocating.
+//
+// Deprecated: a queue grows to its working size in a few pushes; the
+// simulator keeps only the running jobs' completions in one and reserves
+// nothing. It stays while benchmark/trace.go calls it (ROADMAP.md, item
+// 1(c)).
 func (q *Queue[T]) Reserve(n int) {
 	if cap(q.heap)-len(q.heap) >= n {
 		return

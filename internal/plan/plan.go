@@ -92,15 +92,17 @@ func (a *aggregates) accumulate(j *job.Job, start int64) {
 // already applied. The self-tuning dynP step resets it once per event and
 // derives each candidate policy's what-if schedule from it, instead of
 // re-allocating the running jobs once per candidate. Its owner keeps it
-// across events and rebuilds it in place, so at steady state neither Reset
-// nor BuildInto allocates. The base profile is never mutated by a build:
-// each build places onto the scratch profile, a fresh copy of it, or onto
-// a fork's copy of an earlier build (see BuildInto), which is why one Base
-// serves one BuildInto at a time.
+// across events: Reset updates the base profile by what changed since the
+// last event, and at steady state neither Reset nor BuildInto allocates.
+// The base profile is never mutated by a build: each build places onto
+// the scratch profile, a fresh copy of it, or onto a fork's copy of an
+// earlier build (see BuildInto), which is why one Base serves one
+// BuildInto at a time.
 type Base struct {
 	Now      int64
 	Capacity int
 	prof     profile.Profile // running jobs' reservations
+	running  []Running       // the running set prof holds, in the caller's order
 	scratch  profile.Profile // the copy of prof a build sharing no prefix places onto
 	forks    []fork          // the current BuildInto's, in child order
 	tail     tail            // what the last FrontierInto left unplaced
@@ -132,12 +134,45 @@ type fork struct {
 // Reset makes b the base of a scheduling event at now on a machine of the
 // given capacity: running jobs block their processors until their
 // estimated end. A zero-value Base is valid.
+//
+// A Reset at the same or a later instant on the same capacity updates the
+// profile the last one left instead of rebuilding it: it advances the
+// profile's start to now, releases the jobs that left the running set and
+// reserves the ones that joined, so it costs what changed rather than
+// what runs. The two running sets are matched by Running value, walking
+// both in order; a job the new set holds out of the old order is released
+// and reserved again, which costs a little and changes nothing. The
+// result is the profile a rebuild produces, step for step: every
+// reservation starts at now, so a base profile has one step at now, one
+// per distinct estimated end after it and no other, and Release drops the
+// boundary of an end no running job has anymore.
 func (b *Base) Reset(now int64, capacity int, running []Running) {
-	b.Now, b.Capacity = now, capacity
-	b.prof.Reset(capacity, now)
+	if capacity != b.prof.Capacity() || now < b.prof.Start() {
+		b.Now, b.Capacity = now, capacity
+		b.prof.Reset(capacity, now)
+		b.reserve(running)
+		b.running = append(b.running[:0], running...)
+		return
+	}
+	b.Now = now
+	b.prof.Advance(now)
+	k := 0 // running[:k] matched the old set so far
+	for _, r := range b.running {
+		if k < len(running) && running[k] == r {
+			k++
+		} else if rem := r.EstimatedEnd() - now; rem > 0 {
+			b.prof.Release(now, r.Job.Width, rem)
+		}
+	}
+	b.reserve(running[k:])
+	b.running = append(b.running[:0], running...)
+}
+
+// reserve blocks each running job's processors until its estimated end.
+func (b *Base) reserve(running []Running) {
 	for _, r := range running {
-		if rem := r.EstimatedEnd() - now; rem > 0 {
-			b.prof.Alloc(now, r.Job.Width, rem)
+		if rem := r.EstimatedEnd() - b.Now; rem > 0 {
+			b.prof.Alloc(b.Now, r.Job.Width, rem)
 		}
 	}
 }

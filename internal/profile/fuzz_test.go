@@ -62,6 +62,13 @@ func (m *refModel) alloc(start int64, width int, dur int64) {
 	}
 }
 
+// reservation is one placement the fuzz driver may later release.
+type reservation struct {
+	start int64
+	width int
+	end   int64
+}
+
 // FuzzProfileVsReference drives the Profile, the naive profiletest.Linear
 // and the per-second reference model through the same operation sequence
 // and requires identical EarliestFit and FitsAt results, identical FreeAt
@@ -72,7 +79,11 @@ func (m *refModel) alloc(start int64, width int, dur int64) {
 // clone into a zero value, which must grow from nothing, or into a dirty
 // reused destination holding stale steps in alternately more and less
 // storage than it needs — and carries on there, as the planner's reused
-// profiles do.
+// profiles do. Its bits 4 and 5 both set turn the operation into an
+// Advance (by nothing, to a step boundary a few steps on, or by some
+// seconds) or into a Release of what is left of an earlier placement,
+// whole or a suffix of it, as the planner's base profile moves from one
+// scheduling event to the next.
 func FuzzProfileVsReference(f *testing.F) {
 	f.Add([]byte{0x00}, uint8(8), uint8(3))
 	f.Add([]byte{0x12, 0x34, 0x56, 0x78, 0x9a}, uint8(16), uint8(0))
@@ -83,6 +94,14 @@ func FuzzProfileVsReference(f *testing.F) {
 		0x08, 5, 9, 0, 0x08, 2, 30, 7, 0x0c, 3, 20, 4, 0x00, 1, 31, 10,
 		0x0c, 7, 3, 2, 0x01, 4, 12, 40, 0x0c, 2, 8, 1, 0x0d, 6, 5, 90,
 	}, uint8(16), uint8(5))
+	// Place four reservations, release one whole and one's suffix, and
+	// advance by nothing, to the next boundary, by seconds and past
+	// several boundaries, with a move to dirty storage (0x3c) between.
+	f.Add([]byte{
+		0x00, 3, 9, 0, 0x00, 5, 20, 0, 0x00, 2, 14, 3, 0x00, 4, 30, 6,
+		0x31, 1, 0, 0, 0x30, 0, 0, 0, 0x30, 1, 0, 0, 0x31, 0, 0, 5,
+		0x3c, 3, 0, 7, 0x31, 2, 0, 2, 0x30, 2, 0, 0, 0x00, 6, 8, 0,
+	}, uint8(8), uint8(10))
 	f.Fuzz(func(t *testing.T, ops []byte, cap8 uint8, start8 uint8) {
 		capacity := int(cap8%32) + 1
 		start := int64(start8)
@@ -103,6 +122,7 @@ func FuzzProfileVsReference(f *testing.F) {
 		smaller.Alloc(1, 2, 7)
 		dirty := [2]*Profile{larger, smaller}
 		turn := 0
+		var live []reservation
 
 		if len(ops) > 64 {
 			ops = ops[:64]
@@ -121,8 +141,52 @@ func FuzzProfileVsReference(f *testing.F) {
 			}
 			width := int(ops[i+1])%capacity + 1
 			dur := int64(ops[i+2]%32) + 1
-			earliest := start + int64(ops[i+3])%(horizon/2)
-			switch ops[i] % 4 {
+			earliest := max(start+int64(ops[i+3])%(horizon/2), p.Start())
+			op := ops[i] % 4
+			if ops[i]>>4&3 == 3 {
+				op = 4 + ops[i]%2
+			}
+			switch op {
+			case 4: // Advance
+				to := p.Start()
+				times, _ := p.Steps()
+				switch k := int(ops[i+1] % 4); k {
+				case 1, 2:
+					to = times[min(k, len(times)-1)]
+				case 3:
+					to += int64(ops[i+3] % 64)
+				}
+				to = min(to, start+horizon/2)
+				p.Advance(to)
+				lin.Advance(to)
+				if got := p.Start(); got != to {
+					t.Fatalf("op %d: Advance(%d) left the start at %d", i, to, got)
+				}
+			case 5: // Release what is left of a live placement, or its suffix
+				from := p.Start()
+				kept := live[:0]
+				for _, r := range live {
+					if r.end > from {
+						kept = append(kept, r)
+					}
+				}
+				live = kept
+				if len(live) == 0 {
+					continue
+				}
+				k := int(ops[i+1]) % len(live)
+				r := live[k]
+				live = append(live[:k], live[k+1:]...)
+				lo := max(r.start, from)
+				if ops[i+3]%2 == 1 {
+					lo += int64(ops[i+3]) % (r.end - lo)
+				}
+				p.Release(lo, r.width, r.end-lo)
+				lin.Release(lo, r.width, r.end-lo)
+				ref.alloc(lo, -r.width, r.end-lo)
+				if lo > r.start {
+					live = append(live, reservation{r.start, r.width, lo})
+				}
 			case 0, 1: // Place
 				want, ok := ref.earliest(earliest, width, dur)
 				if !ok || want+dur > start+horizon/2+int64(ops[i+2]%32)+1 {
@@ -139,6 +203,7 @@ func FuzzProfileVsReference(f *testing.F) {
 					t.Fatalf("op %d: linear Place(%d,%d,%d) = %d, oracle %d", i, earliest, width, dur, lgot, want)
 				}
 				ref.alloc(want, width, dur)
+				live = append(live, reservation{want, width, want + dur})
 			case 2: // EarliestFit without committing
 				want, ok := ref.earliest(earliest, width, dur)
 				if !ok {
@@ -187,7 +252,7 @@ func FuzzProfileVsReference(f *testing.F) {
 		// must equal New: same capacity, same steps (String renders both).
 		dst := dirty[turn]
 		p.CloneInto(dst)
-		if want := p.Clone(); !dst.EqualFrom(want, start) || dst.String() != want.String() {
+		if want := p.Clone(); !dst.EqualFrom(want, p.Start()) || dst.String() != want.String() {
 			t.Fatalf("CloneInto != Clone: %v vs %v", dst, want)
 		}
 		dst.Reset(capacity, start)

@@ -177,6 +177,60 @@ func (p *Profile) PlaceDepth(earliest int64, width int, duration int64) (start i
 	return start, p.reserve(i, j, start, start+duration, width)
 }
 
+// Release returns width processors over [start, start+duration): the
+// inverse of Alloc. It opens the boundaries the interval lacks as Alloc
+// does, adds width over the window, and then drops the boundary at start
+// and the one at end wherever the free count no longer changes there, so
+// releasing a reservation from a profile without redundant steps leaves
+// none behind. It panics when a step would end up with more than the
+// capacity free — the released processors were never reserved — and has
+// Alloc's other panics.
+func (p *Profile) Release(start int64, width int, duration int64) {
+	p.check(start, width, duration)
+	end := start + duration
+	i := p.find(start)
+	j := p.find(end)
+	if p.times[j] < end {
+		j++
+	}
+	lo := p.reserve(i, j, start, end, 0) // opens the boundaries
+	hi := lo
+	for ; hi < len(p.times) && p.times[hi] < end; hi++ {
+		p.free[hi] += width
+		if p.free[hi] > p.capacity {
+			panic(fmt.Sprintf("profile: over-release at t=%d: %d free after releasing width %d",
+				p.times[hi], p.free[hi], width))
+		}
+	}
+	if hi < len(p.times) && p.free[hi] == p.free[hi-1] {
+		p.drop(hi)
+	}
+	if lo > 0 && p.free[lo] == p.free[lo-1] {
+		p.drop(lo)
+	}
+}
+
+// drop removes step k, which merges it into the step before.
+func (p *Profile) drop(k int) {
+	p.times = slices.Delete(p.times, k, k+1)
+	p.free = slices.Delete(p.free, k, k+1)
+}
+
+// Advance moves the profile's start to t, forgetting every step that ends
+// at or before t: the profile then describes [t, infinity) exactly as it
+// did before. It panics when t precedes the profile start, which would
+// ask the profile to invent the past.
+func (p *Profile) Advance(t int64) {
+	if t < p.Start() {
+		panic(fmt.Sprintf("profile: advance to %d precedes profile start %d", t, p.Start()))
+	}
+	if k := p.find(t); k > 0 {
+		p.times = slices.Delete(p.times, 0, k)
+		p.free = slices.Delete(p.free, 0, k)
+	}
+	p.times[0] = t
+}
+
 // reserve subtracts width from [start, end), given the index i of the step
 // covering start and the index j of the first step at or past end, and
 // returns the index of the step that now begins at start. The boundaries

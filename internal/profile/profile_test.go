@@ -295,6 +295,62 @@ func TestStepsMergedView(t *testing.T) {
 	}
 }
 
+// TestReleaseUndoesAlloc: releasing a reservation drops exactly the
+// boundaries it alone made, and a release that only frees a suffix opens
+// the boundary it needs.
+func TestReleaseUndoesAlloc(t *testing.T) {
+	p := New(8, 0)
+	p.Alloc(0, 3, 20)
+	p.Alloc(5, 2, 10)
+	p.Alloc(0, 1, 15)
+	p.Release(5, 2, 10) // 5 goes; 15 still ends the width-1 job
+	wantSteps(t, p, []int64{0, 15, 20}, []int{4, 5, 8})
+	p.Release(10, 3, 10) // a suffix: opens 10, drops 20
+	wantSteps(t, p, []int64{0, 10, 15}, []int{4, 7, 8})
+	p.Release(0, 1, 15)
+	wantSteps(t, p, []int64{0, 10}, []int{5, 8})
+	p.Release(0, 3, 10)
+	wantSteps(t, p, []int64{0}, []int{8})
+	checkInv(t, p)
+	defer func() {
+		if recover() == nil {
+			t.Fatal("releasing processors never reserved did not panic")
+		}
+	}()
+	p.Release(0, 1, 1)
+}
+
+// TestAdvance: the start moves onto a step, onto a boundary and past
+// several, and the steps behind it are forgotten; moving back panics.
+func TestAdvance(t *testing.T) {
+	p := New(8, 0)
+	p.Alloc(0, 3, 20)
+	p.Alloc(0, 2, 10)
+	p.Alloc(0, 1, 30)
+	p.Advance(0)
+	wantSteps(t, p, []int64{0, 10, 20, 30}, []int{2, 4, 7, 8})
+	p.Advance(4)
+	wantSteps(t, p, []int64{4, 10, 20, 30}, []int{2, 4, 7, 8})
+	p.Advance(10)
+	wantSteps(t, p, []int64{10, 20, 30}, []int{4, 7, 8})
+	p.Advance(31)
+	wantSteps(t, p, []int64{31}, []int{8})
+	checkInv(t, p)
+	defer func() {
+		if recover() == nil {
+			t.Fatal("Advance into the past did not panic")
+		}
+	}()
+	p.Advance(30)
+}
+
+func wantSteps(t *testing.T, p *Profile, times []int64, free []int) {
+	t.Helper()
+	if gt, gf := p.Steps(); !slices.Equal(gt, times) || !slices.Equal(gf, free) {
+		t.Fatalf("steps %v %v, want %v %v", gt, gf, times, free)
+	}
+}
+
 // naive is a brute-force per-second free-capacity model used as the
 // oracle in the property test.
 type naive struct {

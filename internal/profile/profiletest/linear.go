@@ -135,6 +135,48 @@ func (p *Linear) Alloc(start int64, width int, duration int64) {
 	}
 }
 
+// Release returns width processors over [start, start+duration), with the
+// same contract as profile.Profile.Release: split both boundaries, add
+// width across the window, then remove the boundary at end and the one
+// at start, each when it separates two steps with equal free counts.
+func (p *Linear) Release(start int64, width int, duration int64) {
+	p.check(start, width, duration)
+	end := start + duration
+	p.splitAt(start)
+	p.splitAt(end)
+	for i := p.find(start); i < len(p.steps) && p.steps[i].time < end; i++ {
+		p.steps[i].free += width
+		if p.steps[i].free > p.capacity {
+			panic(fmt.Sprintf("profile: over-release at t=%d: %d free after releasing width %d",
+				p.steps[i].time, p.steps[i].free, width))
+		}
+	}
+	p.mergeAt(end)
+	p.mergeAt(start)
+}
+
+// mergeAt removes the boundary at exactly time t when the step it begins
+// has the free count of the step before it.
+func (p *Linear) mergeAt(t int64) {
+	i := p.find(t)
+	if i > 0 && p.steps[i].time == t && p.steps[i].free == p.steps[i-1].free {
+		p.steps = append(p.steps[:i], p.steps[i+1:]...)
+	}
+}
+
+// Advance moves the profile's start to t, with the same contract as
+// profile.Profile.Advance: the first step is dropped while the next one
+// begins at or before t, and whatever step is first then begins at t.
+func (p *Linear) Advance(t int64) {
+	if t < p.steps[0].time {
+		panic(fmt.Sprintf("profile: advance to %d precedes profile start %d", t, p.steps[0].time))
+	}
+	for len(p.steps) > 1 && p.steps[1].time <= t {
+		p.steps = p.steps[1:]
+	}
+	p.steps[0].time = t
+}
+
 // Place combines EarliestFit and Alloc.
 func (p *Linear) Place(earliest int64, width int, duration int64) int64 {
 	start := p.EarliestFit(earliest, width, duration)

@@ -48,8 +48,9 @@ func TestStaticPlanAllocs(t *testing.T) {
 // TestTunerRebuildAllocs gates the self-tuner's planning step: the queue
 // changes before every Plan, as it does between scheduling events. The
 // base, the scratch profile and the schedules are the lane's, rebuilt in
-// place, and the deciders read their ties off the minimum in place; what
-// is left is the values slice the decision retains (LastDecision).
+// place, the deciders read their ties off the minimum in place, and the
+// scores and the last decision live in the tuner's own storage, so a
+// step allocates nothing.
 func TestTunerRebuildAllocs(t *testing.T) {
 	for _, queued := range []int{64, 256} {
 		waiting, spare, running := allocScenario(queued)
@@ -68,18 +69,20 @@ func TestTunerRebuildAllocs(t *testing.T) {
 		}
 		rebuild()
 		rebuild()
-		if avg := testing.AllocsPerRun(200, rebuild); avg > 1 {
-			t.Errorf("queue %d: a rebuilding Plan allocates %.2f objects, want at most 1", queued, avg)
+		if avg := testing.AllocsPerRun(200, rebuild); avg > 0 {
+			t.Errorf("queue %d: a rebuilding Plan allocates %.2f objects, want 0", queued, avg)
 		}
 	}
 }
 
 // TestRunBytesPerJob gates the heap a whole simulation allocates per
-// job: 1,000 LANL jobs under the SJF-preferred dynP. The events carry
+// job: 1,000 LANL jobs under the SJF-preferred dynP. The completions carry
 // what the harness needs of a job (its start rides on its finish event),
-// so nothing per job is kept beside them. Measured at 205–209 bytes per
-// job, under -race too; with per-job start and finished maps in the
-// trajectory it was 279–282, and with the start map alone 242.
+// submissions are read off the set in place, and a decision allocates
+// nothing, so little more than the records is left. Measured at 79.3–79.4
+// bytes per job, 82.1 under -race. With every submission pushed into the
+// event queue and a fresh score slice per decision it was 205–209; with
+// per-job start and finished maps in the trajectory as well, 279–282.
 func TestRunBytesPerJob(t *testing.T) {
 	sets, err := workload.LANL.GenerateSets(1, 1000, 1)
 	if err != nil {
@@ -93,7 +96,9 @@ func TestRunBytesPerJob(t *testing.T) {
 		t.Fatal(err)
 	}
 	runtime.ReadMemStats(&after)
-	if perJob := float64(after.TotalAlloc-before.TotalAlloc) / float64(len(set.Jobs)); perJob > 225 {
-		t.Errorf("Run allocates %.1f bytes per job, want at most 225", perJob)
+	perJob := float64(after.TotalAlloc-before.TotalAlloc) / float64(len(set.Jobs))
+	t.Logf("Run allocates %.1f bytes per job", perJob)
+	if perJob > 100 {
+		t.Errorf("Run allocates %.1f bytes per job, want at most 100", perJob)
 	}
 }

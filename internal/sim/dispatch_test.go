@@ -1,0 +1,58 @@
+package sim
+
+import (
+	"fmt"
+	"slices"
+	"testing"
+
+	"dynp/internal/engine"
+	"dynp/internal/policy"
+)
+
+// TestInstantDispatchOrder pins what one instant does, in order: the
+// completions due then, in the order their jobs started; then the
+// submissions, in set order; then one replan, whose launches may use the
+// processors the completions freed — here for a job submitted at that
+// very instant (job 4 at 10). Three jobs arrive at the first instant and
+// two at the last one, which is also an instant of two completions.
+func TestInstantDispatchOrder(t *testing.T) {
+	set := mkSet(4,
+		j(1, 0, 3, 10, 10),
+		j(2, 0, 1, 10, 10),
+		j(3, 0, 1, 5, 5),
+		j(4, 10, 3, 5, 5),
+		j(5, 15, 2, 1, 1),
+		j(6, 15, 2, 1, 1),
+	)
+	var log []string
+	res, err := Run(set, &Static{Policy: policy.FCFS}, WithVerify(),
+		WithObserver(engine.ObserverFunc(func(ev engine.Event) {
+			if ev.Kind == engine.EventPlan {
+				log = append(log, fmt.Sprintf("plan@%d", ev.Time))
+				return
+			}
+			log = append(log, fmt.Sprintf("%v %d@%d", ev.Kind, ev.Job.ID, ev.Time))
+		})))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []string{
+		"submit 1@0", "submit 2@0", "submit 3@0", "start 1@0", "start 2@0", "plan@0",
+		"finish 1@10", "finish 2@10", "submit 4@10", "start 3@10", "start 4@10", "plan@10",
+		"finish 3@15", "finish 4@15", "submit 5@15", "submit 6@15", "start 5@15", "start 6@15", "plan@15",
+		"finish 5@16", "finish 6@16", "plan@16",
+	}
+	if !slices.Equal(log, want) {
+		t.Fatalf("transitions\n got %v\nwant %v", log, want)
+	}
+	var records []string
+	for _, r := range res.Records {
+		records = append(records, fmt.Sprintf("%d:%d-%d", r.Job.ID, r.Start, r.Finish))
+	}
+	if want := []string{"1:0-10", "2:0-10", "3:10-15", "4:10-15", "5:15-16", "6:15-16"}; !slices.Equal(records, want) {
+		t.Fatalf("records %v, want %v", records, want)
+	}
+	if res.Events != 4 || res.Makespan != 16 {
+		t.Fatalf("%d events, makespan %d; want 4 and 16", res.Events, res.Makespan)
+	}
+}

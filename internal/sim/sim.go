@@ -15,12 +15,13 @@
 // The scheduling mechanics — machine state, replan-and-launch, finish
 // transitions — live in internal/engine, shared with the online RMS
 // (internal/rms). Run is a thin virtual-clock harness over that engine:
-// it orders the known submission and completion events in a queue, jumps
-// the engine's clock to each instant, applies the instant's events, and
-// triggers one shared replanning step. RunGroup drives the same event
-// loop for several drivers at once, sharing one engine among drivers
-// over the same candidate policies for as long as they launch the same
-// jobs (group.go).
+// it reads submissions off the job set in order and keeps the running
+// jobs' completions in a queue, jumps the engine's clock to each
+// instant, applies the instant's events, and triggers one shared
+// replanning step. RunGroup drives the same event loop for several
+// drivers at once, sharing one engine among drivers over the same
+// candidate policies for as long as they launch the same jobs
+// (group.go).
 package sim
 
 import (
@@ -112,16 +113,7 @@ type Result struct {
 	PolicyTime map[policy.Policy]int64
 }
 
-// evKind is an event's class in the queue.
-type evKind int
-
-const (
-	evFinish evKind = iota // processed before submissions at equal time
-	evSubmit
-)
-
-// event is a queued event's payload: its job and, for a finish, the
-// instant the job started.
+// event is a queued completion: the job and the instant it started.
 type event struct {
 	job   *job.Job
 	start int64
@@ -195,15 +187,17 @@ type member struct {
 	res    *Result
 }
 
-// trajectory is one history of the machine: an engine, its event queue
-// and the records of the jobs finished so far. Every member's launches
-// have been the same along it; a group splits it where they differ
-// (group.go), handing each part a copy.
+// trajectory is one history of the machine: an engine, the submissions
+// still to come, the running jobs' completions and the records of the
+// jobs finished so far. Every member's launches have been the same along
+// it; a group splits it where they differ (group.go), handing each part
+// a copy.
 type trajectory struct {
 	set      *job.Set
 	eng      *engine.Engine
-	events   eventq.Queue[event]
-	records  []Record // in completion order
+	next     int                 // set.Jobs[next:] are still to be submitted
+	events   eventq.Queue[event] // completions of the running jobs
+	records  []Record            // in completion order
 	makespan int64
 	last     int64 // the previous scheduling event's instant
 	members  []member
@@ -224,14 +218,6 @@ func newTrajectory(set *job.Set, members []member, driver Driver, cfg runConfig)
 		members: members,
 	}
 	t.group, _ = driver.(*group)
-	// Every job submits once and finishes once, so the queue never holds
-	// more than two events per job; reserving that bound up front keeps
-	// the heap from reallocating mid-run — which adds up when RunParallel
-	// replays thousands of replicas.
-	t.events.Reserve(2 * len(set.Jobs))
-	for _, j := range set.Jobs {
-		t.events.Push(j.Submit, int(evSubmit), event{job: j})
-	}
 	t.eng = engine.New(set.Machine, driver, t.last, t.engineOptions(cfg)...)
 	return t
 }
@@ -244,7 +230,7 @@ func (t *trajectory) engineOptions(cfg runConfig) []engine.Option {
 		engine.WithStrictLaunch(),
 		engine.WithHooks(engine.Hooks{
 			Started: func(j *job.Job, now int64) {
-				t.events.Push(now+j.Runtime, int(evFinish), event{j, now})
+				t.events.Push(now+j.Runtime, 0, event{j, now})
 			},
 		}),
 	}
@@ -273,10 +259,9 @@ func simulate(t *trajectory) error {
 // group's members launch differently it splits, continuing with one part
 // and appending the others to work.
 func (t *trajectory) run(work *[]*trajectory) error {
-	for t.resume || t.events.Len() > 0 {
+	for t.resume || t.events.Len() > 0 || t.next < len(t.set.Jobs) {
 		if !t.resume {
-			head, _ := t.events.Peek()
-			t.advance(head.Time)
+			t.advance(t.nextInstant())
 		}
 		t.resume = false
 
@@ -319,32 +304,45 @@ func (t *trajectory) run(work *[]*trajectory) error {
 	return nil
 }
 
+// nextInstant returns the instant of the next event: the earlier of the
+// next submission and the next completion. The caller guarantees there
+// is one.
+func (t *trajectory) nextInstant() int64 {
+	head, ok := t.events.Peek()
+	if t.next < len(t.set.Jobs) {
+		if sub := t.set.Jobs[t.next].Submit; !ok || sub < head.Time {
+			return sub
+		}
+	}
+	return head.Time
+}
+
 // advance moves the trajectory to the instant now and applies every
-// event at it: completions free processors, submissions extend the
-// queue.
+// event at it: first the completions, which free processors, in the
+// order the jobs were started; then the submissions, which extend the
+// queue, in set order (job.Set.Validate guarantees it sorts by
+// submission time).
 func (t *trajectory) advance(now int64) {
 	if now > t.last {
 		t.attribute(now)
 	}
 	t.eng.JumpTo(now)
 	for ev, ok := t.events.PopIf(now); ok; ev, ok = t.events.PopIf(now) {
-		switch evKind(ev.Class) {
-		case evFinish:
-			j := ev.Payload.job
-			if !t.eng.Finish(j.ID, engine.FinishCompleted) {
-				panic(fmt.Sprintf("sim: finish event for %s which is not running", j))
-			}
-			t.records = append(t.records, Record{
-				Job:    j,
-				Start:  ev.Payload.start,
-				Finish: now,
-			})
-			if now > t.makespan {
-				t.makespan = now
-			}
-		case evSubmit:
-			t.eng.Submit(ev.Payload.job)
+		j := ev.Payload.job
+		if !t.eng.Finish(j.ID, engine.FinishCompleted) {
+			panic(fmt.Sprintf("sim: finish event for %s which is not running", j))
 		}
+		t.records = append(t.records, Record{
+			Job:    j,
+			Start:  ev.Payload.start,
+			Finish: now,
+		})
+		if now > t.makespan {
+			t.makespan = now
+		}
+	}
+	for ; t.next < len(t.set.Jobs) && t.set.Jobs[t.next].Submit == now; t.next++ {
+		t.eng.Submit(t.set.Jobs[t.next])
 	}
 }
 

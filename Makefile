@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: all ci build vet fmt-check test race soak soak-disk bench bench-smoke bench-e2e bench-e2e-agree fuzz repro repro-full ablations golden golden-check golden-check-registered golden-check-ablation golden-check-fairness golden-check-full clean
+.PHONY: all ci build vet fmt-check test race soak soak-disk bench bench-smoke bench-e2e bench-e2e-agree fuzz repro ablations golden golden-check golden-check-registered golden-check-ablation golden-check-fairness clean
 
 all: build vet test
 
@@ -107,76 +107,69 @@ fuzz:
 	$(call fuzz,FuzzRunGroup,./internal/sim/,-fuzzminimizetime=10x)
 	@rm -f fuzz.out
 
-# Reduced-scale reproduction of every table and figure. The built
-# binary took 10.1 s and 9.1 s wall, 19.2 s and 17.4 s CPU on a 2-core
-# host with go1.24.0 (the binary before the base profile was kept across
-# events: 11.3 s and 11.7 s wall, 21.5 s and 22.3 s CPU, alternating in
-# the same hour). The paper scale (repro-full, the built binary, one
-# run) took 3 min 18 s wall and 6 min 25 s CPU on the same host, against
-# 3 min 32 s wall and 6 min 51 s CPU before; per trace (`-full -traces
-# X`, one run each) CTC took 85 s, KTH 29 s, LANL 17 s and SDSC 65 s
-# (before: 93, 35, 18 and 64 s). `make golden-check-full` took 3 min
-# 23 s wall, build included. The ablations (`make ablations`' command,
-# the built binary) took 16.4 s and 15.4 s wall, 28.6 s and 27.2 s CPU
-# (before: 18.4 s and 18.3 s, 31.8 s and 31.7 s).
+# The paper's reproduction of every table and figure: 10 sets x 10,000
+# jobs per trace. On a 2-core host with go1.24.0, one run each:
+# `make golden-check` took 3 min 23 s wall and 6.5 min CPU with
+# `go run`, 3 min 22 s and 6.5 min with the built binary;
+# `make golden-check-registered` took 3 min 19 s and 6.4 min with
+# `go run`, 3 min 28 s and 6.7 min with the built binary. Most of it is
+# CTC: in an earlier one-run-per-trace measurement on the same host
+# (`-traces X`, the built binary) CTC took 85 s, KTH 29 s, LANL 17 s and
+# SDSC 65 s. `make golden-check-ablation` took 15 s wall and
+# `make golden-check-fairness` 4 s.
 repro:
 	$(GO) run ./cmd/paper
 
-# Paper-scale reproduction: 10 sets x 10,000 jobs.
-repro-full:
-	$(GO) run ./cmd/paper -full
-
+# The ablation and fairness studies run at 5 sets x 2,500 jobs, the size
+# EXPERIMENTS.md documents them at.
 ablations:
-	$(GO) run ./cmd/paper -ablation all -shrinks 1.0,0.8
+	$(GO) run ./cmd/paper -ablation all -shrinks 1.0,0.8 -sets 5 -jobs 2500
 
-# Regenerate the committed golden outputs after an *intentional*
-# behavioural change (timings under repro above). Refactors must leave
-# both files byte-identical instead.
+# Regenerate the committed paper_output.txt after an *intentional*
+# behavioural change (timings under repro above). Refactors must leave it
+# byte-identical instead.
 golden:
 	$(GO) run ./cmd/paper > paper_output.txt
-	$(GO) run ./cmd/paper -full > paper_output_full.txt
 
-# Byte-compare a fresh reduced-scale run of cmd/paper against the
-# committed golden output: any change to scheduling behaviour — however
-# small — fails here. CI runs this on every push.
+# $(call golden_cmp,fresh,golden) fails on any byte difference between a
+# fresh run and its committed golden, trailing newline included, and
+# prints the head of their unified diff: the differing table rows, which
+# carry the trace name. The fresh file stays behind on failure.
+define golden_cmp
+	@cmp -s $(2) $(1) || { diff -u $(2) $(1) | head -n 40; echo "golden: $(1) differs from $(2)"; exit 1; }
+	rm -f $(1)
+endef
+
+# Byte-compare a fresh paper run of cmd/paper against the committed
+# golden output: any change to scheduling behaviour — however small —
+# fails here. CI runs this on every push.
 golden-check:
 	$(GO) run ./cmd/paper > paper_output.check.txt
-	cmp paper_output.check.txt paper_output.txt
-	rm -f paper_output.check.txt
+	$(call golden_cmp,paper_output.check.txt,paper_output.txt)
 
 # Like golden-check, but with a custom policy and decider registered (and
 # never selected): registration alone must not perturb a single byte of
 # the paper pipeline. CI runs this next to golden-check.
 golden-check-registered:
 	$(GO) run ./cmd/paper -register-inactive > paper_output.check.txt
-	cmp paper_output.check.txt paper_output.txt
-	rm -f paper_output.check.txt
+	$(call golden_cmp,paper_output.check.txt,paper_output.txt)
 
 # Byte-compare a fresh `make ablations` run against the committed
 # ablation_output.txt. The ablation sweeps hold the largest groups of
 # co-simulated deciders (sim.RunGroup: pref, decider, metric), so this
 # is their byte-level guard. CI runs this next to golden-check.
 golden-check-ablation:
-	$(GO) run ./cmd/paper -ablation all -shrinks 1.0,0.8 > ablation_output.check.txt
-	cmp ablation_output.check.txt ablation_output.txt
-	rm -f ablation_output.check.txt
+	$(GO) run ./cmd/paper -ablation all -shrinks 1.0,0.8 -sets 5 -jobs 2500 > ablation_output.check.txt
+	$(call golden_cmp,ablation_output.check.txt,ablation_output.txt)
 
 # Byte-compare a fresh fairness study (cmd/paper -fairness) against the
 # committed fairness_output.txt. It is the one golden of the float-keyed
 # PSBS orders, planned by static drivers and by the adaptive decider. CI
 # runs this next to golden-check.
 golden-check-fairness:
-	$(GO) run ./cmd/paper -fairness > fairness_output.check.txt
-	cmp fairness_output.check.txt fairness_output.txt
-	rm -f fairness_output.check.txt
-
-# Paper-scale variant of golden-check (the CI workflow runs it on
-# schedule and on manual dispatch rather than per push).
-golden-check-full:
-	$(GO) run ./cmd/paper -full > paper_output_full.check.txt
-	cmp paper_output_full.check.txt paper_output_full.txt
-	rm -f paper_output_full.check.txt
+	$(GO) run ./cmd/paper -fairness -sets 5 -jobs 2500 > fairness_output.check.txt
+	$(call golden_cmp,fairness_output.check.txt,fairness_output.txt)
 
 clean:
 	$(GO) clean ./...
-	rm -f paper_output.check.txt paper_output_full.check.txt ablation_output.check.txt fairness_output.check.txt fuzz.out
+	rm -f paper_output.check.txt ablation_output.check.txt fairness_output.check.txt fuzz.out

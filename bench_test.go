@@ -1,8 +1,8 @@
 // Benchmarks regenerating every table and figure of the paper, plus the
 // ablation studies listed in DESIGN.md. Each Benchmark<Exp> exercises the
 // full pipeline behind the corresponding experiment at a reduced scale
-// (see cmd/paper -full for paper-scale numbers); the reported ns/op is the
-// cost of regenerating that artifact once.
+// (cmd/paper runs the paper's scale); the reported ns/op is the cost of
+// regenerating that artifact once.
 package dynp_test
 
 import (

@@ -17,9 +17,11 @@ import (
 	"sort"
 
 	"dynp"
+	"dynp/internal/core"
 	"dynp/internal/metrics"
 	"dynp/internal/sim"
 	"dynp/internal/timeline"
+	"dynp/internal/workload"
 )
 
 func main() {
@@ -51,7 +53,7 @@ func main() {
 		return
 	}
 
-	set, err := loadSet(*swfPath, *trace, *jobs, *seed)
+	set, err := workload.Load(*swfPath, *trace, *jobs, *seed)
 	fail(err)
 	if *shrink != 1.0 {
 		set = set.Shrink(*shrink)
@@ -136,7 +138,7 @@ func main() {
 					wrongShare += float64(c.Count)
 				}
 			}
-			for _, line := range formatCases(hist, len(tr)) {
+			for _, line := range core.FormatCases(hist, len(tr)) {
 				fmt.Println("  " + line)
 			}
 			fmt.Printf("  decisions in simple-decider-wrong cases: %.1f%%\n",
@@ -151,35 +153,6 @@ func main() {
 		fmt.Println()
 		fail(queue.Sparkline(os.Stdout, 100))
 	}
-}
-
-func formatCases(cases []dynp.CaseCount, total int) []string {
-	var lines []string
-	for _, c := range cases {
-		mark := ""
-		if c.SimpleWrong {
-			mark = "  (simple decider decides wrongly here)"
-		}
-		lines = append(lines, fmt.Sprintf("case %-5s %7d  (%5.1f%%)%s",
-			c.Case, c.Count, 100*float64(c.Count)/float64(total), mark))
-	}
-	return lines
-}
-
-func loadSet(swfPath, trace string, jobs int, seed uint64) (*dynp.JobSet, error) {
-	if swfPath != "" {
-		f, err := os.Open(swfPath)
-		if err != nil {
-			return nil, err
-		}
-		defer f.Close()
-		return dynp.ReadSWF(f, dynp.SWFReadOptions{Name: swfPath, MaxJobs: jobs})
-	}
-	m, err := dynp.ModelByName(trace)
-	if err != nil {
-		return nil, err
-	}
-	return m.Generate(jobs, dynp.NewStream(seed))
 }
 
 func fail(err error) {

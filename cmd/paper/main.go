@@ -5,10 +5,11 @@
 //
 //	paper [flags]
 //
-// By default a reduced configuration is used; pass -full for the
-// paper-scale run (10 sets of 10,000 jobs per trace) or tune -sets/-jobs
-// directly. The Makefile's repro target records how long both take.
-// Table 1 needs no simulation and always reproduces exactly.
+// By default it runs the paper's configuration: 10 sets of 10,000 jobs
+// per trace. -sets and -jobs shrink it for quick looks; the ablation and
+// fairness studies are documented at -sets 5 -jobs 2500. The Makefile's
+// repro target records how long the paper run takes. Table 1 needs no
+// simulation and always reproduces exactly.
 //
 // Examples:
 //
@@ -39,10 +40,9 @@ func main() {
 		detail   = flag.Bool("detail", false, "also print per-set dispersion (min/max/stddev)")
 		traces   = flag.String("traces", "CTC,KTH,LANL,SDSC", "comma-separated trace models")
 		shrinks  = flag.String("shrinks", "1.0,0.9,0.8,0.7,0.6", "comma-separated shrinking factors")
-		sets     = flag.Int("sets", 5, "job sets per trace (paper: 10)")
-		jobs     = flag.Int("jobs", 2500, "jobs per set (paper: 10000)")
+		sets     = flag.Int("sets", 10, "job sets per trace")
+		jobs     = flag.Int("jobs", 10000, "jobs per set")
 		seed     = flag.Uint64("seed", 2004, "base random seed")
-		full     = flag.Bool("full", false, "paper-scale configuration (10 sets x 10000 jobs)")
 		workers  = flag.Int("workers", 0, "simulation worker pool size (0 = GOMAXPROCS)")
 		fairness = flag.Bool("fairness", false,
 			"run the fairness study: size-based (PSBS) scheduling under estimate overestimation")
@@ -62,9 +62,6 @@ func main() {
 
 	if *tables == "" && *figures == "" && *ablation == "" && !*fairness {
 		*tables, *figures = "all", "all"
-	}
-	if *full {
-		*sets, *jobs = 10, 10000
 	}
 
 	wantTables, err := parseList(*tables, 5)
@@ -182,7 +179,7 @@ func main() {
 }
 
 // inactivePolicy and inactiveDecider exist only to be registered and
-// never used: CI runs the reduced paper pipeline with -register-inactive
+// never used: CI runs the paper pipeline with -register-inactive
 // and asserts byte-identical output, proving registration alone cannot
 // perturb scheduling.
 type inactivePolicy struct{}

@@ -19,6 +19,7 @@ import (
 	"dynp/internal/gantt"
 	"dynp/internal/sim"
 	"dynp/internal/timeline"
+	"dynp/internal/workload"
 )
 
 func main() {
@@ -34,21 +35,8 @@ func main() {
 	)
 	flag.Parse()
 
-	var set *dynp.JobSet
-	if *swfPath != "" {
-		f, err := os.Open(*swfPath)
-		fail(err)
-		s, err := dynp.ReadSWF(f, dynp.SWFReadOptions{Name: *swfPath, MaxJobs: *jobs})
-		f.Close()
-		fail(err)
-		set = s
-	} else {
-		m, err := dynp.ModelByName(*trace)
-		fail(err)
-		s, err := m.Generate(*jobs, dynp.NewStream(*seed))
-		fail(err)
-		set = s
-	}
+	set, err := workload.Load(*swfPath, *trace, *jobs, *seed)
+	fail(err)
 	if *shrink != 1.0 {
 		set = set.Shrink(*shrink)
 	}

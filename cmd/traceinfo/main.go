@@ -14,6 +14,7 @@ import (
 	"os"
 
 	"dynp"
+	"dynp/internal/workload"
 )
 
 func main() {
@@ -25,24 +26,11 @@ func main() {
 	)
 	flag.Parse()
 
-	var set *dynp.JobSet
-	switch {
-	case *swfPath != "":
-		f, err := os.Open(*swfPath)
-		fail(err)
-		defer f.Close()
-		s, err := dynp.ReadSWF(f, dynp.SWFReadOptions{Name: *swfPath, MaxJobs: *jobs})
-		fail(err)
-		set = s
-	case *trace != "":
-		m, err := dynp.ModelByName(*trace)
-		fail(err)
-		s, err := m.Generate(*jobs, dynp.NewStream(*seed))
-		fail(err)
-		set = s
-	default:
+	if *swfPath == "" && *trace == "" {
 		fail(fmt.Errorf("need -trace or -swf"))
 	}
+	set, err := workload.Load(*swfPath, *trace, *jobs, *seed)
+	fail(err)
 
 	c := dynp.Characterize(set)
 	fmt.Printf("workload: %s\n", c.Name)

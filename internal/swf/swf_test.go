@@ -1,12 +1,8 @@
 package swf
 
 import (
-	"bytes"
 	"strings"
 	"testing"
-
-	"dynp/internal/rng"
-	"dynp/internal/workload"
 )
 
 const sample = `; Computer: Test SP2
@@ -98,34 +94,6 @@ func TestReadErrors(t *testing.T) {
 		if _, err := Read(strings.NewReader(input), ReadOptions{}); err == nil {
 			t.Errorf("%s: accepted", name)
 		}
-	}
-}
-
-func TestRoundTrip(t *testing.T) {
-	set, err := workload.KTH.Generate(500, rng.New(9))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := Write(&buf, set); err != nil {
-		t.Fatal(err)
-	}
-	got, err := Read(bytes.NewReader(buf.Bytes()), ReadOptions{Name: set.Name, Machine: set.Machine})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got.Jobs) != len(set.Jobs) {
-		t.Fatalf("round trip lost jobs: %d vs %d", len(got.Jobs), len(set.Jobs))
-	}
-	for i := range set.Jobs {
-		a, b := set.Jobs[i], got.Jobs[i]
-		if a.Submit != b.Submit || a.Width != b.Width ||
-			a.Estimate != b.Estimate || a.Runtime != b.Runtime {
-			t.Fatalf("job %d: %+v != %+v", i, a, b)
-		}
-	}
-	if got.Machine != set.Machine {
-		t.Fatalf("machine %d != %d", got.Machine, set.Machine)
 	}
 }
 

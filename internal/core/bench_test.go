@@ -119,11 +119,11 @@ func ctcQueue(tb testing.TB, queued int) (now int64, running []plan.Running, wai
 	return now, running, waiting
 }
 
-// BenchmarkSelfTunerPlanIncremental measures the in-place +
-// incremental-view planning path: every iteration removes one job and
-// submits a replacement through the NoteSubmit/NoteRemove interface, as
-// the scheduling engine does, so each Plan reads spliced views — the
-// steady-state cost of one scheduling event.
+// BenchmarkSelfTunerPlanIncremental measures the steady-state cost of
+// one scheduling event: every iteration drops one job from anywhere in
+// the queue and appends its replacement, as the scheduling engine does
+// between two events, so each Plan splices one job out of the order
+// views and one in.
 func BenchmarkSelfTunerPlanIncremental(b *testing.B) {
 	const capacity = 128
 	for _, queued := range []int{64, 256, 1024} {
@@ -149,21 +149,19 @@ func BenchmarkSelfTunerPlanIncremental(b *testing.B) {
 					Width: 1 + r.Intn(capacity), Estimate: est, Runtime: est,
 				}
 				nextID++
-				st.NoteSubmit(waiting[i])
 			}
+			st.Plan(1000, capacity, running, waiting)
 			b.ResetTimer()
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				old := waiting[i%queued]
-				st.NoteRemove(old)
+				k := r.Intn(queued)
+				waiting = append(waiting[:k], waiting[k+1:]...)
 				est := int64(1 + r.Intn(20000))
-				repl := &job.Job{
+				waiting = append(waiting, &job.Job{
 					ID: nextID, Submit: int64(r.Intn(1000)),
 					Width: 1 + r.Intn(capacity), Estimate: est, Runtime: est,
-				}
+				})
 				nextID++
-				waiting[i%queued] = repl
-				st.NoteSubmit(repl)
 				st.Plan(1000, capacity, running, waiting)
 			}
 		})

@@ -26,62 +26,43 @@ import (
 // engine.CheckInvariants instead of reading a rebuilt plan. The handed-out
 // schedule is never a slot, so the next Build leaves it intact.
 //
-// A front end that reports every waiting-queue change through
-// NoteSubmit/NoteRemove (the scheduling engine does, via
-// engine.QueueTracker) keeps the lane's policy.Views spliced up to date,
-// so Build reads the orders off them instead of sorting. Build trusts a
-// view only when the views hold exactly the queue it was handed (they do
-// not while the engine withholds unplaceable jobs during a capacity
-// failure, or when nothing feeds them) and only for the policy that view
-// was primed with; otherwise it sorts in full — the same schedule either
-// way, because policy orders are total. A missed notification or a
-// changed policy therefore costs speed, never correctness.
+// The lane keeps the queue in each of its policies' orders on a
+// policy.Views, which Build and BuildFrontier sync with the queue they are
+// handed: the orders follow whatever queue comes, and an event costs what
+// changed since the last one.
 type Lane struct {
-	policies []policy.Policy // what the views are primed with
+	policies []policy.Policy // one per slot, in the views' order
 	views    *policy.Views
 	base     plan.Base
 	slots    []*plan.Schedule // the current event's schedules
-	orders   [][]*job.Job     // the current event's orders, one per slot
 	kept     *plan.Schedule   // handed out by the previous Keep
 }
 
-// NewLane returns a lane whose views order the queue by the given
-// policies.
+// NewLane returns a lane that plans the queue under the given policies.
 func NewLane(policies ...policy.Policy) *Lane {
 	return &Lane{policies: policies, views: policy.NewViews(policies...)}
 }
 
-// NoteSubmit records that j entered the waiting queue.
-func (l *Lane) NoteSubmit(j *job.Job) { l.views.Insert(j) }
-
-// NoteRemove records that j left the waiting queue (it started or was
-// cancelled). Jobs the lane never heard of are ignored.
-func (l *Lane) NoteRemove(j *job.Job) { l.views.Remove(j) }
-
-// Build plans the waiting queue once per given policy and returns the
-// schedules in that order. They are the lane's until Keep: score them,
-// pick one, call Keep. All of them come from one plan.Base.BuildInto, so
-// orders that begin with the same jobs place those jobs once.
-func (l *Lane) Build(now int64, capacity int, running []plan.Running, waiting []*job.Job, policies ...policy.Policy) []*plan.Schedule {
-	l.orders = slices.Grow(l.orders[:0], len(policies))[:len(policies)]
-	l.open(now, capacity, running, len(policies))
-	viewed := l.views.Covering(waiting)
-	for i, p := range policies {
-		l.orders[i] = l.order(viewed, i, p, waiting)
-	}
-	l.base.BuildInto(l.slots, l.orders, policies)
+// Build plans the waiting queue once per policy of the lane and returns
+// the schedules in that order. They are the lane's until Keep: score
+// them, pick one, call Keep. All of them come from one
+// plan.Base.BuildInto, so orders that begin with the same jobs place
+// those jobs once.
+func (l *Lane) Build(now int64, capacity int, running []plan.Running, waiting []*job.Job) []*plan.Schedule {
+	l.open(now, capacity, running, len(l.policies))
+	l.base.BuildInto(l.slots, l.views.Sync(waiting), l.policies)
 	return l.slots
 }
 
-// BuildFrontier plans the waiting queue under p up to its launch
-// frontier (plan.Base.FrontierInto) and returns the schedule, the lane's
-// until Keep(0) like Build's. It serves a driver that launches from the
-// plan and scores nothing: the entries that start now are all placed,
-// and a reader of the whole plan calls Complete, which the lane's next
-// build forbids.
-func (l *Lane) BuildFrontier(now int64, capacity int, running []plan.Running, waiting []*job.Job, p policy.Policy) *plan.Schedule {
+// BuildFrontier plans the waiting queue under the lane's one policy up to
+// its launch frontier (plan.Base.FrontierInto) and returns the schedule,
+// the lane's until Keep(0) like Build's. It serves a driver that launches
+// from the plan and scores nothing: the entries that start now are all
+// placed, and a reader of the whole plan calls Complete, which the lane's
+// next build forbids.
+func (l *Lane) BuildFrontier(now int64, capacity int, running []plan.Running, waiting []*job.Job) *plan.Schedule {
 	l.open(now, capacity, running, 1)
-	l.base.FrontierInto(l.slots[0], l.order(l.views.Covering(waiting), 0, p, waiting), p)
+	l.base.FrontierInto(l.slots[0], l.views.Sync(waiting)[0], l.policies[0])
 	return l.slots[0]
 }
 
@@ -94,15 +75,6 @@ func (l *Lane) open(now int64, capacity int, running []plan.Running, n int) {
 		}
 	}
 	l.base.Reset(now, capacity, running)
-}
-
-// order returns the waiting queue in policy p's order for slot i: the
-// view primed for that slot when it covers the queue, else a full sort.
-func (l *Lane) order(viewed [][]*job.Job, i int, p policy.Policy, waiting []*job.Job) []*job.Job {
-	if viewed != nil && i < len(l.policies) && l.policies[i] == p {
-		return viewed[i]
-	}
-	return policy.Order(p, waiting)
 }
 
 // Keep returns the i-th schedule of the last Build, valid until the next

@@ -20,28 +20,25 @@ func sorted(now int64, capacity int, waiting []*job.Job, p policy.Policy) *plan.
 	return s
 }
 
-// TestViewsFallBackOnPartialQueue covers the lane's two reasons to sort
-// in full instead of trusting a view: Build is handed a filtered subset
-// of the tracked queue (the engine's capacity-failure path), and Build is
-// asked for a policy the view was not primed with.
-func TestViewsFallBackOnPartialQueue(t *testing.T) {
+// TestLaneFollowsPartialQueue: the lane plans whatever queue it is
+// handed. While processors are down the engine hands it a filtered subset
+// of its queue (job 2 withheld as too wide), then the whole queue again,
+// in which the withheld job rejoins out of order; each plan must equal
+// the one from a full sort.
+func TestLaneFollowsPartialQueue(t *testing.T) {
 	l := NewLane(policy.SJF)
 	jobs := []*job.Job{mkJob(1, 0, 4, 100), mkJob(2, 0, 8, 50), mkJob(3, 0, 1, 10)}
-	for _, j := range jobs {
-		l.NoteSubmit(j)
-	}
-	subset := []*job.Job{jobs[0], jobs[2]} // job 2 withheld (too wide)
-	got := l.Build(0, 4, nil, subset, policy.SJF)[0]
-	if want := sorted(0, 4, subset, policy.SJF); !slices.Equal(got.Entries, want.Entries) {
-		t.Fatalf("filtered queue planned from a stale view:\n%v\n%v", got.Entries, want.Entries)
-	}
-	l.Keep(0)
-	got = l.Build(0, 8, nil, jobs, policy.LJF)[0]
-	if want := sorted(0, 8, jobs, policy.LJF); got.Policy != policy.LJF || !slices.Equal(got.Entries, want.Entries) {
-		t.Fatalf("LJF planned from the SJF view:\n%v\n%v", got.Entries, want.Entries)
-	}
-	if kept := l.Keep(0); kept != got {
-		t.Fatal("Keep returned another schedule than Build's")
+	for _, ev := range []struct {
+		capacity int
+		queue    []*job.Job
+	}{{8, jobs}, {4, []*job.Job{jobs[0], jobs[2]}}, {8, jobs}} {
+		got := l.Build(0, ev.capacity, nil, ev.queue)[0]
+		if want := sorted(0, ev.capacity, ev.queue, policy.SJF); !slices.Equal(got.Entries, want.Entries) {
+			t.Fatalf("capacity %d: planned %v, want %v", ev.capacity, got.Entries, want.Entries)
+		}
+		if kept := l.Keep(0); kept != got {
+			t.Fatal("Keep returned another schedule than Build's")
+		}
 	}
 }
 
@@ -51,7 +48,7 @@ func TestViewsFallBackOnPartialQueue(t *testing.T) {
 func TestKeepDoubleBuffers(t *testing.T) {
 	l := NewLane(policy.Candidates...)
 	jobs := []*job.Job{mkJob(1, 0, 4, 100), mkJob(2, 0, 8, 50), mkJob(3, 0, 1, 10)}
-	built := l.Build(0, 8, nil, jobs, policy.Candidates...)
+	built := l.Build(0, 8, nil, jobs)
 	losers := []*plan.Schedule{built[0], built[2]}
 	kept := l.Keep(1)
 	want := slices.Clone(kept.Entries)
@@ -61,7 +58,7 @@ func TestKeepDoubleBuffers(t *testing.T) {
 		}
 	}
 	for round := 0; round < 3; round++ {
-		for _, s := range l.Build(int64(round), 8, nil, jobs[round:], policy.Candidates...) {
+		for _, s := range l.Build(int64(round), 8, nil, jobs[round:]) {
 			if s == kept {
 				t.Fatal("Build rebuilt the schedule Keep handed out")
 			}
@@ -99,11 +96,8 @@ func TestForkedLaneBuildAllocatesNothing(t *testing.T) {
 		t.Fatal("FCFS and LJF do not fork after the first half: the test proves nothing")
 	}
 	l := NewLane(policy.Candidates...)
-	for _, j := range jobs {
-		l.NoteSubmit(j)
-	}
 	step := func() {
-		l.Build(0, 8, nil, jobs, policy.Candidates...)
+		l.Build(0, 8, nil, jobs)
 		l.Keep(1)
 	}
 	step()
@@ -119,8 +113,7 @@ func TestOnePolicyLaneHasNoForkStorage(t *testing.T) {
 	jobs := forkingQueue(64)
 	l := NewLane(policy.FCFS)
 	for k := 1; k <= len(jobs); k++ {
-		l.NoteSubmit(jobs[k-1])
-		l.Build(int64(k), 8, nil, jobs[:k], policy.FCFS)
+		l.Build(int64(k), 8, nil, jobs[:k])
 		l.Keep(0)
 	}
 	if forks := reflect.ValueOf(&l.base).Elem().FieldByName("forks"); forks.Cap() != 0 {
@@ -131,10 +124,10 @@ func TestOnePolicyLaneHasNoForkStorage(t *testing.T) {
 // TestLaneStorageGrowsGeometrically grows the queue by one job per event
 // from 1 to n. About a dozen arrays grow with the queue — four schedules'
 // entries, the base, scratch and fork profiles' two slices each, the three
-// views — and each grows by doubling, so the whole run allocates
-// O(log n) times, not once per event: doubling n adds about one
-// allocation per array, where reallocating to the exact length would add
-// n.
+// views and their copy of the queue — and each grows by doubling, so the
+// whole run allocates O(log n) times, not once per event: doubling n adds
+// about one allocation per array, where reallocating to the exact length
+// would add n.
 func TestLaneStorageGrowsGeometrically(t *testing.T) {
 	const n = 512
 	jobs := make([]*job.Job, n)
@@ -145,8 +138,7 @@ func TestLaneStorageGrowsGeometrically(t *testing.T) {
 		return testing.AllocsPerRun(1, func() {
 			l := NewLane(policy.Candidates...)
 			for k := 1; k <= n; k++ {
-				l.NoteSubmit(jobs[k-1])
-				l.Build(int64(k), 8, nil, jobs[:k], policy.Candidates...)
+				l.Build(int64(k), 8, nil, jobs[:k])
 				l.Keep(k % len(policy.Candidates))
 			}
 		})

@@ -31,8 +31,8 @@ type Stats struct {
 // event, Plan builds a full what-if schedule per candidate policy, scores
 // them with Metric and lets Decider pick the policy whose schedule is
 // executed. The zero value is not usable; construct with NewSelfTuner.
-// The placement work of a step — and the order views NoteSubmit/NoteRemove
-// feed — is the shared Lane's.
+// The placement work of a step, ordering the queue included, is the
+// shared Lane's.
 type SelfTuner struct {
 	candidates []policy.Policy
 	decider    Decider
@@ -133,13 +133,6 @@ func (t *SelfTuner) Stats() Stats {
 	return s
 }
 
-// NoteSubmit tells the tuner a job entered the waiting queue (see Lane).
-func (t *SelfTuner) NoteSubmit(j *job.Job) { t.lane.NoteSubmit(j) }
-
-// NoteRemove tells the tuner a job left the waiting queue (it started or
-// was cancelled). Unknown jobs are ignored.
-func (t *SelfTuner) NoteRemove(j *job.Job) { t.lane.NoteRemove(j) }
-
 // Plan performs one self-tuning dynP step: build a what-if schedule per
 // candidate policy, let Choose score and decide, and return the schedule
 // of the chosen policy (reused, not rebuilt). The chosen policy becomes
@@ -150,7 +143,7 @@ func (t *SelfTuner) NoteRemove(j *job.Job) { t.lane.NoteRemove(j) }
 // engine.Driver). All planning storage is the lane's, rebuilt in place
 // at every step (see Lane).
 func (t *SelfTuner) Plan(now int64, capacity int, running []plan.Running, waiting []*job.Job) *plan.Schedule {
-	return t.lane.Keep(t.Choose(now, t.lane.Build(now, capacity, running, waiting, t.candidates...)))
+	return t.lane.Keep(t.Choose(now, t.lane.Build(now, capacity, running, waiting)))
 }
 
 // Choose is the deciding half of a self-tuning step: it scores the

@@ -1,10 +1,9 @@
 // Checkpoint serialisation of the self-tuner's decision state: the
 // active policy, the aggregated statistics and the decision trace — all
 // keyed by policy *name*, so journals survive registry changes and work
-// for any registered policy. The incremental order views are deliberately
-// not captured — they are a pure optimisation, byte-identical to the
-// full-sort fallback, and are re-primed by the engine's queue-tracker
-// notifications during restore.
+// for any registered policy. The lane's order views are deliberately not
+// captured: they follow the queue each Plan is handed, so a restored
+// tuner's first Plan builds them from the restored queue.
 //
 // A stateful decider (see StatefulDecider) rides the same encoding: its
 // name and opaque state bytes are included when present. The fields are
@@ -134,8 +133,8 @@ func (t *SelfTuner) MarshalState() ([]byte, error) {
 // Policy names are resolved against the tuner's candidates (then the
 // registry); unknown names are refused with a clear error. A serialized
 // decider state is handed to the tuner's decider, which must carry the
-// same name and implement StatefulDecider. Queue-tracking state is
-// untouched (it is rebuilt by the restore's NoteSubmit notifications).
+// same name and implement StatefulDecider. The lane's order views are
+// untouched: the next Plan syncs them with the queue it is handed.
 func (t *SelfTuner) UnmarshalState(data []byte) error {
 	var st tunerState
 	if err := json.Unmarshal(data, &st); err != nil {

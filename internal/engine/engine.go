@@ -54,17 +54,24 @@ type Driver interface {
 	// recycle the old one's storage and Complete panics. Copy out what
 	// must outlive that. One driver therefore serves one engine at a
 	// time.
+	//
+	// waiting is the queue as it stands, in submission order, minus the
+	// jobs too wide for the effective capacity. It is the engine's to
+	// edit in place after Plan returns, and the engine says nothing of
+	// changes in between: a driver that keeps state across calls (a
+	// core.Lane's order views) copies what it needs and works out what
+	// changed from the next queue it is handed.
 	Plan(now int64, capacity int, running []plan.Running, waiting []*job.Job) *plan.Schedule
 	// ActivePolicy returns the policy the last plan was built with.
 	ActivePolicy() policy.Policy
 }
 
-// QueueTracker is an optional Driver extension. A driver that keeps
-// incrementally-updated orders of the waiting queue (the static and
-// self-tuning dynP drivers do, on policy.Views) implements it to be told
-// about every waiting-queue change; the engine then reports each
-// submission and each removal (start or cancel) as it happens. Purely an
-// optimisation: a driver that never hears a notification just re-sorts.
+// QueueTracker is the method set of a driver told of every waiting-queue
+// change. The engine tells no driver: a driver orders the queue each Plan
+// is handed (policy.Views.Sync).
+//
+// Deprecated: the engine never calls it. It stays while
+// benchmark/trace.go names it (ROADMAP.md, item 1(c)).
 type QueueTracker interface {
 	NoteSubmit(j *job.Job)
 	NoteRemove(j *job.Job)
@@ -110,7 +117,6 @@ type Engine struct {
 	capacity int // installed processors
 	failed   int // processors currently failed
 	driver   Driver
-	tracker  QueueTracker // non-nil when the driver wants queue notifications
 	now      int64
 	victims  VictimPolicy
 	hooks    Hooks
@@ -158,9 +164,6 @@ func New(capacity int, driver Driver, start int64, opts ...Option) *Engine {
 		victims:    VictimLastStarted,
 		waitingIdx: make(map[job.ID]int),
 		runningIdx: make(map[job.ID]int),
-	}
-	if t, ok := driver.(QueueTracker); ok {
-		e.tracker = t
 	}
 	for _, o := range opts {
 		o(e)
@@ -248,9 +251,6 @@ func (e *Engine) JumpTo(t int64) {
 func (e *Engine) Submit(j *job.Job) {
 	e.waitingIdx[j.ID] = len(e.waiting)
 	e.waiting = append(e.waiting, j)
-	if e.tracker != nil {
-		e.tracker.NoteSubmit(j)
-	}
 	e.emit(Event{Kind: EventSubmit, Job: j, Procs: j.Width})
 }
 
@@ -532,9 +532,6 @@ func (e *Engine) removeWaiting(id job.ID) (*job.Job, bool) {
 	delete(e.waitingIdx, id)
 	for k := i; k < len(e.waiting); k++ {
 		e.waitingIdx[e.waiting[k].ID] = k
-	}
-	if e.tracker != nil {
-		e.tracker.NoteRemove(j)
 	}
 	return j, true
 }

@@ -41,9 +41,7 @@ type State struct {
 }
 
 // RestoreState installs st into a virgin engine (fresh from New: no
-// submissions, no time movement). The waiting queue is announced to the
-// driver's QueueTracker, if any, so incrementally-maintained queue
-// orders are primed; nothing else observes the restore.
+// submissions, no time movement). Nothing observes the restore.
 func (e *Engine) RestoreState(st State) error {
 	if len(e.waiting) != 0 || len(e.running) != 0 || e.finished != 0 {
 		return fmt.Errorf("engine: RestoreState on a non-virgin engine")
@@ -63,9 +61,6 @@ func (e *Engine) RestoreState(st State) error {
 		}
 		e.waitingIdx[j.ID] = len(e.waiting)
 		e.waiting = append(e.waiting, j)
-		if e.tracker != nil {
-			e.tracker.NoteSubmit(j)
-		}
 	}
 	for _, r := range st.Running {
 		if _, dup := e.runningIdx[r.Job.ID]; dup || e.IsWaiting(r.Job.ID) {

@@ -34,7 +34,7 @@ func registeredPolicies(t testing.TB) []policy.Policy {
 // to pass the strict Verify. All policies are built in one call, so orders
 // sharing a prefix resume each other's builds. The call is made twice, the
 // second time with the policies reversed, into the same schedules: every
-// slot is overwritten with another policy's entries, sums and Release mark,
+// slot is overwritten with another policy's entries and Release mark,
 // as a lane slot is from event to event, and the forks run the other way.
 // Each order is also built up to its launch frontier, on a base and into a
 // schedule of its own, reused the same way (see checkFrontier).
@@ -74,7 +74,7 @@ func checkAgainstNaive(t testing.TB, policies []policy.Policy, now int64, capaci
 // checkFrontier builds order up to its launch frontier into s and
 // requires every job the build left unplaced to start after now in the
 // naive plan, and the completed schedule to equal whole, BuildInto's plan
-// of the same order, field for field: entries, metric sums and marks.
+// of the same order, field for field: entries and marks.
 func checkFrontier(t testing.TB, base *plan.Base, s *plan.Schedule, order []*job.Job, p policy.Policy, whole, naive *plan.Schedule) {
 	t.Helper()
 	base.FrontierInto(s, order, p)

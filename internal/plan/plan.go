@@ -43,48 +43,16 @@ type Entry struct {
 // machine state at time Now. A frontier build (Base.FrontierInto) leaves
 // the jobs that cannot start at Now unplaced: Entries then holds only the
 // placed prefix of the plan, and Complete places the rest. Verify, the
-// Planned* accessors and MaxEstimatedEnd complete the plan themselves.
+// Planned* accessors and MaxEstimatedEnd complete the plan themselves,
+// then walk its entries.
 type Schedule struct {
 	Now      int64
 	Capacity int
 	Policy   policy.Policy
 	Entries  []Entry // in placement (policy) order
 
-	// Fused scoring state: the builders accumulate every metric's sums in
-	// the placement pass, so the Planned* accessors need not re-walk the
-	// entries. Schedules assembled by hand (entry-by-entry, e.g. the EASY
-	// driver's) leave scored false and the accessors fall back to walking.
-	scored   bool
-	sums     aggregates
 	released bool  // superseded by its owner (see Release)
 	rest     *Base // what Complete resumes from; nil once the plan is whole
-}
-
-// aggregates holds the per-metric running sums of one placement pass. The
-// accumulation expressions and their order mirror the Planned* walking
-// loops exactly, so fused and walked scores are byte-identical.
-type aggregates struct {
-	sldNum, sldDen     float64 // PlannedSLDwA
-	artSum             float64 // PlannedART
-	artwwNum, artwwDen float64 // PlannedARTwW
-	awtSum             float64 // PlannedAWT
-	maxEnd             int64   // PlannedMakespan (0 when no entries)
-}
-
-// accumulate folds one placed entry into the running sums.
-func (a *aggregates) accumulate(j *job.Job, start int64) {
-	area := float64(j.EstimatedArea())
-	sld := float64(start-j.Submit+j.Estimate) / float64(j.Estimate)
-	a.sldNum += area * sld
-	a.sldDen += area
-	a.artSum += float64(start - j.Submit + j.Estimate)
-	w := float64(j.Width)
-	a.artwwNum += w * float64(start-j.Submit+j.Estimate)
-	a.artwwDen += w
-	a.awtSum += float64(start - j.Submit)
-	if end := j.EstimatedEnd(start); end > a.maxEnd {
-		a.maxEnd = end
-	}
 }
 
 // Base is the starting state of schedule construction at one scheduling
@@ -128,7 +96,6 @@ type fork struct {
 	child, parent, at int
 	prof              profile.Profile
 	proven            witnesses
-	sums              aggregates
 }
 
 // Reset makes b the base of a scheduling event at now on a machine of the
@@ -206,18 +173,17 @@ func (b *Base) Profile() *profile.Profile { return b.prof.Clone() }
 // before is overwritten, including a Release mark.
 //
 // The place method it calls is the one placement loop of the tree (its
-// step, placeJob, is what FrontierInto and Complete run). Metric
-// sums are accumulated in the same pass (see aggregates), so scoring the result
-// re-walks nothing. Each hole search starts not at now but at the latest
-// start the build's earlier placements prove no such job can beat (see
-// witness.go); the result is the same earliest fit either way.
+// step, placeJob, is what FrontierInto and Complete run). Each hole
+// search starts not at now but at the latest start the build's earlier
+// placements prove no such job can beat (see witness.go); the result is
+// the same earliest fit either way.
 //
 // Orders that begin with the same jobs place those jobs once. Each order
 // resumes from the earlier one sharing its longest prefix, the earliest
-// on a tie: it takes over the profile, witness table, metric sums and
-// entries that build held after the shared placements. All four depend
-// only on the base and the jobs placed so far, so a resumed schedule is
-// bit for bit the one a build from the base produces.
+// on a tie: it takes over the profile, witness table and entries that
+// build held after the shared placements. All three depend only on the
+// base and the jobs placed so far, so a resumed schedule is bit for bit
+// the one a build from the base produces.
 func (b *Base) BuildInto(ss []*Schedule, orders [][]*job.Job, policies []policy.Policy) {
 	b.tail.of = nil // the scratch profile is about to be rebuilt
 	b.findForks(orders)
@@ -231,14 +197,14 @@ func (b *Base) BuildInto(ss []*Schedule, orders [][]*job.Job, policies []policy.
 		if len(resumes) > 0 && resumes[0].child == i {
 			f := &resumes[0]
 			resumes = resumes[1:]
-			prof, proven, placed, s.sums = &f.prof, f.proven, f.at, f.sums
+			prof, proven, placed = &f.prof, f.proven, f.at
 			s.Entries = append(s.Entries, ss[f.parent].Entries[:placed]...)
 		} else {
 			b.prof.CloneInto(prof)
 		}
 		for next := b.nextFork(i, placed); next >= 0; next = b.nextFork(i, next+1) {
 			b.place(s, prof, &proven, ordered[placed:next])
-			b.hand(i, next, prof, proven, s.sums)
+			b.hand(i, next, prof, proven)
 			placed = next
 		}
 		b.place(s, prof, &proven, ordered[placed:])
@@ -255,10 +221,7 @@ func (b *Base) open(s *Schedule, n int, p policy.Policy) {
 		// schedule should have to care which it got.
 		entries = []Entry{}
 	}
-	*s = Schedule{Now: b.Now, Capacity: b.Capacity, Policy: p,
-		Entries: entries,
-		scored:  true,
-	}
+	*s = Schedule{Now: b.Now, Capacity: b.Capacity, Policy: p, Entries: entries}
 }
 
 // FrontierInto builds s as BuildInto builds the plan of the one order,
@@ -270,13 +233,12 @@ func (b *Base) open(s *Schedule, n int, p policy.Policy) {
 // part of a plan a launch reads — is therefore all in the placed prefix.
 //
 // The jobs not yet placed are copied into the schedule's entry storage
-// past its length — an order view changes as soon as the engine launches
-// a job, so the order itself cannot be kept — each with the shortest
-// estimate from it on as its start until it is placed there. The build's
-// profile and witness table stay in the base, and Complete places the
-// held jobs with the same loop BuildInto runs, so a completed schedule,
-// metric sums included, is bit for bit BuildInto's. The base's next build
-// supersedes that state: Complete panics after it.
+// past its length — the order is the caller's to change once the build
+// returns, so it is not kept — each with the shortest estimate from it on
+// as its start until it is placed there. The build's profile and witness
+// table stay in the base, and Complete places the held jobs with the same
+// loop BuildInto runs, so a completed schedule is bit for bit BuildInto's.
+// The base's next build supersedes that state: Complete panics after it.
 func (b *Base) FrontierInto(s *Schedule, ordered []*job.Job, p policy.Policy) {
 	t, n := &b.tail, len(ordered)
 	b.open(s, n, p)
@@ -334,7 +296,6 @@ func (b *Base) placeJob(s *Schedule, prof *profile.Profile, proven *witnesses, j
 		proven.record(j.Width, j.Estimate, start)
 	}
 	s.Entries = append(s.Entries, Entry{Job: j, Start: start})
-	s.sums.accumulate(j, start)
 }
 
 // findForks records, for every order after the first, the earlier order
@@ -391,11 +352,11 @@ func (b *Base) nextFork(i, k int) int {
 
 // hand copies the state of order i's build after k placements to every
 // fork taken there.
-func (b *Base) hand(i, k int, prof *profile.Profile, proven witnesses, sums aggregates) {
+func (b *Base) hand(i, k int, prof *profile.Profile, proven witnesses) {
 	for f := range b.forks {
 		if c := &b.forks[f]; c.parent == i && c.at == k {
 			prof.CloneInto(&c.prof)
-			c.proven, c.sums = proven, sums
+			c.proven = proven
 		}
 	}
 }
@@ -454,14 +415,12 @@ func (s *Schedule) Released() bool { return s.released }
 // (wait_i+estimate_i)/estimate_i. An empty plan scores 0.
 func (s *Schedule) PlannedSLDwA() float64 {
 	s.Complete()
-	num, den := s.sums.sldNum, s.sums.sldDen
-	if !s.scored {
-		for _, e := range s.Entries {
-			a := float64(e.Job.EstimatedArea())
-			sld := float64(e.Start-e.Job.Submit+e.Job.Estimate) / float64(e.Job.Estimate)
-			num += a * sld
-			den += a
-		}
+	var num, den float64
+	for _, e := range s.Entries {
+		a := float64(e.Job.EstimatedArea())
+		sld := float64(e.Start-e.Job.Submit+e.Job.Estimate) / float64(e.Job.Estimate)
+		num += a * sld
+		den += a
 	}
 	if den == 0 {
 		return 0
@@ -476,11 +435,9 @@ func (s *Schedule) PlannedART() float64 {
 	if len(s.Entries) == 0 {
 		return 0
 	}
-	sum := s.sums.artSum
-	if !s.scored {
-		for _, e := range s.Entries {
-			sum += float64(e.Start - e.Job.Submit + e.Job.Estimate)
-		}
+	var sum float64
+	for _, e := range s.Entries {
+		sum += float64(e.Start - e.Job.Submit + e.Job.Estimate)
 	}
 	return sum / float64(len(s.Entries))
 }
@@ -490,13 +447,11 @@ func (s *Schedule) PlannedART() float64 {
 // An empty plan scores 0.
 func (s *Schedule) PlannedARTwW() float64 {
 	s.Complete()
-	num, den := s.sums.artwwNum, s.sums.artwwDen
-	if !s.scored {
-		for _, e := range s.Entries {
-			w := float64(e.Job.Width)
-			num += w * float64(e.Start-e.Job.Submit+e.Job.Estimate)
-			den += w
-		}
+	var num, den float64
+	for _, e := range s.Entries {
+		w := float64(e.Job.Width)
+		num += w * float64(e.Start-e.Job.Submit+e.Job.Estimate)
+		den += w
 	}
 	if den == 0 {
 		return 0
@@ -510,11 +465,9 @@ func (s *Schedule) PlannedAWT() float64 {
 	if len(s.Entries) == 0 {
 		return 0
 	}
-	sum := s.sums.awtSum
-	if !s.scored {
-		for _, e := range s.Entries {
-			sum += float64(e.Start - e.Job.Submit)
-		}
+	var sum float64
+	for _, e := range s.Entries {
+		sum += float64(e.Start - e.Job.Submit)
 	}
 	return sum / float64(len(s.Entries))
 }
@@ -535,9 +488,6 @@ func (s *Schedule) PlannedMakespan() float64 {
 // convention).
 func (s *Schedule) MaxEstimatedEnd() int64 {
 	s.Complete()
-	if s.scored {
-		return s.sums.maxEnd
-	}
 	var end int64
 	for _, e := range s.Entries {
 		if t := e.Job.EstimatedEnd(e.Start); t > end {

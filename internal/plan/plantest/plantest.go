@@ -1,8 +1,9 @@
 // Package plantest is the naive oracle of the planner stack: the one
 // reference every fast path — schedules rebuilt in place, spliced order
-// views, dominance-bounded hole searches, fused scores, the shared lane,
-// the daemon's delivery loop — is checked against, in lockstep, event by
-// event. It is test support, imported only from _test files.
+// views, dominance-bounded hole searches, shared build prefixes, the
+// shared lane, the daemon's delivery loop — is checked against, in
+// lockstep, event by event. It is test support, imported only from _test
+// files.
 //
 // The behavioural contracts it checks:
 //
@@ -31,11 +32,12 @@
 // The oracle is slow and obvious on purpose. It shares no mechanism with
 // what it checks: a full sort per policy per event, the array-of-structs
 // profiletest.Linear, an EarliestFit + Alloc pair per job with every
-// search started at now, schedules assembled by hand (so their Planned*
-// accessors walk the entries), no reused storage, no views, no witness
-// bounds. It does share policy.Order, the Policy orders themselves,
+// search started at now, schedules assembled by hand, no reused storage,
+// no views, no witness bounds. It does share policy.Order, the Policy
+// orders themselves, the Planned* scores (which walk the entries),
 // core.Metric's dispatch and the deciders: those have their own tests
-// (policy.TestOrderMatchesSliceStable, the exhaustive decider tables).
+// (policy.TestOrderMatchesSliceStable, plan.TestPlannedMetrics, the
+// exhaustive decider tables).
 package plantest
 
 import (
@@ -127,24 +129,27 @@ func (t *Tuner) Step(now int64, capacity int, running []plan.Running, waiting []
 	return values, refs[slices.Index(t.Candidates, t.Active)]
 }
 
-// Lanes tallies the plans a lockstep driver checked, by the lane that
-// served them — spliced order views or the full-sort fallback — and by
-// how far they were built: stopped at the launch frontier with jobs left
-// unplaced, or placed whole. One count outlives the drivers of a stream,
-// which restarts replace.
-type Lanes struct{ View, Sort, Stopped, Whole int }
+// Lanes tallies the plans a lockstep driver checked: by how far they
+// were built — stopped at the launch frontier with jobs left unplaced, or
+// placed whole — and how many of them were handed a job rejoining the
+// queue out of order: one submitted before the previous plan's now yet
+// absent from that plan's queue, which is what the engine's withholding
+// of jobs too wide for a failed machine makes. One count outlives the
+// drivers of a stream, which restarts replace.
+type Lanes struct{ Rejoined, Stopped, Whole int }
 
 // lockstep is the self-checking driver: it plans with the wrapped driver
-// and fails the test unless the result equals the oracle's. It mirrors
-// the queue notifications into a view of its own to know which lane the
-// wrapped driver can have planned on.
+// and fails the test unless the result equals the oracle's.
 type lockstep struct {
 	engine.Driver
-	t      testing.TB
-	live   *core.SelfTuner // the wrapped driver's tuner; nil checks BC-1 only
-	ref    *Tuner
-	mirror *policy.Views
-	lanes  *Lanes
+	t     testing.TB
+	live  *core.SelfTuner // the wrapped driver's tuner; nil checks BC-1 only
+	ref   *Tuner
+	lanes *Lanes
+
+	prev    []*job.Job // the queue the previous plan was handed
+	prevNow int64
+	planned bool // whether there was a previous plan
 }
 
 // statefulLockstep adds engine.StatefulDriver for wrapped drivers that
@@ -174,33 +179,20 @@ func Lockstep(t testing.TB, d engine.Driver, lanes *Lanes) engine.Driver {
 // TunerLockstep wraps a self-tuning driver whose tuner is live (BC-2
 // against ref).
 func TunerLockstep(t testing.TB, d engine.Driver, live *core.SelfTuner, ref *Tuner, lanes *Lanes) engine.Driver {
-	l := &lockstep{Driver: d, t: t, live: live, ref: ref, mirror: policy.NewViews(policy.FCFS), lanes: lanes}
+	l := &lockstep{Driver: d, t: t, live: live, ref: ref, lanes: lanes}
 	if sd, ok := d.(engine.StatefulDriver); ok {
 		return &statefulLockstep{l, sd}
 	}
 	return l
 }
 
-func (d *lockstep) NoteSubmit(j *job.Job) {
-	d.mirror.Insert(j)
-	if qt, ok := d.Driver.(engine.QueueTracker); ok {
-		qt.NoteSubmit(j)
-	}
-}
-
-func (d *lockstep) NoteRemove(j *job.Job) {
-	d.mirror.Remove(j)
-	if qt, ok := d.Driver.(engine.QueueTracker); ok {
-		qt.NoteRemove(j)
-	}
-}
-
 func (d *lockstep) Plan(now int64, capacity int, running []plan.Running, waiting []*job.Job) *plan.Schedule {
-	if d.mirror.Covering(waiting) != nil {
-		d.lanes.View++
-	} else {
-		d.lanes.Sort++
+	if d.planned && slices.ContainsFunc(waiting, func(j *job.Job) bool {
+		return j.Submit < d.prevNow && !slices.Contains(d.prev, j)
+	}) {
+		d.lanes.Rejoined++
 	}
+	d.prev, d.prevNow, d.planned = append(d.prev[:0], waiting...), now, true
 	got := d.Driver.Plan(now, capacity, running, waiting)
 	placed := len(got.Entries) // before anything completes it
 	if placed < len(waiting) {
@@ -271,11 +263,12 @@ const Capacity = 16
 // with heavily tied keys, clock advances that fire kills at the estimate
 // and planned starts, early completions, cancellations, an ID cancelled
 // and re-submitted as a new job within one instant, processor failures
-// that make the engine withhold jobs too wide for what is left (the
-// views no longer cover the planned queue: full-sort fallback) or drain
+// that make the engine withhold jobs too wide for what is left (they
+// rejoin the planned queue out of order once processors return) or drain
 // the machine entirely, and a checkpoint restored into a fresh engine and
-// driver — which primes the new views through NoteSubmit and, for an
-// engine.StatefulDriver, carries SaveState over into RestoreState.
+// driver — whose first plan builds its order views from the restored
+// queue and which, for an engine.StatefulDriver, carries SaveState over
+// into RestoreState.
 func Run(t testing.TB, newDriver func() engine.Driver, data []byte) {
 	driver := newDriver()
 	eng := engine.New(Capacity, driver, 0)

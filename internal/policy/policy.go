@@ -131,9 +131,9 @@ func TieBreak(a, b *job.Job) bool {
 }
 
 // Order returns a new slice with the jobs sorted according to p. The
-// input slice is not modified. Planning drivers fed by queue
-// notifications read their orders off spliced Views instead; Order is the
-// full-sort fallback and the reference those views are checked against.
+// input slice is not modified. The planning drivers read their orders off
+// spliced Views instead; Order is the EASY driver's sort and the
+// reference those views are checked against.
 func Order(p Policy, jobs []*job.Job) []*job.Job {
 	out := append([]*job.Job(nil), jobs...)
 	// Less is total over distinct jobs, so "not less" means "greater" for

@@ -8,52 +8,56 @@ import (
 )
 
 // Views keeps the waiting queue sorted under each of a fixed set of
-// policies, spliced on every queue change, so a planning step never
-// re-sorts: an arrival costs one binary search and one memmove per policy
-// instead of an O(n log n) sort per policy per scheduling event. Every
-// policy order is total (TieBreak ends each Less), so a spliced view is
-// byte-identical to Order's stable sort of the same jobs.
-//
-// The planning drivers (the self-tuner over its candidates, a static
-// driver over its one policy) feed it from engine.QueueTracker
-// notifications and ask Covering before trusting it, so a missed
-// notification costs speed, never correctness. A nil *Views tracks
-// nothing and covers nothing. Not safe for concurrent use.
+// policies, so a planning step never re-sorts: Sync splices in what
+// changed since the queue of its last call, and an arrival costs one
+// binary search and one memmove per policy instead of an O(n log n) sort
+// per policy per scheduling event. Every policy order is total (TieBreak
+// ends each Less), so a spliced view is byte-identical to Order's stable
+// sort of the same jobs. Not safe for concurrent use.
 type Views struct {
 	policies []Policy
-	tracked  map[job.ID]*job.Job
+	queue    []*job.Job   // the queue of the last Sync, in its order
 	orders   [][]*job.Job // parallel to policies, each in its policy's order
 }
 
 // NewViews returns empty views over the given policies.
 func NewViews(policies ...Policy) *Views {
-	return &Views{
-		policies: policies,
-		tracked:  make(map[job.ID]*job.Job),
-		orders:   make([][]*job.Job, len(policies)),
-	}
+	return &Views{policies: policies, orders: make([][]*job.Job, len(policies))}
 }
 
-// Insert records that j entered the waiting queue. Re-submitting a live
-// ID replaces the stale entry, so the views never hold two jobs with one
-// ID.
-func (v *Views) Insert(j *job.Job) {
-	if old, ok := v.tracked[j.ID]; ok {
-		v.Remove(old)
+// Sync makes the views hold exactly the jobs of waiting and returns the
+// per-policy orders, parallel to the policies given to NewViews. The
+// orders are the views' own storage: read-only, and valid until the next
+// Sync.
+//
+// It walks the queue of the last call against waiting, in order, the way
+// plan.Base.Reset walks the running set: a job that is not next in
+// waiting is spliced out of every order, and the jobs after the last
+// match are spliced in. The scheduling engine only appends submissions
+// and removes jobs in place, so a call costs what changed. A job that
+// rejoins out of order — withheld during a capacity failure and back, or
+// an ID re-submitted as a new job — is spliced out and in again, which
+// costs a little and changes nothing.
+func (v *Views) Sync(waiting []*job.Job) [][]*job.Job {
+	k := 0 // waiting[:k] matched the last queue so far
+	for _, j := range v.queue {
+		if k < len(waiting) && waiting[k] == j {
+			k++
+		} else {
+			v.remove(j)
+		}
 	}
-	v.tracked[j.ID] = j
-	for i, p := range v.policies {
-		v.orders[i] = slices.Insert(v.orders[i], position(p, v.orders[i], j), j)
+	for _, j := range waiting[k:] {
+		for i, p := range v.policies {
+			v.orders[i] = slices.Insert(v.orders[i], position(p, v.orders[i], j), j)
+		}
 	}
+	v.queue = append(v.queue[:0], waiting...)
+	return v.orders
 }
 
-// Remove records that j left the waiting queue (it started or was
-// cancelled). Jobs the views do not hold are ignored.
-func (v *Views) Remove(j *job.Job) {
-	if v == nil || v.tracked[j.ID] != j {
-		return
-	}
-	delete(v.tracked, j.ID)
+// remove splices j out of every order.
+func (v *Views) remove(j *job.Job) {
 	for i, p := range v.policies {
 		o := v.orders[i]
 		k := position(p, o, j)
@@ -62,24 +66,6 @@ func (v *Views) Remove(j *job.Job) {
 		}
 		v.orders[i] = slices.Delete(o, k, k+1)
 	}
-}
-
-// Covering returns the per-policy orders of waiting (parallel to the
-// policies given to NewViews) when the views hold exactly the jobs of
-// that slice, or nil to request a full sort — e.g. while the engine
-// withholds unplaceable jobs during a capacity failure. The orders are
-// the views' own storage: read-only, and valid until the next Insert or
-// Remove.
-func (v *Views) Covering(waiting []*job.Job) [][]*job.Job {
-	if v == nil || len(v.tracked) != len(waiting) {
-		return nil
-	}
-	for _, j := range waiting {
-		if v.tracked[j.ID] != j {
-			return nil
-		}
-	}
-	return v.orders
 }
 
 // position returns the leftmost index of ordered whose job is not less

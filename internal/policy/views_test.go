@@ -56,78 +56,94 @@ func TestOrderMatchesSliceStable(t *testing.T) {
 	}
 }
 
-// TestViewsMatchOrder churns one Views over every registered policy and
-// requires, after each change, the spliced orders to equal Order's full
-// sort of the same jobs — and Covering to claim exactly that slice.
+// TestViewsMatchOrder churns a queue the way the scheduling engine does
+// and syncs one Views over every registered policy with it: submissions
+// append at the tail, starts and cancellations remove jobs anywhere, an
+// ID is cancelled and re-submitted as a new job at the same instant, jobs
+// too wide for a failed machine are withheld and rejoin out of order when
+// it recovers, and now and then the queue empties. After every Sync each
+// order must equal Order's full sort of the jobs handed in.
 func TestViewsMatchOrder(t *testing.T) {
 	policies := registeredPolicies(t)
 	r := rng.New(16)
-	pool := tiedQueue(r, 300)
+	pool := tiedQueue(r, 150)
 	v := NewViews(policies...)
-	var live []*job.Job
+	var queue []*job.Job // the engine's waiting queue, in submission order
+	widest := 4          // the widest job the machine can run now
 	for step := 0; step < 2000; step++ {
-		if len(pool) > 0 && (len(live) == 0 || r.Intn(5) < 3) {
-			j := pool[len(pool)-1]
-			pool = pool[:len(pool)-1]
-			live = append(live, j)
-			v.Insert(j)
-		} else {
-			i := r.Intn(len(live))
-			v.Remove(live[i])
-			pool = append(pool, live[i])
-			live = slices.Delete(live, i, i+1)
+		switch op := r.Intn(10); {
+		case len(queue) == 0 || op < 4:
+			if len(pool) > 0 {
+				queue = append(queue, pool[len(pool)-1])
+				pool = pool[:len(pool)-1]
+			}
+		case op < 7: // a start or a cancellation
+			i := r.Intn(len(queue))
+			pool = append(pool, queue[i])
+			queue = slices.Delete(queue, i, i+1)
+		case op == 7: // the same ID re-submitted as a new job
+			i := r.Intn(len(queue))
+			twin := *queue[i]
+			queue = append(slices.Delete(queue, i, i+1), &twin)
+		case op == 8: // processors fail or come back
+			widest = 1 << r.Intn(3)
+		case r.Intn(8) == 0:
+			pool, queue = append(pool, queue...), nil
 		}
-		orders := v.Covering(live)
-		if orders == nil {
-			t.Fatalf("step %d: views do not cover the %d live jobs", step, len(live))
+		// Like the engine, hand over the queue itself, which the next
+		// removal edits in place, unless some job is withheld.
+		handed := queue
+		if slices.ContainsFunc(queue, func(j *job.Job) bool { return j.Width > widest }) {
+			handed = slices.DeleteFunc(slices.Clone(queue), func(j *job.Job) bool { return j.Width > widest })
 		}
-		if step%50 != 0 {
-			continue
+		orders := v.Sync(handed)
+		if len(orders) != len(policies) {
+			t.Fatalf("step %d: %d orders for %d policies", step, len(orders), len(policies))
 		}
 		for i, p := range policies {
-			if want := Order(p, live); !slices.Equal(orders[i], want) {
+			if want := Order(p, handed); !slices.Equal(orders[i], want) {
 				t.Fatalf("step %d, %v: view %v, want %v", step, p, ids(orders[i]), ids(want))
 			}
 		}
 	}
 }
 
+// TestViewsCoverExactlyTheirJobs walks Sync through each way a queue
+// changes between two calls, on a queue small enough to spell out: after
+// each call the orders hold exactly the jobs handed in.
 func TestViewsCoverExactlyTheirJobs(t *testing.T) {
 	a := &job.Job{ID: 1, Submit: 0, Width: 1, Estimate: 10}
 	b := &job.Job{ID: 2, Submit: 0, Width: 1, Estimate: 5}
-	v := NewViews(SJF)
-	if got := v.Covering(nil); got == nil || len(got[0]) != 0 {
-		t.Fatalf("empty views over an empty queue = %v, want one empty order", got)
-	}
-	v.Insert(a)
-	v.Insert(b)
-	if got := v.Covering([]*job.Job{a, b}); got == nil || !slices.Equal(got[0], []*job.Job{b, a}) {
-		t.Fatalf("Covering = %v, want [b a]", got)
-	}
-	twin := *a // same ID, another object: not the job the views hold
-	for name, q := range map[string][]*job.Job{
-		"subset": {a}, "superset": {a, b, {ID: 3}}, "stranger": {&twin, b},
+	c := &job.Job{ID: 3, Submit: 1, Width: 1, Estimate: 7}
+	twin := *a // ID 1 re-submitted at the same instant: another job
+	v := NewViews(SJF, FCFS)
+	for _, tc := range []struct {
+		name     string
+		queue    []*job.Job
+		sjf, fcf []*job.Job
+	}{
+		{"empty", nil, nil, nil},
+		{"appended", []*job.Job{a, b}, []*job.Job{b, a}, []*job.Job{a, b}},
+		{"appended again", []*job.Job{a, b, c}, []*job.Job{b, c, a}, []*job.Job{a, b, c}},
+		{"removed inside", []*job.Job{a, c}, []*job.Job{c, a}, []*job.Job{a, c}},
+		{"rejoined out of order", []*job.Job{a, b, c}, []*job.Job{b, c, a}, []*job.Job{a, b, c}},
+		{"re-submitted", []*job.Job{b, c, &twin}, []*job.Job{b, c, &twin}, []*job.Job{&twin, b, c}},
+		{"emptied", []*job.Job{}, nil, nil},
 	} {
-		if v.Covering(q) != nil {
-			t.Errorf("views claimed to cover a %s of their jobs", name)
+		got := v.Sync(tc.queue)
+		if !slices.Equal(got[0], tc.sjf) || !slices.Equal(got[1], tc.fcf) {
+			t.Fatalf("%s: SJF %v, FCFS %v; want %v, %v", tc.name, ids(got[0]), ids(got[1]), ids(tc.sjf), ids(tc.fcf))
 		}
 	}
-	v.Remove(&twin) // not held: ignored
-	v.Remove(&job.Job{ID: 9})
-	if v.Covering([]*job.Job{a, b}) == nil {
-		t.Fatal("removing jobs the views do not hold disturbed them")
-	}
 
-	// Re-submitting a live ID replaces the stale job.
-	v.Insert(&twin)
-	if got := v.Covering([]*job.Job{&twin, b}); got == nil || !slices.Equal(got[0], []*job.Job{b, &twin}) {
-		t.Fatalf("after re-submitting ID 1: %v, want [b twin]", got)
-	}
-
-	// A nil *Views tracks and covers nothing.
-	var none *Views
-	none.Remove(a)
-	if none.Covering(nil) != nil || none.Covering([]*job.Job{a}) != nil {
-		t.Fatal("nil views claimed coverage")
-	}
+	// A job whose key changed while queued is not at its ordered
+	// position: removing it panics rather than corrupt the order.
+	v.Sync([]*job.Job{a, b, c})
+	a.Estimate = 1
+	defer func() {
+		if recover() == nil {
+			t.Fatal("Sync removed a job that was not at its ordered position")
+		}
+	}()
+	v.Sync([]*job.Job{b, c})
 }

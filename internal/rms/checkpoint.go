@@ -132,9 +132,9 @@ func (s *Scheduler) restoreCheckpoint(cs *checkpointState) error {
 // rebuilds the live jobs into one arena — waiting jobs in ascending ID
 // order, which is submission order since IDs are issued monotonically —
 // installs the plan, restores the driver's decision state and hands the
-// machine state to the engine, priming the driver's queue tracker. The
-// run time is unknown online; like Submit, Runtime is the estimate, which
-// the planner never reads and at which the engine kills.
+// machine state to the engine. The run time is unknown online; like
+// Submit, Runtime is the estimate, which the planner never reads and at
+// which the engine kills.
 func restoreEngine(eng *engine.Engine, driver sim.Driver, cs *checkpointState) error {
 	arena := make([]job.Job, 0, len(cs.Waiting)+len(cs.Running))
 	byID := make(map[job.ID]*job.Job, cap(arena))

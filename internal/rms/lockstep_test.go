@@ -133,14 +133,14 @@ func runDeliverLockstep(t *testing.T, newDriver lockstepFactory, lanes *plantest
 			case 1:
 				count := 1 + int(arg/4)%3
 				tw = nil
-				plans := lanes.View + lanes.Sort
+				plans := lanes.Stopped + lanes.Whole
 				img := s.img.Load()
 				var qs []Quote
 				if qs, err = s.quoteIn(img, width, est, count); err == nil && len(qs) != count {
 					t.Fatalf("event %d: %d quotes for %d replicas", i/2, len(qs), count)
 				}
 				if tw != nil && live != nil {
-					twinPlans := lanes.View + lanes.Sort - plans
+					twinPlans := lanes.Stopped + lanes.Whole - plans
 					if got, want := tw.Stats().Steps, live.Stats().Steps+twinPlans; got != want {
 						t.Fatalf("event %d: twin tuner took %d steps after %d plans, want the live tuner's %d plus them",
 							i/2, got, twinPlans, live.Stats().Steps)
@@ -277,9 +277,9 @@ func checkpointImage(t *testing.T, s *Scheduler) string {
 // TestDeliverLockstep holds the daemon to BC-1, BC-2 and BC-3: the seeded
 // streams of the simulator's lockstep tests, through Deliver, Submit,
 // Cancel, Fail, Restore, journal restarts and quote twins, under a static
-// driver and two self-tuning ones. Both lanes — spliced views and
-// full-sort fallback — must have planned, and every stream must have
-// restarted and quoted. After every event, restarts included, Status
+// driver and two self-tuning ones. Some plan must have been handed a
+// withheld job rejoining the queue out of order, and every stream must
+// have restarted and quoted. After every event, restarts included, Status
 // must keep its order contract, read directly and over ServeConn.
 func TestDeliverLockstep(t *testing.T) {
 	var lanes plantest.Lanes
@@ -314,7 +314,7 @@ func TestDeliverLockstep(t *testing.T) {
 			runDeliverLockstep(t, newDriver, &lanes, data)
 		}
 	}
-	if lanes.View == 0 || lanes.Sort == 0 {
-		t.Errorf("%d plans read the views, %d sorted in full; the streams must reach both", lanes.View, lanes.Sort)
+	if lanes.Rejoined == 0 {
+		t.Error("no plan was handed a job rejoining the queue out of order; the streams must reach it")
 	}
 }

@@ -33,9 +33,6 @@ func TestStaticPlanAllocs(t *testing.T) {
 	for _, queued := range []int{64, 256} {
 		waiting, _, running := allocScenario(queued)
 		s := &Static{Policy: policy.SJF}
-		for _, j := range waiting {
-			s.NoteSubmit(j)
-		}
 		step := func() { s.Plan(1000, 128, running, waiting) }
 		step()
 		step()
@@ -55,16 +52,11 @@ func TestTunerRebuildAllocs(t *testing.T) {
 	for _, queued := range []int{64, 256} {
 		waiting, spare, running := allocScenario(queued)
 		d := NewDynP(core.Advanced{})
-		for _, j := range waiting {
-			d.NoteSubmit(j)
-		}
 		i := 0
 		rebuild := func() {
 			k := i % queued
 			i++
-			d.NoteRemove(waiting[k])
 			waiting[k], spare = spare, waiting[k]
-			d.NoteSubmit(waiting[k])
 			d.Plan(1000, 128, running, waiting)
 		}
 		rebuild()

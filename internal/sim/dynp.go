@@ -10,7 +10,9 @@ import (
 
 // DynP is the Driver for the self-tuning dynP scheduler: every scheduling
 // event performs one self-tuning step (three what-if schedules, one per
-// candidate policy, scored and decided).
+// candidate policy, scored and decided). The tuner's lane orders the
+// queue it is handed by splicing in what changed since the last step
+// (core.Lane), so the driver needs no word of queue changes in between.
 type DynP struct {
 	Tuner *core.SelfTuner
 	label string
@@ -49,13 +51,18 @@ func (d *DynP) Plan(now int64, capacity int, running []plan.Running, waiting []*
 // ActivePolicy implements Driver.
 func (d *DynP) ActivePolicy() policy.Policy { return d.Tuner.Active() }
 
-// NoteSubmit implements engine.QueueTracker: the tuner keeps one
-// incrementally-spliced order of the waiting queue per candidate policy,
-// sparing every self-tuning step its three full re-sorts.
-func (d *DynP) NoteSubmit(j *job.Job) { d.Tuner.NoteSubmit(j) }
+// NoteSubmit does nothing: the tuner's order views follow the queue each
+// Plan is handed.
+//
+// Deprecated: drop the call. It stays while benchmark/trace.go calls it
+// (ROADMAP.md, item 1(c)).
+func (d *DynP) NoteSubmit(*job.Job) {}
 
-// NoteRemove implements engine.QueueTracker.
-func (d *DynP) NoteRemove(j *job.Job) { d.Tuner.NoteRemove(j) }
+// NoteRemove does nothing, like NoteSubmit.
+//
+// Deprecated: drop the call. It stays while benchmark/trace.go calls it
+// (ROADMAP.md, item 1(c)).
+func (d *DynP) NoteRemove(*job.Job) {}
 
 // SaveState implements engine.StatefulDriver: the tuner's active policy,
 // statistics and decision trace go into journal checkpoints so a

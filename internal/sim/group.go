@@ -136,19 +136,13 @@ func (g *group) Name() string { return g.drivers[0].Name() }
 // ActivePolicy implements Driver.
 func (g *group) ActivePolicy() policy.Policy { return g.drivers[0].ActivePolicy() }
 
-// NoteSubmit implements engine.QueueTracker.
-func (g *group) NoteSubmit(j *job.Job) { g.lane.NoteSubmit(j) }
-
-// NoteRemove implements engine.QueueTracker.
-func (g *group) NoteRemove(j *job.Job) { g.lane.NoteRemove(j) }
-
 // Plan implements Driver.
 func (g *group) Plan(now int64, capacity int, running []plan.Running, waiting []*job.Job) *plan.Schedule {
 	if s := g.pending; s != nil {
 		g.pending = nil
 		return s
 	}
-	ss := g.lane.Build(now, capacity, running, waiting, g.policies...)
+	ss := g.lane.Build(now, capacity, running, waiting)
 	same := true
 	for i, d := range g.drivers {
 		// Every member decides, even after a difference shows: each

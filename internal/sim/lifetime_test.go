@@ -16,8 +16,7 @@ import (
 // schedule the last Plan returned, completed, next to a copy of its
 // entries taken at that moment. check compares the two, so calling it at
 // every engine transition and at the instant the next Plan is entered
-// proves the engine.Driver lifetime rule from the engine's side. It forwards
-// engine.QueueTracker so the order views stay engaged.
+// proves the engine.Driver lifetime rule from the engine's side.
 type lifetimeProbe struct {
 	inner Driver
 	t     *testing.T
@@ -53,18 +52,6 @@ func (p *lifetimeProbe) Plan(now int64, capacity int, running []plan.Running, wa
 
 func (p *lifetimeProbe) Name() string                { return p.inner.Name() }
 func (p *lifetimeProbe) ActivePolicy() policy.Policy { return p.inner.ActivePolicy() }
-
-func (p *lifetimeProbe) NoteSubmit(j *job.Job) {
-	if qt, ok := p.inner.(engine.QueueTracker); ok {
-		qt.NoteSubmit(j)
-	}
-}
-
-func (p *lifetimeProbe) NoteRemove(j *job.Job) {
-	if qt, ok := p.inner.(engine.QueueTracker); ok {
-		qt.NoteRemove(j)
-	}
-}
 
 // TestScheduleValidUntilNextPlan drives every kind of driver through an
 // engine and asserts the lifetime rule of engine.Driver.Plan: plan N is

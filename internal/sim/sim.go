@@ -46,42 +46,30 @@ type Driver = engine.Driver
 // core.Lane as the self-tuner, run over one policy, and only up to the
 // launch frontier (core.Lane.BuildFrontier): the schedule Plan returns
 // holds every entry that starts now, and plan.Schedule.Complete places
-// the rest for a reader of the whole plan. The lane's order view is
-// primed with the Policy of the driver's first use; changing Policy
-// afterwards is legal but every later Plan sorts the queue in full.
+// the rest for a reader of the whole plan. Changing Policy between Plans
+// is legal: the next Plan starts a new lane under the new policy.
 type Static struct {
 	Policy policy.Policy
 
-	lane *core.Lane
-}
-
-// primed returns the driver's lane, created at first use so that the
-// literal &Static{Policy: p} stays the way to make one.
-func (s *Static) primed() *core.Lane {
-	if s.lane == nil {
-		s.lane = core.NewLane(s.Policy)
-	}
-	return s.lane
+	lane   *core.Lane
+	laneOf policy.Policy // the policy lane plans under
 }
 
 // Name implements Driver.
 func (s *Static) Name() string { return s.Policy.Name() }
 
-// Plan implements Driver.
+// Plan implements Driver. The lane is made at first use, so that the
+// literal &Static{Policy: p} stays the way to make a driver.
 func (s *Static) Plan(now int64, capacity int, running []plan.Running, waiting []*job.Job) *plan.Schedule {
-	l := s.primed()
-	l.BuildFrontier(now, capacity, running, waiting, s.Policy)
-	return l.Keep(0)
+	if s.lane == nil || s.laneOf != s.Policy {
+		s.lane, s.laneOf = core.NewLane(s.Policy), s.Policy
+	}
+	s.lane.BuildFrontier(now, capacity, running, waiting)
+	return s.lane.Keep(0)
 }
 
 // ActivePolicy implements Driver.
 func (s *Static) ActivePolicy() policy.Policy { return s.Policy }
-
-// NoteSubmit implements engine.QueueTracker.
-func (s *Static) NoteSubmit(j *job.Job) { s.primed().NoteSubmit(j) }
-
-// NoteRemove implements engine.QueueTracker.
-func (s *Static) NoteRemove(j *job.Job) { s.primed().NoteRemove(j) }
 
 // Record is the outcome of one job.
 type Record struct {

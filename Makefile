@@ -94,11 +94,13 @@ endef
 # and stalls at 0 execs/s minimising them without the cap. FuzzRunGroup
 # simulates whole job sets per input: same cap, same reason. FuzzBaseReset
 # replays whole running-set histories and stalls the same way uncapped.
+# FuzzJournalRecover opens and replays a whole journal per input; uncapped
+# it stalls at 0 execs/s minimising within its first hundred executions.
 fuzz:
 	$(call fuzz,FuzzRead,./internal/swf/)
 	$(call fuzz,FuzzServeConn,./internal/rms/)
 	$(call fuzz,FuzzWireCodec,./internal/rms/,-fuzzminimizetime=10x)
-	$(call fuzz,FuzzJournalRecover,./internal/rms/)
+	$(call fuzz,FuzzJournalRecover,./internal/rms/,-fuzzminimizetime=10x)
 	$(call fuzz,FuzzProfileVsReference,./internal/profile/)
 	$(call fuzz,FuzzBuildVsNaive,./internal/plan/,-fuzzminimizetime=10x)
 	$(call fuzz,FuzzBaseReset,./internal/plan/,-fuzzminimizetime=10x)

@@ -24,7 +24,7 @@
 // driver and observer state). Restart therefore reads one segment: the
 // newest checkpoint plus the events behind it, instead of the whole
 // history (see Replay in replay.go). Rotated segments are immutable;
-// Compact retires the ones older than the last durable checkpoint.
+// with SetKeep, each durable rotation retires all but the newest few.
 //
 // Failure policy. Any write, flush, fsync or rotation failure is sticky:
 // the journal permanently refuses further appends, because a journal
@@ -45,6 +45,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -275,13 +276,12 @@ func splitRecords(data []byte) []record {
 
 // segScan is the validated interpretation of one segment file.
 type segScan struct {
-	seq         int
-	header      journalHeader
-	headerOK    bool
-	ckpt        *checkpointState // valid head checkpoint, if any
-	ckptCorrupt bool             // header promises a checkpoint, record is invalid or missing
-	events      []Event          // valid events after the head, in order
-	clean       bool             // the events region is fully valid to the end of the file
+	seq      int
+	header   journalHeader
+	headerOK bool
+	ckpt     *checkpointState // valid head checkpoint, if any
+	events   []Event          // valid events after the head, in order
+	clean    bool             // the events region is fully valid to the end of the file
 }
 
 // interpretSegment classifies a segment's records. In repair mode (the
@@ -312,33 +312,29 @@ func interpretSegment(recs []record, repair bool) (segScan, int64, error) {
 	sc.headerOK = true
 	sc.seq = sc.header.Segment
 
+	// A promised checkpoint that is absent (torn and truncated at an
+	// earlier open) or invalid leaves sc.ckpt nil: the ladder falls back
+	// past it.
 	i := 1
-	if sc.header.Checkpoint {
-		if len(recs) < 2 {
-			sc.ckptCorrupt = true // promised but absent (torn and truncated earlier)
-		} else {
-			l1, ok1 := journalLine{}, false
-			if recs[1].terminated {
-				l1, ok1 = decodeRecord(recs[1].data)
-			}
-			switch {
-			case ok1 && l1.Checkpoint != nil:
-				sc.ckpt = l1.Checkpoint
-				i = 2
-			case ok1:
-				// A valid non-checkpoint record where the checkpoint was
-				// promised: the torn checkpoint was truncated at an earlier
-				// open and appends continued. Fall back past it.
-				sc.ckptCorrupt = true
-				i = 1
-			default:
-				sc.ckptCorrupt = true
-				i = 2
-				if repair && len(recs) == 2 {
-					// The corrupt checkpoint is the torn tail itself.
-					truncateAt = recs[1].off
-					return sc, truncateAt, nil
-				}
+	if sc.header.Checkpoint && len(recs) > 1 {
+		l1, ok1 := journalLine{}, false
+		if recs[1].terminated {
+			l1, ok1 = decodeRecord(recs[1].data)
+		}
+		switch {
+		case ok1 && l1.Checkpoint != nil:
+			sc.ckpt = l1.Checkpoint
+			i = 2
+		case ok1:
+			// A valid non-checkpoint record where the checkpoint was
+			// promised: the torn checkpoint was truncated at an earlier
+			// open and appends continued: events start at record 1.
+		default:
+			i = 2
+			if repair && len(recs) == 2 {
+				// The corrupt checkpoint is the torn tail itself.
+				truncateAt = recs[1].off
+				return sc, truncateAt, nil
 			}
 		}
 	}
@@ -373,7 +369,9 @@ func interpretSegment(recs []record, repair bool) (segScan, int64, error) {
 // Journal is an append-only write-ahead log of scheduler events with
 // checkpoint-rotation. Open one with OpenJournal, rebuild a fresh
 // scheduler with Replay (or audit with ReplayGenesis), then attach it
-// with Scheduler.SetJournal. Safe for concurrent use.
+// with Scheduler.SetJournal. Opening walks down the segments once to
+// the checkpoint a restart rests on; Replay and the event counts read
+// what that walk found. Safe for concurrent use.
 type Journal struct {
 	mu   sync.Mutex
 	fs   vfs.FS
@@ -381,15 +379,9 @@ type Journal struct {
 	f    vfs.File // active segment
 	w    *bufio.Writer
 
-	seg     int            // active segment sequence number
-	header  *journalHeader // genesis configuration; nil until known
-	valid   int64          // validated length of the active segment at open
-	records int            // valid records in the active segment at open
-	// activeCkpt: the active segment is headed by a valid checkpoint —
-	// validated at open, set by every rotation. Its header's promise is
-	// not enough: a checkpoint corrupt at open leaves recovery resting on
-	// an older segment that Compact must keep.
-	activeCkpt bool
+	seg    int            // active segment sequence number
+	header *journalHeader // genesis configuration; nil until known
+	valid  int64          // validated length of the active segment at open
 
 	appended        bool
 	events          int64 // events since genesis folded into the log
@@ -397,8 +389,15 @@ type Journal struct {
 	checkpointEvery int
 	keep            int // rotated segments auto-compact retains; < 0 keeps all
 
-	activeScan *segScan // cached open-time scan, consumed by Replay; dropped on append
-	rec        []byte   // the event record being appended, reused append after append
+	// ladder is the recovery ladder found at open, rung first: the newest
+	// segment whose head checkpoint is intact (or segment 0), then every
+	// segment above it up to the active one. If the walk down stopped
+	// short, ladder holds the segments it passed, the active one still
+	// last, and ladderErr says why. Replay reads both; the first append
+	// drops the ladder, which no longer matches the file.
+	ladder    []*segScan
+	ladderErr error
+	rec       []byte // the event record being appended, reused append after append
 
 	// err is the sticky failure; once set the journal refuses further
 	// appends. Set under mu (see fail) but read without it (see Err), so
@@ -571,52 +570,7 @@ func (j *Journal) recover() error {
 	}
 	j.valid = end
 	sc.seq = j.seg
-	j.activeScan = &sc
-	j.records = 1 + len(sc.events)
-	if sc.ckpt != nil {
-		j.records++
-		j.activeCkpt = true
-	}
-	return j.countEvents(&sc, rot)
-}
-
-// countEvents reconstructs the events-since-genesis and
-// events-since-checkpoint counters from the active scan, walking back
-// through rotated segments only when the active segment carries no
-// checkpoint of its own. The counts are best-effort on a corrupt
-// history: Replay is the authority that refuses.
-func (j *Journal) countEvents(sc *segScan, rot []int) error {
-	tail := int64(len(sc.events))
-	if sc.ckpt != nil {
-		j.events = sc.ckpt.Events + tail
-		j.sinceCheckpoint = int(tail)
-		return nil
-	}
-	if j.seg == 0 {
-		j.events = tail
-		j.sinceCheckpoint = int(tail)
-		return nil
-	}
-	acc := tail
-	for i := len(rot) - 1; i >= 0; i-- {
-		ss, err := j.readSegment(rot[i])
-		if err != nil || !ss.headerOK {
-			break // best effort; Replay will refuse if it matters
-		}
-		if ss.ckpt != nil {
-			j.events = ss.ckpt.Events + int64(len(ss.events)) + acc
-			j.sinceCheckpoint = int(int64(len(ss.events)) + acc)
-			return nil
-		}
-		acc += int64(len(ss.events))
-		if ss.seq == 0 {
-			j.events = acc
-			j.sinceCheckpoint = int(acc)
-			return nil
-		}
-	}
-	j.events = acc
-	j.sinceCheckpoint = int(acc)
+	j.findLadder(&sc, rot)
 	return nil
 }
 
@@ -660,14 +614,58 @@ func (j *Journal) startContinuation(rot []int) error {
 	j.seg = h.Segment
 	j.header = &h
 	j.valid = int64(len(line))
-	j.records = 1
-	sc := segScan{seq: j.seg, header: h, headerOK: true, clean: true}
-	j.activeScan = &sc
-	return j.countEvents(&sc, rot)
+	j.findLadder(&segScan{seq: j.seg, header: h, headerOK: true, clean: true}, rot)
+	return nil
 }
 
-// Path returns the journal's active segment path.
-func (j *Journal) Path() string { return j.path }
+// findLadder walks down from the active segment to the rung recovery
+// rests on — the newest segment whose head checkpoint is intact, or
+// segment 0 — and sets the event counts from the ladder: the rung
+// checkpoint's events plus those of every ladder segment. Every segment
+// passed must be clean, and each one's predecessor must exist with a
+// valid header; a walk that stops short leaves its reason in ladderErr
+// for Replay to return, and the counts best effort. rot lists the
+// rotated segments, all older than active.
+func (j *Journal) findLadder(active *segScan, rot []int) {
+	j.ladder = []*segScan{active}
+	base := int64(0)
+	// rot[next] is the newest rotated segment not yet passed.
+	for cur, next := active, len(rot)-1; ; next-- {
+		if !cur.clean {
+			j.ladderErr = fmt.Errorf("rms: journal: segment %d has corrupt event records not covered by any newer checkpoint — unrecoverable (audit with the rotated segments or move the journal aside)", cur.seq)
+			break
+		}
+		if cur.ckpt != nil {
+			base = cur.ckpt.Events
+			break
+		}
+		if cur.seq == 0 {
+			break // the genesis segment: a virgin scheduler is the rung
+		}
+		want := cur.seq - 1
+		if next < 0 || rot[next] != want {
+			j.ladderErr = fmt.Errorf("rms: journal: segment %d is missing (compacted?) and no newer checkpoint is usable", want)
+			break
+		}
+		sc, err := j.readSegment(want)
+		if err != nil {
+			j.ladderErr = err
+			break
+		}
+		if !sc.headerOK {
+			j.ladderErr = fmt.Errorf("rms: journal: segment %d has no valid header and no newer checkpoint is usable", want)
+			break
+		}
+		cur = &sc
+		j.ladder = append(j.ladder, cur)
+	}
+	slices.Reverse(j.ladder)
+	j.sinceCheckpoint = 0
+	for _, sc := range j.ladder {
+		j.sinceCheckpoint += len(sc.events)
+	}
+	j.events = base + int64(j.sinceCheckpoint)
+}
 
 // Segment returns the active segment's sequence number.
 func (j *Journal) Segment() int {
@@ -709,9 +707,10 @@ func (j *Journal) SetSnapshotEvery(n int) {
 }
 
 // SetKeep bounds the rotated segments retained after each checkpoint:
-// once a checkpoint is durable, all but the newest n rotated segments
-// are deleted automatically. n < 0 (the default) keeps every segment,
-// preserving the ability to replay — and audit — from genesis.
+// once a rotation's checkpoint is durable, all but the newest n rotated
+// segments are deleted — the journal's one way to compact. n < 0 (the
+// default) keeps every segment, preserving the ability to replay — and
+// audit — from genesis; once segment 0 is gone, ReplayGenesis refuses.
 func (j *Journal) SetKeep(n int) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
@@ -775,7 +774,7 @@ func (j *Journal) writeRecord(b []byte) error {
 		return j.fail(fmt.Errorf("rms: journal flush: %w", err))
 	}
 	j.appended = true
-	j.activeScan = nil // the cached open-time scan no longer matches the file
+	j.ladder = nil
 	return nil
 }
 
@@ -831,7 +830,6 @@ func (j *Journal) rotateLocked(cs *checkpointState, done []byte) {
 	j.f = nf
 	j.w = bufio.NewWriter(nf)
 	j.seg++
-	j.activeCkpt = false // until the checkpoint below is durable
 	h := *j.header
 	h.Segment = j.seg
 	h.Checkpoint = true
@@ -860,71 +858,28 @@ func (j *Journal) rotateLocked(cs *checkpointState, done []byte) {
 		return
 	}
 	j.sinceCheckpoint = 0
-	j.activeCkpt = true
 	if j.keep >= 0 {
 		// The checkpoint just became durable; retire history beyond the
-		// retention bound. Failure to delete is not fatal to the journal.
-		_, _ = j.compactLocked(j.keep, j.seg)
+		// retention bound.
+		j.compactLocked()
 	}
 }
 
-// Compact deletes rotated segments older than the last durable
-// checkpoint, retaining the newest keep of them as extra fallback rungs
-// (keep 0 retires everything the newest checkpoint makes redundant).
-// Segments at or above the newest checkpoint are never touched. It
-// returns the number of segments deleted. Compacting away segment 0
-// gives up replay-from-genesis; ReplayGenesis then refuses.
-func (j *Journal) Compact(keep int) (int, error) {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if keep < 0 {
-		return 0, nil
-	}
-	rung := -1
-	if j.activeCkpt {
-		rung = j.seg
-	} else {
-		rot, err := j.rotatedSegments()
-		if err != nil {
-			return 0, err
-		}
-		for i := len(rot) - 1; i >= 0; i-- {
-			if ss, err := j.readSegment(rot[i]); err == nil && ss.ckpt != nil {
-				rung = rot[i]
-				break
-			}
-		}
-	}
-	if rung < 0 {
-		return 0, nil // no durable checkpoint; everything is still needed
-	}
-	return j.compactLocked(keep, rung)
-}
-
-// compactLocked deletes rotated segments with sequence numbers below
-// rung, keeping the newest keep of them. Callers hold j.mu.
-func (j *Journal) compactLocked(keep, rung int) (int, error) {
+// compactLocked deletes all but the newest j.keep rotated segments. Every
+// rotated segment is older than the active one (recover refuses a
+// journal where it is not), whose head checkpoint is durable, so none
+// of them is needed to recover. Failure to delete is not fatal to the
+// journal: the segments stay behind. Callers hold j.mu.
+func (j *Journal) compactLocked() {
 	rot, err := j.rotatedSegments()
-	if err != nil {
-		return 0, err
+	if err != nil || len(rot) <= j.keep {
+		return
 	}
-	var eligible []int
-	for _, seq := range rot {
-		if seq < rung {
-			eligible = append(eligible, seq)
+	for _, seq := range rot[:len(rot)-j.keep] {
+		if j.fs.Remove(j.segPath(seq)) != nil {
+			return
 		}
 	}
-	if len(eligible) <= keep {
-		return 0, nil
-	}
-	removed := 0
-	for _, seq := range eligible[:len(eligible)-keep] {
-		if err := j.fs.Remove(j.segPath(seq)); err != nil {
-			return removed, fmt.Errorf("rms: journal compact: %w", err)
-		}
-		removed++
-	}
-	return removed, nil
 }
 
 // Sync flushes buffered data and fsyncs the active segment. Like write

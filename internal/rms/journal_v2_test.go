@@ -228,14 +228,16 @@ func TestJournalLadderFallback(t *testing.T) {
 	if top < 3 {
 		t.Fatalf("only %d segments", top)
 	}
+	total := j.Events()
 	j.Close()
 
 	// Destroy the newest checkpoint (record 1 of the active segment).
 	corruptSegmentRecord(t, path, 1)
-	s1, j1, _, err := replayFresh(t, path, 8)
+	s1, j1, n1, err := replayFresh(t, path, 8)
 	if err != nil {
 		t.Fatalf("replay with newest checkpoint corrupt: %v", err)
 	}
+	checkCounts(t, "one-rung fallback", j1, n1, total)
 	j1.Close()
 	if got := fingerprint(t, s1); got != want {
 		t.Errorf("one-rung fallback diverges\nlive: %s\ngot:  %s", want, got)
@@ -246,10 +248,11 @@ func TestJournalLadderFallback(t *testing.T) {
 	for seq := 1; seq < top; seq++ {
 		corruptSegmentRecord(t, path+"."+itoa(seq), 1)
 	}
-	s2, j2, _, err := replayFresh(t, path, 8)
+	s2, j2, n2, err := replayFresh(t, path, 8)
 	if err != nil {
 		t.Fatalf("replay with all checkpoints corrupt: %v", err)
 	}
+	checkCounts(t, "genesis fallback", j2, n2, total)
 	j2.Close()
 	if got := fingerprint(t, s2); got != want {
 		t.Errorf("genesis fallback diverges\nlive: %s\ngot:  %s", want, got)
@@ -258,10 +261,20 @@ func TestJournalLadderFallback(t *testing.T) {
 
 func itoa(n int) string { return strconv.Itoa(n) }
 
+// checkCounts holds a reopened journal's event count — set at open;
+// Replay does not move it — to the count Replay returned and to the
+// live journal's before it closed.
+func checkCounts(t *testing.T, name string, j *Journal, replayed int, live int64) {
+	t.Helper()
+	if got := j.Events(); got != int64(replayed) || got != live {
+		t.Errorf("%s: journal counts %d events at open, replay %d, live journal %d", name, got, replayed, live)
+	}
+}
+
 // TestJournalCompactAfterLadderFallback: when the active segment's
 // checkpoint was corrupt at open, the rung recovery rests on is an older
-// segment — appending must not make Compact mistake the active segment
-// for a durable checkpoint and delete that rung.
+// segment — compaction after the next durable rotation must leave a
+// journal that still replays to the live state.
 func TestJournalCompactAfterLadderFallback(t *testing.T) {
 	live, j, path := journaledScheduler(t, 8, 5)
 	driveRandomEvents(t, live, 0xabc, 60)
@@ -272,14 +285,18 @@ func TestJournalCompactAfterLadderFallback(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	top := j1.Segment()
+	j1.SetSnapshotEvery(5)
+	j1.SetKeep(0)
 	if err := s.SetJournal(j1); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Advance(s.Now() + 1); err != nil {
-		t.Fatal(err)
+	driveRandomEvents(t, s, 0xabd, 20)
+	if j1.Segment() == top {
+		t.Fatal("no rotation after the fallback")
 	}
-	if _, err := j1.Compact(0); err != nil {
-		t.Fatal(err)
+	if rot, err := j1.rotatedSegments(); err != nil || len(rot) != 0 {
+		t.Fatalf("rotated segments %v (%v) remain with SetKeep(0)", rot, err)
 	}
 	want := fingerprint(t, s)
 	j1.Close()
@@ -303,28 +320,22 @@ func TestJournalCompact(t *testing.T) {
 	for _, keep := range []int{1, 0} {
 		t.Run("keep="+itoa(keep), func(t *testing.T) {
 			live, j, path := journaledScheduler(t, 8, 5)
+			j.SetKeep(keep)
 			driveRandomEvents(t, live, 0x777, 80)
 			want := fingerprint(t, live)
 			top := j.Segment()
 			if top < 4 {
 				t.Fatalf("only %d segments", top)
 			}
-			removed, err := j.Compact(keep)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if removed == 0 {
-				t.Fatal("compaction removed nothing")
-			}
 			if _, err := os.Stat(path + ".0"); !os.IsNotExist(err) {
-				t.Errorf("genesis segment survived Compact(%d)", keep)
+				t.Errorf("genesis segment survived SetKeep(%d)", keep)
 			}
 			rot, err := j.rotatedSegments()
 			if err != nil {
 				t.Fatal(err)
 			}
 			if len(rot) > keep {
-				t.Errorf("%d rotated segments remain after Compact(%d): %v", len(rot), keep, rot)
+				t.Errorf("%d rotated segments remain with SetKeep(%d): %v", len(rot), keep, rot)
 			}
 			j.Close()
 
@@ -403,6 +414,7 @@ func TestJournalContinuationAfterCrashedRotation(t *testing.T) {
 	driveRandomEvents(t, live, 0x919, 60)
 	want := fingerprint(t, live)
 	top := j.Segment()
+	total := j.Events()
 	j.Close()
 
 	for name, damage := range map[string]func(){
@@ -421,10 +433,11 @@ func TestJournalContinuationAfterCrashedRotation(t *testing.T) {
 		}
 		damage()
 
-		fast, j2, _, err := replayFresh(t, path, 8)
+		fast, j2, n, err := replayFresh(t, path, 8)
 		if err != nil {
 			t.Fatalf("%s active segment: %v", name, err)
 		}
+		checkCounts(t, name+" active segment", j2, n, total)
 		if got := fingerprint(t, fast); got != want {
 			t.Errorf("%s active segment: continuation replay diverges\nlive: %s\ngot:  %s", name, want, got)
 		}

@@ -3,17 +3,19 @@
 // Replay is the fast path and the one dynpd uses: it restores the
 // newest valid checkpoint and applies only the events journaled behind
 // it, so restart time is bounded by the checkpoint interval instead of
-// the life of the system. Checkpoints are redundant (the events can
-// always rebuild them) so a corrupt checkpoint record is not fatal:
-// the ladder falls back one checkpoint at a time — restore the previous
-// one, apply the segments in between — and from genesis as the last
-// resort. Events are *not* redundant; a corrupt event record that no
-// newer checkpoint covers makes the journal unrecoverable and replay
+// the life of the system. Which checkpoint that is, the journal decides
+// once at open (findLadder in journal.go). Checkpoints are redundant
+// (the events can always rebuild them) so a corrupt checkpoint record
+// is not fatal: the ladder falls back one checkpoint at a time — the
+// previous one, then the segments in between — and to genesis as the
+// last resort. Events are *not* redundant; a corrupt event record that
+// no newer checkpoint covers makes the journal unrecoverable and replay
 // refuses, loudly, instead of resurrecting a partial history.
 //
-// ReplayGenesis is the strict auditor: it replays every event from
-// segment 0 and verifies the rebuilt state against every checkpoint it
-// passes. Both paths produce byte-identical schedulers; the soak and
+// ReplayGenesis is the strict auditor: it reads every segment again,
+// replays every event from segment 0 and verifies the rebuilt state
+// against every checkpoint it passes. Both paths apply events through
+// one loop and produce byte-identical schedulers; the soak and
 // equivalence tests hold them to that.
 package rms
 
@@ -53,8 +55,7 @@ func (j *Journal) replayInto(s *Scheduler, genesis bool) (int, error) {
 		j.mu.Unlock()
 		return 0, fmt.Errorf("rms: journal: cannot replay after appending")
 	}
-	header := j.header
-	active := j.activeScan
+	header, ladder, ladderErr := j.header, j.ladder, j.ladderErr
 	j.mu.Unlock()
 
 	if header == nil {
@@ -83,85 +84,30 @@ func (j *Journal) replayInto(s *Scheduler, genesis bool) (int, error) {
 		return 0, fmt.Errorf("rms: journal starts at %d, scheduler at %d", header.Start, now)
 	}
 
+	if genesis {
+		return j.replayGenesis(s, ladder[len(ladder)-1])
+	}
+	if ladderErr != nil {
+		return 0, ladderErr
+	}
+	base := int64(0)
+	if rung := ladder[0].ckpt; rung != nil {
+		if err := s.restoreCheckpoint(rung); err != nil {
+			return 0, err
+		}
+		base = rung.Events
+	}
+	return applySegments(s, ladder, base, false)
+}
+
+// replayGenesis reads every segment from segment 0 up to the active one
+// and replays them all, verifying state against each checkpoint passed.
+// Any defect refuses.
+func (j *Journal) replayGenesis(s *Scheduler, active *segScan) (int, error) {
 	rot, err := j.rotatedSegments()
 	if err != nil {
 		return 0, err
 	}
-	if genesis {
-		return j.replayGenesis(s, rot, active)
-	}
-	return j.replayLadder(s, rot, active)
-}
-
-// replayLadder is the fast path: descend from the active segment to the
-// newest segment whose head checkpoint is intact, restore it, apply the
-// events above it. In the normal case the active segment itself carries
-// the checkpoint and no rotated segment is read at all.
-func (j *Journal) replayLadder(s *Scheduler, rot []int, active *segScan) (int, error) {
-	rotated := make(map[int]bool, len(rot))
-	for _, seq := range rot {
-		rotated[seq] = true
-	}
-
-	// stack holds the checkpoint-less segments passed on the way down,
-	// newest first; their events replay in reverse stack order.
-	var stack []*segScan
-	finish := func(rung *segScan, base int64) (int, error) {
-		applied := 0
-		apply := func(events []Event) error {
-			for i := range events {
-				if err := s.applyEvent(&events[i]); err != nil {
-					return err
-				}
-				applied++
-			}
-			return nil
-		}
-		if err := apply(rung.events); err != nil {
-			return applied, err
-		}
-		for i := len(stack) - 1; i >= 0; i-- {
-			if err := apply(stack[i].events); err != nil {
-				return applied, err
-			}
-		}
-		return int(base) + applied, nil
-	}
-
-	cur := active
-	for {
-		if !cur.clean {
-			return 0, fmt.Errorf("rms: journal: segment %d has corrupt event records not covered by any newer checkpoint — unrecoverable (audit with the rotated segments or move the journal aside)", cur.seq)
-		}
-		if cur.ckpt != nil {
-			if err := s.restoreCheckpoint(cur.ckpt); err != nil {
-				return 0, err
-			}
-			return finish(cur, cur.ckpt.Events)
-		}
-		if cur.seq == 0 {
-			// The genesis segment: a virgin scheduler is the rung.
-			return finish(cur, 0)
-		}
-		stack = append(stack, cur)
-		want := cur.seq - 1
-		if !rotated[want] {
-			return 0, fmt.Errorf("rms: journal: segment %d is missing (compacted?) and no newer checkpoint is usable", want)
-		}
-		sc, err := j.readSegment(want)
-		if err != nil {
-			return 0, err
-		}
-		if !sc.headerOK {
-			return 0, fmt.Errorf("rms: journal: segment %d has no valid header and no newer checkpoint is usable", want)
-		}
-		cur = &sc
-	}
-}
-
-// replayGenesis replays every event from segment 0, verifying state
-// against each checkpoint passed. Any defect refuses.
-func (j *Journal) replayGenesis(s *Scheduler, rot []int, active *segScan) (int, error) {
 	segs := make([]*segScan, 0, len(rot)+1)
 	for _, seq := range rot {
 		sc, err := j.readSegment(seq)
@@ -189,21 +135,30 @@ func (j *Journal) replayGenesis(s *Scheduler, rot []int, active *segScan) (int, 
 			return 0, fmt.Errorf("rms: journal: segment %d header disagrees with genesis configuration", i)
 		}
 	}
-	applied := 0
+	return applySegments(s, segs, 0, true)
+}
+
+// applySegments applies the events of segs, in order, to a scheduler
+// whose state folds in the first base events since genesis, and returns
+// the events the state then folds in. With verify, each head checkpoint
+// is checked against the state rebuilt so far before its segment's
+// events apply.
+func applySegments(s *Scheduler, segs []*segScan, base int64, verify bool) (int, error) {
+	applied := base
 	for _, sc := range segs {
-		if sc.ckpt != nil {
-			if err := verifyCheckpoint(s, sc.ckpt, int64(applied)); err != nil {
-				return applied, err
+		if verify && sc.ckpt != nil {
+			if err := verifyCheckpoint(s, sc.ckpt, applied); err != nil {
+				return int(applied), err
 			}
 		}
 		for i := range sc.events {
 			if err := s.applyEvent(&sc.events[i]); err != nil {
-				return applied, err
+				return int(applied), err
 			}
 			applied++
 		}
 	}
-	return applied, nil
+	return int(applied), nil
 }
 
 // verifyCheckpoint compares the replayed state against a journaled

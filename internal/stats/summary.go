@@ -111,20 +111,3 @@ func DropMinMaxMean(xs []float64) float64 {
 	}
 	return sum / float64(len(xs)-2)
 }
-
-// WeightedMean returns sum(w_i*x_i)/sum(w_i). It panics when the slices
-// differ in length and returns 0 when the total weight is zero.
-func WeightedMean(xs, ws []float64) float64 {
-	if len(xs) != len(ws) {
-		panic("stats: WeightedMean length mismatch")
-	}
-	var num, den float64
-	for i, x := range xs {
-		num += ws[i] * x
-		den += ws[i]
-	}
-	if den == 0 {
-		return 0
-	}
-	return num / den
-}

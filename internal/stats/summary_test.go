@@ -108,24 +108,6 @@ func TestDropMinMaxMeanPropertyBounded(t *testing.T) {
 	}
 }
 
-func TestWeightedMean(t *testing.T) {
-	if got := WeightedMean([]float64{1, 10}, []float64{9, 1}); math.Abs(got-1.9) > 1e-12 {
-		t.Fatalf("WeightedMean = %v, want 1.9", got)
-	}
-	if got := WeightedMean(nil, nil); got != 0 {
-		t.Fatalf("empty WeightedMean = %v", got)
-	}
-}
-
-func TestWeightedMeanPanicsOnMismatch(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("length mismatch did not panic")
-		}
-	}()
-	WeightedMean([]float64{1}, []float64{1, 2})
-}
-
 func TestMean(t *testing.T) {
 	if got := Mean([]float64{2, 4, 9}); math.Abs(got-5) > 1e-12 {
 		t.Fatalf("Mean = %v", got)

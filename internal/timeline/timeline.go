@@ -158,14 +158,3 @@ func PolicyStrip(w io.Writer, trace []core.Decision, end int64, width int) error
 	_, err := io.WriteString(w, sb.String())
 	return err
 }
-
-// Switches counts policy changes in a decision trace.
-func Switches(trace []core.Decision) int {
-	n := 0
-	for _, d := range trace {
-		if d.Chosen != d.Old {
-			n++
-		}
-	}
-	return n
-}

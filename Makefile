@@ -102,6 +102,7 @@ fuzz:
 	$(call fuzz,FuzzWireCodec,./internal/rms/,-fuzzminimizetime=10x)
 	$(call fuzz,FuzzJournalRecover,./internal/rms/,-fuzzminimizetime=10x)
 	$(call fuzz,FuzzProfileVsReference,./internal/profile/)
+	$(call fuzz,FuzzPolicyTotalOrder,./internal/policy/)
 	$(call fuzz,FuzzBuildVsNaive,./internal/plan/,-fuzzminimizetime=10x)
 	$(call fuzz,FuzzBaseReset,./internal/plan/,-fuzzminimizetime=10x)
 	$(call fuzz,FuzzTunerLockstep,./internal/sim/,-fuzzminimizetime=10x)

@@ -19,16 +19,17 @@
 //   - the Driver, the planning interface of internal/sim: a static
 //     policy, the self-tuning dynP scheduler, or EASY backfilling.
 //
-// Hooks let the front end keep its own per-job bookkeeping (the
-// simulator's completion events and records, the RMS's JobInfo
-// lifecycle) exactly in step with the engine's transitions, and
-// Observers receive a structured event stream (see observer.go) for
-// tracing and metrics. The engine is not safe for concurrent use; the
-// RMS serialises access with its own mutex.
+// Hooks let the front end act on the engine's transitions as they
+// happen (the simulator queues each launch's completion event, the RMS
+// records each finished job in its history), and Observers receive a
+// structured event stream (see observer.go) for tracing and metrics.
+// The engine is not safe for concurrent use; the RMS serialises access
+// with its own mutex.
 package engine
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"dynp/internal/job"
@@ -102,14 +103,9 @@ type Hooks struct {
 	// Started fires when a job launches (it has left the waiting queue
 	// and occupies its processors).
 	Started func(j *job.Job, now int64)
-	// Finished fires when a running job leaves the machine.
-	Finished func(j *job.Job, st FinishState, now int64)
-	// Planned fires after every replanning step, before due jobs are
-	// launched. sched is nil when the machine is fully drained
-	// (effective capacity < 1); unplaceable lists the waiting jobs
-	// wider than the effective capacity, withheld from the planner.
-	// A hook reading the whole plan calls sched.Complete first.
-	Planned func(sched *plan.Schedule, unplaceable []*job.Job)
+	// Finished fires when a running job leaves the machine; r is the
+	// job with the instant it started.
+	Finished func(r plan.Running, st FinishState, now int64)
 }
 
 // Engine is the shared scheduling core. Construct with New.
@@ -281,7 +277,7 @@ func (e *Engine) Finish(id job.ID, st FinishState) bool {
 	e.used -= r.Job.Width
 	e.finished++
 	if e.hooks.Finished != nil {
-		e.hooks.Finished(r.Job, st, e.now)
+		e.hooks.Finished(r, st, e.now)
 	}
 	e.emit(Event{Kind: finishEventKind(st), Job: r.Job, Procs: r.Job.Width})
 	return true
@@ -342,7 +338,7 @@ func (e *Engine) KillExpired() bool {
 // Replan is one scheduling event: recompute the full schedule against
 // the effective capacity and launch every job planned to start right
 // now. Jobs wider than the effective capacity are unplaceable: they are
-// withheld from the planner and reported to the Planned hook until
+// withheld from the planner, so the plan has no entry for them, until
 // capacity returns. The returned error is always nil unless strict
 // launching or verification is enabled.
 func (e *Engine) Replan() error {
@@ -350,28 +346,13 @@ func (e *Engine) Replan() error {
 	if eff < 1 {
 		// Fully drained machine: nothing can be planned or started.
 		e.plan = nil
-		if e.hooks.Planned != nil {
-			e.hooks.Planned(nil, e.waiting)
-		}
 		e.emit(Event{Kind: EventPlan})
 		return nil
 	}
 	planned := e.waiting
-	var unplaceable []*job.Job
-	for i, j := range e.waiting {
-		if j.Width <= eff {
-			continue
-		}
-		// First unplaceable job found; split the queue once.
-		planned = append([]*job.Job(nil), e.waiting[:i]...)
-		for _, k := range e.waiting[i:] {
-			if k.Width <= eff {
-				planned = append(planned, k)
-			} else {
-				unplaceable = append(unplaceable, k)
-			}
-		}
-		break
+	tooWide := func(j *job.Job) bool { return j.Width > eff }
+	if slices.ContainsFunc(planned, tooWide) {
+		planned = slices.DeleteFunc(slices.Clone(planned), tooWide)
 	}
 	// The plan event's latency and decision case exist only for
 	// observers; an unobserved engine reads no clock and asks no driver.
@@ -389,9 +370,6 @@ func (e *Engine) Replan() error {
 		if err := e.plan.Verify(e.running); err != nil {
 			return fmt.Errorf("engine: at t=%d: %w", e.now, err)
 		}
-	}
-	if e.hooks.Planned != nil {
-		e.hooks.Planned(e.plan, unplaceable)
 	}
 	if err := e.launchDue(); err != nil {
 		return err

@@ -23,8 +23,11 @@ func TestSubmitReplanLaunchFinish(t *testing.T) {
 	var finStates []engine.FinishState
 	eng := engine.New(4, fcfs(), 0, engine.WithHooks(engine.Hooks{
 		Started: func(j *job.Job, now int64) { started = append(started, j.ID) },
-		Finished: func(j *job.Job, st engine.FinishState, now int64) {
-			finishedJobs = append(finishedJobs, j.ID)
+		Finished: func(r plan.Running, st engine.FinishState, now int64) {
+			if r.Start != 0 {
+				t.Errorf("job %d finished with start %d, launched at 0", r.Job.ID, r.Start)
+			}
+			finishedJobs = append(finishedJobs, r.Job.ID)
 			finStates = append(finStates, st)
 		},
 	}))
@@ -84,7 +87,7 @@ func TestCancelWaiting(t *testing.T) {
 func TestKillExpired(t *testing.T) {
 	var st []engine.FinishState
 	eng := engine.New(2, fcfs(), 0, engine.WithHooks(engine.Hooks{
-		Finished: func(j *job.Job, s engine.FinishState, now int64) { st = append(st, s) },
+		Finished: func(_ plan.Running, s engine.FinishState, now int64) { st = append(st, s) },
 	}))
 	eng.Submit(mkJob(1, 0, 2, 10))
 	if err := eng.Replan(); err != nil {
@@ -116,9 +119,9 @@ func TestJumpToBackwardsPanics(t *testing.T) {
 func TestFailProcsKillsVictimsInOrder(t *testing.T) {
 	var killed []job.ID
 	eng := engine.New(4, fcfs(), 0, engine.WithHooks(engine.Hooks{
-		Finished: func(j *job.Job, st engine.FinishState, now int64) {
+		Finished: func(r plan.Running, st engine.FinishState, now int64) {
 			if st == engine.FinishFailed {
-				killed = append(killed, j.ID)
+				killed = append(killed, r.Job.ID)
 			}
 		},
 	}))
@@ -140,11 +143,20 @@ func TestFailProcsKillsVictimsInOrder(t *testing.T) {
 	}
 }
 
+// planned lists the jobs the plan in force has an entry for, completing
+// a frontier schedule first.
+func planned(eng *engine.Engine) []job.ID {
+	sched := eng.Schedule()
+	sched.Complete()
+	var ids []job.ID
+	for _, e := range sched.Entries {
+		ids = append(ids, e.Job.ID)
+	}
+	return ids
+}
+
 func TestUnplaceableJobsWithheldUntilRestore(t *testing.T) {
-	var lastUnplaceable []*job.Job
-	eng := engine.New(4, fcfs(), 0, engine.WithHooks(engine.Hooks{
-		Planned: func(sched *plan.Schedule, unplaceable []*job.Job) { lastUnplaceable = unplaceable },
-	}))
+	eng := engine.New(4, fcfs(), 0)
 	eng.FailProcs(2) // effective capacity 2
 	wide, narrow := mkJob(1, 0, 3, 10), mkJob(2, 0, 2, 10)
 	eng.Submit(wide)
@@ -152,8 +164,11 @@ func TestUnplaceableJobsWithheldUntilRestore(t *testing.T) {
 	if err := eng.Replan(); err != nil {
 		t.Fatal(err)
 	}
-	if len(lastUnplaceable) != 1 || lastUnplaceable[0].ID != 1 {
-		t.Fatalf("unplaceable = %v, want the width-3 job", lastUnplaceable)
+	if got := planned(eng); len(got) != 1 || got[0] != 2 {
+		t.Fatalf("plan holds %v, want only the width-2 job", got)
+	}
+	if w := eng.Waiting(); len(w) != 1 || w[0].ID != 1 {
+		t.Fatalf("waiting = %v, want the withheld width-3 job", w)
 	}
 	if !eng.IsRunning(2) || !eng.IsWaiting(1) {
 		t.Fatal("narrow job must run while the wide one is withheld")
@@ -164,29 +179,23 @@ func TestUnplaceableJobsWithheldUntilRestore(t *testing.T) {
 	if err := eng.Replan(); err != nil {
 		t.Fatal(err)
 	}
-	if len(lastUnplaceable) != 0 || !eng.IsRunning(1) {
-		t.Fatalf("wide job not launched after restore (unplaceable %v)", lastUnplaceable)
+	if got := planned(eng); len(got) != 1 || got[0] != 1 || !eng.IsRunning(1) {
+		t.Fatalf("wide job not planned and launched after restore (plan holds %v)", got)
 	}
 }
 
 func TestReplanOnFullyDrainedMachine(t *testing.T) {
-	var planNil, sawQueue bool
-	eng := engine.New(2, fcfs(), 0, engine.WithHooks(engine.Hooks{
-		Planned: func(sched *plan.Schedule, unplaceable []*job.Job) {
-			planNil = sched == nil
-			sawQueue = len(unplaceable) == 1
-		},
-	}))
+	eng := engine.New(2, fcfs(), 0)
 	eng.FailProcs(2)
 	eng.Submit(mkJob(1, 0, 1, 10))
 	if err := eng.Replan(); err != nil {
 		t.Fatal(err)
 	}
-	if !planNil || !sawQueue {
-		t.Fatalf("drained replan: nil plan %v, queue reported %v", planNil, sawQueue)
-	}
 	if eng.Schedule() != nil {
 		t.Fatal("drained machine retains a schedule")
+	}
+	if w := eng.Waiting(); len(w) != 1 || w[0].ID != 1 {
+		t.Fatalf("waiting = %v, want the queued job kept", w)
 	}
 }
 
@@ -362,7 +371,7 @@ func BenchmarkEngineEventLoop(b *testing.B) {
 	for range b.N {
 		finished := 0
 		eng := engine.New(capacity, fcfs(), 0, engine.WithHooks(engine.Hooks{
-			Finished: func(*job.Job, engine.FinishState, int64) { finished++ },
+			Finished: func(plan.Running, engine.FinishState, int64) { finished++ },
 		}))
 		for i := 0; i < len(jobs); {
 			now := jobs[i].Submit

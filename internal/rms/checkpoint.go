@@ -67,12 +67,13 @@ func (s *Scheduler) captureCheckpointLocked(events int64) (checkpointState, erro
 }
 
 // restoreCheckpoint installs a checkpoint into a virgin scheduler (fresh
-// from New, nothing submitted). It checks the image read from disk,
-// reinstalls the job infos, refolds the finished history into the report
+// from New, nothing submitted). It checks the jobs the image read from
+// disk lists, reinstalls the finished history, refolds it into the report
 // aggregates in its original finish order and restores observer state;
-// restoreEngine does the rest. Replayed tail events then take it from
-// there. No replanning happens here — the checkpointed plan is the one
-// that was in force.
+// restoreEngine rebuilds the live jobs and the plan in force, from which
+// every later image derives their JobInfos. Replayed tail events then
+// take it from there. No replanning happens here — the checkpointed plan
+// is the one that was in force.
 func (s *Scheduler) restoreCheckpoint(cs *checkpointState) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -80,7 +81,8 @@ func (s *Scheduler) restoreCheckpoint(cs *checkpointState) error {
 	if s.nextID != 0 || len(s.done) != 0 {
 		return fmt.Errorf("rms: checkpoint restore on a non-virgin scheduler")
 	}
-	install := func(infos []JobInfo, what string, states ...JobState) error {
+	seen := make(map[job.ID]bool, len(cs.Done)+len(cs.Waiting)+len(cs.Running))
+	check := func(infos []JobInfo, what string, states ...JobState) error {
 		for _, info := range infos {
 			if !slices.Contains(states, info.State) {
 				return fmt.Errorf("rms: checkpoint %s job %d in state %s", what, info.ID, info.State)
@@ -88,21 +90,20 @@ func (s *Scheduler) restoreCheckpoint(cs *checkpointState) error {
 			if info.ID < 1 || int64(info.ID) > cs.NextID {
 				return fmt.Errorf("rms: checkpoint job %d outside the issued ID range", info.ID)
 			}
-			if _, dup := s.infos[info.ID]; dup {
+			if seen[info.ID] {
 				return fmt.Errorf("rms: checkpoint lists job %d twice", info.ID)
 			}
-			cp := info
-			s.infos[info.ID] = &cp
+			seen[info.ID] = true
 		}
 		return nil
 	}
-	if err := install(cs.Done, "done", StateCompleted, StateKilled, StateFailed); err != nil {
+	if err := check(cs.Done, "done", StateCompleted, StateKilled, StateFailed); err != nil {
 		return err
 	}
-	if err := install(cs.Waiting, "waiting", StateWaiting); err != nil {
+	if err := check(cs.Waiting, "waiting", StateWaiting); err != nil {
 		return err
 	}
-	if err := install(cs.Running, "running", StateRunning); err != nil {
+	if err := check(cs.Running, "running", StateRunning); err != nil {
 		return err
 	}
 	for i, d := range cs.Done {

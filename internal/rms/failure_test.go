@@ -373,21 +373,4 @@ func TestVictimOrderFunctions(t *testing.T) {
 	}
 }
 
-func TestCheckInvariantsDetectsCorruption(t *testing.T) {
-	s := newFCFS(t, 8)
-	s.Submit(4, 100)
-	if err := s.CheckInvariants(); err != nil {
-		t.Fatal(err)
-	}
-	// Corrupt deliberately: the info lifecycle contradicts the engine's
-	// queues. (Engine-internal corruption, such as a duplicated running
-	// entry, is covered by the engine's own invariant tests.)
-	s.mu.Lock()
-	s.infos[1].State = StateWaiting
-	s.mu.Unlock()
-	if err := s.CheckInvariants(); err == nil {
-		t.Fatal("contradictory job state not detected")
-	}
-}
-
 var _ sim.Driver = rogueDriver{}

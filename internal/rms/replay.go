@@ -63,7 +63,7 @@ func (j *Journal) replayInto(s *Scheduler, genesis bool) (int, error) {
 	}
 
 	s.mu.Lock()
-	attached := s.journal != nil
+	attached := s.jp.Load() != nil
 	virgin := s.nextID == 0 && len(s.done) == 0 &&
 		len(s.eng.Waiting()) == 0 && len(s.eng.Running()) == 0
 	capacity, name, now := s.eng.Capacity(), s.driver.Name(), s.eng.Now()

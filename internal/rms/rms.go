@@ -15,12 +15,13 @@
 // simulator, so the simulator-tested logic and the crash-safe online
 // logic are one implementation. This package is the concurrency, journal
 // and protocol shell around that engine: it serialises access, keeps the
-// externally visible JobInfo lifecycle, and records every external event
-// in an optional crash-safe write-ahead journal (see journal.go) whose
-// replay rebuilds identical state after a daemon crash. Processors can
-// fail and be restored at run time (Fail/Restore), with a configurable
-// victim policy deciding which running jobs die when the machine shrinks
-// under them.
+// finished jobs' history (a live job's JobInfo is read off the engine
+// and the plan in force whenever an image is cut), and records every
+// external event in an optional crash-safe write-ahead journal (see
+// journal.go) whose replay rebuilds identical state after a daemon
+// crash. Processors can fail and be restored at run time (Fail/Restore),
+// with a configurable victim policy deciding which running jobs die when
+// the machine shrinks under them.
 package rms
 
 import (
@@ -72,7 +73,7 @@ type JobInfo struct {
 	Estimate     int64
 	Submitted    int64
 	State        JobState
-	PlannedStart int64 // meaningful while waiting; NeverStart if unplaceable
+	PlannedStart int64 // while waiting, NeverStart if unplaceable; once started, Started
 	Started      int64 // meaningful once running
 	Finished     int64 // meaningful once completed/killed/failed
 }
@@ -106,15 +107,13 @@ var (
 // completed mutation, which is exactly the consistency a mutex would give
 // them minus the waiting.
 type Scheduler struct {
-	mu      sync.Mutex
-	eng     *engine.Engine
-	driver  sim.Driver
-	nextID  job.ID
-	journal *Journal
+	mu     sync.Mutex
+	eng    *engine.Engine
+	driver sim.Driver
+	nextID job.ID
 
-	infos map[job.ID]*JobInfo
-	done  []JobInfo // completed, killed and failed jobs, in finish order
-	agg   reportAgg // running Report aggregates over done, in finish order
+	done []JobInfo // completed, killed and failed jobs, in finish order
+	agg  reportAgg // running Report aggregates over done, in finish order
 
 	// doneLog is the finished history as a checkpoint record encodes it:
 	// the JSON of done[:doneLogged], comma-joined. Finished entries never
@@ -135,7 +134,8 @@ type Scheduler struct {
 	// in journal checkpoints (see StatefulObserver).
 	stateful []StatefulObserver
 
-	// jp mirrors journal for lock-free health checks (see JournalErr).
+	// jp is the attached journal, nil if none. Mutators load it under the
+	// lock; JournalErr loads it without, for lock-free health checks.
 	jp atomic.Pointer[Journal]
 
 	// img is the published image, swapped wholesale after every mutation
@@ -153,13 +153,14 @@ type Scheduler struct {
 // image is one immutable state of the scheduler, cut after a mutation.
 // Its checkpointState holds the clock, the next ID, the failed
 // processors, the live jobs in engine order — waiting jobs in submission
-// order, running ones in start order — the finished history and, while
-// quotes are on, the driver's decision state: exactly what a quote twin
-// restores. The plan, observer state and event count stay empty; only a
-// checkpoint fills them (see captureCheckpointLocked). Done aliases the
-// scheduler's backing array capped at its length — appends behind it
-// touch only indices the image never reads, and finished entries are
-// never mutated in place, so sharing is safe.
+// order, which is ascending ID order, running ones in start order — the
+// finished history and, while quotes are on, the driver's decision
+// state: exactly what a quote twin restores. The plan, observer state
+// and event count stay empty; only a checkpoint fills them (see
+// captureCheckpointLocked). Done aliases the scheduler's backing array
+// capped at its length — appends behind it touch only indices the image
+// never reads, and finished entries are never mutated in place, so
+// sharing is safe.
 type image struct {
 	checkpointState
 	capacity  int // installed processors
@@ -170,8 +171,12 @@ type image struct {
 	driverErr error // capturing Driver failed; quotes refuse
 }
 
-// imageLocked cuts an image of the current state. Callers hold the
-// scheduling lock.
+// imageLocked cuts an image of the current state. A live job's JobInfo
+// is derived here, from the engine: a waiting job's planned start is its
+// entry in the plan in force, completed first, or NeverStart when that
+// plan has none — the job is wider than the processors that are up, or
+// the machine is drained. A running job launched at its entry's start,
+// so its planned start is its start. Callers hold the scheduling lock.
 func (s *Scheduler) imageLocked() *image {
 	img := &image{
 		checkpointState: checkpointState{
@@ -180,21 +185,30 @@ func (s *Scheduler) imageLocked() *image {
 			Failed: s.eng.FailedProcs(),
 		},
 		capacity:  s.eng.Capacity(),
+		used:      s.eng.Used(),
 		active:    policyName(s.driver.ActivePolicy()),
 		scheduler: s.driver.Name(),
 		agg:       s.agg,
 	}
 	if waiting := s.eng.Waiting(); len(waiting) > 0 {
 		img.Waiting = make([]JobInfo, len(waiting))
-		for i, w := range waiting {
-			img.Waiting[i] = *s.infos[w.ID]
+		for i, j := range waiting {
+			img.Waiting[i] = jobInfo(j, StateWaiting, NeverStart)
+		}
+		if p := s.eng.Schedule(); p != nil {
+			p.Complete()
+			for _, e := range p.Entries {
+				if i, ok := waitingPos(img.Waiting, e.Job.ID); ok {
+					img.Waiting[i].PlannedStart = e.Start
+				}
+			}
 		}
 	}
 	if running := s.eng.Running(); len(running) > 0 {
 		img.Running = make([]JobInfo, len(running))
 		for i, r := range running {
-			img.used += r.Job.Width
-			img.Running[i] = *s.infos[r.Job.ID]
+			img.Running[i] = jobInfo(r.Job, StateRunning, r.Start)
+			img.Running[i].Started = r.Start
 		}
 	}
 	if n := len(s.done); n > 0 {
@@ -208,9 +222,25 @@ func (s *Scheduler) imageLocked() *image {
 	return img
 }
 
-// publish swaps in an image of the current state. Callers hold the
-// scheduling lock; readers are never blocked by it.
-func (s *Scheduler) publish() { s.img.Store(s.imageLocked()) }
+// jobInfo is the JobInfo of j in state st, planned to start at planned.
+func jobInfo(j *job.Job, st JobState, planned int64) JobInfo {
+	return JobInfo{ID: j.ID, Width: j.Width, Estimate: j.Estimate,
+		Submitted: j.Submit, State: st, PlannedStart: planned}
+}
+
+// waitingPos finds job id among an image's waiting jobs, which are in
+// ascending ID order.
+func waitingPos(waiting []JobInfo, id job.ID) (int, bool) {
+	return slices.BinarySearchFunc(waiting, id, func(w JobInfo, id job.ID) int { return cmp.Compare(w.ID, id) })
+}
+
+// publish swaps in an image of the current state and returns it.
+// Callers hold the scheduling lock; readers are never blocked by it.
+func (s *Scheduler) publish() *image {
+	img := s.imageLocked()
+	s.img.Store(img)
+	return img
+}
 
 // New returns an online scheduler for a machine with the given capacity,
 // using the given planning driver (a static policy, dynP, or EASY). The
@@ -224,62 +254,54 @@ func New(capacity int, driver sim.Driver, startTime int64) (*Scheduler, error) {
 	}
 	s := &Scheduler{
 		driver:  driver,
-		infos:   make(map[job.ID]*JobInfo),
 		doneIdx: make(map[job.ID]int),
 	}
 	s.eng = engine.New(capacity, driver, startTime, engine.WithHooks(engine.Hooks{
-		Started:  s.onStarted,
 		Finished: s.onFinished,
-		Planned:  s.onPlanned,
 	}))
 	s.replan()
 	s.publish()
 	return s, nil
 }
 
-// onStarted keeps the JobInfo lifecycle in step with engine launches.
-// The engine calls it with the scheduler lock held.
-func (s *Scheduler) onStarted(j *job.Job, now int64) {
-	info := s.infos[j.ID]
-	info.State = StateRunning
-	info.Started = now
-}
-
-// onFinished records a job leaving the machine, whatever the reason.
-func (s *Scheduler) onFinished(j *job.Job, st engine.FinishState, now int64) {
-	info := s.infos[j.ID]
+// onFinished records a job leaving the machine, whatever the reason, in
+// the finished history. The engine calls it with the scheduler lock held.
+func (s *Scheduler) onFinished(r plan.Running, st engine.FinishState, now int64) {
+	info := jobInfo(r.Job, StateCompleted, r.Start)
 	switch st {
-	case engine.FinishCompleted:
-		info.State = StateCompleted
 	case engine.FinishKilled:
 		info.State = StateKilled
 	case engine.FinishFailed:
 		info.State = StateFailed
 	}
-	info.Finished = now
+	info.Started, info.Finished = r.Start, now
 	s.doneMu.Lock()
-	s.doneIdx[j.ID] = len(s.done)
+	s.doneIdx[info.ID] = len(s.done)
 	s.doneMu.Unlock()
-	s.done = append(s.done, *info)
-	s.agg.add(*info)
+	s.done = append(s.done, info)
+	s.agg.add(info)
 }
 
-// onPlanned refreshes the planned starts after every replanning step,
-// from the whole plan: a static driver's frontier schedule is completed
-// first. Unplaceable jobs (wider than the effective capacity) carry the
-// NeverStart sentinel until capacity returns.
-func (s *Scheduler) onPlanned(sched *plan.Schedule, unplaceable []*job.Job) {
-	if sched != nil {
-		sched.Complete()
-		for _, e := range sched.Entries {
-			if info, ok := s.infos[e.Job.ID]; ok && info.State == StateWaiting {
-				info.PlannedStart = e.Start
-			}
+// checkState reports an error unless job id is in state want. A live
+// job's state is the engine's; a finished one's, the history's. Callers
+// hold the scheduling lock, which every writer of doneIdx holds too.
+func (s *Scheduler) checkState(id job.ID, want JobState) error {
+	st := StateWaiting
+	switch {
+	case s.eng.IsWaiting(id):
+	case s.eng.IsRunning(id):
+		st = StateRunning
+	default:
+		i, ok := s.doneIdx[id]
+		if !ok {
+			return fmt.Errorf("rms: unknown job %d", id)
 		}
+		st = s.done[i].State
 	}
-	for _, j := range unplaceable {
-		s.infos[j.ID].PlannedStart = NeverStart
+	if st != want {
+		return fmt.Errorf("rms: job %d is %s, not %s", id, st, want)
 	}
+	return nil
 }
 
 // replan runs one shared scheduling event. The engine's graceful launch
@@ -345,7 +367,6 @@ func (s *Scheduler) SetJournal(j *Journal) error {
 			return fmt.Errorf("rms: journal header: %w", err)
 		}
 	}
-	s.journal = j
 	s.jp.Store(j)
 	return nil
 }
@@ -371,10 +392,11 @@ func (s *Scheduler) QueueDepth() int { return len(s.img.Load().Waiting) }
 // authority after a crash — so callers return the error to the client.
 // Callers hold the lock.
 func (s *Scheduler) journalAppend(ev Event) error {
-	if s.journal == nil {
+	j := s.jp.Load()
+	if j == nil {
 		return nil
 	}
-	if err := s.journal.Append(ev); err != nil {
+	if err := j.Append(ev); err != nil {
 		return fmt.Errorf("rms: journal: %w", err)
 	}
 	return nil
@@ -383,8 +405,8 @@ func (s *Scheduler) journalAppend(ev Event) error {
 // journalCheckpoint lets the journal cut a periodic checkpoint of the
 // post-event state and rotate its segment. Callers hold the lock.
 func (s *Scheduler) journalCheckpoint() {
-	if s.journal != nil {
-		s.journal.maybeCheckpoint(s)
+	if j := s.jp.Load(); j != nil {
+		j.maybeCheckpoint(s)
 	}
 }
 
@@ -400,7 +422,6 @@ func (s *Scheduler) Now() int64 { return s.img.Load().Now }
 func (s *Scheduler) Submit(width int, estimate int64) (JobInfo, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	defer s.publish()
 	if err := checkShape(width, estimate, s.eng.Capacity(), s.eng.Effective()); err != nil {
 		return JobInfo{}, err
 	}
@@ -408,22 +429,16 @@ func (s *Scheduler) Submit(width int, estimate int64) (JobInfo, error) {
 		return JobInfo{}, err
 	}
 	s.nextID++
-	j := &job.Job{
+	s.eng.Submit(&job.Job{
 		ID: s.nextID, Submit: s.eng.Now(), Width: width,
 		Estimate: estimate,
 		// The actual run time is unknown online; the planner never
 		// reads it, but the job model requires validity.
 		Runtime: estimate,
-	}
-	s.infos[j.ID] = &JobInfo{
-		ID: j.ID, Width: width, Estimate: estimate,
-		Submitted: s.eng.Now(), State: StateWaiting,
-	}
-	s.eng.Submit(j)
+	})
 	s.replan()
-	info := *s.infos[j.ID]
 	s.journalCheckpoint()
-	return info, nil
+	return s.jobIn(s.publish(), s.nextID)
 }
 
 // checkShape validates a job's shape, as Submit, Deliver and Quote take
@@ -443,13 +458,8 @@ func checkShape(width int, estimate int64, capacity, effective int) error {
 func (s *Scheduler) Complete(id job.ID) (JobInfo, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	defer s.publish()
-	info, ok := s.infos[id]
-	if !ok {
-		return JobInfo{}, fmt.Errorf("rms: unknown job %d", id)
-	}
-	if info.State != StateRunning {
-		return JobInfo{}, fmt.Errorf("rms: job %d is %s, not running", id, info.State)
+	if err := s.checkState(id, StateRunning); err != nil {
+		return JobInfo{}, err
 	}
 	if err := s.journalAppend(Event{Op: opDone, ID: int64(id)}); err != nil {
 		return JobInfo{}, err
@@ -457,7 +467,7 @@ func (s *Scheduler) Complete(id job.ID) (JobInfo, error) {
 	s.eng.Finish(id, engine.FinishCompleted)
 	s.replan()
 	s.journalCheckpoint()
-	return *info, nil
+	return s.publish().Done[s.doneIdx[id]], nil
 }
 
 // Cancel removes a waiting job from the queue.
@@ -465,18 +475,13 @@ func (s *Scheduler) Cancel(id job.ID) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	defer s.publish()
-	info, ok := s.infos[id]
-	if !ok {
-		return fmt.Errorf("rms: unknown job %d", id)
-	}
-	if info.State != StateWaiting {
-		return fmt.Errorf("rms: job %d is %s, not waiting", id, info.State)
+	if err := s.checkState(id, StateWaiting); err != nil {
+		return err
 	}
 	if err := s.journalAppend(Event{Op: opCancel, ID: int64(id)}); err != nil {
 		return err
 	}
 	s.eng.CancelWaiting(id)
-	delete(s.infos, id)
 	s.replan()
 	s.journalCheckpoint()
 	return nil
@@ -572,7 +577,6 @@ type Submission struct {
 func (s *Scheduler) Deliver(t int64, completions []job.ID, subs []Submission) ([]JobInfo, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	defer s.publish()
 	if t < s.eng.Now() {
 		return nil, fmt.Errorf("rms: cannot deliver at %d before current time %d", t, s.eng.Now())
 	}
@@ -590,27 +594,9 @@ func (s *Scheduler) Deliver(t int64, completions []job.ID, subs []Submission) ([
 	}
 	_ = s.eng.AdvanceTo(t, true)
 	s.eng.JumpTo(t)
-
-	// Validate the whole batch before mutating anything, so a bad entry
-	// cannot leave the batch half-applied.
-	seen := make(map[job.ID]struct{}, len(completions))
-	for _, id := range completions {
-		if _, dup := seen[id]; dup {
-			return nil, fmt.Errorf("rms: duplicate completion for job %d", id)
-		}
-		seen[id] = struct{}{}
-		info, ok := s.infos[id]
-		if !ok {
-			return nil, fmt.Errorf("rms: unknown job %d", id)
-		}
-		if info.State != StateRunning {
-			return nil, fmt.Errorf("rms: job %d is %s, not running", id, info.State)
-		}
-	}
-	for _, sub := range subs {
-		if err := checkShape(sub.Width, sub.Estimate, s.eng.Capacity(), s.eng.Effective()); err != nil {
-			return nil, err
-		}
+	if err := s.checkBatch(completions, subs); err != nil {
+		s.publish() // the clock moved all the same
+		return nil, err
 	}
 
 	// Client completions first (a job completing exactly at its
@@ -620,26 +606,45 @@ func (s *Scheduler) Deliver(t int64, completions []job.ID, subs []Submission) ([
 	}
 	s.eng.KillExpired()
 
-	out := make([]JobInfo, 0, len(subs))
+	first := s.nextID + 1
 	for _, sub := range subs {
 		s.nextID++
-		j := &job.Job{
+		s.eng.Submit(&job.Job{
 			ID: s.nextID, Submit: s.eng.Now(), Width: sub.Width,
 			Estimate: sub.Estimate, Runtime: sub.Estimate,
-		}
-		s.infos[j.ID] = &JobInfo{
-			ID: j.ID, Width: j.Width, Estimate: j.Estimate,
-			Submitted: s.eng.Now(), State: StateWaiting,
-		}
-		s.eng.Submit(j)
+		})
 	}
 
 	s.replan()
-	for id := s.nextID - job.ID(len(subs)) + 1; id <= s.nextID; id++ {
-		out = append(out, *s.infos[id])
-	}
 	s.journalCheckpoint()
+	img := s.publish()
+	out := make([]JobInfo, len(subs))
+	for i := range out {
+		out[i], _ = s.jobIn(img, first+job.ID(i))
+	}
 	return out, nil
+}
+
+// checkBatch validates a whole Deliver batch before any of it applies,
+// so a bad entry cannot leave the batch half-applied. Callers hold the
+// scheduling lock.
+func (s *Scheduler) checkBatch(completions []job.ID, subs []Submission) error {
+	seen := make(map[job.ID]struct{}, len(completions))
+	for _, id := range completions {
+		if _, dup := seen[id]; dup {
+			return fmt.Errorf("rms: duplicate completion for job %d", id)
+		}
+		seen[id] = struct{}{}
+		if err := s.checkState(id, StateRunning); err != nil {
+			return err
+		}
+	}
+	for _, sub := range subs {
+		if err := checkShape(sub.Width, sub.Estimate, s.eng.Capacity(), s.eng.Effective()); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // Status is a snapshot of the whole system.
@@ -688,16 +693,17 @@ func (s *Scheduler) Status() Status {
 // single-job pollers cannot be starved by a long replan.
 func (s *Scheduler) Job(id job.ID) (JobInfo, error) { return s.jobIn(s.img.Load(), id) }
 
-// jobIn looks a job up in img: a live job by scanning the image's waiting
-// and running jobs, a finished one through the history index. A job the
-// image does not hold is unknown as of that image, whatever happened
-// since.
+// jobIn looks a job up in img: a waiting job by binary search, a running
+// one by scanning from the latest start back, a finished one through the
+// history index. A job the image does not hold is unknown as of that
+// image, whatever happened since.
 func (s *Scheduler) jobIn(img *image, id job.ID) (JobInfo, error) {
-	for _, live := range [][]JobInfo{img.Waiting, img.Running} {
-		for _, info := range live {
-			if info.ID == id {
-				return info, nil
-			}
+	if i, ok := waitingPos(img.Waiting, id); ok {
+		return img.Waiting[i], nil
+	}
+	for i := len(img.Running) - 1; i >= 0; i-- {
+		if img.Running[i].ID == id {
+			return img.Running[i], nil
 		}
 	}
 	s.doneMu.RLock()
@@ -715,39 +721,15 @@ func (s *Scheduler) jobIn(img *image, id job.ID) (JobInfo, error) {
 func (s *Scheduler) Finished() []JobInfo { return slices.Clone(s.img.Load().Done) }
 
 // CheckInvariants verifies the scheduler's internal consistency: the
-// engine's machine state is coherent (see engine.CheckInvariants), every
-// queue entry has a matching info in the matching state, and no job is
-// both waiting and running. It exists for tests and the chaos harness; a
-// healthy scheduler always returns nil.
+// engine's machine state is coherent (see engine.CheckInvariants). A
+// live job's state is the engine's alone, so there is no second copy to
+// reconcile. It exists for tests and the chaos harness; a healthy
+// scheduler always returns nil.
 func (s *Scheduler) CheckInvariants() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if err := s.eng.CheckInvariants(); err != nil {
 		return fmt.Errorf("rms: %w", err)
-	}
-	for _, r := range s.eng.Running() {
-		info, ok := s.infos[r.Job.ID]
-		if !ok || info.State != StateRunning {
-			return fmt.Errorf("rms: running job %d has no running info", r.Job.ID)
-		}
-	}
-	for _, w := range s.eng.Waiting() {
-		info, ok := s.infos[w.ID]
-		if !ok || info.State != StateWaiting {
-			return fmt.Errorf("rms: waiting job %d has no waiting info", w.ID)
-		}
-	}
-	for id, info := range s.infos {
-		switch info.State {
-		case StateWaiting:
-			if !s.eng.IsWaiting(id) {
-				return fmt.Errorf("rms: job %d marked waiting but not queued", id)
-			}
-		case StateRunning:
-			if !s.eng.IsRunning(id) {
-				return fmt.Errorf("rms: job %d marked running but not on the machine", id)
-			}
-		}
 	}
 	return nil
 }

@@ -92,7 +92,8 @@ endef
 # FuzzTunerLockstep's inputs are whole event streams: same cap, same reason.
 # FuzzWireCodec finds new coverage in most of its first minute's inputs
 # and stalls at 0 execs/s minimising them without the cap. FuzzRunGroup
-# simulates whole job sets per input: same cap, same reason. FuzzBaseReset
+# simulates whole job sets per input, each also through the naive event
+# loop of plantest.Simulate: same cap, same reason. FuzzBaseReset
 # replays whole running-set histories and stalls the same way uncapped.
 # FuzzJournalRecover opens and replays a whole journal per input; uncapped
 # it stalls at 0 execs/s minimising within its first hundred executions.

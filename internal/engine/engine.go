@@ -72,7 +72,7 @@ type Driver interface {
 // is handed (policy.Views.Sync).
 //
 // Deprecated: the engine never calls it. It stays while
-// benchmark/trace.go names it (ROADMAP.md, item 1(c)).
+// benchmark/trace.go names it (ROADMAP.md, item 1(a)).
 type QueueTracker interface {
 	NoteSubmit(j *job.Job)
 	NoteRemove(j *job.Job)

@@ -61,7 +61,7 @@ func (q *Queue[T]) PopIf(time int64) (ev Event[T], ok bool) {
 // Deprecated: a queue grows to its working size in a few pushes; the
 // simulator keeps only the running jobs' completions in one and reserves
 // nothing. It stays while benchmark/trace.go calls it (ROADMAP.md, item
-// 1(c)).
+// 1(a)).
 func (q *Queue[T]) Reserve(n int) {
 	if cap(q.heap)-len(q.heap) >= n {
 		return

@@ -147,7 +147,7 @@ func (b *Base) reserve(running []Running) {
 // BuildBasePooled returns a new Base reset to the given event.
 //
 // Deprecated: it allocates a Base per call; keep a Base and Reset it.
-// It stays while benchmark/trace.go calls it (ROADMAP.md, item 1(c)).
+// It stays while benchmark/trace.go calls it (ROADMAP.md, item 1(a)).
 func BuildBasePooled(now int64, capacity int, running []Running) *Base {
 	b := new(Base)
 	b.Reset(now, capacity, running)
@@ -157,7 +157,7 @@ func BuildBasePooled(now int64, capacity int, running []Running) *Base {
 // Release does nothing: a Base holds no storage anyone else shares.
 //
 // Deprecated: drop the call. It stays while benchmark/trace.go calls it
-// (ROADMAP.md, item 1(c)).
+// (ROADMAP.md, item 1(a)).
 func (b *Base) Release() {}
 
 // Profile returns a copy of the base availability profile, the caller's
@@ -365,7 +365,7 @@ func (b *Base) hand(i, k int, prof *profile.Profile, proven witnesses) {
 //
 // Deprecated: it allocates a Schedule per call; keep the schedules and
 // BuildInto them. It stays while benchmark/trace.go calls it (ROADMAP.md,
-// item 1(c)).
+// item 1(a)).
 func BuildFromOrdered(b *Base, ordered []*job.Job, p policy.Policy) *Schedule {
 	s := new(Schedule)
 	b.BuildInto([]*Schedule{s}, [][]*job.Job{ordered}, []policy.Policy{p})
@@ -376,7 +376,7 @@ func BuildFromOrdered(b *Base, ordered []*job.Job, p policy.Policy) *Schedule {
 // slots.
 //
 // Deprecated: a schedule only its builder rebuilds needs no release. It
-// stays while benchmark/trace.go calls it (ROADMAP.md, item 1(c)).
+// stays while benchmark/trace.go calls it (ROADMAP.md, item 1(a)).
 func ReleaseSchedules(ss []*Schedule) {
 	for i, s := range ss {
 		if s != nil {

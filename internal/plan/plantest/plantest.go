@@ -1,8 +1,9 @@
 // Package plantest is the naive oracle of the planner stack: the one
 // reference every fast path — schedules rebuilt in place, spliced order
 // views, dominance-bounded hole searches, shared build prefixes, the
-// shared lane, the daemon's delivery loop — is checked against, in
-// lockstep, event by event. It is test support, imported only from _test
+// shared lane, the engine's event loop, the simulator's cursor and
+// group splits, the daemon's delivery loop and quote twins — is checked
+// against, in lockstep, event by event. It is test support, imported only from _test
 // files.
 //
 // The behavioural contracts it checks:
@@ -26,18 +27,26 @@
 //     image — continues in lockstep from the restored state: every plan
 //     it makes holds to BC-1 and BC-2, its naive tuner taking the
 //     restored active policy at the restore, and a replay lands on the
-//     state it saved. A twin's answer equals that of a twin planning
-//     with Plan or a naive Tuner from the image's active policy.
+//     state it saved.
+//   - BC-4. The event loop follows the tie rules of DESIGN §9: a run of
+//     a job set (sim.Run, every sim.RunGroup member, sim.RunParallel),
+//     the engine under a Run stream and the daemon under its entry
+//     points take the transitions an engine.Observer sees — kind, job,
+//     instant, queue depth — and finish the jobs, at the same instants
+//     and in the same way, of the naive Machine fed the same events
+//     (Simulate for a job set, a Daemon for the daemon); a quote's starts
+//     equal the naive Daemon's.
 //
 // The oracle is slow and obvious on purpose. It shares no mechanism with
 // what it checks: a full sort per policy per event, the array-of-structs
 // profiletest.Linear, an EarliestFit + Alloc pair per job with every
 // search started at now, schedules assembled by hand, no reused storage,
-// no views, no witness bounds. It does share policy.Order, the Policy
-// orders themselves, the Planned* scores (which walk the entries),
-// core.Metric's dispatch and the deciders: those have their own tests
-// (policy.TestOrderMatchesSliceStable, plan.TestPlannedMetrics, the
-// exhaustive decider tables).
+// no views, no witness bounds; an event loop of plain slices, searched
+// and spliced, that replans from scratch at every scheduling event. It
+// does share policy.Order, the Policy orders themselves, the Planned*
+// scores (which walk the entries), core.Metric's dispatch and the
+// deciders: those have their own tests (policy.TestOrderMatchesSliceStable,
+// plan.TestPlannedMetrics, the exhaustive decider tables).
 package plantest
 
 import (
@@ -56,12 +65,7 @@ import (
 
 // Plan is the naive planner (BC-1).
 func Plan(now int64, capacity int, running []plan.Running, waiting []*job.Job, p policy.Policy) *plan.Schedule {
-	prof := profiletest.NewLinear(capacity, now)
-	for _, r := range running {
-		if rem := r.EstimatedEnd() - now; rem > 0 {
-			prof.Alloc(now, r.Job.Width, rem)
-		}
-	}
+	prof := reserved(capacity, now, running)
 	s := &plan.Schedule{Now: now, Capacity: capacity, Policy: p, Entries: []plan.Entry{}}
 	for _, j := range policy.Order(p, waiting) {
 		start := prof.EarliestFit(now, j.Width, j.Estimate)
@@ -69,6 +73,18 @@ func Plan(now int64, capacity int, running []plan.Running, waiting []*job.Job, p
 		s.Entries = append(s.Entries, plan.Entry{Job: j, Start: start})
 	}
 	return s
+}
+
+// reserved is a profile from now on holding the running jobs until their
+// estimated ends.
+func reserved(capacity int, now int64, running []plan.Running) *profiletest.Linear {
+	prof := profiletest.NewLinear(capacity, now)
+	for _, r := range running {
+		if rem := r.EstimatedEnd() - now; rem > 0 {
+			prof.Alloc(now, r.Job.Width, rem)
+		}
+	}
+	return prof
 }
 
 // SameSchedule reports the first difference between two schedules:
@@ -108,6 +124,7 @@ type Tuner struct {
 	Decider    core.Decider // the oracle's own instance
 	Metric     core.Metric
 	Active     policy.Policy
+	Trace      []core.Decision // every step's decision, as core.SelfTuner traces it
 }
 
 // NewTuner returns a naive tuner over the paper's candidate set.
@@ -125,7 +142,9 @@ func (t *Tuner) Step(now int64, capacity int, running []plan.Running, waiting []
 		refs[i] = Plan(now, capacity, running, waiting, p)
 		values[i] = t.Metric.Score(refs[i])
 	}
+	old := t.Active
 	t.Active = t.Decider.Decide(t.Active, t.Candidates, values)
+	t.Trace = append(t.Trace, core.Decision{Time: now, Old: old, Chosen: t.Active, Values: values})
 	return values, refs[slices.Index(t.Candidates, t.Active)]
 }
 
@@ -258,23 +277,29 @@ const Capacity = 16
 
 // Run interprets data as an event stream — two bytes an event — against
 // an engine planning with the self-checking driver newDriver returns,
-// replanning and checking the engine's invariants after every event. The
-// streams reach everything that changes what Plan is handed: submissions
-// with heavily tied keys, clock advances that fire kills at the estimate
-// and planned starts, early completions, cancellations, an ID cancelled
-// and re-submitted as a new job within one instant, processor failures
-// that make the engine withhold jobs too wide for what is left (they
-// rejoin the planned queue out of order once processors return) or drain
-// the machine entirely, and a checkpoint restored into a fresh engine and
+// replanning and checking the engine's invariants after every event, and
+// holds the engine's transitions to those of a naive Machine planning
+// with oracle that takes the same events (BC-4). The streams reach
+// everything that changes what Plan is handed: submissions with heavily
+// tied keys, clock advances that fire kills at the estimate and planned
+// starts, early completions, cancellations, an ID cancelled and
+// re-submitted as a new job within one instant, processor failures that
+// make the engine withhold jobs too wide for what is left (they rejoin
+// the planned queue out of order once processors return) or drain the
+// machine entirely, and a checkpoint restored into a fresh engine and
 // driver — whose first plan builds its order views from the restored
 // queue and which, for an engine.StatefulDriver, carries SaveState over
-// into RestoreState.
-func Run(t testing.TB, newDriver func() engine.Driver, data []byte) {
+// into RestoreState. A restore is no event to the oracle.
+func Run(t testing.TB, newDriver func() engine.Driver, oracle Step, data []byte) {
 	driver := newDriver()
-	eng := engine.New(Capacity, driver, 0)
+	var rec Recorder
+	eng := engine.New(Capacity, driver, 0, engine.WithObserver(&rec))
+	m := NewMachine(Capacity, oracle, 0)
 	submit := func(id job.ID, arg byte) {
 		width, est := SubmitShape(arg)
-		eng.Submit(&job.Job{ID: id, Submit: eng.Now(), Width: width, Estimate: est, Runtime: est})
+		j := &job.Job{ID: id, Submit: eng.Now(), Width: width, Estimate: est, Runtime: est}
+		eng.Submit(j)
+		m.Submit(j)
 	}
 	var nextID job.ID
 	for i := 0; i+1 < len(data); i += 2 {
@@ -289,30 +314,39 @@ func Run(t testing.TB, newDriver func() engine.Driver, data []byte) {
 				t.Fatal(err)
 			}
 			eng.JumpTo(to)
+			m.AdvanceTo(to, false)
+			m.Now = to
 		case 4:
 			if running := eng.Running(); len(running) > 0 {
-				eng.Finish(running[int(arg)%len(running)].Job.ID, engine.FinishCompleted)
+				id := running[int(arg)%len(running)].Job.ID
+				eng.Finish(id, engine.FinishCompleted)
+				m.Finish(id, engine.FinishCompleted)
 			}
 		case 5:
 			if waiting := eng.Waiting(); len(waiting) > 0 {
 				id := waiting[int(arg)%len(waiting)].ID
 				eng.CancelWaiting(id)
+				m.CancelWaiting(id)
 				if arg >= 128 {
 					submit(id, arg)
 				}
 			}
 		case 6:
 			if eff := eng.Effective(); arg%2 == 0 && eff > 0 {
-				eng.FailProcs(1 + int(arg/2)%eff)
+				n := 1 + int(arg/2)%eff
+				eng.FailProcs(n)
+				m.FailProcs(n)
 			} else if failed := eng.FailedProcs(); failed > 0 {
-				eng.RestoreProcs(1 + int(arg/2)%failed)
+				n := 1 + int(arg/2)%failed
+				eng.RestoreProcs(n)
+				m.RestoreProcs(n)
 			}
 		case 7:
 			st := engine.State{Now: eng.Now(), Failed: eng.FailedProcs(),
 				Waiting: slices.Clone(eng.Waiting()), Running: slices.Clone(eng.Running())}
 			old := driver
 			driver = newDriver() // a restart: only saved state survives the old driver
-			eng = engine.New(Capacity, driver, 0)
+			eng = engine.New(Capacity, driver, 0, engine.WithObserver(&rec))
 			if err := eng.RestoreState(st); err != nil {
 				t.Fatal(err)
 			}
@@ -332,8 +366,12 @@ func Run(t testing.TB, newDriver func() engine.Driver, data []byte) {
 		if err := eng.Replan(); err != nil {
 			t.Fatal(err)
 		}
+		m.Replan()
 		if err := eng.CheckInvariants(); err != nil {
 			t.Fatalf("after event %d (op %d): %v", i/2, op%8, err)
+		}
+		if err := SameTransitions(rec.Transitions, m.Transitions); err != nil {
+			t.Fatalf("after event %d (op %d): the engine parts from the naive machine: %v", i/2, op%8, err)
 		}
 	}
 }

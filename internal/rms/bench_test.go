@@ -3,6 +3,7 @@ package rms
 import (
 	"encoding/json"
 	"fmt"
+	"slices"
 	"testing"
 
 	"dynp/internal/core"
@@ -10,6 +11,7 @@ import (
 	"dynp/internal/policy"
 	"dynp/internal/rng"
 	"dynp/internal/sim"
+	"dynp/internal/workload"
 )
 
 // BenchmarkOnlineLifecycle measures submit/advance/complete throughput of
@@ -154,4 +156,78 @@ func BenchmarkStatusCodec(b *testing.B) {
 			statusSink = r.Status
 		}
 	})
+}
+
+// BenchmarkDeliver replays one generated KTH set (1,000 jobs at shrink
+// 0.8) through Deliver in process, one batch per instant of its
+// simulated run — the jobs completing then, the jobs submitted then — as
+// the daemon-wire workload feeds dynpd, under the SJF-preferred dynP
+// driver, with quotes off and on. A job that runs out its estimate gets
+// no completion: the batch's kill sweep ends it. One op is one batch; the
+// replay starts over on a fresh scheduler when the set is done. With
+// quotes on, every batch's published image also captures the tuner's
+// state.
+func BenchmarkDeliver(b *testing.B) {
+	sets, err := workload.KTH.GenerateSets(1, 1000, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	set := sets[0].Shrink(0.8)
+	newDriver := func() sim.Driver { return sim.NewDynP(core.Preferred{Policy: policy.SJF}) }
+	res, err := sim.Run(set, newDriver())
+	if err != nil {
+		b.Fatal(err)
+	}
+	// A daemon numbers jobs in arrival order: set job i is online job i+1.
+	type batch struct {
+		done []job.ID
+		subs []Submission
+	}
+	batches := map[int64]*batch{}
+	at := func(t int64) *batch {
+		if batches[t] == nil {
+			batches[t] = &batch{}
+		}
+		return batches[t]
+	}
+	online := make(map[job.ID]job.ID, len(set.Jobs))
+	for i, j := range set.Jobs {
+		online[j.ID] = job.ID(i + 1)
+		at(j.Submit).subs = append(at(j.Submit).subs, Submission{Width: j.Width, Estimate: j.Estimate})
+	}
+	for _, r := range res.Records {
+		if r.Job.Runtime < r.Job.Estimate {
+			at(r.Finish).done = append(at(r.Finish).done, online[r.Job.ID])
+		}
+	}
+	var instants []int64
+	for t := range batches {
+		instants = append(instants, t)
+	}
+	slices.Sort(instants)
+	for _, quotes := range []bool{false, true} {
+		b.Run(fmt.Sprintf("quotes=%t", quotes), func(b *testing.B) {
+			var s *Scheduler
+			k := len(instants)
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if k == len(instants) {
+					b.StopTimer()
+					if s, err = New(set.Machine, newDriver(), instants[0]); err == nil && quotes {
+						err = s.EnableQuotes(newDriver)
+					}
+					if err != nil {
+						b.Fatal(err)
+					}
+					k = 0
+					b.StartTimer()
+				}
+				t := instants[k]
+				if _, err := s.Deliver(t, batches[t].done, batches[t].subs); err != nil {
+					b.Fatal(err)
+				}
+				k++
+			}
+		})
+	}
 }

@@ -7,13 +7,11 @@ import (
 	"io"
 	"path/filepath"
 	"reflect"
-	"slices"
 	"strings"
 	"testing"
 
 	"dynp/internal/core"
 	"dynp/internal/job"
-	"dynp/internal/plan"
 	"dynp/internal/plan/plantest"
 	"dynp/internal/policy"
 	"dynp/internal/sim"
@@ -24,14 +22,36 @@ import (
 // driver and the naive tuner it is held to (nil for a static driver).
 type lockstepFactory func() (sim.Driver, *sim.DynP, *plantest.Tuner)
 
+// staticLockstep makes lockstep static drivers under policy p.
+func staticLockstep(t *testing.T, p policy.Policy, lanes *plantest.Lanes) lockstepFactory {
+	return func() (sim.Driver, *sim.DynP, *plantest.Tuner) {
+		return plantest.Lockstep(t, &sim.Static{Policy: p}, lanes), nil, nil
+	}
+}
+
+// tunerLockstep makes lockstep dynP drivers deciding with newDecider.
+func tunerLockstep(t *testing.T, newDecider func() core.Decider, lanes *plantest.Lanes) lockstepFactory {
+	return func() (sim.Driver, *sim.DynP, *plantest.Tuner) {
+		d := sim.NewDynP(newDecider())
+		ref := plantest.NewTuner(newDecider(), core.MetricSLDwA)
+		return plantest.TunerLockstep(t, d, d.Tuner, ref, lanes), d, ref
+	}
+}
+
 // runDeliverLockstep feeds a plantest event stream — two bytes an event —
 // through the daemon's entry points, with a lockstep driver inside the
 // Scheduler: every plan the daemon makes, including those of the sweep
 // Deliver performs on its way to a later instant, is checked against the
 // naive oracle, and the scheduler's invariants after every event. The
-// ops mirror plantest.Run's; a daemon assigns its own IDs, so a cancelled
-// job is re-submitted under a fresh one, and op 7 splits into what only a
-// daemon has, both forks of BC-3 among them:
+// same requests go to a naive daemon planning with oracle, whose
+// transitions the scheduler's must equal after every event, and whose
+// finished jobs the scheduler's must equal at the end (BC-4); the live
+// jobs' infos are checked against the naive daemon's after every event
+// too (checkDerived). The ops mirror plantest.Run's, each reaching the
+// daemon through Deliver or through the interactive entry point (Submit,
+// Advance, Complete); a daemon assigns its own IDs, so a cancelled job is
+// re-submitted under a fresh one, and op 7 splits into what only a daemon
+// has, both forks of BC-3 among them:
 //
 //   - a restart: the journal (checkpointing every few events) is closed
 //     and replayed into a fresh Scheduler with a fresh lockstep driver,
@@ -40,12 +60,18 @@ type lockstepFactory func() (sim.Driver, *sim.DynP, *plantest.Tuner)
 //     stream continues on it;
 //   - a quote, whose twin plans with a lockstep driver from the quote
 //     factory and must have continued from the live tuner's state, and
-//     whose answer must equal that of a naive twin run forward from the
-//     same image;
+//     whose answer must equal the naive daemon's, its twin planning from
+//     the naive daemon's active policy;
 //   - one batch completing a job and submitting another at the same later
 //     instant.
-func runDeliverLockstep(t *testing.T, newDriver lockstepFactory, lanes *plantest.Lanes, data []byte) {
+//
+// It returns how many waiting jobs the naive plan in force had no entry
+// for, and how many it had one for, over every event.
+func runDeliverLockstep(t *testing.T, newDriver lockstepFactory, oracle plantest.Step, lanes *plantest.Lanes,
+	data []byte) (unplaced, placed int) {
 	path := filepath.Join(t.TempDir(), "events.journal")
+	naive := plantest.NewDaemon(plantest.Capacity, oracle, 0)
+	var rec plantest.Recorder
 	var (
 		s         *Scheduler
 		j         *Journal
@@ -78,6 +104,7 @@ func runDeliverLockstep(t *testing.T, newDriver lockstepFactory, lanes *plantest
 		if err != nil {
 			t.Fatal(err)
 		}
+		s.AddObserver(&rec) // the replay re-enacts what rec has seen
 	}
 	start()
 	defer func() { j.Close() }()
@@ -85,29 +112,53 @@ func runDeliverLockstep(t *testing.T, newDriver lockstepFactory, lanes *plantest
 	for i := 0; i+1 < len(data); i += 2 {
 		op, arg := data[i], data[i+1]
 		width, est := plantest.SubmitShape(arg)
-		sub := []Submission{{Width: width, Estimate: est}}
+		sub, shape := []Submission{{Width: width, Estimate: est}}, plantest.Shape{Width: width, Estimate: est}
 		st := s.Status()
+		var infos []JobInfo
 		var err error
+		one := func(info JobInfo, err error) ([]JobInfo, error) { return []JobInfo{info}, err }
 		switch op % 8 {
-		case 0, 1, 2:
-			_, err = s.Deliver(st.Now, nil, sub)
+		case 0, 1:
+			infos, err = s.Deliver(st.Now, nil, sub)
+			naive.Deliver(st.Now, nil, shape)
+		case 2:
+			infos, err = one(s.Submit(width, est))
+			naive.SubmitNow(shape)
 		case 3:
-			_, err = s.Deliver(st.Now+7*int64(arg), nil, nil)
+			if to := st.Now + 7*int64(arg); arg%2 == 0 {
+				err = s.Advance(to)
+				naive.Advance(to)
+			} else {
+				infos, err = s.Deliver(to, nil, nil)
+				naive.Deliver(to, nil)
+			}
 		case 4:
 			if n := len(st.Running); n > 0 {
-				_, err = s.Deliver(st.Now, []job.ID{st.Running[int(arg)%n].ID}, nil)
+				id := st.Running[int(arg)%n].ID
+				if arg%2 == 0 {
+					infos, err = one(s.Complete(id))
+					naive.Complete(id)
+				} else {
+					infos, err = s.Deliver(st.Now, []job.ID{id}, nil)
+					naive.Deliver(st.Now, []job.ID{id})
+				}
 			}
 		case 5:
 			if n := len(st.Waiting); n > 0 {
-				if err = s.Cancel(st.Waiting[int(arg)%n].ID); err == nil && arg >= 128 {
+				err = s.Cancel(st.Waiting[int(arg)%n].ID)
+				naive.Cancel(st.Waiting[int(arg)%n].ID)
+				if err == nil && arg >= 128 {
 					_, err = s.Submit(width, est)
+					naive.SubmitNow(shape)
 				}
 			}
 		case 6:
 			if eff := st.Capacity - st.FailedProcs; arg%2 == 0 && eff > 0 {
 				err = s.Fail(1 + int(arg/2)%eff)
+				naive.Fail(1 + int(arg/2)%eff)
 			} else if st.FailedProcs > 0 {
 				err = s.Restore(1 + int(arg/2)%st.FailedProcs)
+				naive.Restore(1 + int(arg/2)%st.FailedProcs)
 			}
 		case 7:
 			switch arg % 4 {
@@ -147,8 +198,11 @@ func runDeliverLockstep(t *testing.T, newDriver lockstepFactory, lanes *plantest
 					}
 				}
 				if err == nil {
-					if want := naiveQuotes(t, img, ref, width, est, count); !slices.Equal(qs, want) {
-						t.Fatalf("event %d: twin quoted %+v, the naive twin %+v", i/2, qs, want)
+					want := naive.Quote(shape, count)
+					for k, q := range qs {
+						if q.Start != want[k] {
+							t.Fatalf("event %d: twin quoted %+v, the naive daemon starts %v", i/2, qs, want)
+						}
 					}
 				}
 			default:
@@ -159,65 +213,30 @@ func runDeliverLockstep(t *testing.T, newDriver lockstepFactory, lanes *plantest
 						done = []job.ID{r.ID}
 					}
 				}
-				_, err = s.Deliver(at, done, sub)
+				infos, err = s.Deliver(at, done, sub)
+				naive.Deliver(at, done, shape)
 			}
 		}
 		if err == nil {
 			err = s.CheckInvariants()
 		}
+		if err == nil {
+			err = plantest.SameTransitions(rec.Transitions, naive.Transitions)
+		}
 		if err != nil {
 			t.Fatalf("after event %d (op %d): %v", i/2, op%8, err)
 		}
+		for _, info := range infos {
+			if got, err := s.Job(info.ID); err != nil || got != info {
+				t.Fatalf("event %d: the request returned %+v, Job(%d) reads %+v (%v)", i/2, info, info.ID, got, err)
+			}
+		}
+		u, p := checkDerived(t, s, naive)
+		unplaced, placed = unplaced+u, placed+p
 		checkStatusOrder(t, fmt.Sprintf("event %d (op %d)", i/2, op%8), s)
 	}
-}
-
-// naiveTwin is a quote twin's driver made of the oracle alone: every
-// plan is plantest.Plan under a fixed policy or, with a tuner, a naive
-// tuner step.
-type naiveTwin struct {
-	pol   policy.Policy
-	tuner *plantest.Tuner
-}
-
-func (d *naiveTwin) Name() string { return "naive" }
-
-func (d *naiveTwin) ActivePolicy() policy.Policy {
-	if d.tuner != nil {
-		return d.tuner.Active
-	}
-	return d.pol
-}
-
-func (d *naiveTwin) Plan(now int64, capacity int, running []plan.Running, waiting []*job.Job) *plan.Schedule {
-	if d.tuner == nil {
-		return plantest.Plan(now, capacity, running, waiting, d.pol)
-	}
-	_, sched := d.tuner.Step(now, capacity, running, waiting)
-	return sched
-}
-
-// naiveQuotes runs a twin from img on a naiveTwin (BC-3's quote fork):
-// it starts from the image's active policy — with ref, the live naive
-// tuner, as a naive tuner of the same decider, which the streams keep
-// stateless — and so needs none of the driver state the image carries.
-func naiveQuotes(t *testing.T, img *image, ref *plantest.Tuner, width int, estimate int64, count int) []Quote {
-	t.Helper()
-	active, err := policy.Lookup(img.active)
-	if err != nil {
-		t.Fatal(err)
-	}
-	drv := &naiveTwin{pol: active}
-	if ref != nil {
-		drv.tuner = &plantest.Tuner{Candidates: ref.Candidates, Decider: ref.Decider, Metric: ref.Metric, Active: active}
-	}
-	bare := *img
-	bare.Driver = nil
-	qs, err := runTwin(&bare, drv, width, estimate, count)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return qs
+	sameFinished(t, s.Finished(), naive.Records)
+	return unplaced, placed
 }
 
 // checkStatusOrder holds Status to its order contract, read directly and
@@ -274,7 +293,7 @@ func checkpointImage(t *testing.T, s *Scheduler) string {
 	return string(b)
 }
 
-// TestDeliverLockstep holds the daemon to BC-1, BC-2 and BC-3: the seeded
+// TestDeliverLockstep holds the daemon to BC-1 to BC-4: the seeded
 // streams of the simulator's lockstep tests, through Deliver, Submit,
 // Cancel, Fail, Restore, journal restarts and quote twins, under a static
 // driver and two self-tuning ones. Some plan must have been handed a
@@ -283,15 +302,9 @@ func checkpointImage(t *testing.T, s *Scheduler) string {
 // must keep its order contract, read directly and over ServeConn.
 func TestDeliverLockstep(t *testing.T) {
 	var lanes plantest.Lanes
-	static := func() (sim.Driver, *sim.DynP, *plantest.Tuner) {
-		return plantest.Lockstep(t, &sim.Static{Policy: policy.SJF}, &lanes), nil, nil
-	}
-	tuner := func(newDecider func() core.Decider) lockstepFactory {
-		return func() (sim.Driver, *sim.DynP, *plantest.Tuner) {
-			d := sim.NewDynP(newDecider())
-			ref := plantest.NewTuner(newDecider(), core.MetricSLDwA)
-			return plantest.TunerLockstep(t, d, d.Tuner, ref, &lanes), d, ref
-		}
+	deciders := []func() core.Decider{
+		func() core.Decider { return core.Preferred{Policy: policy.SJF} },
+		func() core.Decider { return core.Advanced{} },
 	}
 	for seed := uint64(0); seed < 3; seed++ {
 		data := plantest.Stream(seed)
@@ -306,12 +319,9 @@ func TestDeliverLockstep(t *testing.T) {
 		if restarts == 0 || quotes == 0 {
 			t.Fatalf("stream %d restarts %d times and quotes %d times; it must do both", seed, restarts, quotes)
 		}
-		for _, newDriver := range []lockstepFactory{
-			static,
-			tuner(func() core.Decider { return core.Preferred{Policy: policy.SJF} }),
-			tuner(func() core.Decider { return core.Advanced{} }),
-		} {
-			runDeliverLockstep(t, newDriver, &lanes, data)
+		runDeliverLockstep(t, staticLockstep(t, policy.SJF, &lanes), plantest.Fixed{Policy: policy.SJF}, &lanes, data)
+		for _, newDecider := range deciders {
+			runDeliverLockstep(t, tunerLockstep(t, newDecider, &lanes), plantest.NewTuner(newDecider(), core.MetricSLDwA), &lanes, data)
 		}
 	}
 	if lanes.Rejoined == 0 {

@@ -59,13 +59,13 @@ func (s *Scheduler) EnableQuotes(newDriver func() sim.Driver) error {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	defer s.publish()
 	if probe.Name() != s.driver.Name() {
 		return fmt.Errorf("rms: EnableQuotes: factory builds %q, live scheduler is %q",
 			probe.Name(), s.driver.Name())
 	}
 	s.quoteNew = newDriver
 	s.quotesOn.Store(true)
+	s.publish()
 	return nil
 }
 

@@ -474,7 +474,6 @@ func (s *Scheduler) Complete(id job.ID) (JobInfo, error) {
 func (s *Scheduler) Cancel(id job.ID) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	defer s.publish()
 	if err := s.checkState(id, StateWaiting); err != nil {
 		return err
 	}
@@ -484,6 +483,7 @@ func (s *Scheduler) Cancel(id job.ID) error {
 	s.eng.CancelWaiting(id)
 	s.replan()
 	s.journalCheckpoint()
+	s.publish()
 	return nil
 }
 
@@ -496,7 +496,6 @@ func (s *Scheduler) Cancel(id job.ID) error {
 func (s *Scheduler) Fail(procs int) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	defer s.publish()
 	if procs < 1 {
 		return fmt.Errorf("rms: fail %d processors < 1", procs)
 	}
@@ -510,6 +509,7 @@ func (s *Scheduler) Fail(procs int) error {
 	s.eng.FailProcs(procs)
 	s.replan()
 	s.journalCheckpoint()
+	s.publish()
 	return nil
 }
 
@@ -519,7 +519,6 @@ func (s *Scheduler) Fail(procs int) error {
 func (s *Scheduler) Restore(procs int) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	defer s.publish()
 	if procs < 1 {
 		return fmt.Errorf("rms: restore %d processors < 1", procs)
 	}
@@ -532,6 +531,7 @@ func (s *Scheduler) Restore(procs int) error {
 	s.eng.RestoreProcs(procs)
 	s.replan()
 	s.journalCheckpoint()
+	s.publish()
 	return nil
 }
 
@@ -541,7 +541,6 @@ func (s *Scheduler) Restore(procs int) error {
 func (s *Scheduler) Advance(to int64) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	defer s.publish()
 	if to < s.eng.Now() {
 		return fmt.Errorf("rms: cannot advance from %d back to %d", s.eng.Now(), to)
 	}
@@ -555,6 +554,7 @@ func (s *Scheduler) Advance(to int64) error {
 	_ = s.eng.AdvanceTo(to, false)
 	s.eng.JumpTo(to)
 	s.journalCheckpoint()
+	s.publish()
 	return nil
 }
 

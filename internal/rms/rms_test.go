@@ -220,75 +220,34 @@ func TestStateString(t *testing.T) {
 	}
 }
 
-// The online-equals-offline property of the shared engine: each seeded job
-// set runs once through the offline simulator (sim.Run) and once through
-// the online scheduler, fed one Deliver batch at each of the simulator's
-// submission and completion instants, for static FCFS and the paper's
-// three deciders. Both sides plan with lockstep drivers, so every plan is
-// also held to the naive oracle. Each job must start and finish at
-// identical times in the same final state, and a self-tuning driver must
-// take an identical decision trace. The online trace carries one extra
-// leading decision from the construction-time replan, whose outcome is
-// decider-specific; every later decision must match the offline one
-// exactly. The three tests below split the seeds and drivers of that one
-// property; all of them drive it through runDifferential.
-
-// differentialSeeds are the property's seeded sets.
-var differentialSeeds = func() []uint64 {
-	var seeds []uint64
+// TestDifferentialSimVsRMS holds the online scheduler to the oracle on
+// seeded sets, for static FCFS and the paper's three deciders. Each set
+// runs once through the oracle's offline loop (plantest.Simulate); the
+// online scheduler, fed one Deliver batch at each of that run's
+// submission and completion instants, must take the transitions and
+// finish the jobs of a naive daemon fed the same batches, and start and
+// finish every job where the offline run does. Jobs that run out their
+// estimate get no completion: Deliver's kill sweep ends them at the very
+// same instant. The scheduler plans with a lockstep driver, so each of
+// its plans and decisions is held to the naive planner or tuner too.
+func TestDifferentialSimVsRMS(t *testing.T) {
+	deciders := map[string]func() core.Decider{
+		"FCFS":          nil,
+		"simple":        func() core.Decider { return core.Simple{} },
+		"advanced":      func() core.Decider { return core.Advanced{} },
+		"preferred-sjf": func() core.Decider { return core.Preferred{Policy: policy.SJF} },
+	}
+	// Seeds 1 to 32, and one that once parted online from offline.
+	seeds := []uint64{0xbf1935662dda1936}
 	for seed := uint64(1); seed <= 32; seed++ {
 		seeds = append(seeds, seed)
 	}
-	return seeds
-}()
-
-// differentialDeciders are the paper's three deciders.
-var differentialDeciders = map[string]func() core.Decider{
-	"simple":        func() core.Decider { return core.Simple{} },
-	"advanced":      func() core.Decider { return core.Advanced{} },
-	"preferred-sjf": func() core.Decider { return core.Preferred{Policy: policy.SJF} },
-}
-
-// TestPropertyOnlineMatchesOfflineSim holds static FCFS to the property.
-func TestPropertyOnlineMatchesOfflineSim(t *testing.T) {
-	for _, seed := range differentialSeeds {
-		runDifferential(t, differentialSet(seed), differentialDriver(t, nil))
-	}
-}
-
-// TestOnlineMatchesOfflineRegressionSeeds pins seeds that once diverged,
-// under static FCFS and each decider.
-func TestOnlineMatchesOfflineRegressionSeeds(t *testing.T) {
-	for _, seed := range []uint64{0xbf1935662dda1936} {
-		runDifferential(t, differentialSet(seed), differentialDriver(t, nil))
-		for _, newDecider := range differentialDeciders {
-			runDifferential(t, differentialSet(seed), differentialDriver(t, newDecider))
-		}
-	}
-}
-
-// TestDifferentialSimVsRMS holds each decider to the property.
-func TestDifferentialSimVsRMS(t *testing.T) {
-	for name, newDecider := range differentialDeciders {
+	for name, newDecider := range deciders {
 		t.Run(name, func(t *testing.T) {
-			for _, seed := range differentialSeeds {
-				runDifferential(t, differentialSet(seed), differentialDriver(t, newDecider))
+			for _, seed := range seeds {
+				runDifferential(t, differentialSet(seed), newDecider)
 			}
 		})
-	}
-}
-
-// differentialDriver returns a factory of lockstep-wrapped drivers: static
-// FCFS when newDecider is nil, else dynP with a traced tuner.
-func differentialDriver(t *testing.T, newDecider func() core.Decider) func() (sim.Driver, *sim.DynP) {
-	return func() (sim.Driver, *sim.DynP) {
-		if newDecider == nil {
-			return plantest.Lockstep(t, &sim.Static{Policy: policy.FCFS}, new(plantest.Lanes)), nil
-		}
-		d := sim.NewDynP(newDecider())
-		d.Tuner.EnableTrace()
-		ref := plantest.NewTuner(newDecider(), core.MetricSLDwA)
-		return plantest.TunerLockstep(t, d, d.Tuner, ref, new(plantest.Lanes)), d
 	}
 }
 
@@ -310,88 +269,85 @@ func differentialSet(seed uint64) *job.Set {
 	return set
 }
 
-func runDifferential(t *testing.T, set *job.Set, newDriver func() (sim.Driver, *sim.DynP)) {
-	offDrv, offDynP := newDriver()
-	offline, err := sim.Run(set, offDrv)
-	if err != nil {
-		t.Fatal(err)
+// naiveStep is the oracle's step: static FCFS when newDecider is nil,
+// else a naive tuner.
+func naiveStep(newDecider func() core.Decider) plantest.Step {
+	if newDecider == nil {
+		return plantest.Fixed{Policy: policy.FCFS}
 	}
-	start := make(map[job.ID]int64, len(set.Jobs))
-	finish := make(map[job.ID]int64, len(set.Jobs))
-	instants := make([]int64, 0, 2*len(set.Jobs))
+	return plantest.NewTuner(newDecider(), core.MetricSLDwA)
+}
+
+// runDifferential runs one set through the oracle and the online
+// scheduler. A daemon numbers jobs in arrival order, as the set does.
+func runDifferential(t *testing.T, set *job.Set, newDecider func() core.Decider) {
+	offline := plantest.Simulate(set, naiveStep(newDecider))
+	var instants []int64
+	finish := make(map[job.ID]plantest.Record, len(set.Jobs))
 	for _, rec := range offline.Records {
-		start[rec.Job.ID] = rec.Start
-		finish[rec.Job.ID] = rec.Finish
+		finish[rec.Job.ID] = rec
 		instants = append(instants, rec.Job.Submit, rec.Finish)
 	}
 	slices.Sort(instants)
 
-	onDrv, onDynP := newDriver()
-	online, err := New(set.Machine, onDrv, offline.First)
+	drv := plantest.Lockstep(t, &sim.Static{Policy: policy.FCFS}, new(plantest.Lanes))
+	if newDecider != nil {
+		d := sim.NewDynP(newDecider())
+		drv = plantest.TunerLockstep(t, d, d.Tuner, naiveStep(newDecider).(*plantest.Tuner), new(plantest.Lanes))
+	}
+	online, err := New(set.Machine, drv, set.Jobs[0].Submit)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The simulator replans at every distinct submission or completion
-	// instant; deliver one batch per such instant so the online side takes
-	// exactly the same replanning steps. Jobs that exhaust their estimate
-	// get no client completion — Deliver's kill sweep must terminate them
-	// at the very same instant.
-	onlineID := make(map[job.ID]job.ID, len(set.Jobs)) // set job -> online job
-	subIdx := 0
+	var rec plantest.Recorder
+	online.AddObserver(&rec)
+	naive := plantest.NewDaemon(set.Machine, naiveStep(newDecider), set.Jobs[0].Submit)
+	next := 0
 	for _, now := range slices.Compact(instants) {
 		var done []job.ID
 		for _, j := range set.Jobs {
-			if j.Runtime < j.Estimate && finish[j.ID] == now {
-				done = append(done, onlineID[j.ID])
+			if j.Runtime < j.Estimate && finish[j.ID].Finish == now {
+				done = append(done, j.ID)
 			}
 		}
 		var subs []Submission
-		first := subIdx
-		for ; subIdx < len(set.Jobs) && set.Jobs[subIdx].Submit == now; subIdx++ {
-			subs = append(subs, Submission{Width: set.Jobs[subIdx].Width, Estimate: set.Jobs[subIdx].Estimate})
+		var shapes []plantest.Shape
+		for ; next < len(set.Jobs) && set.Jobs[next].Submit == now; next++ {
+			subs = append(subs, Submission{Width: set.Jobs[next].Width, Estimate: set.Jobs[next].Estimate})
+			shapes = append(shapes, plantest.Shape{Width: set.Jobs[next].Width, Estimate: set.Jobs[next].Estimate})
 		}
-		infos, err := online.Deliver(now, done, subs)
-		if err != nil {
-			t.Fatalf("%s: deliver at t=%d: %v", set.Name, now, err)
+		if _, err := online.Deliver(now, done, subs); err != nil {
+			t.Fatalf("deliver at t=%d: %v", now, err)
 		}
-		for i, info := range infos {
-			onlineID[set.Jobs[first+i].ID] = info.ID
-		}
+		naive.Deliver(now, done, shapes...)
 	}
-
+	if err := plantest.SameTransitions(rec.Transitions, naive.Transitions); err != nil {
+		t.Fatal(err)
+	}
+	sameFinished(t, online.Finished(), naive.Records)
 	if got := len(online.Finished()); got != len(set.Jobs) {
 		t.Fatalf("online finished %d of %d jobs", got, len(set.Jobs))
 	}
-	for _, j := range set.Jobs {
-		info, err := online.Job(onlineID[j.ID])
-		if err != nil {
-			t.Fatal(err)
-		}
-		wantState := StateCompleted
-		if j.Runtime == j.Estimate {
-			wantState = StateKilled
-		}
-		if info.Started != start[j.ID] || info.Finished != finish[j.ID] || info.State != wantState {
-			t.Fatalf("job %d: online %s over [%d, %d], offline %s over [%d, %d]",
-				j.ID, info.State, info.Started, info.Finished, wantState, start[j.ID], finish[j.ID])
+	for _, info := range online.Finished() {
+		if off := finish[info.ID]; info.Started != off.Start || info.Finished != off.Finish {
+			t.Fatalf("job %d: online over [%d, %d], offline over [%d, %d]",
+				info.ID, info.Started, info.Finished, off.Start, off.Finish)
 		}
 	}
-	if offDynP == nil {
-		return
+}
+
+// sameFinished holds a scheduler's finished jobs to the oracle's records,
+// in finish order.
+func sameFinished(t *testing.T, got []JobInfo, want []plantest.Record) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%d jobs finished, the oracle's %d", len(got), len(want))
 	}
-	offT, onT := offDynP.Tuner.Trace(), onDynP.Tuner.Trace()
-	if len(onT) != len(offT)+1 {
-		t.Fatalf("decision traces: online took %d steps, offline %d (want offline+1 for the construction replan)",
-			len(onT), len(offT))
-	}
-	for i, a := range offT {
-		b := onT[i+1]
-		// The first offline Old is the tuner's initial policy; the online
-		// side already took its construction decision by then, so Old is
-		// only comparable from the second shared step on.
-		if a.Time != b.Time || a.Chosen != b.Chosen || (i > 0 && a.Old != b.Old) || !slices.Equal(a.Values, b.Values) {
-			t.Fatalf("decision %d: offline t=%d %s->%s on %v, online t=%d %s->%s on %v",
-				i, a.Time, a.Old, a.Chosen, a.Values, b.Time, b.Old, b.Chosen, b.Values)
+	for i, w := range want {
+		st := [...]JobState{StateCompleted, StateKilled, StateFailed}[w.State]
+		if g := got[i]; g.ID != w.Job.ID || g.State != st || g.Started != w.Start || g.Finished != w.Finish {
+			t.Fatalf("finished job %d: %d %s over [%d, %d], the oracle's %d %s over [%d, %d]",
+				i, g.ID, g.State, g.Started, g.Finished, w.Job.ID, st, w.Start, w.Finish)
 		}
 	}
 }

@@ -232,3 +232,45 @@ func TestReadResponsesOneImage(t *testing.T) {
 		t.Fatalf("of %d quote responses, %d failed and %d pair a wait with another image's clock", quotes, errs, torn)
 	}
 }
+
+// TestRejectedRequestsPublishNothing: a mutation publishes one image,
+// after its change; a request rejected before it changes anything —
+// an unknown or running job to cancel, a bad processor count, a clock
+// moved backwards, a quote factory for another scheduler — leaves the
+// published image as it was, so with quotes on it captures no driver
+// state either.
+func TestRejectedRequestsPublishNothing(t *testing.T) {
+	s, err := New(8, newDynP(), 100)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.EnableQuotes(newDynP); err != nil {
+		t.Fatal(err)
+	}
+	running, err := s.Submit(8, 50)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Fail(2); err != nil {
+		t.Fatal(err)
+	}
+	for name, reject := range map[string]func() error{
+		"cancel unknown":       func() error { return s.Cancel(99) },
+		"cancel running":       func() error { return s.Cancel(running.ID) },
+		"fail none":            func() error { return s.Fail(0) },
+		"fail too many":        func() error { return s.Fail(7) },
+		"restore none":         func() error { return s.Restore(0) },
+		"restore too many":     func() error { return s.Restore(3) },
+		"advance backwards":    func() error { return s.Advance(99) },
+		"quotes for another":   func() error { return s.EnableQuotes(func() sim.Driver { return &sim.Static{Policy: policy.SJF} }) },
+		"deliver before clock": func() error { _, err := s.Deliver(99, nil, nil); return err },
+	} {
+		before := s.img.Load()
+		if err := reject(); err == nil {
+			t.Fatalf("%s: accepted", name)
+		}
+		if s.img.Load() != before {
+			t.Errorf("%s: rejected, yet published a new image", name)
+		}
+	}
+}

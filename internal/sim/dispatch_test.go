@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"dynp/internal/engine"
+	"dynp/internal/plan/plantest"
 	"dynp/internal/policy"
 )
 
@@ -14,7 +15,8 @@ import (
 // submissions, in set order; then one replan, whose launches may use the
 // processors the completions freed — here for a job submitted at that
 // very instant (job 4 at 10). Three jobs arrive at the first instant and
-// two at the last one, which is also an instant of two completions.
+// two at the last one, which is also an instant of two completions. The
+// oracle, which every run is held to, is pinned to the same list.
 func TestInstantDispatchOrder(t *testing.T) {
 	set := mkSet(4,
 		j(1, 0, 3, 10, 10),
@@ -24,15 +26,18 @@ func TestInstantDispatchOrder(t *testing.T) {
 		j(5, 15, 2, 1, 1),
 		j(6, 15, 2, 1, 1),
 	)
-	var log []string
-	res, err := Run(set, &Static{Policy: policy.FCFS}, WithVerify(),
-		WithObserver(engine.ObserverFunc(func(ev engine.Event) {
-			if ev.Kind == engine.EventPlan {
-				log = append(log, fmt.Sprintf("plan@%d", ev.Time))
-				return
+	log := func(trs []plantest.Transition) (out []string) {
+		for _, tr := range trs {
+			if tr.Kind == engine.EventPlan {
+				out = append(out, fmt.Sprintf("plan@%d", tr.Time))
+			} else {
+				out = append(out, fmt.Sprintf("%v %d@%d", tr.Kind, tr.Job, tr.Time))
 			}
-			log = append(log, fmt.Sprintf("%v %d@%d", ev.Kind, ev.Job.ID, ev.Time))
-		})))
+		}
+		return out
+	}
+	var rec plantest.Recorder
+	res, err := Run(set, &Static{Policy: policy.FCFS}, WithVerify(), WithObserver(&rec))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,8 +47,11 @@ func TestInstantDispatchOrder(t *testing.T) {
 		"finish 3@15", "finish 4@15", "submit 5@15", "submit 6@15", "start 5@15", "start 6@15", "plan@15",
 		"finish 5@16", "finish 6@16", "plan@16",
 	}
-	if !slices.Equal(log, want) {
-		t.Fatalf("transitions\n got %v\nwant %v", log, want)
+	if got := log(rec.Transitions); !slices.Equal(got, want) {
+		t.Fatalf("transitions\n got %v\nwant %v", got, want)
+	}
+	if got := log(plantest.Simulate(set, plantest.Fixed{Policy: policy.FCFS}).Transitions); !slices.Equal(got, want) {
+		t.Fatalf("the oracle's transitions\n got %v\nwant %v", got, want)
 	}
 	var records []string
 	for _, r := range res.Records {

@@ -55,13 +55,13 @@ func (d *DynP) ActivePolicy() policy.Policy { return d.Tuner.Active() }
 // Plan is handed.
 //
 // Deprecated: drop the call. It stays while benchmark/trace.go calls it
-// (ROADMAP.md, item 1(c)).
+// (ROADMAP.md, item 1(a)).
 func (d *DynP) NoteSubmit(*job.Job) {}
 
 // NoteRemove does nothing, like NoteSubmit.
 //
 // Deprecated: drop the call. It stays while benchmark/trace.go calls it
-// (ROADMAP.md, item 1(c)).
+// (ROADMAP.md, item 1(a)).
 func (d *DynP) NoteRemove(*job.Job) {}
 
 // SaveState implements engine.StatefulDriver: the tuner's active policy,

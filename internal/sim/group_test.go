@@ -1,7 +1,6 @@
 package sim_test
 
 import (
-	"reflect"
 	"sort"
 	"testing"
 
@@ -31,63 +30,11 @@ func schedulerSets(t testing.TB) map[string][]experiment.SchedulerSpec {
 	return sets
 }
 
-// newDrivers returns a fresh driver per spec, tracing every tuner's
-// decisions.
-func newDrivers(specs []experiment.SchedulerSpec) []sim.Driver {
-	drivers := make([]sim.Driver, len(specs))
-	for i, spec := range specs {
-		drivers[i] = spec.New()
-		if d, ok := drivers[i].(*sim.DynP); ok {
-			d.Tuner.EnableTrace()
-		}
-	}
-	return drivers
-}
-
-// checkGroup runs the specs once through RunGroup and once each through
-// Run, and requires every result, tuner statistic and decision trace to
-// be equal. It reports how many members' records differ from the first
-// member's: a group whose members all agree never had to split.
-func checkGroup(t *testing.T, set *job.Set, specs []experiment.SchedulerSpec) (differ int) {
-	t.Helper()
-	grouped, alone := newDrivers(specs), newDrivers(specs)
-	results, err := sim.RunGroup(set, grouped)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(results) != len(specs) {
-		t.Fatalf("RunGroup returned %d results for %d drivers", len(results), len(specs))
-	}
-	for i, d := range alone {
-		want, err := sim.Run(set, d)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(results[i], want) {
-			t.Errorf("%s: RunGroup's result differs from Run's (makespan %d vs %d, %d vs %d events)",
-				specs[i].Name, results[i].Makespan, want.Makespan, results[i].Events, want.Events)
-			continue
-		}
-		if g, ok := grouped[i].(*sim.DynP); ok {
-			a := d.(*sim.DynP)
-			if !reflect.DeepEqual(g.Stats(), a.Stats()) {
-				t.Errorf("%s: tuner stats %+v, alone %+v", specs[i].Name, g.Stats(), a.Stats())
-			}
-			if !reflect.DeepEqual(g.Tuner.Trace(), a.Tuner.Trace()) {
-				t.Errorf("%s: decision traces differ", specs[i].Name)
-			}
-		}
-		if !reflect.DeepEqual(results[i].Records, results[0].Records) {
-			differ++
-		}
-	}
-	return differ
-}
-
 // TestRunGroupMatchesSeparateRuns co-simulates every scheduler set the
 // sweeps run over several models, loads and estimate scales, and holds
-// each result to the separate run of the same driver. The sets must
-// split somewhere, or the test proves nothing about splitting.
+// each member, and each driver run alone, to the oracle's separate run of
+// the same scheduler. The sets must split somewhere, or the test proves
+// nothing about splitting.
 func TestRunGroupMatchesSeparateRuns(t *testing.T) {
 	splits := 0
 	for name, specs := range schedulerSets(t) {
@@ -161,7 +108,8 @@ func TestRunGroupRejectsRepeatedDriver(t *testing.T) {
 }
 
 // FuzzRunGroup draws a small job set and any subset of the sweeps'
-// schedulers — repeats included — and holds RunGroup to separate runs.
+// schedulers — repeats included — and holds RunGroup and Run to the
+// oracle's separate runs.
 func FuzzRunGroup(f *testing.F) {
 	f.Add(uint64(1), uint8(0), uint8(3), uint32(0xffffffff))
 	f.Add(uint64(7), uint8(1), uint8(90), uint32(0x18))

@@ -31,7 +31,7 @@ func TestStaticLockstep(t *testing.T) {
 	for _, p := range lockstepPolicies() {
 		var lanes plantest.Lanes
 		for seed := uint64(0); seed < 6; seed++ {
-			plantest.Run(t, staticLockstep(t, p, &lanes), plantest.Stream(seed))
+			plantest.Run(t, staticLockstep(t, p, &lanes), plantest.Fixed{Policy: p}, plantest.Stream(seed))
 		}
 		if lanes.Rejoined == 0 {
 			t.Errorf("%v: no plan was handed a job rejoining the queue out of order; the streams must reach it", p)
@@ -57,8 +57,8 @@ func FuzzStaticLockstep(f *testing.F) {
 		if len(data) > 801 {
 			data = data[:801]
 		}
-		ps := lockstepPolicies()
-		plantest.Run(t, staticLockstep(t, ps[int(data[0])%len(ps)], new(plantest.Lanes)), data[1:])
+		p := lockstepPolicies()[int(data[0])%len(lockstepPolicies())]
+		plantest.Run(t, staticLockstep(t, p, new(plantest.Lanes)), plantest.Fixed{Policy: p}, data[1:])
 	})
 }
 
@@ -82,31 +82,6 @@ func TestStaticPolicyChangedInUse(t *testing.T) {
 	}
 	if got := eng.Schedule(); got.Policy != policy.LJF || got.Entries[0].Job.ID != 3 {
 		t.Fatalf("after the switch to LJF: %v under %v, want job 3 first", got.Entries, got.Policy)
-	}
-}
-
-// TestRunParallelStaticDrivers puts twelve static simulations on eight
-// workers at once and requires each to equal its sequential run.
-// Simulations share no planning storage — each driver's lane owns its
-// own — so under -race this checks that nothing else is shared either.
-func TestRunParallelStaticDrivers(t *testing.T) {
-	sets := parallelTestSets(t)
-	sets = append(sets, sets...)
-	for _, p := range policy.Candidates {
-		newDriver := func() Driver { return &Static{Policy: p} }
-		results, err := RunParallel(sets, newDriver, 8)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i, s := range sets {
-			res, err := Run(s, newDriver(), WithVerify())
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got, want := fingerprint(results[i]), fingerprint(res); got != want {
-				t.Errorf("%v, set %d: parallel run diverged from the sequential one:\n got: %s\nwant: %s", p, i, got, want)
-			}
-		}
 	}
 }
 

@@ -39,7 +39,8 @@ func TestTunerLockstep(t *testing.T) {
 		t.Run(newDecider().Name(), func(t *testing.T) {
 			var lanes plantest.Lanes
 			for seed := uint64(0); seed < 6; seed++ {
-				plantest.Run(t, tunerLockstep(t, newDecider, core.MetricSLDwA, &lanes), plantest.Stream(seed))
+				plantest.Run(t, tunerLockstep(t, newDecider, core.MetricSLDwA, &lanes),
+					plantest.NewTuner(newDecider(), core.MetricSLDwA), plantest.Stream(seed))
 			}
 			if lanes.Rejoined == 0 {
 				t.Error("no step was handed a job rejoining the queue out of order; the streams must reach it")
@@ -65,6 +66,6 @@ func FuzzTunerLockstep(f *testing.F) {
 		ds := lockstepDeciders()
 		newDecider := ds[int(data[0])%len(ds)]
 		m := lockstepMetrics[int(data[0])/len(ds)%len(lockstepMetrics)]
-		plantest.Run(t, tunerLockstep(t, newDecider, m, new(plantest.Lanes)), data[1:])
+		plantest.Run(t, tunerLockstep(t, newDecider, m, new(plantest.Lanes)), plantest.NewTuner(newDecider(), m), data[1:])
 	})
 }

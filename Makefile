@@ -56,12 +56,15 @@ soak-disk:
 bench:
 	$(GO) test -bench=. -benchmem ./...
 
-# One-iteration pass over the self-tuning benchmarks; CI uploads the
-# output as an artifact for trajectory tracking. A -bench pattern that
-# matches nothing exits 0, so the target fails when no benchmark ran.
+# One-iteration pass over the self-tuning benchmarks and the rms hot-path
+# ones (Deliver, StatusCodec), allocations printed; CI uploads the output
+# as an artifact for trajectory tracking. A -bench pattern that matches
+# nothing exits 0, so the target fails when a name in it ran no benchmark.
 bench-smoke:
-	$(GO) test -bench=SelfTuner -benchtime=1x ./... | tee bench-smoke.txt
-	@grep -q '^Benchmark' bench-smoke.txt || { echo "bench-smoke: -bench=SelfTuner matched no benchmark"; exit 1; }
+	$(GO) test -bench='SelfTuner|Deliver|StatusCodec' -benchmem -benchtime=1x ./... | tee bench-smoke.txt
+	@for b in SelfTuner Deliver StatusCodec; do \
+		grep -q "^Benchmark.*$$b" bench-smoke.txt || { echo "bench-smoke: -bench=$$b matched no benchmark"; exit 1; }; \
+	done
 
 # The repository's one end-to-end benchmark (BENCHMARK.json is its
 # contract, benchmark/README.md its manual), untraced: every workload, or

@@ -118,3 +118,62 @@ func TestTunerStateRejectsForeign(t *testing.T) {
 		t.Fatal("failed restore mutated the tuner")
 	}
 }
+
+// TestTunerStateValue: a captured TunerState is a value. Its JSON is
+// MarshalState's; neither the tuner it came from nor a tuner restored
+// from it changes it by stepping on; and a tuner restored from it is the
+// tuner restored from its JSON — same active policy, statistics, last
+// decision, trace and decider state, and the same future decisions.
+func TestTunerStateValue(t *testing.T) {
+	newTuner := func() *SelfTuner {
+		st := NewSelfTuner(nil, &countingDecider{}, MetricSLDwA)
+		st.EnableTrace()
+		return st
+	}
+	orig := newTuner()
+	driveTuner(t, orig, 5, 20)
+	captured, err := orig.CaptureState()
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, err := captured.MarshalJSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want, err := orig.MarshalState(); err != nil || !bytes.Equal(data, want) {
+		t.Fatalf("the value's JSON %s, MarshalState %s (%v)", data, want, err)
+	}
+
+	fromValue, fromBytes := newTuner(), newTuner()
+	if err := fromValue.RestoreState(captured); err != nil {
+		t.Fatal(err)
+	}
+	if err := fromBytes.UnmarshalState(data); err != nil {
+		t.Fatal(err)
+	}
+	if fromValue.Active() != fromBytes.Active() || !reflect.DeepEqual(fromValue.Stats(), fromBytes.Stats()) ||
+		!reflect.DeepEqual(fromValue.Trace(), fromBytes.Trace()) ||
+		fromValue.decider.(*countingDecider).calls != fromBytes.decider.(*countingDecider).calls {
+		t.Fatal("the tuner restored from the value differs from the one restored from its JSON")
+	}
+	lv, _ := fromValue.LastDecision()
+	lb, _ := fromBytes.LastDecision()
+	if !reflect.DeepEqual(lv, lb) {
+		t.Fatalf("last decision %+v, from the JSON %+v", lv, lb)
+	}
+
+	// Every tuner steps on; the captured value stays what it was.
+	driveTuner(t, orig, 6, 10)
+	if !reflect.DeepEqual(driveTuner(t, fromValue, 7, 10), driveTuner(t, fromBytes, 7, 10)) {
+		t.Fatal("the tuner restored from the value diverged from the one restored from its JSON")
+	}
+	if again, err := captured.MarshalJSON(); err != nil || !bytes.Equal(again, data) {
+		t.Fatalf("the captured value changed as the tuners stepped on: %s, was %s (%v)", again, data, err)
+	}
+	if err := NewSelfTuner(nil, Advanced{}, MetricSLDwA).RestoreState(captured); err == nil {
+		t.Fatal("a tuner with another decider took the value")
+	}
+	if err := NewSelfTuner(nil, Advanced{}, MetricSLDwA).RestoreState(TunerState{}); err == nil {
+		t.Fatal("the zero value restored")
+	}
+}

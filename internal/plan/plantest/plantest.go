@@ -184,9 +184,38 @@ func (d *statefulLockstep) RestoreState(data []byte) error {
 	if err := d.StatefulDriver.RestoreState(data); err != nil {
 		return err
 	}
+	d.restored()
+	return nil
+}
+
+func (d *statefulLockstep) restored() {
 	if d.live != nil {
 		d.ref.Active = d.live.Active()
 	}
+}
+
+// tunerState is a driver that also carries its tuner's decision state as
+// a value (sim.DynP).
+type tunerState interface {
+	TunerState() (core.TunerState, error)
+	SetTunerState(core.TunerState) error
+}
+
+// tunerStateLockstep adds the value form of the wrapped driver's state,
+// so a quote twin restores a lockstep driver the way it restores the
+// driver it wraps.
+type tunerStateLockstep struct {
+	*statefulLockstep
+	tunerState
+}
+
+// SetTunerState restores the wrapped driver, and the naive tuner takes
+// the active policy it restored (BC-3).
+func (d *tunerStateLockstep) SetTunerState(st core.TunerState) error {
+	if err := d.tunerState.SetTunerState(st); err != nil {
+		return err
+	}
+	d.restored()
 	return nil
 }
 
@@ -200,6 +229,9 @@ func Lockstep(t testing.TB, d engine.Driver, lanes *Lanes) engine.Driver {
 func TunerLockstep(t testing.TB, d engine.Driver, live *core.SelfTuner, ref *Tuner, lanes *Lanes) engine.Driver {
 	l := &lockstep{Driver: d, t: t, live: live, ref: ref, lanes: lanes}
 	if sd, ok := d.(engine.StatefulDriver); ok {
+		if ts, ok := d.(tunerState); ok {
+			return &tunerStateLockstep{&statefulLockstep{l, sd}, ts}
+		}
 		return &statefulLockstep{l, sd}
 	}
 	return l

@@ -114,10 +114,9 @@ var (
 	statusSink *Status
 )
 
-// BenchmarkStatusCodec prices one status response of 40 live jobs (about
-// 4.7 KB, what daemon-wire's reads carry) both ways, through the wire
-// codec and through encoding/json.
-func BenchmarkStatusCodec(b *testing.B) {
+// statusResponse is one status response of 40 live jobs (about 4.7 KB,
+// what daemon-wire's reads carry) and its line.
+func statusResponse(t testing.TB) (Response, []byte) {
 	st := Status{Now: 123456, Capacity: 100, UsedProcs: 90, ActivePolicy: "SJF", Scheduler: "dynP/SJF-preferred", Finished: 5000}
 	for i := int64(0); i < 20; i++ {
 		st.Waiting = append(st.Waiting, JobInfo{ID: job.ID(10000 + i), Width: 8, Estimate: 3600, Submitted: 120000, PlannedStart: 130000 + i})
@@ -126,8 +125,16 @@ func BenchmarkStatusCodec(b *testing.B) {
 	resp := Response{OK: true, Status: &st, Now: st.Now}
 	line, err := appendResponse(nil, &resp)
 	if err != nil {
-		b.Fatal(err)
+		t.Fatal(err)
 	}
+	return resp, line
+}
+
+// BenchmarkStatusCodec prices statusResponse both ways, through the wire
+// codec and through encoding/json.
+func BenchmarkStatusCodec(b *testing.B) {
+	resp, line := statusResponse(b)
+	b.ReportAllocs()
 	b.Run("encode/codec", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			codecSink, _ = appendResponse(codecSink[:0], &resp)

@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"slices"
 
+	"dynp/internal/core"
 	"dynp/internal/engine"
 	"dynp/internal/job"
 	"dynp/internal/plan"
@@ -23,17 +24,24 @@ import (
 
 // captureCheckpointLocked serialises the current scheduler state as a
 // checkpoint that folds in the given number of events since genesis: an
-// image of its own, cut now, plus what only a checkpoint carries — the
-// event count, the plan in force, the driver state when the image lacks
-// it, observer state. The finished history is shared, not copied: cs.Done
-// is the image's alias, and s.doneLog is brought up to the same length,
-// ready for checkpointRecord to splice. Callers hold the scheduling lock.
+// image of its own, cut now with the driver's decision state, plus what
+// only a checkpoint carries — the event count, the plan in force, that
+// decision state's bytes, observer state. The finished history is shared,
+// not copied: cs.Done is the image's alias, and s.doneLog is brought up to
+// the same length, ready for checkpointRecord to splice. Callers hold the
+// scheduling lock.
 func (s *Scheduler) captureCheckpointLocked(events int64) (checkpointState, error) {
-	img := s.imageLocked()
+	img := s.imageLocked(true)
 	if img.driverErr != nil {
 		return checkpointState{}, fmt.Errorf("driver state: %w", img.driverErr)
 	}
 	cs := img.checkpointState
+	if img.tuner != nil {
+		var err error
+		if cs.Driver, err = img.tuner.MarshalJSON(); err != nil {
+			return checkpointState{}, fmt.Errorf("driver state: %w", err)
+		}
+	}
 	cs.Events = events
 	for ; s.doneLogged < len(cs.Done); s.doneLogged++ {
 		if s.doneLogged > 0 {
@@ -48,13 +56,6 @@ func (s *Scheduler) captureCheckpointLocked(events int64) (checkpointState, erro
 			pr.Entries = append(pr.Entries, planEntryRec{ID: int64(e.Job.ID), Start: e.Start})
 		}
 		cs.Plan = pr
-	}
-	if sd, ok := s.driver.(engine.StatefulDriver); ok && cs.Driver == nil {
-		b, err := sd.SaveState()
-		if err != nil {
-			return checkpointState{}, fmt.Errorf("driver state: %w", err)
-		}
-		cs.Driver = b
 	}
 	for _, so := range s.stateful {
 		b, err := so.SaveState()
@@ -111,7 +112,7 @@ func (s *Scheduler) restoreCheckpoint(cs *checkpointState) error {
 		s.agg.add(d)
 		s.doneIdx[d.ID] = i
 	}
-	if err := restoreEngine(s.eng, s.driver, cs); err != nil {
+	if err := restoreEngine(s.eng, s.driver, cs, nil); err != nil {
 		return fmt.Errorf("rms: checkpoint restore: %w", err)
 	}
 	s.nextID = job.ID(cs.NextID)
@@ -132,21 +133,19 @@ func (s *Scheduler) restoreCheckpoint(cs *checkpointState) error {
 // driver: the one step both checkpoint restore and quote twins take. It
 // rebuilds the live jobs into one arena — waiting jobs in ascending ID
 // order, which is submission order since IDs are issued monotonically —
-// installs the plan, restores the driver's decision state and hands the
-// machine state to the engine. The run time is unknown online; like
-// Submit, Runtime is the estimate, which the planner never reads and at
-// which the engine kills.
-func restoreEngine(eng *engine.Engine, driver sim.Driver, cs *checkpointState) error {
+// installs the plan when the image carries one, restores the driver's
+// decision state — tuner when it is not nil, else the image's bytes — and
+// hands the machine state to the engine. The run time is unknown online;
+// like Submit, Runtime is the estimate, which the planner never reads and
+// at which the engine kills.
+func restoreEngine(eng *engine.Engine, driver sim.Driver, cs *checkpointState, tuner *core.TunerState) error {
 	arena := make([]job.Job, 0, len(cs.Waiting)+len(cs.Running))
-	byID := make(map[job.ID]*job.Job, cap(arena))
 	mk := func(info JobInfo) *job.Job {
 		arena = append(arena, job.Job{
 			ID: info.ID, Submit: info.Submitted, Width: info.Width,
 			Estimate: info.Estimate, Runtime: info.Estimate,
 		})
-		j := &arena[len(arena)-1]
-		byID[j.ID] = j
-		return j
+		return &arena[len(arena)-1]
 	}
 	waiting := make([]*job.Job, len(cs.Waiting))
 	for i, info := range cs.Waiting {
@@ -167,6 +166,10 @@ func restoreEngine(eng *engine.Engine, driver sim.Driver, cs *checkpointState) e
 				return fmt.Errorf("plan references a policy this process does not know: %w (register it before restoring)", err)
 			}
 		}
+		byID := make(map[job.ID]*job.Job, len(arena))
+		for i := range arena {
+			byID[arena[i].ID] = &arena[i]
+		}
 		sched = &plan.Schedule{Now: cs.Plan.Now, Capacity: cs.Plan.Capacity, Policy: pol}
 		for _, e := range cs.Plan.Entries {
 			jj := byID[job.ID(e.ID)]
@@ -180,7 +183,16 @@ func restoreEngine(eng *engine.Engine, driver sim.Driver, cs *checkpointState) e
 		}
 	}
 
-	if len(cs.Driver) > 0 {
+	switch {
+	case tuner != nil:
+		td, ok := driver.(tunerDriver)
+		if !ok {
+			return fmt.Errorf("image carries driver state but %s cannot restore it", driver.Name())
+		}
+		if err := td.SetTunerState(*tuner); err != nil {
+			return fmt.Errorf("driver state: %w", err)
+		}
+	case len(cs.Driver) > 0:
 		sd, ok := driver.(engine.StatefulDriver)
 		if !ok {
 			return fmt.Errorf("image carries driver state but %s cannot restore it", driver.Name())

@@ -88,10 +88,14 @@ type Client struct {
 	// One reader per connection: a response is one line, decoded where
 	// the reader buffered it. A fresh connection gets a fresh reader, so
 	// a poisoned stream never outlives it. out holds the request being
-	// sent, reused call after call.
+	// sent and resp the response being decoded, both reused call after
+	// call: resp is zeroed before every decode, and every slice decoded
+	// into it is freshly allocated, so what a call returned is the
+	// caller's.
 	conn net.Conn
 	r    *bufio.Reader
 	out  []byte
+	resp Response
 }
 
 // Dial connects to a dynpd server with default reliability options.
@@ -179,14 +183,14 @@ func (c *Client) roundTrip(req Request) (Response, error) {
 		return Response{}, fmt.Errorf("rms: send: %w", err)
 	}
 	line, err := c.readLine()
-	var resp Response
 	if err == nil {
-		err = decodeResponse(line, &resp)
+		c.resp = Response{}
+		err = decodeResponse(line, &c.resp)
 	}
 	if err != nil {
 		return Response{}, fmt.Errorf("rms: receive: %w", err)
 	}
-	return resp, nil
+	return c.resp, nil
 }
 
 // readLine reads one response line, without its newline. A line that

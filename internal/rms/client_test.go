@@ -1,8 +1,13 @@
 package rms
 
 import (
+	"encoding/json"
+	"errors"
+	"net"
 	"testing"
 
+	"dynp/internal/core"
+	"dynp/internal/job"
 	"dynp/internal/policy"
 	"dynp/internal/sim"
 )
@@ -164,5 +169,166 @@ func TestClientReport(t *testing.T) {
 	}
 	if rep.Jobs != 1 || rep.Killed != 0 || rep.SLDwA != 1 {
 		t.Fatalf("report = %+v", rep)
+	}
+}
+
+// TestClientResultsAreTheirOwn: a client decodes every response into the
+// one Response it keeps per connection, yet what a call returns is the
+// caller's alone and holds nothing of an earlier call. Consecutive
+// Status, Deliver, Finished and Quote calls through a pipe server each
+// return the scheduler's own answer; scribbling over one call's slices
+// changes neither the next call's result nor any earlier one's; a
+// deliver after a status carries no status, and a success after a
+// rejection no error.
+func TestClientResultsAreTheirOwn(t *testing.T) {
+	newDriver := func() sim.Driver { return sim.NewDynP(core.Advanced{}) }
+	s, err := New(8, newDriver(), 0)
+	if err == nil {
+		err = s.EnableQuotes(newDriver)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	near, far := net.Pipe()
+	served := make(chan error, 1)
+	go func() { served <- NewServer(s, true).ServeConn(far) }()
+	c, err := DialOptions("pipe", ClientOptions{Retries: -1, Dialer: func() (net.Conn, error) { return near, nil }})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() {
+		c.Close()
+		<-served
+	}()
+
+	enc := func(v any) string {
+		t.Helper()
+		b, err := json.Marshal(v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(b)
+	}
+	scribble := func(infos []JobInfo) {
+		for i := range infos {
+			infos[i] = JobInfo{ID: -1, Width: -1, State: -1}
+		}
+	}
+	type result struct {
+		name   string
+		got    any // a slice, or a struct holding slices
+		saved  string
+		spoil  func()
+		spoilt bool
+	}
+	var results []*result
+	// record holds a call's result to the scheduler's own answer and every
+	// earlier result to what it was, then spoils the previous result.
+	record := func(name string, got, want any, spoil func()) {
+		t.Helper()
+		if g, w := enc(got), enc(want); g != w {
+			t.Fatalf("%s returned %s, the scheduler answers %s", name, g, w)
+		}
+		r := &result{name: name, got: got, saved: enc(got), spoil: spoil}
+		results = append(results, r)
+		for _, e := range results {
+			if enc(e.got) != e.saved {
+				t.Fatalf("%s changed by a later call: %s, was %s", e.name, enc(e.got), e.saved)
+			}
+		}
+		if len(results) > 1 {
+			prev := results[len(results)-2]
+			prev.spoil()
+			prev.saved = enc(prev.got)
+			if enc(r.got) != r.saved {
+				t.Fatalf("spoiling %s changed %s", prev.name, r.name)
+			}
+		}
+	}
+	jobsOf := func(infos []JobInfo) []JobInfo {
+		var want []JobInfo
+		for _, info := range infos {
+			now, err := s.Job(info.ID)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want = append(want, now)
+		}
+		return want
+	}
+	// deliver returns the IDs of the batch's jobs that started.
+	deliver := func(to int64, done []job.ID, subs ...Submission) (started []job.ID) {
+		t.Helper()
+		jobs, err := c.Deliver(to, done, subs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, info := range jobs {
+			if info.State == StateRunning {
+				started = append(started, info.ID)
+			}
+		}
+		record("deliver", jobs, jobsOf(jobs), func() { scribble(jobs) })
+		return started
+	}
+	status := func() {
+		t.Helper()
+		st, err := c.Status()
+		if err != nil {
+			t.Fatal(err)
+		}
+		record("status", st, s.Status(), func() { scribble(st.Waiting); scribble(st.Running) })
+	}
+	finished := func() {
+		t.Helper()
+		fin, err := c.Finished()
+		if err != nil {
+			t.Fatal(err)
+		}
+		record("finished", fin, s.Finished(), func() { scribble(fin) })
+	}
+	quote := func() {
+		t.Helper()
+		q, err := c.Quote(4, 30, 3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := s.Quote(4, 30, 3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		record("quote", q, want, func() {
+			for i := range q {
+				q[i] = Quote{Width: -1, Start: -1}
+			}
+		})
+	}
+
+	started := deliver(0, nil, Submission{Width: 4, Estimate: 100}, Submission{Width: 4, Estimate: 100}, Submission{Width: 8, Estimate: 50})
+	status()
+	deliver(40, started, Submission{Width: 2, Estimate: 20}, Submission{Width: 6, Estimate: 70})
+	finished()
+	quote()
+	status()
+	deliver(60, nil, Submission{Width: 1, Estimate: 10})
+	quote()
+	finished()
+	deliver(200, nil)
+	status()
+
+	// No field of an earlier response survives into a later one.
+	if resp, err := c.call(Request{Op: "status"}, true); err != nil || resp.Status == nil {
+		t.Fatalf("status: %+v, %v", resp, err)
+	}
+	resp, err := c.call(Request{Op: "deliver", To: 210, Subs: []Submission{{Width: 1, Estimate: 5}}}, false)
+	if err != nil || resp.Status != nil || len(resp.Jobs) != 1 {
+		t.Fatalf("deliver after status: %+v, %v", resp, err)
+	}
+	var serr *ServerError
+	if resp, err := c.call(Request{Op: "cancel", ID: 999}, false); !errors.As(err, &serr) || resp.Error == "" {
+		t.Fatalf("cancel of an unknown job: %+v, %v", resp, err)
+	}
+	if resp, err := c.call(Request{Op: "finished"}, true); err != nil || !resp.OK || resp.Error != "" || resp.Jobs != nil {
+		t.Fatalf("finished after a rejection: %+v, %v", resp, err)
 	}
 }

@@ -16,6 +16,7 @@
 package rms
 
 import (
+	"bytes"
 	"encoding/json"
 	"hash/crc32"
 	"math"
@@ -366,15 +367,36 @@ func (p *parser) array(elem func()) {
 	p.want(']')
 }
 
-// list reads an array of T, each element read by elem into a zero T.
+// list reads an array of T, each element read by elem into a zero T,
+// into one allocation of the array's length (see count).
 func list[T any](p *parser, elem func(*T)) []T {
-	out := []T{}
+	out := make([]T, 0, p.count())
 	p.array(func() {
 		var zero T
 		out = append(out, zero)
 		elem(&out[len(out)-1])
 	})
 	return out
+}
+
+// count returns how many elements the array at the read position holds,
+// up to its first ']': one per brace in a list of objects, one more than
+// the commas in a list of integers. In the canonical form no element holds
+// a bracket, a brace or a comma of its own, so the count is exact; on
+// other input a wrong count only mis-sizes the slice list fills, element
+// by element, all the same.
+func (p *parser) count() int {
+	rest := p.b[p.i:]
+	if end := bytes.IndexByte(rest, ']'); end >= 0 {
+		rest = rest[:end]
+	}
+	switch {
+	case len(rest) <= 1: // "[]"
+		return 0
+	case rest[1] == '{':
+		return bytes.Count(rest, []byte{'{'})
+	}
+	return bytes.Count(rest, []byte{','}) + 1
 }
 
 // str reads a string without escapes; raw UTF-8 must be valid, as

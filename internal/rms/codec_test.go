@@ -453,7 +453,18 @@ func checkDecode(t *testing.T, line []byte, canonical bool) {
 	if canonical && !reqOK && !respOK && !evOK {
 		t.Fatalf("canonical %q handed off", line)
 	}
+	// On canonical input the parser sizes every list it reads itself
+	// before filling it; the rarely used fields are encoding/json's.
+	if canonical && (reqOK && (roomy(req.Completions) || roomy(req.Subs)) ||
+		respOK && (roomy(resp.Jobs) || roomy(resp.Finished) || roomy(resp.Quotes) ||
+			resp.Status != nil && (roomy(resp.Status.Waiting) || roomy(resp.Status.Running))) ||
+		evOK && (roomy(ev.Completions) || roomy(ev.Subs))) {
+		t.Fatalf("canonical %q: a list decoded with room to spare", line)
+	}
 }
+
+// roomy reports whether s has capacity beyond its length.
+func roomy[T any](s []T) bool { return cap(s) != len(s) }
 
 // FuzzWireCodec holds the codec to encoding/json in both directions. For
 // arbitrary bytes the parser either hands off or yields exactly what
@@ -520,4 +531,56 @@ func FuzzWireCodec(f *testing.F) {
 			checkDecode(t, got, !bytes.ContainsRune(got, '\\'))
 		}
 	})
+}
+
+// TestWireDecodeAllocs pins what the parser allocates: every list it
+// reads is one allocation of its exact length, however long, so the
+// 40-job status response decodes in six allocations (the response, its
+// status, two lists and two strings), and a deliver request or a journal
+// event record costs one allocation per list over the same line without
+// lists.
+func TestWireDecodeAllocs(t *testing.T) {
+	_, line := statusResponse(t)
+	var resp Response
+	if n := testing.AllocsPerRun(100, func() {
+		resp = Response{}
+		if !parseResponse(line, &resp) {
+			t.Fatal("status response handed off")
+		}
+	}); n > 6 {
+		t.Errorf("a 40-job status response decodes in %.0f allocations, want at most 6", n)
+	}
+
+	// decodes returns what decoding a deliver request of n completions
+	// and n submissions allocates, and what its journal event record does.
+	decodes := func(n int) (req, ev float64) {
+		r := Request{Op: "deliver", To: 50}
+		for i := 0; i < n; i++ {
+			r.Completions = append(r.Completions, int64(100+i))
+			r.Subs = append(r.Subs, Submission{Width: 1 + i%8, Estimate: int64(60 + i)})
+		}
+		line := appendRequest(nil, &r)
+		rec := appendEventRecord(nil, &Event{Op: r.Op, To: r.To, Completions: r.Completions, Subs: r.Subs})
+		payload := rec[9 : len(rec)-1]
+		var into Request
+		req = testing.AllocsPerRun(100, func() {
+			into = Request{}
+			if !parseRequest(line, &into) {
+				t.Fatalf("request handed off: %s", line)
+			}
+		})
+		ev = testing.AllocsPerRun(100, func() {
+			if _, ok := parseEventRecord(payload); !ok {
+				t.Fatalf("journal event handed off: %s", payload)
+			}
+		})
+		return req, ev
+	}
+	req0, ev0 := decodes(0)
+	for _, n := range []int{1, 3, 300} {
+		if req, ev := decodes(n); req != req0+2 || ev != ev0+2 {
+			t.Errorf("with %d completions and %d submissions a deliver request decodes in %.0f allocations and its journal event in %.0f, want %.0f and %.0f: one more per list",
+				n, n, req, ev, req0+2, ev0+2)
+		}
+	}
 }

@@ -3,15 +3,15 @@
 //
 // A quote is a checkpoint restore: the published image is a checkpoint
 // without plan or observers — the clock, the next ID, the failed
-// processors, the live jobs and the driver's serialized decision state —
-// so the quote hands it as it is to restoreEngine, the step journal
-// replay takes, with a fresh engine and a fresh driver from the quote
-// factory, then injects the hypothetical job(s) and runs the twin forward
-// through kills, launches and self-tuning policy switches until every
-// hypothetical has started. The twin never shares mutable state with the
-// live engine: its jobs are rebuilt from the image's JobInfos into an
-// arena of its own, and the tuner's decision state travels as the bytes
-// the image captured under the scheduling lock. Quotes therefore read
+// processors, the live jobs and the driver's decision state, captured as
+// a value — so the quote hands it as it is to restoreEngine, the step
+// journal replay takes, with a fresh engine and a fresh driver from the
+// quote factory, then injects the hypothetical job(s) and runs the twin
+// forward through kills, launches and self-tuning policy switches until
+// every hypothetical has started. The twin never shares mutable state
+// with the live engine: its jobs are rebuilt from the image's JobInfos
+// into an arena of its own, and the tuner's decision state is the value
+// the image captured under the scheduling lock, which restoring copies. Quotes therefore read
 // like any other image consumer — a storm of them never delays a mutator
 // — and the twin's forward run is honest: on a quiescent scheduler the
 // quoted start equals the realized start of the same job submitted for
@@ -46,9 +46,9 @@ type Quote struct {
 // EnableQuotes switches the quote service on: newDriver must build a
 // fresh driver of the same configuration as the live one (dynpd passes
 // its scheduler spec's factory), so a twin restored from the live
-// tuner's serialized state makes identical decisions. From the next
-// publish on, every image additionally captures the driver's decision
-// state; schedulers that never enable quotes keep paying nothing for it.
+// tuner's state makes identical decisions. From the next publish on,
+// every image additionally captures the driver's decision state;
+// schedulers that never enable quotes keep paying nothing for it.
 func (s *Scheduler) EnableQuotes(newDriver func() sim.Driver) error {
 	if newDriver == nil {
 		return fmt.Errorf("rms: EnableQuotes: nil driver factory")
@@ -135,7 +135,7 @@ func runTwin(img *image, drv sim.Driver, width int, estimate int64, count int) (
 			}
 		},
 	}))
-	if err := restoreEngine(eng, drv, &img.checkpointState); err != nil {
+	if err := restoreEngine(eng, drv, &img.checkpointState, img.tuner); err != nil {
 		return nil, fmt.Errorf("rms: quote: %w", err)
 	}
 

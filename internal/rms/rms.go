@@ -31,6 +31,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"dynp/internal/core"
 	"dynp/internal/engine"
 	"dynp/internal/job"
 	"dynp/internal/plan"
@@ -153,14 +154,17 @@ type Scheduler struct {
 // image is one immutable state of the scheduler, cut after a mutation.
 // Its checkpointState holds the clock, the next ID, the failed
 // processors, the live jobs in engine order — waiting jobs in submission
-// order, which is ascending ID order, running ones in start order — the
-// finished history and, while quotes are on, the driver's decision
-// state: exactly what a quote twin restores. The plan, observer state
-// and event count stay empty; only a checkpoint fills them (see
-// captureCheckpointLocked). Done aliases the scheduler's backing array
-// capped at its length — appends behind it touch only indices the image
-// never reads, and finished entries are never mutated in place, so
-// sharing is safe.
+// order, which is ascending ID order, running ones in start order — and
+// the finished history; while quotes are on, the driver's decision state
+// rides along too: exactly what a quote twin restores. A self-tuning
+// driver's is the value its tuner captured (tuner, allocated with the
+// image as a tunedImage), encoded only when a checkpoint is cut; any
+// other stateful driver's is the bytes of its SaveState (Driver). The
+// plan, observer state and event count stay empty; only a checkpoint
+// fills them (see captureCheckpointLocked). Done aliases the scheduler's
+// backing array capped at its length — appends behind it touch only
+// indices the image never reads, and finished entries are never mutated
+// in place, so sharing is safe.
 type image struct {
 	checkpointState
 	capacity  int // installed processors
@@ -168,28 +172,44 @@ type image struct {
 	active    string
 	scheduler string
 	agg       reportAgg
-	driverErr error // capturing Driver failed; quotes refuse
+	tuner     *core.TunerState
+	driverErr error // capturing the driver's state failed; quotes and checkpoints refuse
 }
 
-// imageLocked cuts an image of the current state. A live job's JobInfo
-// is derived here, from the engine: a waiting job's planned start is its
-// entry in the plan in force, completed first, or NeverStart when that
-// plan has none — the job is wider than the processors that are up, or
-// the machine is drained. A running job launched at its entry's start,
-// so its planned start is its start. Callers hold the scheduling lock.
-func (s *Scheduler) imageLocked() *image {
-	img := &image{
-		checkpointState: checkpointState{
-			Now:    s.eng.Now(),
-			NextID: int64(s.nextID),
-			Failed: s.eng.FailedProcs(),
-		},
-		capacity:  s.eng.Capacity(),
-		used:      s.eng.Used(),
-		active:    policyName(s.driver.ActivePolicy()),
-		scheduler: s.driver.Name(),
-		agg:       s.agg,
+// tunedImage is an image and its tuner's state in one allocation, so an
+// image without one carries no room for it.
+type tunedImage struct {
+	image
+	tuner core.TunerState
+}
+
+// tunerDriver is a driver whose decision state is a self-tuner's
+// (sim.DynP): an image captures it as a value.
+type tunerDriver interface {
+	TunerState() (core.TunerState, error)
+	SetTunerState(core.TunerState) error
+}
+
+// imageLocked cuts an image of the current state, with the driver's
+// decision state when driver is set. A live job's JobInfo is derived
+// here, from the engine: a waiting job's planned start is its entry in
+// the plan in force, completed first, or NeverStart when that plan has
+// none — the job is wider than the processors that are up, or the
+// machine is drained. A running job launched at its entry's start, so
+// its planned start is its start. Callers hold the scheduling lock.
+func (s *Scheduler) imageLocked(driver bool) *image {
+	var img *image
+	td, tuned := s.driver.(tunerDriver)
+	if driver && tuned {
+		ti := new(tunedImage)
+		img = &ti.image
+		img.tuner = &ti.tuner
+	} else {
+		img = new(image)
 	}
+	img.Now, img.NextID, img.Failed = s.eng.Now(), int64(s.nextID), s.eng.FailedProcs()
+	img.capacity, img.used = s.eng.Capacity(), s.eng.Used()
+	img.active, img.scheduler, img.agg = policyName(s.driver.ActivePolicy()), s.driver.Name(), s.agg
 	if waiting := s.eng.Waiting(); len(waiting) > 0 {
 		img.Waiting = make([]JobInfo, len(waiting))
 		for i, j := range waiting {
@@ -214,10 +234,10 @@ func (s *Scheduler) imageLocked() *image {
 	if n := len(s.done); n > 0 {
 		img.Done = s.done[:n:n]
 	}
-	if s.quotesOn.Load() {
-		if sd, ok := s.driver.(engine.StatefulDriver); ok {
-			img.Driver, img.driverErr = sd.SaveState()
-		}
+	if img.tuner != nil {
+		*img.tuner, img.driverErr = td.TunerState()
+	} else if sd, ok := s.driver.(engine.StatefulDriver); ok && driver {
+		img.Driver, img.driverErr = sd.SaveState()
 	}
 	return img
 }
@@ -237,7 +257,7 @@ func waitingPos(waiting []JobInfo, id job.ID) (int, bool) {
 // publish swaps in an image of the current state and returns it.
 // Callers hold the scheduling lock; readers are never blocked by it.
 func (s *Scheduler) publish() *image {
-	img := s.imageLocked()
+	img := s.imageLocked(s.quotesOn.Load())
 	s.img.Store(img)
 	return img
 }

@@ -398,8 +398,12 @@ func (sv *Server) serveConn(conn io.ReadWriter, degraded bool) error {
 	rdl, hasRead := conn.(readDeadliner)
 	wdl, hasWrite := conn.(writeDeadliner)
 	// One output buffer per connection, reused response after response;
-	// one grown past the line limit (a long finished list) is let go.
+	// one grown past the line limit (a long finished list) is let go. One
+	// request per connection too, zeroed before every decode: the slices
+	// decoded into it are fresh each time, so what a handler keeps of a
+	// request stays its own.
 	var out []byte
+	var req Request
 	write := func(resp Response) error {
 		var err error
 		if out, err = appendResponse(out[:0], &resp); err != nil {
@@ -426,7 +430,7 @@ func (sv *Server) serveConn(conn io.ReadWriter, degraded bool) error {
 		if len(line) == 0 {
 			continue
 		}
-		var req Request
+		req = Request{}
 		var resp Response
 		if err := decodeRequest(line, &req); err != nil {
 			resp = Response{Error: fmt.Sprintf("rms: bad request: %v", err), Now: sv.sched.Now()}

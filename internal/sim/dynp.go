@@ -72,6 +72,14 @@ func (d *DynP) SaveState() ([]byte, error) { return d.Tuner.MarshalState() }
 // RestoreState implements engine.StatefulDriver.
 func (d *DynP) RestoreState(data []byte) error { return d.Tuner.UnmarshalState(data) }
 
+// TunerState returns the tuner's decision state as a value, the form an
+// online scheduler's image holds it in; SaveState's bytes are its JSON.
+func (d *DynP) TunerState() (core.TunerState, error) { return d.Tuner.CaptureState() }
+
+// SetTunerState installs a decision state captured by TunerState from a
+// driver of the same configuration, as a quote twin does.
+func (d *DynP) SetTunerState(st core.TunerState) error { return d.Tuner.RestoreState(st) }
+
 // Stats exposes the tuner's decision statistics.
 func (d *DynP) Stats() core.Stats { return d.Tuner.Stats() }
 

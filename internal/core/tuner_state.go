@@ -115,6 +115,13 @@ type TunerState struct {
 	deciderState    []byte
 }
 
+// Tuned is a scheduler whose decision state is a self-tuner's (sim.DynP):
+// it hands that state out and takes it back as a value.
+type Tuned interface {
+	TunerState() (TunerState, error)
+	SetTunerState(TunerState) error
+}
+
 type choiceCount struct {
 	name string
 	n    int

@@ -171,11 +171,13 @@ type lockstep struct {
 	planned bool // whether there was a previous plan
 }
 
-// statefulLockstep adds engine.StatefulDriver for wrapped drivers that
-// have it, so checkpoints carry the wrapped driver's state.
+// statefulLockstep carries a wrapped self-tuning driver's decision state
+// (sim.DynP): as bytes for checkpoints and journal recovery, as a value
+// for quote twins.
 type statefulLockstep struct {
 	*lockstep
 	engine.StatefulDriver
+	core.Tuned
 }
 
 // RestoreState restores the wrapped driver, and the naive tuner takes
@@ -188,35 +190,19 @@ func (d *statefulLockstep) RestoreState(data []byte) error {
 	return nil
 }
 
-func (d *statefulLockstep) restored() {
-	if d.live != nil {
-		d.ref.Active = d.live.Active()
-	}
-}
-
-// tunerState is a driver that also carries its tuner's decision state as
-// a value (sim.DynP).
-type tunerState interface {
-	TunerState() (core.TunerState, error)
-	SetTunerState(core.TunerState) error
-}
-
-// tunerStateLockstep adds the value form of the wrapped driver's state,
-// so a quote twin restores a lockstep driver the way it restores the
-// driver it wraps.
-type tunerStateLockstep struct {
-	*statefulLockstep
-	tunerState
-}
-
-// SetTunerState restores the wrapped driver, and the naive tuner takes
-// the active policy it restored (BC-3).
-func (d *tunerStateLockstep) SetTunerState(st core.TunerState) error {
-	if err := d.tunerState.SetTunerState(st); err != nil {
+// SetTunerState is RestoreState for the value.
+func (d *statefulLockstep) SetTunerState(st core.TunerState) error {
+	if err := d.Tuned.SetTunerState(st); err != nil {
 		return err
 	}
 	d.restored()
 	return nil
+}
+
+func (d *statefulLockstep) restored() {
+	if d.live != nil {
+		d.ref.Active = d.live.Active()
+	}
 }
 
 // Lockstep wraps a one-policy driver (BC-1 against its ActivePolicy).
@@ -228,11 +214,9 @@ func Lockstep(t testing.TB, d engine.Driver, lanes *Lanes) engine.Driver {
 // against ref).
 func TunerLockstep(t testing.TB, d engine.Driver, live *core.SelfTuner, ref *Tuner, lanes *Lanes) engine.Driver {
 	l := &lockstep{Driver: d, t: t, live: live, ref: ref, lanes: lanes}
-	if sd, ok := d.(engine.StatefulDriver); ok {
-		if ts, ok := d.(tunerState); ok {
-			return &tunerStateLockstep{&statefulLockstep{l, sd}, ts}
-		}
-		return &statefulLockstep{l, sd}
+	sd, stateful := d.(engine.StatefulDriver)
+	if td, tuned := d.(core.Tuned); stateful && tuned {
+		return &statefulLockstep{l, sd, td}
 	}
 	return l
 }

@@ -134,7 +134,8 @@ func (s *Scheduler) restoreCheckpoint(cs *checkpointState) error {
 // rebuilds the live jobs into one arena — waiting jobs in ascending ID
 // order, which is submission order since IDs are issued monotonically —
 // installs the plan when the image carries one, restores the driver's
-// decision state — tuner when it is not nil, else the image's bytes — and
+// decision state — the value a quote twin passes as tuner, or on journal
+// recovery the checkpoint's bytes — and
 // hands the machine state to the engine. The run time is unknown online;
 // like Submit, Runtime is the estimate, which the planner never reads and
 // at which the engine kills.
@@ -185,7 +186,7 @@ func restoreEngine(eng *engine.Engine, driver sim.Driver, cs *checkpointState, t
 
 	switch {
 	case tuner != nil:
-		td, ok := driver.(tunerDriver)
+		td, ok := driver.(core.Tuned)
 		if !ok {
 			return fmt.Errorf("image carries driver state but %s cannot restore it", driver.Name())
 		}

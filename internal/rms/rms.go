@@ -155,16 +155,15 @@ type Scheduler struct {
 // Its checkpointState holds the clock, the next ID, the failed
 // processors, the live jobs in engine order — waiting jobs in submission
 // order, which is ascending ID order, running ones in start order — and
-// the finished history; while quotes are on, the driver's decision state
-// rides along too: exactly what a quote twin restores. A self-tuning
-// driver's is the value its tuner captured (tuner, allocated with the
-// image as a tunedImage), encoded only when a checkpoint is cut; any
-// other stateful driver's is the bytes of its SaveState (Driver). The
-// plan, observer state and event count stay empty; only a checkpoint
-// fills them (see captureCheckpointLocked). Done aliases the scheduler's
-// backing array capped at its length — appends behind it touch only
-// indices the image never reads, and finished entries are never mutated
-// in place, so sharing is safe.
+// the finished history; while quotes are on, a self-tuning driver's
+// decision state rides along too, as the value its tuner captured (tuner,
+// allocated with the image as a tunedImage): exactly what a quote twin
+// restores. The plan, observer state, event count and the decision
+// state's bytes (Driver) stay empty; only a checkpoint fills them (see
+// captureCheckpointLocked). Done aliases the scheduler's backing array
+// capped at its length — appends behind it touch only indices the image
+// never reads, and finished entries are never mutated in place, so
+// sharing is safe.
 type image struct {
 	checkpointState
 	capacity  int // installed processors
@@ -183,23 +182,16 @@ type tunedImage struct {
 	tuner core.TunerState
 }
 
-// tunerDriver is a driver whose decision state is a self-tuner's
-// (sim.DynP): an image captures it as a value.
-type tunerDriver interface {
-	TunerState() (core.TunerState, error)
-	SetTunerState(core.TunerState) error
-}
-
-// imageLocked cuts an image of the current state, with the driver's
-// decision state when driver is set. A live job's JobInfo is derived
-// here, from the engine: a waiting job's planned start is its entry in
-// the plan in force, completed first, or NeverStart when that plan has
-// none — the job is wider than the processors that are up, or the
-// machine is drained. A running job launched at its entry's start, so
+// imageLocked cuts an image of the current state, with a self-tuning
+// driver's decision state when driver is set. A live job's JobInfo is
+// derived here, from the engine: a waiting job's planned start is its
+// entry in the plan in force, completed first, or NeverStart when that
+// plan has none — the job is wider than the processors that are up, or
+// the machine is drained. A running job launched at its entry's start, so
 // its planned start is its start. Callers hold the scheduling lock.
 func (s *Scheduler) imageLocked(driver bool) *image {
 	var img *image
-	td, tuned := s.driver.(tunerDriver)
+	td, tuned := s.driver.(core.Tuned)
 	if driver && tuned {
 		ti := new(tunedImage)
 		img = &ti.image
@@ -236,8 +228,6 @@ func (s *Scheduler) imageLocked(driver bool) *image {
 	}
 	if img.tuner != nil {
 		*img.tuner, img.driverErr = td.TunerState()
-	} else if sd, ok := s.driver.(engine.StatefulDriver); ok && driver {
-		img.Driver, img.driverErr = sd.SaveState()
 	}
 	return img
 }

@@ -72,8 +72,9 @@ func (d *DynP) SaveState() ([]byte, error) { return d.Tuner.MarshalState() }
 // RestoreState implements engine.StatefulDriver.
 func (d *DynP) RestoreState(data []byte) error { return d.Tuner.UnmarshalState(data) }
 
-// TunerState returns the tuner's decision state as a value, the form an
-// online scheduler's image holds it in; SaveState's bytes are its JSON.
+// TunerState implements core.Tuned: the tuner's decision state as a
+// value, the form an online scheduler's image holds it in; SaveState's
+// bytes are its JSON.
 func (d *DynP) TunerState() (core.TunerState, error) { return d.Tuner.CaptureState() }
 
 // SetTunerState installs a decision state captured by TunerState from a

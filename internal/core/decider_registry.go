@@ -15,8 +15,8 @@ import (
 
 // StatefulDecider is a Decider that carries internal state across
 // decisions (e.g. a learned decider's feature history). The self-tuner's
-// MarshalState/UnmarshalState round-trip that state through the rms
-// journal checkpoints, keyed by the decider's Name.
+// TunerState carries that state, keyed by the decider's Name, into quote
+// twins and through the rms journal checkpoints.
 //
 // SaveState must be deterministic — the same decider state always yields
 // the same bytes — because checkpoint encodings are compared

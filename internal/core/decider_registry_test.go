@@ -121,7 +121,7 @@ func (d namedDecider) Decide(old policy.Policy, candidates []policy.Policy, valu
 }
 
 // TestStatefulDeciderRoundTrip drives a tuner with a stateful decider,
-// marshals its state, and restores it into a twin: the decider's
+// encodes its state as a checkpoint does, and restores it into a twin: the decider's
 // internal state must survive the trip, and mismatched or non-stateful
 // configurations must be refused.
 func TestStatefulDeciderRoundTrip(t *testing.T) {
@@ -132,7 +132,7 @@ func TestStatefulDeciderRoundTrip(t *testing.T) {
 	if d1.calls != 2 {
 		t.Fatalf("calls = %d, want 2", d1.calls)
 	}
-	data, err := st.MarshalState()
+	data, err := stateJSON(st)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,7 +142,7 @@ func TestStatefulDeciderRoundTrip(t *testing.T) {
 
 	d2 := &countingDecider{}
 	twin := NewSelfTuner(nil, d2, MetricSLDwA)
-	if err := twin.UnmarshalState(data); err != nil {
+	if err := restoreJSON(twin, data); err != nil {
 		t.Fatal(err)
 	}
 	if d2.calls != 2 {
@@ -154,7 +154,7 @@ func TestStatefulDeciderRoundTrip(t *testing.T) {
 
 	// A tuner configured with a different decider refuses the state.
 	other := NewSelfTuner(nil, Advanced{}, MetricSLDwA)
-	if err := other.UnmarshalState(data); err == nil || !strings.Contains(err.Error(), "counting") {
+	if err := restoreJSON(other, data); err == nil || !strings.Contains(err.Error(), "counting") {
 		t.Fatalf("mismatched decider accepted: %v", err)
 	}
 }
@@ -166,7 +166,7 @@ func TestStatefulDeciderRoundTrip(t *testing.T) {
 func TestStatelessDeciderStateBytesUnchanged(t *testing.T) {
 	st := NewSelfTuner(nil, Advanced{}, MetricSLDwA)
 	st.Plan(0, 8, nil, []*job.Job{mkJob(1, 0, 1, 1000), mkJob(2, 0, 1, 10)})
-	data, err := st.MarshalState()
+	data, err := stateJSON(st)
 	if err != nil {
 		t.Fatal(err)
 	}

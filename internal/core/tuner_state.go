@@ -1,12 +1,13 @@
 // The self-tuner's decision state — the active policy, the aggregated
-// statistics, the last decision and the decision trace — as a value
-// (TunerState) and as the JSON a checkpoint stores, keyed by policy
-// *name*, so journals survive registry changes and work for any
-// registered policy. The value is what the online RMS captures after
-// every event while quotes are on and what a quote twin restores; the
-// JSON is cut only with a checkpoint. The lane's order views are
-// deliberately not captured: they follow the queue each Plan is handed,
-// so a restored tuner's first Plan builds them from the restored queue.
+// statistics, the last decision and the decision trace — as a value,
+// TunerState, the one form that state takes outside the tuner. The online
+// RMS captures it after every event while quotes are on and a quote twin
+// restores it; a checkpoint stores its JSON, keyed by policy *name* so
+// journals survive registry changes and work for any registered policy,
+// and journal recovery decodes that JSON back into the value and restores
+// it the same way. The lane's order views are deliberately not captured:
+// they follow the queue each Plan is handed, so a restored tuner's first
+// Plan builds them from the restored queue.
 //
 // A stateful decider (see StatefulDecider) rides along as its name and
 // opaque state bytes. The JSON fields are omitempty, so checkpoints
@@ -15,11 +16,13 @@
 package core
 
 import (
+	"cmp"
 	"encoding/json"
 	"fmt"
 	"math"
 	"slices"
 
+	"dynp/internal/job"
 	"dynp/internal/policy"
 )
 
@@ -70,7 +73,7 @@ func (t *SelfTuner) lookupPolicy(name string) (policy.Policy, error) {
 	if p, err := policy.Lookup(name); err == nil {
 		return p, nil
 	}
-	return nil, fmt.Errorf("policy %q is neither a candidate (%v) nor registered", name, policyNames(t.candidates))
+	return nil, fmt.Errorf("core: tuner state: policy %q is neither a candidate (%v) nor registered", name, policyNames(t.candidates))
 }
 
 func policyNames(ps []policy.Policy) []string {
@@ -81,29 +84,31 @@ func policyNames(ps []policy.Policy) []string {
 	return out
 }
 
-func (t *SelfTuner) decodeDecision(s decState) (Decision, error) {
-	old, err := t.lookupPolicy(s.Old)
-	if err != nil {
-		return Decision{}, fmt.Errorf("core: tuner state: %w", err)
-	}
-	chosen, err := t.lookupPolicy(s.Chosen)
-	if err != nil {
-		return Decision{}, fmt.Errorf("core: tuner state: %w", err)
-	}
-	d := Decision{Time: s.Time, Old: old, Chosen: chosen}
+// decodeDecision is s with its policies held by name, for RestoreState
+// to resolve.
+func decodeDecision(s decState) Decision {
+	d := Decision{Time: s.Time, Old: unresolved(s.Old), Chosen: unresolved(s.Chosen)}
 	for _, bits := range s.Values {
 		d.Values = append(d.Values, math.Float64frombits(bits))
 	}
-	return d, nil
+	return d
 }
+
+// unresolved is a policy known only by its name, as a decoded state holds
+// it until RestoreState resolves it; it never reaches a plan.
+type unresolved string
+
+func (p unresolved) Name() string { return string(p) }
+
+func (p unresolved) Less(*job.Job, *job.Job) bool { panic("core: unresolved policy " + string(p)) }
 
 // TunerState is a tuner's decision state as a value — active policy,
 // statistics, last decision, (when tracing) the decision trace and (when
 // the decider is stateful) the decider's name and opaque saved state.
 // CaptureState copies it out and RestoreState installs it into a fresh
-// tuner of the same configuration with no encoding in between; its JSON,
-// written only when a checkpoint is cut, is what MarshalState writes.
-// Later steps of the tuner it was captured from leave it as it is.
+// tuner of the same configuration; MarshalJSON and UnmarshalJSON carry it
+// through a checkpoint. Later steps of the tuner it was captured from
+// leave it as it is.
 type TunerState struct {
 	active          policy.Policy
 	steps, switches int
@@ -178,64 +183,43 @@ func (st TunerState) MarshalJSON() ([]byte, error) {
 	return json.Marshal(js)
 }
 
-// MarshalState serialises the tuner's decision state for a checkpoint:
-// the JSON of its CaptureState.
-func (t *SelfTuner) MarshalState() ([]byte, error) {
-	st, err := t.CaptureState()
-	if err != nil {
-		return nil, err
-	}
-	return st.MarshalJSON()
-}
-
-// UnmarshalState installs a previously marshalled decision state into a
-// tuner constructed with the same candidate set, decider and metric (see
-// RestoreState).
-func (t *SelfTuner) UnmarshalState(data []byte) error {
+// UnmarshalJSON decodes a state MarshalJSON wrote. Every policy is held
+// by name until RestoreState resolves it against the restoring tuner.
+func (st *TunerState) UnmarshalJSON(data []byte) error {
 	var js tunerState
 	if err := json.Unmarshal(data, &js); err != nil {
-		return fmt.Errorf("core: tuner state: %w", err)
+		return err
 	}
-	active, err := t.lookupPolicy(js.Active)
-	if err != nil {
-		return fmt.Errorf("core: tuner state: %w", err)
-	}
-	st := TunerState{active: active, steps: js.Steps, switches: js.Switches,
+	*st = TunerState{active: unresolved(js.Active), steps: js.Steps, switches: js.Switches,
 		decider: js.Decider, deciderState: js.DeciderState}
 	for name, n := range js.Chosen {
 		st.chosen = append(st.chosen, choiceCount{name, n})
 	}
 	if js.Last != nil {
-		if st.last, err = t.decodeDecision(*js.Last); err != nil {
-			return err
-		}
-		st.hasLast = true
+		st.last, st.hasLast = decodeDecision(*js.Last), true
 	}
 	for _, s := range js.Trace {
-		d, err := t.decodeDecision(s)
-		if err != nil {
-			return err
-		}
-		st.trace = append(st.trace, d)
+		st.trace = append(st.trace, decodeDecision(s))
 	}
-	return t.RestoreState(st)
+	return nil
 }
 
 // RestoreState installs a decision state into a tuner constructed with
 // the same candidate set, decider and metric. Every policy is resolved by
-// name, against the tuner's candidates first (then the registry), exactly
-// as a round trip through the state's JSON would resolve it; unknown
-// names are refused with a clear error and leave the tuner untouched. A
-// saved decider state is handed to the tuner's decider, which must carry
-// the same name and implement StatefulDecider. The lane's order views are
-// untouched: the next Plan syncs them with the queue it is handed.
+// name, against the tuner's candidates first (then the registry), so a
+// state captured from a tuner and one decoded from a checkpoint restore
+// alike; unknown names are refused with a clear error and leave the tuner
+// untouched. A saved decider state is handed to the tuner's decider,
+// which must carry the same name and implement StatefulDecider. The
+// lane's order views are untouched: the next Plan syncs them with the
+// queue it is handed.
 func (t *SelfTuner) RestoreState(st TunerState) error {
 	if st.active == nil {
 		return fmt.Errorf("core: tuner state: no active policy")
 	}
 	active, err := t.lookupPolicy(st.active.Name())
 	if err != nil {
-		return fmt.Errorf("core: tuner state: %w", err)
+		return err
 	}
 	if !slices.ContainsFunc(t.candidates, func(c policy.Policy) bool { return c == active }) {
 		return fmt.Errorf("core: tuner state: active policy %v is not a candidate", active)
@@ -257,7 +241,7 @@ func (t *SelfTuner) RestoreState(st TunerState) error {
 		// a state referencing a policy this process never registered is
 		// refused, not silently carried along.
 		if _, err := t.lookupPolicy(c.name); err != nil {
-			return fmt.Errorf("core: tuner state: %w", err)
+			return err
 		}
 		stats.Chosen[c.name] = c.n
 	}
@@ -293,5 +277,10 @@ func (t *SelfTuner) RestoreState(st TunerState) error {
 // resolveDecision is d with its policies resolved by name against this
 // tuner and scores of its own, which the tuner may then rewrite.
 func (t *SelfTuner) resolveDecision(d Decision) (Decision, error) {
-	return t.decodeDecision(encodeDecision(d))
+	old, errOld := t.lookupPolicy(d.Old.Name())
+	chosen, errChosen := t.lookupPolicy(d.Chosen.Name())
+	if err := cmp.Or(errOld, errChosen); err != nil {
+		return Decision{}, err
+	}
+	return Decision{Time: d.Time, Old: old, Chosen: chosen, Values: slices.Clone(d.Values)}, nil
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"encoding/json"
 	"math"
 	"reflect"
 	"testing"
@@ -35,25 +36,44 @@ func driveTuner(t *testing.T, st *SelfTuner, seed uint64, steps int) []Decision 
 	return out
 }
 
-// TestTunerStateRoundTrip: a tuner restored from MarshalState must carry
-// the same active policy and statistics, and — driven by the same future
-// events — make exactly the decisions the original would.
+// stateJSON is the JSON a checkpoint stores of st's decision state.
+func stateJSON(st *SelfTuner) ([]byte, error) {
+	captured, err := st.CaptureState()
+	if err != nil {
+		return nil, err
+	}
+	return json.Marshal(captured)
+}
+
+// restoreJSON decodes a checkpoint's JSON into a TunerState and restores
+// it into st, as journal recovery does.
+func restoreJSON(st *SelfTuner, data []byte) error {
+	var decoded TunerState
+	if err := json.Unmarshal(data, &decoded); err != nil {
+		return err
+	}
+	return st.RestoreState(decoded)
+}
+
+// TestTunerStateRoundTrip: a tuner restored from its state's JSON must
+// carry the same active policy and statistics, and — driven by the same
+// future events — make exactly the decisions the original would.
 func TestTunerStateRoundTrip(t *testing.T) {
 	orig := NewSelfTuner(nil, Advanced{}, MetricSLDwA)
 	orig.EnableTrace()
 	driveTuner(t, orig, 77, 25)
 
-	data, err := orig.MarshalState()
+	data, err := stateJSON(orig)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// The serialised state must be deterministic.
-	if again, err := orig.MarshalState(); err != nil || !bytes.Equal(data, again) {
-		t.Fatalf("MarshalState is not deterministic (err %v)", err)
+	if again, err := stateJSON(orig); err != nil || !bytes.Equal(data, again) {
+		t.Fatalf("the state's JSON is not deterministic (err %v)", err)
 	}
 	restored := NewSelfTuner(nil, Advanced{}, MetricSLDwA)
 	restored.EnableTrace()
-	if err := restored.UnmarshalState(data); err != nil {
+	if err := restoreJSON(restored, data); err != nil {
 		t.Fatal(err)
 	}
 
@@ -86,12 +106,12 @@ func TestTunerStateRoundTrip(t *testing.T) {
 func TestTunerStateInfValues(t *testing.T) {
 	st := NewSelfTuner(nil, Advanced{}, MetricSLDwA)
 	st.commit(10, st.candidates[1], []float64{math.Inf(1), 2.5, math.Inf(-1)})
-	data, err := st.MarshalState()
+	data, err := stateJSON(st)
 	if err != nil {
 		t.Fatal(err)
 	}
 	restored := NewSelfTuner(nil, Advanced{}, MetricSLDwA)
-	if err := restored.UnmarshalState(data); err != nil {
+	if err := restoreJSON(restored, data); err != nil {
 		t.Fatal(err)
 	}
 	d, ok := restored.LastDecision()
@@ -101,29 +121,39 @@ func TestTunerStateInfValues(t *testing.T) {
 }
 
 // TestTunerStateRejectsForeign: states referencing policies outside the
-// candidate set are refused, leaving the tuner untouched.
+// candidate set decode, but are refused at restore, leaving the tuner
+// untouched; what is not JSON is refused at decode.
 func TestTunerStateRejectsForeign(t *testing.T) {
 	st := NewSelfTuner(nil, Advanced{}, MetricSLDwA)
 	for _, bad := range []string{
 		`{"active":"SAF"}`,                     // not a candidate
 		`{"active":"bogus"}`,                   // not a policy
 		`{"active":"SJF","chosen":{"nope":1}}`, // unknown stat key
-		`not json`,
 	} {
-		if err := st.UnmarshalState([]byte(bad)); err == nil {
+		var decoded TunerState
+		if err := json.Unmarshal([]byte(bad), &decoded); err != nil {
+			t.Errorf("state %q did not decode: %v", bad, err)
+			continue
+		}
+		if err := st.RestoreState(decoded); err == nil {
 			t.Errorf("state %q accepted", bad)
 		}
+	}
+	var decoded TunerState
+	if err := json.Unmarshal([]byte(`not json`), &decoded); err == nil {
+		t.Error("state \"not json\" decoded")
 	}
 	if st.Active().Name() != "FCFS" || st.Stats().Steps != 0 {
 		t.Fatal("failed restore mutated the tuner")
 	}
 }
 
-// TestTunerStateValue: a captured TunerState is a value. Its JSON is
-// MarshalState's; neither the tuner it came from nor a tuner restored
-// from it changes it by stepping on; and a tuner restored from it is the
-// tuner restored from its JSON — same active policy, statistics, last
-// decision, trace and decider state, and the same future decisions.
+// TestTunerStateValue: a captured TunerState is a value. Its JSON decodes
+// to a value with the same JSON; neither the tuner it came from nor a
+// tuner restored from it changes it by stepping on; and a tuner restored
+// from it is the tuner restored from its JSON — same active policy,
+// statistics, last decision, trace and decider state, and the same future
+// decisions.
 func TestTunerStateValue(t *testing.T) {
 	newTuner := func() *SelfTuner {
 		st := NewSelfTuner(nil, &countingDecider{}, MetricSLDwA)
@@ -140,15 +170,19 @@ func TestTunerStateValue(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want, err := orig.MarshalState(); err != nil || !bytes.Equal(data, want) {
-		t.Fatalf("the value's JSON %s, MarshalState %s (%v)", data, want, err)
+	var decoded TunerState
+	if err := json.Unmarshal(data, &decoded); err != nil {
+		t.Fatal(err)
+	}
+	if again, err := json.Marshal(decoded); err != nil || !bytes.Equal(again, data) {
+		t.Fatalf("the value's JSON %s decodes to a value whose JSON is %s (%v)", data, again, err)
 	}
 
 	fromValue, fromBytes := newTuner(), newTuner()
 	if err := fromValue.RestoreState(captured); err != nil {
 		t.Fatal(err)
 	}
-	if err := fromBytes.UnmarshalState(data); err != nil {
+	if err := restoreJSON(fromBytes, data); err != nil {
 		t.Fatal(err)
 	}
 	if fromValue.Active() != fromBytes.Active() || !reflect.DeepEqual(fromValue.Stats(), fromBytes.Stats()) ||

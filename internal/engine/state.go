@@ -5,7 +5,9 @@
 // provides the rebuild primitive: RestoreState installs a previously
 // captured machine state wholesale, silently — no hooks fire and no
 // observer events are emitted, because the transitions it encodes
-// already happened in a previous life of the process.
+// already happened in a previous life of the process. A driver's own
+// decision state (the self-tuner's) is not the engine's: the caller
+// restores it into the driver (see core.TunerState).
 package engine
 
 import (
@@ -14,20 +16,6 @@ import (
 	"dynp/internal/job"
 	"dynp/internal/plan"
 )
-
-// StatefulDriver is an optional Driver extension. A driver with mutable
-// decision state (the self-tuning dynP driver: active policy, decider
-// statistics) implements it so checkpoints capture that state and a
-// restored engine resumes making the same decisions a genesis replay
-// would have reached. Stateless drivers (static policies, EASY) simply
-// don't implement it.
-type StatefulDriver interface {
-	// SaveState serialises the driver's decision state.
-	SaveState() ([]byte, error)
-	// RestoreState installs a previously saved decision state into a
-	// fresh driver of the same configuration.
-	RestoreState(data []byte) error
-}
 
 // State is the engine's restartable state as captured at a checkpoint.
 // Slices are installed as-is; the caller hands over ownership.

@@ -50,6 +50,7 @@
 package plantest
 
 import (
+	"encoding/json"
 	"fmt"
 	"slices"
 	"testing"
@@ -172,37 +173,23 @@ type lockstep struct {
 }
 
 // statefulLockstep carries a wrapped self-tuning driver's decision state
-// (sim.DynP): as bytes for checkpoints and journal recovery, as a value
-// for quote twins.
+// (sim.DynP) as the value checkpoints, journal recovery and quote twins
+// restore.
 type statefulLockstep struct {
 	*lockstep
-	engine.StatefulDriver
 	core.Tuned
 }
 
-// RestoreState restores the wrapped driver, and the naive tuner takes
+// SetTunerState restores the wrapped driver, and the naive tuner takes
 // the active policy it restored (BC-3).
-func (d *statefulLockstep) RestoreState(data []byte) error {
-	if err := d.StatefulDriver.RestoreState(data); err != nil {
-		return err
-	}
-	d.restored()
-	return nil
-}
-
-// SetTunerState is RestoreState for the value.
 func (d *statefulLockstep) SetTunerState(st core.TunerState) error {
 	if err := d.Tuned.SetTunerState(st); err != nil {
 		return err
 	}
-	d.restored()
-	return nil
-}
-
-func (d *statefulLockstep) restored() {
 	if d.live != nil {
 		d.ref.Active = d.live.Active()
 	}
+	return nil
 }
 
 // Lockstep wraps a one-policy driver (BC-1 against its ActivePolicy).
@@ -214,9 +201,8 @@ func Lockstep(t testing.TB, d engine.Driver, lanes *Lanes) engine.Driver {
 // against ref).
 func TunerLockstep(t testing.TB, d engine.Driver, live *core.SelfTuner, ref *Tuner, lanes *Lanes) engine.Driver {
 	l := &lockstep{Driver: d, t: t, live: live, ref: ref, lanes: lanes}
-	sd, stateful := d.(engine.StatefulDriver)
-	if td, tuned := d.(core.Tuned); stateful && tuned {
-		return &statefulLockstep{l, sd, td}
+	if td, tuned := d.(core.Tuned); tuned {
+		return &statefulLockstep{l, td}
 	}
 	return l
 }
@@ -304,8 +290,9 @@ const Capacity = 16
 // the planned queue out of order once processors return) or drain the
 // machine entirely, and a checkpoint restored into a fresh engine and
 // driver — whose first plan builds its order views from the restored
-// queue and which, for an engine.StatefulDriver, carries SaveState over
-// into RestoreState. A restore is no event to the oracle.
+// queue and which, for a core.Tuned driver, takes the old driver's
+// TunerState through the JSON a checkpoint stores into SetTunerState. A
+// restore is no event to the oracle.
 func Run(t testing.TB, newDriver func() engine.Driver, oracle Step, data []byte) {
 	driver := newDriver()
 	var rec Recorder
@@ -366,10 +353,20 @@ func Run(t testing.TB, newDriver func() engine.Driver, oracle Step, data []byte)
 			if err := eng.RestoreState(st); err != nil {
 				t.Fatal(err)
 			}
-			if sd, ok := old.(engine.StatefulDriver); ok {
-				saved, err := sd.SaveState()
+			if td, ok := old.(core.Tuned); ok {
+				// Through the JSON a checkpoint stores, as journal
+				// recovery reads it.
+				var saved core.TunerState
+				st, err := td.TunerState()
+				var data []byte
 				if err == nil {
-					err = driver.(engine.StatefulDriver).RestoreState(saved)
+					data, err = json.Marshal(st)
+				}
+				if err == nil {
+					err = json.Unmarshal(data, &saved)
+				}
+				if err == nil {
+					err = driver.(core.Tuned).SetTunerState(saved)
 				}
 				if err != nil {
 					t.Fatal(err)

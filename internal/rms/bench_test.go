@@ -165,63 +165,80 @@ func BenchmarkStatusCodec(b *testing.B) {
 	})
 }
 
-// BenchmarkDeliver replays one generated KTH set (1,000 jobs at shrink
-// 0.8) through Deliver in process, one batch per instant of its
-// simulated run — the jobs completing then, the jobs submitted then — as
-// the daemon-wire workload feeds dynpd, under the SJF-preferred dynP
-// driver, with quotes off and on. A job that runs out its estimate gets
-// no completion: the batch's kill sweep ends it. One op is one batch; the
-// replay starts over on a fresh scheduler when the set is done. With
-// quotes on, every batch's published image also captures the tuner's
-// state.
-func BenchmarkDeliver(b *testing.B) {
+// kthReplay is one generated KTH set (1,000 jobs at shrink 0.8) as the
+// daemon-wire workload feeds dynpd: one Deliver batch per instant of its
+// simulated run under the SJF-preferred dynP driver — the jobs completing
+// then, the jobs submitted then. A job that runs out its estimate gets no
+// completion: the batch's kill sweep ends it.
+type kthReplay struct {
+	set       *job.Set
+	newDriver func() sim.Driver
+	instants  []int64 // in time order
+	batches   map[int64]*kthBatch
+}
+
+type kthBatch struct {
+	done []job.ID
+	subs []Submission
+}
+
+func newKTHReplay(b *testing.B) *kthReplay {
 	sets, err := workload.KTH.GenerateSets(1, 1000, 1)
 	if err != nil {
 		b.Fatal(err)
 	}
-	set := sets[0].Shrink(0.8)
-	newDriver := func() sim.Driver { return sim.NewDynP(core.Preferred{Policy: policy.SJF}) }
-	res, err := sim.Run(set, newDriver())
+	r := &kthReplay{set: sets[0].Shrink(0.8), batches: map[int64]*kthBatch{},
+		newDriver: func() sim.Driver { return sim.NewDynP(core.Preferred{Policy: policy.SJF}) }}
+	res, err := sim.Run(r.set, r.newDriver())
 	if err != nil {
 		b.Fatal(err)
 	}
-	// A daemon numbers jobs in arrival order: set job i is online job i+1.
-	type batch struct {
-		done []job.ID
-		subs []Submission
-	}
-	batches := map[int64]*batch{}
-	at := func(t int64) *batch {
-		if batches[t] == nil {
-			batches[t] = &batch{}
+	at := func(t int64) *kthBatch {
+		if r.batches[t] == nil {
+			r.batches[t] = &kthBatch{}
+			r.instants = append(r.instants, t)
 		}
-		return batches[t]
+		return r.batches[t]
 	}
-	online := make(map[job.ID]job.ID, len(set.Jobs))
-	for i, j := range set.Jobs {
+	// A daemon numbers jobs in arrival order: set job i is online job i+1.
+	online := make(map[job.ID]job.ID, len(r.set.Jobs))
+	for i, j := range r.set.Jobs {
 		online[j.ID] = job.ID(i + 1)
 		at(j.Submit).subs = append(at(j.Submit).subs, Submission{Width: j.Width, Estimate: j.Estimate})
 	}
-	for _, r := range res.Records {
-		if r.Job.Runtime < r.Job.Estimate {
-			at(r.Finish).done = append(at(r.Finish).done, online[r.Job.ID])
+	for _, rec := range res.Records {
+		if rec.Job.Runtime < rec.Job.Estimate {
+			at(rec.Finish).done = append(at(rec.Finish).done, online[rec.Job.ID])
 		}
 	}
-	var instants []int64
-	for t := range batches {
-		instants = append(instants, t)
+	slices.Sort(r.instants)
+	return r
+}
+
+// deliver sends the batch of instant t.
+func (r *kthReplay) deliver(b *testing.B, s *Scheduler, t int64) {
+	if _, err := s.Deliver(t, r.batches[t].done, r.batches[t].subs); err != nil {
+		b.Fatal(err)
 	}
-	slices.Sort(instants)
+}
+
+// BenchmarkDeliver replays the kthReplay set through Deliver in process,
+// with quotes off and on. One op is one batch; the replay starts over on
+// a fresh scheduler when the set is done. With quotes on, every batch's
+// published image also captures the tuner's state.
+func BenchmarkDeliver(b *testing.B) {
+	r := newKTHReplay(b)
 	for _, quotes := range []bool{false, true} {
 		b.Run(fmt.Sprintf("quotes=%t", quotes), func(b *testing.B) {
 			var s *Scheduler
-			k := len(instants)
+			var err error
+			k := len(r.instants)
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if k == len(instants) {
+				if k == len(r.instants) {
 					b.StopTimer()
-					if s, err = New(set.Machine, newDriver(), instants[0]); err == nil && quotes {
-						err = s.EnableQuotes(newDriver)
+					if s, err = New(r.set.Machine, r.newDriver(), r.instants[0]); err == nil && quotes {
+						err = s.EnableQuotes(r.newDriver)
 					}
 					if err != nil {
 						b.Fatal(err)
@@ -229,12 +246,35 @@ func BenchmarkDeliver(b *testing.B) {
 					k = 0
 					b.StartTimer()
 				}
-				t := instants[k]
-				if _, err := s.Deliver(t, batches[t].done, batches[t].subs); err != nil {
-					b.Fatal(err)
-				}
+				r.deliver(b, s, r.instants[k])
 				k++
 			}
 		})
+	}
+}
+
+// BenchmarkQuote times one quote — a twin restored from the published
+// image, its tuner state included, and run forward until the
+// hypothetical job starts — of a job shaped like the kthReplay set's
+// middle one, from the state its replay reaches halfway through.
+func BenchmarkQuote(b *testing.B) {
+	r := newKTHReplay(b)
+	s, err := New(r.set.Machine, r.newDriver(), r.instants[0])
+	if err == nil {
+		err = s.EnableQuotes(r.newDriver)
+	}
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, t := range r.instants[:len(r.instants)/2] {
+		r.deliver(b, s, t)
+	}
+	mid := r.set.Jobs[len(r.set.Jobs)/2]
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := s.Quote(mid.Width, mid.Estimate, 1); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

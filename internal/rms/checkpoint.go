@@ -11,6 +11,7 @@ package rms
 
 import (
 	"cmp"
+	"encoding/json"
 	"fmt"
 	"slices"
 
@@ -72,9 +73,11 @@ func (s *Scheduler) captureCheckpointLocked(events int64) (checkpointState, erro
 // disk lists, reinstalls the finished history, refolds it into the report
 // aggregates in its original finish order and restores observer state;
 // restoreEngine rebuilds the live jobs and the plan in force, from which
-// every later image derives their JobInfos. Replayed tail events then
-// take it from there. No replanning happens here — the checkpointed plan
-// is the one that was in force.
+// every later image derives their JobInfos, and restores the driver's
+// decision state, decoded from the checkpoint's JSON into the value a
+// quote twin restores. Replayed tail events then take it from there. No
+// replanning happens here — the checkpointed plan is the one that was in
+// force.
 func (s *Scheduler) restoreCheckpoint(cs *checkpointState) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -112,7 +115,14 @@ func (s *Scheduler) restoreCheckpoint(cs *checkpointState) error {
 		s.agg.add(d)
 		s.doneIdx[d.ID] = i
 	}
-	if err := restoreEngine(s.eng, s.driver, cs, nil); err != nil {
+	var tuner *core.TunerState
+	if len(cs.Driver) > 0 {
+		tuner = new(core.TunerState)
+		if err := json.Unmarshal(cs.Driver, tuner); err != nil {
+			return fmt.Errorf("rms: checkpoint restore: driver state: %w", err)
+		}
+	}
+	if err := restoreEngine(s.eng, s.driver, cs, tuner); err != nil {
 		return fmt.Errorf("rms: checkpoint restore: %w", err)
 	}
 	s.nextID = job.ID(cs.NextID)
@@ -134,11 +144,11 @@ func (s *Scheduler) restoreCheckpoint(cs *checkpointState) error {
 // rebuilds the live jobs into one arena — waiting jobs in ascending ID
 // order, which is submission order since IDs are issued monotonically —
 // installs the plan when the image carries one, restores the driver's
-// decision state — the value a quote twin passes as tuner, or on journal
-// recovery the checkpoint's bytes — and
-// hands the machine state to the engine. The run time is unknown online;
-// like Submit, Runtime is the estimate, which the planner never reads and
-// at which the engine kills.
+// decision state when tuner is set — the value a quote twin's image
+// captured, or on journal recovery the one decoded from the checkpoint —
+// and hands the machine state to the engine. The run time is unknown
+// online; like Submit, Runtime is the estimate, which the planner never
+// reads and at which the engine kills.
 func restoreEngine(eng *engine.Engine, driver sim.Driver, cs *checkpointState, tuner *core.TunerState) error {
 	arena := make([]job.Job, 0, len(cs.Waiting)+len(cs.Running))
 	mk := func(info JobInfo) *job.Job {
@@ -184,21 +194,12 @@ func restoreEngine(eng *engine.Engine, driver sim.Driver, cs *checkpointState, t
 		}
 	}
 
-	switch {
-	case tuner != nil:
+	if tuner != nil {
 		td, ok := driver.(core.Tuned)
 		if !ok {
 			return fmt.Errorf("image carries driver state but %s cannot restore it", driver.Name())
 		}
 		if err := td.SetTunerState(*tuner); err != nil {
-			return fmt.Errorf("driver state: %w", err)
-		}
-	case len(cs.Driver) > 0:
-		sd, ok := driver.(engine.StatefulDriver)
-		if !ok {
-			return fmt.Errorf("image carries driver state but %s cannot restore it", driver.Name())
-		}
-		if err := sd.RestoreState(cs.Driver); err != nil {
 			return fmt.Errorf("driver state: %w", err)
 		}
 	}

@@ -399,9 +399,24 @@ func (p *parser) count() int {
 	return bytes.Count(rest, []byte{','}) + 1
 }
 
-// str reads a string without escapes; raw UTF-8 must be valid, as
-// encoding/json would otherwise substitute U+FFFD.
-func (p *parser) str() string {
+// str reads a string without escapes.
+func (p *parser) str() string { return string(p.strBytes()) }
+
+// op reads a request's op as str does, but returns the listed name it
+// equals (opNames) instead of a fresh copy.
+func (p *parser) op() string {
+	s := p.strBytes()
+	for _, name := range opNames {
+		if string(s) == name {
+			return name
+		}
+	}
+	return string(s)
+}
+
+// strBytes reads a string without escapes, aliasing the input; raw UTF-8
+// must be valid, as encoding/json would otherwise substitute U+FFFD.
+func (p *parser) strBytes() []byte {
 	p.want('"')
 	start, ascii := p.i, true
 	for ; p.i < len(p.b); p.i++ {
@@ -417,9 +432,9 @@ func (p *parser) str() string {
 	p.want('"')
 	if p.bad || !ascii && !utf8.Valid(s) {
 		p.bad = true
-		return ""
+		return nil
 	}
-	return string(s)
+	return s
 }
 
 // int64 reads an integer: an optional minus, then digits without a
@@ -518,7 +533,7 @@ func (p *parser) request(r *Request) {
 	p.object(requestKeys, func(k int) {
 		switch k {
 		case 0:
-			r.Op = p.str()
+			r.Op = p.op()
 		case 1:
 			r.Width = p.int()
 		case 2:

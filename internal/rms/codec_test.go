@@ -538,7 +538,8 @@ func FuzzWireCodec(f *testing.F) {
 // 40-job status response decodes in six allocations (the response, its
 // status, two lists and two strings), and a deliver request or a journal
 // event record costs one allocation per list over the same line without
-// lists.
+// lists: none for the request, whose op is a listed name, and one, the
+// Event, for the record.
 func TestWireDecodeAllocs(t *testing.T) {
 	_, line := statusResponse(t)
 	var resp Response
@@ -577,6 +578,10 @@ func TestWireDecodeAllocs(t *testing.T) {
 		return req, ev
 	}
 	req0, ev0 := decodes(0)
+	if req0 != 0 || ev0 != 1 {
+		t.Errorf("a deliver request without lists decodes in %.0f allocations and its journal event in %.0f, want 0 (the op is a listed name) and 1 (the Event)",
+			req0, ev0)
+	}
 	for _, n := range []int{1, 3, 300} {
 		if req, ev := decodes(n); req != req0+2 || ev != ev0+2 {
 			t.Errorf("with %d completions and %d submissions a deliver request decodes in %.0f allocations and its journal event in %.0f, want %.0f and %.0f: one more per list",

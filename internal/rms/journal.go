@@ -76,6 +76,12 @@ const (
 	opRestore = "restore"
 )
 
+// opNames lists every protocol op: the journaled ones above, then those
+// that change nothing. The codec hands out the listed string for an op it
+// reads, so a request's op costs no allocation.
+var opNames = [...]string{opSubmit, opDone, opCancel, opTick, opDeliver, opFail, opRestore,
+	"job", "status", "finished", "report", "quote", "policies", "deciders", "trace", "metrics", "health", "ready"}
+
 // Event is one external scheduler event: everything that can change
 // scheduler state besides the deterministic consequences of time.
 type Event struct {

@@ -127,57 +127,89 @@ func TestRestoreRefusesUnregisteredPolicy(t *testing.T) {
 
 // TestJournalRefusesUnregisteredPolicy covers the same refusal through
 // the on-disk path: the newest checkpoint record is rewritten (with a
-// valid checksum) to name an unknown policy, and replay must surface
-// the name instead of restoring something else.
+// valid checksum) to name an unknown policy in its plan or in the
+// driver's decision state, or to carry a driver state of the wrong
+// shape, and replay must refuse with an error that says why instead of
+// restoring something else or falling back past the record as corrupt.
 func TestJournalRefusesUnregisteredPolicy(t *testing.T) {
-	live, j, path := journaledScheduler(t, 8, 2)
-	for i := 0; i < 6; i++ {
-		if _, err := live.Submit(8, 50); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := live.Advance(10); err != nil {
-		t.Fatal(err)
-	}
-	j.Close()
+	for _, tc := range []struct {
+		name, want string
+		patch      func(cs *checkpointState) bool // false: nothing to patch
+	}{
+		{"plan", "NOPE-policy", func(cs *checkpointState) bool {
+			if cs.Plan == nil {
+				return false
+			}
+			cs.Plan.Policy = "NOPE-policy"
+			return true
+		}},
+		{"driver-active", "NOPE-active", func(cs *checkpointState) bool {
+			var st map[string]json.RawMessage
+			if err := json.Unmarshal(cs.Driver, &st); err != nil {
+				t.Fatal(err)
+			}
+			st["active"] = json.RawMessage(`"NOPE-active"`)
+			var err error
+			if cs.Driver, err = json.Marshal(st); err != nil {
+				t.Fatal(err)
+			}
+			return true
+		}},
+		{"driver-shape", "driver state", func(cs *checkpointState) bool {
+			cs.Driver = json.RawMessage(`{"active":["SJF"],"steps":"many"}`)
+			return true
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			live, j, path := journaledScheduler(t, 8, 2)
+			for i := 0; i < 6; i++ {
+				if _, err := live.Submit(8, 50); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := live.Advance(10); err != nil {
+				t.Fatal(err)
+			}
+			j.Close()
 
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	lines := strings.Split(strings.TrimSuffix(string(data), "\n"), "\n")
-	patched := false
-	for i, line := range lines {
-		l, ok := decodeRecord([]byte(line))
-		if !ok || l.Checkpoint == nil || l.Checkpoint.Plan == nil {
-			continue
-		}
-		l.Checkpoint.Plan.Policy = "NOPE-policy"
-		rec, err := encodeRecord(&l)
-		if err != nil {
-			t.Fatal(err)
-		}
-		lines[i] = strings.TrimSuffix(string(rec), "\n")
-		patched = true
-	}
-	if !patched {
-		t.Skip("no checkpoint with a plan in the active segment")
-	}
-	if err := os.WriteFile(path, []byte(strings.Join(lines, "\n")+"\n"), 0o644); err != nil {
-		t.Fatal(err)
-	}
+			data, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			lines := strings.Split(strings.TrimSuffix(string(data), "\n"), "\n")
+			patched := false
+			for i, line := range lines {
+				l, ok := decodeRecord([]byte(line))
+				if !ok || l.Checkpoint == nil || !tc.patch(l.Checkpoint) {
+					continue
+				}
+				rec, err := encodeRecord(&l)
+				if err != nil {
+					t.Fatal(err)
+				}
+				lines[i] = strings.TrimSuffix(string(rec), "\n")
+				patched = true
+			}
+			if !patched {
+				t.Skip("no checkpoint to patch in the active segment")
+			}
+			if err := os.WriteFile(path, []byte(strings.Join(lines, "\n")+"\n"), 0o644); err != nil {
+				t.Fatal(err)
+			}
 
-	jf, err := OpenJournal(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer jf.Close()
-	fresh, err := New(8, newDynP(), 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := jf.Replay(fresh); err == nil || !strings.Contains(err.Error(), "NOPE-policy") {
-		t.Fatalf("journal naming an unregistered policy replayed: %v", err)
+			jf, err := OpenJournal(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer jf.Close()
+			fresh, err := New(8, newDynP(), 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := jf.Replay(fresh); err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("journal with a patched checkpoint replayed: %v, want an error naming %q", err, tc.want)
+			}
+		})
 	}
 }
 

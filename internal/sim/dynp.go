@@ -64,21 +64,14 @@ func (d *DynP) NoteSubmit(*job.Job) {}
 // (ROADMAP.md, item 1(a)).
 func (d *DynP) NoteRemove(*job.Job) {}
 
-// SaveState implements engine.StatefulDriver: the tuner's active policy,
-// statistics and decision trace go into journal checkpoints so a
-// restored scheduler keeps tuning from where it stopped.
-func (d *DynP) SaveState() ([]byte, error) { return d.Tuner.MarshalState() }
-
-// RestoreState implements engine.StatefulDriver.
-func (d *DynP) RestoreState(data []byte) error { return d.Tuner.UnmarshalState(data) }
-
 // TunerState implements core.Tuned: the tuner's decision state as a
-// value, the form an online scheduler's image holds it in; SaveState's
-// bytes are its JSON.
+// value, the form an online scheduler's image holds it in and whose JSON
+// its checkpoints store.
 func (d *DynP) TunerState() (core.TunerState, error) { return d.Tuner.CaptureState() }
 
 // SetTunerState installs a decision state captured by TunerState from a
-// driver of the same configuration, as a quote twin does.
+// driver of the same configuration, as a quote twin and journal recovery
+// do.
 func (d *DynP) SetTunerState(st core.TunerState) error { return d.Tuner.RestoreState(st) }
 
 // Stats exposes the tuner's decision statistics.

@@ -100,11 +100,13 @@ endef
 # replays whole running-set histories and stalls the same way uncapped.
 # FuzzJournalRecover opens and replays a whole journal per input; uncapped
 # it stalls at 0 execs/s minimising within its first hundred executions.
+# FuzzDeliverLockstep opens a journal per input too: same cap, same reason.
 fuzz:
 	$(call fuzz,FuzzRead,./internal/swf/)
 	$(call fuzz,FuzzServeConn,./internal/rms/)
 	$(call fuzz,FuzzWireCodec,./internal/rms/,-fuzzminimizetime=10x)
 	$(call fuzz,FuzzJournalRecover,./internal/rms/,-fuzzminimizetime=10x)
+	$(call fuzz,FuzzDeliverLockstep,./internal/rms/,-fuzzminimizetime=10x)
 	$(call fuzz,FuzzProfileVsReference,./internal/profile/)
 	$(call fuzz,FuzzPolicyTotalOrder,./internal/policy/)
 	$(call fuzz,FuzzBuildVsNaive,./internal/plan/,-fuzzminimizetime=10x)

@@ -1,7 +1,7 @@
 // Package adaptive provides an observer-driven decider shell for the
 // self-tuning dynP scheduler: a core.Decider that watches the scheduling
-// engine's event stream (queue depth, Table-1 decision case, per-plan
-// latency) and switches its decision rule by observed load.
+// engine's event stream (queue depth, Table-1 decision case) and switches
+// its decision rule by observed load.
 //
 // Under calm conditions the shell delegates to an inner decider (the
 // paper's advanced decider by default). When the post-launch backlog has
@@ -12,11 +12,12 @@
 // again after Patience consecutive shallow observations (hysteresis, so
 // a queue oscillating around the threshold does not thrash the rule).
 //
-// The Table-1 case histogram and a per-plan latency EWMA are folded into
-// the same observed state. They are deliberately excluded from the
-// decision rule — wall-clock latency is nondeterministic, and decisions
-// must replay identically from a journal — but they ride SaveState into
-// checkpoints and are exposed via Snapshot for monitoring.
+// The Table-1 case histogram is folded into the same observed state. It
+// is excluded from the decision rule, but rides SaveState into
+// checkpoints and is exposed via Snapshot for monitoring. Nothing
+// wall-clock is kept: a checkpoint must replay byte for byte from the
+// journal, and planning latency is served by the daemon's event trace
+// (the metrics op).
 //
 // The shell is registered as the decider family
 // "adaptive(<POLICY>,depth=<n>,patience=<n>)", so any component that
@@ -63,7 +64,6 @@ type observed struct {
 	Decisions int64            `json:"decisions,omitempty"` // Decide calls served
 	Unfair    int64            `json:"unfair,omitempty"`    // decisions taken in pressure mode
 	Cases     map[string]int64 `json:"cases,omitempty"`     // Table-1 case histogram
-	PlanNs    float64          `json:"plan_ns,omitempty"`   // latency EWMA (monitoring only)
 }
 
 // Snapshot is the exported monitoring view of the observed state.
@@ -73,11 +73,7 @@ type Snapshot struct {
 	Decisions int64
 	Unfair    int64
 	Cases     map[string]int64
-	PlanNs    float64
 }
-
-// ewmaWeight is the weight of the newest plan latency in the EWMA.
-const ewmaWeight = 0.1
 
 // New returns an adaptive decider preferring fair under pressure. Depth
 // is the queue-depth threshold (≥ 1 waiting jobs after launches) and
@@ -131,7 +127,7 @@ func (d *Decider) Decide(old policy.Policy, candidates []policy.Policy, values [
 
 // Observe implements engine.Observer. Only planning events matter: their
 // queue depth is the post-launch backlog that drives the mode, and they
-// carry the Table-1 case and the plan latency.
+// carry the Table-1 case.
 func (d *Decider) Observe(ev engine.Event) {
 	if ev.Kind != engine.EventPlan {
 		return
@@ -142,13 +138,6 @@ func (d *Decider) Observe(ev engine.Event) {
 			d.obs.Cases = make(map[string]int64)
 		}
 		d.obs.Cases[ev.Case]++
-	}
-	if ev.Latency > 0 {
-		if d.obs.PlanNs == 0 {
-			d.obs.PlanNs = float64(ev.Latency)
-		} else {
-			d.obs.PlanNs += ewmaWeight * (float64(ev.Latency) - d.obs.PlanNs)
-		}
 	}
 	if ev.Queued >= d.depth {
 		d.obs.Deep++
@@ -172,7 +161,6 @@ func (d *Decider) Snapshot() Snapshot {
 		Plans:     d.obs.Plans,
 		Decisions: d.obs.Decisions,
 		Unfair:    d.obs.Unfair,
-		PlanNs:    d.obs.PlanNs,
 	}
 	if len(d.obs.Cases) > 0 {
 		s.Cases = make(map[string]int64, len(d.obs.Cases))

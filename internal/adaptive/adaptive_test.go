@@ -3,7 +3,6 @@ package adaptive
 import (
 	"strings"
 	"testing"
-	"time"
 
 	"dynp/internal/core"
 	"dynp/internal/engine"
@@ -13,8 +12,7 @@ import (
 // planEvent builds one planning event with the given post-launch queue
 // depth.
 func planEvent(queued int) engine.Event {
-	return engine.Event{Kind: engine.EventPlan, Queued: queued,
-		Case: "1", Latency: 5 * time.Microsecond}
+	return engine.Event{Kind: engine.EventPlan, Queued: queued, Case: "1"}
 }
 
 func TestNewValidates(t *testing.T) {
@@ -116,9 +114,6 @@ func TestPressureSwitchesDecisionRule(t *testing.T) {
 	if snap.Cases["1"] != 6 {
 		t.Errorf("case histogram = %v", snap.Cases)
 	}
-	if snap.PlanNs <= 0 {
-		t.Errorf("latency EWMA not tracked: %v", snap.PlanNs)
-	}
 }
 
 func TestNonPlanEventsAreIgnored(t *testing.T) {
@@ -151,7 +146,7 @@ func TestStateRoundTrip(t *testing.T) {
 	}
 	a, b := d.Snapshot(), twin.Snapshot()
 	if a.Pressure != b.Pressure || a.Plans != b.Plans || a.Decisions != b.Decisions ||
-		a.Unfair != b.Unfair || a.Cases["1"] != b.Cases["1"] || a.PlanNs != b.PlanNs {
+		a.Unfair != b.Unfair || a.Cases["1"] != b.Cases["1"] {
 		t.Fatalf("state did not round-trip: %+v vs %+v", a, b)
 	}
 	// Streak internals round-trip too: the twin continues mid-streak —

@@ -118,9 +118,6 @@ func TestAdaptiveSpecObservesThroughSimRun(t *testing.T) {
 	if snap.Decisions == 0 {
 		t.Fatal("decider made no decisions")
 	}
-	if snap.PlanNs <= 0 {
-		t.Error("no plan latency observed")
-	}
 	// Table-1 cases exist only over the paper's three-candidate set; the
 	// PSBS run above extends it, so its case stream is empty by design.
 	if len(snap.Cases) != 0 {

@@ -3,6 +3,7 @@ package plantest
 import (
 	"fmt"
 	"slices"
+	"strings"
 
 	"dynp/internal/engine"
 	"dynp/internal/job"
@@ -73,6 +74,16 @@ type Transition struct {
 
 func (tr Transition) String() string {
 	return fmt.Sprintf("%v %d@%d q%d", tr.Kind, tr.Job, tr.Time, tr.Queued)
+}
+
+// Log joins transitions in their String form, separated by ", ": the
+// form in which the tie rules' tests write their logs by hand.
+func Log(trs []Transition) string {
+	out := make([]string, len(trs))
+	for i, tr := range trs {
+		out[i] = tr.String()
+	}
+	return strings.Join(out, ", ")
 }
 
 // Recorder is an engine.Observer that keeps the transitions it sees.

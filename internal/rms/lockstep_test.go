@@ -328,3 +328,20 @@ func TestDeliverLockstep(t *testing.T) {
 		t.Error("no plan was handed a job rejoining the queue out of order; the streams must reach it")
 	}
 }
+
+// FuzzDeliverLockstep holds the daemon to the naive daemon on arbitrary
+// streams, as TestDeliverLockstep does on the seeded ones, under a static
+// SJF driver and an SJF-preferred dynP driver. Each input opens a journal
+// and restarts from it.
+func FuzzDeliverLockstep(f *testing.F) {
+	for seed := uint64(0); seed < 3; seed++ {
+		f.Add(plantest.Stream(seed))
+	}
+	sjf := func() core.Decider { return core.Preferred{Policy: policy.SJF} }
+	f.Fuzz(func(t *testing.T, data []byte) {
+		data = data[:min(len(data), len(plantest.Stream(0)))]
+		var lanes plantest.Lanes
+		runDeliverLockstep(t, staticLockstep(t, policy.SJF, &lanes), plantest.Fixed{Policy: policy.SJF}, &lanes, data)
+		runDeliverLockstep(t, tunerLockstep(t, sjf, &lanes), plantest.NewTuner(sjf(), core.MetricSLDwA), &lanes, data)
+	})
+}

@@ -23,19 +23,19 @@ import (
 // Status and Report, and the finished list after each stream; and a hash
 // of the bytes of every journal segment, checkpointing every four events.
 // A refactor of how the scheduler captures its state must leave both
-// unchanged. The adaptive decider's checkpoints carry a wall-clock plan
-// latency, so its journal is not pinned.
+// unchanged. Each journal must also replay from genesis, every checkpoint
+// on the way byte-compared, to the live scheduler's state.
 func TestDaemonStreamsPinned(t *testing.T) {
 	for _, tc := range []struct {
 		name           string
 		newDriver      func() sim.Driver
 		reads, journal uint64
 	}{
-		{"static SJF", func() sim.Driver { return &sim.Static{Policy: policy.SJF} }, 0x82dd0ab0673edac1, 0x136d2ffbd366bbb3},
-		{"simple", func() sim.Driver { return sim.NewDynP(core.Simple{}) }, 0x1991f3be6740efe, 0x5ee145533ac33ee7},
-		{"advanced", func() sim.Driver { return sim.NewDynP(core.Advanced{}) }, 0x6c761146d623aa3a, 0x825e8ed7939373be},
-		{"SJF-preferred", func() sim.Driver { return sim.NewDynP(core.Preferred{Policy: policy.SJF}) }, 0x991b14020cf22964, 0x9f94a07c0002362},
-		{"adaptive", func() sim.Driver { return sim.NewDynP(adaptive.Must(policy.SJF, 4, 2)) }, 0x2ad3bdaf22a9fef9, 0},
+		{"static SJF", func() sim.Driver { return &sim.Static{Policy: policy.SJF} }, 0x82dd0ab0673edac1, 0x36ef3ad55acaf9cf},
+		{"simple", func() sim.Driver { return sim.NewDynP(core.Simple{}) }, 0x1991f3be6740efe, 0x17b90fbaf931a37c},
+		{"advanced", func() sim.Driver { return sim.NewDynP(core.Advanced{}) }, 0x6c761146d623aa3a, 0x61e3f8d68356350e},
+		{"SJF-preferred", func() sim.Driver { return sim.NewDynP(core.Preferred{Policy: policy.SJF}) }, 0x991b14020cf22964, 0x7417589345023737},
+		{"adaptive", func() sim.Driver { return sim.NewDynP(adaptive.Must(policy.SJF, 4, 2)) }, 0x2ad3bdaf22a9fef9, 0xeeb7a29db4d8aad2},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			reads, journal := fnv.New64a(), fnv.New64a()
@@ -45,7 +45,7 @@ func TestDaemonStreamsPinned(t *testing.T) {
 			if got := reads.Sum64(); got != tc.reads {
 				t.Errorf("quote answers and reads hash to %#x, pinned %#x", got, tc.reads)
 			}
-			if got := journal.Sum64(); tc.name != "adaptive" && got != tc.journal {
+			if got := journal.Sum64(); got != tc.journal {
 				t.Errorf("journal segments hash to %#x, pinned %#x", got, tc.journal)
 			}
 		})
@@ -134,8 +134,23 @@ func runPinnedStream(t *testing.T, newDriver func() sim.Driver, data []byte, rea
 		record(s.Report())
 	}
 	record(s.Finished())
+	want := fingerprint(t, s)
 	if err := j.Close(); err != nil {
 		t.Fatal(err)
+	}
+	if j, err = OpenJournal(filepath.Join(dir, "events.journal")); err == nil {
+		if s, err = New(plantest.Capacity, newDriver(), 0); err == nil {
+			_, err = j.ReplayGenesis(s)
+		}
+		if cerr := j.Close(); err == nil {
+			err = cerr
+		}
+	}
+	if err != nil {
+		t.Fatalf("genesis replay: %v", err)
+	}
+	if got := fingerprint(t, s); got != want {
+		t.Fatalf("genesis replay diverges\nlive:     %s\nreplayed: %s", want, got)
 	}
 	segments, err := os.ReadDir(dir) // sorted by name
 	if err != nil {

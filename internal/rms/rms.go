@@ -592,15 +592,15 @@ func (s *Scheduler) Deliver(t int64, completions []job.ID, subs []Submission) ([
 	}
 	// Journaled ahead of the clock move: a batch that fails validation
 	// below is replayed and rejected identically, leaving the same state
-	// (including the advanced clock) as the original run.
-	if len(completions) > 0 || len(subs) > 0 || t != s.eng.Now() {
-		ids := make([]int64, len(completions))
-		for i, id := range completions {
-			ids[i] = int64(id)
-		}
-		if err := s.journalAppend(Event{Op: opDeliver, To: t, Completions: ids, Subs: subs}); err != nil {
-			return nil, err
-		}
+	// (including the advanced clock) as the original run. An empty batch
+	// at the current instant is journaled too: it still replans, which
+	// moves a self-tuner's decision state.
+	ids := make([]int64, len(completions))
+	for i, id := range completions {
+		ids[i] = int64(id)
+	}
+	if err := s.journalAppend(Event{Op: opDeliver, To: t, Completions: ids, Subs: subs}); err != nil {
+		return nil, err
 	}
 	_ = s.eng.AdvanceTo(t, true)
 	s.eng.JumpTo(t)

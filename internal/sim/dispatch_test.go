@@ -5,7 +5,6 @@ import (
 	"slices"
 	"testing"
 
-	"dynp/internal/engine"
 	"dynp/internal/plan/plantest"
 	"dynp/internal/policy"
 )
@@ -26,31 +25,19 @@ func TestInstantDispatchOrder(t *testing.T) {
 		j(5, 15, 2, 1, 1),
 		j(6, 15, 2, 1, 1),
 	)
-	log := func(trs []plantest.Transition) (out []string) {
-		for _, tr := range trs {
-			if tr.Kind == engine.EventPlan {
-				out = append(out, fmt.Sprintf("plan@%d", tr.Time))
-			} else {
-				out = append(out, fmt.Sprintf("%v %d@%d", tr.Kind, tr.Job, tr.Time))
-			}
-		}
-		return out
-	}
 	var rec plantest.Recorder
 	res, err := Run(set, &Static{Policy: policy.FCFS}, WithVerify(), WithObserver(&rec))
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := []string{
-		"submit 1@0", "submit 2@0", "submit 3@0", "start 1@0", "start 2@0", "plan@0",
-		"finish 1@10", "finish 2@10", "submit 4@10", "start 3@10", "start 4@10", "plan@10",
-		"finish 3@15", "finish 4@15", "submit 5@15", "submit 6@15", "start 5@15", "start 6@15", "plan@15",
-		"finish 5@16", "finish 6@16", "plan@16",
-	}
-	if got := log(rec.Transitions); !slices.Equal(got, want) {
+	want := "submit 1@0 q1, submit 2@0 q2, submit 3@0 q3, start 1@0 q2, start 2@0 q1, plan 0@0 q1, " +
+		"finish 1@10 q1, finish 2@10 q1, submit 4@10 q2, start 3@10 q1, start 4@10 q0, plan 0@10 q0, " +
+		"finish 3@15 q0, finish 4@15 q0, submit 5@15 q1, submit 6@15 q2, start 5@15 q1, start 6@15 q0, plan 0@15 q0, " +
+		"finish 5@16 q0, finish 6@16 q0, plan 0@16 q0"
+	if got := plantest.Log(rec.Transitions); got != want {
 		t.Fatalf("transitions\n got %v\nwant %v", got, want)
 	}
-	if got := log(plantest.Simulate(set, plantest.Fixed{Policy: policy.FCFS}).Transitions); !slices.Equal(got, want) {
+	if got := plantest.Log(plantest.Simulate(set, plantest.Fixed{Policy: policy.FCFS}).Transitions); got != want {
 		t.Fatalf("the oracle's transitions\n got %v\nwant %v", got, want)
 	}
 	var records []string

@@ -56,13 +56,14 @@ soak-disk:
 bench:
 	$(GO) test -bench=. -benchmem ./...
 
-# One-iteration pass over the self-tuning benchmarks and the rms hot-path
-# ones (Deliver, StatusCodec, Quote), allocations printed; CI uploads the output
+# One-iteration pass over the self-tuning benchmarks, the rms hot-path
+# ones (Deliver, StatusCodec, Quote) and the engine's event loop
+# (EngineEventLoop), allocations printed; CI uploads the output
 # as an artifact for trajectory tracking. A -bench pattern that matches
 # nothing exits 0, so the target fails when a name in it ran no benchmark.
 bench-smoke:
-	$(GO) test -bench='SelfTuner|Deliver|StatusCodec|Quote' -benchmem -benchtime=1x ./... | tee bench-smoke.txt
-	@for b in SelfTuner Deliver StatusCodec Quote; do \
+	$(GO) test -bench='SelfTuner|Deliver|StatusCodec|Quote|EngineEventLoop' -benchmem -benchtime=1x ./... | tee bench-smoke.txt
+	@for b in SelfTuner Deliver StatusCodec Quote EngineEventLoop; do \
 		grep -q "^Benchmark.*$$b" bench-smoke.txt || { echo "bench-smoke: -bench=$$b matched no benchmark"; exit 1; }; \
 	done
 

@@ -14,8 +14,9 @@
 //     on its own. The simulator jumps it to each event instant (JumpTo)
 //     and injects completions itself, because actual run times are known
 //     in advance; the online RMS sweeps it forward (AdvanceTo), letting
-//     the engine fire the automatic actions — estimate expiries and
-//     planned starts — that occur on the way.
+//     the engine fire its one automatic action, an estimate running out,
+//     at each instant on the way: the kill is a scheduling event, and
+//     starts happen only there.
 //   - the Driver, the planning interface of internal/sim: a static
 //     policy, the self-tuning dynP scheduler, or EASY backfilling.
 //
@@ -48,8 +49,8 @@ type Driver interface {
 	// static driver's frontier build, plan.Base.FrontierInto), provided
 	// every job left out starts after now. Launching reads the entries
 	// as they are, which is exact under that rule. A reader of the whole
-	// plan — Verify, the Planned* scores, NextActionTime, the RMS's
-	// planned starts and checkpoints — calls the schedule's Complete
+	// plan — Verify, the Planned* scores, the RMS's planned starts and
+	// checkpoints — calls the schedule's Complete
 	// first. The result is the caller's to read, and to complete, until
 	// this driver's next Plan call returns, at which point the driver may
 	// recycle the old one's storage and Complete panics. Copy out what
@@ -137,10 +138,11 @@ type Option func(*Engine)
 func WithHooks(h Hooks) Option { return func(e *Engine) { e.hooks = h } }
 
 // WithStrictLaunch makes a due job that exceeds the effective capacity a
-// hard error instead of a skip. The simulator uses it: with known run
-// times an infeasible start can only mean a rogue driver. The online RMS
-// keeps the default graceful skip, because capacity can shrink under a
-// valid plan.
+// hard error instead of a skip. The simulator uses it. The online RMS
+// keeps the default graceful skip; since a plan launches only inside the
+// Replan that built it, against the capacity it was built for, the skip
+// only ever meets a rogue driver, whose job stays waiting for the next
+// scheduling event.
 func WithStrictLaunch() Option { return func(e *Engine) { e.strict = true } }
 
 // WithVerify makes the engine verify every schedule against the current
@@ -231,7 +233,7 @@ func (e *Engine) IsRunning(id job.ID) bool {
 	return ok
 }
 
-// JumpTo moves the clock without firing any automatic actions — the
+// JumpTo moves the clock without firing any estimate expiry — the
 // virtual-clock mode of the simulator, which knows every completion in
 // advance and injects the transitions itself. It panics when asked to
 // move time backwards, which can only be a front-end bug.
@@ -382,11 +384,10 @@ func (e *Engine) Replan() error {
 
 // launchDue starts every waiting job whose planned start is now, reading
 // only the entries the driver placed: under Driver.Plan's rule every job
-// it left unplaced starts after now. A plan
-// entry that no longer fits — the capacity dropped after the plan was
-// built, or a rogue driver oversubscribed — is skipped (the job stays
-// waiting for the next replanning event) unless strict launching makes
-// it an error.
+// it left unplaced starts after now. Only Replan calls it, right after
+// the plan is built. An entry that does not fit — a rogue driver
+// oversubscribed — is skipped (the job stays waiting for the next
+// scheduling event) unless strict launching makes it an error.
 func (e *Engine) launchDue() error {
 	if e.plan == nil {
 		return nil
@@ -397,8 +398,7 @@ func (e *Engine) launchDue() error {
 		}
 		j := entry.Job
 		if !e.IsWaiting(j.ID) {
-			// Started jobs leave stale entries behind until the next
-			// replan; front ends may also hold back jobs of their own.
+			// A rogue driver may plan a job twice or one not waiting.
 			continue
 		}
 		if e.used+j.Width > e.Effective() {
@@ -420,82 +420,41 @@ func (e *Engine) launchDue() error {
 	return nil
 }
 
-// AdvanceTo processes automatic actions (estimate expiries, planned
-// starts) up to time to — strictly before it when exclusive is set, so
-// a front end can batch its own events at to before the shared
-// replanning step. The clock is left at the last action's instant; the
-// caller moves it the rest of the way with JumpTo.
+// AdvanceTo processes the machine's one automatic action, an estimate
+// running out, up to time to — strictly before it when exclusive is set,
+// so a front end can batch its own events at to before the shared
+// replanning step. Each such instant is one step: the expired jobs are
+// killed, and the kill is a scheduling event (Replan). A driver that
+// places every job at its earliest hole plans no start before the next
+// expiry (DESIGN §9), so no plan entry needs a timer of its own. The
+// clock is left at the last expiry's instant; the caller moves it the
+// rest of the way with JumpTo.
 func (e *Engine) AdvanceTo(to int64, exclusive bool) error {
-	stuck := false
 	for {
-		// After a fruitless replan the due-now entries are infeasible for
-		// good (rogue driver, shrunken machine); look strictly ahead so
-		// later expiries and starts still fire instead of spinning on or
-		// returning at the stuck instant.
-		next, ok := e.NextActionTime(stuck)
+		next, ok := e.NextExpiry()
 		if !ok || next > to || (exclusive && next == to) {
 			return nil
 		}
-		prevNow, prevRunning, prevFinished := e.now, len(e.running), e.finished
 		e.now = next
-		if e.KillExpired() {
-			if err := e.Replan(); err != nil {
-				return err
-			}
-		}
-		if err := e.launchDue(); err != nil {
+		e.KillExpired()
+		if err := e.Replan(); err != nil {
 			return err
 		}
-		if e.now == prevNow && len(e.running) == prevRunning && e.finished == prevFinished {
-			// A plan entry is due but cannot act — it no longer fits, or
-			// a rogue driver planned an infeasible start. Replan once to
-			// self-heal before skipping past it.
-			if stuck {
-				return nil
-			}
-			stuck = true
-			if err := e.Replan(); err != nil {
-				return err
-			}
-			continue
-		}
-		stuck = false
 	}
 }
 
-// NextActionTime returns the earliest time at which the machine state
-// changes by itself: a planned start or an estimate expiry. It reads the
-// whole plan, so it completes a frontier schedule. With
-// strictlyAfter set, actions due at the current instant are ignored —
-// AdvanceTo uses this to step past entries that proved infeasible.
-func (e *Engine) NextActionTime(strictlyAfter bool) (int64, bool) {
-	var next int64
-	found := false
-	consider := func(t int64) {
-		if t < e.now {
-			t = e.now
-		}
-		if strictlyAfter && t <= e.now {
-			return
-		}
-		if !found || t < next {
-			next, found = t, true
-		}
+// NextExpiry returns the earliest estimated end among the running jobs,
+// never before the current time: the next instant at which the machine
+// acts on its own. It reports false when nothing runs.
+func (e *Engine) NextExpiry() (int64, bool) {
+	if len(e.running) == 0 {
+		return 0, false
 	}
-	for _, r := range e.running {
-		consider(r.EstimatedEnd())
+	next := e.running[0].EstimatedEnd()
+	for _, r := range e.running[1:] {
+		next = min(next, r.EstimatedEnd())
 	}
-	if e.plan != nil {
-		e.plan.Complete()
-		for _, entry := range e.plan.Entries {
-			// Only entries of still-waiting jobs can act; started jobs
-			// leave stale entries behind until the next replan.
-			if e.IsWaiting(entry.Job.ID) {
-				consider(entry.Start)
-			}
-		}
-	}
-	return next, found
+	return max(next, e.now), true
 }
 
 // removeWaiting splices a job out of the waiting queue, preserving

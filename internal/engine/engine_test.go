@@ -1,6 +1,7 @@
 package engine_test
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -220,8 +221,92 @@ func TestAdvanceToFiresKillsAndStarts(t *testing.T) {
 	if eng.Used() != 0 || len(eng.Waiting()) != 0 {
 		t.Fatalf("machine not drained: used %d, waiting %d", eng.Used(), len(eng.Waiting()))
 	}
-	if _, ok := eng.NextActionTime(false); ok {
+	if _, ok := eng.NextExpiry(); ok {
 		t.Fatal("drained machine still has pending actions")
+	}
+}
+
+// lateDriver plans job 1 now and every other waiting job at at, or now
+// once at has passed: a rogue start at an instant where no estimate runs
+// out.
+type lateDriver struct{ at int64 }
+
+func (lateDriver) Name() string                { return "late" }
+func (lateDriver) ActivePolicy() policy.Policy { return policy.FCFS }
+func (d lateDriver) Plan(now int64, capacity int, running []plan.Running, waiting []*job.Job) *plan.Schedule {
+	s := &plan.Schedule{Now: now, Capacity: capacity, Policy: policy.FCFS}
+	for _, j := range waiting {
+		start := now
+		if j.ID != 1 && now < d.at {
+			start = d.at
+		}
+		s.Entries = append(s.Entries, plan.Entry{Job: j, Start: start})
+	}
+	return s
+}
+
+// nowDriver plans every waiting job now, whether it fits or not.
+type nowDriver struct{}
+
+func (nowDriver) Name() string                { return "now" }
+func (nowDriver) ActivePolicy() policy.Policy { return policy.FCFS }
+func (nowDriver) Plan(now int64, capacity int, running []plan.Running, waiting []*job.Job) *plan.Schedule {
+	s := &plan.Schedule{Now: now, Capacity: capacity, Policy: policy.FCFS}
+	for _, j := range waiting {
+		s.Entries = append(s.Entries, plan.Entry{Job: j, Start: now})
+	}
+	return s
+}
+
+// advanceLog submits job 1 (3 processors, estimate 10) and job 2
+// (width2 processors, estimate 5) to 4 processors planned by d, replans
+// at 0, advances to 100 and returns every transition the engine emitted.
+func advanceLog(t *testing.T, d engine.Driver, width2 int) string {
+	t.Helper()
+	var log []string
+	eng := engine.New(4, d, 0, engine.WithObserver(engine.ObserverFunc(func(ev engine.Event) {
+		if ev.Job != nil {
+			log = append(log, fmt.Sprintf("%s %d@%d", ev.Kind, ev.Job.ID, ev.Time))
+		} else {
+			log = append(log, fmt.Sprintf("%s@%d", ev.Kind, ev.Time))
+		}
+	})))
+	eng.Submit(mkJob(1, 0, 3, 10))
+	eng.Submit(mkJob(2, 0, width2, 5))
+	if err := eng.Replan(); err != nil {
+		t.Fatal(err)
+	}
+	if err := eng.AdvanceTo(100, false); err != nil {
+		t.Fatal(err)
+	}
+	if err := eng.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	return strings.Join(log, ", ")
+}
+
+// TestAdvanceToIgnoresPlannedStartsBetweenExpiries: an estimate running
+// out is the machine's only automatic action. Job 2 is planned at 3,
+// where no estimate runs out, so it starts at job 1's kill at 10, the
+// next scheduling event, and not at 3.
+func TestAdvanceToIgnoresPlannedStartsBetweenExpiries(t *testing.T) {
+	got := advanceLog(t, lateDriver{at: 3}, 1)
+	want := "submit 1@0, submit 2@0, start 1@0, plan@0, " +
+		"kill 1@10, start 2@10, plan@10, kill 2@15, plan@15"
+	if got != want {
+		t.Fatalf("transitions\n got %s\nwant %s", got, want)
+	}
+}
+
+// TestAdvanceToPassesAnEntryThatDoesNotFit: a due-now entry that does not
+// fit is skipped, and AdvanceTo neither replans nor starts anything until
+// the next expiry, where the job starts.
+func TestAdvanceToPassesAnEntryThatDoesNotFit(t *testing.T) {
+	got := advanceLog(t, nowDriver{}, 3)
+	want := "submit 1@0, submit 2@0, start 1@0, plan@0, " +
+		"kill 1@10, start 2@10, plan@10, kill 2@15, plan@15"
+	if got != want {
+		t.Fatalf("transitions\n got %s\nwant %s", got, want)
 	}
 }
 

@@ -245,45 +245,33 @@ func (m *Machine) Replan() {
 		}
 		s := m.step.Plan(m.Now, eff, slices.Clone(m.Running), planned)
 		m.InForce, m.active = slices.Clone(s.Entries), s.Policy
-		m.launch()
+		for _, e := range m.InForce {
+			if i := slices.Index(m.Waiting, e.Job); i >= 0 && e.Start == m.Now {
+				m.Waiting = slices.Delete(m.Waiting, i, i+1)
+				m.Running = append(m.Running, plan.Running{Job: e.Job, Start: m.Now})
+				m.emit(engine.EventStart, e.Job)
+			}
+		}
 	}
 	m.emit(engine.EventPlan, nil)
 }
 
-// launch starts every waiting job the plan in force starts now.
-func (m *Machine) launch() {
-	for _, e := range m.InForce {
-		if i := slices.Index(m.Waiting, e.Job); i >= 0 && e.Start == m.Now {
-			m.Waiting = slices.Delete(m.Waiting, i, i+1)
-			m.Running = append(m.Running, plan.Running{Job: e.Job, Start: m.Now})
-			m.emit(engine.EventStart, e.Job)
-		}
-	}
-}
-
 // nextAction is the earliest instant at which the machine acts on its
-// own: a running job's estimate runs out, or the plan in force starts a
-// waiting job.
+// own: a running job's estimate runs out.
 func (m *Machine) nextAction() (int64, bool) {
-	var times []int64
-	for _, r := range m.Running {
-		times = append(times, r.EstimatedEnd())
-	}
-	for _, e := range m.InForce {
-		if slices.Contains(m.Waiting, e.Job) {
-			times = append(times, e.Start)
-		}
-	}
-	if len(times) == 0 {
+	if len(m.Running) == 0 {
 		return 0, false
 	}
-	return max(m.Now, slices.Min(times)), true
+	var ends []int64
+	for _, r := range m.Running {
+		ends = append(ends, r.EstimatedEnd())
+	}
+	return max(m.Now, slices.Min(ends)), true
 }
 
 // AdvanceTo acts on its own up to to — strictly before it when exclusive
 // — one instant at a time: the jobs whose estimates ran out are killed,
-// and a replan follows; without a kill, the plan in force launches what
-// is due. The clock stays at the last such instant.
+// and a replan follows. The clock stays at the last such instant.
 func (m *Machine) AdvanceTo(to int64, exclusive bool) {
 	for {
 		next, ok := m.nextAction()
@@ -291,12 +279,8 @@ func (m *Machine) AdvanceTo(to int64, exclusive bool) {
 			return
 		}
 		m.Now = next
-		before := len(m.Transitions)
-		if m.KillExpired() {
-			m.Replan()
-		} else if m.launch(); len(m.Transitions) == before {
-			panic(fmt.Sprintf("plantest: the plan in force is due at %d but starts nothing", next))
-		}
+		m.KillExpired()
+		m.Replan()
 	}
 }
 

@@ -262,6 +262,34 @@ func TestRogueDriverOversubscriptionDegradesGracefully(t *testing.T) {
 	}
 }
 
+// TestQuoteUnderRogueDriver: a twin planned by a rogue driver still
+// answers. It runs forward one expiry at a time, each kill frees the
+// machine for the next job in line, and the loop ends with no step cap.
+func TestQuoteUnderRogueDriver(t *testing.T) {
+	s, err := New(4, rogueDriver{}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.EnableQuotes(func() sim.Driver { return rogueDriver{} }); err != nil {
+		t.Fatal(err)
+	}
+	s.Submit(3, 100)
+	s.Submit(3, 100)
+	s.Submit(4, 100)
+	qs, err := s.Quote(2, 50, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// At 0 job 1 runs, and the rogue plan's other entries do not fit; at
+	// each kill the first entry that fits starts: job 2 at 100, job 3 at
+	// 200, then both quoted jobs at 300.
+	for i, q := range qs {
+		if q.Start != 300 || q.Finish != 350 || q.Wait != 300 {
+			t.Errorf("quote %d = %+v, want a start at 300", i, q)
+		}
+	}
+}
+
 func TestDeliverDuplicateCompletionRejected(t *testing.T) {
 	s := newFCFS(t, 4)
 	a, _ := s.Submit(2, 100)

@@ -116,8 +116,8 @@ type planEntryRec struct {
 }
 
 // planRec captures the schedule in force at checkpoint time, so a
-// restored engine can fire planned starts and compute its next action
-// time before its first replanning event, exactly like the original.
+// restored engine reports the same plan (planned starts, checkpoints)
+// before its first replanning event, exactly like the original.
 // The policy travels by name: restore resolves it through the policy
 // registry, so journals survive registry refactors and work for any
 // registered custom policy — and fail loudly for an unregistered one.

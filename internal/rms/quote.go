@@ -7,8 +7,9 @@
 // a value — so the quote hands it as it is to restoreEngine, the step
 // journal replay takes, with a fresh engine and a fresh driver from the
 // quote factory, then injects the hypothetical job(s) and runs the twin
-// forward through kills, launches and self-tuning policy switches until
-// every hypothetical has started. The twin never shares mutable state
+// forward, one estimate expiry at a time as the daemon does, through
+// kills, launches and self-tuning policy switches until every
+// hypothetical has started. The twin never shares mutable state
 // with the live engine: its jobs are rebuilt from the image's JobInfos
 // into an arena of its own, and the tuner's decision state is the value
 // the image captured under the scheduling lock, which restoring copies. Quotes therefore read
@@ -110,14 +111,19 @@ func (s *Scheduler) quoteIn(img *image, width int, estimate int64, count int) ([
 	if width > effective {
 		// Unplaceable at the current effective capacity: the twin would
 		// queue it forever. Answer with the sentinel instead of running.
-		out := make([]Quote, count)
-		for i := range out {
-			out[i] = Quote{Width: width, Estimate: estimate,
-				Start: NeverStart, Finish: NeverStart, Wait: NeverStart}
-		}
-		return out, nil
+		return neverQuotes(width, estimate, count), nil
 	}
 	return runTwin(img, s.quoteNew(), width, estimate, count)
+}
+
+// neverQuotes returns count quotes of jobs that never start.
+func neverQuotes(width int, estimate int64, count int) []Quote {
+	out := make([]Quote, count)
+	for i := range out {
+		out[i] = Quote{Width: width, Estimate: estimate,
+			Start: NeverStart, Finish: NeverStart, Wait: NeverStart}
+	}
+	return out
 }
 
 // runTwin restores the image, as a checkpoint, into a fresh engine
@@ -127,11 +133,14 @@ func runTwin(img *image, drv sim.Driver, width int, estimate int64, count int) (
 	// The hypotheticals take the IDs the next real submissions would,
 	// preserving every policy tie-break against the live jobs.
 	hypBase := job.ID(img.NextID)
-	started := make(map[job.ID]int64, count)
+	out := neverQuotes(width, estimate, count)
+	started := 0
 	eng := engine.New(img.capacity, drv, img.Now, engine.WithHooks(engine.Hooks{
 		Started: func(j *job.Job, now int64) {
 			if j.ID > hypBase {
-				started[j.ID] = now
+				out[j.ID-hypBase-1] = Quote{Width: width, Estimate: estimate,
+					Start: now, Finish: now + estimate, Wait: now - img.Now}
+				started++
 			}
 		},
 	}))
@@ -152,48 +161,18 @@ func runTwin(img *image, drv sim.Driver, width int, estimate int64, count int) (
 		}
 	}
 
-	// Run forward until every hypothetical started (or provably never
-	// will). Each pass processes the next automatic action; AdvanceTo's
-	// stuck self-heal replans past infeasible instants, and the
-	// strictly-after fallback steps over an instant that made no progress
-	// at all. The generous cap only guards against a rogue registered
-	// driver planning nonsense forever — every event starts or finishes a
-	// job, so an honest run takes at most ~2 actions per job.
-	limit := 4*(len(img.Waiting)+len(img.Running)+count) + 64
-	for iters := 0; len(started) < count; iters++ {
-		if iters > limit {
-			return nil, fmt.Errorf("rms: quote: twin did not converge within %d steps", limit)
-		}
-		next, ok := eng.NextActionTime(false)
+	// Run forward one expiry at a time, the daemon's own forward rule,
+	// until every hypothetical started or nothing runs (the rest never
+	// start). The loop ends: each pass kills at least one job, and only
+	// the twin's finite queue can start.
+	for started < count {
+		next, ok := eng.NextExpiry()
 		if !ok {
-			break // drained with hypotheticals unplaced: never starts
+			break
 		}
-		prevNow, prevRun, prevWait := eng.Now(), len(eng.Running()), len(eng.Waiting())
 		if err := eng.AdvanceTo(next, false); err != nil {
 			return nil, fmt.Errorf("rms: quote: twin advance: %w", err)
 		}
-		if eng.Now() < next {
-			eng.JumpTo(next)
-		}
-		if eng.Now() == prevNow && len(eng.Running()) == prevRun && len(eng.Waiting()) == prevWait {
-			after, ok := eng.NextActionTime(true)
-			if !ok {
-				break
-			}
-			eng.JumpTo(after)
-		}
-	}
-
-	out := make([]Quote, count)
-	for i := range out {
-		q := Quote{Width: width, Estimate: estimate,
-			Start: NeverStart, Finish: NeverStart, Wait: NeverStart}
-		if start, ok := started[hypBase+1+job.ID(i)]; ok {
-			q.Start = start
-			q.Finish = start + estimate
-			q.Wait = start - img.Now
-		}
-		out[i] = q
 	}
 	return out, nil
 }

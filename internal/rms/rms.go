@@ -545,9 +545,10 @@ func (s *Scheduler) Restore(procs int) error {
 	return nil
 }
 
-// Advance moves the clock to the given time, starting jobs whose planned
-// start arrives and killing jobs whose estimates expire on the way. It is
-// an error to move the clock backwards.
+// Advance moves the clock to the given time. At each instant on the way
+// where estimates run out, the expired jobs are killed and the scheduler
+// replans, which starts what the new plan makes due; nothing else
+// happens on its own. It is an error to move the clock backwards.
 func (s *Scheduler) Advance(to int64) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -575,7 +576,7 @@ type Submission struct {
 }
 
 // Deliver applies a batch of simultaneous external events atomically: the
-// clock moves to t (processing automatic actions strictly before t on the
+// clock moves to t (processing estimate expiries strictly before t on the
 // way), then all completions, estimate expiries and submissions at t take
 // effect before a single replanning step. This mirrors how the offline
 // discrete event simulator treats same-instant events and is the right

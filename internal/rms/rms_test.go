@@ -73,34 +73,6 @@ func TestQueueingAndPlannedStart(t *testing.T) {
 	}
 }
 
-func TestKillAtEstimate(t *testing.T) {
-	s := newFCFS(t, 4)
-	a, _ := s.Submit(4, 100)
-	if err := s.Advance(150); err != nil {
-		t.Fatal(err)
-	}
-	info, err := s.Job(a.ID)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if info.State != StateKilled || info.Finished != 100 {
-		t.Fatalf("job = %+v, want killed at 100", info)
-	}
-}
-
-func TestKillFreesProcessorsForWaiting(t *testing.T) {
-	s := newFCFS(t, 4)
-	s.Submit(4, 100)
-	b, _ := s.Submit(2, 50)
-	if err := s.Advance(120); err != nil {
-		t.Fatal(err)
-	}
-	info, _ := s.Job(b.ID)
-	if info.State != StateRunning || info.Started != 100 {
-		t.Fatalf("b = %+v, want started at 100 after the kill", info)
-	}
-}
-
 func TestCompleteValidation(t *testing.T) {
 	s := newFCFS(t, 4)
 	if _, err := s.Complete(99); err == nil {

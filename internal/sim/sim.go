@@ -7,10 +7,12 @@
 //
 // Jobs run for their actual run time, which is at most their estimate.
 // Because running jobs reserve their processors until the estimated end,
-// every waiting job's planned start time coincides with the current time or
-// with the estimated end of a running job — and the corresponding actual
-// completion event fires no later than that, so starts are always triggered
-// by an event and the event loop needs no additional timers.
+// the availability profile is flat until the earliest estimated end of a
+// running job, so the first planned start after the current time falls at
+// that end or later — and that job's actual completion event fires no
+// later than its estimated end. An event therefore always comes before the
+// first future start and replans every later one, so starts are always
+// triggered by an event and the event loop needs no additional timers.
 //
 // The scheduling mechanics — machine state, replan-and-launch, finish
 // transitions — live in internal/engine, shared with the online RMS

@@ -144,47 +144,6 @@ func TestFailProcsKillsVictimsInOrder(t *testing.T) {
 	}
 }
 
-// planned lists the jobs the plan in force has an entry for, completing
-// a frontier schedule first.
-func planned(eng *engine.Engine) []job.ID {
-	sched := eng.Schedule()
-	sched.Complete()
-	var ids []job.ID
-	for _, e := range sched.Entries {
-		ids = append(ids, e.Job.ID)
-	}
-	return ids
-}
-
-func TestUnplaceableJobsWithheldUntilRestore(t *testing.T) {
-	eng := engine.New(4, fcfs(), 0)
-	eng.FailProcs(2) // effective capacity 2
-	wide, narrow := mkJob(1, 0, 3, 10), mkJob(2, 0, 2, 10)
-	eng.Submit(wide)
-	eng.Submit(narrow)
-	if err := eng.Replan(); err != nil {
-		t.Fatal(err)
-	}
-	if got := planned(eng); len(got) != 1 || got[0] != 2 {
-		t.Fatalf("plan holds %v, want only the width-2 job", got)
-	}
-	if w := eng.Waiting(); len(w) != 1 || w[0].ID != 1 {
-		t.Fatalf("waiting = %v, want the withheld width-3 job", w)
-	}
-	if !eng.IsRunning(2) || !eng.IsWaiting(1) {
-		t.Fatal("narrow job must run while the wide one is withheld")
-	}
-	// With the processors back, the wide job becomes plannable again.
-	eng.Finish(2, engine.FinishCompleted)
-	eng.RestoreProcs(2)
-	if err := eng.Replan(); err != nil {
-		t.Fatal(err)
-	}
-	if got := planned(eng); len(got) != 1 || got[0] != 1 || !eng.IsRunning(1) {
-		t.Fatalf("wide job not planned and launched after restore (plan holds %v)", got)
-	}
-}
-
 func TestReplanOnFullyDrainedMachine(t *testing.T) {
 	eng := engine.New(2, fcfs(), 0)
 	eng.FailProcs(2)
@@ -328,45 +287,6 @@ func TestAdvanceToExclusiveStopsBeforeBoundary(t *testing.T) {
 	}
 	if eng.IsRunning(1) {
 		t.Fatal("inclusive advance left the expired job running")
-	}
-}
-
-func TestObserverStream(t *testing.T) {
-	var kinds []engine.EventKind
-	var planQueued []int
-	var eng *engine.Engine
-	eng = engine.New(2, fcfs(), 0, engine.WithObserver(engine.ObserverFunc(func(ev engine.Event) {
-		kinds = append(kinds, ev.Kind)
-		if ev.Kind == engine.EventPlan {
-			planQueued = append(planQueued, ev.Queued)
-		}
-		if ev.Time != eng.Now() {
-			t.Errorf("event %s stamped t=%d, engine at %d", ev.Kind, ev.Time, eng.Now())
-		}
-	})))
-	eng.Submit(mkJob(1, 0, 1, 10))
-	eng.Submit(mkJob(2, 0, 2, 10))
-	if err := eng.Replan(); err != nil {
-		t.Fatal(err)
-	}
-	eng.Finish(1, engine.FinishCompleted)
-
-	want := []engine.EventKind{
-		engine.EventSubmit, engine.EventSubmit,
-		engine.EventStart, engine.EventPlan,
-		engine.EventFinish,
-	}
-	if len(kinds) != len(want) {
-		t.Fatalf("events = %v, want %v", kinds, want)
-	}
-	for i := range want {
-		if kinds[i] != want[i] {
-			t.Fatalf("event %d = %v, want %v", i, kinds[i], want[i])
-		}
-	}
-	// The plan event sees the post-launch queue: job 2 still waiting.
-	if len(planQueued) != 1 || planQueued[0] != 1 {
-		t.Fatalf("plan queue depths = %v, want [1]", planQueued)
 	}
 }
 

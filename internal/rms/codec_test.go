@@ -3,15 +3,10 @@ package rms
 import (
 	"bytes"
 	"encoding/json"
-	"errors"
 	"io"
 	"math"
-	"net"
-	"os"
-	"path/filepath"
 	"reflect"
 	"strings"
-	"sync"
 	"testing"
 
 	"dynp/internal/core"
@@ -112,38 +107,28 @@ func TestNonCanonicalRequests(t *testing.T) {
 	}
 }
 
-// tap records what a server connection reads and writes.
-type tap struct {
-	net.Conn
-	mu      sync.Mutex
-	in, out bytes.Buffer
-}
-
-func (c *tap) Read(p []byte) (int, error) {
-	n, err := c.Conn.Read(p)
-	c.mu.Lock()
-	c.in.Write(p[:n])
-	c.mu.Unlock()
-	return n, err
-}
-
-func (c *tap) Write(p []byte) (int, error) {
-	c.mu.Lock()
-	c.out.Write(p)
-	c.mu.Unlock()
-	return c.Conn.Write(p)
-}
-
 // TestWireFastPath: everything the client sends and everything the server
-// and its journal write over the seeded plantest streams is read by the
-// codec's own parser, without handing a line to encoding/json — a parser
-// that always handed off would pass every other correctness test — and
-// read as encoding/json reads it.
+// and its journal write over the seeded plantest streams, which the stream
+// interpreter sends through a Client over net.Pipe to a dynP daemon, is
+// read by the codec's own parser, without handing a line to
+// encoding/json — a parser that always handed off would pass every other
+// correctness test — and read as encoding/json reads it.
 func TestWireFastPath(t *testing.T) {
 	var requests, responses, events int
+	var lanes plantest.Lanes
 	for seed := uint64(0); seed < 3; seed++ {
-		in, out, records := runWireStream(t, plantest.Stream(seed))
-		for _, line := range lines(in) {
+		ds := tunerStream(t, plantest.Capacity, func() core.Decider { return core.Advanced{} }, &lanes)
+		ds.newDriver = func() (sim.Driver, *sim.DynP, *plantest.Tuner) { return sim.NewDynP(core.Advanced{}), nil, nil }
+		ds.wire = new(wireTap)
+		end := runDeliverLockstep(t, ds, decodeStream(plantest.Stream(seed)))
+		var records [][]byte
+		segments, _ := end.fs.ReadDir(".")
+		for _, seg := range segments {
+			for _, rec := range lines(end.fs.files[seg.Name()]) {
+				records = append(records, rec[9:]) // past the checksum
+			}
+		}
+		for _, line := range lines(ds.wire.in.Bytes()) {
 			requests++
 			var fast, ref Request
 			if !parseRequest(line, &fast) {
@@ -153,7 +138,7 @@ func TestWireFastPath(t *testing.T) {
 				t.Fatalf("request %s: parsed %+v, encoding/json %+v (%v)", line, fast, ref, err)
 			}
 		}
-		for _, line := range lines(out) {
+		for _, line := range lines(ds.wire.out.Bytes()) {
 			responses++
 			var fast, ref Response
 			if !parseResponse(line, &fast) {
@@ -189,121 +174,6 @@ func TestWireFastPath(t *testing.T) {
 
 func lines(b []byte) [][]byte {
 	return bytes.Split(bytes.TrimSuffix(b, []byte("\n")), []byte("\n"))
-}
-
-// runWireStream feeds one stream through a Client into a journaled,
-// quote-enabled dynP server over an in-memory connection, with reads
-// after every event and every read op now and then. It returns the bytes
-// the server read and wrote and the payloads of every journal record.
-func runWireStream(t *testing.T, data []byte) (in, out []byte, records [][]byte) {
-	dir := t.TempDir()
-	j, err := OpenJournal(filepath.Join(dir, "events.journal"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	j.SetSnapshotEvery(4)
-	newDriver := func() sim.Driver { return sim.NewDynP(core.Advanced{}) }
-	s, err := New(plantest.Capacity, newDriver(), 0)
-	if err == nil {
-		err = s.SetJournal(j)
-	}
-	if err == nil {
-		err = s.EnableQuotes(newDriver)
-	}
-	if err != nil {
-		t.Fatal(err)
-	}
-	near, far := net.Pipe()
-	conn := &tap{Conn: far}
-	served := make(chan error, 1)
-	go func() { served <- NewServer(s, true).ServeConn(conn) }()
-	opts := ClientOptions{Retries: -1, Dialer: func() (net.Conn, error) { return near, nil }}
-	c, err := DialOptions("pipe", opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Server rejections are part of the stream; anything else is not.
-	check := func(err error) {
-		t.Helper()
-		var serr *ServerError
-		if err != nil && !errors.As(err, &serr) {
-			t.Fatal(err)
-		}
-	}
-	for i := 0; i+1 < len(data); i += 2 {
-		op, arg := data[i], data[i+1]
-		width, est := plantest.SubmitShape(arg)
-		sub := []Submission{{Width: width, Estimate: est}}
-		st, err := c.Status()
-		check(err)
-		switch op % 8 {
-		case 0, 1:
-			_, err = c.Deliver(st.Now, nil, sub)
-		case 2:
-			_, err = c.Submit(width, est)
-		case 3:
-			_, err = c.Tick(st.Now + 7*int64(arg))
-		case 4:
-			if n := len(st.Running); n > 0 {
-				id := st.Running[int(arg)%n].ID
-				if arg%2 == 0 {
-					_, err = c.Done(id)
-				} else {
-					_, err = c.Deliver(st.Now, []job.ID{id}, nil)
-				}
-			}
-		case 5:
-			if n := len(st.Waiting); n > 0 {
-				err = c.Cancel(st.Waiting[int(arg)%n].ID)
-			}
-		case 6:
-			if eff := st.Capacity - st.FailedProcs; arg%2 == 0 && eff > 0 {
-				_, err = c.Fail(1 + int(arg/2)%eff)
-			} else if st.FailedProcs > 0 {
-				_, err = c.Restore(1 + int(arg/2)%st.FailedProcs)
-			}
-		case 7:
-			done := []job.ID{}
-			if arg%4 == 0 {
-				done = append(done, 1<<40)
-			} else if n := len(st.Running); n > 0 {
-				done = append(done, st.Running[int(arg)%n].ID)
-			}
-			_, err = c.Deliver(st.Now+int64(arg), done, append(sub, sub...))
-		}
-		check(err)
-		_, err = c.Quote(width, est, 1+int(arg)%3)
-		check(err)
-		_, err = c.Job(job.ID(1 + int(arg)%(i/2+1)))
-		check(err)
-		if i%64 == 0 {
-			_, err = c.Report()
-			check(err)
-			_, err = c.Finished()
-			check(err)
-		}
-	}
-	c.Close()
-	if err := <-served; err != nil {
-		t.Fatal(err)
-	}
-	if err := j.Close(); err != nil {
-		t.Fatal(err)
-	}
-	segments, err := os.ReadDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, seg := range segments {
-		b, err := os.ReadFile(filepath.Join(dir, seg.Name()))
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, rec := range lines(b) {
-			records = append(records, rec[9:]) // past the checksum
-		}
-	}
-	return conn.in.Bytes(), conn.out.Bytes(), records
 }
 
 // wireGen builds values from fuzz input: each byte of data picks the next

@@ -19,23 +19,29 @@ import (
 // planned start is its start; and the infos Submit, Complete and Deliver
 // return equal Job(id) read right after.
 func TestJobInfosDerivedFromEngine(t *testing.T) {
-	var lanes plantest.Lanes
 	for _, tc := range []struct {
-		name      string
-		newDriver lockstepFactory
-		oracle    func() plantest.Step
+		name string
+		ds   func(t *testing.T) daemonStream
 	}{
-		{"static SJF", staticLockstep(t, policy.SJF, &lanes), func() plantest.Step { return plantest.Fixed{Policy: policy.SJF} }},
-		{"dynP/advanced", tunerLockstep(t, func() core.Decider { return core.Advanced{} }, &lanes),
-			func() plantest.Step { return plantest.NewTuner(core.Advanced{}, core.MetricSLDwA) }},
-		{"EASY", func() (sim.Driver, *sim.DynP, *plantest.Tuner) { return &sim.EASY{Base: policy.FCFS}, nil, nil },
-			func() plantest.Step { return plantest.EASY{Base: policy.FCFS} }},
+		{"static SJF", func(t *testing.T) daemonStream {
+			return staticStream(t, plantest.Capacity, policy.SJF, new(plantest.Lanes))
+		}},
+		{"dynP/advanced", func(t *testing.T) daemonStream {
+			return tunerStream(t, plantest.Capacity, func() core.Decider { return core.Advanced{} }, new(plantest.Lanes))
+		}},
+		{"EASY", func(t *testing.T) daemonStream {
+			return daemonStream{capacity: plantest.Capacity, lanes: new(plantest.Lanes),
+				newDriver: func() (sim.Driver, *sim.DynP, *plantest.Tuner) { return &sim.EASY{Base: policy.FCFS}, nil, nil },
+				oracle:    func() plantest.Step { return plantest.EASY{Base: policy.FCFS} }}
+		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
+			t.Parallel()
+			ds := tc.ds(t)
 			var unplaced, placed int
 			for seed := uint64(0); seed < 3; seed++ {
-				u, p := runDeliverLockstep(t, tc.newDriver, tc.oracle(), &lanes, plantest.Stream(seed))
-				unplaced, placed = unplaced+u, placed+p
+				end := runDeliverLockstep(t, ds, decodeStream(plantest.Stream(seed)))
+				unplaced, placed = unplaced+end.unplaced, placed+end.placed
 			}
 			// A stream that never left a waiting job unplaced, or never
 			// placed one, would check only half of the rule.
@@ -46,12 +52,21 @@ func TestJobInfosDerivedFromEngine(t *testing.T) {
 	}
 }
 
-// checkDerived holds the published image's live jobs to the naive
-// daemon's. It returns how many waiting jobs the naive plan in force had
-// no entry for and how many it had one for.
+// checkDerived holds the published image's clock, failed and used
+// processors and live jobs to the naive daemon's. It returns how many
+// waiting jobs the naive plan in force had no entry for and how many it
+// had one for.
 func checkDerived(t *testing.T, s *Scheduler, naive *plantest.Daemon) (unplaced, placed int) {
 	t.Helper()
 	img := s.img.Load()
+	used := 0
+	for _, r := range naive.Running {
+		used += r.Job.Width
+	}
+	if img.Now != naive.Now || img.Failed != naive.Failed || img.used != used {
+		t.Fatalf("image at t=%d with %d processors failed and %d used, the naive daemon at t=%d with %d and %d",
+			img.Now, img.Failed, img.used, naive.Now, naive.Failed, used)
+	}
 	if len(img.Waiting) != len(naive.Waiting) || len(img.Running) != len(naive.Running) {
 		t.Fatalf("image holds %d waiting and %d running jobs, the naive daemon %d and %d",
 			len(img.Waiting), len(img.Running), len(naive.Waiting), len(naive.Running))

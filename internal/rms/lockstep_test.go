@@ -4,9 +4,13 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"hash"
 	"io"
-	"path/filepath"
+	"io/fs"
+	"net"
+	"os"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -15,6 +19,7 @@ import (
 	"dynp/internal/plan/plantest"
 	"dynp/internal/policy"
 	"dynp/internal/sim"
+	"dynp/internal/vfs"
 )
 
 // lockstepFactory builds one self-checking driver for the daemon streams:
@@ -22,81 +27,193 @@ import (
 // driver and the naive tuner it is held to (nil for a static driver).
 type lockstepFactory func() (sim.Driver, *sim.DynP, *plantest.Tuner)
 
-// staticLockstep makes lockstep static drivers under policy p.
-func staticLockstep(t *testing.T, p policy.Policy, lanes *plantest.Lanes) lockstepFactory {
-	return func() (sim.Driver, *sim.DynP, *plantest.Tuner) {
-		return plantest.Lockstep(t, &sim.Static{Policy: p}, lanes), nil, nil
-	}
+// staticStream runs streams on a capacity-processor daemon with lockstep
+// static drivers under policy p.
+func staticStream(t *testing.T, capacity int, p policy.Policy, lanes *plantest.Lanes) daemonStream {
+	return daemonStream{capacity: capacity, lanes: lanes,
+		newDriver: func() (sim.Driver, *sim.DynP, *plantest.Tuner) {
+			return plantest.Lockstep(t, &sim.Static{Policy: p}, lanes), nil, nil
+		},
+		oracle: func() plantest.Step { return plantest.Fixed{Policy: p} }}
 }
 
-// tunerLockstep makes lockstep dynP drivers deciding with newDecider.
-func tunerLockstep(t *testing.T, newDecider func() core.Decider, lanes *plantest.Lanes) lockstepFactory {
-	return func() (sim.Driver, *sim.DynP, *plantest.Tuner) {
-		d := sim.NewDynP(newDecider())
-		ref := plantest.NewTuner(newDecider(), core.MetricSLDwA)
-		return plantest.TunerLockstep(t, d, d.Tuner, ref, lanes), d, ref
-	}
+// tunerStream runs streams on a capacity-processor daemon with lockstep
+// dynP drivers deciding with newDecider.
+func tunerStream(t *testing.T, capacity int, newDecider func() core.Decider, lanes *plantest.Lanes) daemonStream {
+	return daemonStream{capacity: capacity, lanes: lanes,
+		newDriver: func() (sim.Driver, *sim.DynP, *plantest.Tuner) {
+			d := sim.NewDynP(newDecider())
+			ref := plantest.NewTuner(newDecider(), core.MetricSLDwA)
+			return plantest.TunerLockstep(t, d, d.Tuner, ref, lanes), d, ref
+		},
+		oracle: func() plantest.Step { return plantest.NewTuner(newDecider(), core.MetricSLDwA) }}
 }
 
-// runDeliverLockstep feeds a plantest event stream — two bytes an event —
-// through the daemon's entry points, with a lockstep driver inside the
-// Scheduler: every plan the daemon makes, including those of the sweep
-// Deliver performs on its way to a later instant, is checked against the
-// naive oracle, and the scheduler's invariants after every event. The
-// same requests go to a naive daemon planning with oracle, whose
-// transitions the scheduler's must equal after every event, and whose
-// finished jobs the scheduler's must equal at the end (BC-4); the live
-// jobs' infos are checked against the naive daemon's after every event
-// too (checkDerived). The ops mirror plantest.Run's, each reaching the
-// daemon through Deliver or through the interactive entry point (Submit,
-// Advance, Complete); a daemon assigns its own IDs, so a cancelled job is
-// re-submitted under a fresh one, and op 7 splits into what only a daemon
-// has, both forks of BC-3 among them:
-//
-//   - a restart: the journal (checkpointing every few events) is closed
-//     and replayed into a fresh Scheduler with a fresh lockstep driver,
-//     which must land on the pre-crash fingerprint, checkpoint image
-//     (plan and driver state included) and naive active policy, and the
-//     stream continues on it;
-//   - a quote, whose twin plans with a lockstep driver from the quote
-//     factory and must have continued from the live tuner's state, and
-//     whose answer must equal the naive daemon's, its twin planning from
-//     the naive daemon's active policy;
-//   - one batch completing a job and submitting another at the same later
-//     instant.
-//
-// It returns how many waiting jobs the naive plan in force had no entry
-// for, and how many it had one for, over every event.
-func runDeliverLockstep(t *testing.T, newDriver lockstepFactory, oracle plantest.Step, lanes *plantest.Lanes,
-	data []byte) (unplaced, placed int) {
-	path := filepath.Join(t.TempDir(), "events.journal")
-	naive := plantest.NewDaemon(plantest.Capacity, oracle, 0)
-	var rec plantest.Recorder
+// A streamOp is one request of a daemon op stream, or a "restart" of the
+// daemon from its journal. A tick or a deliver goes by after now, or to
+// its own To if that is later. Picks, if any, fill in the rest off the
+// daemon's state when the op runs: a done, a cancel and a deliver name
+// the running, waiting and running jobs they index, in Status order and
+// modulo their number (a deliver only those still running at its
+// instant, each once), and a fail or a restore moves one more processor
+// than its pick, modulo those up or those failed; an op with nothing to
+// pick is not sent. Without picks, the request names its jobs and
+// processors itself, as a tie-rule script's does.
+type streamOp struct {
+	Request
+	by    int64
+	picks []int
+}
+
+func (op streamOp) String() string {
+	s := op.Op
+	if op.by > 0 {
+		s += fmt.Sprintf(" +%d", op.by)
+	}
+	for _, p := range op.picks {
+		s += fmt.Sprintf(" #%d", p)
+	}
+	for _, sh := range append([]Submission{{Width: op.Width, Estimate: op.Estimate}}, op.Subs...) {
+		if sh.Width > 0 {
+			s += fmt.Sprintf(" %dx%d", sh.Width, sh.Estimate)
+		}
+	}
+	if op.Count > 0 {
+		s += fmt.Sprintf(" *%d", op.Count)
+	}
+	return s
+}
+
+// decodeStream reads a plantest stream, two bytes an op, for a machine of
+// plantest.Capacity processors: the first byte picks the op, the second
+// its job's shape (plantest.SubmitShape), the job it picks and how far it
+// moves the clock. Every op with an interactive entry point also goes
+// through Deliver; a daemon assigns its own IDs, so a cancelled job is
+// re-submitted under a fresh one; and op 7 is what only a daemon has: a
+// restart, a quote, and batches at a later instant.
+func decodeStream(data []byte) []streamOp {
+	var ops []streamOp
+	for i := 0; i+1 < len(data); i += 2 {
+		op, arg := data[i], data[i+1]
+		w, e := plantest.SubmitShape(arg)
+		sub, pick := []Submission{{Width: w, Estimate: e}}, []int{int(arg)}
+		var o streamOp
+		switch op % 8 {
+		case 0, 1:
+			o = streamOp{Request: Request{Op: "deliver", Subs: sub}}
+		case 2:
+			o = streamOp{Request: Request{Op: "submit", Width: w, Estimate: e}}
+		case 3:
+			o = streamOp{Request: Request{Op: "tick"}, by: 7 * int64(arg)}
+		case 4:
+			o = streamOp{Request: Request{Op: "done"}, picks: pick}
+		case 5:
+			o = streamOp{Request: Request{Op: "cancel"}, picks: pick}
+			if arg >= 128 {
+				ops = append(ops, o)
+				o = streamOp{Request: Request{Op: "submit", Width: w, Estimate: e}}
+			}
+		case 6:
+			o = streamOp{Request: Request{Op: "fail"}, picks: []int{int(arg / 2)}}
+		case 7:
+			o = [...]streamOp{{Request: Request{Op: "restart"}},
+				{Request: Request{Op: "quote", Width: w, Estimate: e, Count: 1 + int(arg/4)%3}},
+				{Request: Request{Op: "deliver", Subs: sub}, by: int64(arg), picks: pick},
+				{Request: Request{Op: "deliver", Subs: append(sub, sub...)}, by: int64(arg)}}[arg%4]
+		}
+		if arg%2 == 1 && (op%8 == 3 || op%8 == 4) {
+			o.Op = "deliver"
+		} else if arg%2 == 1 && op%8 == 6 {
+			o.Op = "restore"
+		}
+		ops = append(ops, o)
+	}
+	return ops
+}
+
+// A daemonStream is what the stream interpreter runs a stream on, and
+// where it sends what it sees.
+type daemonStream struct {
+	capacity  int
+	newDriver lockstepFactory
+	oracle    func() plantest.Step // the naive daemon's step; nil runs none, for a driver the oracle lacks
+	lanes     *plantest.Lanes
+	reads     hash.Hash64 // if set, every response is hashed into it,
+	journal   hash.Hash64 // and every journal segment's name and bytes into this
+	// wire, if set, carries the requests to the daemon through a Client
+	// over net.Pipe; the daemon's drivers must then be plain ones, since
+	// a lockstep driver would fail the test on the server's goroutine.
+	wire *wireTap
+	// after, if set, is called after each op's checks with the op's
+	// transitions and the answer to a quote.
+	after func(s *Scheduler, log []plantest.Transition, quoted []Quote)
+}
+
+// streamEnd is what a stream leaves.
+type streamEnd struct {
+	unplaced, placed int    // waiting jobs the naive plan in force had no entry for, and had one for, over every op
+	status           Status // the daemon's last
+	finished         []JobInfo
+	fs               *memFS // its journal
+}
+
+// runDeliverLockstep is the daemon stream interpreter. It sends ops, as
+// protocol requests, to a Server over a journaled, quote-enabled
+// Scheduler with a lockstep driver inside, so that every plan the daemon
+// makes — those of the sweep Deliver performs on its way to a later
+// instant, of quote twins, of journal replays — is checked against the
+// naive planner. The same requests go to a naive daemon planning with a
+// ds.oracle step (plantest.Daemon), whose transitions the scheduler's
+// must equal after every op, whose live jobs (checkDerived) and quotes
+// the scheduler's must equal, and whose finished jobs the scheduler's
+// must equal at the end (BC-4); the scheduler's invariants and Status's
+// order (checkStatusOrder) hold after every op, and the infos a request
+// returns equal Job's. A restart closes the journal (checkpointing every
+// third op, or sixteen times over a longer stream) and replays it into a
+// fresh Scheduler with a fresh lockstep
+// driver, which must land on the pre-crash fingerprint, checkpoint image
+// (plan and driver state included) and naive active policy; the stream
+// continues on it (BC-3). A quote's twin must have continued from the
+// live tuner's state. Every stream ends with a restart and a replay from
+// genesis, every checkpoint on the way byte-compared, to the same
+// fingerprint and image. Its streams: the seeded and fuzzed ones
+// (decodeStream), every short one (TestShortStreamsLockstep), the
+// tie-rule scripts (TestTieRules) and the differential job sets
+// (TestDifferentialSimVsRMS).
+func runDeliverLockstep(t *testing.T, ds daemonStream, ops []streamOp) streamEnd {
+	const path = "events.journal"
+	end := streamEnd{fs: &memFS{files: map[string][]byte{}}}
+	var naive *plantest.Daemon
+	if ds.oracle != nil {
+		naive = plantest.NewDaemon(ds.capacity, ds.oracle(), 0)
+	}
 	var (
+		rec       plantest.Recorder
 		s         *Scheduler
 		j         *Journal
+		send      func(Request) Response
 		live, tw  *sim.DynP
 		ref       *plantest.Tuner
 		twinMaker = func() sim.Driver {
-			drv, d, _ := newDriver()
-			tw = d
+			drv, dp, _ := ds.newDriver()
+			tw = dp
 			return drv
 		}
 	)
-	start := func() {
+	open := func(genesis bool) *Scheduler {
 		var drv sim.Driver
-		drv, live, ref = newDriver()
-		var err error
-		if s, err = New(plantest.Capacity, drv, 0); err != nil {
-			t.Fatal(err)
+		drv, live, ref = ds.newDriver()
+		s, err := New(ds.capacity, drv, 0)
+		if err == nil {
+			j, err = OpenJournalFS(end.fs, path)
 		}
-		if j, err = OpenJournal(path); err != nil {
-			t.Fatal(err)
-		}
-		j.SetSnapshotEvery(4)
-		j.SetKeep(1)
-		if _, err = j.Replay(s); err == nil {
-			err = s.SetJournal(j)
+		if err == nil {
+			j.SetSnapshotEvery(max(3, len(ops)/16))
+			if genesis {
+				_, err = j.ReplayGenesis(s)
+			} else if _, err = j.Replay(s); err == nil {
+				err = s.SetJournal(j)
+			}
 		}
 		if err == nil {
 			err = s.EnableQuotes(twinMaker)
@@ -104,161 +221,239 @@ func runDeliverLockstep(t *testing.T, newDriver lockstepFactory, oracle plantest
 		if err != nil {
 			t.Fatal(err)
 		}
+		return s
+	}
+	start := func() {
+		s = open(false)
 		s.AddObserver(&rec) // the replay re-enacts what rec has seen
+		send = NewServer(s, true).Handle
+		if ds.wire != nil {
+			send = ds.wire.dial(t, s)
+		}
+	}
+	stop := func() {
+		if ds.wire != nil {
+			ds.wire.hangUp(t)
+		}
+		if err := j.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ask := func(when string, req Request) Response {
+		resp := send(req)
+		if !resp.OK {
+			t.Fatalf("%s: %s: %s", when, req.Op, resp.Error)
+		}
+		if ds.reads != nil {
+			line, err := appendResponse(nil, &resp)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ds.reads.Write(append(line, '\n'))
+		}
+		return resp
+	}
+	// A replay must rebuild the fingerprint and the checkpoint image.
+	same := func(when string, want [2]string, got *Scheduler) {
+		if fp := fingerprint(t, got); fp != want[0] {
+			t.Fatalf("%s: replayed state diverges\nlive:     %s\nreplayed: %s", when, want[0], fp)
+		}
+		if img := checkpointImage(t, got); img != want[1] {
+			t.Fatalf("%s: replayed checkpoint image diverges\nlive:     %s\nreplayed: %s", when, want[1], img)
+		}
+	}
+	restart := func(when string) (want [2]string) {
+		want = [2]string{fingerprint(t, s), checkpointImage(t, s)}
+		var wantActive policy.Policy
+		if ref != nil {
+			wantActive = ref.Active
+		}
+		stop()
+		start()
+		same(when, want, s)
+		if ref != nil && ref.Active != wantActive {
+			t.Fatalf("%s: naive tuner restarted on %v, want %v", when, ref.Active, wantActive)
+		}
+		return want
+	}
+	quote := func(when string, req Request) []Quote {
+		tw = nil
+		plans := ds.lanes.Stopped + ds.lanes.Whole
+		qs := ask(when, req).Quotes
+		if len(qs) != req.Count {
+			t.Fatalf("%s: %d quotes for %d replicas", when, len(qs), req.Count)
+		}
+		if tw != nil && live != nil {
+			twinPlans := ds.lanes.Stopped + ds.lanes.Whole - plans
+			if got, want := tw.Stats().Steps, live.Stats().Steps+twinPlans; got != want {
+				t.Fatalf("%s: twin tuner took %d steps after %d plans, want the live tuner's %d plus them",
+					when, got, twinPlans, live.Stats().Steps)
+			}
+		}
+		if naive != nil {
+			want := naive.Quote(plantest.Shape{Width: req.Width, Estimate: req.Estimate}, req.Count)
+			for k, q := range qs {
+				if q.Start != want[k] {
+					t.Fatalf("%s: twin quoted %+v, the naive daemon starts %v", when, qs, want)
+				}
+			}
+		}
+		return qs
 	}
 	start()
-	defer func() { j.Close() }()
 
-	for i := 0; i+1 < len(data); i += 2 {
-		op, arg := data[i], data[i+1]
-		width, est := plantest.SubmitShape(arg)
-		sub, shape := []Submission{{Width: width, Estimate: est}}, plantest.Shape{Width: width, Estimate: est}
-		st := s.Status()
-		var infos []JobInfo
-		var err error
-		one := func(info JobInfo, err error) ([]JobInfo, error) { return []JobInfo{info}, err }
-		switch op % 8 {
-		case 0, 1:
-			infos, err = s.Deliver(st.Now, nil, sub)
-			naive.Deliver(st.Now, nil, shape)
-		case 2:
-			infos, err = one(s.Submit(width, est))
-			naive.SubmitNow(shape)
-		case 3:
-			if to := st.Now + 7*int64(arg); arg%2 == 0 {
-				err = s.Advance(to)
-				naive.Advance(to)
+	for i, op := range ops {
+		when := fmt.Sprintf("op %d (%v)", i, op)
+		st := *ask(when, Request{Op: "status"}).Status
+		req := op.Request
+		switch {
+		case op.picks == nil:
+		case req.Op == "done" || req.Op == "cancel":
+			if jobs := map[string][]JobInfo{"done": st.Running, "cancel": st.Waiting}[req.Op]; len(jobs) > 0 {
+				req.ID = int64(jobs[op.picks[0]%len(jobs)].ID)
 			} else {
-				infos, err = s.Deliver(to, nil, nil)
-				naive.Deliver(to, nil)
+				req.Op = ""
 			}
-		case 4:
-			if n := len(st.Running); n > 0 {
-				id := st.Running[int(arg)%n].ID
-				if arg%2 == 0 {
-					infos, err = one(s.Complete(id))
-					naive.Complete(id)
-				} else {
-					infos, err = s.Deliver(st.Now, []job.ID{id}, nil)
-					naive.Deliver(st.Now, []job.ID{id})
-				}
-			}
-		case 5:
-			if n := len(st.Waiting); n > 0 {
-				err = s.Cancel(st.Waiting[int(arg)%n].ID)
-				naive.Cancel(st.Waiting[int(arg)%n].ID)
-				if err == nil && arg >= 128 {
-					_, err = s.Submit(width, est)
-					naive.SubmitNow(shape)
-				}
-			}
-		case 6:
-			if eff := st.Capacity - st.FailedProcs; arg%2 == 0 && eff > 0 {
-				err = s.Fail(1 + int(arg/2)%eff)
-				naive.Fail(1 + int(arg/2)%eff)
-			} else if st.FailedProcs > 0 {
-				err = s.Restore(1 + int(arg/2)%st.FailedProcs)
-				naive.Restore(1 + int(arg/2)%st.FailedProcs)
-			}
-		case 7:
-			switch arg % 4 {
-			case 0:
-				want, wantImage := fingerprint(t, s), checkpointImage(t, s)
-				var wantActive policy.Policy
-				if ref != nil {
-					wantActive = ref.Active
-				}
-				if err = j.Close(); err != nil {
-					break
-				}
-				start()
-				if got := fingerprint(t, s); got != want {
-					t.Fatalf("event %d: replayed state diverges\nlive:     %s\nreplayed: %s", i/2, want, got)
-				}
-				if got := checkpointImage(t, s); got != wantImage {
-					t.Fatalf("event %d: replayed checkpoint image diverges\nlive:     %s\nreplayed: %s", i/2, wantImage, got)
-				}
-				if ref != nil && ref.Active != wantActive {
-					t.Fatalf("event %d: naive tuner restarted on %v, want %v", i/2, ref.Active, wantActive)
-				}
-			case 1:
-				count := 1 + int(arg/4)%3
-				tw = nil
-				plans := lanes.Stopped + lanes.Whole
-				img := s.img.Load()
-				var qs []Quote
-				if qs, err = s.quoteIn(img, width, est, count); err == nil && len(qs) != count {
-					t.Fatalf("event %d: %d quotes for %d replicas", i/2, len(qs), count)
-				}
-				if tw != nil && live != nil {
-					twinPlans := lanes.Stopped + lanes.Whole - plans
-					if got, want := tw.Stats().Steps, live.Stats().Steps+twinPlans; got != want {
-						t.Fatalf("event %d: twin tuner took %d steps after %d plans, want the live tuner's %d plus them",
-							i/2, got, twinPlans, live.Stats().Steps)
-					}
-				}
-				if err == nil {
-					want := naive.Quote(shape, count)
-					for k, q := range qs {
-						if q.Start != want[k] {
-							t.Fatalf("event %d: twin quoted %+v, the naive daemon starts %v", i/2, qs, want)
-						}
-					}
-				}
-			default:
-				at := st.Now + int64(arg)
-				var done []job.ID
-				if n := len(st.Running); n > 0 {
-					if r := st.Running[int(arg)%n]; r.Started+r.Estimate > at { // still running then
-						done = []job.ID{r.ID}
-					}
-				}
-				infos, err = s.Deliver(at, done, sub)
-				naive.Deliver(at, done, shape)
+		case req.Op == "fail" || req.Op == "restore":
+			if n := map[string]int{"fail": st.Capacity - st.FailedProcs, "restore": st.FailedProcs}[req.Op]; n > 0 {
+				req.Procs = 1 + op.picks[0]%n
+			} else {
+				req.Op = ""
 			}
 		}
-		if err == nil {
-			err = s.CheckInvariants()
+		if req.Op == "tick" || req.Op == "deliver" {
+			req.To = max(req.To, st.Now+op.by)
+			for _, id := range batchDone(st, op.picks, req.To) {
+				req.Completions = append(req.Completions, int64(id))
+			}
 		}
-		if err == nil {
+		var infos []JobInfo
+		var quoted []Quote
+		from := len(rec.Transitions)
+		switch req.Op {
+		case "":
+		case "restart":
+			restart(when)
+		case "quote":
+			quoted = quote(when, req)
+		default:
+			resp := ask(when, req)
+			if infos = resp.Jobs; resp.Job != nil {
+				infos = append(infos, *resp.Job)
+			}
+			if naive != nil {
+				mirror(naive, req)
+			}
+		}
+		err := s.CheckInvariants()
+		if err == nil && naive != nil {
 			err = plantest.SameTransitions(rec.Transitions, naive.Transitions)
 		}
 		if err != nil {
-			t.Fatalf("after event %d (op %d): %v", i/2, op%8, err)
+			t.Fatalf("after %s: %v", when, err)
 		}
 		for _, info := range infos {
-			if got, err := s.Job(info.ID); err != nil || got != info {
-				t.Fatalf("event %d: the request returned %+v, Job(%d) reads %+v (%v)", i/2, info, info.ID, got, err)
+			if got := ask(when, Request{Op: "job", ID: int64(info.ID)}).Job; *got != info {
+				t.Fatalf("%s: the request returned %+v, Job(%d) reads %+v", when, info, info.ID, *got)
 			}
 		}
-		u, p := checkDerived(t, s, naive)
-		unplaced, placed = unplaced+u, placed+p
-		checkStatusOrder(t, fmt.Sprintf("event %d (op %d)", i/2, op%8), s)
+		if naive != nil {
+			u, p := checkDerived(t, s, naive)
+			end.unplaced, end.placed = end.unplaced+u, end.placed+p
+		}
+		checkStatusOrder(t, when, s)
+		if ds.after != nil {
+			ds.after(s, rec.Transitions[from:], quoted)
+		}
+		if ds.reads != nil {
+			for k, w := range []int{1, ds.capacity / 4, ds.capacity} {
+				quote(when, Request{Op: "quote", Width: w, Estimate: []int64{30, 600, 3600}[(i+k)%3], Count: 1 + i%3})
+			}
+			ask(when, Request{Op: "report"})
+		}
 	}
-	sameFinished(t, s.Finished(), naive.Records)
-	return unplaced, placed
+
+	want := restart("at the end")
+	if end.finished = ask("at the end", Request{Op: "finished"}).Finished; naive != nil {
+		sameFinished(t, end.finished, naive.Records)
+	}
+	end.status = *ask("at the end", Request{Op: "status"}).Status
+	stop()
+	same("genesis replay", want, open(true))
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if ds.journal != nil {
+		segments, _ := end.fs.ReadDir(".")
+		for _, seg := range segments {
+			fmt.Fprintf(ds.journal, "%s %d\n", seg.Name(), len(end.fs.files[seg.Name()]))
+			ds.journal.Write(end.fs.files[seg.Name()])
+		}
+	}
+	return end
+}
+
+// mirror sends the naive daemon what req asks of a daemon.
+func mirror(n *plantest.Daemon, req Request) {
+	switch req.Op {
+	case "submit":
+		n.SubmitNow(plantest.Shape{Width: req.Width, Estimate: req.Estimate})
+	case "done":
+		n.Complete(job.ID(req.ID))
+	case "cancel":
+		n.Cancel(job.ID(req.ID))
+	case "tick":
+		n.Advance(req.To)
+	case "fail":
+		n.Fail(req.Procs)
+	case "restore":
+		n.Restore(req.Procs)
+	case "deliver":
+		var done []job.ID
+		for _, id := range req.Completions {
+			done = append(done, job.ID(id))
+		}
+		var subs []plantest.Shape
+		for _, sub := range req.Subs {
+			subs = append(subs, plantest.Shape{Width: sub.Width, Estimate: sub.Estimate})
+		}
+		n.Deliver(req.To, done, subs...)
+	}
+}
+
+// batchDone is what a batch at instant at completes: the picked jobs
+// still running then, each once.
+func batchDone(st Status, picks []int, at int64) []job.ID {
+	var done []job.ID
+	for _, p := range picks {
+		if len(st.Running) == 0 {
+			break
+		}
+		if r := st.Running[p%len(st.Running)]; r.Started+r.Estimate >= at && !slices.Contains(done, r.ID) {
+			done = append(done, r.ID)
+		}
+	}
+	return done
 }
 
 // checkStatusOrder holds Status to its order contract, read directly and
-// through the protocol: waiting jobs by planned start, running jobs by
-// start time, ties by ID in both.
+// through the protocol (a server's answer to a status request, encoded
+// and decoded by the codec): waiting jobs by planned start, running jobs
+// by start time, ties by ID in both.
 func checkStatusOrder(t *testing.T, when string, s *Scheduler) {
 	t.Helper()
 	direct := s.Status()
-	var out bytes.Buffer
-	rw := struct {
-		io.Reader
-		io.Writer
-	}{strings.NewReader(`{"op":"status"}` + "\n"), &out}
-	if err := NewServer(s, true).ServeConn(rw); err != nil {
-		t.Fatalf("%s: status over ServeConn: %v", when, err)
+	resp := NewServer(s, true).Handle(Request{Op: "status"})
+	line, err := appendResponse(nil, &resp)
+	var wire Response
+	if err == nil {
+		err = decodeResponse(line, &wire)
 	}
-	var resp Response
-	if err := json.Unmarshal(out.Bytes(), &resp); err != nil || resp.Status == nil {
-		t.Fatalf("%s: status over ServeConn: %v (%s)", when, err, out.Bytes())
+	if err != nil || wire.Status == nil {
+		t.Fatalf("%s: status through the protocol: %v (%s)", when, err, line)
 	}
-	if !reflect.DeepEqual(*resp.Status, direct) {
-		t.Fatalf("%s: status over ServeConn differs from the direct one\nwire:   %+v\ndirect: %+v", when, *resp.Status, direct)
+	if !reflect.DeepEqual(*wire.Status, direct) {
+		t.Fatalf("%s: status through the protocol differs from the direct one\nwire:   %+v\ndirect: %+v", when, *wire.Status, direct)
 	}
 	for _, l := range []struct {
 		name string
@@ -293,35 +488,145 @@ func checkpointImage(t *testing.T, s *Scheduler) string {
 	return string(b)
 }
 
-// TestDeliverLockstep holds the daemon to BC-1 to BC-4: the seeded
+// wireTap carries a stream's requests through a Client over net.Pipe to
+// a Server, one connection per daemon the stream restarts into, and keeps
+// the bytes the servers read and wrote.
+type wireTap struct {
+	in, out bytes.Buffer
+	c       *Client
+	served  chan error
+}
+
+// tapConn is a server's end of a wireTap's pipe.
+type tapConn struct {
+	net.Conn
+	w *wireTap
+}
+
+func (c tapConn) Read(p []byte) (int, error) {
+	n, err := c.Conn.Read(p)
+	c.w.in.Write(p[:n])
+	return n, err
+}
+
+func (c tapConn) Write(p []byte) (int, error) {
+	c.w.out.Write(p)
+	return c.Conn.Write(p)
+}
+
+// dial serves s on a fresh pipe and returns how a request reaches it.
+func (w *wireTap) dial(t *testing.T, s *Scheduler) func(Request) Response {
+	near, far := net.Pipe()
+	w.served = make(chan error, 1)
+	go func() { w.served <- NewServer(s, true).ServeConn(tapConn{far, w}) }()
+	c, err := DialOptions("pipe", ClientOptions{Retries: -1, Dialer: func() (net.Conn, error) { return near, nil }})
+	if err != nil {
+		t.Fatal(err)
+	}
+	w.c = c
+	return func(req Request) Response {
+		resp, err := c.call(req, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resp
+	}
+}
+
+func (w *wireTap) hangUp(t *testing.T) {
+	w.c.Close()
+	if err := <-w.served; err != nil {
+		t.Fatal(err)
+	}
+}
+
+// memFS is an in-memory vfs.FS for a stream's journal, whose syncs an
+// enumeration of thousands of streams cannot pay on a disk. It serves
+// the journal's use only: writes at the end, seeks from the start,
+// truncations that shorten.
+type memFS struct{ files map[string][]byte }
+
+type memFile struct {
+	fs   *memFS
+	name string
+	off  int
+}
+
+type memEntry string
+
+func (fs *memFS) OpenFile(name string, flag int, _ os.FileMode) (vfs.File, error) {
+	if _, ok := fs.files[name]; !ok && flag&os.O_CREATE == 0 {
+		return nil, os.ErrNotExist
+	} else if !ok || flag&os.O_TRUNC != 0 {
+		fs.files[name] = nil
+	}
+	return &memFile{fs: fs, name: name}, nil
+}
+
+func (fs *memFS) Rename(from, to string) error {
+	fs.files[to] = fs.files[from]
+	return fs.Remove(from)
+}
+
+func (fs *memFS) Remove(name string) error { delete(fs.files, name); return nil }
+
+// ReadDir lists every file, sorted: a stream's journal is all there is.
+func (fs *memFS) ReadDir(string) ([]os.DirEntry, error) {
+	var out []os.DirEntry
+	for name := range fs.files {
+		out = append(out, memEntry(name))
+	}
+	slices.SortFunc(out, func(a, b os.DirEntry) int { return strings.Compare(a.Name(), b.Name()) })
+	return out, nil
+}
+
+func (f *memFile) Read(p []byte) (int, error) {
+	n := copy(p, f.fs.files[f.name][min(f.off, len(f.fs.files[f.name])):])
+	if f.off += n; n == 0 && len(p) > 0 {
+		return 0, io.EOF
+	}
+	return n, nil
+}
+
+func (f *memFile) Write(p []byte) (int, error) {
+	f.fs.files[f.name] = append(f.fs.files[f.name][:f.off], p...)
+	f.off += len(p)
+	return len(p), nil
+}
+
+func (f *memFile) Seek(off int64, _ int) (int64, error) { f.off = int(off); return off, nil }
+func (f *memFile) Truncate(n int64) error {
+	f.fs.files[f.name] = f.fs.files[f.name][:n]
+	return nil
+}
+func (f *memFile) Name() string             { return f.name }
+func (*memFile) Sync() error                { return nil }
+func (*memFile) Close() error               { return nil }
+func (e memEntry) Name() string             { return string(e) }
+func (memEntry) IsDir() bool                { return false }
+func (memEntry) Type() fs.FileMode          { return 0 }
+func (memEntry) Info() (fs.FileInfo, error) { return nil, fs.ErrInvalid }
+
+// TestDeliverLockstep holds the daemon to BC-1 to BC-4 on the seeded
 // streams of the simulator's lockstep tests, through Deliver, Submit,
-// Cancel, Fail, Restore, journal restarts and quote twins, under a static
-// driver and two self-tuning ones. Some plan must have been handed a
-// withheld job rejoining the queue out of order, and every stream must
-// have restarted and quoted. After every event, restarts included, Status
-// must keep its order contract, read directly and over ServeConn.
+// Cancel, Fail, Restore, journal restarts and quote twins, under static
+// FCFS and LJF drivers (TestDaemonStreamsPinned runs them under SJF and
+// the self-tuners). Some plan must have been handed a withheld job
+// rejoining the queue out of order, and every stream must have
+// restarted and quoted.
 func TestDeliverLockstep(t *testing.T) {
 	var lanes plantest.Lanes
-	deciders := []func() core.Decider{
-		func() core.Decider { return core.Preferred{Policy: policy.SJF} },
-		func() core.Decider { return core.Advanced{} },
-	}
 	for seed := uint64(0); seed < 3; seed++ {
-		data := plantest.Stream(seed)
-		var restarts, quotes int
-		for i := 0; i+1 < len(data); i += 2 {
-			if data[i]%8 == 7 && data[i+1]%4 == 0 {
-				restarts++
-			} else if data[i]%8 == 7 && data[i+1]%4 == 1 {
-				quotes++
-			}
+		ops := decodeStream(plantest.Stream(seed))
+		count := map[string]int{}
+		for _, op := range ops {
+			count[op.Op]++
 		}
-		if restarts == 0 || quotes == 0 {
-			t.Fatalf("stream %d restarts %d times and quotes %d times; it must do both", seed, restarts, quotes)
+		if count["restart"] == 0 || count["quote"] == 0 {
+			t.Fatalf("stream %d restarts %d times and quotes %d times; it must do both", seed, count["restart"], count["quote"])
 		}
-		runDeliverLockstep(t, staticLockstep(t, policy.SJF, &lanes), plantest.Fixed{Policy: policy.SJF}, &lanes, data)
-		for _, newDecider := range deciders {
-			runDeliverLockstep(t, tunerLockstep(t, newDecider, &lanes), plantest.NewTuner(newDecider(), core.MetricSLDwA), &lanes, data)
+		for _, p := range []policy.Policy{policy.FCFS, policy.LJF} {
+			runDeliverLockstep(t, staticStream(t, plantest.Capacity, p, &lanes), ops)
 		}
 	}
 	if lanes.Rejoined == 0 {
@@ -330,18 +635,30 @@ func TestDeliverLockstep(t *testing.T) {
 }
 
 // FuzzDeliverLockstep holds the daemon to the naive daemon on arbitrary
-// streams, as TestDeliverLockstep does on the seeded ones, under a static
-// SJF driver and an SJF-preferred dynP driver. Each input opens a journal
-// and restarts from it.
+// streams, under a static SJF driver and an SJF-preferred dynP driver:
+// streams of plantest.Capacity processors as decodeStream reads them,
+// the seeded ones first, and streams of smallOps, one byte an op, the
+// enumeration's shortest for each tie rule and a drained machine first
+// (shortSeeds).
 func FuzzDeliverLockstep(f *testing.F) {
 	for seed := uint64(0); seed < 3; seed++ {
-		f.Add(plantest.Stream(seed))
+		f.Add(false, plantest.Stream(seed))
+	}
+	for _, seed := range shortSeeds {
+		f.Add(true, encodeShort(f, seed))
 	}
 	sjf := func() core.Decider { return core.Preferred{Policy: policy.SJF} }
-	f.Fuzz(func(t *testing.T, data []byte) {
+	f.Fuzz(func(t *testing.T, short bool, data []byte) {
 		data = data[:min(len(data), len(plantest.Stream(0)))]
+		capacity, ops := plantest.Capacity, decodeStream(data)
+		if short {
+			capacity, ops = smallCapacity, nil
+			for _, b := range data {
+				ops = append(ops, smallOps[int(b)%len(smallOps)])
+			}
+		}
 		var lanes plantest.Lanes
-		runDeliverLockstep(t, staticLockstep(t, policy.SJF, &lanes), plantest.Fixed{Policy: policy.SJF}, &lanes, data)
-		runDeliverLockstep(t, tunerLockstep(t, sjf, &lanes), plantest.NewTuner(sjf(), core.MetricSLDwA), &lanes, data)
+		runDeliverLockstep(t, staticStream(t, capacity, policy.SJF, &lanes), ops)
+		runDeliverLockstep(t, tunerStream(t, capacity, sjf, &lanes), ops)
 	})
 }

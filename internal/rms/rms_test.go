@@ -234,8 +234,9 @@ func naiveStep(newDecider func() core.Decider) plantest.Step {
 	return plantest.NewTuner(newDecider(), core.MetricSLDwA)
 }
 
-// runDifferential runs one set through the oracle and the online
-// scheduler. A daemon numbers jobs in arrival order, as the set does.
+// runDifferential runs one set through the oracle and, as a stream of one
+// batch an instant, the stream interpreter. A daemon numbers jobs in
+// arrival order, as the set does.
 func runDifferential(t *testing.T, set *job.Set, newDecider func() core.Decider) {
 	offline := plantest.Simulate(set, naiveStep(newDecider))
 	var instants []int64
@@ -245,46 +246,29 @@ func runDifferential(t *testing.T, set *job.Set, newDecider func() core.Decider)
 		instants = append(instants, rec.Job.Submit, rec.Finish)
 	}
 	slices.Sort(instants)
-
-	drv := plantest.Lockstep(t, &sim.Static{Policy: policy.FCFS}, new(plantest.Lanes))
-	if newDecider != nil {
-		d := sim.NewDynP(newDecider())
-		drv = plantest.TunerLockstep(t, d, d.Tuner, naiveStep(newDecider).(*plantest.Tuner), new(plantest.Lanes))
-	}
-	online, err := New(set.Machine, drv, set.Jobs[0].Submit)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var rec plantest.Recorder
-	online.AddObserver(&rec)
-	naive := plantest.NewDaemon(set.Machine, naiveStep(newDecider), set.Jobs[0].Submit)
+	var ops []streamOp
 	next := 0
 	for _, now := range slices.Compact(instants) {
-		var done []job.ID
+		batch := Request{Op: "deliver", To: now}
 		for _, j := range set.Jobs {
 			if j.Runtime < j.Estimate && finish[j.ID].Finish == now {
-				done = append(done, j.ID)
+				batch.Completions = append(batch.Completions, int64(j.ID))
 			}
 		}
-		var subs []Submission
-		var shapes []plantest.Shape
 		for ; next < len(set.Jobs) && set.Jobs[next].Submit == now; next++ {
-			subs = append(subs, Submission{Width: set.Jobs[next].Width, Estimate: set.Jobs[next].Estimate})
-			shapes = append(shapes, plantest.Shape{Width: set.Jobs[next].Width, Estimate: set.Jobs[next].Estimate})
+			batch.Subs = append(batch.Subs, Submission{Width: set.Jobs[next].Width, Estimate: set.Jobs[next].Estimate})
 		}
-		if _, err := online.Deliver(now, done, subs); err != nil {
-			t.Fatalf("deliver at t=%d: %v", now, err)
-		}
-		naive.Deliver(now, done, shapes...)
+		ops = append(ops, streamOp{Request: batch})
 	}
-	if err := plantest.SameTransitions(rec.Transitions, naive.Transitions); err != nil {
-		t.Fatal(err)
+	ds := staticStream(t, set.Machine, policy.FCFS, new(plantest.Lanes))
+	if newDecider != nil {
+		ds = tunerStream(t, set.Machine, newDecider, new(plantest.Lanes))
 	}
-	sameFinished(t, online.Finished(), naive.Records)
-	if got := len(online.Finished()); got != len(set.Jobs) {
-		t.Fatalf("online finished %d of %d jobs", got, len(set.Jobs))
+	online := runDeliverLockstep(t, ds, ops).finished
+	if len(online) != len(set.Jobs) {
+		t.Fatalf("online finished %d of %d jobs", len(online), len(set.Jobs))
 	}
-	for _, info := range online.Finished() {
+	for _, info := range online {
 		if off := finish[info.ID]; info.Started != off.Start || info.Finished != off.Finish {
 			t.Fatalf("job %d: online over [%d, %d], offline over [%d, %d]",
 				info.ID, info.Started, info.Finished, off.Start, off.Finish)

@@ -10,7 +10,6 @@ import (
 	"dynp/internal/job"
 	"dynp/internal/plan/plantest"
 	"dynp/internal/policy"
-	"dynp/internal/sim"
 )
 
 // A tieStep is one daemon op and what it must do: the transitions it
@@ -116,48 +115,35 @@ var tieRules = []struct {
 	}},
 }
 
-// TestTieRules runs every script against a Scheduler and a naive daemon
-// (plantest.Daemon) alike: after every op both must have emitted the
-// step's transitions; the scheduler must read the step's facts, keep its
-// invariants, derive its live jobs as the naive daemon does
-// (checkDerived) and quote as it does; in the end both must have finished
-// the same jobs.
+// TestTieRules runs every script through the stream interpreter, which
+// holds the scheduler to the naive daemon (plantest.Daemon) — the same
+// transitions, live jobs, quotes and finished jobs — and to its
+// invariants, and restarts it and replays its journal at the end; after
+// every op the scheduler must also have emitted the step's transitions
+// and read the step's facts.
 func TestTieRules(t *testing.T) {
 	var rules []int
 	for _, row := range tieRules {
 		rules = append(rules, row.rule)
 		t.Run(fmt.Sprintf("rule%d", row.rule), func(t *testing.T) {
-			newDriver := func() sim.Driver { return &sim.Static{Policy: row.policy} }
-			s, err := New(row.capacity, newDriver(), 0)
-			if err == nil {
-				err = s.EnableQuotes(newDriver)
-			}
-			if err != nil {
-				t.Fatal(err)
-			}
-			var rec plantest.Recorder
-			s.AddObserver(&rec)
-			naive := plantest.NewDaemon(row.capacity, plantest.Fixed{Policy: row.policy}, 0)
+			var ops []streamOp
 			for _, st := range row.steps {
-				from, naiveFrom := len(rec.Transitions), len(naive.Transitions)
-				quoted := applyTieOp(t, s, naive, st.op)
-				if got := plantest.Log(rec.Transitions[from:]); got != st.log {
-					t.Fatalf("%s: the scheduler's transitions\n got %s\nwant %s", st.op, got, st.log)
+				ops = append(ops, tieOp(st.op))
+			}
+			ds := staticStream(t, row.capacity, row.policy, new(plantest.Lanes))
+			k := 0
+			ds.after = func(s *Scheduler, log []plantest.Transition, quoted []Quote) {
+				st := row.steps[k]
+				if k++; plantest.Log(log) != st.log {
+					t.Fatalf("%s: transitions\n got %s\nwant %s", st.op, plantest.Log(log), st.log)
 				}
-				if got := plantest.Log(naive.Transitions[naiveFrom:]); got != st.log {
-					t.Fatalf("%s: the naive daemon's transitions\n got %s\nwant %s", st.op, got, st.log)
-				}
-				if err := s.CheckInvariants(); err != nil {
-					t.Fatalf("%s: %v", st.op, err)
-				}
-				checkDerived(t, s, naive)
 				for _, want := range strings.Split(st.want, "; ") {
 					if got := tieFact(t, s, quoted, want); got != want {
 						t.Errorf("%s: reads %q, want %q", st.op, got, want)
 					}
 				}
 			}
-			sameFinished(t, s.Finished(), naive.Records)
+			runDeliverLockstep(t, ds, ops)
 		})
 	}
 	if !slices.Equal(rules, []int{1, 3, 4, 5, 6, 7}) {
@@ -165,16 +151,14 @@ func TestTieRules(t *testing.T) {
 	}
 }
 
-// applyTieOp applies one op to the scheduler and the naive daemon; a
-// quote returns the starts the scheduler answered, having checked them
-// against the naive daemon's.
-func applyTieOp(t *testing.T, s *Scheduler, naive *plantest.Daemon, op string) (quoted []int64) {
-	t.Helper()
+// tieOp reads one op of a script as the request it makes.
+func tieOp(op string) streamOp {
 	f := strings.Fields(op)
 	var n []int64 // the numbers after the op's name, up to a deliver's lists
-	var done []job.ID
-	var subs []Submission
-	var shapes []plantest.Shape
+	req := Request{Op: map[string]string{"complete": "done", "advance": "tick"}[f[0]]}
+	if req.Op == "" {
+		req.Op = f[0]
+	}
 	list := ""
 	for _, w := range f[1:] {
 		a, b, shape := strings.Cut(w, "x")
@@ -184,58 +168,29 @@ func applyTieOp(t *testing.T, s *Scheduler, naive *plantest.Daemon, op string) (
 		case w == "done" || w == "sub":
 			list = w
 		case shape:
-			subs = append(subs, Submission{Width: int(x), Estimate: y})
-			shapes = append(shapes, plantest.Shape{Width: int(x), Estimate: y})
+			req.Subs = append(req.Subs, Submission{Width: int(x), Estimate: y})
 		case list == "done":
-			done = append(done, job.ID(x))
+			req.Completions = append(req.Completions, x)
 		default:
 			n = append(n, x)
 		}
 	}
-	var err error
-	switch f[0] {
-	case "submit":
-		_, err = s.Submit(int(n[0]), n[1])
-		naive.SubmitNow(plantest.Shape{Width: int(n[0]), Estimate: n[1]})
-	case "complete":
-		_, err = s.Complete(job.ID(n[0]))
-		naive.Complete(job.ID(n[0]))
-	case "cancel":
-		err = s.Cancel(job.ID(n[0]))
-		naive.Cancel(job.ID(n[0]))
-	case "fail":
-		err = s.Fail(int(n[0]))
-		naive.Fail(int(n[0]))
-	case "restore":
-		err = s.Restore(int(n[0]))
-		naive.Restore(int(n[0]))
-	case "advance":
-		err = s.Advance(n[0])
-		naive.Advance(n[0])
-	case "deliver":
-		_, err = s.Deliver(n[0], done, subs)
-		naive.Deliver(n[0], done, shapes...)
-	case "quote":
-		var qs []Quote
-		qs, err = s.Quote(int(n[0]), n[1], int(n[2]))
-		for _, q := range qs {
-			quoted = append(quoted, q.Start)
-		}
-		if want := naive.Quote(plantest.Shape{Width: int(n[0]), Estimate: n[1]}, int(n[2])); !slices.Equal(quoted, want) {
-			t.Fatalf("%s: the scheduler quotes starts %v, the naive daemon %v", op, quoted, want)
-		}
-	default:
-		t.Fatalf("unknown op %q", op)
+	switch n = append(n, 0, 0, 0); req.Op {
+	case "submit", "quote":
+		req.Width, req.Estimate, req.Count = int(n[0]), n[1], int(n[2])
+	case "done", "cancel":
+		req.ID = n[0]
+	case "fail", "restore":
+		req.Procs = int(n[0])
+	case "tick", "deliver":
+		req.To = n[0]
 	}
-	if err != nil {
-		t.Fatalf("%s: %v", op, err)
-	}
-	return quoted
+	return streamOp{Request: req}
 }
 
 // tieFact reads what the scheduler holds about want's subject, in want's
 // form.
-func tieFact(t *testing.T, s *Scheduler, quoted []int64, want string) string {
+func tieFact(t *testing.T, s *Scheduler, quoted []Quote, want string) string {
 	t.Helper()
 	f := strings.Fields(want)
 	switch {
@@ -246,11 +201,11 @@ func tieFact(t *testing.T, s *Scheduler, quoted []int64, want string) string {
 		return fmt.Sprintf("procs %d failed %d used", st.FailedProcs, st.UsedProcs)
 	case f[0] == "quote":
 		out := "quote"
-		for _, start := range quoted {
-			if start == NeverStart {
+		for _, q := range quoted {
+			if q.Start == NeverStart {
 				out += " never"
 			} else {
-				out += fmt.Sprintf(" %d", start)
+				out += fmt.Sprintf(" %d", q.Start)
 			}
 		}
 		return out

@@ -62,8 +62,8 @@ bench:
 # as an artifact for trajectory tracking. A -bench pattern that matches
 # nothing exits 0, so the target fails when a name in it ran no benchmark.
 bench-smoke:
-	$(GO) test -bench='SelfTuner|Deliver|StatusCodec|Quote|EngineEventLoop' -benchmem -benchtime=1x ./... | tee bench-smoke.txt
-	@for b in SelfTuner Deliver StatusCodec Quote EngineEventLoop; do \
+	$(GO) test -bench='SelfTuner|Deliver|StatusCodec|Quote|Checkpoint|EngineEventLoop' -benchmem -benchtime=1x ./... | tee bench-smoke.txt
+	@for b in SelfTuner Deliver StatusCodec Quote Checkpoint EngineEventLoop; do \
 		grep -q "^Benchmark.*$$b" bench-smoke.txt || { echo "bench-smoke: -bench=$$b matched no benchmark"; exit 1; }; \
 	done
 

@@ -86,7 +86,7 @@ func main() {
 		quoteMax = flag.Int("quote-max", 0,
 			"quotes in flight before shedding with busy (0 = 4x -quote-workers, negative sheds all)")
 		traceLen = flag.Int("trace", 512,
-			"engine event trace: ring-buffer length backing the 'trace' and 'metrics' ops (0 = disabled)")
+			"engine event trace: ring-buffer length backing the 'trace' op and the 'metrics' op's planning latencies; not checkpointed, so after a restart it holds the transitions replayed since the newest checkpoint (0 = disabled)")
 		cpuProfile = flag.String("cpuprofile", "",
 			"write a CPU profile of the daemon's life to this file, completed on graceful shutdown (SIGINT/SIGTERM)")
 	)
@@ -117,9 +117,9 @@ func main() {
 		fail(sched.EnableQuotes(spec.New))
 	}
 
-	// Attach the engine observer before journal replay so the trace and
-	// metrics cover the replayed history too, exactly as if the daemon
-	// had never crashed.
+	// Attach the engine observer before journal replay so the trace
+	// holds the transitions replayed since the newest checkpoint. The
+	// metrics op's counts are the scheduler's own: checkpoints carry them.
 	var trace *rms.EventTrace
 	if *traceLen > 0 {
 		trace = rms.NewEventTrace(*traceLen)

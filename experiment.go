@@ -123,12 +123,13 @@ func PolicySharesTable(results []*ExperimentResult, shrinks []float64, scheduler
 // one trace.
 type FairnessResult = experiment.FairnessResult
 
-// NewAdaptiveDecider returns the observer-driven adaptive decider shell:
+// NewAdaptiveDecider returns the load-driven adaptive decider shell:
 // the advanced rule while calm, the unfair preferred rule toward fair
-// once the observed backlog has stayed at or above depth for patience
-// consecutive planning events (and back, with the same hysteresis). It
-// is stateful (its observed mode rides checkpoints) and is registered as
-// the decider family "adaptive(<POLICY>,depth=<n>,patience=<n>)".
+// once the backlog its tuner reports after each step has stayed at or
+// above depth for patience consecutive steps (and back, with the same
+// hysteresis). It is stateful (its mode rides checkpoints) and is
+// registered as the decider family
+// "adaptive(<POLICY>,depth=<n>,patience=<n>)".
 func NewAdaptiveDecider(fair Policy, depth, patience int) (Decider, error) {
 	return adaptive.New(fair, depth, patience)
 }

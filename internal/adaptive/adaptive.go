@@ -1,23 +1,23 @@
-// Package adaptive provides an observer-driven decider shell for the
-// self-tuning dynP scheduler: a core.Decider that watches the scheduling
-// engine's event stream (queue depth, Table-1 decision case) and switches
-// its decision rule by observed load.
+// Package adaptive provides a load-driven decider shell for the
+// self-tuning dynP scheduler: a core.Decider that hears each step's
+// backlog from its tuner (core.BacklogDecider) and switches its decision
+// rule by it.
 //
 // Under calm conditions the shell delegates to an inner decider (the
-// paper's advanced decider by default). When the post-launch backlog has
-// stayed at or above Depth for Patience consecutive planning events, the
-// shell enters pressure mode and decides like an unfair preferred-policy
-// decider toward its fairness policy — the paper's unfair mechanism,
-// engaged only when backlog actually builds up. It leaves pressure mode
-// again after Patience consecutive shallow observations (hysteresis, so
-// a queue oscillating around the threshold does not thrash the rule).
+// paper's advanced decider by default). When the backlog — the jobs of
+// the chosen schedule that do not start now — has stayed at or above
+// Depth for Patience consecutive steps, the shell enters pressure mode
+// and decides like an unfair preferred-policy decider toward its
+// fairness policy — the paper's unfair mechanism, engaged only when
+// backlog actually builds up. It leaves pressure mode again after
+// Patience consecutive shallow steps (hysteresis, so a queue oscillating
+// around the threshold does not thrash the rule). In the simulator the
+// backlog is the queue depth after the step's launches.
 //
-// The Table-1 case histogram is folded into the same observed state. It
-// is excluded from the decision rule, but rides SaveState into
-// checkpoints and is exposed via Snapshot for monitoring. Nothing
-// wall-clock is kept: a checkpoint must replay byte for byte from the
-// journal, and planning latency is served by the daemon's event trace
-// (the metrics op).
+// The mode, the streaks and the count of unfair decisions are the
+// decider's whole state; it rides SaveState into the tuner's state, so
+// checkpoints and quote twins carry it. The tuner's own statistics
+// count its decisions and their Table 1 cases.
 //
 // The shell is registered as the decider family
 // "adaptive(<POLICY>,depth=<n>,patience=<n>)", so any component that
@@ -34,51 +34,44 @@ import (
 	"strings"
 
 	"dynp/internal/core"
-	"dynp/internal/engine"
 	"dynp/internal/policy"
 )
 
 // Template is the registered decider-family template.
 const Template = "adaptive(<POLICY>,depth=<n>,patience=<n>)"
 
-// Decider is the observer-driven shell. It implements core.Decider,
-// core.StatefulDecider and engine.Observer. The zero value is not
+// Decider is the load-driven shell. It implements core.Decider,
+// core.BacklogDecider and core.StatefulDecider. The zero value is not
 // usable; construct with New.
 type Decider struct {
 	fair     policy.Policy // preferred under pressure
 	inner    core.Decider  // decision rule while calm
-	depth    int           // backlog threshold (post-launch waiting jobs)
-	patience int           // consecutive observations to enter/leave pressure
+	depth    int           // backlog threshold (jobs not starting now)
+	patience int           // consecutive steps to enter/leave pressure
 	name     string        // canonical, precomputed
 
-	obs observed
+	st state
 }
 
-// observed is the decider's accumulated view of the engine's event
-// stream. It is the unit of checkpointed state.
-type observed struct {
-	Pressure  bool             `json:"pressure,omitempty"`
-	Deep      int              `json:"deep,omitempty"`      // consecutive deep plan events
-	Calm      int              `json:"calm,omitempty"`      // consecutive shallow plan events
-	Plans     int64            `json:"plans,omitempty"`     // plan events observed
-	Decisions int64            `json:"decisions,omitempty"` // Decide calls served
-	Unfair    int64            `json:"unfair,omitempty"`    // decisions taken in pressure mode
-	Cases     map[string]int64 `json:"cases,omitempty"`     // Table-1 case histogram
+// state is what the decider has heard of the steps so far. It is the
+// unit of checkpointed state.
+type state struct {
+	Pressure bool  `json:"pressure,omitempty"`
+	Deep     int   `json:"deep,omitempty"`   // consecutive deep steps
+	Calm     int   `json:"calm,omitempty"`   // consecutive shallow steps
+	Unfair   int64 `json:"unfair,omitempty"` // decisions taken in pressure mode
 }
 
-// Snapshot is the exported monitoring view of the observed state.
+// Snapshot is the exported monitoring view of the decider's state.
 type Snapshot struct {
-	Pressure  bool
-	Plans     int64
-	Decisions int64
-	Unfair    int64
-	Cases     map[string]int64
+	Pressure bool
+	Unfair   int64
 }
 
 // New returns an adaptive decider preferring fair under pressure. Depth
-// is the queue-depth threshold (≥ 1 waiting jobs after launches) and
-// patience the number of consecutive planning events on one side of the
-// threshold required to change mode (≥ 1).
+// is the backlog threshold (≥ 1 jobs not starting now) and patience the
+// number of consecutive steps on one side of the threshold required to
+// change mode (≥ 1).
 func New(fair policy.Policy, depth, patience int) (*Decider, error) {
 	if fair == nil {
 		return nil, fmt.Errorf("adaptive: nil fairness policy")
@@ -114,75 +107,51 @@ func (d *Decider) Name() string { return d.name }
 func (d *Decider) Fair() policy.Policy { return d.fair }
 
 // Decide implements core.Decider: the unfair preferred rule toward the
-// fairness policy while under observed pressure, the inner (advanced)
-// rule otherwise.
+// fairness policy while under pressure, the inner (advanced) rule
+// otherwise.
 func (d *Decider) Decide(old policy.Policy, candidates []policy.Policy, values []float64) policy.Policy {
-	d.obs.Decisions++
-	if d.obs.Pressure {
-		d.obs.Unfair++
+	if d.st.Pressure {
+		d.st.Unfair++
 		return core.Preferred{Policy: d.fair}.Decide(old, candidates, values)
 	}
 	return d.inner.Decide(old, candidates, values)
 }
 
-// Observe implements engine.Observer. Only planning events matter: their
-// queue depth is the post-launch backlog that drives the mode, and they
-// carry the Table-1 case.
-func (d *Decider) Observe(ev engine.Event) {
-	if ev.Kind != engine.EventPlan {
-		return
-	}
-	d.obs.Plans++
-	if ev.Case != "" {
-		if d.obs.Cases == nil {
-			d.obs.Cases = make(map[string]int64)
-		}
-		d.obs.Cases[ev.Case]++
-	}
-	if ev.Queued >= d.depth {
-		d.obs.Deep++
-		d.obs.Calm = 0
-		if d.obs.Deep >= d.patience {
-			d.obs.Pressure = true
+// Backlog implements core.BacklogDecider: a step's backlog moves the
+// streaks, and a streak as long as the patience changes the mode.
+func (d *Decider) Backlog(jobs int) {
+	if jobs >= d.depth {
+		d.st.Deep++
+		d.st.Calm = 0
+		if d.st.Deep >= d.patience {
+			d.st.Pressure = true
 		}
 	} else {
-		d.obs.Calm++
-		d.obs.Deep = 0
-		if d.obs.Calm >= d.patience {
-			d.obs.Pressure = false
+		d.st.Calm++
+		d.st.Deep = 0
+		if d.st.Calm >= d.patience {
+			d.st.Pressure = false
 		}
 	}
 }
 
-// Snapshot returns the current observed state for monitoring.
+// Snapshot returns the current state for monitoring.
 func (d *Decider) Snapshot() Snapshot {
-	s := Snapshot{
-		Pressure:  d.obs.Pressure,
-		Plans:     d.obs.Plans,
-		Decisions: d.obs.Decisions,
-		Unfair:    d.obs.Unfair,
-	}
-	if len(d.obs.Cases) > 0 {
-		s.Cases = make(map[string]int64, len(d.obs.Cases))
-		for k, v := range d.obs.Cases {
-			s.Cases[k] = v
-		}
-	}
-	return s
+	return Snapshot{Pressure: d.st.Pressure, Unfair: d.st.Unfair}
 }
 
-// SaveState implements core.StatefulDecider: the observed state rides
-// tuner checkpoints, so a restored scheduler resumes in the same mode
-// with the same streaks.
-func (d *Decider) SaveState() ([]byte, error) { return json.Marshal(&d.obs) }
+// SaveState implements core.StatefulDecider: the state rides the tuner's
+// state, so a restored scheduler resumes in the same mode with the same
+// streaks.
+func (d *Decider) SaveState() ([]byte, error) { return json.Marshal(&d.st) }
 
 // RestoreState implements core.StatefulDecider.
 func (d *Decider) RestoreState(data []byte) error {
-	var obs observed
-	if err := json.Unmarshal(data, &obs); err != nil {
+	var st state
+	if err := json.Unmarshal(data, &st); err != nil {
 		return fmt.Errorf("adaptive: state: %w", err)
 	}
-	d.obs = obs
+	d.st = st
 	return nil
 }
 

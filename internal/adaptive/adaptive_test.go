@@ -6,14 +6,10 @@ import (
 
 	"dynp/internal/core"
 	"dynp/internal/engine"
+	"dynp/internal/job"
 	"dynp/internal/policy"
+	"dynp/internal/sim"
 )
-
-// planEvent builds one planning event with the given post-launch queue
-// depth.
-func planEvent(queued int) engine.Event {
-	return engine.Event{Kind: engine.EventPlan, Queued: queued, Case: "1"}
-}
 
 func TestNewValidates(t *testing.T) {
 	if _, err := New(nil, 8, 3); err == nil {
@@ -81,58 +77,66 @@ func TestPressureSwitchesDecisionRule(t *testing.T) {
 		t.Fatalf("calm decision = %v, want SJF", got)
 	}
 
-	// One deep observation is below patience: still calm.
-	d.Observe(planEvent(10))
+	// One deep step is below patience: still calm.
+	d.Backlog(10)
 	if got := d.Decide(policy.FCFS, candidates, values); got != policy.SJF {
 		t.Fatalf("below-patience decision = %v, want SJF", got)
 	}
 
-	// A shallow observation resets the streak; two consecutive deep ones
-	// engage pressure mode, where the unfair rule elects the fair policy.
-	d.Observe(planEvent(1))
-	d.Observe(planEvent(4))
-	d.Observe(planEvent(7))
+	// A shallow step resets the streak; two consecutive deep ones engage
+	// pressure mode, where the unfair rule elects the fair policy.
+	d.Backlog(1)
+	d.Backlog(4)
+	d.Backlog(7)
 	if got := d.Decide(policy.FCFS, candidates, values); got != fair {
 		t.Fatalf("pressure decision = %v, want %v", got, fair)
 	}
 
-	// Hysteresis: one shallow observation does not leave pressure mode,
-	// patience consecutive ones do.
-	d.Observe(planEvent(0))
+	// Hysteresis: one shallow step does not leave pressure mode, patience
+	// consecutive ones do.
+	d.Backlog(0)
 	if got := d.Decide(policy.FCFS, candidates, values); got != fair {
-		t.Fatalf("single shallow observation left pressure mode: %v", got)
+		t.Fatalf("single shallow step left pressure mode: %v", got)
 	}
-	d.Observe(planEvent(0))
+	d.Backlog(0)
 	if got := d.Decide(policy.FCFS, candidates, values); got != policy.SJF {
 		t.Fatalf("post-pressure decision = %v, want SJF", got)
 	}
 
-	snap := d.Snapshot()
-	if snap.Plans != 6 || snap.Decisions != 5 || snap.Unfair != 2 {
+	if snap := d.Snapshot(); snap.Pressure || snap.Unfair != 2 {
 		t.Errorf("snapshot = %+v", snap)
-	}
-	if snap.Cases["1"] != 6 {
-		t.Errorf("case histogram = %v", snap.Cases)
 	}
 }
 
+// TestNonPlanEventsAreIgnored holds the decider to hearing only its
+// tuner's steps: an engine's transitions between scheduling events —
+// submissions, a failure and a restore — leave it as it was, and the
+// next step's backlog moves it.
 func TestNonPlanEventsAreIgnored(t *testing.T) {
 	d := Must(policy.SJF, 1, 1)
-	for _, k := range []engine.EventKind{engine.EventSubmit, engine.EventStart,
-		engine.EventFinish, engine.EventKill, engine.EventCancel} {
-		d.Observe(engine.Event{Kind: k, Queued: 100})
+	eng := engine.New(4, sim.NewDynP(d), 0)
+	for id := job.ID(1); id <= 5; id++ {
+		eng.Submit(&job.Job{ID: id, Width: 4, Estimate: 10, Runtime: 10})
 	}
-	if s := d.Snapshot(); s.Pressure || s.Plans != 0 {
-		t.Fatalf("non-plan events observed: %+v", s)
+	eng.FailProcs(1)
+	eng.RestoreProcs(1)
+	if d.st != (state{}) {
+		t.Fatalf("transitions without a step moved the decider: %+v", d.st)
+	}
+	if err := eng.Replan(); err != nil {
+		t.Fatal(err)
+	}
+	if !d.Snapshot().Pressure {
+		t.Fatal("a step leaving 4 jobs waiting did not engage pressure at depth 1")
 	}
 }
 
 func TestStateRoundTrip(t *testing.T) {
 	d := Must(policy.SJF, 4, 2)
 	// Enter pressure (5,6), leave it again (1,1), then start a new deep
-	// streak (9) that is one observation short of re-entering.
+	// streak (9) that is one step short of re-entering.
 	for _, q := range []int{5, 6, 1, 1, 9} {
-		d.Observe(planEvent(q))
+		d.Backlog(q)
 	}
 	d.Decide(policy.FCFS, []policy.Policy{policy.FCFS, policy.SJF}, []float64{1, 1})
 	data, err := d.SaveState()
@@ -144,17 +148,15 @@ func TestStateRoundTrip(t *testing.T) {
 	if err := twin.RestoreState(data); err != nil {
 		t.Fatal(err)
 	}
-	a, b := d.Snapshot(), twin.Snapshot()
-	if a.Pressure != b.Pressure || a.Plans != b.Plans || a.Decisions != b.Decisions ||
-		a.Unfair != b.Unfair || a.Cases["1"] != b.Cases["1"] {
-		t.Fatalf("state did not round-trip: %+v vs %+v", a, b)
+	if d.st != twin.st {
+		t.Fatalf("state did not round-trip: %+v vs %+v", d.st, twin.st)
 	}
 	// Streak internals round-trip too: the twin continues mid-streak —
-	// one more deep observation completes the pending re-entry.
-	if a.Pressure {
+	// one more deep step completes the pending re-entry.
+	if d.st.Pressure {
 		t.Fatal("fixture error: pressure should be off at save time")
 	}
-	twin.Observe(planEvent(9))
+	twin.Backlog(9)
 	if !twin.Snapshot().Pressure {
 		t.Fatal("restored streak did not continue")
 	}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"dynp/internal/policy"
@@ -26,48 +27,92 @@ import (
 //	"8a".."8c"       FCFS = LJF < SJF, split by the old policy
 //	"10a".."10c"     SJF = LJF < FCFS, split by the old policy
 func CaseOf(old policy.Policy, f, s, l float64) string {
+	return caseLabels[caseIndex(old, f, s, l)]
+}
+
+// caseLabels lists the Table 1 case labels in the paper's order, the
+// order a CaseCounts is indexed in.
+var caseLabels = [...]string{
+	"1", "2", "3", "4a", "4b/5", "4c", "6a", "6b", "6c", "7",
+	"8a", "8b", "8c", "9", "10a", "10b", "10c",
+}
+
+// caseIndex is CaseOf as an index into caseLabels; it does not allocate.
+func caseIndex(old policy.Policy, f, s, l float64) int {
 	fMin := approxEqual(f, min3(f, s, l))
 	sMin := approxEqual(s, min3(f, s, l))
 	lMin := approxEqual(l, min3(f, s, l))
-	sub := func() string {
+	sub := func() int {
 		switch old {
 		case policy.FCFS:
-			return "a"
+			return 0
 		case policy.SJF:
-			return "b"
+			return 1
 		default:
-			return "c"
+			return 2
 		}
 	}
 	switch {
 	case fMin && sMin && lMin:
-		return "1"
+		return 0 // 1
 	case sMin && !fMin && !lMin:
 		if approxEqual(f, l) {
-			return "7"
+			return 9 // 7
 		}
-		return "2"
+		return 1 // 2
 	case fMin && !sMin && !lMin:
 		if approxEqual(s, l) {
-			return "9"
+			return 13 // 9
 		}
-		return "3"
+		return 2 // 3
 	case lMin && !fMin && !sMin:
 		switch {
 		case approxEqual(f, s):
-			return "4b/5"
+			return 4 // 4b/5
 		case f < s:
-			return "4a"
+			return 3 // 4a
 		default:
-			return "4c"
+			return 5 // 4c
 		}
 	case fMin && sMin:
-		return "6" + sub()
+		return 6 + sub() // 6a..6c
 	case fMin && lMin:
-		return "8" + sub()
+		return 10 + sub() // 8a..8c
 	default: // sMin && lMin
-		return "10" + sub()
+		return 14 + sub() // 10a..10c
 	}
+}
+
+// CaseCounts counts decisions by Table 1 case (CaseOf), indexed in the
+// table's order.
+type CaseCounts [len(caseLabels)]int
+
+// Map returns the non-zero counts keyed by case label, nil when there
+// are none.
+func (c *CaseCounts) Map() map[string]int {
+	var m map[string]int
+	for i, n := range c {
+		if n != 0 {
+			if m == nil {
+				m = make(map[string]int)
+			}
+			m[caseLabels[i]] = n
+		}
+	}
+	return m
+}
+
+// setMap is Map's inverse; it refuses a label that is no Table 1 case.
+func (c *CaseCounts) setMap(m map[string]int) error {
+	*c = CaseCounts{}
+	for label, n := range m {
+		i := slices.Index(caseLabels[:], label)
+		if i < 0 {
+			return fmt.Errorf("core: %q is no Table 1 case", label)
+		}
+		c[i] = n
+	}
+	return nil
 }
 
 func min3(a, b, c float64) float64 {
@@ -88,13 +133,6 @@ type CaseCount struct {
 	// SimpleWrong reports whether the simple decider decides this case
 	// differently from the correct (advanced) decision.
 	SimpleWrong bool
-}
-
-// caseOrder ranks case labels in the paper's Table 1 order.
-var caseOrder = map[string]int{
-	"1": 0, "2": 1, "3": 2, "4a": 3, "4b/5": 4, "4c": 5,
-	"6a": 6, "6b": 7, "6c": 8, "7": 9, "8a": 10, "8b": 11, "8c": 12,
-	"9": 13, "10a": 14, "10b": 15, "10c": 16,
 }
 
 // ClassifyTrace builds a Table 1 case histogram from a decision trace
@@ -119,7 +157,7 @@ func ClassifyTrace(trace []Decision) []CaseCount {
 		out = append(out, CaseCount{Case: label, Count: n, SimpleWrong: wrong[label]})
 	}
 	sort.Slice(out, func(i, j int) bool {
-		return caseOrder[out[i].Case] < caseOrder[out[j].Case]
+		return slices.Index(caseLabels[:], out[i].Case) < slices.Index(caseLabels[:], out[j].Case)
 	})
 	return out
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -49,7 +50,7 @@ func TestCaseOfPartitionIsTotal(t *testing.T) {
 			for l := 1; l <= 3; l++ {
 				for _, old := range candidates {
 					label := CaseOf(old, float64(f), float64(s), float64(l))
-					if _, ok := caseOrder[label]; !ok {
+					if !slices.Contains(caseLabels[:], label) {
 						t.Fatalf("unknown label %q for (%d,%d,%d) old=%v", label, f, s, l, old)
 					}
 				}

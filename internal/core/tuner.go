@@ -25,6 +25,18 @@ type Stats struct {
 	Steps    int            // self-tuning steps performed
 	Switches int            // steps that changed the active policy
 	Chosen   map[string]int // how often each policy was chosen, by Name
+	// Cases counts the decisions by Table 1 case; it stays zero unless
+	// the candidates are the paper's FCFS, SJF and LJF, in that order.
+	Cases CaseCounts
+}
+
+// A BacklogDecider is a Decider that is told, after every step it
+// decided, the step's backlog: how many jobs of the chosen schedule do
+// not start at the step's instant. The self-tuner tells it; a decider
+// that steers by load (package adaptive) needs nothing else.
+type BacklogDecider interface {
+	Decider
+	Backlog(jobs int)
 }
 
 // SelfTuner is the self-tuning dynP scheduler core. At every scheduling
@@ -36,6 +48,8 @@ type Stats struct {
 type SelfTuner struct {
 	candidates []policy.Policy
 	decider    Decider
+	backlog    BacklogDecider // the decider, when it is one
+	paper      bool           // candidates are FCFS, SJF, LJF: decisions have a Table 1 case
 	metric     Metric
 	active     policy.Policy
 	stats      Stats
@@ -59,9 +73,12 @@ func NewSelfTuner(candidates []policy.Policy, d Decider, m Metric) *SelfTuner {
 		panic("core: NewSelfTuner with nil decider")
 	}
 	cs := append([]policy.Policy(nil), candidates...)
+	backlog, _ := d.(BacklogDecider)
 	return &SelfTuner{
 		candidates: cs,
 		decider:    d,
+		backlog:    backlog,
+		paper:      slices.Equal(cs, []policy.Policy{policy.FCFS, policy.SJF, policy.LJF}),
 		metric:     m,
 		active:     cs[0],
 		stats:      Stats{Chosen: make(map[string]int)},
@@ -85,7 +102,7 @@ func (t *SelfTuner) SetActive(p policy.Policy) {
 func (t *SelfTuner) Active() policy.Policy { return t.active }
 
 // Decider returns the tuner's decider mechanism, letting callers
-// discover optional capabilities (StatefulDecider, observers) on it.
+// discover optional capabilities (StatefulDecider, BacklogDecider) on it.
 func (t *SelfTuner) Decider() Decider { return t.decider }
 
 // Candidates returns the candidate policies in canonical order.
@@ -114,14 +131,15 @@ func (t *SelfTuner) LastDecision() (Decision, bool) {
 // decision or when the candidate set is not the paper's FCFS/SJF/LJF
 // triple, whose value patterns the table enumerates.
 func (t *SelfTuner) LastDecisionCase() string {
-	if !t.hasLast || len(t.last.Values) != 3 {
-		return ""
-	}
-	if t.candidates[0] != policy.FCFS || t.candidates[1] != policy.SJF || t.candidates[2] != policy.LJF {
+	if !t.hasLast || !t.paper {
 		return ""
 	}
 	return CaseOf(t.last.Old, t.last.Values[0], t.last.Values[1], t.last.Values[2])
 }
+
+// Cases returns the decisions so far by Table 1 case, as Stats does,
+// without copying the rest of the statistics.
+func (t *SelfTuner) Cases() CaseCounts { return t.stats.Cases }
 
 // Stats returns the aggregated decision statistics so far.
 func (t *SelfTuner) Stats() Stats {
@@ -153,6 +171,7 @@ func (t *SelfTuner) Plan(now int64, capacity int, running []plan.Running, waitin
 // the chosen schedule. Plan calls it on the tuner's own lane; a
 // co-simulation (sim.RunGroup) calls it on a lane several tuners with
 // the same candidates share, so each commits its decision exactly once.
+// A BacklogDecider then hears the chosen schedule's backlog.
 //
 // Choose panics — before touching any tuner state — when the decider
 // returns a policy outside the candidate set.
@@ -182,6 +201,15 @@ func (t *SelfTuner) Choose(now int64, schedules []*plan.Schedule) int {
 		panic(fmt.Sprintf("core: decider %s returned non-candidate %v", t.decider.Name(), chosen))
 	}
 	t.commit(now, chosen, values)
+	if t.backlog != nil {
+		n := 0
+		for _, e := range schedules[chosenIdx].Entries {
+			if e.Start != now {
+				n++
+			}
+		}
+		t.backlog.Backlog(n)
+	}
 	return chosenIdx
 }
 
@@ -192,6 +220,9 @@ func (t *SelfTuner) Choose(now int64, schedules []*plan.Schedule) int {
 func (t *SelfTuner) commit(now int64, chosen policy.Policy, values []float64) {
 	t.stats.Steps++
 	t.stats.Chosen[chosen.Name()]++
+	if t.paper {
+		t.stats.Cases[caseIndex(t.active, values[0], values[1], values[2])]++
+	}
 	if chosen != t.active {
 		t.stats.Switches++
 	}

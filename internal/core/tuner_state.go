@@ -41,6 +41,7 @@ type tunerState struct {
 	Steps    int            `json:"steps"`
 	Switches int            `json:"switches"`
 	Chosen   map[string]int `json:"chosen,omitempty"`
+	Cases    map[string]int `json:"cases,omitempty"` // by Table 1 case label
 	Last     *decState      `json:"last,omitempty"`
 	Trace    []decState     `json:"trace,omitempty"`
 
@@ -103,8 +104,9 @@ func (p unresolved) Name() string { return string(p) }
 func (p unresolved) Less(*job.Job, *job.Job) bool { panic("core: unresolved policy " + string(p)) }
 
 // TunerState is a tuner's decision state as a value — active policy,
-// statistics, last decision, (when tracing) the decision trace and (when
-// the decider is stateful) the decider's name and opaque saved state.
+// statistics (the Table 1 case counts included), last decision, (when
+// tracing) the decision trace and (when the decider is stateful) the
+// decider's name and opaque saved state.
 // CaptureState copies it out and RestoreState installs it into a fresh
 // tuner of the same configuration; MarshalJSON and UnmarshalJSON carry it
 // through a checkpoint. Later steps of the tuner it was captured from
@@ -113,7 +115,8 @@ type TunerState struct {
 	active          policy.Policy
 	steps, switches int
 	chosen          []choiceCount // the Stats.Chosen entries, in no order
-	last            Decision      // valid when hasLast; its Values are its own
+	cases           CaseCounts
+	last            Decision // valid when hasLast; its Values are its own
 	hasLast         bool
 	trace           []Decision // the tuner's, capped: its entries are never rewritten
 	decider         string
@@ -121,10 +124,12 @@ type TunerState struct {
 }
 
 // Tuned is a scheduler whose decision state is a self-tuner's (sim.DynP):
-// it hands that state out and takes it back as a value.
+// it hands that state out and takes it back as a value, and reads out
+// its Table 1 case counts without copying the rest.
 type Tuned interface {
 	TunerState() (TunerState, error)
 	SetTunerState(TunerState) error
+	Cases() CaseCounts
 }
 
 type choiceCount struct {
@@ -138,7 +143,7 @@ type choiceCount struct {
 // state as bytes.
 func (t *SelfTuner) CaptureState() (TunerState, error) {
 	st := TunerState{active: t.active, steps: t.stats.Steps, switches: t.stats.Switches,
-		trace: t.trace[:len(t.trace):len(t.trace)]}
+		cases: t.stats.Cases, trace: t.trace[:len(t.trace):len(t.trace)]}
 	if len(t.stats.Chosen) > 0 {
 		st.chosen = make([]choiceCount, 0, len(t.stats.Chosen))
 		for name, n := range t.stats.Chosen {
@@ -163,7 +168,8 @@ func (t *SelfTuner) CaptureState() (TunerState, error) {
 // The encoding is deterministic: the same state always yields the same
 // bytes.
 func (st TunerState) MarshalJSON() ([]byte, error) {
-	js := tunerState{Steps: st.steps, Switches: st.switches, Decider: st.decider, DeciderState: st.deciderState}
+	js := tunerState{Steps: st.steps, Switches: st.switches, Cases: st.cases.Map(),
+		Decider: st.decider, DeciderState: st.deciderState}
 	if st.active != nil {
 		js.Active = st.active.Name()
 	}
@@ -194,6 +200,9 @@ func (st *TunerState) UnmarshalJSON(data []byte) error {
 		decider: js.Decider, deciderState: js.DeciderState}
 	for name, n := range js.Chosen {
 		st.chosen = append(st.chosen, choiceCount{name, n})
+	}
+	if err := st.cases.setMap(js.Cases); err != nil {
+		return err
 	}
 	if js.Last != nil {
 		st.last, st.hasLast = decodeDecision(*js.Last), true
@@ -235,7 +244,8 @@ func (t *SelfTuner) RestoreState(st TunerState) error {
 		}
 		restoreDecider = sd
 	}
-	stats := Stats{Steps: st.steps, Switches: st.switches, Chosen: make(map[string]int, len(st.chosen))}
+	stats := Stats{Steps: st.steps, Switches: st.switches, Chosen: make(map[string]int, len(st.chosen)),
+		Cases: st.cases}
 	for _, c := range st.chosen {
 		// The counts stay name-keyed, but every name must still resolve:
 		// a state referencing a policy this process never registered is

@@ -22,8 +22,10 @@
 //
 // Hooks let the front end act on the engine's transitions as they
 // happen (the simulator queues each launch's completion event, the RMS
-// records each finished job in its history), and Observers receive a
-// structured event stream (see observer.go) for tracing and metrics.
+// records each finished job in its history). The engine counts every
+// transition by kind (Counts), observed or not, and Observers receive a
+// structured event stream (see observer.go) for tracing; they only
+// watch, and nothing that decides or is restored reads what they see.
 // The engine is not safe for concurrent use; the RMS serialises access
 // with its own mutex.
 package engine
@@ -79,15 +81,6 @@ type QueueTracker interface {
 	NoteRemove(j *job.Job)
 }
 
-// ObservingDriver is an optional Driver extension: a driver whose
-// decisions depend on watching the engine it plans for (the self-tuning
-// driver with an observer-driven decider) returns that observer, and New
-// attaches it after the option observers. A nil observer attaches
-// nothing, so plain drivers keep the allocation-free emit path.
-type ObservingDriver interface {
-	DeciderObserver() Observer
-}
-
 // FinishState says why a job left the machine.
 type FinishState int
 
@@ -126,6 +119,7 @@ type Engine struct {
 	used       int // processors in use
 	finished   int // jobs that left the machine, ever
 	plan       *plan.Schedule
+	counts     Counts // transitions made, ever, by kind
 
 	strict bool // launch capacity violations are errors, not skips
 	verify bool // verify every schedule against the machine state
@@ -165,9 +159,6 @@ func New(capacity int, driver Driver, start int64, opts ...Option) *Engine {
 	}
 	for _, o := range opts {
 		o(e)
-	}
-	if od, ok := driver.(ObservingDriver); ok {
-		e.AddObserver(od.DeciderObserver())
 	}
 	return e
 }
@@ -357,7 +348,8 @@ func (e *Engine) Replan() error {
 		planned = slices.DeleteFunc(slices.Clone(planned), tooWide)
 	}
 	// The plan event's latency and decision case exist only for
-	// observers; an unobserved engine reads no clock and asks no driver.
+	// observers; an unobserved engine reads no clock and asks no driver,
+	// and only counts the event.
 	observed := len(e.obs) > 0
 	var start time.Time
 	if observed {
@@ -376,9 +368,11 @@ func (e *Engine) Replan() error {
 	if err := e.launchDue(); err != nil {
 		return err
 	}
+	ev := Event{Kind: EventPlan, Latency: latency}
 	if observed {
-		e.emit(Event{Kind: EventPlan, Case: e.decisionCase(), Latency: latency})
+		ev.Case = e.decisionCase()
 	}
+	e.emit(ev)
 	return nil
 }
 

@@ -330,6 +330,63 @@ func TestReplanAsksCaseOnlyWhenObserved(t *testing.T) {
 	}
 }
 
+// TestCountsWithoutObservers: the engine counts every transition by kind,
+// plan events included, observed or not; an observer sees each event
+// numbered by the count of transitions so far; and a restored engine
+// takes the counts of the state it restores.
+func TestCountsWithoutObservers(t *testing.T) {
+	drive := func(eng *engine.Engine) {
+		t.Helper()
+		eng.Submit(mkJob(1, 0, 2, 10))
+		eng.Submit(mkJob(2, 0, 2, 5))
+		eng.Submit(mkJob(3, 0, 4, 10))
+		eng.Submit(mkJob(4, 0, 4, 10))
+		steps := []func() error{
+			eng.Replan, // 1 and 2 start
+			func() error { eng.CancelWaiting(4); eng.Finish(2, engine.FinishCompleted); return eng.Replan() },
+			func() error { return eng.AdvanceTo(10, false) },       // 1 is killed, 3 starts
+			func() error { eng.FailProcs(1); return eng.Replan() }, // 3 fails
+			func() error { eng.FailProcs(3); return eng.Replan() }, // drained
+			func() error { eng.RestoreProcs(4); return eng.Replan() },
+		}
+		for _, step := range steps {
+			if err := step(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	bare := engine.New(4, fcfs(), 0)
+	drive(bare)
+	var want engine.Counts
+	var seqs []int64
+	drive(engine.New(4, fcfs(), 0, engine.WithObserver(engine.ObserverFunc(func(ev engine.Event) {
+		want[ev.Kind]++
+		seqs = append(seqs, ev.Seq)
+	}))))
+	if got := bare.Counts(); got != want {
+		t.Fatalf("unobserved engine counted %v, an observer saw %v", got, want)
+	}
+	for i, seq := range seqs {
+		if seq != int64(i+1) {
+			t.Fatalf("event %d numbered %d", i, seq)
+		}
+	}
+	for _, k := range []engine.EventKind{engine.EventSubmit, engine.EventStart, engine.EventFinish,
+		engine.EventKill, engine.EventJobFail, engine.EventCancel, engine.EventProcsFail,
+		engine.EventProcsRestore, engine.EventPlan} {
+		if want[k] == 0 {
+			t.Errorf("the drive makes no %v transition", k)
+		}
+	}
+	restored := engine.New(4, fcfs(), 0)
+	if err := restored.RestoreState(engine.State{Now: bare.Now(), Counts: bare.Counts()}); err != nil {
+		t.Fatal(err)
+	}
+	if restored.Counts() != want {
+		t.Fatalf("restored counts %v, want %v", restored.Counts(), want)
+	}
+}
+
 func TestEventKindNames(t *testing.T) {
 	names := map[engine.EventKind]string{
 		engine.EventSubmit:       "submit",

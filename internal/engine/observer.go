@@ -47,6 +47,7 @@ func (k EventKind) String() string {
 // candidate set — the Table-1 decision case of the step.
 type Event struct {
 	Kind    EventKind
+	Seq     int64 // the transition's number over the engine's life: Counts().Total() after it
 	Time    int64
 	Job     *job.Job // job-scoped kinds only
 	Procs   int      // job width, or processors failed/restored
@@ -59,7 +60,8 @@ type Event struct {
 }
 
 // Observer receives every engine transition, synchronously, in order.
-// Observe must not call back into the engine.
+// Observe must not call back into the engine. An observer only watches:
+// what it sees is not engine state, and no checkpoint carries it.
 type Observer interface {
 	Observe(Event)
 }
@@ -86,13 +88,32 @@ func (e *Engine) decisionCase() string {
 	return ""
 }
 
-// emit completes the shared context fields and delivers the event to
-// every observer. It is a no-op without observers, keeping the hot path
-// of unobserved runs allocation-free.
+// Counts is how many transitions of each kind an engine has made over
+// its life, indexed by EventKind. It is engine state: State carries it
+// through a checkpoint.
+type Counts [numEventKinds]int64
+
+// Total is the number of transitions of every kind.
+func (c *Counts) Total() int64 {
+	var n int64
+	for _, k := range c {
+		n += k
+	}
+	return n
+}
+
+// Counts returns the transitions the engine has made, by kind.
+func (e *Engine) Counts() Counts { return e.counts }
+
+// emit counts the event, completes the shared context fields and
+// delivers it to every observer. Without observers it only counts,
+// keeping the hot path of unobserved runs allocation-free.
 func (e *Engine) emit(ev Event) {
+	e.counts[ev.Kind]++
 	if len(e.obs) == 0 {
 		return
 	}
+	ev.Seq = e.counts.Total()
 	ev.Time = e.now
 	ev.Queued = len(e.waiting)
 	ev.Running = len(e.running)

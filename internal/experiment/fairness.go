@@ -46,16 +46,16 @@ func (r *FairnessResult) Cell(factor float64, scheduler string) *FairnessCell {
 }
 
 // AdaptiveSpec returns the spec of a dynP scheduler driven by the
-// observer-driven adaptive decider shell: advanced decisions while calm,
-// the unfair preferred rule toward fair once the observed backlog stays
-// at or above depth for patience planning events. The fairness policy is
+// load-driven adaptive decider shell: advanced decisions while calm,
+// the unfair preferred rule toward fair once the backlog its tuner
+// reports stays at or above depth for patience steps. The fairness policy is
 // appended to the paper's candidate set so the unfair rule can elect it.
 func AdaptiveSpec(fair policy.Policy, depth, patience int) SchedulerSpec {
 	name := "dynP/" + adaptive.Must(fair, depth, patience).Name()
 	return SchedulerSpec{
 		Name: name,
 		New: func() sim.Driver {
-			// Fresh decider per run: the shell carries observed state.
+			// Fresh decider per run: the shell carries state.
 			return newDynPFor(adaptive.Must(fair, depth, patience))
 		},
 	}
@@ -64,7 +64,7 @@ func AdaptiveSpec(fair policy.Policy, depth, patience int) SchedulerSpec {
 // FairnessSchedulers returns the scheduler set of the fairness study:
 // the paper's FCFS and SJF poles, the size-based PSBS family — the pure
 // area ordering (alpha=0, r=1), an aged robust member (alpha=0.5, r=2)
-// — plus the paper's unfair SJF-preferred dynP and the observer-driven
+// — plus the paper's unfair SJF-preferred dynP and the load-driven
 // adaptive shell preferring the robust PSBS member under pressure.
 func FairnessSchedulers() []SchedulerSpec {
 	robust := policy.MustFairSize(0.5, 2)

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"dynp/internal/adaptive"
+	"dynp/internal/core"
 	"dynp/internal/policy"
 	"dynp/internal/rng"
 	"dynp/internal/sim"
@@ -92,10 +93,10 @@ func TestFairnessValidates(t *testing.T) {
 	}
 }
 
-// TestAdaptiveSpecObservesThroughSimRun pins the auto-attachment: a
-// driver built by AdaptiveSpec runs through the plain sim.Run entry
-// point with no observer options, and its decider still sees the
-// engine's planning events.
+// TestAdaptiveSpecObservesThroughSimRun pins the wiring: a driver built
+// by AdaptiveSpec runs through the plain sim.Run entry point with no
+// observer options, and its decider still hears every step's backlog
+// from its tuner, enough to engage pressure mode.
 func TestAdaptiveSpecObservesThroughSimRun(t *testing.T) {
 	spec := AdaptiveSpec(policy.MustFairSize(0, 1), 2, 2)
 	driver := spec.New()
@@ -110,30 +111,33 @@ func TestAdaptiveSpecObservesThroughSimRun(t *testing.T) {
 	if res.Scheduler != spec.Name {
 		t.Errorf("scheduler label %q, want %q", res.Scheduler, spec.Name)
 	}
-	dec := driver.(*sim.DynP).Tuner.Decider().(*adaptive.Decider)
-	snap := dec.Snapshot()
-	if snap.Plans == 0 {
-		t.Fatal("decider observed no planning events; observer not attached")
+	tuner := driver.(*sim.DynP).Tuner
+	if tuner.Stats().Steps == 0 {
+		t.Fatal("the tuner made no decisions")
 	}
-	if snap.Decisions == 0 {
-		t.Fatal("decider made no decisions")
+	if snap := tuner.Decider().(*adaptive.Decider).Snapshot(); snap.Unfair == 0 {
+		t.Fatalf("the decider never decided under pressure (%+v); it hears no backlog", snap)
 	}
 	// Table-1 cases exist only over the paper's three-candidate set; the
-	// PSBS run above extends it, so its case stream is empty by design.
-	if len(snap.Cases) != 0 {
-		t.Errorf("extended candidate set produced Table-1 cases: %v", snap.Cases)
+	// PSBS run above extends it, so its case counts stay zero by design.
+	if cases := tuner.Cases(); cases != (core.CaseCounts{}) {
+		t.Errorf("extended candidate set produced Table-1 cases: %v", cases.Map())
 	}
 
 	// With the fairness policy inside the paper set, the candidate triple
-	// is unchanged and the shell sees the per-step decision cases.
+	// is unchanged and every decision has its case.
 	spec = AdaptiveSpec(policy.SJF, 2, 2)
 	driver = spec.New()
 	if _, err := sim.Run(set, driver); err != nil {
 		t.Fatal(err)
 	}
-	snap = driver.(*sim.DynP).Tuner.Decider().(*adaptive.Decider).Snapshot()
-	if len(snap.Cases) == 0 {
-		t.Error("no Table-1 cases observed over the paper candidate set")
+	st := driver.(*sim.DynP).Tuner.Stats()
+	total := 0
+	for _, n := range st.Cases {
+		total += n
+	}
+	if total != st.Steps {
+		t.Errorf("%d decisions counted by Table-1 case, want every one of the %d", total, st.Steps)
 	}
 }
 

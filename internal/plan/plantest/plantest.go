@@ -135,7 +135,8 @@ func NewTuner(d core.Decider, m core.Metric) *Tuner {
 
 // Step performs one naive self-tuning step and returns the candidate
 // values and the chosen policy's schedule. The chosen policy becomes
-// active.
+// active, and a core.BacklogDecider hears how many jobs of that schedule
+// do not start now.
 func (t *Tuner) Step(now int64, capacity int, running []plan.Running, waiting []*job.Job) ([]float64, *plan.Schedule) {
 	refs := make([]*plan.Schedule, len(t.Candidates))
 	values := make([]float64, len(t.Candidates))
@@ -146,7 +147,39 @@ func (t *Tuner) Step(now int64, capacity int, running []plan.Running, waiting []
 	old := t.Active
 	t.Active = t.Decider.Decide(t.Active, t.Candidates, values)
 	t.Trace = append(t.Trace, core.Decision{Time: now, Old: old, Chosen: t.Active, Values: values})
-	return values, refs[slices.Index(t.Candidates, t.Active)]
+	chosen := refs[slices.Index(t.Candidates, t.Active)]
+	if b, ok := t.Decider.(core.BacklogDecider); ok {
+		backlog := 0
+		for _, e := range chosen.Entries {
+			if e.Start != now {
+				backlog++
+			}
+		}
+		b.Backlog(backlog)
+	}
+	return values, chosen
+}
+
+// twin returns a naive tuner that goes on from t's state without moving
+// it: the same active policy, and a decider of its own, resolved by name
+// and holding t's decider's saved state when that decider keeps any.
+func (t *Tuner) twin() *Tuner {
+	twin := &Tuner{Candidates: t.Candidates, Decider: t.Decider, Metric: t.Metric, Active: t.Active}
+	if sd, ok := t.Decider.(core.StatefulDecider); ok {
+		d, err := core.NewDecider(sd.Name())
+		var data []byte
+		if err == nil {
+			data, err = sd.SaveState()
+		}
+		if err == nil {
+			err = d.(core.StatefulDecider).RestoreState(data)
+		}
+		if err != nil {
+			panic(fmt.Sprintf("plantest: twin of decider %s: %v", sd.Name(), err))
+		}
+		twin.Decider = d
+	}
+	return twin
 }
 
 // Lanes tallies the plans a lockstep driver checked: by how far they
@@ -181,13 +214,22 @@ type statefulLockstep struct {
 }
 
 // SetTunerState restores the wrapped driver, and the naive tuner takes
-// the active policy it restored (BC-3).
+// the active policy and decider state it restored (BC-3).
 func (d *statefulLockstep) SetTunerState(st core.TunerState) error {
 	if err := d.Tuned.SetTunerState(st); err != nil {
 		return err
 	}
 	if d.live != nil {
 		d.ref.Active = d.live.Active()
+		if sd, ok := d.live.Decider().(core.StatefulDecider); ok {
+			data, err := sd.SaveState()
+			if err == nil {
+				err = d.ref.Decider.(core.StatefulDecider).RestoreState(data)
+			}
+			if err != nil {
+				return err
+			}
+		}
 	}
 	return nil
 }

@@ -134,27 +134,17 @@ type Machine struct {
 	InForce          []plan.Entry   // the last plan's entries, nil when there is none
 
 	step   Step
-	watch  engine.Observer
 	plans  int           // scheduling events
 	active policy.Policy // the policy of the last plan
 }
 
 // NewMachine returns an idle machine at time start planning with step.
-// A tuner whose decider observes the engine observes this machine.
 func NewMachine(capacity int, step Step, start int64) *Machine {
-	m := &Machine{Capacity: capacity, Now: start, step: step}
-	if t, ok := step.(*Tuner); ok {
-		m.watch, _ = t.Decider.(engine.Observer)
-	}
-	return m
+	return &Machine{Capacity: capacity, Now: start, step: step}
 }
 
 func (m *Machine) emit(k engine.EventKind, j *job.Job) {
-	ev := engine.Event{Kind: k, Time: m.Now, Job: j, Queued: len(m.Waiting)}
-	m.Observe(ev)
-	if m.watch != nil {
-		m.watch.Observe(ev)
-	}
+	m.Observe(engine.Event{Kind: k, Time: m.Now, Job: j, Queued: len(m.Waiting)})
 }
 
 // Submit queues j behind every waiting job.
@@ -412,12 +402,12 @@ func (d *Daemon) Restore(n int)      { d.RestoreProcs(n); d.Replan() }
 // copy of the machine without a plan in force, each submission replans
 // and the copy then acts on its own until all of them started. A job
 // wider than the processors up never starts (-1). The copy of a tuner
-// starts from its active policy and shares its decider, which must
-// therefore keep no state of its own.
+// is its twin: it goes on from the tuner's active policy and decider
+// state and leaves them as they are.
 func (d *Daemon) Quote(sh Shape, count int) []int64 {
 	twin := d.step
 	if t, ok := twin.(*Tuner); ok {
-		twin = &Tuner{Candidates: t.Candidates, Decider: t.Decider, Metric: t.Metric, Active: t.Active}
+		twin = t.twin()
 	}
 	starts := make([]int64, count)
 	for i := range starts {

@@ -55,7 +55,8 @@ func BenchmarkOnlineLifecycle(b *testing.B) {
 // 50k finished jobs, one more finishing per checkpoint as in a running
 // daemon. "spliced" is the journal's path (the history log encodes each
 // finished job once); "encoded" encodes the whole record afresh, as
-// encodeRecord does.
+// encodeRecord does. A full 512-event trace ring is attached, as dynpd
+// attaches one by default.
 func BenchmarkCheckpoint(b *testing.B) {
 	finished := func(i int) JobInfo {
 		return JobInfo{ID: job.ID(1_000_000 + i), Width: 1 + i%64, Estimate: 3600,
@@ -72,8 +73,18 @@ func BenchmarkCheckpoint(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
+				s.AddObserver(NewEventTrace(512))
 				for i := 0; i < 12; i++ { // a head of live jobs and a plan
 					if _, err := s.Submit(16, 3600); err != nil {
+						b.Fatal(err)
+					}
+				}
+				for i := 0; i < 128; i++ { // a full ring: submit, plan, cancel, plan
+					info, err := s.Submit(64, 3600)
+					if err == nil {
+						err = s.Cancel(info.ID)
+					}
+					if err != nil {
 						b.Fatal(err)
 					}
 				}

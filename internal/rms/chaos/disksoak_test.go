@@ -7,6 +7,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"syscall"
 	"testing"
@@ -21,9 +22,10 @@ import (
 // with seeded disk faults (failed and torn writes, failed syncs) eating
 // at the journal underneath, each ended by kill -9 mid-history and a
 // restart on the same journal. After every restart the restored state
-// must be byte-identical to the pre-kill capture (modulo wall-clock
-// planning times), and at the end no acknowledged job may be lost and
-// no job may finish twice. The fault schedule is seeded, so a failure
+// and lifetime metrics must be byte-identical to the pre-kill capture
+// (modulo wall-clock planning times), the restarted trace ring must be a
+// suffix of the pre-kill one, numbered the same, and at the end no
+// acknowledged job may be lost and no job may finish twice. The fault schedule is seeded, so a failure
 // reproduces. Bit flips are deliberately excluded: a flipped byte that
 // the write syscall accepted is silent interior corruption, which the
 // journal detects and refuses on restart rather than recovers from.
@@ -49,14 +51,19 @@ func TestDiskFaultRecoverySoak(t *testing.T) {
 		// Quiesce: no mutations in flight, so everything acknowledged is
 		// journaled. Capture, kill -9, restart, and the restored state
 		// must match byte for byte.
-		pre := capture(t, c)
+		pre, preRing := capture(t, c)
 		c.Close()
 		d.kill(t)
 		d = startDynpd(t, bin, dir, 1000+cycle*101)
 		c2 := dialReady(t, d)
-		post := capture(t, c2)
+		post, postRing := capture(t, c2)
 		if pre != post {
 			t.Errorf("cycle %d: state diverged across kill -9\npre:  %s\npost: %s", cycle, pre, post)
+		}
+		// The ring is no state: the restarted one holds the transitions
+		// replayed since the newest checkpoint, the pre-kill ring's last.
+		if k := len(preRing) - len(postRing); k < 0 || !reflect.DeepEqual(postRing, preRing[k:]) {
+			t.Errorf("cycle %d: the restarted trace ring is no suffix of the pre-kill one\npre:  %+v\npost: %+v", cycle, preRing, postRing)
 		}
 		c2.Close()
 	}
@@ -251,10 +258,11 @@ func loadBurst(t *testing.T, c *rms.Client, cycle int, now int64, accepted map[j
 	return now
 }
 
-// capture fingerprints everything the daemon can tell a client — status,
-// report, finished jobs and the engine trace — with the one wall-clock
-// field (per-event planning nanoseconds) zeroed.
-func capture(t *testing.T, c *rms.Client) string {
+// capture fingerprints the state the daemon can tell a client — status,
+// report, finished jobs and lifetime metrics — with the wall-clock
+// planning latencies zeroed, and returns the engine trace's ring with
+// them zeroed too.
+func capture(t *testing.T, c *rms.Client) (string, []rms.TraceEvent) {
 	t.Helper()
 	st, err := c.Status()
 	if err != nil {
@@ -268,6 +276,11 @@ func capture(t *testing.T, c *rms.Client) string {
 	if err != nil {
 		t.Fatal(err)
 	}
+	m, err := c.Metrics()
+	if err != nil {
+		t.Fatal(err)
+	}
+	m.PlanNsTotal, m.PlanNsMax = 0, 0
 	tr, err := c.Trace(0)
 	if err != nil {
 		t.Fatal(err)
@@ -279,10 +292,10 @@ func capture(t *testing.T, c *rms.Client) string {
 		Status   rms.Status
 		Report   rms.Report
 		Finished []rms.JobInfo
-		Trace    []rms.TraceEvent
-	}{st, rep, fin, tr})
+		Metrics  rms.EngineMetrics
+	}{st, rep, fin, m})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return string(b)
+	return string(b), tr
 }

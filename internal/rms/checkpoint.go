@@ -1,7 +1,7 @@
 // Checkpoint capture and restore for the online scheduler. A checkpoint
 // is the full externally observable state — machine, queues, finished
-// history, plan, driver and observer state — cut after an event
-// applied, such that a virgin scheduler restored from it is
+// history, plan, driver state and the transition counts — cut after an
+// event applied, such that a virgin scheduler restored from it is
 // indistinguishable from one that replayed every event since genesis:
 // same Status, same Report (the float aggregates are refolded in the
 // original finish order, so even the bit patterns match), same job
@@ -27,10 +27,10 @@ import (
 // checkpoint that folds in the given number of events since genesis: an
 // image of its own, cut now with the driver's decision state, plus what
 // only a checkpoint carries — the event count, the plan in force, that
-// decision state's bytes, observer state. The finished history is shared,
-// not copied: cs.Done is the image's alias, and s.doneLog is brought up to
-// the same length, ready for checkpointRecord to splice. Callers hold the
-// scheduling lock.
+// decision state's bytes, the transition counts by name. The finished
+// history is shared, not copied: cs.Done is the image's alias, and
+// s.doneLog is brought up to the same length, ready for checkpointRecord
+// to splice. Callers hold the scheduling lock.
 func (s *Scheduler) captureCheckpointLocked(events int64) (checkpointState, error) {
 	img := s.imageLocked(true)
 	if img.driverErr != nil {
@@ -58,21 +58,47 @@ func (s *Scheduler) captureCheckpointLocked(events int64) (checkpointState, erro
 		}
 		cs.Plan = pr
 	}
-	for _, so := range s.stateful {
-		b, err := so.SaveState()
-		if err != nil {
-			return checkpointState{}, fmt.Errorf("observer %q state: %w", so.StateKey(), err)
-		}
-		cs.Observers = append(cs.Observers, observerState{Key: so.StateKey(), State: b})
-	}
+	cs.Transitions = transitionsByName(&img.counts)
 	return cs, nil
+}
+
+// transitionsByName is an engine's counts as checkpoints and the metrics
+// op name them: by kind name, the kinds that occurred; nil when none did.
+func transitionsByName(c *engine.Counts) map[string]int64 {
+	var m map[string]int64
+	for k, n := range c {
+		if n != 0 {
+			if m == nil {
+				m = make(map[string]int64)
+			}
+			m[engine.EventKind(k).String()] = n
+		}
+	}
+	return m
+}
+
+// countsOf is transitionsByName's inverse; it refuses a kind name the
+// engine does not know.
+func countsOf(m map[string]int64) (engine.Counts, error) {
+	var c engine.Counts
+	for name, n := range m {
+		k := 0
+		for k < len(c) && engine.EventKind(k).String() != name {
+			k++
+		}
+		if k == len(c) {
+			return c, fmt.Errorf("unknown transition kind %q", name)
+		}
+		c[k] = n
+	}
+	return c, nil
 }
 
 // restoreCheckpoint installs a checkpoint into a virgin scheduler (fresh
 // from New, nothing submitted). It checks the jobs the image read from
-// disk lists, reinstalls the finished history, refolds it into the report
-// aggregates in its original finish order and restores observer state;
-// restoreEngine rebuilds the live jobs and the plan in force, from which
+// disk lists, reinstalls the finished history and refolds it into the
+// report aggregates in its original finish order; restoreEngine rebuilds
+// the live jobs, the transition counts and the plan in force, from which
 // every later image derives their JobInfos, and restores the driver's
 // decision state, decoded from the checkpoint's JSON into the value a
 // quote twin restores. Replayed tail events then take it from there. No
@@ -126,16 +152,6 @@ func (s *Scheduler) restoreCheckpoint(cs *checkpointState) error {
 		return fmt.Errorf("rms: checkpoint restore: %w", err)
 	}
 	s.nextID = job.ID(cs.NextID)
-	for _, os := range cs.Observers {
-		for _, so := range s.stateful {
-			if so.StateKey() == os.Key {
-				if err := so.RestoreState(os.State); err != nil {
-					return fmt.Errorf("rms: checkpoint observer %q state: %w", os.Key, err)
-				}
-				break
-			}
-		}
-	}
 	return nil
 }
 
@@ -146,9 +162,10 @@ func (s *Scheduler) restoreCheckpoint(cs *checkpointState) error {
 // installs the plan when the image carries one, restores the driver's
 // decision state when tuner is set — the value a quote twin's image
 // captured, or on journal recovery the one decoded from the checkpoint —
-// and hands the machine state to the engine. The run time is unknown
-// online; like Submit, Runtime is the estimate, which the planner never
-// reads and at which the engine kills.
+// and hands the machine state and the transition counts (none in a quote
+// twin's image) to the engine. The run time is unknown online; like
+// Submit, Runtime is the estimate, which the planner never reads and at
+// which the engine kills.
 func restoreEngine(eng *engine.Engine, driver sim.Driver, cs *checkpointState, tuner *core.TunerState) error {
 	arena := make([]job.Job, 0, len(cs.Waiting)+len(cs.Running))
 	mk := func(info JobInfo) *job.Job {
@@ -166,6 +183,10 @@ func restoreEngine(eng *engine.Engine, driver sim.Driver, cs *checkpointState, t
 	running := make([]plan.Running, len(cs.Running))
 	for i, info := range cs.Running {
 		running[i] = plan.Running{Job: mk(info), Start: info.Started}
+	}
+	counts, err := countsOf(cs.Transitions)
+	if err != nil {
+		return err
 	}
 
 	var sched *plan.Schedule
@@ -207,6 +228,7 @@ func restoreEngine(eng *engine.Engine, driver sim.Driver, cs *checkpointState, t
 		Now:      cs.Now,
 		Failed:   cs.Failed,
 		Finished: len(cs.Done),
+		Counts:   counts,
 		Waiting:  waiting,
 		Running:  running,
 		Plan:     sched,

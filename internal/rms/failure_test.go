@@ -10,31 +10,6 @@ import (
 	"dynp/internal/sim"
 )
 
-func TestFailKillsLastStartedFirst(t *testing.T) {
-	s := newFCFS(t, 8)
-	a, _ := s.Submit(4, 100) // starts at 0
-	s.Advance(10)
-	b, _ := s.Submit(4, 100) // starts at 10
-	if err := s.Fail(4); err != nil {
-		t.Fatal(err)
-	}
-	ai, _ := s.Job(a.ID)
-	bi, _ := s.Job(b.ID)
-	if ai.State != StateRunning {
-		t.Errorf("a (started first) = %+v, want still running", ai)
-	}
-	if bi.State != StateFailed || bi.Finished != 10 {
-		t.Errorf("b (started last) = %+v, want failed at t=10", bi)
-	}
-	st := s.Status()
-	if st.FailedProcs != 4 || st.UsedProcs != 4 {
-		t.Errorf("status = %+v", st)
-	}
-	if err := s.CheckInvariants(); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestFailLeavesSurvivorsWhenTheyFit(t *testing.T) {
 	s := newFCFS(t, 8)
 	s.Submit(2, 100)

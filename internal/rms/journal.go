@@ -21,7 +21,7 @@
 // to `path.<seq>`, and a new active segment is created whose header
 // (Checkpoint: true) is followed by a checkpoint record — the full
 // restorable scheduler state (machine, queues, finished history, plan,
-// driver and observer state). Restart therefore reads one segment: the
+// driver state, transition counts). Restart therefore reads one segment: the
 // newest checkpoint plus the events behind it, instead of the whole
 // history (see Replay in replay.go). Rotated segments are immutable;
 // with SetKeep, each durable rotation retires all but the newest few.
@@ -128,27 +128,22 @@ type planRec struct {
 	Entries  []planEntryRec `json:"entries,omitempty"`
 }
 
-// observerState is one stateful observer's checkpointed state, matched
-// by key at restore (see StatefulObserver in rms.go).
-type observerState struct {
-	Key   string          `json:"key"`
-	State json.RawMessage `json:"state,omitempty"`
-}
-
 // checkpointState is the full restorable scheduler state, cut after an
 // event applied. Replay restores from the newest valid one; genesis
 // replay verifies the rebuilt state against every one it passes.
 type checkpointState struct {
-	Events    int64           `json:"events"` // events since genesis folded into this state
-	Now       int64           `json:"now"`
-	NextID    int64           `json:"next_id"`
-	Failed    int             `json:"failed"`
-	Waiting   []JobInfo       `json:"waiting,omitempty"` // engine submission order
-	Running   []JobInfo       `json:"running,omitempty"` // engine start order
-	Done      []JobInfo       `json:"done,omitempty"`    // finish order
-	Plan      *planRec        `json:"plan,omitempty"`
-	Driver    json.RawMessage `json:"driver,omitempty"`
-	Observers []observerState `json:"observers,omitempty"`
+	Events  int64           `json:"events"` // events since genesis folded into this state
+	Now     int64           `json:"now"`
+	NextID  int64           `json:"next_id"`
+	Failed  int             `json:"failed"`
+	Waiting []JobInfo       `json:"waiting,omitempty"` // engine submission order
+	Running []JobInfo       `json:"running,omitempty"` // engine start order
+	Done    []JobInfo       `json:"done,omitempty"`    // finish order
+	Plan    *planRec        `json:"plan,omitempty"`
+	Driver  json.RawMessage `json:"driver,omitempty"`
+	// Transitions counts the engine's transitions by kind name, the kinds
+	// that occurred (transitionsByName).
+	Transitions map[string]int64 `json:"transitions,omitempty"`
 }
 
 // journalLine is the JSON payload of one record: exactly one field set.
@@ -177,7 +172,7 @@ func encodeRecord(l *journalLine) ([]byte, error) {
 // does, byte for byte, without encoding the finished history again: done
 // holds the JSON of cs.Done's jobs, comma-joined (the scheduler's doneLog),
 // and is spliced between the encoded head of the checkpoint (events up to
-// running) and its tail (plan, driver and observers). The record comes
+// running) and its tail (plan, driver and transitions). The record comes
 // back in pieces, to be written in order.
 func checkpointRecord(cs *checkpointState, done []byte) ([][]byte, error) {
 	if (len(cs.Done) > 0) != (len(done) > 0) {
@@ -187,7 +182,7 @@ func checkpointRecord(cs *checkpointState, done []byte) ([][]byte, error) {
 	// the full record's prefix, and the record without its history as that
 	// prefix followed by the tail.
 	head, rest := *cs, *cs
-	head.Done, head.Plan, head.Driver, head.Observers = nil, nil, nil, nil
+	head.Done, head.Plan, head.Driver, head.Transitions = nil, nil, nil, nil
 	rest.Done = nil
 	h, err := json.Marshal(&head)
 	if err != nil {

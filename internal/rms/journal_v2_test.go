@@ -108,12 +108,12 @@ func TestCheckpointRecordBytes(t *testing.T) {
 		}
 		check(t, s)
 	})
-	t.Run("everything, driver and observer state", func(t *testing.T) {
+	t.Run("everything, driver state and counts", func(t *testing.T) {
 		s, err := New(8, newDynP(), 0)
 		if err != nil {
 			t.Fatal(err)
 		}
-		s.AddObserver(NewEventTrace(64))
+		s.AddObserver(NewEventTrace(64)) // adds nothing to the record
 		driveRandomEvents(t, s, 0x5eed, 80)
 		if failed := s.Status().FailedProcs; failed > 0 {
 			if err := s.Restore(failed); err != nil {

@@ -14,6 +14,7 @@ import (
 	"strings"
 	"testing"
 
+	"dynp/internal/adaptive"
 	"dynp/internal/core"
 	"dynp/internal/job"
 	"dynp/internal/plan/plantest"
@@ -172,7 +173,8 @@ type streamEnd struct {
 // third op, or sixteen times over a longer stream) and replays it into a
 // fresh Scheduler with a fresh lockstep
 // driver, which must land on the pre-crash fingerprint, checkpoint image
-// (plan and driver state included) and naive active policy; the stream
+// (plan, driver state and counts included) and naive active policy and
+// decider state; the stream
 // continues on it (BC-3). A quote's twin must have continued from the
 // live tuner's state. Every stream ends with a restart and a replay from
 // genesis, every checkpoint on the way byte-compared, to the same
@@ -265,14 +267,16 @@ func runDeliverLockstep(t *testing.T, ds daemonStream, ops []streamOp) streamEnd
 	restart := func(when string) (want [2]string) {
 		want = [2]string{fingerprint(t, s), checkpointImage(t, s)}
 		var wantActive policy.Policy
+		var wantDecider string
 		if ref != nil {
-			wantActive = ref.Active
+			wantActive, wantDecider = ref.Active, deciderState(t, ref)
 		}
 		stop()
 		start()
 		same(when, want, s)
-		if ref != nil && ref.Active != wantActive {
-			t.Fatalf("%s: naive tuner restarted on %v, want %v", when, ref.Active, wantActive)
+		if ref != nil && (ref.Active != wantActive || deciderState(t, ref) != wantDecider) {
+			t.Fatalf("%s: naive tuner restarted on %v with decider state %s, want %v with %s",
+				when, ref.Active, deciderState(t, ref), wantActive, wantDecider)
 		}
 		return want
 	}
@@ -391,6 +395,20 @@ func runDeliverLockstep(t *testing.T, ds daemonStream, ops []streamOp) streamEnd
 		}
 	}
 	return end
+}
+
+// deciderState is the saved state of a naive tuner's decider, "" for a
+// decider that keeps none.
+func deciderState(t *testing.T, ref *plantest.Tuner) string {
+	sd, ok := ref.Decider.(core.StatefulDecider)
+	if !ok {
+		return ""
+	}
+	data, err := sd.SaveState()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(data)
 }
 
 // mirror sends the naive daemon what req asks of a daemon.
@@ -635,7 +653,9 @@ func TestDeliverLockstep(t *testing.T) {
 }
 
 // FuzzDeliverLockstep holds the daemon to the naive daemon on arbitrary
-// streams, under a static SJF driver and an SJF-preferred dynP driver:
+// streams, under a static SJF driver, an SJF-preferred dynP driver and
+// an adaptive one whose depth and patience of one flip it within a
+// short stream:
 // streams of plantest.Capacity processors as decodeStream reads them,
 // the seeded ones first, and streams of smallOps, one byte an op, the
 // enumeration's shortest for each tie rule and a drained machine first
@@ -648,6 +668,7 @@ func FuzzDeliverLockstep(f *testing.F) {
 		f.Add(true, encodeShort(f, seed))
 	}
 	sjf := func() core.Decider { return core.Preferred{Policy: policy.SJF} }
+	adapt := func() core.Decider { return adaptive.Must(policy.SJF, 1, 1) }
 	f.Fuzz(func(t *testing.T, short bool, data []byte) {
 		data = data[:min(len(data), len(plantest.Stream(0)))]
 		capacity, ops := plantest.Capacity, decodeStream(data)
@@ -660,5 +681,6 @@ func FuzzDeliverLockstep(f *testing.F) {
 		var lanes plantest.Lanes
 		runDeliverLockstep(t, staticStream(t, capacity, policy.SJF, &lanes), ops)
 		runDeliverLockstep(t, tunerStream(t, capacity, sjf, &lanes), ops)
+		runDeliverLockstep(t, tunerStream(t, capacity, adapt, &lanes), ops)
 	})
 }

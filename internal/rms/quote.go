@@ -2,7 +2,7 @@
 // high QPS without touching live scheduling state.
 //
 // A quote is a checkpoint restore: the published image is a checkpoint
-// without plan or observers — the clock, the next ID, the failed
+// without plan or transition counts — the clock, the next ID, the failed
 // processors, the live jobs and the driver's decision state, captured as
 // a value — so the quote hands it as it is to restoreEngine, the step
 // journal replay takes, with a fresh engine and a fresh driver from the

@@ -1,6 +1,7 @@
 package rms
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"net"
@@ -20,10 +21,10 @@ import (
 	"dynp/internal/sim"
 )
 
-// quoteDeciders enumerates the paper's three decider mechanisms plus an
-// observer-driven one, whose observed state the twin must restore and
-// whose observer the twin's engine must attach; the honesty guarantee
-// must hold for every one of them.
+// quoteDeciders enumerates the paper's three decider mechanisms plus a
+// load-driven one, whose state the twin must restore and whose tuner
+// must go on telling it each step's backlog; the honesty guarantee must
+// hold for every one of them.
 func quoteDeciders() map[string]func() sim.Driver {
 	return map[string]func() sim.Driver{
 		"simple":        func() sim.Driver { return sim.NewDynP(core.Simple{}) },
@@ -163,10 +164,10 @@ func TestQuoteBatchHonesty(t *testing.T) {
 	}
 }
 
-// TestQuoteTwinObservesDecider: the twin's engine attaches an
-// observer-driven decider exactly like the live one's, so the twin
-// decides on what it observes after the restore rather than on the state
-// frozen in the image.
+// TestQuoteTwinObservesDecider: the twin's tuner hands its own decider
+// every step's backlog exactly like the live one's, so the twin decides
+// on what its steps leave waiting after the restore rather than on the
+// state frozen in the image, and the live decider is left as it was.
 func TestQuoteTwinObservesDecider(t *testing.T) {
 	var made []*adaptive.Decider // the live scheduler's first
 	factory := func() sim.Driver {
@@ -175,12 +176,22 @@ func TestQuoteTwinObservesDecider(t *testing.T) {
 		return sim.NewDynP(dec)
 	}
 	s := loadedQuoteScheduler(t, 32, 0xA11CE, factory)
-	restored := made[0].Snapshot().Plans
+	live, err := made[0].SaveState()
+	if err != nil {
+		t.Fatal(err)
+	}
 	if _, err := s.Quote(3, 250, 1); err != nil {
 		t.Fatal(err)
 	}
-	if got := made[len(made)-1].Snapshot().Plans; got <= restored {
-		t.Errorf("twin decider observed %d plan events, no more than the %d it restored", got, restored)
+	twin := made[len(made)-1]
+	if twin == made[0] {
+		t.Fatal("the quote made no twin decider")
+	}
+	if got, _ := twin.SaveState(); bytes.Equal(got, live) {
+		t.Errorf("twin decider still holds the restored state %s after its steps", got)
+	}
+	if got, _ := made[0].SaveState(); !bytes.Equal(got, live) {
+		t.Errorf("the quote moved the live decider from %s to %s", live, got)
 	}
 }
 

@@ -162,8 +162,8 @@ func applySegments(s *Scheduler, segs []*segScan, base int64, verify bool) (int,
 }
 
 // verifyCheckpoint compares the replayed state against a journaled
-// checkpoint. Observer state (the event trace) carries wall-clock plan
-// timings and is excluded; everything else must match byte for byte.
+// checkpoint, byte for byte: the transition and decision counts as much
+// as the jobs, the plan and the driver's decision state.
 func verifyCheckpoint(s *Scheduler, want *checkpointState, applied int64) error {
 	if want.Events != applied {
 		return fmt.Errorf("rms: journal: checkpoint claims %d events but replay applied %d", want.Events, applied)
@@ -174,14 +174,11 @@ func verifyCheckpoint(s *Scheduler, want *checkpointState, applied int64) error 
 	if err != nil {
 		return fmt.Errorf("rms: journal: checkpoint verification: %w", err)
 	}
-	got.Observers = nil
-	w := *want
-	w.Observers = nil
 	a, err := json.Marshal(&got)
 	if err != nil {
 		return fmt.Errorf("rms: journal: checkpoint verification: %w", err)
 	}
-	b, err := json.Marshal(&w)
+	b, err := json.Marshal(want)
 	if err != nil {
 		return fmt.Errorf("rms: journal: checkpoint verification: %w", err)
 	}

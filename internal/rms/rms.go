@@ -131,10 +131,6 @@ type Scheduler struct {
 	doneMu  sync.RWMutex
 	doneIdx map[job.ID]int
 
-	// stateful collects the attached observers whose state rides along
-	// in journal checkpoints (see StatefulObserver).
-	stateful []StatefulObserver
-
 	// jp is the attached journal, nil if none. Mutators load it under the
 	// lock; JournalErr loads it without, for lock-free health checks.
 	jp atomic.Pointer[Journal]
@@ -155,15 +151,17 @@ type Scheduler struct {
 // Its checkpointState holds the clock, the next ID, the failed
 // processors, the live jobs in engine order — waiting jobs in submission
 // order, which is ascending ID order, running ones in start order — and
-// the finished history; while quotes are on, a self-tuning driver's
+// the finished history; counts holds the engine's transitions by kind
+// and cases a self-tuning driver's decisions by Table 1 case, which the
+// metrics op serves. While quotes are on, a self-tuning driver's
 // decision state rides along too, as the value its tuner captured (tuner,
 // allocated with the image as a tunedImage): exactly what a quote twin
-// restores. The plan, observer state, event count and the decision
-// state's bytes (Driver) stay empty; only a checkpoint fills them (see
-// captureCheckpointLocked). Done aliases the scheduler's backing array
-// capped at its length — appends behind it touch only indices the image
-// never reads, and finished entries are never mutated in place, so
-// sharing is safe.
+// restores. The plan, the event count and the byte forms of the counts
+// and the decision state (Transitions, Driver) stay empty; only a
+// checkpoint fills them (see captureCheckpointLocked). Done aliases the
+// scheduler's backing array capped at its length — appends behind it
+// touch only indices the image never reads, and finished entries are
+// never mutated in place, so sharing is safe.
 type image struct {
 	checkpointState
 	capacity  int // installed processors
@@ -171,6 +169,8 @@ type image struct {
 	active    string
 	scheduler string
 	agg       reportAgg
+	counts    engine.Counts
+	cases     core.CaseCounts
 	tuner     *core.TunerState
 	driverErr error // capturing the driver's state failed; quotes and checkpoints refuse
 }
@@ -202,6 +202,10 @@ func (s *Scheduler) imageLocked(driver bool) *image {
 	img.Now, img.NextID, img.Failed = s.eng.Now(), int64(s.nextID), s.eng.FailedProcs()
 	img.capacity, img.used = s.eng.Capacity(), s.eng.Used()
 	img.active, img.scheduler, img.agg = policyName(s.driver.ActivePolicy()), s.driver.Name(), s.agg
+	img.counts = s.eng.Counts()
+	if tuned {
+		img.cases = td.Cases()
+	}
 	if waiting := s.eng.Waiting(); len(waiting) > 0 {
 		img.Waiting = make([]JobInfo, len(waiting))
 		for i, j := range waiting {
@@ -331,30 +335,31 @@ func (s *Scheduler) SetVictimPolicy(p VictimPolicy) {
 // every transition (submissions, starts, completions, kills, capacity
 // changes and one EventPlan per scheduling event) as structured
 // engine.Event values, synchronously under the scheduler lock. Observe
-// must not call back into the scheduler.
+// must not call back into the scheduler. An observer only watches: no
+// checkpoint carries what it saw, so after a restart it sees only the
+// transitions replayed since the newest checkpoint.
 func (s *Scheduler) AddObserver(o engine.Observer) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.eng.AddObserver(o)
-	if so, ok := o.(StatefulObserver); ok {
-		s.stateful = append(s.stateful, so)
-	}
 }
 
-// StatefulObserver is an optional engine.Observer extension: observers
-// with state worth surviving a restart (the event trace ring) implement
-// it so journal checkpoints capture that state and a restored scheduler
-// reinstalls it. States are matched by key, leniently: a checkpoint
-// entry with no attached observer of that key is skipped, so observer
-// wiring can change between runs without invalidating old checkpoints.
-type StatefulObserver interface {
-	engine.Observer
-	// StateKey identifies the observer's state in a checkpoint.
-	StateKey() string
-	// SaveState serialises the observer's state.
-	SaveState() ([]byte, error)
-	// RestoreState installs a previously saved state.
-	RestoreState(data []byte) error
+// Metrics returns the lifetime counts — the engine's transitions by
+// kind and a self-tuning driver's decisions by Table 1 case — as of the
+// last completed mutation. It never takes the scheduling lock. The counts
+// are scheduler state: checkpoints carry them and replay verifies them,
+// so they survive a restart exactly. The wall-clock fields stay zero; an
+// EventTrace fills them in (the server's metrics op).
+func (s *Scheduler) Metrics() EngineMetrics {
+	img := s.img.Load()
+	m := EngineMetrics{Events: transitionsByName(&img.counts), Plans: img.counts[engine.EventPlan]}
+	for label, n := range img.cases.Map() {
+		if m.Cases == nil {
+			m.Cases = make(map[string]int64)
+		}
+		m.Cases[label] = int64(n)
+	}
+	return m
 }
 
 // SetJournal attaches a write-ahead journal: every subsequent external

@@ -335,30 +335,6 @@ func TestReportEmpty(t *testing.T) {
 	}
 }
 
-func TestDeliverBatchAtomicOrdering(t *testing.T) {
-	// Machine 4: a (width 2) runs [0, 100) est 100; d (width 2) runs
-	// beside it. At t=50, one batch delivers a's completion together
-	// with a new submission; the new job must see the freed processors
-	// in the same replanning step.
-	s := newFCFS(t, 4)
-	a, _ := s.Submit(2, 100)
-	s.Submit(2, 200)
-	infos, err := s.Deliver(50, []job.ID{a.ID}, []Submission{{Width: 2, Estimate: 30}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(infos) != 1 {
-		t.Fatalf("infos = %+v", infos)
-	}
-	if infos[0].State != StateRunning || infos[0].Started != 50 {
-		t.Fatalf("batched submission should start immediately: %+v", infos[0])
-	}
-	ai, _ := s.Job(a.ID)
-	if ai.State != StateCompleted || ai.Finished != 50 {
-		t.Fatalf("a = %+v", ai)
-	}
-}
-
 func TestDeliverValidatesAtomically(t *testing.T) {
 	s := newFCFS(t, 4)
 	a, _ := s.Submit(2, 100)
@@ -378,20 +354,6 @@ func TestDeliverValidatesAtomically(t *testing.T) {
 	// Unknown completion also rejects the batch.
 	if _, err := s.Deliver(20, []job.ID{777}, nil); err == nil {
 		t.Fatal("unknown completion accepted")
-	}
-}
-
-func TestDeliverCompletionBeatsKillAtSameInstant(t *testing.T) {
-	s := newFCFS(t, 4)
-	a, _ := s.Submit(2, 100)
-	// The client reports completion exactly at the estimate expiry; the
-	// job must count as completed, not killed.
-	if _, err := s.Deliver(100, []job.ID{a.ID}, nil); err != nil {
-		t.Fatal(err)
-	}
-	ai, _ := s.Job(a.ID)
-	if ai.State != StateCompleted || ai.Finished != 100 {
-		t.Fatalf("a = %+v", ai)
 	}
 }
 

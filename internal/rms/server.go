@@ -33,7 +33,7 @@ import (
 //	{"op":"fail","procs":8}     take processors out of service (operator op)
 //	{"op":"restore","procs":8}  return failed processors to service
 //	{"op":"trace","n":50}       the last n engine transitions (needs -trace)
-//	{"op":"metrics"}            lifetime engine metrics (needs -trace)
+//	{"op":"metrics"}            lifetime engine metrics (latencies need -trace)
 //	{"op":"deliver","to":50,"completions":[7],"subs":[{"width":2,"estimate":60}]}
 //	                            atomic event batch (virtual mode)
 //	{"op":"health"}             liveness + readiness detail, always served
@@ -70,9 +70,10 @@ type Server struct {
 	// AllowTick enables the "tick" and "deliver" ops; a real-time daemon
 	// drives the clock itself and rejects client clock movement.
 	AllowTick bool
-	// Trace backs the "trace" and "metrics" ops; both report an error
-	// when it is nil. Attach the same EventTrace to the scheduler with
-	// AddObserver and set it here before Listen.
+	// Trace backs the "trace" op, which reports an error when it is nil,
+	// and the wall-clock latencies of the "metrics" op. Attach the same
+	// EventTrace to the scheduler with AddObserver and set it here before
+	// Listen.
 	Trace *EventTrace
 	// IdleTimeout bounds how long a connection may sit between requests
 	// before the server drops it (0 = no limit). Set it before Listen.
@@ -361,10 +362,10 @@ func (sv *Server) handle(req Request, degraded bool) Response {
 		}
 		return Response{OK: true, Trace: sv.Trace.Last(req.N), Now: sv.sched.Now()}
 	case "metrics":
-		if sv.Trace == nil {
-			return fail(fmt.Errorf("rms: tracing disabled (start the daemon with -trace)"))
+		m := sv.sched.Metrics()
+		if sv.Trace != nil {
+			sv.Trace.fill(&m)
 		}
-		m := sv.Trace.Metrics()
 		return Response{OK: true, Metrics: &m, Now: sv.sched.Now()}
 	default:
 		return fail(fmt.Errorf("rms: unknown op %q", req.Op))

@@ -1,7 +1,6 @@
 package rms
 
 import (
-	"encoding/json"
 	"sync"
 
 	"dynp/internal/engine"
@@ -13,7 +12,7 @@ import (
 // event kind becomes its string name, so the record is self-contained
 // and JSON-friendly.
 type TraceEvent struct {
-	Seq     uint64 `json:"seq"` // monotonically increasing over the scheduler's life
+	Seq     uint64 `json:"seq"` // the transition's number over the scheduler's life (engine.Event.Seq)
 	Kind    string `json:"kind"`
 	Time    int64  `json:"time"`
 	Job     int64  `json:"job,omitempty"`   // job-scoped kinds only
@@ -26,32 +25,31 @@ type TraceEvent struct {
 	PlanNs  int64  `json:"plan_ns,omitempty"` // plan events: wall-clock planning latency
 }
 
-// EngineMetrics aggregates the engine's event stream over the
-// scheduler's lifetime, as served by the daemon's "metrics" op.
+// EngineMetrics is what the daemon's "metrics" op serves: the
+// scheduler's lifetime counts (Scheduler.Metrics), exact across restarts,
+// and, with an EventTrace attached, its wall-clock planning latencies.
 type EngineMetrics struct {
 	Events      map[string]int64 `json:"events"`          // transitions by kind
 	Cases       map[string]int64 `json:"cases,omitempty"` // Table-1 decision cases (dynP drivers)
-	Plans       int64            `json:"plans"`           // scheduling events observed
-	PlanNsTotal int64            `json:"plan_ns_total"`   // cumulative planning latency
-	PlanNsMax   int64            `json:"plan_ns_max"`     // worst single planning latency
-	Dropped     uint64           `json:"dropped"`         // trace events evicted from the ring buffer
+	Plans       int64            `json:"plans"`           // scheduling events
+	PlanNsTotal int64            `json:"plan_ns_total"`   // cumulative planning latency the trace saw
+	PlanNsMax   int64            `json:"plan_ns_max"`     // worst single planning latency the trace saw
+	Dropped     uint64           `json:"dropped"`         // transitions older than the trace's ring holds
 }
 
 // EventTrace is an engine observer that keeps the most recent
-// transitions in a bounded ring buffer and aggregates lifetime metrics.
-// Attach one with Scheduler.AddObserver; it is safe for concurrent
-// readers (the protocol server) while the scheduler appends.
+// transitions in a bounded ring buffer and sums the wall-clock planning
+// latencies it sees. Attach one with Scheduler.AddObserver; it is safe
+// for concurrent readers (the protocol server) while the scheduler
+// appends. It only watches: no checkpoint carries it, so after a restart
+// its ring holds the transitions replayed since the newest checkpoint,
+// numbered as they were the first time, and its latency sums start over.
 type EventTrace struct {
-	mu      sync.Mutex
-	buf     []TraceEvent
-	start   int // index of the oldest buffered event
-	n       int // buffered events
-	seq     uint64
-	dropped uint64
+	mu    sync.Mutex
+	buf   []TraceEvent
+	start int // index of the oldest buffered event
+	n     int // buffered events
 
-	events      map[string]int64
-	cases       map[string]int64
-	plans       int64
 	planNsTotal int64
 	planNsMax   int64
 }
@@ -59,19 +57,13 @@ type EventTrace struct {
 // NewEventTrace returns a trace retaining the last capacity events
 // (minimum 1).
 func NewEventTrace(capacity int) *EventTrace {
-	if capacity < 1 {
-		capacity = 1
-	}
-	return &EventTrace{
-		buf:    make([]TraceEvent, capacity),
-		events: make(map[string]int64),
-		cases:  make(map[string]int64),
-	}
+	return &EventTrace{buf: make([]TraceEvent, max(capacity, 1))}
 }
 
 // Observe implements engine.Observer.
 func (t *EventTrace) Observe(ev engine.Event) {
 	te := TraceEvent{
+		Seq:     uint64(ev.Seq),
 		Kind:    ev.Kind.String(),
 		Time:    ev.Time,
 		Procs:   ev.Procs,
@@ -87,26 +79,14 @@ func (t *EventTrace) Observe(ev engine.Event) {
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	t.seq++
-	te.Seq = t.seq
 	if t.n == len(t.buf) {
 		t.start = (t.start + 1) % len(t.buf)
-		t.dropped++
 	} else {
 		t.n++
 	}
 	t.buf[(t.start+t.n-1)%len(t.buf)] = te
-	t.events[te.Kind]++
-	if ev.Kind == engine.EventPlan {
-		t.plans++
-		t.planNsTotal += te.PlanNs
-		if te.PlanNs > t.planNsMax {
-			t.planNsMax = te.PlanNs
-		}
-		if te.Case != "" {
-			t.cases[te.Case]++
-		}
-	}
+	t.planNsTotal += te.PlanNs
+	t.planNsMax = max(t.planNsMax, te.PlanNs)
 }
 
 // Last returns the most recent n buffered events in chronological order
@@ -124,100 +104,18 @@ func (t *EventTrace) Last(n int) []TraceEvent {
 	return out
 }
 
-// traceState is the EventTrace's checkpoint serialisation.
-type traceState struct {
-	Seq         uint64           `json:"seq"`
-	Dropped     uint64           `json:"dropped"`
-	Buf         []TraceEvent     `json:"buf,omitempty"` // chronological
-	Events      map[string]int64 `json:"events,omitempty"`
-	Cases       map[string]int64 `json:"cases,omitempty"`
-	Plans       int64            `json:"plans"`
-	PlanNsTotal int64            `json:"plan_ns_total"`
-	PlanNsMax   int64            `json:"plan_ns_max"`
-}
-
-// StateKey implements StatefulObserver.
-func (t *EventTrace) StateKey() string { return "trace" }
-
-// SaveState implements StatefulObserver: the buffered events and the
-// lifetime aggregates ride along in journal checkpoints, so "trace" and
-// "metrics" survive a daemon restart.
-func (t *EventTrace) SaveState() ([]byte, error) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	st := traceState{
-		Seq:         t.seq,
-		Dropped:     t.dropped,
-		Plans:       t.plans,
-		PlanNsTotal: t.planNsTotal,
-		PlanNsMax:   t.planNsMax,
-	}
-	for i := 0; i < t.n; i++ {
-		st.Buf = append(st.Buf, t.buf[(t.start+i)%len(t.buf)])
-	}
-	if len(t.events) > 0 {
-		st.Events = t.events
-	}
-	if len(t.cases) > 0 {
-		st.Cases = t.cases
-	}
-	return json.Marshal(&st)
-}
-
-// RestoreState implements StatefulObserver. A restored trace with a
-// smaller ring than the saved one keeps the newest events and counts
-// the rest as dropped.
-func (t *EventTrace) RestoreState(data []byte) error {
-	var st traceState
-	if err := json.Unmarshal(data, &st); err != nil {
-		return err
+// fill completes m, a scheduler's counts, with what only the trace
+// knows: its latency sums, and how many of m's transitions are older
+// than its ring holds.
+func (t *EventTrace) fill(m *EngineMetrics) {
+	var total int64
+	for _, n := range m.Events {
+		total += n
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	t.seq = st.Seq
-	t.dropped = st.Dropped
-	t.plans = st.Plans
-	t.planNsTotal = st.PlanNsTotal
-	t.planNsMax = st.PlanNsMax
-	t.events = make(map[string]int64, len(st.Events))
-	for k, v := range st.Events {
-		t.events[k] = v
-	}
-	t.cases = make(map[string]int64, len(st.Cases))
-	for k, v := range st.Cases {
-		t.cases[k] = v
-	}
-	t.start, t.n = 0, 0
-	keep := st.Buf
-	if len(keep) > len(t.buf) {
-		t.dropped += uint64(len(keep) - len(t.buf))
-		keep = keep[len(keep)-len(t.buf):]
-	}
-	t.n = copy(t.buf, keep)
-	return nil
-}
-
-// Metrics returns the lifetime aggregates.
-func (t *EventTrace) Metrics() EngineMetrics {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	m := EngineMetrics{
-		Events:      make(map[string]int64, len(t.events)),
-		Plans:       t.plans,
-		PlanNsTotal: t.planNsTotal,
-		PlanNsMax:   t.planNsMax,
-		Dropped:     t.dropped,
-	}
-	for k, v := range t.events {
-		m.Events[k] = v
-	}
-	if len(t.cases) > 0 {
-		m.Cases = make(map[string]int64, len(t.cases))
-		for k, v := range t.cases {
-			m.Cases[k] = v
-		}
-	}
-	return m
+	m.PlanNsTotal, m.PlanNsMax = t.planNsTotal, t.planNsMax
+	m.Dropped = uint64(max(total-int64(len(t.buf)), 0))
 }
 
 // policyName is a nil-safe ev.Policy.Name(): a driver that has not

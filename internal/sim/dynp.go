@@ -2,7 +2,6 @@ package sim
 
 import (
 	"dynp/internal/core"
-	"dynp/internal/engine"
 	"dynp/internal/job"
 	"dynp/internal/plan"
 	"dynp/internal/policy"
@@ -77,17 +76,8 @@ func (d *DynP) SetTunerState(st core.TunerState) error { return d.Tuner.RestoreS
 // Stats exposes the tuner's decision statistics.
 func (d *DynP) Stats() core.Stats { return d.Tuner.Stats() }
 
-// DeciderObserver implements engine.ObservingDriver: it returns the
-// tuner's decider when it is observer-driven (implements
-// engine.Observer), or nil. engine.New attaches it, so such deciders see
-// every transition of the engine they decide for — in the simulator, the
-// online RMS and its quote twins alike — without caller-side wiring.
-func (d *DynP) DeciderObserver() engine.Observer {
-	if o, ok := d.Tuner.Decider().(engine.Observer); ok {
-		return o
-	}
-	return nil
-}
+// Cases implements core.Tuned: the tuner's decisions by Table 1 case.
+func (d *DynP) Cases() core.CaseCounts { return d.Tuner.Cases() }
 
 // LastDecisionCase classifies the most recent self-tuning step as one of
 // the paper's Table-1 cases; the scheduling engine stamps it on every

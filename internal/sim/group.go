@@ -54,10 +54,9 @@ func RunGroup(set *job.Set, drivers []Driver) ([]*Result, error) {
 
 // Groups partitions the drivers into the groups RunGroup co-simulates,
 // as driver indices in order of first appearance. *DynP drivers with
-// equal candidates whose decider observes nothing share a group; every
-// other driver is a group of its own. A decider that observes the engine
-// must observe its own, EASY plans without a lane, and a static's
-// launches part from a dynP driver's after a few percent of the jobs.
+// equal candidates share a group; every other driver is a group of its
+// own. EASY plans without a lane, and a static's launches part from a
+// dynP driver's after a few percent of the jobs.
 // A driver passed twice is an error: its second run would start from
 // the state its first one left.
 func Groups(drivers []Driver) ([][]int, error) {
@@ -74,7 +73,7 @@ func Groups(drivers []Driver) ([][]int, error) {
 next:
 	for i, d := range drivers {
 		dp, ok := d.(*DynP)
-		if !ok || dp.DeciderObserver() != nil {
+		if !ok {
 			groups, firsts = append(groups, []int{i}), append(firsts, nil)
 			continue
 		}
@@ -246,6 +245,7 @@ func (t *trajectory) split(work *[]*trajectory) error {
 			Now:      now,
 			Failed:   t.eng.FailedProcs(),
 			Finished: len(t.records),
+			Counts:   t.eng.Counts(),
 			Waiting:  slices.Clone(t.eng.Waiting()),
 			Running:  slices.Clone(t.eng.Running()),
 		})

@@ -4,6 +4,7 @@ import (
 	"sort"
 	"testing"
 
+	"dynp/internal/core"
 	"dynp/internal/experiment"
 	"dynp/internal/job"
 	"dynp/internal/policy"
@@ -11,14 +12,20 @@ import (
 	"dynp/internal/workload"
 )
 
-// schedulerSets are the scheduler sets the sweeps co-simulate: the
+// schedulerSets are the scheduler sets the sweeps co-simulate — the
 // paper's five, every ablation's (EASY and the metric variants among
-// them) and the fairness study's, whose adaptive decider observes the
-// engine and must run on its own.
+// them) and the fairness study's — and one that puts an adaptive decider
+// in a group with the paper's: its fairness policy is a paper candidate,
+// and its depth and patience are small enough to flip within a run.
 func schedulerSets(t testing.TB) map[string][]experiment.SchedulerSpec {
 	sets := map[string][]experiment.SchedulerSpec{
 		"paper":    experiment.PaperSchedulers(),
 		"fairness": experiment.FairnessSchedulers(),
+		"adaptive": {
+			experiment.DynPSpec(core.Advanced{}),
+			experiment.AdaptiveSpec(policy.SJF, 2, 2),
+			experiment.DynPSpec(core.Preferred{Policy: policy.SJF}),
+		},
 	}
 	for _, a := range experiment.Ablations() {
 		specs, err := a.Schedulers()
@@ -36,6 +43,9 @@ func schedulerSets(t testing.TB) map[string][]experiment.SchedulerSpec {
 // the same scheduler. The sets must split somewhere, or the test proves
 // nothing about splitting.
 func TestRunGroupMatchesSeparateRuns(t *testing.T) {
+	if groups, err := sim.Groups(newDrivers(schedulerSets(t)["adaptive"])); err != nil || len(groups) != 1 {
+		t.Fatalf("the adaptive set runs in groups %v (%v), want one", groups, err)
+	}
 	splits := 0
 	for name, specs := range schedulerSets(t) {
 		t.Run(name, func(t *testing.T) {

@@ -37,13 +37,15 @@ type (
 	VictimPolicy = rms.VictimPolicy
 	// OnlineEventTrace is a ring-buffer engine observer: attach one to
 	// an OnlineScheduler with AddObserver to serve the daemon's "trace"
-	// and "metrics" ops.
+	// op and the planning latencies of its "metrics" op. It only
+	// watches: no checkpoint carries it.
 	OnlineEventTrace = rms.EventTrace
 	// OnlineTraceEvent is the wire form of one observed engine
 	// transition.
 	OnlineTraceEvent = rms.TraceEvent
-	// OnlineEngineMetrics aggregates the engine's event stream over the
-	// scheduler's lifetime.
+	// OnlineEngineMetrics is what the "metrics" op serves: the
+	// scheduler's lifetime transition and decision counts, which
+	// checkpoints carry and replay verifies, plus the trace's latencies.
 	OnlineEngineMetrics = rms.EngineMetrics
 	// OnlineHealthInfo is the server's health/readiness verdict: liveness
 	// plus why (or whether) the daemon is ready for traffic.
@@ -51,9 +53,6 @@ type (
 	// OnlineServerError is a typed server-side rejection; its Busy flag
 	// marks overload shedding, which is retryable.
 	OnlineServerError = rms.ServerError
-	// OnlineStatefulObserver is an engine observer whose state rides
-	// along in journal checkpoints, surviving daemon restarts.
-	OnlineStatefulObserver = rms.StatefulObserver
 	// OnlineQuote is a digital-twin prediction of when a hypothetical
 	// job would start, finish and wait if submitted right now (see
 	// OnlineScheduler.EnableQuotes / Quote and the "quote" protocol op).

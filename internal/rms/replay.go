@@ -22,9 +22,8 @@ package rms
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
-
-	"dynp/internal/job"
 )
 
 // Replay rebuilds scheduler state from the journal into s, which must
@@ -152,8 +151,12 @@ func applySegments(s *Scheduler, segs []*segScan, base int64, verify bool) (int,
 			}
 		}
 		for i := range sc.events {
-			if err := s.applyEvent(&sc.events[i]); err != nil {
-				return int(applied), err
+			// Refusals are replayed like any other event: a refused event
+			// journaled (a deliver batch refused after its clock move)
+			// reproduces the original state exactly. Only an op no write
+			// knows is an error.
+			if _, err := s.apply(&sc.events[i]); errors.Is(err, errUnknownOp) {
+				return int(applied), fmt.Errorf("rms: journal: unknown op %q", sc.events[i].Op)
 			}
 			applied++
 		}
@@ -184,38 +187,6 @@ func verifyCheckpoint(s *Scheduler, want *checkpointState, applied int64) error 
 	}
 	if !bytes.Equal(a, b) {
 		return fmt.Errorf("rms: journal: replayed state diverges from the checkpoint after %d events — the journal was tampered with or the scheduler is not deterministic", applied)
-	}
-	return nil
-}
-
-// applyEvent re-applies one journaled external event through the public
-// mutators. Domain rejections are ignored: rejected events (a Deliver
-// batch that failed validation) are journaled too, and replaying the
-// rejection — including its clock movement — reproduces the original
-// state exactly. Only an event the scheduler cannot even dispatch is an
-// error.
-func (s *Scheduler) applyEvent(ev *Event) error {
-	switch ev.Op {
-	case opSubmit:
-		_, _ = s.Submit(ev.Width, ev.Estimate)
-	case opDone:
-		_, _ = s.Complete(job.ID(ev.ID))
-	case opCancel:
-		_ = s.Cancel(job.ID(ev.ID))
-	case opTick:
-		_ = s.Advance(ev.To)
-	case opFail:
-		_ = s.Fail(ev.Procs)
-	case opRestore:
-		_ = s.Restore(ev.Procs)
-	case opDeliver:
-		ids := make([]job.ID, len(ev.Completions))
-		for i, id := range ev.Completions {
-			ids[i] = job.ID(id)
-		}
-		_, _ = s.Deliver(ev.To, ids, ev.Subs)
-	default:
-		return fmt.Errorf("rms: journal: unknown op %q", ev.Op)
 	}
 	return nil
 }

@@ -284,23 +284,31 @@ func (sv *Server) handle(req Request, degraded bool) Response {
 		}
 	}
 	switch req.Op {
-	case "submit":
-		info, err := sv.sched.Submit(req.Width, req.Estimate)
+	case opSubmit, opDone, opCancel, opTick, opDeliver, opFail, opRestore:
+		if !sv.AllowTick && (req.Op == opTick || req.Op == opDeliver) {
+			return fail(fmt.Errorf("rms: %s disabled (real-time mode)", req.Op))
+		}
+		img, err := sv.sched.apply(&Event{Op: req.Op, Width: req.Width, Estimate: req.Estimate, ID: req.ID,
+			To: req.To, Procs: req.Procs, Completions: req.Completions, Subs: req.Subs})
 		if err != nil {
 			return fail(err)
 		}
-		return Response{OK: true, Job: &info, Now: sv.sched.Now()}
-	case "done":
-		info, err := sv.sched.Complete(job.ID(req.ID))
-		if err != nil {
-			return fail(err)
+		resp := Response{OK: true, Now: img.Now}
+		switch req.Op {
+		case opSubmit, opDone:
+			id := job.ID(req.ID)
+			if req.Op == opSubmit {
+				id = job.ID(img.NextID)
+			}
+			info, _ := sv.sched.jobIn(img, id)
+			resp.Job = &info
+		case opDeliver:
+			resp.Jobs = sv.sched.submittedIn(img, len(req.Subs))
+		case opFail, opRestore:
+			st := img.status()
+			resp.Status = &st
 		}
-		return Response{OK: true, Job: &info, Now: sv.sched.Now()}
-	case "cancel":
-		if err := sv.sched.Cancel(job.ID(req.ID)); err != nil {
-			return fail(err)
-		}
-		return Response{OK: true, Now: sv.sched.Now()}
+		return resp
 	case "job":
 		img := sv.sched.img.Load()
 		info, err := sv.sched.jobIn(img, job.ID(req.ID))
@@ -317,39 +325,6 @@ func (sv *Server) handle(req Request, degraded bool) Response {
 	case "report":
 		rep := sv.sched.Report()
 		return Response{OK: true, Report: &rep, Now: rep.Now}
-	case "tick":
-		if !sv.AllowTick {
-			return fail(fmt.Errorf("rms: tick disabled (real-time mode)"))
-		}
-		if err := sv.sched.Advance(req.To); err != nil {
-			return fail(err)
-		}
-		return Response{OK: true, Now: sv.sched.Now()}
-	case "deliver":
-		if !sv.AllowTick {
-			return fail(fmt.Errorf("rms: deliver disabled (real-time mode)"))
-		}
-		ids := make([]job.ID, len(req.Completions))
-		for i, id := range req.Completions {
-			ids[i] = job.ID(id)
-		}
-		jobs, err := sv.sched.Deliver(req.To, ids, req.Subs)
-		if err != nil {
-			return fail(err)
-		}
-		return Response{OK: true, Jobs: jobs, Now: sv.sched.Now()}
-	case "fail":
-		if err := sv.sched.Fail(req.Procs); err != nil {
-			return fail(err)
-		}
-		st := sv.sched.Status()
-		return Response{OK: true, Status: &st, Now: st.Now}
-	case "restore":
-		if err := sv.sched.Restore(req.Procs); err != nil {
-			return fail(err)
-		}
-		st := sv.sched.Status()
-		return Response{OK: true, Status: &st, Now: st.Now}
 	case "quote":
 		return sv.quote(req)
 	case "policies":
@@ -368,7 +343,7 @@ func (sv *Server) handle(req Request, degraded bool) Response {
 		}
 		return Response{OK: true, Metrics: &m, Now: sv.sched.Now()}
 	default:
-		return fail(fmt.Errorf("rms: unknown op %q", req.Op))
+		return fail(fmt.Errorf("%w %q", errUnknownOp, req.Op))
 	}
 }
 

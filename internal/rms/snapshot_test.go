@@ -1,12 +1,14 @@
 package rms
 
 import (
+	"errors"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"dynp/internal/core"
+	"dynp/internal/job"
 	"dynp/internal/policy"
 	"dynp/internal/rng"
 	"dynp/internal/sim"
@@ -233,44 +235,103 @@ func TestReadResponsesOneImage(t *testing.T) {
 	}
 }
 
-// TestRejectedRequestsPublishNothing: a mutation publishes one image,
-// after its change; a request rejected before it changes anything —
-// an unknown or running job to cancel, a bad processor count, a clock
-// moved backwards, a quote factory for another scheduler — leaves the
-// published image as it was, so with quotes on it captures no driver
-// state either.
+// TestRejectedRequestsPublishNothing pins the one write path's rule for
+// a refused event: it changes nothing, journals nothing and publishes
+// nothing, so with quotes on it captures no driver state either. Every
+// mutating op is refused once — a bad shape to submit, a waiting or
+// unknown job to complete, an unknown or running job to cancel, a bad
+// processor count, a clock moved backwards — through the methods and
+// through Server.Handle, on a journaled scheduler, alongside an op no
+// write knows and a quote factory for another scheduler. The one
+// exception is a deliver batch refused after its clock move: it is
+// journaled and publishes the moved clock, but cuts no checkpoint even
+// when it is the event that reaches the checkpoint interval.
 func TestRejectedRequestsPublishNothing(t *testing.T) {
-	s, err := New(8, newDynP(), 100)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := s.EnableQuotes(newDynP); err != nil {
-		t.Fatal(err)
-	}
-	running, err := s.Submit(8, 50)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Fail(2); err != nil {
-		t.Fatal(err)
-	}
-	for name, reject := range map[string]func() error{
-		"cancel unknown":       func() error { return s.Cancel(99) },
-		"cancel running":       func() error { return s.Cancel(running.ID) },
-		"fail none":            func() error { return s.Fail(0) },
-		"fail too many":        func() error { return s.Fail(7) },
-		"restore none":         func() error { return s.Restore(0) },
-		"restore too many":     func() error { return s.Restore(3) },
-		"advance backwards":    func() error { return s.Advance(99) },
-		"quotes for another":   func() error { return s.EnableQuotes(func() sim.Driver { return &sim.Static{Policy: policy.SJF} }) },
-		"deliver before clock": func() error { _, err := s.Deliver(99, nil, nil); return err },
-	} {
-		before := s.img.Load()
-		if err := reject(); err == nil {
-			t.Fatalf("%s: accepted", name)
+	for _, wire := range []bool{false, true} {
+		s, j, _ := journaledScheduler(t, 8, 1000)
+		defer j.Close()
+		sv := NewServer(s, true)
+		if err := s.EnableQuotes(newDynP); err != nil {
+			t.Fatal(err)
 		}
-		if s.img.Load() != before {
-			t.Errorf("%s: rejected, yet published a new image", name)
+		if err := s.Advance(100); err != nil {
+			t.Fatal(err)
+		}
+		running, err := s.Submit(4, 50)
+		if err == nil {
+			err = s.Fail(2)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		waiting, err := s.Submit(6, 50)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if running.State != StateRunning || waiting.State != StateWaiting {
+			t.Fatalf("setup: job %d is %s and job %d is %s", running.ID, running.State, waiting.ID, waiting.State)
+		}
+		call := func(method func() error, req Request) error {
+			if !wire {
+				return method()
+			}
+			if resp := sv.Handle(req); !resp.OK {
+				return errors.New(resp.Error)
+			}
+			return nil
+		}
+		for _, tc := range []struct {
+			name   string
+			method func() error
+			req    Request
+		}{
+			{"submit too wide", func() error { _, err := s.Submit(9, 10); return err }, Request{Op: opSubmit, Width: 9, Estimate: 10}},
+			{"submit no width", func() error { _, err := s.Submit(0, 10); return err }, Request{Op: opSubmit, Estimate: 10}},
+			{"submit no estimate", func() error { _, err := s.Submit(1, 0); return err }, Request{Op: opSubmit, Width: 1}},
+			{"done waiting", func() error { _, err := s.Complete(waiting.ID); return err }, Request{Op: opDone, ID: int64(waiting.ID)}},
+			{"done unknown", func() error { _, err := s.Complete(99); return err }, Request{Op: opDone, ID: 99}},
+			{"cancel unknown", func() error { return s.Cancel(99) }, Request{Op: opCancel, ID: 99}},
+			{"cancel running", func() error { return s.Cancel(running.ID) }, Request{Op: opCancel, ID: int64(running.ID)}},
+			{"fail none", func() error { return s.Fail(0) }, Request{Op: opFail}},
+			{"fail too many", func() error { return s.Fail(7) }, Request{Op: opFail, Procs: 7}},
+			{"restore none", func() error { return s.Restore(0) }, Request{Op: opRestore}},
+			{"restore too many", func() error { return s.Restore(3) }, Request{Op: opRestore, Procs: 3}},
+			{"advance backwards", func() error { return s.Advance(99) }, Request{Op: opTick, To: 99}},
+			{"deliver before clock", func() error { _, err := s.Deliver(99, nil, nil); return err }, Request{Op: opDeliver, To: 99}},
+			{"unknown op", func() error { _, err := s.apply(&Event{Op: "status"}); return err }, Request{Op: "stat"}},
+			{"quotes for another", func() error {
+				return s.EnableQuotes(func() sim.Driver { return &sim.Static{Policy: policy.SJF} })
+			}, Request{Op: "quote", Width: 9, Estimate: 10}}, // on the wire, a quote too wide
+		} {
+			before, events := s.img.Load(), j.Events()
+			if err := call(tc.method, tc.req); err == nil {
+				t.Fatalf("wire %t, %s: accepted", wire, tc.name)
+			}
+			if s.img.Load() != before {
+				t.Errorf("wire %t, %s: refused, yet published a new image", wire, tc.name)
+			}
+			if got := j.Events(); got != events {
+				t.Errorf("wire %t, %s: refused, yet journaled %d events", wire, tc.name, got-events)
+			}
+		}
+
+		// The exception: completing a waiting job refuses the batch after
+		// its clock move, on the event that reaches the checkpoint interval.
+		j.SetSnapshotEvery(int(j.Events()) + 1)
+		before, events, seg := s.img.Load(), j.Events(), j.Segment()
+		err = call(func() error { _, err := s.Deliver(150, []job.ID{waiting.ID}, nil); return err },
+			Request{Op: opDeliver, To: 150, Completions: []int64{int64(waiting.ID)}})
+		if err == nil {
+			t.Fatalf("wire %t: a batch completing a waiting job was accepted", wire)
+		}
+		if img := s.img.Load(); img == before || img.Now != 150 {
+			t.Errorf("wire %t: the refused batch did not publish its clock move (now %d)", wire, img.Now)
+		}
+		if got := j.Events(); got != events+1 {
+			t.Errorf("wire %t: the refused batch journaled %d events, want 1", wire, got-events)
+		}
+		if got := j.Segment(); got != seg {
+			t.Errorf("wire %t: the refused batch cut a checkpoint (segment %d -> %d)", wire, seg, got)
 		}
 	}
 }

@@ -150,7 +150,7 @@ func TestE2ERegisteredExtensionsSurviveJournalRestart(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Candidate set includes the custom policy, so checkpoints serialize
-	// its registry name in tuner state and plan records.
+	// its registry name in tuner state.
 	p, err := dynp.ParsePolicy("WIDEST")
 	if err != nil {
 		t.Fatal(err)

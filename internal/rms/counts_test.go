@@ -163,7 +163,11 @@ func TestReplayGenesisRefusesTamperedCounts(t *testing.T) {
 // 53 on 8 processors, SJF-preferred dynP, a checkpoint every 8 events, a
 // 64-event trace attached). The field is ignored: the restored scheduler
 // answers as one that took the same events itself, and its counts start
-// from zero at the newest checkpoint, which carries none.
+// from zero at the newest checkpoint, which carries none. Each of the
+// fixture's checkpoints also carries the plan record this build no longer
+// writes, the plan in force by job ID: a scheduler restored from one
+// plans each waiting job at the start the record gives it, off the
+// waiting jobs' own planned starts.
 func TestReplayRestoresObserverCheckpoint(t *testing.T) {
 	dir := t.TempDir()
 	src := filepath.Join("testdata", "observers-journal")
@@ -208,5 +212,51 @@ func TestReplayRestoresObserverCheckpoint(t *testing.T) {
 	driveRandomEvents(t, want, 53, 40)
 	if got, w := fingerprint(t, s), fingerprint(t, want); got != w {
 		t.Fatalf("restored from the observer checkpoint\n got %s\nwant %s", got, w)
+	}
+
+	checked := 0
+	for _, e := range entries {
+		data, err := os.ReadFile(filepath.Join(src, e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, line := range strings.Split(strings.TrimSuffix(string(data), "\n"), "\n") {
+			l, ok := decodeRecord([]byte(line))
+			if !ok || l.Checkpoint == nil {
+				continue
+			}
+			var old struct {
+				Checkpoint struct {
+					Plan *struct{ Entries []struct{ ID, Start int64 } }
+				}
+			}
+			if err := json.Unmarshal([]byte(line[9:]), &old); err != nil || old.Checkpoint.Plan == nil {
+				t.Fatalf("%s: checkpoint without a plan record: %v", e.Name(), err)
+			}
+			planned := make(map[int64]int64)
+			for _, pe := range old.Checkpoint.Plan.Entries {
+				planned[pe.ID] = pe.Start
+			}
+			r, err := New(8, newDynP(), 0)
+			if err == nil {
+				err = r.restoreCheckpoint(l.Checkpoint)
+			}
+			if err != nil {
+				t.Fatalf("%s: %v", e.Name(), err)
+			}
+			for _, w := range r.Status().Waiting {
+				start, ok := planned[int64(w.ID)]
+				if !ok {
+					start = NeverStart
+				}
+				if w.PlannedStart != start {
+					t.Errorf("%s: job %d restored with planned start %d, its plan record says %d", e.Name(), w.ID, w.PlannedStart, start)
+				}
+				checked++
+			}
+		}
+	}
+	if checked == 0 {
+		t.Fatal("no checkpoint of the fixture has a waiting job")
 	}
 }

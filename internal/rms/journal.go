@@ -20,7 +20,7 @@
 // cuts a checkpoint: the active segment is flushed, fsynced and renamed
 // to `path.<seq>`, and a new active segment is created whose header
 // (Checkpoint: true) is followed by a checkpoint record — the full
-// restorable scheduler state (machine, queues, finished history, plan,
+// restorable scheduler state (machine, queues, finished history,
 // driver state, transition counts). Restart therefore reads one segment: the
 // newest checkpoint plus the events behind it, instead of the whole
 // history (see Replay in replay.go). Rotated segments are immutable;
@@ -109,25 +109,6 @@ type journalHeader struct {
 	Checkpoint bool   `json:"checkpoint,omitempty"`
 }
 
-// planEntryRec is one schedule entry of a checkpointed plan.
-type planEntryRec struct {
-	ID    int64 `json:"id"`
-	Start int64 `json:"start"`
-}
-
-// planRec captures the schedule in force at checkpoint time, so a
-// restored engine reports the same plan (planned starts, checkpoints)
-// before its first replanning event, exactly like the original.
-// The policy travels by name: restore resolves it through the policy
-// registry, so journals survive registry refactors and work for any
-// registered custom policy — and fail loudly for an unregistered one.
-type planRec struct {
-	Policy   string         `json:"policy"`
-	Now      int64          `json:"now"`
-	Capacity int            `json:"capacity"`
-	Entries  []planEntryRec `json:"entries,omitempty"`
-}
-
 // checkpointState is the full restorable scheduler state, cut after an
 // event applied. Replay restores from the newest valid one; genesis
 // replay verifies the rebuilt state against every one it passes.
@@ -139,7 +120,6 @@ type checkpointState struct {
 	Waiting []JobInfo       `json:"waiting,omitempty"` // engine submission order
 	Running []JobInfo       `json:"running,omitempty"` // engine start order
 	Done    []JobInfo       `json:"done,omitempty"`    // finish order
-	Plan    *planRec        `json:"plan,omitempty"`
 	Driver  json.RawMessage `json:"driver,omitempty"`
 	// Transitions counts the engine's transitions by kind name, the kinds
 	// that occurred (transitionsByName).
@@ -172,7 +152,7 @@ func encodeRecord(l *journalLine) ([]byte, error) {
 // does, byte for byte, without encoding the finished history again: done
 // holds the JSON of cs.Done's jobs, comma-joined (the scheduler's doneLog),
 // and is spliced between the encoded head of the checkpoint (events up to
-// running) and its tail (plan, driver and transitions). The record comes
+// running) and its tail (driver and transitions). The record comes
 // back in pieces, to be written in order.
 func checkpointRecord(cs *checkpointState, done []byte) ([][]byte, error) {
 	if (len(cs.Done) > 0) != (len(done) > 0) {
@@ -182,7 +162,7 @@ func checkpointRecord(cs *checkpointState, done []byte) ([][]byte, error) {
 	// the full record's prefix, and the record without its history as that
 	// prefix followed by the tail.
 	head, rest := *cs, *cs
-	head.Done, head.Plan, head.Driver, head.Transitions = nil, nil, nil, nil
+	head.Done, head.Driver, head.Transitions = nil, nil, nil
 	rest.Done = nil
 	h, err := json.Marshal(&head)
 	if err != nil {

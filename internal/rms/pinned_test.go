@@ -25,11 +25,11 @@ func TestDaemonStreamsPinned(t *testing.T) {
 		decider        func() core.Decider // nil for a static SJF driver
 		reads, journal uint64
 	}{
-		{"static SJF", nil, 0x6513f4aa5c2c391f, 0x07d40d901564bef8},
-		{"simple", func() core.Decider { return core.Simple{} }, 0x4d715c5ae0d73f2f, 0x0091b22eda83e62b},
-		{"advanced", func() core.Decider { return core.Advanced{} }, 0x457e494c468857e2, 0x2c6534cc86613131},
-		{"SJF-preferred", func() core.Decider { return core.Preferred{Policy: policy.SJF} }, 0xa33763ef68c05419, 0x3d39fabc097633ef},
-		{"adaptive", func() core.Decider { return adaptive.Must(policy.SJF, 4, 2) }, 0xc3f3ba7739c194c9, 0x7fc4dd4aefc36f51},
+		{"static SJF", nil, 0x6513f4aa5c2c391f, 0x2088b9b47046b363},
+		{"simple", func() core.Decider { return core.Simple{} }, 0x4d715c5ae0d73f2f, 0xa7c280d16d8bcde7},
+		{"advanced", func() core.Decider { return core.Advanced{} }, 0x457e494c468857e2, 0x9c120c6719f6f36e},
+		{"SJF-preferred", func() core.Decider { return core.Preferred{Policy: policy.SJF} }, 0xa33763ef68c05419, 0xba778152c2ab358c},
+		{"adaptive", func() core.Decider { return adaptive.Must(policy.SJF, 4, 2) }, 0xc3f3ba7739c194c9, 0x37b0322e0c3884ee},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			t.Parallel()

@@ -2,11 +2,11 @@
 // high QPS without touching live scheduling state.
 //
 // A quote is a checkpoint restore: the published image is a checkpoint
-// without plan or transition counts — the clock, the next ID, the failed
-// processors, the live jobs and the driver's decision state, captured as
-// a value — so the quote hands it as it is to restoreEngine, the step
-// journal replay takes, with a fresh engine and a fresh driver from the
-// quote factory, then injects the hypothetical job(s) and runs the twin
+// without its event count or transition counts — the clock, the next ID,
+// the failed processors, the live jobs and the driver's decision state,
+// captured as a value — so the quote hands it as it is to restoreEngine,
+// the step journal replay takes, with a fresh engine and a fresh driver
+// from the quote factory, then injects the hypothetical job(s) and runs the twin
 // forward, one estimate expiry at a time as the daemon does, through
 // kills, launches and self-tuning policy switches until every
 // hypothetical has started. The twin never shares mutable state
@@ -144,7 +144,7 @@ func runTwin(img *image, drv sim.Driver, width int, estimate int64, count int) (
 			}
 		},
 	}))
-	if err := restoreEngine(eng, drv, &img.checkpointState, img.tuner); err != nil {
+	if err := restoreEngine(eng, drv, &img.checkpointState, img.tuner, false); err != nil {
 		return nil, fmt.Errorf("rms: quote: %w", err)
 	}
 

@@ -105,45 +105,18 @@ func TestJournalRoundTripWithCustomPolicy(t *testing.T) {
 	}
 }
 
-// TestRestoreRefusesUnregisteredPolicy: a checkpoint whose plan names a
-// policy this process never registered must be refused with an error
-// naming the policy — no silent fallback to a default ordering.
-func TestRestoreRefusesUnregisteredPolicy(t *testing.T) {
-	s, err := New(8, newDynP(), 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cs := &checkpointState{
-		Events: 1, Now: 0, NextID: 1,
-		Waiting: []JobInfo{{ID: 1, Width: 1, Estimate: 10, State: StateWaiting}},
-		Plan: &planRec{Policy: "NOPE-policy", Now: 0, Capacity: 8,
-			Entries: []planEntryRec{{ID: 1, Start: 0}}},
-	}
-	err = s.restoreCheckpoint(cs)
-	if err == nil || !strings.Contains(err.Error(), "NOPE-policy") {
-		t.Fatalf("unregistered policy accepted or error unclear: %v", err)
-	}
-}
-
-// TestJournalRefusesUnregisteredPolicy covers the same refusal through
-// the on-disk path: the newest checkpoint record is rewritten (with a
-// valid checksum) to name an unknown policy in its plan or in the
-// driver's decision state, or to carry a driver state of the wrong
-// shape, and replay must refuse with an error that says why instead of
-// restoring something else or falling back past the record as corrupt.
+// TestJournalRefusesUnregisteredPolicy: a checkpoint record rewritten
+// (with a valid checksum) to name a policy this process never registered
+// in the driver's decision state, or to carry a driver state of the
+// wrong shape, must be refused by replay with an error that says why —
+// no silent fallback to a default ordering, and no falling back past the
+// record as corrupt.
 func TestJournalRefusesUnregisteredPolicy(t *testing.T) {
 	for _, tc := range []struct {
 		name, want string
-		patch      func(cs *checkpointState) bool // false: nothing to patch
+		patch      func(cs *checkpointState)
 	}{
-		{"plan", "NOPE-policy", func(cs *checkpointState) bool {
-			if cs.Plan == nil {
-				return false
-			}
-			cs.Plan.Policy = "NOPE-policy"
-			return true
-		}},
-		{"driver-active", "NOPE-active", func(cs *checkpointState) bool {
+		{"driver-active", "NOPE-active", func(cs *checkpointState) {
 			var st map[string]json.RawMessage
 			if err := json.Unmarshal(cs.Driver, &st); err != nil {
 				t.Fatal(err)
@@ -153,11 +126,9 @@ func TestJournalRefusesUnregisteredPolicy(t *testing.T) {
 			if cs.Driver, err = json.Marshal(st); err != nil {
 				t.Fatal(err)
 			}
-			return true
 		}},
-		{"driver-shape", "driver state", func(cs *checkpointState) bool {
+		{"driver-shape", "driver state", func(cs *checkpointState) {
 			cs.Driver = json.RawMessage(`{"active":["SJF"],"steps":"many"}`)
-			return true
 		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -180,9 +151,10 @@ func TestJournalRefusesUnregisteredPolicy(t *testing.T) {
 			patched := false
 			for i, line := range lines {
 				l, ok := decodeRecord([]byte(line))
-				if !ok || l.Checkpoint == nil || !tc.patch(l.Checkpoint) {
+				if !ok || l.Checkpoint == nil {
 					continue
 				}
+				tc.patch(l.Checkpoint)
 				rec, err := encodeRecord(&l)
 				if err != nil {
 					t.Fatal(err)

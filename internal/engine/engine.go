@@ -117,7 +117,6 @@ type Engine struct {
 	running    []plan.Running // start order
 	runningIdx map[job.ID]int
 	used       int // processors in use
-	finished   int // jobs that left the machine, ever
 	plan       *plan.Schedule
 	counts     Counts // transitions made, ever, by kind
 
@@ -268,7 +267,6 @@ func (e *Engine) Finish(id job.ID, st FinishState) bool {
 		e.runningIdx[e.running[k].Job.ID] = k
 	}
 	e.used -= r.Job.Width
-	e.finished++
 	if e.hooks.Finished != nil {
 		e.hooks.Finished(r, st, e.now)
 	}

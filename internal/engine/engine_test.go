@@ -117,33 +117,6 @@ func TestJumpToBackwardsPanics(t *testing.T) {
 	eng.JumpTo(99)
 }
 
-func TestFailProcsKillsVictimsInOrder(t *testing.T) {
-	var killed []job.ID
-	eng := engine.New(4, fcfs(), 0, engine.WithHooks(engine.Hooks{
-		Finished: func(r plan.Running, st engine.FinishState, now int64) {
-			if st == engine.FinishFailed {
-				killed = append(killed, r.Job.ID)
-			}
-		},
-	}))
-	eng.Submit(mkJob(1, 0, 2, 100))
-	eng.Submit(mkJob(2, 0, 2, 100))
-	if err := eng.Replan(); err != nil {
-		t.Fatal(err)
-	}
-	// Both started at t=0; VictimLastStarted breaks the tie by higher ID.
-	eng.FailProcs(2)
-	if len(killed) != 1 || killed[0] != 2 {
-		t.Fatalf("victims = %v, want [2]", killed)
-	}
-	if eng.Used() != 2 || eng.Effective() != 2 {
-		t.Fatalf("used %d of effective %d", eng.Used(), eng.Effective())
-	}
-	if err := eng.CheckInvariants(); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestReplanOnFullyDrainedMachine(t *testing.T) {
 	eng := engine.New(2, fcfs(), 0)
 	eng.FailProcs(2)
@@ -332,8 +305,9 @@ func TestReplanAsksCaseOnlyWhenObserved(t *testing.T) {
 
 // TestCountsWithoutObservers: the engine counts every transition by kind,
 // plan events included, observed or not; an observer sees each event
-// numbered by the count of transitions so far; and a restored engine
-// takes the counts of the state it restores.
+// numbered by the count of transitions so far; a restored engine takes
+// the counts of the state it restores; and an engine that took a
+// submission is not virgin, even with its queues empty again.
 func TestCountsWithoutObservers(t *testing.T) {
 	drive := func(eng *engine.Engine) {
 		t.Helper()
@@ -384,6 +358,12 @@ func TestCountsWithoutObservers(t *testing.T) {
 	}
 	if restored.Counts() != want {
 		t.Fatalf("restored counts %v, want %v", restored.Counts(), want)
+	}
+	if len(bare.Waiting()) != 0 || len(bare.Running()) != 0 {
+		t.Fatal("the drive leaves jobs on the machine")
+	}
+	if err := bare.RestoreState(engine.State{Now: bare.Now()}); err == nil {
+		t.Fatal("RestoreState accepted an engine that took submissions")
 	}
 }
 

@@ -20,20 +20,19 @@ import (
 // State is the engine's restartable state as captured at a checkpoint.
 // Slices are installed as-is; the caller hands over ownership.
 type State struct {
-	Now      int64
-	Failed   int            // processors out of service
-	Finished int            // jobs that ever left the machine
-	Counts   Counts         // transitions made, ever, by kind
-	Waiting  []*job.Job     // waiting queue in submission order
-	Running  []plan.Running // running set in start order
-	Plan     *plan.Schedule // last schedule, nil if none was in force
+	Now     int64
+	Failed  int            // processors out of service
+	Counts  Counts         // transitions made, ever, by kind
+	Waiting []*job.Job     // waiting queue in submission order
+	Running []plan.Running // running set in start order
+	Plan    *plan.Schedule // last schedule, nil if none was in force
 }
 
 // RestoreState installs st into a virgin engine (fresh from New: no
 // submissions, no time movement; it may have planned). Nothing observes
 // the restore, and st's counts replace the engine's own.
 func (e *Engine) RestoreState(st State) error {
-	if len(e.waiting) != 0 || len(e.running) != 0 || e.finished != 0 {
+	if len(e.waiting) != 0 || len(e.running) != 0 || e.counts[EventSubmit] != 0 {
 		return fmt.Errorf("engine: RestoreState on a non-virgin engine")
 	}
 	if st.Failed < 0 || st.Failed > e.capacity {
@@ -44,7 +43,6 @@ func (e *Engine) RestoreState(st State) error {
 	}
 	e.now = st.Now
 	e.failed = st.Failed
-	e.finished = st.Finished
 	e.counts = st.Counts
 	for _, j := range st.Waiting {
 		if _, dup := e.waitingIdx[j.ID]; dup {

@@ -90,7 +90,7 @@ func EASYSpec(base policy.Policy) SchedulerSpec {
 // one of "simple", "advanced", "<POLICY>-preferred", or "EASY" /
 // "EASY/<POLICY>" for the queueing baseline.
 func ParseSpec(name string) (SchedulerSpec, error) {
-	if p, err := policy.Parse(name); err == nil {
+	if p, err := policy.Lookup(name); err == nil {
 		return StaticSpec(p), nil
 	}
 	if rest, ok := strings.CutPrefix(name, "dynP/"); ok {
@@ -115,7 +115,7 @@ func ParseSpec(name string) (SchedulerSpec, error) {
 		return EASYSpec(policy.FCFS), nil
 	}
 	if rest, ok := strings.CutPrefix(name, "EASY/"); ok {
-		p, err := policy.Parse(rest)
+		p, err := policy.Lookup(rest)
 		if err != nil {
 			return SchedulerSpec{}, fmt.Errorf("experiment: %w", err)
 		}

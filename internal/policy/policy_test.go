@@ -70,13 +70,13 @@ func TestOrderDoesNotMutateInput(t *testing.T) {
 
 func TestParseAndName(t *testing.T) {
 	for _, p := range All {
-		got, err := Parse(p.Name())
+		got, err := Lookup(p.Name())
 		if err != nil || got != p {
-			t.Errorf("Parse(%q) = %v, %v", p.Name(), got, err)
+			t.Errorf("Lookup(%q) = %v, %v", p.Name(), got, err)
 		}
 	}
-	if _, err := Parse("nope"); err == nil {
-		t.Error("Parse accepted junk")
+	if _, err := Lookup("nope"); err == nil {
+		t.Error("Lookup accepted junk")
 	}
 }
 

@@ -132,9 +132,6 @@ func Lookup(name string) (Policy, error) {
 	return nil, fmt.Errorf("policy: unknown policy %q (registered: %v)", name, Names())
 }
 
-// Parse is Lookup under its historical name.
-func Parse(s string) (Policy, error) { return Lookup(s) }
-
 // Names lists every registered policy name in sorted order, followed by
 // the templates of the registered families — the enumeration behind the
 // CLIs' -list output and the daemon's "policies" op.

@@ -311,45 +311,6 @@ func (p *Profile) CloneInto(dst *Profile) {
 	dst.free = append(dst.free[:0], p.free...)
 }
 
-// EqualFrom reports whether p and o describe the same free-processor step
-// function over [from, infinity) and share the same capacity. Redundant
-// steps (adjacent steps with equal free counts, which Alloc can leave
-// behind) do not affect the result: the comparison is semantic, not
-// representational. Both profiles must cover from (i.e. from must not
-// precede either profile's start).
-func (p *Profile) EqualFrom(o *Profile, from int64) bool {
-	if p.capacity != o.capacity {
-		return false
-	}
-	if from < p.Start() || from < o.Start() {
-		panic(fmt.Sprintf("profile: EqualFrom(%d) precedes a profile start (%d, %d)",
-			from, p.Start(), o.Start()))
-	}
-	i, j := p.find(from), o.find(from)
-	for p.free[i] == o.free[j] {
-		// Advance both to their next change of value; every step behind
-		// the find position has time > from.
-		i, j = p.nextChange(i), o.nextChange(j)
-		if i == len(p.times) || j == len(o.times) {
-			return i == len(p.times) && j == len(o.times)
-		}
-		if p.times[i] != o.times[j] {
-			return false
-		}
-	}
-	return false
-}
-
-// nextChange returns the index of the first step after i whose free count
-// differs from step i's, or len(p.times) when none does.
-func (p *Profile) nextChange(i int) int {
-	k := i + 1
-	for k < len(p.free) && p.free[k] == p.free[i] {
-		k++
-	}
-	return k
-}
-
 // CheckInvariants verifies the representation against its definition: the
 // two slices have the same non-zero length, step times strictly increase,
 // and every free count lies in [0, capacity]. Tests call it after mutation

@@ -215,57 +215,6 @@ func TestResetMatchesNew(t *testing.T) {
 	}()
 }
 
-func TestEqualFrom(t *testing.T) {
-	mk := func(start int64, allocs ...[3]int64) *Profile {
-		p := New(8, start)
-		for _, a := range allocs {
-			p.Alloc(a[0], int(a[1]), a[2])
-		}
-		return p
-	}
-	base := mk(0, [3]int64{10, 3, 20})
-	if !base.EqualFrom(base.Clone(), 0) {
-		t.Fatal("profile not equal to its clone")
-	}
-	// Different starts but identical futures: a profile that began
-	// earlier equals one beginning now, compared from now.
-	if !mk(0, [3]int64{10, 3, 20}).EqualFrom(mk(5, [3]int64{10, 3, 20}), 5) {
-		t.Fatal("identical futures with different starts not equal")
-	}
-	// A past difference must not matter when comparing from later.
-	past := mk(0, [3]int64{0, 2, 5}, [3]int64{10, 3, 20})
-	if !past.EqualFrom(base, 5) {
-		t.Fatal("past-only difference reported as unequal")
-	}
-	if past.EqualFrom(base, 3) {
-		t.Fatal("live difference at t=3..5 reported as equal")
-	}
-	// Redundant steps (Alloc boundaries with equal free counts on both
-	// sides) are semantic no-ops.
-	red := base.Clone()
-	red.Alloc(40, 1, 10)
-	red2 := base.Clone()
-	red2.Alloc(40, 1, 5)
-	red2.Alloc(45, 1, 5)
-	if !red.EqualFrom(red2, 0) {
-		t.Fatal("redundant step boundaries broke semantic equality")
-	}
-	if base.EqualFrom(New(4, 0), 0) {
-		t.Fatal("different capacities reported as equal")
-	}
-	if base.EqualFrom(mk(0, [3]int64{10, 3, 21}), 0) {
-		t.Fatal("different step times reported as equal")
-	}
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Error("EqualFrom before both starts did not panic")
-			}
-		}()
-		mk(5).EqualFrom(mk(0), 3)
-	}()
-}
-
 func TestCloneIsIndependent(t *testing.T) {
 	p := New(8, 0)
 	p.Alloc(0, 4, 10)

@@ -10,20 +10,6 @@ import (
 	"dynp/internal/sim"
 )
 
-func TestFailLeavesSurvivorsWhenTheyFit(t *testing.T) {
-	s := newFCFS(t, 8)
-	s.Submit(2, 100)
-	s.Submit(2, 100)
-	// Losing 4 processors still fits both width-2 jobs: nobody dies.
-	if err := s.Fail(4); err != nil {
-		t.Fatal(err)
-	}
-	st := s.Status()
-	if len(st.Running) != 2 || st.Finished != 0 {
-		t.Errorf("status = %+v, want both jobs alive", st)
-	}
-}
-
 // TestFailMarksWideWaitersUnplaceable: a job too wide for the processors
 // up stays queued, unplaceable, while time passes — which no enumerated
 // stream (TestShortStreamsLockstep) does with nothing running — and starts

@@ -242,12 +242,11 @@ func (t *trajectory) split(work *[]*trajectory) error {
 		f.group.pending = &launch
 		f.eng = engine.New(t.set.Machine, f.group, now, f.engineOptions(runConfig{})...)
 		err := f.eng.RestoreState(engine.State{
-			Now:      now,
-			Failed:   t.eng.FailedProcs(),
-			Finished: len(t.records),
-			Counts:   t.eng.Counts(),
-			Waiting:  slices.Clone(t.eng.Waiting()),
-			Running:  slices.Clone(t.eng.Running()),
+			Now:     now,
+			Failed:  t.eng.FailedProcs(),
+			Counts:  t.eng.Counts(),
+			Waiting: slices.Clone(t.eng.Waiting()),
+			Running: slices.Clone(t.eng.Running()),
 		})
 		if err != nil {
 			return err

@@ -57,13 +57,14 @@ bench:
 	$(GO) test -bench=. -benchmem ./...
 
 # One-iteration pass over the self-tuning benchmarks, the rms hot-path
-# ones (Deliver, StatusCodec, Quote) and the engine's event loop
-# (EngineEventLoop), allocations printed; CI uploads the output
+# ones (Deliver, StatusCodec, Quote), the engine's event loop
+# (EngineEventLoop) and the trace models' generator setup (Calibrate),
+# allocations printed; CI uploads the output
 # as an artifact for trajectory tracking. A -bench pattern that matches
 # nothing exits 0, so the target fails when a name in it ran no benchmark.
 bench-smoke:
-	$(GO) test -bench='SelfTuner|Deliver|StatusCodec|Quote|Checkpoint|EngineEventLoop' -benchmem -benchtime=1x ./... | tee bench-smoke.txt
-	@for b in SelfTuner Deliver StatusCodec Quote Checkpoint EngineEventLoop; do \
+	$(GO) test -bench='SelfTuner|Deliver|StatusCodec|Quote|Checkpoint|EngineEventLoop|Calibrate' -benchmem -benchtime=1x ./... | tee bench-smoke.txt
+	@for b in SelfTuner Deliver StatusCodec Quote Checkpoint EngineEventLoop Calibrate; do \
 		grep -q "^Benchmark.*$$b" bench-smoke.txt || { echo "bench-smoke: -bench=$$b matched no benchmark"; exit 1; }; \
 	done
 

@@ -625,6 +625,17 @@ func (memEntry) IsDir() bool                { return false }
 func (memEntry) Type() fs.FileMode          { return 0 }
 func (memEntry) Info() (fs.FileInfo, error) { return nil, fs.ErrInvalid }
 
+// fuzzOps bounds the cost of one FuzzDeliverLockstep input, which a
+// fuzzing worker must check within 10 s: a stream of submissions queues
+// up to one job an op, and every op replans the queue through the naive
+// planners, so an input's cost grows with the square of its length.
+// Streams of 500 submissions, a long one of 16-wide jobs and a short one
+// of 3-wide jobs, each took ~10 s under the fuzzer's coverage
+// instrumentation on 2 cores (go1.24.0); their first 250 ops took ~2 s.
+// The seeded streams run whole in TestDeliverLockstep and
+// TestDaemonStreamsPinned.
+const fuzzOps = 250
+
 // TestDeliverLockstep holds the daemon to BC-1 to BC-4 on the seeded
 // streams of the simulator's lockstep tests, through Deliver, Submit,
 // Cancel, Fail, Restore, journal restarts and quote twins, under static
@@ -659,10 +670,11 @@ func TestDeliverLockstep(t *testing.T) {
 // streams of plantest.Capacity processors as decodeStream reads them,
 // the seeded ones first, and streams of smallOps, one byte an op, the
 // enumeration's shortest for each tie rule and a drained machine first
-// (shortSeeds).
+// (shortSeeds). Either kind stops after fuzzOps events, two bytes each
+// in a long stream and one in a short one.
 func FuzzDeliverLockstep(f *testing.F) {
 	for seed := uint64(0); seed < 3; seed++ {
-		f.Add(false, plantest.Stream(seed))
+		f.Add(false, plantest.Stream(seed)[:2*fuzzOps])
 	}
 	for _, seed := range shortSeeds {
 		f.Add(true, encodeShort(f, seed))
@@ -670,11 +682,10 @@ func FuzzDeliverLockstep(f *testing.F) {
 	sjf := func() core.Decider { return core.Preferred{Policy: policy.SJF} }
 	adapt := func() core.Decider { return adaptive.Must(policy.SJF, 1, 1) }
 	f.Fuzz(func(t *testing.T, short bool, data []byte) {
-		data = data[:min(len(data), len(plantest.Stream(0)))]
-		capacity, ops := plantest.Capacity, decodeStream(data)
+		capacity, ops := plantest.Capacity, decodeStream(data[:min(len(data), 2*fuzzOps)])
 		if short {
 			capacity, ops = smallCapacity, nil
-			for _, b := range data {
+			for _, b := range data[:min(len(data), fuzzOps)] {
 				ops = append(ops, smallOps[int(b)%len(smallOps)])
 			}
 		}

@@ -1,9 +1,8 @@
 // Package shard is the task pool behind every parallel fan-out of
 // independent event streams — the experiment sweep's (shrink, scheduler,
-// set) cells and sim.RunParallel's simulation replicas — and of the
-// workload generator's load calibration, whose tasks are chunks of Monte
-// Carlo samples. It exists so the repo has exactly one answer to "run n
-// independent tasks on w cores deterministically".
+// set) cells and sim.RunParallel's simulation replicas. It exists so the
+// repo has exactly one answer to "run n independent tasks on w cores
+// deterministically".
 //
 // The pool is deterministic by construction: tasks are identified by
 // their index in [0, n), every task runs exactly once, and a caller that
@@ -15,8 +14,8 @@
 // next unclaimed index when it finishes its last task. A long task never
 // strands work behind it — the other workers simply keep claiming — so an
 // uneven sweep finishes in the time of its slowest single task plus an
-// even share of the rest. Tasks are whole simulations or thousands of
-// samples, so one atomic add per task is noise.
+// even share of the rest. Tasks are whole simulations, so one atomic add
+// per task is noise.
 package shard
 
 import (

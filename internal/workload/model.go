@@ -17,12 +17,10 @@ package workload
 import (
 	"fmt"
 	"math"
-	"runtime"
 	"sync"
 
 	"dynp/internal/job"
 	"dynp/internal/rng"
-	"dynp/internal/shard"
 	"dynp/internal/stats"
 )
 
@@ -232,6 +230,10 @@ func (m Model) newGenerator() (*generator, error) {
 		Lo: 0, Hi: float64(m.IATMax),
 	}
 
+	if c, ok := calibrated[m]; ok {
+		g.corr, g.overShift = c.corr, c.overShift
+		return g, nil
+	}
 	if err := g.calibrateCorrelation(); err != nil {
 		return nil, fmt.Errorf("workload: %s: load: %w", m.Name, err)
 	}
@@ -241,6 +243,23 @@ func (m Model) newGenerator() (*generator, error) {
 	return g, nil
 }
 
+// calibration is the outcome of a generator's two calibrations.
+type calibration struct{ corr, overShift float64 }
+
+// calibrated holds the calibrations of the four built-in models, bit for
+// bit what calibrateCorrelation and calibrateOverestimation return for
+// them, so Generate on a paper trace skips the two bisections. The key is
+// the whole Model value: a model differing in any field, a refit of a
+// built-in included, finds no entry and calibrates. TestCalibrationTable
+// recalibrates each entry and prints the literal to paste when one is
+// missing or stale.
+var calibrated = map[Model]calibration{
+	CTC:  {corr: 0x1.6a8967ccfe59ap-11, overShift: 0x1.02f6489d32b78p+02},
+	KTH:  {corr: 0x1.2769958c70352p-11, overShift: 0x1.85f30e6b7d582p-01},
+	LANL: {corr: 0x1.a2621eca481b6p-02, overShift: 0x1.b913c7200fdbep+00},
+	SDSC: {corr: 0x1.8456c702227b8p-03, overShift: 0x1.0fe6312e0f3c8p+01},
+}
+
 // calibrateCorrelation solves for the latent width/run-time correlation so
 // that the mean job area E[width x runtime] equals LoadTarget x machine x
 // mean interarrival time — the offered load the paper's utilization at
@@ -248,9 +267,8 @@ func (m Model) newGenerator() (*generator, error) {
 // the correlation, so bisection over a fixed Monte Carlo sample converges.
 //
 // Each sample's width does not depend on the correlation, so it is mapped
-// once; each bisection step only recomputes the run times. The per-sample
-// terms are computed in chunks on the shard pool and then summed serially
-// in index order, so the result is bit-identical at every GOMAXPROCS.
+// once; each bisection step only recomputes the run times and sums the
+// areas in index order.
 func (g *generator) calibrateCorrelation() error {
 	m := g.m
 	if m.LoadTarget == 0 {
@@ -264,29 +282,20 @@ func (g *generator) calibrateCorrelation() error {
 	const n = 200000
 	r := rng.New(0xc0a11a7e).Derive(hashName(m.Name))
 	zw := make([]float64, n)
-	ws := make([]float64, n) // the snapping uniform, then the width it maps to
+	ws := make([]float64, n)
 	z2 := make([]float64, n)
 	for i := 0; i < n; i++ {
 		zw[i] = r.NormFloat64()
-		ws[i] = r.Float64()
+		ws[i] = float64(g.width.fromLatent(zw[i], r.Float64()))
 		z2[i] = r.NormFloat64()
 	}
-	inChunks(n, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			ws[i] = float64(g.width.fromLatent(zw[i], ws[i]))
-		}
-	})
-	terms := make([]float64, n)
 	meanArea := func(rho float64) float64 {
 		s := math.Sqrt(1 - rho*rho)
-		inChunks(n, func(lo, hi int) {
-			for i := lo; i < hi; i++ {
-				terms[i] = ws[i] * g.sampleAct(rho*zw[i]+s*z2[i])
-			}
-		})
 		var sum float64
-		for _, t := range terms {
-			sum += t
+		for i := range ws {
+			// The conversion rounds the area before the add, so no
+			// platform fuses the two into one multiply-add.
+			sum += float64(ws[i] * g.sampleAct(rho*zw[i]+s*z2[i]))
 		}
 		return sum / n
 	}
@@ -309,23 +318,6 @@ func (g *generator) calibrateCorrelation() error {
 	}
 	g.corr = (lo + hi) / 2
 	return nil
-}
-
-// calibChunk is how many samples one shard task of the load calibration
-// maps: small enough to spread 200,000 samples over any core count,
-// large enough that a task's cost dwarfs claiming it.
-const calibChunk = 1 << 13
-
-// inChunks runs body over [0, n) in calibChunk-sized ranges on the shard
-// pool. Ranges are disjoint, so bodies that write only their own indices
-// need no synchronisation, and shard.Run returns after all of them.
-func inChunks(n int, body func(lo, hi int)) {
-	chunks := (n + calibChunk - 1) / calibChunk
-	_ = shard.Run(runtime.GOMAXPROCS(0), chunks, func(c int) error { // no task fails
-		lo := c * calibChunk
-		body(lo, min(lo+calibChunk, n))
-		return nil
-	})
 }
 
 // calibrateOverestimation solves for the overestimation scale so that the
@@ -390,9 +382,11 @@ func (g *generator) calibrateOverestimation() error {
 // genCache memoises fitted generators per model value: the distribution
 // fits and the two Monte Carlo calibrations are deterministic functions of
 // the model, and generators are immutable after construction, so sharing
-// them (also across goroutines) is safe. A miss costs ~0.15 s of CPU per
-// model, nearly all of it the load calibration's 12.4M exp calls, spread
-// over the cores (BenchmarkCalibrate: ~0.1 s wall on 2 cores).
+// them (also across goroutines) is safe. A miss on a built-in model costs
+// the fits and a table lookup, 42–93 µs; a miss on any other model also
+// runs both calibrations on one core, 0.19–0.33 s and 5.1 MB, nearly all
+// of it the load calibration's 12.4M exp calls (BenchmarkCalibrate on a
+// 2-core host, go1.24.0).
 var genCache sync.Map // Model -> *generator
 
 func (m Model) cachedGenerator() (*generator, error) {

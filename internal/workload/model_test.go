@@ -2,14 +2,13 @@ package workload
 
 import (
 	"encoding/binary"
-	"fmt"
 	"hash/fnv"
 	"math"
+	"reflect"
 	"runtime"
 	"testing"
 
 	"dynp/internal/rng"
-	"dynp/internal/shard"
 )
 
 func TestModelsValidate(t *testing.T) {
@@ -271,117 +270,6 @@ func TestCharacterizeSmallSet(t *testing.T) {
 	}
 }
 
-// --- calibration oracle ---
-//
-// naiveSampleAct, naiveCalibrateCorrelation and naiveCalibrateOverestimation
-// are the plain serial form of the two calibrations: every bisection step
-// maps every sample's width again, clamps with math.Min/math.Max and sums
-// in one loop. The generator's calibrations must reproduce them bit for
-// bit at every GOMAXPROCS.
-
-func naiveSampleAct(g *generator, z float64) float64 {
-	return math.Min(g.actHi, math.Max(g.actLo, g.actLN.FromNormal(z)))
-}
-
-func naiveCalibrateCorrelation(g *generator) error {
-	m := g.m
-	if m.LoadTarget == 0 {
-		g.corr = 0
-		return nil
-	}
-	target := m.LoadTarget * float64(m.Machine) * m.IATAvg
-	const n = 200000
-	r := rng.New(0xc0a11a7e).Derive(hashName(m.Name))
-	zw := make([]float64, n)
-	us := make([]float64, n)
-	z2 := make([]float64, n)
-	for i := 0; i < n; i++ {
-		zw[i] = r.NormFloat64()
-		us[i] = r.Float64()
-		z2[i] = r.NormFloat64()
-	}
-	meanArea := func(rho float64) float64 {
-		g.corr = rho
-		var sum float64
-		for i := 0; i < n; i++ {
-			w := g.width.fromLatent(zw[i], us[i])
-			zr := g.corr*zw[i] + math.Sqrt(1-g.corr*g.corr)*z2[i]
-			sum += float64(w) * naiveSampleAct(g, zr)
-		}
-		return sum / n
-	}
-	const bound = 0.999
-	if meanArea(bound) < target {
-		return fmt.Errorf("load target %v unattainable even at full correlation (max mean area %v, need %v)",
-			m.LoadTarget, meanArea(bound), target)
-	}
-	if meanArea(-bound) > target {
-		return fmt.Errorf("load target %v below the anti-correlated floor", m.LoadTarget)
-	}
-	lo, hi := -bound, bound
-	for i := 0; i < 60; i++ {
-		mid := (lo + hi) / 2
-		if meanArea(mid) < target {
-			lo = mid
-		} else {
-			hi = mid
-		}
-	}
-	g.corr = (lo + hi) / 2
-	return nil
-}
-
-func naiveCalibrateOverestimation(g *generator) error {
-	m := g.m
-	if m.Overest <= 1 {
-		g.overShift = 0
-		return nil
-	}
-	const n = 20000
-	r := rng.New(0xca11b8a7e).Derive(hashName(m.Name))
-	acts := make([]float64, n)
-	exps := make([]float64, n)
-	for i := 0; i < n; i++ {
-		acts[i] = naiveSampleAct(g, r.NormFloat64())
-		exps[i] = r.ExpFloat64()
-	}
-	meanEst := func(shift float64) float64 {
-		var sum float64
-		for i := 0; i < n; i++ {
-			est := acts[i] * (1 + shift*exps[i])
-			if est < float64(m.EstMin) {
-				est = float64(m.EstMin)
-			}
-			if est > float64(m.EstMax) {
-				est = float64(m.EstMax)
-			}
-			sum += est
-		}
-		return sum / n
-	}
-	lo, hi := 0.0, m.Overest-1
-	for meanEst(hi) < m.EstAvg {
-		hi *= 2
-		if hi > 1e6 {
-			return fmt.Errorf("cannot reach estimate mean %v", m.EstAvg)
-		}
-	}
-	if meanEst(lo) > m.EstAvg {
-		return fmt.Errorf("estimate mean %v below the no-overestimation floor %v",
-			m.EstAvg, meanEst(lo))
-	}
-	for i := 0; i < 80; i++ {
-		mid := (lo + hi) / 2
-		if meanEst(mid) < m.EstAvg {
-			lo = mid
-		} else {
-			hi = mid
-		}
-	}
-	g.overShift = (lo + hi) / 2
-	return nil
-}
-
 // fitted returns m's generator with its distributions fitted, ready for
 // either calibration to run. It is fitted with the load calibration off,
 // so it exists even when m's LoadTarget is unattainable.
@@ -397,102 +285,172 @@ func fitted(t *testing.T, m Model) generator {
 	return *g
 }
 
-// TestCalibrationMatchesNaive runs both calibrations on the four models
-// and on perturbed variants (other load targets, none, a power-of-two-only
-// width model, unattainable targets) at GOMAXPROCS 1, 2 and 7 — 7 leaves
-// the shard pool's last round of chunks uneven — and requires the same
-// correlation and overestimation shift bits, or the same error text, as
-// the naive serial reference.
-func TestCalibrationMatchesNaive(t *testing.T) {
+// calibrate runs both calibrations of m from scratch, bypassing the
+// table of stored ones, and returns the fitted generator they calibrate.
+func calibrate(t *testing.T, m Model) (generator, error) {
+	t.Helper()
+	g := fitted(t, m)
+	if err := g.calibrateCorrelation(); err != nil {
+		return g, err
+	}
+	if err := g.calibrateOverestimation(); err != nil {
+		t.Fatalf("%s: overestimation: %v", m.Name, err)
+	}
+	return g, nil
+}
+
+// TestCalibrationTable holds the table of stored calibrations to fresh
+// runs of both calibrations: every built-in model has an entry, its bits
+// are what the calibrations return, newGenerator takes it without
+// allocating a calibration's samples, and a model differing from a
+// built-in in any one field finds no entry. Perturbed variants (other
+// load targets, none, a power-of-two-only width model, unattainable
+// targets) calibrate to the bits, or fail with the error text, pinned
+// when the load calibration still ran on the shard pool, and the
+// calibrated ones offer their target load on a fresh sample.
+func TestCalibrationTable(t *testing.T) {
+	if len(calibrated) != len(Models()) {
+		t.Errorf("%d stored calibrations for %d built-in models", len(calibrated), len(Models()))
+	}
+	for _, base := range Models() {
+		for i := 0; i < reflect.TypeOf(base).NumField(); i++ {
+			m := base
+			f := reflect.ValueOf(&m).Elem().Field(i)
+			name := reflect.TypeOf(m).Field(i).Name
+			switch f.Kind() {
+			case reflect.String:
+				f.SetString(f.String() + "'")
+			case reflect.Int, reflect.Int64:
+				f.SetInt(f.Int() + 1)
+			case reflect.Float64:
+				f.SetFloat(math.Nextafter(f.Float(), math.Inf(1)))
+			case reflect.Bool:
+				f.SetBool(!f.Bool())
+			default:
+				t.Fatalf("Model.%s is a %v; teach this test to change it", name, f.Kind())
+			}
+			if _, ok := calibrated[m]; ok {
+				t.Errorf("%s with %s changed finds a stored calibration", base.Name, name)
+			}
+		}
+	}
+
+	// A built-in takes its entry: the fits allocate under a kilobyte,
+	// the calibrations megabytes.
+	bits := func(c calibration) [2]uint64 {
+		return [2]uint64{math.Float64bits(c.corr), math.Float64bits(c.overShift)}
+	}
+	for _, m := range Models() {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		g, err := m.newGenerator()
+		runtime.ReadMemStats(&after)
+		if alloc := after.TotalAlloc - before.TotalAlloc; err != nil || alloc > 1<<16 ||
+			bits(calibration{g.corr, g.overShift}) != bits(calibrated[m]) {
+			t.Errorf("%s: newGenerator allocated %d B (error %v), want the table's %x without calibrating",
+				m.Name, alloc, err, calibrated[m])
+		}
+	}
+
 	type variant struct {
 		name    string
 		m       Model
-		wantErr bool
+		stored  bool // a built-in: want is its table entry
+		want    calibration
+		wantErr string
 	}
-	variants := make([]variant, 0, 10)
+	var variants []variant
 	for _, m := range Models() {
-		variants = append(variants, variant{name: m.Name, m: m})
+		variants = append(variants, variant{name: m.Name, m: m, stored: true, want: calibrated[m]})
 	}
-	perturb := func(name string, base Model, wantErr bool, f func(*Model)) {
+	perturb := func(name string, base Model, f func(*Model), want calibration, wantErr string) {
 		m := base
 		f(&m)
-		variants = append(variants, variant{name: name, m: m, wantErr: wantErr})
+		variants = append(variants, variant{name, m, false, want, wantErr})
 	}
-	perturb("SDSC/load×0.8", SDSC, false, func(m *Model) { m.LoadTarget *= 0.8 })
-	perturb("LANL/load×1.1", LANL, false, func(m *Model) { m.LoadTarget *= 1.1 })
-	perturb("CTC/load0", CTC, false, func(m *Model) { m.LoadTarget = 0 })
-	perturb("SDSC/pow2only", SDSC, false, func(m *Model) { m.WidthPow2Only = true })
-	perturb("KTH/unattainable", KTH, true, func(m *Model) { m.LoadTarget = 50 })
-	perturb("KTH/belowfloor", KTH, true, func(m *Model) { m.LoadTarget = 1e-4 })
+	perturb("SDSC/load×0.8", SDSC, func(m *Model) { m.LoadTarget *= 0.8 },
+		calibration{corr: 0x1.38c4127cf6b88p-04, overShift: 0x1.0fe6312e0f3c8p+01}, "")
+	perturb("LANL/load×1.1", LANL, func(m *Model) { m.LoadTarget *= 1.1 },
+		calibration{corr: 0x1.e42d5348ff4f6p-02, overShift: 0x1.b913c7200fdbep+00}, "")
+	perturb("CTC/load0", CTC, func(m *Model) { m.LoadTarget = 0 },
+		calibration{corr: 0, overShift: 0x1.02f6489d32b78p+02}, "")
+	perturb("SDSC/pow2only", SDSC, func(m *Model) { m.WidthPow2Only = true },
+		calibration{corr: 0x1.48c4d98dcf29cp-03, overShift: 0x1.0fe6312e0f3c8p+01}, "")
+	perturb("KTH/unattainable", KTH, func(m *Model) { m.LoadTarget = 50 }, calibration{},
+		"load target 50 unattainable even at full correlation (max mean area 362041.55758840765, need 5.155e+06)")
+	perturb("KTH/belowfloor", KTH, func(m *Model) { m.LoadTarget = 1e-4 }, calibration{},
+		"load target 0.0001 below the anti-correlated floor")
 
-	// The naive reference is the slow part: run the variants' references
-	// side by side on the shard pool.
-	wants := make([]generator, len(variants))
-	wantErrs := make([]error, len(variants))
-	for i, v := range variants {
-		wants[i] = fitted(t, v.m)
-	}
-	err := shard.Run(runtime.GOMAXPROCS(0), len(variants), func(i int) error {
-		if wantErrs[i] = naiveCalibrateCorrelation(&wants[i]); wantErrs[i] != nil {
-			return nil
-		}
-		return naiveCalibrateOverestimation(&wants[i])
-	})
-	if err != nil {
-		t.Fatalf("naive overestimation: %v", err)
-	}
-
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
-	for i, v := range variants {
-		want, wantErr := wants[i], wantErrs[i]
-		if (wantErr != nil) != v.wantErr {
-			t.Fatalf("%s: naive calibration error %v, want error %v", v.name, wantErr, v.wantErr)
-		}
-		for _, procs := range []int{1, 2, 7} {
-			runtime.GOMAXPROCS(procs)
-			got := fitted(t, v.m)
-			err := got.calibrateCorrelation()
-			if fmt.Sprint(err) != fmt.Sprint(wantErr) {
-				t.Errorf("%s at GOMAXPROCS %d: error %q, naive %q", v.name, procs, err, wantErr)
-				continue
+	for _, v := range variants {
+		t.Run(v.name, func(t *testing.T) {
+			t.Parallel()
+			g, err := calibrate(t, v.m)
+			var errText string
+			if err != nil {
+				errText = err.Error()
+			}
+			if errText != v.wantErr {
+				t.Fatalf("error %q, want %q", errText, v.wantErr)
 			}
 			if err != nil {
-				continue
+				return
 			}
-			if err := got.calibrateOverestimation(); err != nil {
-				t.Fatalf("%s at GOMAXPROCS %d: overestimation: %v", v.name, procs, err)
+			got := calibration{g.corr, g.overShift}
+			switch _, ok := calibrated[v.m]; {
+			case v.stored && !ok:
+				t.Errorf("no stored calibration; add the entry\n\t%s: {corr: %x, overShift: %x},", v.name, got.corr, got.overShift)
+			case v.stored && bits(got) != bits(v.want):
+				t.Errorf("stored %x, a fresh calibration reads %x; the entry should read\n\t%s: {corr: %x, overShift: %x},",
+					v.want, got, v.name, got.corr, got.overShift)
+			case !v.stored && bits(got) != bits(v.want):
+				t.Errorf("calibrated to %x, pinned %x", got, v.want)
 			}
-			if math.Float64bits(got.corr) != math.Float64bits(want.corr) {
-				t.Errorf("%s at GOMAXPROCS %d: corr %x, naive %x", v.name, procs,
-					math.Float64bits(got.corr), math.Float64bits(want.corr))
+			if v.m.LoadTarget == 0 {
+				return
 			}
-			if math.Float64bits(got.overShift) != math.Float64bits(want.overShift) {
-				t.Errorf("%s at GOMAXPROCS %d: overShift %x, naive %x", v.name, procs,
-					math.Float64bits(got.overShift), math.Float64bits(want.overShift))
+			// The calibrated correlation offers the target load on a
+			// sample the calibration never saw.
+			const n = 100000
+			r := rng.New(21)
+			var area float64
+			for i := 0; i < n; i++ {
+				w, act := g.sampleJob(r.NormFloat64(), r.Float64(), r.NormFloat64())
+				area += float64(w) * act
 			}
-		}
+			if load := area / n / (float64(v.m.Machine) * v.m.IATAvg); math.Abs(load-v.m.LoadTarget)/v.m.LoadTarget > 0.10 {
+				t.Errorf("offered load %.3f, want %.3f", load, v.m.LoadTarget)
+			}
+		})
 	}
 }
 
 // TestGeneratedSetsPinned pins an FNV-1a hash over every field of every job
-// of GenerateSets(2, 2000, 2004) per model, recorded with the serial load
-// calibration. Any change to a generated job fails here in about a second;
-// a last-bit change of the correlation may round away, which is
-// TestCalibrationMatchesNaive's to catch. The generator cache is emptied
-// first, so each `go test -cpu` pass recalibrates at its own GOMAXPROCS.
+// of GenerateSets(2, 2000, 2004) per built-in model, and for one model
+// outside the table of stored calibrations, recorded when the load
+// calibration ran on the shard pool for every model. Any change to a
+// generated job fails here in about a second; a last-bit change of a
+// calibration may round away, which is TestCalibrationTable's to catch.
+// The generator cache is emptied first, so the model outside the table
+// calibrates in this test.
 func TestGeneratedSetsPinned(t *testing.T) {
 	genCache.Range(func(k, _ any) bool {
 		genCache.Delete(k)
 		return true
 	})
-	want := map[string]uint64{
-		"CTC":  0x71c25943d1c39376,
-		"KTH":  0xb4fd94f56dfd63ca,
-		"LANL": 0x1b63c72087afe830,
-		"SDSC": 0x4e5bde17109b7275,
-	}
-	for _, m := range Models() {
-		sets, err := m.GenerateSets(2, 2000, 2004)
+	sdsc := SDSC
+	sdsc.LoadTarget *= 0.8
+	for _, c := range []struct {
+		name string
+		m    Model
+		want uint64
+	}{
+		{"CTC", CTC, 0x71c25943d1c39376},
+		{"KTH", KTH, 0xb4fd94f56dfd63ca},
+		{"LANL", LANL, 0x1b63c72087afe830},
+		{"SDSC", SDSC, 0x4e5bde17109b7275},
+		{"SDSC/load×0.8", sdsc, 0x8dcc83d733391279},
+	} {
+		sets, err := c.m.GenerateSets(2, 2000, 2004)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -506,20 +464,28 @@ func TestGeneratedSetsPinned(t *testing.T) {
 				}
 			}
 		}
-		if got := h.Sum64(); got != want[m.Name] {
-			t.Errorf("%s: fingerprint %016x, pinned %016x", m.Name, got, want[m.Name])
+		if got := h.Sum64(); got != c.want {
+			t.Errorf("%s: fingerprint %016x, pinned %016x", c.name, got, c.want)
 		}
 	}
 }
 
-// BenchmarkCalibrate fits and calibrates one model's generator per
-// iteration, bypassing the generator cache that every Generate call hits.
+// BenchmarkCalibrate builds one model's generator per iteration,
+// bypassing the generator cache that every Generate call hits: for each
+// built-in model what a process pays on its first Generate (the fits and
+// a table lookup), and under "fresh" both calibrations of a model the
+// table does not hold.
 func BenchmarkCalibrate(b *testing.B) {
-	for _, m := range Models() {
-		b.Run(m.Name, func(b *testing.B) {
+	fresh := SDSC
+	fresh.LoadTarget *= 0.8
+	for _, c := range []struct {
+		name string
+		m    Model
+	}{{CTC.Name, CTC}, {KTH.Name, KTH}, {LANL.Name, LANL}, {SDSC.Name, SDSC}, {"fresh", fresh}} {
+		b.Run(c.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := m.newGenerator(); err != nil {
+				if _, err := c.m.newGenerator(); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -123,11 +123,12 @@ fuzz:
 # `make golden-check` took 3 min 23 s wall and 6.5 min CPU with
 # `go run`, 3 min 22 s and 6.5 min with the built binary;
 # `make golden-check-registered` took 3 min 19 s and 6.4 min with
-# `go run`, 3 min 28 s and 6.7 min with the built binary. Most of it is
-# CTC: in an earlier one-run-per-trace measurement on the same host
-# (`-traces X`, the built binary) CTC took 85 s, KTH 29 s, LANL 17 s and
-# SDSC 65 s. `make golden-check-ablation` took 15 s wall and
-# `make golden-check-fairness` 4 s.
+# `go run`, 3 min 28 s and 6.7 min with the built binary. About two
+# thirds of it is the static FCFS and LJF baselines, mostly at CTC 0.6
+# and 0.7: timing every cell with one 10,000-job set each (one worker),
+# static LJF took 37 % and static FCFS 27 % of the CPU, the dynP group
+# 34 % and static SJF 2 % (ROADMAP item 2). `make golden-check-ablation`
+# took 15 s wall and `make golden-check-fairness` 4 s.
 repro:
 	$(GO) run ./cmd/paper
 

@@ -141,16 +141,7 @@ func TestReplayGenesisRefusesTamperedCounts(t *testing.T) {
 				t.Fatal(err)
 			}
 
-			jr, err := OpenJournal(path)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer jr.Close()
-			s, err := New(8, newDynP(), 0)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if _, err := jr.ReplayGenesis(s); err == nil || !strings.Contains(err.Error(), "diverges") {
+			if err := genesisErr(t, path); err == nil || !strings.Contains(err.Error(), "diverges") {
 				t.Fatalf("genesis replay of a checkpoint with a tampered %s count: %v, want a divergence", tc.name, err)
 			}
 		})

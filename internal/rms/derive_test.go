@@ -53,9 +53,10 @@ func TestJobInfosDerivedFromEngine(t *testing.T) {
 }
 
 // checkDerived holds the published image's clock, failed and used
-// processors and live jobs to the naive daemon's. It returns how many
-// waiting jobs the naive plan in force had no entry for and how many it
-// had one for.
+// processors and live jobs to the naive daemon's, and a drained machine's
+// plan in force to the naive daemon's none: it has no entry. It returns
+// how many waiting jobs the naive plan in force had no entry for and how
+// many it had one for.
 func checkDerived(t *testing.T, s *Scheduler, naive *plantest.Daemon) (unplaced, placed int) {
 	t.Helper()
 	img := s.img.Load()
@@ -70,6 +71,12 @@ func checkDerived(t *testing.T, s *Scheduler, naive *plantest.Daemon) (unplaced,
 	if len(img.Waiting) != len(naive.Waiting) || len(img.Running) != len(naive.Running) {
 		t.Fatalf("image holds %d waiting and %d running jobs, the naive daemon %d and %d",
 			len(img.Waiting), len(img.Running), len(naive.Waiting), len(naive.Running))
+	}
+	s.mu.Lock()
+	sch := s.eng.Schedule()
+	s.mu.Unlock()
+	if naive.InForce == nil && sch != nil && len(sch.Entries) > 0 {
+		t.Fatalf("t=%d: a machine with %d of %d processors failed plans %v", img.Now, img.Failed, naive.Capacity, sch.Entries)
 	}
 	starts := map[job.ID]int64{}
 	for _, e := range naive.InForce {

@@ -11,9 +11,10 @@ import (
 )
 
 // TestFailMarksWideWaitersUnplaceable: a job too wide for the processors
-// up stays queued, unplaceable, while time passes — which no enumerated
-// stream (TestShortStreamsLockstep) does with nothing running — and starts
-// on the restore that makes it fit.
+// up stays queued, unplaceable, while time passes with nothing running,
+// and starts on the restore that makes it fit. TestShortStreamsLockstep
+// holds the same shape to the naive daemon: [fail #0 submit 3x1 tick +3
+// restore #0].
 func TestFailMarksWideWaitersUnplaceable(t *testing.T) {
 	s := newFCFS(t, 8)
 	s.Submit(8, 100)
@@ -36,8 +37,9 @@ func TestFailMarksWideWaitersUnplaceable(t *testing.T) {
 }
 
 // TestFailEverything: a job queued on a drained machine waits while time
-// passes — which no enumerated stream (TestShortStreamsLockstep) does with
-// nothing running — and starts on the restore.
+// passes and starts on the restore. TestShortStreamsLockstep holds the
+// same shape to the naive daemon: [fail #0 fail #0 fail #0 submit 1x1
+// tick +3 restore #0].
 func TestFailEverything(t *testing.T) {
 	s := newFCFS(t, 8)
 	if err := s.Fail(8); err != nil {

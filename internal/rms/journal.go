@@ -14,7 +14,11 @@
 // segment's sequence number; segment 0 is the genesis segment. Event
 // records are written and flushed *before* the event mutates scheduler
 // state, so a kill -9 loses at most the un-acknowledged event in
-// flight.
+// flight. TestShortStreamsLockstep holds recovery to that: it kills an
+// FCFS daemon at every file operation, torn writes included, of every
+// short stream, and of recovery's own repairs (DESIGN §8). An event is not
+// fsynced until a rotation seals its segment (or Sync or Close), so the
+// promise is a process kill's, not a power loss's.
 //
 // Checkpoints and rotation. Every checkpointEvery events the journal
 // cuts a checkpoint: the active segment is flushed, fsynced and renamed
@@ -261,6 +265,7 @@ type segScan struct {
 	header   journalHeader
 	headerOK bool
 	ckpt     *checkpointState // valid head checkpoint, if any
+	badCkpt  bool             // the header promises a checkpoint, and record 1 is there but invalid
 	events   []Event          // valid events after the head, in order
 	clean    bool             // the events region is fully valid to the end of the file
 }
@@ -311,7 +316,7 @@ func interpretSegment(recs []record, repair bool) (segScan, int64, error) {
 			// promised: the torn checkpoint was truncated at an earlier
 			// open and appends continued: events start at record 1.
 		default:
-			i = 2
+			i, sc.badCkpt = 2, true
 			if repair && len(recs) == 2 {
 				// The corrupt checkpoint is the torn tail itself.
 				truncateAt = recs[1].off

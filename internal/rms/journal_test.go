@@ -2,6 +2,7 @@ package rms
 
 import (
 	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -131,6 +132,40 @@ func replayFresh(t *testing.T, path string, capacity int) (*Scheduler, *Journal,
 	return s, j, n, err
 }
 
+// genesisErr is the verdict of a genesis replay of the journal at path
+// into a fresh 8-processor scheduler.
+func genesisErr(t *testing.T, path string) error {
+	t.Helper()
+	j, err := OpenJournal(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer j.Close()
+	s, err := New(8, newDynP(), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = j.ReplayGenesis(s)
+	return err
+}
+
+// replaysTo replays the journal at path into a fresh scheduler of
+// capacity processors, which must land on the fingerprint want, and
+// returns the events the replay applied and the count the journal found
+// at open.
+func replaysTo(t *testing.T, path string, capacity int, want, what string) (int, int64) {
+	t.Helper()
+	s, j, n, err := replayFresh(t, path, capacity)
+	if err != nil {
+		t.Fatalf("%s: %v", what, err)
+	}
+	defer j.Close()
+	if got := fingerprint(t, s); got != want {
+		t.Errorf("%s diverges\nlive: %s\ngot:  %s", what, want, got)
+	}
+	return n, j.Events()
+}
+
 func TestJournalReplayEquivalence(t *testing.T) {
 	for _, seed := range []uint64{1, 0xdead, 0xc0ffee} {
 		live, j, path := journaledScheduler(t, 16, 5)
@@ -140,48 +175,9 @@ func TestJournalReplayEquivalence(t *testing.T) {
 			t.Fatal(err)
 		}
 
-		replayed, j2, n, err := replayFresh(t, path, 16)
-		if err != nil {
-			t.Fatalf("seed %#x: replay: %v", seed, err)
-		}
-		defer j2.Close()
-		if n == 0 {
+		if n, _ := replaysTo(t, path, 16, want, fmt.Sprintf("seed %#x: replay", seed)); n == 0 {
 			t.Fatalf("seed %#x: no events replayed", seed)
 		}
-		if got := fingerprint(t, replayed); got != want {
-			t.Errorf("seed %#x: replayed state diverges\nlive:     %s\nreplayed: %s", seed, want, got)
-		}
-	}
-}
-
-func TestJournalRecoversTruncatedTail(t *testing.T) {
-	live, j, path := journaledScheduler(t, 8, 0)
-	driveRandomEvents(t, live, 3, 30)
-	want := fingerprint(t, live)
-	j.Close()
-
-	// A kill -9 mid-append leaves a partial final line.
-	f, err := os.OpenFile(path, os.O_APPEND|os.O_WRONLY, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := f.WriteString(`{"event":{"op":"submit","wi`); err != nil {
-		t.Fatal(err)
-	}
-	f.Close()
-	before, _ := os.Stat(path)
-
-	replayed, j2, _, err := replayFresh(t, path, 8)
-	if err != nil {
-		t.Fatalf("replay after torn write: %v", err)
-	}
-	defer j2.Close()
-	after, _ := os.Stat(path)
-	if after.Size() >= before.Size() {
-		t.Errorf("torn tail not truncated: %d -> %d bytes", before.Size(), after.Size())
-	}
-	if got := fingerprint(t, replayed); got != want {
-		t.Errorf("state after torn-write recovery diverges\nlive:     %s\nreplayed: %s", want, got)
 	}
 }
 
@@ -286,16 +282,7 @@ func TestJournalGenesisReplayDetectsTampering(t *testing.T) {
 	if !retamper(t, path+".0", `"width":`, `"width":1`) {
 		t.Skip("no submit event in the genesis segment to tamper with")
 	}
-	j2, err := OpenJournal(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer j2.Close()
-	s, err := New(8, newDynP(), 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := j2.ReplayGenesis(s); err == nil {
+	if err := genesisErr(t, path); err == nil {
 		t.Fatal("tampered journal passed the genesis audit")
 	} else if !strings.Contains(err.Error(), "checkpoint") {
 		t.Errorf("error %q does not mention the checkpoint verification", err)

@@ -1,6 +1,7 @@
-// Tests for the version-2 journal: checkpoint rotation, the recovery
-// ladder, compaction, continuation repair after a crashed rotation, and
-// the sticky-error policy under injected disk faults.
+// Tests for the version-2 journal: the recovery ladder over corrupt
+// checkpoints, compaction, and the sticky-error policy under injected
+// disk faults. Crashes, and the continuation segment a crashed rotation
+// leaves, are the crash enumeration's (crash_test.go).
 package rms
 
 import (
@@ -167,55 +168,6 @@ func TestCheckpointRecordBytes(t *testing.T) {
 	})
 }
 
-// TestJournalCheckpointRestart: a restart from the newest checkpoint and
-// a full genesis replay must rebuild byte-identical externally visible
-// state, and the fast path must not need the full history.
-func TestJournalCheckpointRestart(t *testing.T) {
-	live, j, path := journaledScheduler(t, 8, 5)
-	driveRandomEvents(t, live, 0xbeef, 120)
-	want := fingerprint(t, live)
-	if j.Segment() < 2 {
-		t.Fatalf("only %d rotations after 120 events with checkpoints every 5", j.Segment())
-	}
-	total := j.Events()
-	j.Close()
-
-	fast, jf, n, err := replayFresh(t, path, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer jf.Close()
-	if int64(n) != total {
-		t.Errorf("fast replay accounts for %d events, journal holds %d", n, total)
-	}
-	if got := fingerprint(t, fast); got != want {
-		t.Errorf("checkpoint restart diverges\nlive: %s\nfast: %s", want, got)
-	}
-
-	jg, err := OpenJournal(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer jg.Close()
-	genesis, err := New(8, newDynP(), 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := jg.ReplayGenesis(genesis); err != nil {
-		t.Fatalf("genesis audit: %v", err)
-	}
-	if got := fingerprint(t, genesis); got != want {
-		t.Errorf("genesis replay diverges\nlive:    %s\ngenesis: %s", want, got)
-	}
-
-	// Both restarted schedulers must behave identically from here on.
-	driveRandomEvents(t, fast, 0xf00d, 40)
-	driveRandomEvents(t, genesis, 0xf00d, 40)
-	if f, g := fingerprint(t, fast), fingerprint(t, genesis); f != g {
-		t.Errorf("restored schedulers diverge on identical futures\nfast:    %s\ngenesis: %s", f, g)
-	}
-}
-
 // TestJournalLadderFallback: a corrupted checkpoint record must not lose
 // the journal — replay falls back one checkpoint at a time, and with
 // every checkpoint destroyed, all the way to genesis, rebuilding the
@@ -231,45 +183,26 @@ func TestJournalLadderFallback(t *testing.T) {
 	total := j.Events()
 	j.Close()
 
+	// The journal's event count, set at open (Replay does not move it),
+	// must equal Replay's and the live journal's.
+	fallback := func(name string) {
+		if n, events := replaysTo(t, path, 8, want, name); int64(n) != total || events != total {
+			t.Errorf("%s: journal counts %d events at open, replay %d, live journal %d", name, events, n, total)
+		}
+	}
 	// Destroy the newest checkpoint (record 1 of the active segment).
 	corruptSegmentRecord(t, path, 1)
-	s1, j1, n1, err := replayFresh(t, path, 8)
-	if err != nil {
-		t.Fatalf("replay with newest checkpoint corrupt: %v", err)
-	}
-	checkCounts(t, "one-rung fallback", j1, n1, total)
-	j1.Close()
-	if got := fingerprint(t, s1); got != want {
-		t.Errorf("one-rung fallback diverges\nlive: %s\ngot:  %s", want, got)
-	}
+	fallback("one-rung fallback")
 
 	// Destroy every checkpoint: only genesis replay remains, and it must
 	// still rebuild the identical state.
 	for seq := 1; seq < top; seq++ {
 		corruptSegmentRecord(t, path+"."+itoa(seq), 1)
 	}
-	s2, j2, n2, err := replayFresh(t, path, 8)
-	if err != nil {
-		t.Fatalf("replay with all checkpoints corrupt: %v", err)
-	}
-	checkCounts(t, "genesis fallback", j2, n2, total)
-	j2.Close()
-	if got := fingerprint(t, s2); got != want {
-		t.Errorf("genesis fallback diverges\nlive: %s\ngot:  %s", want, got)
-	}
+	fallback("genesis fallback")
 }
 
 func itoa(n int) string { return strconv.Itoa(n) }
-
-// checkCounts holds a reopened journal's event count — set at open;
-// Replay does not move it — to the count Replay returned and to the
-// live journal's before it closed.
-func checkCounts(t *testing.T, name string, j *Journal, replayed int, live int64) {
-	t.Helper()
-	if got := j.Events(); got != int64(replayed) || got != live {
-		t.Errorf("%s: journal counts %d events at open, replay %d, live journal %d", name, got, replayed, live)
-	}
-}
 
 // TestJournalCompactAfterLadderFallback: when the active segment's
 // checkpoint was corrupt at open, the rung recovery rests on is an older
@@ -300,15 +233,7 @@ func TestJournalCompactAfterLadderFallback(t *testing.T) {
 	}
 	want := fingerprint(t, s)
 	j1.Close()
-
-	again, j2, _, err := replayFresh(t, path, 8)
-	if err != nil {
-		t.Fatalf("replay after compacting a fallen-back journal: %v", err)
-	}
-	j2.Close()
-	if got := fingerprint(t, again); got != want {
-		t.Errorf("replay after compaction diverges\nlive: %s\ngot:  %s", want, got)
-	}
+	replaysTo(t, path, 8, want, "replay after compacting a fallen-back journal")
 }
 
 // TestJournalCompact: compaction retires segments the newest durable
@@ -338,26 +263,9 @@ func TestJournalCompact(t *testing.T) {
 				t.Errorf("%d rotated segments remain with SetKeep(%d): %v", len(rot), keep, rot)
 			}
 			j.Close()
+			replaysTo(t, path, 8, want, "replay after compaction")
 
-			fast, jf, _, err := replayFresh(t, path, 8)
-			if err != nil {
-				t.Fatalf("replay after compaction: %v", err)
-			}
-			jf.Close()
-			if got := fingerprint(t, fast); got != want {
-				t.Errorf("post-compaction replay diverges\nlive: %s\ngot:  %s", want, got)
-			}
-
-			jg, err := OpenJournal(path)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer jg.Close()
-			s, err := New(8, newDynP(), 0)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if _, err := jg.ReplayGenesis(s); err == nil {
+			if err := genesisErr(t, path); err == nil {
 				t.Error("genesis audit succeeded without the genesis segment")
 			} else if !strings.Contains(err.Error(), "compacted") {
 				t.Errorf("error %q does not mention compaction", err)
@@ -395,73 +303,7 @@ func TestJournalAutoCompact(t *testing.T) {
 		t.Errorf("%d rotated segments remain with keep=2: %v", len(rot), rot)
 	}
 	j.Close()
-	fast, jf, _, err := replayFresh(t, path, 8)
-	if err != nil {
-		t.Fatalf("replay after auto-compaction: %v", err)
-	}
-	jf.Close()
-	if got := fingerprint(t, fast); got != want {
-		t.Errorf("auto-compacted replay diverges\nlive: %s\ngot:  %s", want, got)
-	}
-}
-
-// TestJournalContinuationAfterCrashedRotation: a crash between sealing
-// the old segment and writing the new one leaves an empty (or torn)
-// active file; reopening must self-heal into a continuation segment and
-// replay losslessly via the ladder.
-func TestJournalContinuationAfterCrashedRotation(t *testing.T) {
-	live, j, path := journaledScheduler(t, 8, 5)
-	driveRandomEvents(t, live, 0x919, 60)
-	want := fingerprint(t, live)
-	top := j.Segment()
-	total := j.Events()
-	j.Close()
-
-	for name, damage := range map[string]func(){
-		"missing": func() { os.Remove(path) },
-		"empty":   func() { os.WriteFile(path, nil, 0o644) },
-		"torn":    func() { os.WriteFile(path, []byte("xxxxxxxx {\"torn\":"), 0o644) },
-	} {
-		// Simulate the crash window: the rotation's rename happened but
-		// the new active segment never made it.
-		saved, err := os.ReadFile(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := os.Rename(path, path+"."+itoa(top)); err != nil {
-			t.Fatal(err)
-		}
-		damage()
-
-		fast, j2, n, err := replayFresh(t, path, 8)
-		if err != nil {
-			t.Fatalf("%s active segment: %v", name, err)
-		}
-		checkCounts(t, name+" active segment", j2, n, total)
-		if got := fingerprint(t, fast); got != want {
-			t.Errorf("%s active segment: continuation replay diverges\nlive: %s\ngot:  %s", name, want, got)
-		}
-		if got := j2.Segment(); got != top+1 {
-			t.Errorf("%s active segment: continuation got sequence %d, want %d", name, got, top+1)
-		}
-
-		// The continuation must journal further events durably.
-		if _, err := fast.Submit(1, 5); err != nil {
-			t.Errorf("%s active segment: submit on continuation: %v", name, err)
-		}
-		j2.Close()
-
-		// Restore the original layout for the next damage mode.
-		if err := os.Remove(path); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.Rename(path+"."+itoa(top), path); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(path, saved, 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
+	replaysTo(t, path, 8, want, "replay after auto-compaction")
 }
 
 // TestJournalStickyFsync is the regression test for the swallowed

@@ -7,6 +7,7 @@ import (
 	"hash"
 	"io"
 	"io/fs"
+	"maps"
 	"net"
 	"os"
 	"reflect"
@@ -148,6 +149,9 @@ type daemonStream struct {
 	// after, if set, is called after each op's checks with the op's
 	// transitions and the answer to a quote.
 	after func(s *Scheduler, log []plantest.Transition, quoted []Quote)
+	// crashes, if set, has the stream's last op crashed at every file
+	// operation it makes (crashOp), and keeps what the crashes found.
+	crashes *crashLog
 }
 
 // streamEnd is what a stream leaves.
@@ -178,13 +182,15 @@ type streamEnd struct {
 // continues on it (BC-3). A quote's twin must have continued from the
 // live tuner's state. Every stream ends with a restart and a replay from
 // genesis, every checkpoint on the way byte-compared, to the same
-// fingerprint and image. Its streams: the seeded and fuzzed ones
+// fingerprint and image. With ds.crashes set, the daemon is also killed
+// inside the stream's last op, at every file operation it makes
+// (crashOp). Its streams: the seeded and fuzzed ones
 // (decodeStream), every short one (TestShortStreamsLockstep), the
 // tie-rule scripts (TestTieRules) and the differential job sets
 // (TestDifferentialSimVsRMS).
 func runDeliverLockstep(t *testing.T, ds daemonStream, ops []streamOp) streamEnd {
-	const path = "events.journal"
 	end := streamEnd{fs: &memFS{files: map[string][]byte{}}}
+	every := max(3, len(ops)/16)
 	var naive *plantest.Daemon
 	if ds.oracle != nil {
 		naive = plantest.NewDaemon(ds.capacity, ds.oracle(), 0)
@@ -194,6 +200,7 @@ func runDeliverLockstep(t *testing.T, ds daemonStream, ops []streamOp) streamEnd
 		s         *Scheduler
 		j         *Journal
 		send      func(Request) Response
+		sent      []Request // what the naive daemon was sent
 		live, tw  *sim.DynP
 		ref       *plantest.Tuner
 		twinMaker = func() sim.Driver {
@@ -205,22 +212,8 @@ func runDeliverLockstep(t *testing.T, ds daemonStream, ops []streamOp) streamEnd
 	open := func(genesis bool) *Scheduler {
 		var drv sim.Driver
 		drv, live, ref = ds.newDriver()
-		s, err := New(ds.capacity, drv, 0)
-		if err == nil {
-			j, err = OpenJournalFS(end.fs, path)
-		}
-		if err == nil {
-			j.SetSnapshotEvery(max(3, len(ops)/16))
-			if genesis {
-				_, err = j.ReplayGenesis(s)
-			} else if _, err = j.Replay(s); err == nil {
-				err = s.SetJournal(j)
-			}
-		}
-		if err == nil {
-			err = s.EnableQuotes(twinMaker)
-		}
-		if err != nil {
+		s, j, _ = openJournaled(t, ds.capacity, drv, end.fs, genesis, every)
+		if err := s.EnableQuotes(twinMaker); err != nil {
 			t.Fatal(err)
 		}
 		return s
@@ -243,8 +236,8 @@ func runDeliverLockstep(t *testing.T, ds daemonStream, ops []streamOp) streamEnd
 	}
 	ask := func(when string, req Request) Response {
 		resp := send(req)
-		if !resp.OK {
-			t.Fatalf("%s: %s: %s", when, req.Op, resp.Error)
+		if resp.OK == tooWide(req, ds.capacity) {
+			t.Fatalf("%s: %s: ok %v: %s", when, req.Op, resp.OK, resp.Error)
 		}
 		if ds.reads != nil {
 			line, err := appendResponse(nil, &resp)
@@ -265,7 +258,7 @@ func runDeliverLockstep(t *testing.T, ds daemonStream, ops []streamOp) streamEnd
 		}
 	}
 	restart := func(when string) (want [2]string) {
-		want = [2]string{fingerprint(t, s), checkpointImage(t, s)}
+		want = daemonState(t, s)
 		var wantActive policy.Policy
 		var wantDecider string
 		if ref != nil {
@@ -333,7 +326,8 @@ func runDeliverLockstep(t *testing.T, ds daemonStream, ops []streamOp) streamEnd
 		}
 		var infos []JobInfo
 		var quoted []Quote
-		from := len(rec.Transitions)
+		var flight inFlight
+		from, mark := len(rec.Transitions), len(end.fs.log)
 		switch req.Op {
 		case "":
 		case "restart":
@@ -341,12 +335,16 @@ func runDeliverLockstep(t *testing.T, ds daemonStream, ops []streamOp) streamEnd
 		case "quote":
 			quoted = quote(when, req)
 		default:
+			if ds.crashes != nil && i == len(ops)-1 {
+				flight = inFlight{req: req, every: every, files: [2][32]byte{end.fs.key()}, events: [2]int64{j.Events()}}
+			}
 			resp := ask(when, req)
 			if infos = resp.Jobs; resp.Job != nil {
 				infos = append(infos, *resp.Job)
 			}
-			if naive != nil {
+			if naive != nil && resp.OK {
 				mirror(naive, req)
+				sent = append(sent, req)
 			}
 		}
 		err := s.CheckInvariants()
@@ -366,6 +364,10 @@ func runDeliverLockstep(t *testing.T, ds daemonStream, ops []streamOp) streamEnd
 			end.unplaced, end.placed = end.unplaced+u, end.placed+p
 		}
 		checkStatusOrder(t, when, s)
+		if flight.req.Op != "" && len(end.fs.log) > mark {
+			flight.sent, flight.files[1], flight.events[1] = sent, end.fs.key(), j.Events()
+			crashOp(t, ds, end.fs, mark, flight, s)
+		}
 		if ds.after != nil {
 			ds.after(s, rec.Transitions[from:], quoted)
 		}
@@ -395,6 +397,40 @@ func runDeliverLockstep(t *testing.T, ds daemonStream, ops []streamOp) streamEnd
 		}
 	}
 	return end
+}
+
+// journalPath is where a stream keeps its journal.
+const journalPath = "events.journal"
+
+// openJournaled makes a scheduler planning with drv and replays into it
+// the journal on fsys, from genesis if genesis is set, else the fast way,
+// journaling on from there. It returns the scheduler, its journal, set to
+// checkpoint every every events, and the events the replay folded in.
+func openJournaled(t *testing.T, capacity int, drv sim.Driver, fsys *memFS, genesis bool, every int) (*Scheduler, *Journal, int) {
+	s, err := New(capacity, drv, 0)
+	var j *Journal
+	if err == nil {
+		j, err = OpenJournalFS(fsys, journalPath)
+	}
+	n := 0
+	if err == nil {
+		j.SetSnapshotEvery(every)
+		if genesis {
+			n, err = j.ReplayGenesis(s)
+		} else if n, err = j.Replay(s); err == nil {
+			err = s.SetJournal(j)
+		}
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s, j, n
+}
+
+// tooWide reports whether req names a job wider than a capacity-processor
+// machine, which a daemon refuses and the naive daemon is not sent.
+func tooWide(req Request, capacity int) bool {
+	return req.Width > capacity || slices.ContainsFunc(req.Subs, func(sub Submission) bool { return sub.Width > capacity })
 }
 
 // deciderState is the saved state of a naive tuner's decider, "" for a
@@ -490,6 +526,12 @@ func checkStatusOrder(t *testing.T, when string, s *Scheduler) {
 	}
 }
 
+// daemonState is what a restart must rebuild of s: its fingerprint and
+// its checkpoint image.
+func daemonState(t *testing.T, s *Scheduler) [2]string {
+	return [2]string{fingerprint(t, s), checkpointImage(t, s)}
+}
+
 // checkpointImage is what a checkpoint of s would hold — plan and
 // driver state included — as JSON.
 func checkpointImage(t *testing.T, s *Scheduler) string {
@@ -561,8 +603,22 @@ func (w *wireTap) hangUp(t *testing.T) {
 // memFS is an in-memory vfs.FS for a stream's journal, whose syncs an
 // enumeration of thousands of streams cannot pay on a disk. It serves
 // the journal's use only: writes at the end, seeks from the start,
-// truncations that shorten.
-type memFS struct{ files map[string][]byte }
+// truncations that shorten. It logs every file operation, with the files
+// before it, for crash; no file's bytes change in place, so the logged
+// files share them.
+type memFS struct {
+	files map[string][]byte
+	log   []fsOp
+}
+
+// An fsOp is one logged file operation: a create (on open), a write of
+// data at off, a truncate, a rename, a remove or a sync.
+type fsOp struct {
+	kind, name string
+	off        int
+	data       []byte
+	before     map[string][]byte
+}
 
 type memFile struct {
 	fs   *memFS
@@ -572,21 +628,47 @@ type memFile struct {
 
 type memEntry string
 
+func (fs *memFS) do(op fsOp) {
+	op.before = maps.Clone(fs.files)
+	fs.log = append(fs.log, op)
+}
+
+// crash returns the files a process killed at logged operation k leaves
+// behind: every earlier operation done and, if k is a write, its first
+// torn bytes. A sync changes nothing: a kill -9 loses no byte the process
+// handed the operating system, so this is the journal's crash contract
+// (DESIGN §8), not a power loss's.
+func (fs *memFS) crash(k, torn int) *memFS {
+	op := fs.log[k]
+	c := &memFS{files: maps.Clone(op.before)}
+	if op.kind == "write" {
+		c.files[op.name] = append(op.before[op.name][:op.off:op.off], op.data[:torn]...)
+	}
+	return c
+}
+
 func (fs *memFS) OpenFile(name string, flag int, _ os.FileMode) (vfs.File, error) {
 	if _, ok := fs.files[name]; !ok && flag&os.O_CREATE == 0 {
 		return nil, os.ErrNotExist
 	} else if !ok || flag&os.O_TRUNC != 0 {
+		fs.do(fsOp{kind: "create", name: name})
 		fs.files[name] = nil
 	}
 	return &memFile{fs: fs, name: name}, nil
 }
 
 func (fs *memFS) Rename(from, to string) error {
+	fs.do(fsOp{kind: "rename", name: from})
 	fs.files[to] = fs.files[from]
-	return fs.Remove(from)
+	delete(fs.files, from)
+	return nil
 }
 
-func (fs *memFS) Remove(name string) error { delete(fs.files, name); return nil }
+func (fs *memFS) Remove(name string) error {
+	fs.do(fsOp{kind: "remove", name: name})
+	delete(fs.files, name)
+	return nil
+}
 
 // ReadDir lists every file, sorted: a stream's journal is all there is.
 func (fs *memFS) ReadDir(string) ([]os.DirEntry, error) {
@@ -607,18 +689,20 @@ func (f *memFile) Read(p []byte) (int, error) {
 }
 
 func (f *memFile) Write(p []byte) (int, error) {
-	f.fs.files[f.name] = append(f.fs.files[f.name][:f.off], p...)
+	f.fs.do(fsOp{kind: "write", name: f.name, off: f.off, data: slices.Clone(p)})
+	f.fs.files[f.name] = append(f.fs.files[f.name][:f.off:f.off], p...)
 	f.off += len(p)
 	return len(p), nil
 }
 
 func (f *memFile) Seek(off int64, _ int) (int64, error) { f.off = int(off); return off, nil }
 func (f *memFile) Truncate(n int64) error {
-	f.fs.files[f.name] = f.fs.files[f.name][:n]
+	f.fs.do(fsOp{kind: "truncate", name: f.name})
+	f.fs.files[f.name] = f.fs.files[f.name][:n:n]
 	return nil
 }
 func (f *memFile) Name() string             { return f.name }
-func (*memFile) Sync() error                { return nil }
+func (f *memFile) Sync() error              { f.fs.do(fsOp{kind: "sync", name: f.name}); return nil }
 func (*memFile) Close() error               { return nil }
 func (e memEntry) Name() string             { return string(e) }
 func (memEntry) IsDir() bool                { return false }

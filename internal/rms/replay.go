@@ -126,7 +126,9 @@ func (j *Journal) replayGenesis(s *Scheduler, active *segScan) (int, error) {
 		if !sc.clean {
 			return 0, fmt.Errorf("rms: journal: segment %d has corrupt records", i)
 		}
-		if sc.header.Checkpoint && sc.ckpt == nil {
+		if sc.badCkpt {
+			// A promised checkpoint that is absent was torn by a crash
+			// and truncated at open: there is nothing to verify.
 			return 0, fmt.Errorf("rms: journal: segment %d checkpoint record is corrupt", i)
 		}
 		if g := segs[0].header; sc.header.Capacity != g.Capacity ||

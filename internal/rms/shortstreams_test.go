@@ -17,19 +17,20 @@ import (
 const smallCapacity, smallJobs, shortDepth = 3, 2, 4
 
 // smallOps is the enumeration's alphabet: submit a job of each width and
-// estimate in {1, 2, 3}; complete or cancel each job; advance by 1 to 3;
-// fail or restore one processor; deliver batches of up to two entries,
-// completions and submissions, now or 2 later (a batch's second entry is
-// a job of one of three shapes, longer as it is narrower); and quote two
-// jobs of those shapes. Each op with an interactive entry point goes
-// through Deliver too: a submission and an advance as batches of their
-// own, a completion as a batch now.
+// estimate in {1, 2, 3}, and one wider than the machine, which is
+// refused; complete or cancel each job; advance by 1 to 3; fail or
+// restore one processor; deliver batches of up to two entries,
+// completions of the first two running jobs and submissions, now or 2
+// later (a batch's second entry is a job of one of three shapes, longer
+// as it is narrower); and quote two jobs of those shapes. Each op
+// with an interactive entry point goes through Deliver too: a submission
+// and an advance as batches of their own, a completion as a batch now.
 var smallOps = func() []streamOp {
 	op := func(req Request, by int64, picks ...int) streamOp { return streamOp{req, by, picks} }
 	pair := []Submission{{Width: 1, Estimate: 3}, {Width: 2, Estimate: 2}, {Width: 3, Estimate: 1}}
 	var ops []streamOp
-	for w := 1; w <= smallCapacity; w++ {
-		for e := int64(1); e <= 3; e++ {
+	for w := 1; w <= smallCapacity+1; w++ {
+		for e := int64(1); e <= 3 && (w <= smallCapacity || e == 1); e++ {
 			ops = append(ops, op(Request{Op: "submit", Width: w, Estimate: e}, 0),
 				op(Request{Op: "deliver", Subs: []Submission{{Width: w, Estimate: e}}}, 0))
 		}
@@ -45,7 +46,7 @@ var smallOps = func() []streamOp {
 		if ops = append(ops, op(Request{Op: "deliver"}, by)); by > 0 {
 			ops = append(ops, op(Request{Op: "tick"}, by))
 		}
-		for k := 0; k < smallJobs && by%2 == 0; k++ {
+		for k := 0; k < 2 && by%2 == 0; k++ {
 			ops = append(ops, op(Request{Op: "deliver"}, by, k), op(Request{Op: "deliver"}, by, k, 1-k))
 			for _, sh := range pair {
 				ops = append(ops, op(Request{Op: "deliver", Subs: []Submission{sh}}, by, k))
@@ -62,12 +63,15 @@ var smallOps = func() []streamOp {
 
 // acts reports whether the enumeration runs op in state st: every pick
 // names a job (a batch's, one still running at its instant), a fail has
-// a processor to fail and a restore one to restore, the clock moves only
-// while a job runs, and the machine never holds more than smallJobs
-// jobs. Any other op is not sent, or is one of these under another name.
+// a processor to fail and a restore one to restore, the clock moves with
+// nothing running only by a tick of 3, and the machine never holds more
+// than smallJobs jobs but at a batch's instant, where the jobs it
+// completes and those it submits meet. Any other op is not sent, or is
+// one of these under another name.
 func acts(op streamOp, st Status) bool {
 	live := len(st.Waiting) + len(st.Running)
-	if op.Op != "quote" && live+len(op.Subs)+min(op.Width, 1) > smallJobs || op.by > 0 && len(st.Running) == 0 {
+	if op.Op != "quote" && live+len(op.Subs)+min(op.Width, 1)-len(op.picks) > smallJobs ||
+		op.by > 0 && len(st.Running) == 0 && (op.Op != "tick" || op.by != 3) {
 		return false
 	}
 	switch op.Op {
@@ -113,10 +117,12 @@ func canonical(st Status) string {
 
 // enumerate runs every stream of up to depth ops of smallOps through the
 // stream interpreter, breadth first, extending only the streams that end
-// in a state no shorter or earlier stream ended in — and each stream of
-// depth ops that leaves no processor up by a quote and by a restore, so
-// that a machine drained on the last op is quoted and gets a processor
-// back. It returns the states visited and the streams run.
+// in a state no shorter or earlier stream ended in, and beyond depth ops
+// only those that leave no processor up, by a quote, a restore and a
+// tick, so that a machine drained on the last op is quoted and gets a
+// processor back, before or after its clock moves. So each (state, op)
+// edge runs once, as the last op of a stream. It returns the states
+// visited and the streams run.
 func enumerate(t *testing.T, ds daemonStream, depth int) (states, streams int) {
 	type stream struct {
 		ops []streamOp
@@ -133,17 +139,17 @@ func enumerate(t *testing.T, ds daemonStream, depth int) (states, streams int) {
 	}
 	frontier := []stream{{nil, run(nil)}}
 	seen := map[string]bool{canonical(frontier[0].end): true}
-	for d := 1; d <= depth+1; d++ {
+	for d := 1; d <= depth+2; d++ {
 		var next []stream
 		for _, s := range frontier {
 			for _, op := range smallOps {
-				if !acts(op, s.end) || d > depth && op.Op != "quote" && op.Op != "restore" {
+				if !acts(op, s.end) || d > depth && op.Op != "quote" && op.Op != "restore" && op.Op != "tick" {
 					continue
 				}
 				ops := append(slices.Clip(s.ops), op)
 				end := run(ops)
 				key := canonical(end)
-				if d < depth && !seen[key] || d == depth && end.FailedProcs == end.Capacity {
+				if !seen[key] && (d < depth || end.FailedProcs == end.Capacity) {
 					next = append(next, stream{ops, end})
 				}
 				seen[key] = true
@@ -157,14 +163,20 @@ func enumerate(t *testing.T, ds daemonStream, depth int) (states, streams int) {
 // TestShortStreamsLockstep holds the daemon to the naive daemon on every
 // short stream of smallOps, each checked as the stream interpreter
 // checks a stream, under FCFS, SJF and dynP/advanced: by the small-scope
-// hypothesis, most defects show on some small instance.
+// hypothesis, most defects show on some small instance. Under FCFS the
+// daemon is also killed inside every op that writes the journal
+// (crashOp), and the crash points must include every kind. A crash's
+// windows are the journal's, whatever the driver; the tuner's decision
+// state in a checkpoint is held by the restarts every stream makes.
 func TestShortStreamsLockstep(t *testing.T) {
 	for _, tc := range []struct {
 		name string
 		ds   func(t *testing.T) daemonStream
 	}{
 		{"FCFS", func(t *testing.T) daemonStream {
-			return staticStream(t, smallCapacity, policy.FCFS, new(plantest.Lanes))
+			ds := staticStream(t, smallCapacity, policy.FCFS, new(plantest.Lanes))
+			ds.crashes = &crashLog{map[string]int{}, map[[32]byte][2]string{}}
+			return ds
 		}},
 		{"SJF", func(t *testing.T) daemonStream {
 			return staticStream(t, smallCapacity, policy.SJF, new(plantest.Lanes))
@@ -175,8 +187,18 @@ func TestShortStreamsLockstep(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			t.Parallel()
-			states, streams := enumerate(t, tc.ds(t), shortDepth)
+			ds := tc.ds(t)
+			states, streams := enumerate(t, ds, shortDepth)
 			t.Logf("depth %d: %d states visited, %d streams run", shortDepth, states, streams)
+			if ds.crashes == nil {
+				return
+			}
+			t.Logf("crash points by kind %v, %d sets of files replayed", ds.crashes.kinds, len(ds.crashes.replayed))
+			for _, kind := range []string{"rotation", "torn event", "torn checkpoint", "recovery"} {
+				if ds.crashes.kinds[kind] == 0 {
+					t.Errorf("no crash point of kind %q", kind)
+				}
+			}
 		})
 	}
 }

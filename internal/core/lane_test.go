@@ -8,6 +8,7 @@ import (
 	"dynp/internal/job"
 	"dynp/internal/plan"
 	"dynp/internal/policy"
+	"dynp/internal/rng"
 )
 
 // sorted builds the schedule of waiting under p from a full sort, on an
@@ -147,4 +148,148 @@ func TestLaneStorageGrowsGeometrically(t *testing.T) {
 	if extra := full - half; extra > 32 {
 		t.Fatalf("growing the queue from %d to %d jobs cost %.0f more allocations (%.0f in all), want at most 32", n/2, n, extra, full)
 	}
+}
+
+// TestLaneCarryMatchesFreshBuild drives lanes through random event
+// sequences the way an engine drives a driver — submissions, early
+// completions, cancellations, processors failing and returning, replans
+// at an unchanged instant, and runs of steps at which estimates only run
+// out — launching the jobs each kept schedule starts at its instant, and
+// holds every Build to a fresh lane's: each schedule field for field, and
+// its scores. Some events no engine makes test the carry's conditions: a
+// clock moved past an expiry with no replan at it, a job started that no
+// plan started, due jobs started late, and a Build with no Keep after
+// it. The carry must have fired
+// (the lane's carried count), and not on every schedule it was offered.
+func TestLaneCarryMatchesFreshBuild(t *testing.T) {
+	builds, carried := 0, 0
+	for seed := uint64(0); seed < 40; seed++ {
+		policies := policy.Candidates
+		if seed%4 == 3 {
+			policies = []policy.Policy{policy.SJF}
+		}
+		r := rng.New(seed)
+		l := NewLane(policies...)
+		var (
+			now      int64
+			capacity = 8
+			id       job.ID
+			running  []plan.Running
+			waiting  []*job.Job
+			late     []*job.Job // due at the last event, not started yet
+		)
+		used := func() int {
+			n := 0
+			for _, run := range running {
+				n += run.Job.Width
+			}
+			return n
+		}
+		start := func(j *job.Job) {
+			waiting = slices.DeleteFunc(waiting, func(w *job.Job) bool { return w == j })
+			running = append(running, plan.Running{Job: j, Start: now})
+		}
+		nextExpiry := func() (int64, bool) {
+			if len(running) == 0 {
+				return 0, false
+			}
+			next := running[0].EstimatedEnd()
+			for _, run := range running[1:] {
+				next = min(next, run.EstimatedEnd())
+			}
+			return next, true
+		}
+		// at moves the clock, killing the jobs that run out by then.
+		at := func(t int64) {
+			now = t
+			running = slices.DeleteFunc(running, func(run plan.Running) bool { return run.EstimatedEnd() <= now })
+		}
+		// step is one scheduling event: it builds the queue's jobs that
+		// fit the capacity on l and on a fresh lane, compares the two,
+		// keeps a schedule at random and launches the jobs it starts now,
+		// or leaves them late, or keeps none.
+		step := func() {
+			for _, j := range late {
+				if slices.Contains(waiting, j) && used()+j.Width <= capacity {
+					start(j)
+				}
+			}
+			late = late[:0]
+			planned := slices.DeleteFunc(slices.Clone(waiting), func(j *job.Job) bool { return j.Width > capacity })
+			got := l.Build(now, capacity, running, planned)
+			want := NewLane(policies...).Build(now, capacity, running, planned)
+			for i := range want {
+				if !reflect.DeepEqual(got[i], want[i]) || !slices.Equal(got[i].Entries, want[i].Entries) {
+					t.Fatalf("seed %d, t=%d, %v: built\n%+v\nwant\n%+v", seed, now, policies[i], got[i], want[i])
+				}
+				for _, m := range []Metric{MetricSLDwA, MetricART, MetricMakespan} {
+					if g, w := m.Score(got[i]), m.Score(want[i]); g != w {
+						t.Fatalf("seed %d, t=%d, %v: %v scores %v, want %v", seed, now, policies[i], m, g, w)
+					}
+				}
+			}
+			builds += len(want)
+			if r.Intn(20) == 0 {
+				return // keep nothing, launch nothing: build again
+			}
+			delay := r.Intn(20) == 0
+			for _, e := range l.Keep(r.Intn(len(policies))).Entries {
+				if e.Start != now {
+				} else if delay {
+					late = append(late, e.Job)
+				} else {
+					start(e.Job)
+				}
+			}
+		}
+		for range 400 {
+			next, busy := nextExpiry()
+			later := now
+			if busy {
+				later = now + r.Int63n(next-now+1)
+			}
+			switch ev := r.Intn(16); {
+			case ev < 4 || !busy && len(waiting) == 0:
+				at(later)
+				for range 1 + r.Intn(3) {
+					id++
+					waiting = append(waiting, mkJob(id, now, 1+r.Intn(8), 1+r.Int63n(40)))
+				}
+			case ev == 4 && busy:
+				at(later)
+				if len(running) > 0 {
+					running = slices.Delete(running, 0, 1)
+				}
+			case ev == 5 && len(waiting) > 0:
+				at(later)
+				k := r.Intn(len(waiting))
+				waiting = slices.Delete(waiting, k, k+1)
+			case ev == 6:
+				capacity = max(used(), 4+r.Intn(5))
+			case ev == 7:
+				// Replan at the same instant with nothing changed.
+			case ev == 8 && busy:
+				at(next + 1 + r.Int63n(5))
+			case ev == 9 && used() < capacity:
+				id++
+				running = append(running, plan.Running{Job: mkJob(id, now, 1, 1+r.Int63n(40)), Start: now})
+			default:
+				// A run of steps at which estimates only run out.
+				for k := r.Intn(4); k > 0 && busy; k-- {
+					at(next)
+					step()
+					next, busy = nextExpiry()
+				}
+				if busy {
+					at(next)
+				}
+			}
+			step()
+		}
+		carried += l.carried
+	}
+	if carried == 0 || carried >= builds {
+		t.Fatalf("%d of %d schedules carried over: the carry must fire, and not always", carried, builds)
+	}
+	t.Logf("%d of %d schedules carried over", carried, builds)
 }

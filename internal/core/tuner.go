@@ -141,6 +141,11 @@ func (t *SelfTuner) LastDecisionCase() string {
 // without copying the rest of the statistics.
 func (t *SelfTuner) Cases() CaseCounts { return t.stats.Cases }
 
+// Carried returns how many candidate schedules the tuner's steps carried
+// over from the step before instead of building them (see Lane). It
+// counts the tuner's own life, restores included.
+func (t *SelfTuner) Carried() int { return t.lane.carried }
+
 // Stats returns the aggregated decision statistics so far.
 func (t *SelfTuner) Stats() Stats {
 	s := t.stats

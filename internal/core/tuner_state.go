@@ -244,8 +244,6 @@ func (t *SelfTuner) RestoreState(st TunerState) error {
 		}
 		restoreDecider = sd
 	}
-	stats := Stats{Steps: st.steps, Switches: st.switches, Chosen: make(map[string]int, len(st.chosen)),
-		Cases: st.cases}
 	for _, c := range st.chosen {
 		// The counts stay name-keyed, but every name must still resolve:
 		// a state referencing a policy this process never registered is
@@ -253,21 +251,22 @@ func (t *SelfTuner) RestoreState(st TunerState) error {
 		if _, err := t.lookupPolicy(c.name); err != nil {
 			return err
 		}
-		stats.Chosen[c.name] = c.n
 	}
 	var last Decision
 	if st.hasLast {
-		if last, err = t.resolveDecision(st.last); err != nil {
+		if last.Old, last.Chosen, err = t.resolvePolicies(st.last); err != nil {
 			return err
 		}
 	}
 	var trace []Decision
 	for _, d := range st.trace {
-		d, err := t.resolveDecision(d)
+		old, chosen, err := t.resolvePolicies(d)
 		if err != nil {
 			return err
 		}
-		trace = append(trace, d)
+		if t.traceOn {
+			trace = append(trace, Decision{Time: d.Time, Old: old, Chosen: chosen, Values: slices.Clone(d.Values)})
+		}
 	}
 	if restoreDecider != nil {
 		if err := restoreDecider.RestoreState(st.deciderState); err != nil {
@@ -275,8 +274,20 @@ func (t *SelfTuner) RestoreState(st TunerState) error {
 		}
 	}
 
+	// Install in place: the counts map and the last scores are the
+	// tuner's own (Stats and CaptureState copy them), so a twin restored
+	// once per quote reuses them. The trace is shared with captured
+	// states and is replaced, never rewritten.
 	t.active = active
-	t.stats = stats
+	chosen := t.stats.Chosen
+	clear(chosen)
+	for _, c := range st.chosen {
+		chosen[c.name] = c.n
+	}
+	t.stats = Stats{Steps: st.steps, Switches: st.switches, Chosen: chosen, Cases: st.cases}
+	if st.hasLast {
+		last.Time, last.Values = st.last.Time, append(t.last.Values[:0], st.last.Values...)
+	}
 	t.last, t.hasLast = last, st.hasLast
 	if t.traceOn {
 		t.trace = trace
@@ -284,13 +295,9 @@ func (t *SelfTuner) RestoreState(st TunerState) error {
 	return nil
 }
 
-// resolveDecision is d with its policies resolved by name against this
-// tuner and scores of its own, which the tuner may then rewrite.
-func (t *SelfTuner) resolveDecision(d Decision) (Decision, error) {
+// resolvePolicies resolves d's policies by name against this tuner.
+func (t *SelfTuner) resolvePolicies(d Decision) (old, chosen policy.Policy, err error) {
 	old, errOld := t.lookupPolicy(d.Old.Name())
 	chosen, errChosen := t.lookupPolicy(d.Chosen.Name())
-	if err := cmp.Or(errOld, errChosen); err != nil {
-		return Decision{}, err
-	}
-	return Decision{Time: d.Time, Old: old, Chosen: chosen, Values: slices.Clone(d.Values)}, nil
+	return old, chosen, cmp.Or(errOld, errChosen)
 }

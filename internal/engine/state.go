@@ -3,7 +3,8 @@
 // on restart, rebuilds a virgin engine from the newest valid checkpoint
 // instead of replaying the whole event history. The engine itself only
 // provides the rebuild primitive: RestoreState installs a previously
-// captured machine state wholesale, silently — no hooks fire and no
+// captured machine state wholesale into a new engine, and Reset into any
+// engine, silently — no hooks fire and no
 // observer events are emitted, because the transitions it encodes
 // already happened in a previous life of the process. A driver's own
 // decision state (the self-tuner's) is not the engine's: the caller
@@ -18,7 +19,6 @@ import (
 )
 
 // State is the engine's restartable state as captured at a checkpoint.
-// Slices are installed as-is; the caller hands over ownership.
 type State struct {
 	Now     int64
 	Failed  int            // processors out of service
@@ -29,39 +29,58 @@ type State struct {
 }
 
 // RestoreState installs st into a virgin engine (fresh from New: no
-// submissions, no time movement; it may have planned). Nothing observes
-// the restore, and st's counts replace the engine's own.
+// submissions, no time movement; it may have planned), as Reset does; the
+// clock may not move back from where New set it.
 func (e *Engine) RestoreState(st State) error {
 	if len(e.waiting) != 0 || len(e.running) != 0 || e.counts[EventSubmit] != 0 {
 		return fmt.Errorf("engine: RestoreState on a non-virgin engine")
 	}
-	if st.Failed < 0 || st.Failed > e.capacity {
-		return fmt.Errorf("engine: restored state fails %d of %d processors", st.Failed, e.capacity)
-	}
 	if st.Now < e.now {
 		return fmt.Errorf("engine: restored clock %d behind construction time %d", st.Now, e.now)
 	}
-	e.now = st.Now
-	e.failed = st.Failed
-	e.counts = st.Counts
-	for _, j := range st.Waiting {
+	return e.Reset(st)
+}
+
+// Reset installs st in place of whatever the engine held, the clock
+// included, which may move either way. Nothing observes it, and st's
+// counts replace the engine's own. The engine copies st's queues into the
+// storage it already has, so a quote twin that resets one engine per
+// quote allocates nothing for it once grown. The driver is the engine's
+// still: what it remembers of earlier plans must not depend on the
+// engine's history (a core.Lane works out what changed from the queue it
+// is handed).
+func (e *Engine) Reset(st State) error {
+	if st.Failed < 0 || st.Failed > e.capacity {
+		return fmt.Errorf("engine: restored state fails %d of %d processors", st.Failed, e.capacity)
+	}
+	e.now, e.failed, e.counts, e.plan, e.used = st.Now, st.Failed, st.Counts, st.Plan, 0
+	e.waiting, e.running = append(e.waiting[:0], st.Waiting...), append(e.running[:0], st.Running...)
+	clear(e.waitingIdx)
+	clear(e.runningIdx)
+	for i, j := range e.waiting {
 		if _, dup := e.waitingIdx[j.ID]; dup {
 			return fmt.Errorf("engine: restored job %d waiting twice", j.ID)
 		}
-		e.waitingIdx[j.ID] = len(e.waiting)
-		e.waiting = append(e.waiting, j)
+		e.waitingIdx[j.ID] = i
 	}
-	for _, r := range st.Running {
+	for i, r := range e.running {
 		if _, dup := e.runningIdx[r.Job.ID]; dup || e.IsWaiting(r.Job.ID) {
 			return fmt.Errorf("engine: restored job %d placed twice", r.Job.ID)
 		}
-		e.runningIdx[r.Job.ID] = len(e.running)
-		e.running = append(e.running, r)
+		e.runningIdx[r.Job.ID] = i
 		e.used += r.Job.Width
 	}
-	e.plan = st.Plan
-	if err := e.CheckInvariants(); err != nil {
-		return fmt.Errorf("engine: restored state invalid: %w", err)
+	// What CheckInvariants checks beyond the indexes just built.
+	for i := 1; i < len(e.waiting); i++ {
+		if e.waiting[i].Submit < e.waiting[i-1].Submit {
+			return fmt.Errorf("engine: restored job %d (submitted t=%d) queued behind a later submission", e.waiting[i].ID, e.waiting[i].Submit)
+		}
+	}
+	if e.used > e.Effective() {
+		return fmt.Errorf("engine: restored state runs %d processors on %d", e.used, e.Effective())
+	}
+	if e.plan != nil && e.plan.Released() {
+		return fmt.Errorf("engine: restored plan was superseded")
 	}
 	return nil
 }

@@ -74,6 +74,15 @@ type Base struct {
 	scratch  profile.Profile // the copy of prof a build sharing no prefix places onto
 	forks    []fork          // the current BuildInto's, in child order
 	tail     tail            // what the last FrontierInto left unplaced
+
+	// What the last Reset saw change since the one before, for Carry:
+	// steady holds when it kept the capacity, did not move back in time
+	// and every job that left the running set had run out its estimate
+	// by Now; since is the earlier event's instant and joined the jobs
+	// that joined the running set, a view of running.
+	steady bool
+	since  int64
+	joined []Running
 }
 
 // tail is what a frontier build leaves for Complete besides the jobs it
@@ -115,13 +124,13 @@ type fork struct {
 // boundary of an end no running job has anymore.
 func (b *Base) Reset(now int64, capacity int, running []Running) {
 	if capacity != b.prof.Capacity() || now < b.prof.Start() {
-		b.Now, b.Capacity = now, capacity
+		b.Now, b.Capacity, b.steady = now, capacity, false
 		b.prof.Reset(capacity, now)
 		b.reserve(running)
 		b.running = append(b.running[:0], running...)
 		return
 	}
-	b.Now = now
+	b.since, b.Now, b.steady = b.Now, now, true
 	b.prof.Advance(now)
 	k := 0 // running[:k] matched the old set so far
 	for _, r := range b.running {
@@ -129,10 +138,12 @@ func (b *Base) Reset(now int64, capacity int, running []Running) {
 			k++
 		} else if rem := r.EstimatedEnd() - now; rem > 0 {
 			b.prof.Release(now, r.Job.Width, rem)
+			b.steady = false
 		}
 	}
 	b.reserve(running[k:])
 	b.running = append(b.running[:0], running...)
+	b.joined = b.running[k:]
 }
 
 // reserve blocks each running job's processors until its estimated end.
@@ -142,6 +153,61 @@ func (b *Base) reserve(running []Running) {
 			b.prof.Alloc(b.Now, r.Job.Width, rem)
 		}
 	}
+}
+
+// Carry makes s the plan of ordered, the queue in prev's policy order, by
+// carrying prev over instead of placing a job, and reports whether it
+// could; when it could not, s holds nothing and must be rebuilt. prev
+// must be a plan BuildInto made on this base before the last Reset and
+// after the one before it; it may be released, and it may be s, which is
+// then filtered in place. Otherwise prev is only read and s's entry
+// storage is reused.
+//
+// It carries when the machine did nothing between the two events but
+// follow prev: the last Reset kept the capacity, did not move back in
+// time, and every job that left the running set had run out its
+// estimate; every job that joined it started at the earlier instant and
+// is one prev started then; every job prev started then joined it or
+// has run out its estimate since; and ordered is prev's other jobs, in
+// prev's order, each planned to start no earlier than Now. Then the new
+// plan is prev without the jobs it started, entry for entry. The base
+// profile from Now on is the earlier one with those jobs reserved where
+// prev placed them, since every job that left ended by Now. So each
+// remaining job meets, when its turn comes, at least what it met in
+// prev's build and at most the whole of prev's plan, which fits: it
+// still fits at its old start, and still not before (DESIGN.md §7).
+func (b *Base) Carry(s, prev *Schedule, ordered []*job.Job) bool {
+	if !b.steady {
+		return false
+	}
+	entries := s.Entries[:0]
+	if s != prev {
+		entries = slices.Grow(entries, len(ordered))
+	}
+	kept, started := 0, 0
+	for _, e := range prev.Entries {
+		if e.Start == b.since {
+			if slices.Contains(b.joined, Running{Job: e.Job, Start: e.Start}) {
+				started++
+			} else if e.Job.EstimatedEnd(e.Start) > b.Now {
+				return false
+			}
+			continue
+		}
+		if kept == len(ordered) || ordered[kept] != e.Job || e.Start < b.Now {
+			return false
+		}
+		entries = append(entries, e)
+		kept++
+	}
+	if kept != len(ordered) || started != len(b.joined) {
+		return false
+	}
+	if entries == nil {
+		entries = []Entry{} // as open has it
+	}
+	*s = Schedule{Now: b.Now, Capacity: b.Capacity, Policy: prev.Policy, Entries: entries}
+	return true
 }
 
 // BuildBasePooled returns a new Base reset to the given event.
@@ -392,15 +458,15 @@ func ReleaseSchedules(ss []*Schedule) {
 // one it hands out, and the one it handed out before once its replacement
 // exists — the moment the engine.Driver contract ends the caller's claim
 // on it. A second mark panics, which catches an owner that lost track of
-// its slots. The entries are wiped (which also keeps an idle slot from
-// pinning finished jobs), so a reader that outlived its claim finds
-// Released true and nil jobs rather than a plausible stale plan.
+// its slots. A reader that outlived its claim finds Released true, and
+// Verify and the engine's invariant check turn it into an error. The
+// entries stay as they were, for the owner alone: the next event's build
+// may carry them over (Base.Carry).
 func (s *Schedule) Release() {
 	if s.released {
 		panic("plan: Schedule released twice")
 	}
 	s.released = true
-	clear(s.Entries)
 }
 
 // Released reports whether the schedule has been superseded and must not

@@ -18,6 +18,7 @@ type Views struct {
 	policies []Policy
 	queue    []*job.Job   // the queue of the last Sync, in its order
 	orders   [][]*job.Job // parallel to policies, each in its policy's order
+	joining  []*job.Job   // the jobs the last Sync spliced in
 }
 
 // NewViews returns empty views over the given policies.
@@ -30,24 +31,36 @@ func NewViews(policies ...Policy) *Views {
 // orders are the views' own storage: read-only, and valid until the next
 // Sync.
 //
-// It walks the queue of the last call against waiting, in order, the way
-// plan.Base.Reset walks the running set: a job that is not next in
-// waiting is spliced out of every order, and the jobs after the last
-// match are spliced in. The scheduling engine only appends submissions
-// and removes jobs in place, so a call costs what changed. A job that
-// rejoins out of order — withheld during a capacity failure and back, or
-// an ID re-submitted as a new job — is spliced out and in again, which
-// costs a little and changes nothing.
+// It merges the queue of the last call with waiting, the way
+// plan.Base.Reset walks the running set: a job of the last queue that is
+// not next in waiting is spliced out of every order, and a job of waiting
+// is spliced in when it comes before the next job of the last queue in ID
+// order or after the last queue's end. The scheduling engine keeps its
+// queue in submission order, issues IDs in that order, only appends
+// submissions and removes jobs in place, so a call costs what changed,
+// and so does one whose queue regains jobs it lost: a job withheld
+// during a capacity failure and back, or a quote twin's restored queue,
+// which holds again the jobs its last roll-out started. Any other queue
+// is planned all the same: a job out of ID order — an ID re-submitted as
+// a new job — is spliced out and in again, which costs a little and
+// changes nothing. The jobs are spliced in after every job is spliced
+// out, so no order ever holds two jobs it cannot tell apart.
 func (v *Views) Sync(waiting []*job.Job) [][]*job.Job {
-	k := 0 // waiting[:k] matched the last queue so far
+	v.joining = v.joining[:0]
+	k := 0 // waiting[:k] matched the last queue or joined so far
 	for _, j := range v.queue {
+		for k < len(waiting) && waiting[k] != j && waiting[k].ID < j.ID {
+			v.joining = append(v.joining, waiting[k])
+			k++
+		}
 		if k < len(waiting) && waiting[k] == j {
 			k++
 		} else {
 			v.remove(j)
 		}
 	}
-	for _, j := range waiting[k:] {
+	v.joining = append(v.joining, waiting[k:]...)
+	for _, j := range v.joining {
 		for i, p := range v.policies {
 			v.orders[i] = slices.Insert(v.orders[i], position(p, v.orders[i], j), j)
 		}
@@ -55,6 +68,10 @@ func (v *Views) Sync(waiting []*job.Job) [][]*job.Job {
 	v.queue = append(v.queue[:0], waiting...)
 	return v.orders
 }
+
+// Added returns how many jobs the last Sync spliced in. When it is 0,
+// every order is the last one with jobs removed.
+func (v *Views) Added() int { return len(v.joining) }
 
 // remove splices j out of every order.
 func (v *Views) remove(j *job.Job) {

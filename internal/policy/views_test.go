@@ -121,18 +121,21 @@ func TestViewsCoverExactlyTheirJobs(t *testing.T) {
 		name     string
 		queue    []*job.Job
 		sjf, fcf []*job.Job
+		added    int // jobs spliced in
 	}{
-		{"empty", nil, nil, nil},
-		{"appended", []*job.Job{a, b}, []*job.Job{b, a}, []*job.Job{a, b}},
-		{"appended again", []*job.Job{a, b, c}, []*job.Job{b, c, a}, []*job.Job{a, b, c}},
-		{"removed inside", []*job.Job{a, c}, []*job.Job{c, a}, []*job.Job{a, c}},
-		{"rejoined out of order", []*job.Job{a, b, c}, []*job.Job{b, c, a}, []*job.Job{a, b, c}},
-		{"re-submitted", []*job.Job{b, c, &twin}, []*job.Job{b, c, &twin}, []*job.Job{&twin, b, c}},
-		{"emptied", []*job.Job{}, nil, nil},
+		{"empty", nil, nil, nil, 0},
+		{"appended", []*job.Job{a, b}, []*job.Job{b, a}, []*job.Job{a, b}, 2},
+		{"appended again", []*job.Job{a, b, c}, []*job.Job{b, c, a}, []*job.Job{a, b, c}, 1},
+		{"removed inside", []*job.Job{a, c}, []*job.Job{c, a}, []*job.Job{a, c}, 0},
+		{"rejoined inside", []*job.Job{a, b, c}, []*job.Job{b, c, a}, []*job.Job{a, b, c}, 1},
+		{"re-submitted", []*job.Job{b, c, &twin}, []*job.Job{b, c, &twin}, []*job.Job{&twin, b, c}, 1},
+		{"rejoined out of order", []*job.Job{c, b}, []*job.Job{b, c}, []*job.Job{b, c}, 1},
+		{"emptied", []*job.Job{}, nil, nil, 0},
 	} {
 		got := v.Sync(tc.queue)
-		if !slices.Equal(got[0], tc.sjf) || !slices.Equal(got[1], tc.fcf) {
-			t.Fatalf("%s: SJF %v, FCFS %v; want %v, %v", tc.name, ids(got[0]), ids(got[1]), ids(tc.sjf), ids(tc.fcf))
+		if !slices.Equal(got[0], tc.sjf) || !slices.Equal(got[1], tc.fcf) || v.Added() != tc.added {
+			t.Fatalf("%s: SJF %v, FCFS %v, %d spliced in; want %v, %v, %d", tc.name,
+				ids(got[0]), ids(got[1]), v.Added(), ids(tc.sjf), ids(tc.fcf), tc.added)
 		}
 	}
 

@@ -8,6 +8,7 @@ import (
 
 	"dynp/internal/core"
 	"dynp/internal/job"
+	"dynp/internal/plan"
 	"dynp/internal/policy"
 	"dynp/internal/rng"
 	"dynp/internal/sim"
@@ -176,11 +177,11 @@ func BenchmarkStatusCodec(b *testing.B) {
 	})
 }
 
-// kthReplay is one generated KTH set (1,000 jobs at shrink 0.8) as the
-// daemon-wire workload feeds dynpd: one Deliver batch per instant of its
-// simulated run under the SJF-preferred dynP driver — the jobs completing
-// then, the jobs submitted then. A job that runs out its estimate gets no
-// completion: the batch's kill sweep ends it.
+// kthReplay is one generated KTH set (at shrink 0.8) as the daemon-wire
+// workload feeds dynpd: one Deliver batch per instant of its simulated
+// run under a driver, the SJF-preferred dynP one unless said otherwise —
+// the jobs completing then, the jobs submitted then. A job that runs out
+// its estimate gets no completion: the batch's kill sweep ends it.
 type kthReplay struct {
 	set       *job.Set
 	newDriver func() sim.Driver
@@ -193,13 +194,19 @@ type kthBatch struct {
 	subs []Submission
 }
 
+// newKTHReplay replays a set of 1,000 jobs under the SJF-preferred dynP
+// driver.
 func newKTHReplay(b *testing.B) *kthReplay {
-	sets, err := workload.KTH.GenerateSets(1, 1000, 1)
+	return newKTHReplayOf(b, 1000, func() sim.Driver { return sim.NewDynP(core.Preferred{Policy: policy.SJF}) })
+}
+
+// newKTHReplayOf replays a set of n jobs under drivers from newDriver.
+func newKTHReplayOf(b *testing.B, n int, newDriver func() sim.Driver) *kthReplay {
+	sets, err := workload.KTH.GenerateSets(1, n, 1)
 	if err != nil {
 		b.Fatal(err)
 	}
-	r := &kthReplay{set: sets[0].Shrink(0.8), batches: map[int64]*kthBatch{},
-		newDriver: func() sim.Driver { return sim.NewDynP(core.Preferred{Policy: policy.SJF}) }}
+	r := &kthReplay{set: sets[0].Shrink(0.8), batches: map[int64]*kthBatch{}, newDriver: newDriver}
 	res, err := sim.Run(r.set, r.newDriver())
 	if err != nil {
 		b.Fatal(err)
@@ -264,28 +271,129 @@ func BenchmarkDeliver(b *testing.B) {
 	}
 }
 
-// BenchmarkQuote times one quote — a twin restored from the published
+// BenchmarkQuote times one quote — a warm twin restored from a published
 // image, its tuner state included, and run forward until the
-// hypothetical job starts — of a job shaped like the kthReplay set's
-// middle one, from the state its replay reaches halfway through.
+// hypothetical job starts. mid quotes a job shaped like the kthReplay
+// set's middle one in the state the 1,000-job replay reaches halfway
+// through, where it starts at once; static-FCFS the same under a static
+// FCFS scheduler. deep quotes daemon-wire's job (8 processors for an
+// hour) in the images of a 20,000-job replay whose queue is as deep as
+// in its deepest quarter of states, one image after the other as
+// daemon-wire's quotes come, where the roll-out is long.
+// Besides time and allocations it reports the roll-out's replans per
+// quote, the queue quoted and, under a self-tuner, the share of candidate
+// schedules its lane carried over instead of building (core.Lane).
 func BenchmarkQuote(b *testing.B) {
 	r := newKTHReplay(b)
-	s, err := New(r.set.Machine, r.newDriver(), r.instants[0])
-	if err == nil {
-		err = s.EnableQuotes(r.newDriver)
+	mid := r.set.Jobs[len(r.set.Jobs)/2]
+	deep := newKTHReplayOf(b, 20000, r.newDriver)
+	for _, tc := range []struct {
+		name     string
+		r        *kthReplay
+		images   func(b *testing.B, r *kthReplay, s *Scheduler) []*image
+		width    int
+		estimate int64
+	}{
+		{"mid", r, halfway, mid.Width, mid.Estimate},
+		{"deep", deep, deepest, 8, 3600},
+		{"static-FCFS", newKTHReplayOf(b, 1000, func() sim.Driver { return &sim.Static{Policy: policy.FCFS} }), halfway,
+			mid.Width, mid.Estimate},
+	} {
+		s, err := New(tc.r.set.Machine, tc.r.newDriver(), tc.r.instants[0])
+		if err != nil {
+			b.Fatal(err)
+		}
+		var twin *countedDriver
+		err = s.EnableQuotes(func() sim.Driver {
+			drv := tc.r.newDriver()
+			twin = &countedDriver{Driver: drv}
+			if td, ok := drv.(core.Tuned); ok {
+				return countedTuned{twin, td}
+			}
+			return twin
+		})
+		if err != nil {
+			b.Fatal(err)
+		}
+		images := tc.images(b, tc.r, s)
+		queued := 0
+		for _, img := range images {
+			queued += len(img.Waiting)
+		}
+		b.Run(tc.name, func(b *testing.B) {
+			quote := func(i int) {
+				if _, err := s.quoteIn(images[i%len(images)], tc.width, tc.estimate, 1); err != nil {
+					b.Fatal(err)
+				}
+			}
+			quote(0) // the twin is made
+			plans, carried := twin.plans, twin.carried()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				quote(i)
+			}
+			b.StopTimer()
+			plans = twin.plans - plans
+			b.ReportMetric(float64(plans-b.N)/float64(b.N), "rollout-replans/op")
+			if dp, ok := twin.Driver.(*sim.DynP); ok {
+				k := len(dp.Tuner.Candidates())
+				b.ReportMetric(float64(twin.carried()-carried)/float64(plans*k), "carried/candidate")
+			}
+			b.ReportMetric(float64(queued)/float64(len(images)), "queue")
+		})
 	}
-	if err != nil {
-		b.Fatal(err)
-	}
+}
+
+// halfway delivers half of the replay's batches to s and returns the
+// image they leave.
+func halfway(b *testing.B, r *kthReplay, s *Scheduler) []*image {
 	for _, t := range r.instants[:len(r.instants)/2] {
 		r.deliver(b, s, t)
 	}
-	mid := r.set.Jobs[len(r.set.Jobs)/2]
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := s.Quote(mid.Width, mid.Estimate, 1); err != nil {
-			b.Fatal(err)
+	return []*image{s.img.Load()}
+}
+
+// deepest delivers the replay's batches to s and returns the images of
+// up to 256 of the states whose queue is at least as deep as three in
+// four of them, spread over the replay.
+func deepest(b *testing.B, r *kthReplay, s *Scheduler) []*image {
+	var depths []int
+	var images []*image
+	for k, t := range r.instants {
+		r.deliver(b, s, t)
+		depths = append(depths, s.QueueDepth())
+		if k%16 == 0 {
+			images = append(images, s.img.Load())
 		}
 	}
+	slices.Sort(depths)
+	images = slices.DeleteFunc(images, func(img *image) bool { return len(img.Waiting) < depths[len(depths)*3/4] })
+	return images[:min(len(images), 256)]
+}
+
+// countedDriver counts a quote twin's plans.
+type countedDriver struct {
+	sim.Driver
+	plans int
+}
+
+func (d *countedDriver) Plan(now int64, capacity int, running []plan.Running, waiting []*job.Job) *plan.Schedule {
+	d.plans++
+	return d.Driver.Plan(now, capacity, running, waiting)
+}
+
+// carried returns the schedules a self-tuning driver's lane carried over.
+func (d *countedDriver) carried() int {
+	if dp, ok := d.Driver.(*sim.DynP); ok {
+		return dp.Tuner.Carried()
+	}
+	return 0
+}
+
+// countedTuned is a countedDriver that takes a self-tuner's decision
+// state.
+type countedTuned struct {
+	*countedDriver
+	core.Tuned
 }

@@ -88,7 +88,7 @@ func countsOf(m map[string]int64) (engine.Counts, error) {
 // restoreCheckpoint installs a checkpoint into a virgin scheduler (fresh
 // from New, nothing submitted). It checks the jobs the image read from
 // disk lists, reinstalls the finished history and refolds it into the
-// report aggregates in its original finish order; restoreEngine rebuilds
+// report aggregates in its original finish order; a fork rebuilds
 // the live jobs, the transition counts and the plan in force, from the
 // waiting jobs' planned starts, and restores the driver's decision state,
 // decoded from the checkpoint's JSON into the value a quote twin
@@ -139,54 +139,112 @@ func (s *Scheduler) restoreCheckpoint(cs *checkpointState) error {
 			return fmt.Errorf("rms: checkpoint restore: driver state: %w", err)
 		}
 	}
-	if err := restoreEngine(s.eng, s.driver, cs, tuner, true); err != nil {
+	var f fork
+	st, err := f.state(s.eng, s.driver, cs, tuner, true)
+	if err == nil {
+		err = s.eng.RestoreState(st)
+	}
+	if err != nil {
 		return fmt.Errorf("rms: checkpoint restore: %w", err)
 	}
 	s.nextID = job.ID(cs.NextID)
 	return nil
 }
 
-// restoreEngine forks a job image into a virgin engine planning with
-// driver: the one step both checkpoint restore and quote twins take. It
-// rebuilds the live jobs into one arena — waiting jobs in ascending ID
-// order, which is submission order since IDs are issued monotonically —
-// rebuilds the plan in force from the waiting jobs' planned starts when
-// planned is set (a quote twin replans before anything reads a plan),
-// restores the driver's decision state when tuner is set — the value a
-// quote twin's image captured, or on journal recovery the one decoded
-// from the checkpoint — and hands the machine state and the transition
-// counts (none in a quote twin's image) to the engine. The run time is
-// unknown online; like Submit, Runtime is the estimate, which the
-// planner never reads and at which the engine kills.
-func restoreEngine(eng *engine.Engine, driver sim.Driver, cs *checkpointState, tuner *core.TunerState, planned bool) error {
-	arena := make([]job.Job, 0, len(cs.Waiting)+len(cs.Running))
-	mk := func(info JobInfo) *job.Job {
-		arena = append(arena, job.Job{
-			ID: info.ID, Submit: info.Submitted, Width: info.Width,
-			Estimate: info.Estimate, Runtime: info.Estimate,
-		})
-		return &arena[len(arena)-1]
+// A fork is what restoring a job image into an engine takes besides the
+// engine: one *job.Job per live job, and the queues the engine's state is
+// handed in. Journal recovery uses a fork once. A quote twin keeps its
+// own from quote to quote: a job the last image held and the next one
+// still holds keeps its pointer, which is what the driver's lane matches
+// jobs by (core.Lane), so the twin's plans follow what changed instead
+// of starting over. A made job is never changed, so a pointer a lane
+// remembers always stands for the job it was made for; any other job is
+// made anew — a hypothetical, and a real submission that takes the ID a
+// quote gave one, whatever its shape.
+type fork struct {
+	waiting []*job.Job     // the last state's waiting jobs, in ID order
+	running []plan.Running // the last state's running jobs, in start order
+	// Room for the next state's queues: the ones before the last.
+	spareWaiting []*job.Job
+	spareRunning []plan.Running
+	arena        []job.Job // room for jobs not made yet
+}
+
+// newJob returns a new job j.
+func (f *fork) newJob(j job.Job) *job.Job {
+	if len(f.arena) == 0 {
+		f.arena = make([]job.Job, 32)
 	}
-	waiting := make([]*job.Job, len(cs.Waiting))
-	for i, info := range cs.Waiting {
-		waiting[i] = mk(info)
+	made := &f.arena[0]
+	f.arena, *made = f.arena[1:], j
+	return made
+}
+
+// jobOf is the job of an image's JobInfo. The run time is unknown online;
+// like Submit, Runtime is the estimate, which the planner never reads and
+// at which the engine kills.
+func jobOf(info JobInfo) job.Job {
+	return job.Job{ID: info.ID, Submit: info.Submitted, Width: info.Width,
+		Estimate: info.Estimate, Runtime: info.Estimate}
+}
+
+// byID orders jobs by ID.
+func byID(a *job.Job, id job.ID) int { return cmp.Compare(a.ID, id) }
+
+// state forks a job image into a state for eng, which plans with driver:
+// the one step both checkpoint restore and quote twins take. It lists the
+// live jobs — waiting jobs in ascending ID order, which is submission
+// order since IDs are issued monotonically — taking each from the last
+// state's lists where it was already, rebuilds the plan in force from the
+// waiting jobs' planned starts when planned is set (a quote twin replans
+// before anything reads a plan), and restores the driver's decision
+// state when tuner is set — the value a quote twin's image captured, or
+// on journal recovery the one decoded from the checkpoint. The state's
+// transition counts are the image's (none in a quote twin's), and its
+// queues are the fork's until the state after next.
+func (f *fork) state(eng *engine.Engine, driver sim.Driver, cs *checkpointState, tuner *core.TunerState, planned bool) (engine.State, error) {
+	was, ran := f.waiting, f.running
+	waiting, running := f.spareWaiting[:0], f.spareRunning[:0]
+	k := 0 // was[:k] holds lower IDs than the job at hand
+	for _, info := range cs.Waiting {
+		j := jobOf(info)
+		for k < len(was) && was[k].ID < j.ID {
+			k++
+		}
+		if k < len(was) && *was[k] == j {
+			waiting = append(waiting, was[k])
+		} else {
+			waiting = append(waiting, f.newJob(j))
+		}
 	}
 	slices.SortFunc(waiting, func(a, b *job.Job) int { return cmp.Compare(a.ID, b.ID) })
-	running := make([]plan.Running, len(cs.Running))
-	for i, info := range cs.Running {
-		running[i] = plan.Running{Job: mk(info), Start: info.Started}
+	k = 0 // ran[:k] started before the job at hand, or left
+	for _, info := range cs.Running {
+		j, at := jobOf(info), -1
+		if m := slices.IndexFunc(ran[k:], func(r plan.Running) bool { return r.Job.ID == j.ID }); m >= 0 {
+			at, k = k+m, k+m+1
+		}
+		switch w, ok := slices.BinarySearchFunc(was, j.ID, byID); {
+		case at >= 0 && *ran[at].Job == j:
+			running = append(running, plan.Running{Job: ran[at].Job, Start: info.Started})
+		case ok && *was[w] == j: // started since
+			running = append(running, plan.Running{Job: was[w], Start: info.Started})
+		default:
+			running = append(running, plan.Running{Job: f.newJob(j), Start: info.Started})
+		}
 	}
+	f.waiting, f.running, f.spareWaiting, f.spareRunning = waiting, running, was, ran
 	counts, err := countsOf(cs.Transitions)
 	if err != nil {
-		return err
+		return engine.State{}, err
 	}
 
 	var sched *plan.Schedule
 	if planned {
 		sched = &plan.Schedule{Now: cs.Now, Capacity: eng.Capacity() - cs.Failed}
-		for i, info := range cs.Waiting {
-			if info.PlannedStart != NeverStart {
-				sched.Entries = append(sched.Entries, plan.Entry{Job: &arena[i], Start: info.PlannedStart})
+		for _, info := range cs.Waiting {
+			if w, _ := slices.BinarySearchFunc(waiting, info.ID, byID); info.PlannedStart != NeverStart {
+				sched.Entries = append(sched.Entries, plan.Entry{Job: waiting[w], Start: info.PlannedStart})
 			}
 		}
 	}
@@ -194,18 +252,12 @@ func restoreEngine(eng *engine.Engine, driver sim.Driver, cs *checkpointState, t
 	if tuner != nil {
 		td, ok := driver.(core.Tuned)
 		if !ok {
-			return fmt.Errorf("image carries driver state but %s cannot restore it", driver.Name())
+			return engine.State{}, fmt.Errorf("image carries driver state but %s cannot restore it", driver.Name())
 		}
 		if err := td.SetTunerState(*tuner); err != nil {
-			return fmt.Errorf("driver state: %w", err)
+			return engine.State{}, fmt.Errorf("driver state: %w", err)
 		}
 	}
-	return eng.RestoreState(engine.State{
-		Now:     cs.Now,
-		Failed:  cs.Failed,
-		Counts:  counts,
-		Waiting: waiting,
-		Running: running,
-		Plan:    sched,
-	})
+	return engine.State{Now: cs.Now, Failed: cs.Failed, Counts: counts,
+		Waiting: waiting, Running: running, Plan: sched}, nil
 }

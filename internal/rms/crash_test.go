@@ -200,3 +200,66 @@ func recoverCrash(t *testing.T, ds daemonStream, fs *memFS, f inFlight, seen map
 		}
 	}
 }
+
+// TestTornGenesisHeaderRestarts kills a daemon's first start inside the
+// one write of its genesis header, at every length of it torn. The
+// restart must begin the journal afresh, header whole, and journal on;
+// a daemon of another configuration must refuse the same torn bytes,
+// every one of them left in place, as it refuses any file without a
+// valid header.
+func TestTornGenesisHeaderRestarts(t *testing.T) {
+	fs := &memFS{files: map[string][]byte{}}
+	_, j, _ := openJournaled(t, 8, newDynP(), fs, false, 3)
+	j.Close()
+	k := slices.IndexFunc(fs.log, func(op fsOp) bool { return op.kind == "write" })
+	if k < 0 || !bytes.Equal(fs.log[k].data, fs.files[journalPath]) {
+		t.Fatalf("the first start wrote %q, not its header alone", fs.files[journalPath])
+	}
+	header := fs.log[k].data
+	wide, err := encodeRecord(&journalLine{Header: &journalHeader{Version: journalVersion, Capacity: 16,
+		Scheduler: newDynP().Name()}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	refused := 0
+	for torn := range len(header) {
+		other := fs.crash(k, torn)
+		o, err := OpenJournalFS(other, journalPath)
+		if err != nil {
+			t.Fatalf("%d bytes of a header: %v", torn, err)
+		}
+		s, err := New(16, newDynP(), 0)
+		if err == nil {
+			err = s.SetJournal(o)
+		}
+		if refuse := !bytes.HasPrefix(wide, header[:torn]); refuse != (err != nil) {
+			t.Fatalf("%d bytes of an 8-processor header: a 16-processor daemon starts with %v", torn, err)
+		} else if refuse {
+			refused++
+			if !bytes.Equal(other.files[journalPath], header[:torn]) {
+				t.Fatalf("%d bytes of a header: a refusing daemon left %q", torn, other.files[journalPath])
+			}
+		}
+
+		c := fs.crash(k, torn)
+		s, j, n := openJournaled(t, 8, newDynP(), c, false, 3)
+		if n != 0 {
+			t.Fatalf("%d bytes of a header replayed %d events", torn, n)
+		}
+		if _, err := s.Submit(2, 50); err != nil {
+			t.Fatalf("%d bytes of a header: %v", torn, err)
+		}
+		j.Close()
+		if got := c.files[journalPath]; !bytes.HasPrefix(got, header) || !bytes.HasSuffix(got, []byte("\n")) || len(got) == len(header) {
+			t.Fatalf("%d bytes of a header restart to %q", torn, got)
+		}
+		s, j, n = openJournaled(t, 8, newDynP(), c, true, 3)
+		if n != 1 || len(s.Status().Running) != 1 {
+			t.Fatalf("%d bytes of a header: the restarted journal replays %d events to %+v", torn, n, s.Status())
+		}
+		j.Close()
+	}
+	if refused == 0 {
+		t.Fatal("another daemon's header began like this one at every length: the test proves nothing")
+	}
+}

@@ -368,6 +368,7 @@ type Journal struct {
 	seg    int            // active segment sequence number
 	header *journalHeader // genesis configuration; nil until known
 	valid  int64          // validated length of the active segment at open
+	torn   []byte         // a genesis segment's bytes with no header whole (recover)
 
 	appended        bool
 	events          int64 // events since genesis folded into the log
@@ -404,7 +405,9 @@ func OpenJournal(path string) (*Journal, error) {
 // crash, and self-heals the crash windows of a checkpoint rotation
 // (a missing or torn new active segment becomes a continuation
 // segment). Interior corruption followed by valid records is refused
-// rather than truncated.
+// rather than truncated, and so is a file without a valid header, but
+// for a header a crash tore in the very first write: Scheduler.SetJournal
+// writes it again when the torn bytes begin the header it writes.
 func OpenJournalFS(fsys vfs.FS, path string) (*Journal, error) {
 	f, err := fsys.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
 	if err != nil {
@@ -500,14 +503,16 @@ func (j *Journal) recover() error {
 	}
 	if !headerValid {
 		if len(rot) == 0 {
-			if len(data) > 0 {
-				// Not ours (foreign file, unsupported format, or a header
-				// torn by a crash during the very first write) — refuse
+			if bytes.IndexByte(data, '\n') >= 0 {
+				// Not ours (foreign file, unsupported format) — refuse
 				// rather than destroy it by truncating.
-				return fmt.Errorf("rms: journal %s: no valid header; not a dynpd journal (delete it to start fresh)", j.path)
+				return errNoHeader(j.path)
 			}
-			// A fresh, empty journal: the header is written by SetJournal.
-			j.seg = 0
+			// A fresh, empty journal, or what a crash inside the very
+			// first write left: a byte prefix of a header, no record
+			// whole. The header is written by SetJournal, which starts
+			// over only if these bytes begin the header it writes.
+			j.seg, j.torn = 0, data
 			return nil
 		}
 		// Rotated segments exist, so this journal was mid-rotation when
@@ -547,9 +552,9 @@ func (j *Journal) recover() error {
 		if sc2, _, err2 := interpretSegment(splitRecords(data[:end]), false); err2 == nil {
 			sc = sc2
 		}
-	}
-	if err := j.f.Truncate(end); err != nil {
-		return fmt.Errorf("rms: journal truncate: %w", err)
+		if err := j.f.Truncate(end); err != nil {
+			return fmt.Errorf("rms: journal truncate: %w", err)
+		}
 	}
 	if _, err := j.f.Seek(end, io.SeekStart); err != nil {
 		return fmt.Errorf("rms: journal: %w", err)
@@ -711,16 +716,39 @@ func (j *Journal) fresh() bool {
 }
 
 // writeHeader records the scheduler configuration as the genesis
-// segment's first record.
+// segment's first record. A genesis header a crash tore (see recover) is
+// overwritten when it is a byte prefix of this one; any other bytes are
+// not this daemon's journal, and it refuses them.
 func (j *Journal) writeHeader(h journalHeader) error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	h.Segment = j.seg
-	if err := j.appendLine(&journalLine{Header: &h}); err != nil {
+	line, err := encodeRecord(&journalLine{Header: &h})
+	if err != nil {
+		return j.fail(fmt.Errorf("rms: journal encode: %w", err))
+	}
+	if len(j.torn) > 0 {
+		if !bytes.HasPrefix(line, j.torn) {
+			return errNoHeader(j.path)
+		}
+		if err := j.f.Truncate(0); err != nil {
+			return j.fail(fmt.Errorf("rms: journal truncate: %w", err))
+		}
+		if _, err := j.f.Seek(0, io.SeekStart); err != nil {
+			return j.fail(fmt.Errorf("rms: journal: %w", err))
+		}
+		j.torn = nil
+	}
+	if err := j.writeRecord(line); err != nil {
 		return err
 	}
 	j.header = &h
 	return nil
+}
+
+// errNoHeader refuses a file that is not a dynpd journal.
+func errNoHeader(path string) error {
+	return fmt.Errorf("rms: journal %s: no valid header; not a dynpd journal (delete it to start fresh)", path)
 }
 
 // Append records one event and flushes it to the operating system
@@ -737,14 +765,6 @@ func (j *Journal) Append(ev Event) error {
 	j.events++
 	j.sinceCheckpoint++
 	return nil
-}
-
-func (j *Journal) appendLine(l *journalLine) error {
-	b, err := encodeRecord(l)
-	if err != nil {
-		return j.fail(fmt.Errorf("rms: journal encode: %w", err))
-	}
-	return j.writeRecord(b)
 }
 
 // writeRecord writes one framed record through to the operating system,

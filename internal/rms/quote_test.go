@@ -241,6 +241,102 @@ func TestQuoteNeverStartWiderThanEffective(t *testing.T) {
 	}
 }
 
+// TestWarmTwinHypotheticalIDTaken: a warm twin keeps the jobs it made
+// from one quote to the next. When a real submission later takes a
+// hypothetical's ID with another shape, the twin must hold it as a job
+// of its own, leave the hypothetical its lane remembers as it was, and
+// answer the next quotes as a fresh twin would: every answer equals the
+// naive daemon's, under a self-tuner and a static driver.
+func TestWarmTwinHypotheticalIDTaken(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		factory func() sim.Driver
+		step    func() plantest.Step
+	}{
+		{"SJF-preferred", func() sim.Driver { return sim.NewDynP(core.Preferred{Policy: policy.SJF}) },
+			func() plantest.Step { return plantest.NewTuner(core.Preferred{Policy: policy.SJF}, core.MetricSLDwA) }},
+		{"FCFS", func() sim.Driver { return &sim.Static{Policy: policy.FCFS} },
+			func() plantest.Step { return plantest.Fixed{Policy: policy.FCFS} }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			const capacity = 8
+			s, err := New(capacity, tc.factory(), 0)
+			if err == nil {
+				err = s.EnableQuotes(tc.factory)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			naive := plantest.NewDaemon(capacity, tc.step(), 0)
+			deliver := func(at int64, subs ...Submission) {
+				t.Helper()
+				if _, err := s.Deliver(at, nil, subs); err != nil {
+					t.Fatal(err)
+				}
+				shapes := make([]plantest.Shape, len(subs))
+				for k, sub := range subs {
+					shapes[k] = plantest.Shape{Width: sub.Width, Estimate: sub.Estimate}
+				}
+				naive.Deliver(at, nil, shapes...)
+			}
+			quote := func(width int, estimate int64, count int) {
+				t.Helper()
+				qs, err := s.Quote(width, estimate, count)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want := naive.Quote(plantest.Shape{Width: width, Estimate: estimate}, count)
+				for k, q := range qs {
+					if q.Start != want[k] {
+						t.Fatalf("t=%d: the twin quoted %+v, the naive daemon starts %v", s.Now(), qs, want)
+					}
+				}
+				if len(s.twins) != 1 {
+					t.Fatalf("%d idle twins after a quote; one quoter needs one", len(s.twins))
+				}
+			}
+			deliver(0, Submission{Width: 6, Estimate: 100}, Submission{Width: 4, Estimate: 60},
+				Submission{Width: 3, Estimate: 200}, Submission{Width: 2, Estimate: 40})
+			quote(2, 50, 1) // the twin stops as the hypothetical starts
+			hyp := job.ID(s.img.Load().NextID + 1)
+			tw := s.twins[0]
+			var made *job.Job
+			for _, r := range tw.eng.Running() {
+				if r.Job.ID == hyp {
+					made = r.Job
+				}
+			}
+			if made == nil || made.Width != 2 || made.Estimate != 50 {
+				t.Fatalf("the twin holds %+v for the hypothetical %d", made, hyp)
+			}
+			was := *made
+
+			deliver(10, Submission{Width: 5, Estimate: 30}) // takes the hypothetical's ID
+			quote(2, 50, 2)
+			quote(1, 500, 1)
+			if s.twins[0] != tw {
+				t.Fatal("the later quotes ran on another twin")
+			}
+			// The job the twin made for the real submission, from the
+			// image it restored last.
+			var real *job.Job
+			for _, j := range tw.fork.waiting {
+				if j.ID == hyp {
+					real = j
+				}
+			}
+			for _, r := range tw.fork.running {
+				if r.Job.ID == hyp {
+					real = r.Job
+				}
+			}
+			if real == nil || real == made || real.Width != 5 || *made != was {
+				t.Fatalf("the real job %d is %+v, and the hypothetical became %+v (was %+v)", hyp, real, *made, was)
+			}
+		})
+	}
+}
+
 // TestQuoteValidation pins the quote's error paths: bad arguments answer
 // before any twin is built, and a twin whose driver cannot restore the
 // image's decision state fails the quote instead of answering it.

@@ -142,10 +142,12 @@ type Scheduler struct {
 
 	// Quote service state (see quote.go). quotesOn gates the driver-state
 	// capture in every image, so schedulers that never call EnableQuotes
-	// pay nothing for it; quoteNew is written once before quotesOn flips
-	// and read lock-free afterwards.
+	// pay nothing for it. twinMu guards the quote factory and the idle
+	// warm twins (takeTwin).
 	quotesOn atomic.Bool
+	twinMu   sync.Mutex
 	quoteNew func() sim.Driver
+	twins    []*twin
 }
 
 // image is one immutable state of the scheduler, cut after a mutation.

@@ -117,21 +117,6 @@ func TestJumpToBackwardsPanics(t *testing.T) {
 	eng.JumpTo(99)
 }
 
-func TestReplanOnFullyDrainedMachine(t *testing.T) {
-	eng := engine.New(2, fcfs(), 0)
-	eng.FailProcs(2)
-	eng.Submit(mkJob(1, 0, 1, 10))
-	if err := eng.Replan(); err != nil {
-		t.Fatal(err)
-	}
-	if eng.Schedule() != nil {
-		t.Fatal("drained machine retains a schedule")
-	}
-	if w := eng.Waiting(); len(w) != 1 || w[0].ID != 1 {
-		t.Fatalf("waiting = %v, want the queued job kept", w)
-	}
-}
-
 // TestAdvanceToFiresKillsAndStarts holds AdvanceTo to what only the
 // engine's API shows: after it fires job 1's kill and job 2's start at 10
 // and job 2's kill at 15, the clock stays at that last action, and a

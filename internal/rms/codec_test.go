@@ -115,10 +115,11 @@ func TestNonCanonicalRequests(t *testing.T) {
 // correctness test — and read as encoding/json reads it.
 func TestWireFastPath(t *testing.T) {
 	var requests, responses, events int
-	var lanes plantest.Lanes
 	for seed := uint64(0); seed < 3; seed++ {
-		ds := tunerStream(t, plantest.Capacity, func() core.Decider { return core.Advanced{} }, &lanes)
-		ds.newDriver = func() (sim.Driver, *sim.DynP, *plantest.Tuner) { return sim.NewDynP(core.Advanced{}), nil, nil }
+		ds := tunerStream(t, plantest.Capacity, func() core.Decider { return core.Advanced{} })
+		ds.newDriver = func(*plantest.Lanes) (sim.Driver, *sim.DynP, *plantest.Tuner) {
+			return sim.NewDynP(core.Advanced{}), nil, nil
+		}
 		ds.wire = new(wireTap)
 		end := runDeliverLockstep(t, ds, decodeStream(plantest.Stream(seed)))
 		var records [][]byte

@@ -1,12 +1,15 @@
 package rms
 
 import (
+	"bytes"
 	"encoding/json"
 	"os"
 	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
+
+	"dynp/internal/plan/plantest"
 )
 
 // metricsOf is what the metrics op of a server over s with trace tr
@@ -25,54 +28,43 @@ func metricsOf(t *testing.T, s *Scheduler, tr *EventTrace) EngineMetrics {
 }
 
 // TestMetricsSurviveReplay: the metrics op answers the same after a fast
-// replay from the newest checkpoint and after a genesis replay as the
-// uninterrupted run does, but for the wall-clock latencies, because the
-// counts it serves are scheduler state. A restarted trace's ring holds
-// the transitions replayed since the restart's checkpoint — a suffix of
-// the uninterrupted run's ring, numbered the same — and after a genesis
-// replay the whole ring.
+// replay from the newest checkpoint as after a genesis replay, which
+// re-enacts the whole history the stream interpreter held to the naive
+// daemon, but for the wall-clock latencies, because the counts it serves
+// are scheduler state. A restarted trace's ring holds the transitions
+// replayed since the restart's checkpoint — a suffix of the genesis
+// replay's ring, numbered the same.
 func TestMetricsSurviveReplay(t *testing.T) {
-	live, j, path := journaledScheduler(t, 8, 7)
-	liveTrace := NewEventTrace(64)
-	live.AddObserver(liveTrace)
-	driveRandomEvents(t, live, 17, 300)
-	want, wantRing := metricsOf(t, live, liveTrace), planNsZeroed(liveTrace.Last(0))
-	if err := j.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if want.Plans == 0 || len(want.Cases) == 0 || want.Dropped == 0 {
-		t.Fatalf("the stream reaches too little: %+v", want)
-	}
-
-	for _, genesis := range []bool{false, true} {
-		jr, err := OpenJournal(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		s, err := New(8, newDynP(), 0)
+	fs := journalStream(t, 7).fs
+	replayed := func(genesis bool) (EngineMetrics, []TraceEvent) {
+		s, err := New(plantest.Capacity, newDynP(), 0)
 		if err != nil {
 			t.Fatal(err)
 		}
 		tr := NewEventTrace(64)
 		s.AddObserver(tr)
-		if genesis {
-			_, err = jr.ReplayGenesis(s)
-		} else {
-			_, err = jr.Replay(s)
+		j, err := OpenJournalFS(fs, journalPath)
+		if err == nil && genesis {
+			_, err = j.ReplayGenesis(s)
+		} else if err == nil {
+			_, err = j.Replay(s)
 		}
-		jr.Close()
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := metricsOf(t, s, tr); !reflect.DeepEqual(got, want) {
-			t.Errorf("genesis %v: metrics %+v, the uninterrupted run's %+v", genesis, got, want)
-		}
-		ring := planNsZeroed(tr.Last(0))
-		k := len(wantRing) - len(ring)
-		if len(ring) == 0 || k < 0 || !reflect.DeepEqual(ring, wantRing[k:]) || genesis && k != 0 {
-			t.Errorf("genesis %v: the restarted ring holds %d events %+v, not the last of the uninterrupted run's %d",
-				genesis, len(ring), ring, len(wantRing))
-		}
+		return metricsOf(t, s, tr), planNsZeroed(tr.Last(0))
+	}
+	want, wantRing := replayed(true)
+	if want.Plans == 0 || len(want.Cases) == 0 || want.Dropped == 0 {
+		t.Fatalf("the stream reaches too little: %+v", want)
+	}
+	got, ring := replayed(false)
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("metrics %+v after a fast replay, %+v after a genesis replay", got, want)
+	}
+	if k := len(wantRing) - len(ring); len(ring) == 0 || k <= 0 || !reflect.DeepEqual(ring, wantRing[k:]) {
+		t.Errorf("the restarted ring holds %d events %+v, not the last of the genesis replay's %d",
+			len(ring), ring, len(wantRing))
 	}
 }
 
@@ -117,31 +109,14 @@ func TestReplayGenesisRefusesTamperedCounts(t *testing.T) {
 		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			live, j, path := journaledScheduler(t, 8, 20)
-			driveRandomEvents(t, live, 5, 60)
-			if err := j.Close(); err != nil {
-				t.Fatal(err)
-			}
-			data, err := os.ReadFile(path)
-			if err != nil {
-				t.Fatal(err)
-			}
-			lines := strings.Split(strings.TrimSuffix(string(data), "\n"), "\n")
-			l, ok := decodeRecord([]byte(lines[1]))
-			if !ok || l.Checkpoint == nil {
-				t.Fatal("the active segment opens with no checkpoint")
-			}
-			tc.patch(l.Checkpoint)
-			rec, err := encodeRecord(&l)
-			if err != nil {
-				t.Fatal(err)
-			}
-			lines[1] = strings.TrimSuffix(string(rec), "\n")
-			if err := os.WriteFile(path, []byte(strings.Join(lines, "\n")+"\n"), 0o644); err != nil {
-				t.Fatal(err)
-			}
-
-			if err := genesisErr(t, path); err == nil || !strings.Contains(err.Error(), "diverges") {
+			fs := journalStream(t, 8).fs
+			patchRecord(t, fs, journalPath, 1, func(l *journalLine) {
+				if l.Checkpoint == nil {
+					t.Fatal("the active segment opens with no checkpoint")
+				}
+				tc.patch(l.Checkpoint)
+			})
+			if _, _, _, err := replayStream(fs, true); err == nil || !strings.Contains(err.Error(), "diverges") {
 				t.Fatalf("genesis replay of a checkpoint with a tampered %s count: %v, want a divergence", tc.name, err)
 			}
 		})
@@ -150,67 +125,65 @@ func TestReplayGenesisRefusesTamperedCounts(t *testing.T) {
 
 // TestReplayRestoresObserverCheckpoint replays a journal written by a
 // build that checkpointed the event trace's state in an "observers"
-// field (testdata/observers-journal: 40 events of driveRandomEvents seed
-// 53 on 8 processors, SJF-preferred dynP, a checkpoint every 8 events, a
-// 64-event trace attached). The field is ignored: the restored scheduler
-// answers as one that took the same events itself, and its counts start
+// field (testdata/observers-journal: 40 random events on 8 processors,
+// SJF-preferred dynP, a checkpoint every 8 events, a 64-event trace
+// attached). The field is ignored: the restored scheduler answers as one
+// that replayed the same events from genesis, and its counts start
 // from zero at the newest checkpoint, which carries none. Each of the
 // fixture's checkpoints also carries the plan record this build no longer
 // writes, the plan in force by job ID: a scheduler restored from one
 // plans each waiting job at the start the record gives it, off the
 // waiting jobs' own planned starts.
 func TestReplayRestoresObserverCheckpoint(t *testing.T) {
-	dir := t.TempDir()
 	src := filepath.Join("testdata", "observers-journal")
 	entries, err := os.ReadDir(src)
 	if err != nil {
 		t.Fatal(err)
 	}
+	// events is the fixture without its checkpoints, which predate the
+	// counts a genesis audit checks: replayed from genesis, it takes the
+	// fixture's events alone.
+	fixture, events := &memFS{files: map[string][]byte{}}, &memFS{files: map[string][]byte{}}
 	for _, e := range entries {
 		data, err := os.ReadFile(filepath.Join(src, e.Name()))
-		if err == nil {
-			err = os.WriteFile(filepath.Join(dir, e.Name()), data, 0o644)
-		}
 		if err != nil {
 			t.Fatal(err)
 		}
+		fixture.files[e.Name()] = data
+		var kept [][]byte
+		for _, rec := range lines(data) {
+			if l, ok := decodeRecord(rec); !ok || l.Checkpoint == nil {
+				kept = append(kept, rec)
+			}
+		}
+		events.files[e.Name()] = append(bytes.Join(kept, []byte("\n")), '\n')
 	}
-	active, err := os.ReadFile(filepath.Join(dir, "events.journal"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(string(active), `"observers":[{"key":"trace"`) {
+	if !strings.Contains(string(fixture.files[journalPath]), `"observers":[{"key":"trace"`) {
 		t.Fatal("the fixture's newest checkpoint carries no observer state")
 	}
 
-	jr, err := OpenJournal(filepath.Join(dir, "events.journal"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer jr.Close()
 	s, err := New(8, newDynP(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	s.AddObserver(NewEventTrace(64))
-	if _, err := jr.Replay(s); err != nil {
-		t.Fatal(err)
+	jr, err := OpenJournalFS(fixture, journalPath)
+	if err == nil {
+		_, err = jr.Replay(s)
 	}
-	want, err := New(8, newDynP(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	driveRandomEvents(t, want, 53, 40)
+	want, _, _, err := replayJournal(8, newDynP(), events, true)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if got, w := fingerprint(t, s), fingerprint(t, want); got != w {
 		t.Fatalf("restored from the observer checkpoint\n got %s\nwant %s", got, w)
 	}
 
 	checked := 0
-	for _, e := range entries {
-		data, err := os.ReadFile(filepath.Join(src, e.Name()))
-		if err != nil {
-			t.Fatal(err)
-		}
+	for name, data := range fixture.files {
 		for _, line := range strings.Split(strings.TrimSuffix(string(data), "\n"), "\n") {
 			l, ok := decodeRecord([]byte(line))
 			if !ok || l.Checkpoint == nil {
@@ -222,7 +195,7 @@ func TestReplayRestoresObserverCheckpoint(t *testing.T) {
 				}
 			}
 			if err := json.Unmarshal([]byte(line[9:]), &old); err != nil || old.Checkpoint.Plan == nil {
-				t.Fatalf("%s: checkpoint without a plan record: %v", e.Name(), err)
+				t.Fatalf("%s: checkpoint without a plan record: %v", name, err)
 			}
 			planned := make(map[int64]int64)
 			for _, pe := range old.Checkpoint.Plan.Entries {
@@ -233,7 +206,7 @@ func TestReplayRestoresObserverCheckpoint(t *testing.T) {
 				err = r.restoreCheckpoint(l.Checkpoint)
 			}
 			if err != nil {
-				t.Fatalf("%s: %v", e.Name(), err)
+				t.Fatalf("%s: %v", name, err)
 			}
 			for _, w := range r.Status().Waiting {
 				start, ok := planned[int64(w.ID)]
@@ -241,7 +214,7 @@ func TestReplayRestoresObserverCheckpoint(t *testing.T) {
 					start = NeverStart
 				}
 				if w.PlannedStart != start {
-					t.Errorf("%s: job %d restored with planned start %d, its plan record says %d", e.Name(), w.ID, w.PlannedStart, start)
+					t.Errorf("%s: job %d restored with planned start %d, its plan record says %d", name, w.ID, w.PlannedStart, start)
 				}
 				checked++
 			}

@@ -16,6 +16,12 @@ import (
 type crashLog struct {
 	kinds    map[string]int
 	replayed map[[32]byte][2]string
+	// rotations, if set, crashes only the ops that cut a checkpoint, from
+	// the sync that seals the segment on, and not recovery's repairs: the
+	// checkpoint record is the one record a driver changes, while an
+	// event record, and what recovery writes, are the same bytes under
+	// any driver.
+	rotations bool
 }
 
 // An inFlight op is one a crash kills the daemon in, with what the stream
@@ -33,24 +39,31 @@ type inFlight struct {
 }
 
 // crashOp kills the daemon before each file operation f.req made, fs.log
-// from mark on, and in a write also after its first byte, half of it, all
-// but its last byte, and each whole record in it, so that a rotation's
-// header write also stops before its checkpoint record. It counts each
-// crash point under its kinds and recovers each state it leaves once
-// (recoverCrash), but the files the live daemon had before or after
-// f.req: the stream interpreter restarted on those, at the end of the
-// stream that ended there. Only a rotation's crashes leave files that
-// replay to another state, so only then are f.pre, read off the files
-// before f.req, and f.post, off the live daemon, needed.
-func crashOp(t *testing.T, ds daemonStream, fs *memFS, mark int, f inFlight, live *Scheduler) {
-	if slices.ContainsFunc(fs.log[mark:], func(op fsOp) bool { return op.kind == "rename" }) {
-		drv, _, _ := ds.newDriver()
+// from mark on (from the rotation's sealing sync on, if
+// ds.crashes.rotations), and in a write also after its first byte, half
+// of it, all but its last byte, and each whole record in it, so that a
+// rotation's header write also stops before its checkpoint record. It
+// counts each crash point under its kinds and recovers each state it
+// leaves once (recoverCrash), but the files the live daemon had before
+// or after f.req: the stream interpreter restarted on those, at the end
+// of the stream that ended there. Only a rotation's crashes leave files
+// that replay to another state, so only then are f.pre, read off the
+// files before f.req, and f.post, off the live daemon, needed.
+func crashOp(t testing.TB, ds daemonStream, fs *memFS, mark int, f inFlight, live *Scheduler) {
+	first := mark
+	if r := slices.IndexFunc(fs.log[mark:], func(op fsOp) bool { return op.kind == "rename" }); r >= 0 {
+		drv, _, _ := ds.newDriver(new(plantest.Lanes))
 		s, j, _ := openJournaled(t, ds.capacity, drv, fs.crash(mark, 0), true, f.every)
 		j.Close()
 		f.pre, f.post = daemonState(t, s), daemonState(t, live)
+		if ds.crashes.rotations {
+			first = mark + r - 1
+		}
+	} else if ds.crashes.rotations {
+		return
 	}
 	seen := map[[32]byte]bool{f.files[0]: true, f.files[1]: true}
-	for k := mark; k < len(fs.log); k++ {
+	for k := first; k < len(fs.log); k++ {
 		for _, torn := range tears(fs.log[k]) {
 			for _, kind := range crashKinds(fs.log[mark:], k-mark, torn) {
 				ds.crashes.kinds[kind]++
@@ -59,7 +72,7 @@ func crashOp(t *testing.T, ds daemonStream, fs *memFS, mark int, f inFlight, liv
 			if key := c.key(); !seen[key] {
 				seen[key] = true
 				f.where = fmt.Sprintf("before file op %d (%s), %d bytes of it written", k, fs.log[k].kind, torn)
-				recoverCrash(t, ds, c, f, seen, true)
+				recoverCrash(t, ds, c, f, seen, !ds.crashes.rotations)
 			}
 		}
 	}
@@ -122,7 +135,7 @@ func (fs *memFS) key() [32]byte {
 // must a restart on what Replay's daemon journaled. With repairs set, the
 // repair's own file operations are crashed too, as crashOp crashes the
 // op's, and each new state recovered in turn.
-func recoverCrash(t *testing.T, ds daemonStream, fs *memFS, f inFlight, seen map[[32]byte]bool, repairs bool) {
+func recoverCrash(t testing.TB, ds daemonStream, fs *memFS, f inFlight, seen map[[32]byte]bool, repairs bool) {
 	defer func() {
 		if req, _ := json.Marshal(f.req); t.Failed() {
 			t.Logf("the crash: %s in %s", f.where, req)
@@ -159,7 +172,7 @@ func recoverCrash(t *testing.T, ds daemonStream, fs *memFS, f inFlight, seen map
 		}
 		var after [2]string
 		for _, mode := range []string{"genesis", "replay", "restart"} {
-			drv, _, _ := ds.newDriver()
+			drv, _, _ := ds.newDriver(new(plantest.Lanes))
 			s, j, n := openJournaled(t, ds.capacity, drv, fs, mode == "genesis", f.every)
 			if mode == "restart" {
 				want = after

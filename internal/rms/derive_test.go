@@ -24,15 +24,17 @@ func TestJobInfosDerivedFromEngine(t *testing.T) {
 		ds   func(t *testing.T) daemonStream
 	}{
 		{"static SJF", func(t *testing.T) daemonStream {
-			return staticStream(t, plantest.Capacity, policy.SJF, new(plantest.Lanes))
+			return staticStream(t, plantest.Capacity, policy.SJF)
 		}},
 		{"dynP/advanced", func(t *testing.T) daemonStream {
-			return tunerStream(t, plantest.Capacity, func() core.Decider { return core.Advanced{} }, new(plantest.Lanes))
+			return tunerStream(t, plantest.Capacity, func() core.Decider { return core.Advanced{} })
 		}},
 		{"EASY", func(t *testing.T) daemonStream {
-			return daemonStream{capacity: plantest.Capacity, lanes: new(plantest.Lanes),
-				newDriver: func() (sim.Driver, *sim.DynP, *plantest.Tuner) { return &sim.EASY{Base: policy.FCFS}, nil, nil },
-				oracle:    func() plantest.Step { return plantest.EASY{Base: policy.FCFS} }}
+			return daemonStream{capacity: plantest.Capacity,
+				newDriver: func(*plantest.Lanes) (sim.Driver, *sim.DynP, *plantest.Tuner) {
+					return &sim.EASY{Base: policy.FCFS}, nil, nil
+				},
+				oracle: func() plantest.Step { return plantest.EASY{Base: policy.FCFS} }}
 		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -57,7 +59,7 @@ func TestJobInfosDerivedFromEngine(t *testing.T) {
 // plan in force to the naive daemon's none: it has no entry. It returns
 // how many waiting jobs the naive plan in force had no entry for and how
 // many it had one for.
-func checkDerived(t *testing.T, s *Scheduler, naive *plantest.Daemon) (unplaced, placed int) {
+func checkDerived(t testing.TB, s *Scheduler, naive *plantest.Daemon) (unplaced, placed int) {
 	t.Helper()
 	img := s.img.Load()
 	used := 0

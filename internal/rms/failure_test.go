@@ -1,6 +1,7 @@
 package rms
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -9,53 +10,6 @@ import (
 	"dynp/internal/policy"
 	"dynp/internal/sim"
 )
-
-// TestFailMarksWideWaitersUnplaceable: a job too wide for the processors
-// up stays queued, unplaceable, while time passes with nothing running,
-// and starts on the restore that makes it fit. TestShortStreamsLockstep
-// holds the same shape to the naive daemon: [fail #0 submit 3x1 tick +3
-// restore #0].
-func TestFailMarksWideWaitersUnplaceable(t *testing.T) {
-	s := newFCFS(t, 8)
-	s.Submit(8, 100)
-	wide, _ := s.Submit(6, 50)
-	if err := s.Fail(4); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Advance(500); err != nil {
-		t.Fatal(err)
-	}
-	if wi, _ := s.Job(wide.ID); wi.State != StateWaiting || wi.PlannedStart != NeverStart {
-		t.Fatalf("wide waiter after advance = %+v, want waiting with PlannedStart=NeverStart", wi)
-	}
-	if err := s.Restore(4); err != nil {
-		t.Fatal(err)
-	}
-	if wi, _ := s.Job(wide.ID); wi.State != StateRunning || wi.Started != 500 {
-		t.Fatalf("wide waiter after restore = %+v, want running at 500", wi)
-	}
-}
-
-// TestFailEverything: a job queued on a drained machine waits while time
-// passes and starts on the restore. TestShortStreamsLockstep holds the
-// same shape to the naive daemon: [fail #0 fail #0 fail #0 submit 1x1
-// tick +3 restore #0].
-func TestFailEverything(t *testing.T) {
-	s := newFCFS(t, 8)
-	if err := s.Fail(8); err != nil {
-		t.Fatal(err)
-	}
-	c, _ := s.Submit(1, 10)
-	if err := s.Advance(1000); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Restore(8); err != nil {
-		t.Fatal(err)
-	}
-	if ci, _ := s.Job(c.ID); ci.State != StateRunning || ci.Started != 1000 {
-		t.Fatalf("c after restore = %+v", ci)
-	}
-}
 
 func TestFailRestoreValidation(t *testing.T) {
 	s := newFCFS(t, 8)
@@ -85,36 +39,90 @@ func TestFailRestoreValidation(t *testing.T) {
 	}
 }
 
+// TestVictimPolicyConfigurable: with the widest job first, a failure of
+// four processors kills the 4-wide job started first, where the default
+// kills the two 2-wide jobs started last; and a restart into a scheduler
+// of the same policy replays the same kills.
 func TestVictimPolicyConfigurable(t *testing.T) {
-	s := newFCFS(t, 8)
-	s.SetVictimPolicy(VictimWidestFirst)
-	wide, _ := s.Submit(4, 100) // started first, but widest
-	s.Advance(10)
-	narrow, _ := s.Submit(2, 100)
-	s.Advance(20)
-	narrow2, _ := s.Submit(2, 100)
-	if err := s.Fail(4); err != nil {
-		t.Fatal(err)
+	for _, tc := range []struct {
+		name   string
+		policy VictimPolicy
+		failed []job.ID
+	}{
+		{"last started", nil, []job.ID{3, 2}},
+		{"widest first", VictimWidestFirst, []job.ID{1}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			fs := &memFS{files: map[string][]byte{}}
+			start := func() (*Scheduler, *Journal) {
+				s := newFCFS(t, 8)
+				if err := s.SetVictimPolicy(tc.policy); err != nil {
+					t.Fatal(err)
+				}
+				j, err := OpenJournalFS(fs, journalPath)
+				if err == nil {
+					_, err = j.Replay(s)
+				}
+				if err == nil {
+					err = s.SetJournal(j)
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+				return s, j
+			}
+			s, j := start()
+			for _, step := range []func() error{
+				func() error { _, err := s.Submit(4, 100); return err },
+				func() error { return s.Advance(10) },
+				func() error { _, err := s.Submit(2, 100); return err },
+				func() error { return s.Advance(20) },
+				func() error { _, err := s.Submit(2, 100); return err },
+				func() error { return s.Fail(4) },
+			} {
+				if err := step(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			var failed []job.ID
+			for _, d := range s.Finished() {
+				if d.State == StateFailed {
+					failed = append(failed, d.ID)
+				}
+			}
+			if !slices.Equal(failed, tc.failed) {
+				t.Errorf("failed jobs %v, want %v", failed, tc.failed)
+			}
+			want := fingerprint(t, s)
+			j.Close()
+			if r, _ := start(); fingerprint(t, r) != want {
+				t.Errorf("the restart diverges\nlive:     %s\nreplayed: %s", want, fingerprint(t, r))
+			}
+		})
 	}
-	// Widest-first frees 4 procs with one kill; last-started would have
-	// killed both narrow jobs instead.
-	wi, _ := s.Job(wide.ID)
-	if wi.State != StateFailed {
-		t.Errorf("widest job = %+v, want failed", wi)
+}
+
+// TestVictimPolicyFixedOnceBegun: a scheduler that has taken an event,
+// restored a checkpoint or journals refuses a victim policy, which the
+// journal does not record; a refused event does not count.
+func TestVictimPolicyFixedOnceBegun(t *testing.T) {
+	refused, ticked, restored, journaled := newFCFS(t, 8), newFCFS(t, 8), newFCFS(t, 8), newFCFS(t, 8)
+	if err := refused.Advance(-1); err == nil {
+		t.Fatal("the clock moved backwards")
 	}
-	for _, id := range []job.ID{narrow.ID, narrow2.ID} {
-		if info, _ := s.Job(id); info.State != StateRunning {
-			t.Errorf("narrow job %d = %+v, want running", id, info)
+	if err := refused.SetVictimPolicy(VictimWidestFirst); err != nil {
+		t.Errorf("a scheduler that refused its only event: %v", err)
+	}
+	j, err := OpenJournalFS(&memFS{files: map[string][]byte{}}, journalPath)
+	for _, err := range []error{err, ticked.Advance(1), restored.restoreCheckpoint(&checkpointState{}), journaled.SetJournal(j)} {
+		if err != nil {
+			t.Fatal(err)
 		}
 	}
-	// nil restores the default.
-	s.SetVictimPolicy(nil)
-	if err := s.Fail(2); err != nil {
-		t.Fatal(err)
-	}
-	n2, _ := s.Job(narrow2.ID)
-	if n2.State != StateFailed {
-		t.Errorf("after default policy, last-started = %+v, want failed", n2)
+	for name, s := range map[string]*Scheduler{"ticked": ticked, "restored": restored, "journaled": journaled} {
+		if err := s.SetVictimPolicy(VictimWidestFirst); err == nil {
+			t.Errorf("a %s scheduler took a victim policy", name)
+		}
 	}
 }
 
@@ -122,9 +130,11 @@ func TestVictimPolicyBackstop(t *testing.T) {
 	// A buggy policy that returns no usable victims must not leave the
 	// machine oversubscribed: the default order backstops it.
 	s := newFCFS(t, 8)
-	s.SetVictimPolicy(func(now int64, running []plan.Running) []plan.Running {
+	if err := s.SetVictimPolicy(func(now int64, running []plan.Running) []plan.Running {
 		return nil
-	})
+	}); err != nil {
+		t.Fatal(err)
+	}
 	s.Submit(4, 100)
 	s.Submit(4, 100)
 	if err := s.Fail(6); err != nil {
@@ -244,53 +254,6 @@ func TestDeliverDuplicateCompletionRejected(t *testing.T) {
 	// The same completion delivered once still works.
 	if _, err := s.Deliver(10, []job.ID{a.ID}, nil); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestDeliverSameInstantKillCompleteSubmit(t *testing.T) {
-	// At one timestamp: a expires (killed), b completes (reported), and
-	// a new full-width job is submitted. All must take effect before the
-	// single replanning step, so the submission sees the whole machine.
-	s := newFCFS(t, 4)
-	a, _ := s.Submit(2, 50)  // expires at 50
-	b, _ := s.Submit(2, 100) // completes early at 50
-	infos, err := s.Deliver(50, []job.ID{b.ID}, []Submission{{Width: 4, Estimate: 30}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ai, _ := s.Job(a.ID)
-	if ai.State != StateKilled || ai.Finished != 50 {
-		t.Errorf("a = %+v, want killed at 50", ai)
-	}
-	bi, _ := s.Job(b.ID)
-	if bi.State != StateCompleted || bi.Finished != 50 {
-		t.Errorf("b = %+v, want completed at 50", bi)
-	}
-	if infos[0].State != StateRunning || infos[0].Started != 50 {
-		t.Errorf("submission = %+v, want running at 50 on the freed machine", infos[0])
-	}
-	if err := s.CheckInvariants(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestSubmitWiderThanEffectiveQueues(t *testing.T) {
-	s := newFCFS(t, 8)
-	if err := s.Fail(6); err != nil {
-		t.Fatal(err)
-	}
-	// Wider than the 2 live processors but within installed capacity:
-	// queue it for better days.
-	info, err := s.Submit(4, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if info.State != StateWaiting || info.PlannedStart != NeverStart {
-		t.Fatalf("info = %+v", info)
-	}
-	// Wider than installed capacity: rejected outright.
-	if _, err := s.Submit(9, 10); err == nil {
-		t.Error("width 9 accepted on an 8-processor machine")
 	}
 }
 

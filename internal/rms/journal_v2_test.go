@@ -6,32 +6,15 @@ package rms
 
 import (
 	"bytes"
-	"os"
+	"fmt"
 	"path/filepath"
-	"strconv"
+	"slices"
 	"strings"
 	"testing"
 
+	"dynp/internal/plan/plantest"
 	"dynp/internal/vfs"
 )
-
-// corruptSegmentRecord overwrites record n (0-based line) of the given
-// segment file with bytes that fail the checksum.
-func corruptSegmentRecord(t *testing.T, path string, n int) {
-	t.Helper()
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	lines := strings.SplitAfter(string(data), "\n")
-	if n >= len(lines) {
-		t.Fatalf("segment %s has %d records, wanted to corrupt %d", path, len(lines), n)
-	}
-	lines[n] = strings.Repeat("x", len(lines[n])-1) + "\n"
-	if err := os.WriteFile(path, []byte(strings.Join(lines, "")), 0o644); err != nil {
-		t.Fatal(err)
-	}
-}
 
 // TestCheckpointRecordBytes pins the spliced checkpoint record to the
 // format: for states with and without each part of a checkpoint, for a
@@ -61,24 +44,20 @@ func TestCheckpointRecordBytes(t *testing.T) {
 			t.Fatalf("spliced checkpoint record differs from encodeRecord's\nspliced: %s\nencoded: %s", got, want)
 		}
 	}
-	// checkDisk re-encodes the newest checkpoint record of the journal at
-	// path: decoding and encoding again must give back the same bytes.
-	checkDisk := func(t *testing.T, path string) {
+	// checkDisk re-encodes the newest checkpoint record of the journal on
+	// fs: decoding and encoding again must give back the same bytes.
+	checkDisk := func(t *testing.T, fs *memFS) {
 		t.Helper()
-		data, err := os.ReadFile(path)
-		if err != nil {
-			t.Fatal(err)
+		recs := lines(fs.files[journalPath])
+		if len(recs) < 2 {
+			t.Fatalf("active segment has %d records", len(recs))
 		}
-		lines := bytes.SplitAfter(data, []byte("\n"))
-		if len(lines) < 2 {
-			t.Fatalf("active segment has %d records", len(lines))
-		}
-		l, ok := decodeRecord(bytes.TrimSuffix(lines[1], []byte("\n")))
+		l, ok := decodeRecord(recs[1])
 		if !ok || l.Checkpoint == nil {
 			t.Fatal("active segment's second record is not a valid checkpoint")
 		}
-		if want, err := encodeRecord(&l); err != nil || !bytes.Equal(lines[1], want) {
-			t.Fatalf("checkpoint record on disk is not encodeRecord's (%v)\ndisk:    %s\nencoded: %s", err, lines[1], want)
+		if want, err := encodeRecord(&l); err != nil || !bytes.Equal(append(recs[1], '\n'), want) {
+			t.Fatalf("checkpoint record on disk is not encodeRecord's (%v)\ndisk:    %s\nencoded: %s", err, recs[1], want)
 		}
 	}
 	submit := func(t *testing.T, s *Scheduler, width int, estimate int64) {
@@ -110,18 +89,17 @@ func TestCheckpointRecordBytes(t *testing.T) {
 		check(t, s)
 	})
 	t.Run("everything, driver state and counts", func(t *testing.T) {
-		s, err := New(8, newDynP(), 0)
+		s, _, _, err := replayStream(journalStream(t, 0).fs, true)
 		if err != nil {
 			t.Fatal(err)
 		}
 		s.AddObserver(NewEventTrace(64)) // adds nothing to the record
-		driveRandomEvents(t, s, 0x5eed, 80)
 		if failed := s.Status().FailedProcs; failed > 0 {
 			if err := s.Restore(failed); err != nil {
 				t.Fatal(err)
 			}
 		}
-		submit(t, s, 8, 100)
+		submit(t, s, plantest.Capacity, 100)
 		st := s.Status()
 		if len(st.Waiting) == 0 || len(st.Running) == 0 || st.Finished == 0 {
 			t.Fatalf("state lacks a part: %d waiting, %d running, %d finished", len(st.Waiting), len(st.Running), st.Finished)
@@ -134,36 +112,27 @@ func TestCheckpointRecordBytes(t *testing.T) {
 		check(t, s)
 	})
 	t.Run("restored", func(t *testing.T) {
-		live, j, path := journaledScheduler(t, 8, 5)
-		driveRandomEvents(t, live, 0xabc, 60)
-		j.Close()
-		checkDisk(t, path)
-		s, j1, _, err := replayFresh(t, path, 8)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer j1.Close()
+		fs := journalStream(t, 1).fs
+		checkDisk(t, fs)
+		s, j, _ := openJournaled(t, plantest.Capacity, newDynP(), fs, false, 1)
 		if s.doneLogged != 0 || len(s.done) == 0 {
 			t.Fatalf("restored scheduler logged %d of %d finished jobs before its first checkpoint", s.doneLogged, len(s.done))
 		}
 		check(t, s)
-		if err := s.SetJournal(j1); err != nil {
-			t.Fatal(err)
+		seg := j.Segment()
+		if err := s.Advance(s.Now() + 1); err != nil || j.Segment() == seg {
+			t.Fatalf("no checkpoint cut after the restart (%v)", err)
 		}
-		driveRandomEvents(t, s, 0xdef, 20)
 		check(t, s)
-		checkDisk(t, path)
+		checkDisk(t, fs)
 	})
 	t.Run("after a ladder fallback", func(t *testing.T) {
-		live, j, path := journaledScheduler(t, 8, 5)
-		driveRandomEvents(t, live, 0xabc, 60)
-		j.Close()
-		corruptSegmentRecord(t, path, 1)
-		s, j1, _, err := replayFresh(t, path, 8)
+		fs := journalStream(t, 1).fs
+		corruptRecord(t, fs, journalPath, 1)
+		s, _, _, err := replayStream(fs, false)
 		if err != nil {
 			t.Fatal(err)
 		}
-		defer j1.Close()
 		check(t, s)
 	})
 }
@@ -171,69 +140,86 @@ func TestCheckpointRecordBytes(t *testing.T) {
 // TestJournalLadderFallback: a corrupted checkpoint record must not lose
 // the journal — replay falls back one checkpoint at a time, and with
 // every checkpoint destroyed, all the way to genesis, rebuilding the
-// same state each time.
+// state the stream left each time.
 func TestJournalLadderFallback(t *testing.T) {
-	live, j, path := journaledScheduler(t, 8, 5)
-	driveRandomEvents(t, live, 0xabc, 60)
-	want := fingerprint(t, live)
-	top := j.Segment()
+	end := journalStream(t, 2)
+	j, err := OpenJournalFS(end.fs, journalPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	top, total := j.Segment(), j.Events()
 	if top < 3 {
 		t.Fatalf("only %d segments", top)
 	}
-	total := j.Events()
-	j.Close()
-
 	// The journal's event count, set at open (Replay does not move it),
 	// must equal Replay's and the live journal's.
 	fallback := func(name string) {
-		if n, events := replaysTo(t, path, 8, want, name); int64(n) != total || events != total {
-			t.Errorf("%s: journal counts %d events at open, replay %d, live journal %d", name, events, n, total)
+		s, j, n, err := replayStream(end.fs, false)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if got := daemonState(t, s); got != end.state {
+			t.Errorf("%s diverges\nlive: %v\ngot:  %v", name, end.state, got)
+		}
+		if int64(n) != total || j.Events() != total {
+			t.Errorf("%s: journal counts %d events at open, replay %d, the stream's journal %d", name, j.Events(), n, total)
 		}
 	}
 	// Destroy the newest checkpoint (record 1 of the active segment).
-	corruptSegmentRecord(t, path, 1)
+	corruptRecord(t, end.fs, journalPath, 1)
 	fallback("one-rung fallback")
 
 	// Destroy every checkpoint: only genesis replay remains, and it must
 	// still rebuild the identical state.
 	for seq := 1; seq < top; seq++ {
-		corruptSegmentRecord(t, path+"."+itoa(seq), 1)
+		corruptRecord(t, end.fs, segmentName(end.fs, seq), 1)
 	}
 	fallback("genesis fallback")
 }
 
-func itoa(n int) string { return strconv.Itoa(n) }
+// compactOn replays the journal on fs, a journalStream's, and journals on
+// with a checkpoint every event and the rotated segments bounded by keep,
+// over ticks more events, each holding the rotated segments to the keep
+// newest. It returns the state it ends in.
+func compactOn(t *testing.T, fs *memFS, keep, ticks int) [2]string {
+	s, j, _ := openJournaled(t, plantest.Capacity, newDynP(), fs, false, 1)
+	j.SetKeep(keep)
+	for range ticks {
+		seg := j.Segment()
+		if err := s.Advance(s.Now() + 1); err != nil || j.Segment() != seg+1 {
+			t.Fatalf("a tick after segment %d: segment %d (%v)", seg, j.Segment(), err)
+		}
+		var want []int
+		for k := max(seg+1-keep, 0); k <= seg; k++ {
+			want = append(want, k)
+		}
+		if rot, err := j.rotatedSegments(); err != nil || !slices.Equal(rot, want) {
+			t.Fatalf("rotated segments %v (%v) with SetKeep(%d) after a checkpoint in segment %d, want %v", rot, err, keep, seg+1, want)
+		}
+	}
+	return daemonState(t, s)
+}
+
+// sameReplay holds a fast replay of the journal on fs to the state want.
+func sameReplay(t *testing.T, fs *memFS, want [2]string, what string) {
+	t.Helper()
+	s, _, _, err := replayStream(fs, false)
+	if err != nil {
+		t.Fatalf("%s: %v", what, err)
+	}
+	if got := daemonState(t, s); got != want {
+		t.Errorf("%s diverges\nlive: %v\ngot:  %v", what, want, got)
+	}
+}
 
 // TestJournalCompactAfterLadderFallback: when the active segment's
 // checkpoint was corrupt at open, the rung recovery rests on is an older
 // segment — compaction after the next durable rotation must leave a
 // journal that still replays to the live state.
 func TestJournalCompactAfterLadderFallback(t *testing.T) {
-	live, j, path := journaledScheduler(t, 8, 5)
-	driveRandomEvents(t, live, 0xabc, 60)
-	j.Close()
-	corruptSegmentRecord(t, path, 1)
-
-	s, j1, _, err := replayFresh(t, path, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	top := j1.Segment()
-	j1.SetSnapshotEvery(5)
-	j1.SetKeep(0)
-	if err := s.SetJournal(j1); err != nil {
-		t.Fatal(err)
-	}
-	driveRandomEvents(t, s, 0xabd, 20)
-	if j1.Segment() == top {
-		t.Fatal("no rotation after the fallback")
-	}
-	if rot, err := j1.rotatedSegments(); err != nil || len(rot) != 0 {
-		t.Fatalf("rotated segments %v (%v) remain with SetKeep(0)", rot, err)
-	}
-	want := fingerprint(t, s)
-	j1.Close()
-	replaysTo(t, path, 8, want, "replay after compacting a fallen-back journal")
+	fs := journalStream(t, 3).fs
+	corruptRecord(t, fs, journalPath, 1)
+	sameReplay(t, fs, compactOn(t, fs, 0, 1), "replay after compacting a fallen-back journal")
 }
 
 // TestJournalCompact: compaction retires segments the newest durable
@@ -243,29 +229,13 @@ func TestJournalCompactAfterLadderFallback(t *testing.T) {
 // plus the events behind it.
 func TestJournalCompact(t *testing.T) {
 	for _, keep := range []int{1, 0} {
-		t.Run("keep="+itoa(keep), func(t *testing.T) {
-			live, j, path := journaledScheduler(t, 8, 5)
-			j.SetKeep(keep)
-			driveRandomEvents(t, live, 0x777, 80)
-			want := fingerprint(t, live)
-			top := j.Segment()
-			if top < 4 {
-				t.Fatalf("only %d segments", top)
+		t.Run(fmt.Sprintf("keep=%d", keep), func(t *testing.T) {
+			fs := journalStream(t, 4).fs
+			if len(fs.files) < 4 {
+				t.Fatalf("only %d segments", len(fs.files))
 			}
-			if _, err := os.Stat(path + ".0"); !os.IsNotExist(err) {
-				t.Errorf("genesis segment survived SetKeep(%d)", keep)
-			}
-			rot, err := j.rotatedSegments()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(rot) > keep {
-				t.Errorf("%d rotated segments remain with SetKeep(%d): %v", len(rot), keep, rot)
-			}
-			j.Close()
-			replaysTo(t, path, 8, want, "replay after compaction")
-
-			if err := genesisErr(t, path); err == nil {
+			sameReplay(t, fs, compactOn(t, fs, keep, 1), "replay after compaction")
+			if _, _, _, err := replayStream(fs, true); err == nil {
 				t.Error("genesis audit succeeded without the genesis segment")
 			} else if !strings.Contains(err.Error(), "compacted") {
 				t.Errorf("error %q does not mention compaction", err)
@@ -277,33 +247,8 @@ func TestJournalCompact(t *testing.T) {
 // TestJournalAutoCompact: with SetKeep, every checkpoint rotation prunes
 // the history down to the retention bound automatically.
 func TestJournalAutoCompact(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "events.journal")
-	j, err := OpenJournal(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	j.SetSnapshotEvery(5)
-	j.SetKeep(2)
-	s, err := New(8, newDynP(), 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := s.SetJournal(j); err != nil {
-		t.Fatal(err)
-	}
-	driveRandomEvents(t, s, 0x222, 80)
-	want := fingerprint(t, s)
-	rot, err := j.rotatedSegments()
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Everything below the newest checkpoint is pruned to 2 segments; the
-	// segment carrying that checkpoint (and any later ones) also remain.
-	if len(rot) > 3 {
-		t.Errorf("%d rotated segments remain with keep=2: %v", len(rot), rot)
-	}
-	j.Close()
-	replaysTo(t, path, 8, want, "replay after auto-compaction")
+	fs := journalStream(t, 5).fs
+	sameReplay(t, fs, compactOn(t, fs, 2, 3), "replay after auto-compaction")
 }
 
 // TestJournalStickyFsync is the regression test for the swallowed

@@ -33,12 +33,11 @@ func TestDaemonStreamsPinned(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			t.Parallel()
-			var lanes plantest.Lanes
 			var ds daemonStream
 			if tc.decider == nil {
-				ds = staticStream(t, plantest.Capacity, policy.SJF, &lanes)
+				ds = staticStream(t, plantest.Capacity, policy.SJF)
 			} else {
-				ds = tunerStream(t, plantest.Capacity, tc.decider, &lanes)
+				ds = tunerStream(t, plantest.Capacity, tc.decider)
 			}
 			reads, journal := fnv.New64a(), fnv.New64a()
 			ds.reads, ds.journal = reads, journal

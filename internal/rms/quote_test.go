@@ -383,15 +383,14 @@ func TestQuoteValidation(t *testing.T) {
 // quotes — predictions about submissions that can no longer happen —
 // are refused too, before any twin is built.
 func TestQuoteJournalSticky(t *testing.T) {
-	s, j, _ := journaledScheduler(t, 8, 0)
+	s, _ := deadJournal(t)
 	if err := s.EnableQuotes(newDynP); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := s.Quote(2, 100, 1); err != nil {
 		t.Fatalf("quote on a healthy journaled scheduler: %v", err)
 	}
-	// Kill the file under the journal: the next append fails sticky.
-	j.f.Close()
+	// Every write under the journal fails: the next append fails sticky.
 	if _, err := s.Submit(1, 10); err == nil {
 		t.Fatal("submit succeeded with a dead journal")
 	}

@@ -6,11 +6,11 @@ package rms
 
 import (
 	"encoding/json"
-	"os"
 	"strings"
 	"testing"
 
 	"dynp/internal/core"
+	"dynp/internal/plan/plantest"
 	"dynp/internal/policy"
 	"dynp/internal/sim"
 )
@@ -39,69 +39,50 @@ func TestServerPoliciesAndDecidersOps(t *testing.T) {
 	}
 }
 
-// fairDynP is a self-tuning driver whose candidate set includes a
-// registered custom (PSBS family) policy next to the built-ins.
-func fairDynP() sim.Driver {
-	psbs := policy.MustFairSize(0.5, 2)
-	return sim.NewDynPWith([]policy.Policy{policy.FCFS, psbs, policy.SJF},
-		core.Preferred{Policy: psbs}, core.MetricSLDwA)
+// fairDynP is a self-tuning driver whose candidate set, fairCandidates,
+// includes a custom policy next to the built-ins.
+func fairDynP() *sim.DynP {
+	return sim.NewDynPWith(fairCandidates, core.Preferred{Policy: fairCandidates[1]}, core.MetricSLDwA)
 }
 
-// TestJournalRoundTripWithCustomPolicy: a journal written by a scheduler
-// whose tuner runs a registered custom policy — chosen, serialized into
-// checkpoints by name — must restore byte-identically through both the
-// checkpoint fast path and the genesis replay.
+// fairCandidates' custom policy orders as the registered PSBS member of
+// its name, but is a value of another type: the registry resolves the
+// name to a distinct value, and only the candidate set to this one.
+var fairCandidates = []policy.Policy{policy.FCFS, psbsCandidate{policy.MustFairSize(0.5, 2)}, policy.SJF}
+
+type psbsCandidate struct{ policy.FairSize }
+
+// TestJournalRoundTripWithCustomPolicy: a journal written by a daemon
+// whose tuner runs a custom policy — chosen, serialized into checkpoints
+// by a name the registry resolves to another value — must restore
+// byte-identically, to the candidate, through both the
+// checkpoint fast path and the genesis replay. The seeded streams run on
+// such a daemon, held to a naive tuner over the same candidates.
 func TestJournalRoundTripWithCustomPolicy(t *testing.T) {
-	path := t.TempDir() + "/events.journal"
-	j, err := OpenJournal(path)
-	if err != nil {
-		t.Fatal(err)
+	ds := tunerStreamOf(t, plantest.Capacity, fairDynP, func() *plantest.Tuner {
+		return &plantest.Tuner{Candidates: fairCandidates, Decider: core.Preferred{Policy: fairCandidates[1]},
+			Metric: core.MetricSLDwA, Active: fairCandidates[0]}
+	})
+	end := runDeliverLockstep(t, ds, decodeStream(plantest.Stream(0))[:journalOps])
+	chosen := 0
+	for _, data := range end.fs.files {
+		for _, rec := range lines(data) {
+			if l, ok := decodeRecord(rec); ok && l.Checkpoint != nil && strings.Contains(string(l.Checkpoint.Driver), `"PSBS(a=0.5,r=2)"`) {
+				chosen++
+			}
+		}
 	}
-	j.SetSnapshotEvery(5)
-	live, err := New(8, fairDynP(), 0)
-	if err != nil {
-		t.Fatal(err)
+	if chosen == 0 {
+		t.Fatal("no checkpoint names the custom policy: the tuner never chose it")
 	}
-	if err := live.SetJournal(j); err != nil {
-		t.Fatal(err)
-	}
-	driveRandomEvents(t, live, 0x9a5b, 120)
-	want := fingerprint(t, live)
-	if !strings.Contains(want, "PSBS(a=0.5,r=2)") {
-		t.Fatalf("custom policy never became active; fingerprint %s", want)
-	}
-	j.Close()
-
-	jf, err := OpenJournal(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer jf.Close()
-	fast, err := New(8, fairDynP(), 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := jf.Replay(fast); err != nil {
-		t.Fatal(err)
-	}
-	if got := fingerprint(t, fast); got != want {
-		t.Errorf("checkpoint restart diverges\nlive: %s\nfast: %s", want, got)
-	}
-
-	jg, err := OpenJournal(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer jg.Close()
-	genesis, err := New(8, fairDynP(), 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := jg.ReplayGenesis(genesis); err != nil {
-		t.Fatalf("genesis audit: %v", err)
-	}
-	if got := fingerprint(t, genesis); got != want {
-		t.Errorf("genesis replay diverges\nlive:    %s\ngenesis: %s", want, got)
+	for _, genesis := range []bool{false, true} {
+		s, _, _, err := replayJournal(plantest.Capacity, fairDynP(), end.fs, genesis)
+		if err != nil {
+			t.Fatalf("genesis %v: %v", genesis, err)
+		}
+		if got := daemonState(t, s); got != end.state {
+			t.Errorf("genesis %v: the replay diverges\nlive: %v\ngot:  %v", genesis, end.state, got)
+		}
 	}
 }
 
@@ -132,53 +113,14 @@ func TestJournalRefusesUnregisteredPolicy(t *testing.T) {
 		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			live, j, path := journaledScheduler(t, 8, 2)
-			for i := 0; i < 6; i++ {
-				if _, err := live.Submit(8, 50); err != nil {
-					t.Fatal(err)
-				}
-			}
-			if err := live.Advance(10); err != nil {
-				t.Fatal(err)
-			}
-			j.Close()
-
-			data, err := os.ReadFile(path)
-			if err != nil {
-				t.Fatal(err)
-			}
-			lines := strings.Split(strings.TrimSuffix(string(data), "\n"), "\n")
-			patched := false
-			for i, line := range lines {
-				l, ok := decodeRecord([]byte(line))
-				if !ok || l.Checkpoint == nil {
-					continue
+			fs := journalStream(t, 9).fs
+			patchRecord(t, fs, journalPath, 1, func(l *journalLine) {
+				if l.Checkpoint == nil {
+					t.Fatal("the active segment opens with no checkpoint")
 				}
 				tc.patch(l.Checkpoint)
-				rec, err := encodeRecord(&l)
-				if err != nil {
-					t.Fatal(err)
-				}
-				lines[i] = strings.TrimSuffix(string(rec), "\n")
-				patched = true
-			}
-			if !patched {
-				t.Skip("no checkpoint to patch in the active segment")
-			}
-			if err := os.WriteFile(path, []byte(strings.Join(lines, "\n")+"\n"), 0o644); err != nil {
-				t.Fatal(err)
-			}
-
-			jf, err := OpenJournal(path)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer jf.Close()
-			fresh, err := New(8, newDynP(), 0)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if _, err := jf.Replay(fresh); err == nil || !strings.Contains(err.Error(), tc.want) {
+			})
+			if _, _, _, err := replayStream(fs, false); err == nil || !strings.Contains(err.Error(), tc.want) {
 				t.Fatalf("journal with a patched checkpoint replayed: %v, want an error naming %q", err, tc.want)
 			}
 		})

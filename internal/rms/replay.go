@@ -28,7 +28,7 @@ import (
 
 // Replay rebuilds scheduler state from the journal into s, which must
 // be a virgin scheduler configured identically (capacity, driver, start
-// time) to the one that wrote the journal. It restores the newest
+// time, victim policy) to the one that wrote the journal. It restores the newest
 // usable checkpoint and applies the events behind it, falling back one
 // checkpoint at a time over corrupted ones, down to a full replay from
 // genesis. It returns the number of events since genesis the rebuilt

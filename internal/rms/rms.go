@@ -113,6 +113,9 @@ type Scheduler struct {
 	eng    *engine.Engine
 	driver sim.Driver
 	nextID job.ID
+	// began is set by the first event applied or checkpoint restored;
+	// from then on the victim policy is fixed (SetVictimPolicy).
+	began bool
 
 	done []JobInfo // completed, killed and failed jobs, in finish order
 	agg  reportAgg // running Report aggregates over done, in finish order
@@ -325,13 +328,21 @@ func (s *Scheduler) checkState(id job.ID, want JobState) error {
 // mode never returns an error. Callers hold the lock.
 func (s *Scheduler) replan() { _ = s.eng.Replan() }
 
-// SetVictimPolicy replaces the policy that picks which running jobs die
-// when a capacity failure oversubscribes the machine. A nil policy
-// restores the default (VictimLastStarted).
-func (s *Scheduler) SetVictimPolicy(p VictimPolicy) {
+// SetVictimPolicy sets the policy that picks which running jobs die when
+// a capacity failure oversubscribes the machine; nil keeps the default
+// (VictimLastStarted). The journal records no policy, so a replay kills
+// the jobs the live scheduler killed only if both held the same policy
+// from the start: SetVictimPolicy refuses a scheduler that has taken an
+// event, restored a checkpoint or journals. Set it, like the driver,
+// before Replay and SetJournal, on every scheduler of the journal.
+func (s *Scheduler) SetVictimPolicy(p VictimPolicy) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	if s.began || s.jp.Load() != nil {
+		return fmt.Errorf("rms: the victim policy is set before the first event and before SetJournal")
+	}
 	s.eng.SetVictimPolicy(p)
+	return nil
 }
 
 // AddObserver attaches an observer to the scheduling engine: it receives
@@ -437,6 +448,7 @@ func (s *Scheduler) apply(ev *Event) (*image, error) {
 			return nil, fmt.Errorf("rms: journal: %w", err)
 		}
 	}
+	s.began = true
 	if err := s.change(ev); err != nil {
 		return s.publish(), err
 	}

@@ -8,7 +8,6 @@ import (
 	"testing"
 
 	"dynp/internal/core"
-	"dynp/internal/plan/plantest"
 	"dynp/internal/policy"
 )
 
@@ -165,36 +164,40 @@ func enumerate(t *testing.T, ds daemonStream, depth int) (states, streams int) {
 // checks a stream, under FCFS, SJF and dynP/advanced: by the small-scope
 // hypothesis, most defects show on some small instance. Under FCFS the
 // daemon is also killed inside every op that writes the journal
-// (crashOp), and the crash points must include every kind. A crash's
-// windows are the journal's, whatever the driver; the tuner's decision
-// state in a checkpoint is held by the restarts every stream makes.
+// (crashOp), recovery's own writes included, and under dynP/advanced
+// inside every op that cuts a checkpoint, from the sync that seals its
+// segment on, where the tuner's decision state is written. The crash
+// points must include every kind each can reach.
 func TestShortStreamsLockstep(t *testing.T) {
 	for _, tc := range []struct {
-		name string
-		ds   func(t *testing.T) daemonStream
+		name  string
+		ds    func(t *testing.T) daemonStream
+		kinds []string // the crash points that must occur, by kind
 	}{
 		{"FCFS", func(t *testing.T) daemonStream {
-			ds := staticStream(t, smallCapacity, policy.FCFS, new(plantest.Lanes))
-			ds.crashes = &crashLog{map[string]int{}, map[[32]byte][2]string{}}
-			return ds
-		}},
+			return staticStream(t, smallCapacity, policy.FCFS)
+		}, []string{"rotation", "torn event", "torn checkpoint", "recovery"}},
 		{"SJF", func(t *testing.T) daemonStream {
-			return staticStream(t, smallCapacity, policy.SJF, new(plantest.Lanes))
-		}},
+			return staticStream(t, smallCapacity, policy.SJF)
+		}, nil},
 		{"dynP/advanced", func(t *testing.T) daemonStream {
-			return tunerStream(t, smallCapacity, func() core.Decider { return core.Advanced{} }, new(plantest.Lanes))
-		}},
+			return tunerStream(t, smallCapacity, func() core.Decider { return core.Advanced{} })
+		}, []string{"rotation", "torn checkpoint"}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			t.Parallel()
 			ds := tc.ds(t)
+			if tc.kinds != nil {
+				ds.crashes = &crashLog{kinds: map[string]int{}, replayed: map[[32]byte][2]string{},
+					rotations: !slices.Contains(tc.kinds, "torn event")}
+			}
 			states, streams := enumerate(t, ds, shortDepth)
 			t.Logf("depth %d: %d states visited, %d streams run", shortDepth, states, streams)
 			if ds.crashes == nil {
 				return
 			}
 			t.Logf("crash points by kind %v, %d sets of files replayed", ds.crashes.kinds, len(ds.crashes.replayed))
-			for _, kind := range []string{"rotation", "torn event", "torn checkpoint", "recovery"} {
+			for _, kind := range tc.kinds {
 				if ds.crashes.kinds[kind] == 0 {
 					t.Errorf("no crash point of kind %q", kind)
 				}

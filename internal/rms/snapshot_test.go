@@ -23,8 +23,7 @@ import (
 // error. A read that takes either lock deadlocks until the watchdog
 // fires.
 func TestReadsBypassSchedulingLock(t *testing.T) {
-	s, j, _ := journaledScheduler(t, 16, 5)
-	defer j.Close()
+	s, j, _ := openJournaled(t, 16, newDynP(), &memFS{files: map[string][]byte{}}, false, 5)
 	if err := s.EnableQuotes(newDynP); err != nil {
 		t.Fatal(err)
 	}
@@ -248,8 +247,7 @@ func TestReadResponsesOneImage(t *testing.T) {
 // when it is the event that reaches the checkpoint interval.
 func TestRejectedRequestsPublishNothing(t *testing.T) {
 	for _, wire := range []bool{false, true} {
-		s, j, _ := journaledScheduler(t, 8, 1000)
-		defer j.Close()
+		s, j, _ := openJournaled(t, 8, newDynP(), &memFS{files: map[string][]byte{}}, false, 1000)
 		sv := NewServer(s, true)
 		if err := s.EnableQuotes(newDynP); err != nil {
 			t.Fatal(err)

@@ -130,7 +130,7 @@ func TestTieRules(t *testing.T) {
 			for _, st := range row.steps {
 				ops = append(ops, tieOp(st.op))
 			}
-			ds := staticStream(t, row.capacity, row.policy, new(plantest.Lanes))
+			ds := staticStream(t, row.capacity, row.policy)
 			k := 0
 			ds.after = func(s *Scheduler, log []plantest.Transition, quoted []Quote) {
 				st := row.steps[k]

@@ -88,7 +88,7 @@ type FinishState int
 const (
 	FinishCompleted FinishState = iota // the outside world reported completion
 	FinishKilled                       // its estimate expired; the RMS terminated it
-	FinishFailed                       // processors failed under it; the victim policy terminated it
+	FinishFailed                       // processors failed under it; killed, the last started first
 )
 
 // Hooks are the front end's per-job bookkeeping callbacks, invoked
@@ -108,7 +108,6 @@ type Engine struct {
 	failed   int // processors currently failed
 	driver   Driver
 	now      int64
-	victims  VictimPolicy
 	hooks    Hooks
 	obs      []Observer
 
@@ -152,7 +151,6 @@ func New(capacity int, driver Driver, start int64, opts ...Option) *Engine {
 		capacity:   capacity,
 		driver:     driver,
 		now:        start,
-		victims:    VictimLastStarted,
 		waitingIdx: make(map[job.ID]int),
 		runningIdx: make(map[job.ID]int),
 	}
@@ -167,16 +165,6 @@ func (e *Engine) AddObserver(o Observer) {
 	if o != nil {
 		e.obs = append(e.obs, o)
 	}
-}
-
-// SetVictimPolicy replaces the policy that picks which running jobs die
-// when a capacity failure oversubscribes the machine. A nil policy
-// restores the default (VictimLastStarted).
-func (e *Engine) SetVictimPolicy(p VictimPolicy) {
-	if p == nil {
-		p = VictimLastStarted
-	}
-	e.victims = p
 }
 
 // Now returns the engine's current time.
@@ -275,7 +263,7 @@ func (e *Engine) Finish(id job.ID, st FinishState) bool {
 }
 
 // FailProcs takes n processors out of service and terminates running
-// jobs until the rest fit, in victim-policy order. The caller validates
+// jobs until the rest fit, the last started first. The caller validates
 // n against the installed capacity. It does not replan.
 func (e *Engine) FailProcs(n int) {
 	e.failed += n
@@ -290,23 +278,16 @@ func (e *Engine) RestoreProcs(n int) {
 	e.emit(Event{Kind: EventProcsRestore, Procs: n})
 }
 
-// killVictims terminates running jobs until the rest fit the effective
-// capacity, consulting the victim policy for the order. A policy that
-// returns stale or insufficient victims is backstopped by the default
-// order so the machine is never left oversubscribed.
+// killVictims terminates running jobs, the last started first
+// (VictimLastStarted), until the rest fit the effective capacity.
 func (e *Engine) killVictims() {
 	eff := e.Effective()
 	if e.used <= eff {
 		return
 	}
-	order := e.victims(e.now, append([]plan.Running(nil), e.running...))
-	order = append(order, VictimLastStarted(e.now, append([]plan.Running(nil), e.running...))...)
-	for _, r := range order {
+	for _, r := range VictimLastStarted(append([]plan.Running(nil), e.running...)) {
 		if e.used <= eff {
 			break
-		}
-		if !e.IsRunning(r.Job.ID) {
-			continue
 		}
 		e.Finish(r.Job.ID, FinishFailed)
 	}

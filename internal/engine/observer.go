@@ -19,7 +19,7 @@ const (
 	EventStart                         // a waiting job launched
 	EventFinish                        // a running job completed
 	EventKill                          // a running job's estimate expired; the RMS terminated it
-	EventJobFail                       // processors failed under a running job; the victim policy terminated it
+	EventJobFail                       // processors failed under a running job; killed, the last started first
 	EventCancel                        // a waiting job was withdrawn
 	EventProcsFail                     // processors left service
 	EventProcsRestore                  // processors returned to service

@@ -6,32 +6,13 @@ import (
 	"dynp/internal/plan"
 )
 
-// VictimPolicy orders the running jobs for termination when a capacity
-// failure leaves the machine oversubscribed: victims are killed from the
-// front of the returned slice until the remaining jobs fit the effective
-// capacity. The input slice is a copy; the policy may reorder it freely.
-type VictimPolicy func(now int64, running []plan.Running) []plan.Running
-
-// VictimLastStarted kills the most recently started jobs first (ties
-// broken by higher ID first), minimising the amount of finished work a
-// capacity failure destroys. It is the default.
-func VictimLastStarted(now int64, running []plan.Running) []plan.Running {
+// VictimLastStarted orders the running jobs for termination when a
+// capacity failure leaves the machine oversubscribed: the most recently
+// started first (ties broken by higher ID first), minimising the amount
+// of finished work a capacity failure destroys. It sorts running in place
+// and returns it.
+func VictimLastStarted(running []plan.Running) []plan.Running {
 	sort.Slice(running, func(i, j int) bool {
-		if running[i].Start != running[j].Start {
-			return running[i].Start > running[j].Start
-		}
-		return running[i].Job.ID > running[j].Job.ID
-	})
-	return running
-}
-
-// VictimWidestFirst kills the widest jobs first (ties broken by later
-// start, then higher ID), freeing the most processors per kill.
-func VictimWidestFirst(now int64, running []plan.Running) []plan.Running {
-	sort.Slice(running, func(i, j int) bool {
-		if running[i].Job.Width != running[j].Job.Width {
-			return running[i].Job.Width > running[j].Job.Width
-		}
 		if running[i].Start != running[j].Start {
 			return running[i].Start > running[j].Start
 		}

@@ -102,7 +102,6 @@ func (s *Scheduler) restoreCheckpoint(cs *checkpointState) error {
 	if s.nextID != 0 || len(s.done) != 0 {
 		return fmt.Errorf("rms: checkpoint restore on a non-virgin scheduler")
 	}
-	s.began = true
 	seen := make(map[job.ID]bool, len(cs.Done)+len(cs.Waiting)+len(cs.Running))
 	check := func(infos []JobInfo, what string, states ...JobState) error {
 		for _, info := range infos {

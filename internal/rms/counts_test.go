@@ -1,7 +1,6 @@
 package rms
 
 import (
-	"bytes"
 	"encoding/json"
 	"os"
 	"path/filepath"
@@ -128,8 +127,9 @@ func TestReplayGenesisRefusesTamperedCounts(t *testing.T) {
 // field (testdata/observers-journal: 40 random events on 8 processors,
 // SJF-preferred dynP, a checkpoint every 8 events, a 64-event trace
 // attached). The field is ignored: the restored scheduler answers as one
-// that replayed the same events from genesis, and its counts start
-// from zero at the newest checkpoint, which carries none. Each of the
+// that replayed the fixture from genesis — an audit that verifies each
+// of its checkpoints but for the counts they do not carry — and its
+// counts start from zero at the newest checkpoint, which carries none. Each of the
 // fixture's checkpoints also carries the plan record this build no longer
 // writes, the plan in force by job ID: a scheduler restored from one
 // plans each waiting job at the start the record gives it, off the
@@ -140,23 +140,13 @@ func TestReplayRestoresObserverCheckpoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// events is the fixture without its checkpoints, which predate the
-	// counts a genesis audit checks: replayed from genesis, it takes the
-	// fixture's events alone.
-	fixture, events := &memFS{files: map[string][]byte{}}, &memFS{files: map[string][]byte{}}
+	fixture := &memFS{files: map[string][]byte{}}
 	for _, e := range entries {
 		data, err := os.ReadFile(filepath.Join(src, e.Name()))
 		if err != nil {
 			t.Fatal(err)
 		}
 		fixture.files[e.Name()] = data
-		var kept [][]byte
-		for _, rec := range lines(data) {
-			if l, ok := decodeRecord(rec); !ok || l.Checkpoint == nil {
-				kept = append(kept, rec)
-			}
-		}
-		events.files[e.Name()] = append(bytes.Join(kept, []byte("\n")), '\n')
 	}
 	if !strings.Contains(string(fixture.files[journalPath]), `"observers":[{"key":"trace"`) {
 		t.Fatal("the fixture's newest checkpoint carries no observer state")
@@ -174,7 +164,7 @@ func TestReplayRestoresObserverCheckpoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, _, _, err := replayJournal(8, newDynP(), events, true)
+	want, _, _, err := replayJournal(8, newDynP(), fixture, true)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,6 +5,7 @@ import (
 	"crypto/sha256"
 	"encoding/json"
 	"fmt"
+	"maps"
 	"slices"
 	"testing"
 
@@ -17,10 +18,10 @@ type crashLog struct {
 	kinds    map[string]int
 	replayed map[[32]byte][2]string
 	// rotations, if set, crashes only the ops that cut a checkpoint, from
-	// the sync that seals the segment on, and not recovery's repairs: the
+	// the sync that seals the segment on, and not recovery's: the
 	// checkpoint record is the one record a driver changes, while an
-	// event record, and what recovery writes, are the same bytes under
-	// any driver.
+	// event record, and what recovery does, are the same under any
+	// driver.
 	rotations bool
 }
 
@@ -51,13 +52,13 @@ type inFlight struct {
 // files before f.req, and f.post, off the live daemon, needed.
 func crashOp(t testing.TB, ds daemonStream, fs *memFS, mark int, f inFlight, live *Scheduler) {
 	first := mark
-	if r := slices.IndexFunc(fs.log[mark:], func(op fsOp) bool { return op.kind == "rename" }); r >= 0 {
+	if r := rotation(fs.log[mark:]); r >= 0 {
 		drv, _, _ := ds.newDriver(new(plantest.Lanes))
 		s, j, _ := openJournaled(t, ds.capacity, drv, fs.crash(mark, 0), true, f.every)
 		j.Close()
 		f.pre, f.post = daemonState(t, s), daemonState(t, live)
 		if ds.crashes.rotations {
-			first = mark + r - 1
+			first = mark + r
 		}
 	} else if ds.crashes.rotations {
 		return
@@ -72,7 +73,7 @@ func crashOp(t testing.TB, ds daemonStream, fs *memFS, mark int, f inFlight, liv
 			if key := c.key(); !seen[key] {
 				seen[key] = true
 				f.where = fmt.Sprintf("before file op %d (%s), %d bytes of it written", k, fs.log[k].kind, torn)
-				recoverCrash(t, ds, c, f, seen, !ds.crashes.rotations)
+				recoverCrash(t, ds, c, f, !ds.crashes.rotations)
 			}
 		}
 	}
@@ -91,13 +92,27 @@ func tears(op fsOp) []int {
 	return slices.Compact(cuts)
 }
 
+// rotation returns where in ops a rotation begins, at the sync that
+// seals the active segment before its successor is written to the side
+// file (Journal.publish), or -1 if ops rotate nothing.
+func rotation(ops []fsOp) int {
+	if i := slices.IndexFunc(ops, func(op fsOp) bool { return op.name == journalPath+sideSuffix }); i > 0 {
+		return i - 1
+	}
+	return -1
+}
+
 // crashKinds names the windows a crash at ops[k], leaving torn bytes of
-// it written, falls in: a rotation, from the rename that seals a segment
-// on, and a torn event or checkpoint record.
+// it written, falls in: a rotation, from the sync that seals a segment
+// on; the one crash between its two renames, which leaves a side file
+// and no active segment; and a torn event or checkpoint record.
 func crashKinds(ops []fsOp, k, torn int) []string {
 	var kinds []string
-	if r := slices.IndexFunc(ops, func(op fsOp) bool { return op.kind == "rename" }); r >= 0 && k >= r {
+	if r := rotation(ops); r >= 0 && k >= r {
 		kinds = append(kinds, "rotation")
+	}
+	if op := ops[k]; op.kind == "rename" && op.name == journalPath+sideSuffix {
+		kinds = append(kinds, "between renames")
 	}
 	for _, r := range splitRecords(ops[k].data) {
 		if int(r.off) >= torn || torn > int(r.off)+len(r.data) {
@@ -126,31 +141,34 @@ func (fs *memFS) key() [32]byte {
 // recoverCrash restarts the daemon on the files fs a crash in f.req left
 // and holds it to the kill -9 contract of DESIGN §8. The journal opens,
 // repairing the files, and must count every acknowledged event and at
-// most the one in flight, leave no torn record, and name its active
-// segment after the newest rotated one. Unless these files were replayed
-// before, ReplayGenesis and Replay must each rebuild the daemon the
-// interpreter held to the naive daemon, before f.req if the journal lost
-// it, else after, and then take the rest of the stream, f.req again if it
-// was lost and one more submission, to the naive daemon's state; and so
-// must a restart on what Replay's daemon journaled. With repairs set, the
-// repair's own file operations are crashed too, as crashOp crashes the
-// op's, and each new state recovered in turn.
-func recoverCrash(t testing.TB, ds daemonStream, fs *memFS, f inFlight, seen map[[32]byte]bool, repairs bool) {
+// most the one in flight, leave no torn record and no side file, and
+// name its active segment after the newest rotated one. Unless these
+// files were replayed before, ReplayGenesis and Replay must each rebuild
+// the daemon the interpreter held to the naive daemon, before f.req if
+// the journal lost it, else after, and then take the rest of the
+// stream, f.req again if it was lost and one more submission, to the
+// naive daemon's state; and so must a restart on what Replay's daemon
+// journaled. With repairs set, recovery's own file operations are
+// crashed too, as crashOp crashes the op's, and each crash point
+// counted: each must leave the files recovery began on.
+func recoverCrash(t testing.TB, ds daemonStream, fs *memFS, f inFlight, repairs bool) {
 	defer func() {
 		if req, _ := json.Marshal(f.req); t.Failed() {
 			t.Logf("the crash: %s in %s", f.where, req)
 		}
 	}()
+	began := fs.key()
 	j, err := OpenJournalFS(fs, journalPath)
 	if err != nil {
 		t.Fatal(err)
 	}
 	repaired, lost := fs.log, j.Events() == f.events[0]
 	rot, err := j.rotatedSegments()
-	if active := fs.files[journalPath]; err != nil || !lost && j.Events() != f.events[1] ||
+	_, side := fs.files[journalPath+sideSuffix]
+	if active := fs.files[journalPath]; err != nil || !lost && j.Events() != f.events[1] || side ||
 		len(rot) > 0 && j.Segment() != rot[len(rot)-1]+1 || !bytes.HasSuffix(active, []byte("\n")) {
-		t.Fatalf("recovered journal: %d events (the daemon journaled %d, then %d), segment %d after rotated %v (%v), active segment %q",
-			j.Events(), f.events[0], f.events[1], j.Segment(), rot, err, active)
+		t.Fatalf("recovered journal: %d events (the daemon journaled %d, then %d), segment %d after rotated %v (%v), active segment %q, side file left %v",
+			j.Events(), f.events[0], f.events[1], j.Segment(), rot, err, active, side)
 	}
 	j.Close()
 	want := f.post
@@ -200,79 +218,93 @@ func recoverCrash(t testing.TB, ds daemonStream, fs *memFS, f inFlight, seen map
 			j.Close()
 		}
 	}
+	// Recovery makes at most one file operation, and writes no bytes, so a
+	// crash inside it leaves the files it began on.
 	for k := 0; repairs && k < len(repaired); k++ {
 		for _, torn := range tears(repaired[k]) {
-			c := fs.crash(k, torn)
-			if key := c.key(); !seen[key] {
-				seen[key] = true
-				ds.crashes.kinds["recovery"]++
-				g := f
-				g.where += fmt.Sprintf(", then in recovery before file op %d (%s), %d bytes of it written", k, repaired[k].kind, torn)
-				recoverCrash(t, ds, c, g, seen, false)
+			ds.crashes.kinds["recovery"]++
+			if fs.crash(k, torn).key() != began {
+				t.Fatalf("a crash in recovery before file op %d (%s), %d bytes of it written, leaves files recovery did not begin on", k, repaired[k].kind, torn)
 			}
 		}
 	}
 }
 
-// TestTornGenesisHeaderRestarts kills a daemon's first start inside the
-// one write of its genesis header, at every length of it torn. The
-// restart must begin the journal afresh, header whole, and journal on;
-// a daemon of another configuration must refuse the same torn bytes,
-// every one of them left in place, as it refuses any file without a
-// valid header.
+// TestTornGenesisHeaderRestarts kills a daemon's first start before each
+// file operation it makes, each write also torn at every length, and
+// after its last. The first start creates the journal and publishes the
+// genesis header through the side file, so every crash must restart as a
+// fresh journal or on the whole header, with no side file left; the
+// restart journals on, and replays from genesis. A daemon of another
+// configuration must start fresh on the first and refuse the second.
 func TestTornGenesisHeaderRestarts(t *testing.T) {
 	fs := &memFS{files: map[string][]byte{}}
 	_, j, _ := openJournaled(t, 8, newDynP(), fs, false, 3)
 	j.Close()
-	k := slices.IndexFunc(fs.log, func(op fsOp) bool { return op.kind == "write" })
-	if k < 0 || !bytes.Equal(fs.log[k].data, fs.files[journalPath]) {
-		t.Fatalf("the first start wrote %q, not its header alone", fs.files[journalPath])
+	header := fs.files[journalPath]
+	if recs := splitRecords(header); len(recs) != 1 || !recs[0].terminated {
+		t.Fatalf("the first start wrote %q, not its header alone", header)
 	}
-	header := fs.log[k].data
-	wide, err := encodeRecord(&journalLine{Header: &journalHeader{Version: journalVersion, Capacity: 16,
-		Scheduler: newDynP().Name()}})
-	if err != nil {
-		t.Fatal(err)
+	// crash is what a kill before op k, torn bytes of it written, leaves;
+	// past the last op, what the first start left.
+	crash := func(k, torn int) *memFS {
+		if k == len(fs.log) {
+			return &memFS{files: maps.Clone(fs.files)}
+		}
+		return fs.crash(k, torn)
 	}
-	refused := 0
-	for torn := range len(header) {
-		other := fs.crash(k, torn)
-		o, err := OpenJournalFS(other, journalPath)
-		if err != nil {
-			t.Fatalf("%d bytes of a header: %v", torn, err)
+	starts := map[bool]int{}
+	for k := range len(fs.log) + 1 {
+		torn := 1
+		if k < len(fs.log) && fs.log[k].kind == "write" {
+			torn = len(fs.log[k].data)
 		}
-		s, err := New(16, newDynP(), 0)
-		if err == nil {
-			err = s.SetJournal(o)
-		}
-		if refuse := !bytes.HasPrefix(wide, header[:torn]); refuse != (err != nil) {
-			t.Fatalf("%d bytes of an 8-processor header: a 16-processor daemon starts with %v", torn, err)
-		} else if refuse {
-			refused++
-			if !bytes.Equal(other.files[journalPath], header[:torn]) {
-				t.Fatalf("%d bytes of a header: a refusing daemon left %q", torn, other.files[journalPath])
+		for torn := range torn {
+			where := fmt.Sprintf("a crash before file op %d, %d bytes of it written", k, torn)
+			other := crash(k, torn)
+			o, err := OpenJournalFS(other, journalPath)
+			if err != nil {
+				t.Fatalf("%s: %v", where, err)
 			}
-		}
+			got, side := other.files[journalPath], other.files[journalPath+sideSuffix] != nil
+			whole := bytes.Equal(got, header)
+			if side || !whole && len(got) > 0 {
+				t.Fatalf("%s restarts on %q, side file left %v", where, got, side)
+			}
+			starts[whole]++
+			s, err := New(16, newDynP(), 0)
+			if err == nil {
+				_, err = o.Replay(s)
+			}
+			if err == nil {
+				err = s.SetJournal(o)
+			}
+			if refused := err != nil; refused != whole {
+				t.Fatalf("%s: a 16-processor daemon starts on %q with %v", where, got, err)
+			}
+			o.Close()
 
-		c := fs.crash(k, torn)
-		s, j, n := openJournaled(t, 8, newDynP(), c, false, 3)
-		if n != 0 {
-			t.Fatalf("%d bytes of a header replayed %d events", torn, n)
+			c := crash(k, torn)
+			s, j, n := openJournaled(t, 8, newDynP(), c, false, 3)
+			if n != 0 {
+				t.Fatalf("%s: replayed %d events", where, n)
+			}
+			if _, err := s.Submit(2, 50); err != nil {
+				t.Fatalf("%s: %v", where, err)
+			}
+			j.Close()
+			if got := c.files[journalPath]; !bytes.HasPrefix(got, header) || len(got) == len(header) {
+				t.Fatalf("%s: the restart journals %q", where, got)
+			}
+			s, j, n = openJournaled(t, 8, newDynP(), c, true, 3)
+			if n != 1 || len(s.Status().Running) != 1 {
+				t.Fatalf("%s: the restarted journal replays %d events to %+v", where, n, s.Status())
+			}
+			j.Close()
 		}
-		if _, err := s.Submit(2, 50); err != nil {
-			t.Fatalf("%d bytes of a header: %v", torn, err)
-		}
-		j.Close()
-		if got := c.files[journalPath]; !bytes.HasPrefix(got, header) || !bytes.HasSuffix(got, []byte("\n")) || len(got) == len(header) {
-			t.Fatalf("%d bytes of a header restart to %q", torn, got)
-		}
-		s, j, n = openJournaled(t, 8, newDynP(), c, true, 3)
-		if n != 1 || len(s.Status().Running) != 1 {
-			t.Fatalf("%d bytes of a header: the restarted journal replays %d events to %+v", torn, n, s.Status())
-		}
-		j.Close()
 	}
-	if refused == 0 {
-		t.Fatal("another daemon's header began like this one at every length: the test proves nothing")
+	if starts[false] == 0 || starts[true] == 0 {
+		t.Fatalf("%d crashes restart fresh and %d on the whole header: the test proves nothing", starts[false], starts[true])
 	}
+	t.Logf("%d crashes restart fresh, %d on the whole header", starts[false], starts[true])
 }

@@ -1,10 +1,10 @@
 package rms
 
 import (
-	"slices"
 	"strings"
 	"testing"
 
+	"dynp/internal/engine"
 	"dynp/internal/job"
 	"dynp/internal/plan"
 	"dynp/internal/policy"
@@ -36,116 +36,6 @@ func TestFailRestoreValidation(t *testing.T) {
 	}
 	if err := s.Restore(4); err != nil {
 		t.Fatal(err)
-	}
-}
-
-// TestVictimPolicyConfigurable: with the widest job first, a failure of
-// four processors kills the 4-wide job started first, where the default
-// kills the two 2-wide jobs started last; and a restart into a scheduler
-// of the same policy replays the same kills.
-func TestVictimPolicyConfigurable(t *testing.T) {
-	for _, tc := range []struct {
-		name   string
-		policy VictimPolicy
-		failed []job.ID
-	}{
-		{"last started", nil, []job.ID{3, 2}},
-		{"widest first", VictimWidestFirst, []job.ID{1}},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			fs := &memFS{files: map[string][]byte{}}
-			start := func() (*Scheduler, *Journal) {
-				s := newFCFS(t, 8)
-				if err := s.SetVictimPolicy(tc.policy); err != nil {
-					t.Fatal(err)
-				}
-				j, err := OpenJournalFS(fs, journalPath)
-				if err == nil {
-					_, err = j.Replay(s)
-				}
-				if err == nil {
-					err = s.SetJournal(j)
-				}
-				if err != nil {
-					t.Fatal(err)
-				}
-				return s, j
-			}
-			s, j := start()
-			for _, step := range []func() error{
-				func() error { _, err := s.Submit(4, 100); return err },
-				func() error { return s.Advance(10) },
-				func() error { _, err := s.Submit(2, 100); return err },
-				func() error { return s.Advance(20) },
-				func() error { _, err := s.Submit(2, 100); return err },
-				func() error { return s.Fail(4) },
-			} {
-				if err := step(); err != nil {
-					t.Fatal(err)
-				}
-			}
-			var failed []job.ID
-			for _, d := range s.Finished() {
-				if d.State == StateFailed {
-					failed = append(failed, d.ID)
-				}
-			}
-			if !slices.Equal(failed, tc.failed) {
-				t.Errorf("failed jobs %v, want %v", failed, tc.failed)
-			}
-			want := fingerprint(t, s)
-			j.Close()
-			if r, _ := start(); fingerprint(t, r) != want {
-				t.Errorf("the restart diverges\nlive:     %s\nreplayed: %s", want, fingerprint(t, r))
-			}
-		})
-	}
-}
-
-// TestVictimPolicyFixedOnceBegun: a scheduler that has taken an event,
-// restored a checkpoint or journals refuses a victim policy, which the
-// journal does not record; a refused event does not count.
-func TestVictimPolicyFixedOnceBegun(t *testing.T) {
-	refused, ticked, restored, journaled := newFCFS(t, 8), newFCFS(t, 8), newFCFS(t, 8), newFCFS(t, 8)
-	if err := refused.Advance(-1); err == nil {
-		t.Fatal("the clock moved backwards")
-	}
-	if err := refused.SetVictimPolicy(VictimWidestFirst); err != nil {
-		t.Errorf("a scheduler that refused its only event: %v", err)
-	}
-	j, err := OpenJournalFS(&memFS{files: map[string][]byte{}}, journalPath)
-	for _, err := range []error{err, ticked.Advance(1), restored.restoreCheckpoint(&checkpointState{}), journaled.SetJournal(j)} {
-		if err != nil {
-			t.Fatal(err)
-		}
-	}
-	for name, s := range map[string]*Scheduler{"ticked": ticked, "restored": restored, "journaled": journaled} {
-		if err := s.SetVictimPolicy(VictimWidestFirst); err == nil {
-			t.Errorf("a %s scheduler took a victim policy", name)
-		}
-	}
-}
-
-func TestVictimPolicyBackstop(t *testing.T) {
-	// A buggy policy that returns no usable victims must not leave the
-	// machine oversubscribed: the default order backstops it.
-	s := newFCFS(t, 8)
-	if err := s.SetVictimPolicy(func(now int64, running []plan.Running) []plan.Running {
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	s.Submit(4, 100)
-	s.Submit(4, 100)
-	if err := s.Fail(6); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.CheckInvariants(); err != nil {
-		t.Fatal(err)
-	}
-	st := s.Status()
-	if st.UsedProcs > st.Capacity-st.FailedProcs {
-		t.Fatalf("oversubscribed after buggy victim policy: %+v", st)
 	}
 }
 
@@ -262,13 +152,9 @@ func TestVictimOrderFunctions(t *testing.T) {
 		return plan.Running{Job: &job.Job{ID: id, Width: width, Estimate: 100, Runtime: 100}, Start: start}
 	}
 	in := []plan.Running{mk(1, 2, 0), mk(2, 6, 5), mk(3, 2, 5)}
-	last := VictimLastStarted(0, append([]plan.Running(nil), in...))
+	last := engine.VictimLastStarted(append([]plan.Running(nil), in...))
 	if last[0].Job.ID != 3 || last[1].Job.ID != 2 || last[2].Job.ID != 1 {
 		t.Errorf("VictimLastStarted order = %v, %v, %v", last[0].Job.ID, last[1].Job.ID, last[2].Job.ID)
-	}
-	wide := VictimWidestFirst(0, append([]plan.Running(nil), in...))
-	if wide[0].Job.ID != 2 {
-		t.Errorf("VictimWidestFirst first = %v, want the width-6 job", wide[0].Job.ID)
 	}
 }
 

@@ -16,27 +16,36 @@
 // state, so a kill -9 loses at most the un-acknowledged event in
 // flight. TestShortStreamsLockstep holds recovery to that: it kills an
 // FCFS daemon at every file operation, torn writes included, of every
-// short stream, and of recovery's own repairs (DESIGN §8). An event is not
+// short stream, and of recovery's own (DESIGN §8). An event is not
 // fsynced until a rotation seals its segment (or Sync or Close), so the
 // promise is a process kill's, not a power loss's.
 //
 // Checkpoints and rotation. Every checkpointEvery events the journal
-// cuts a checkpoint: the active segment is flushed, fsynced and renamed
-// to `path.<seq>`, and a new active segment is created whose header
-// (Checkpoint: true) is followed by a checkpoint record — the full
-// restorable scheduler state (machine, queues, finished history,
-// driver state, transition counts). Restart therefore reads one segment: the
-// newest checkpoint plus the events behind it, instead of the whole
+// cuts a checkpoint: the active segment is flushed and fsynced (sealed),
+// and its successor is written whole beside it before either is renamed:
+// a header (Checkpoint: true) followed by a checkpoint record — the full
+// restorable scheduler state (machine, queues, finished history, driver
+// state, transition counts) — goes to the side file `path.next`, which is
+// fsynced; then the sealed segment is renamed to `path.<seq>` and the side
+// file to `path`. The genesis header is published the same way. So a
+// crash leaves the active segment as it was or its successor whole, and
+// recovery at open has one rule: a side file beside `path` never became a
+// segment and is removed, and one without `path` was synced before a
+// rotation's first rename and is renamed in. Restart reads one segment:
+// the newest checkpoint plus the events behind it, instead of the whole
 // history (see Replay in replay.go). Rotated segments are immutable;
 // with SetKeep, each durable rotation retires all but the newest few.
 //
 // Failure policy. Any write, flush, fsync or rotation failure is sticky:
 // the journal permanently refuses further appends, because a journal
 // with a hole must not keep growing and an unsynced checkpoint must not
-// be trusted. Recovery at open truncates a torn tail of the active
-// segment (the crash case) but refuses interior corruption that is
-// followed by valid records — truncating there would silently discard
-// acknowledged events.
+// be trusted. Recovery at open truncates a torn tail of event records in
+// the active segment (the crash case) but refuses interior corruption
+// that is followed by valid records — truncating there would silently
+// discard acknowledged events — and an active segment that is not whole:
+// one with no valid header, or whose checkpoint is torn. Beside rotated
+// segments, only an older build's crash mid-rotation left one; moving the
+// newest rotated segment back to `path` restarts from before it.
 package rms
 
 import (
@@ -272,12 +281,12 @@ type segScan struct {
 
 // interpretSegment classifies a segment's records. In repair mode (the
 // active segment at open) it additionally decides recovery: a torn tail
-// of invalid records yields a truncation offset, while an invalid
+// of invalid event records yields a truncation offset, while an invalid
 // record *followed by valid records* is interior corruption and an
 // error — truncating there would discard acknowledged events. The one
-// tolerated interior casualty is the header-promised checkpoint record,
-// which is redundant (rebuildable from older segments) and therefore
-// skipped rather than fatal.
+// tolerated casualty is the header-promised checkpoint record, which is
+// redundant (rebuildable from older segments) and therefore skipped
+// rather than fatal.
 func interpretSegment(recs []record, repair bool) (segScan, int64, error) {
 	sc := segScan{clean: true}
 	truncateAt := int64(-1)
@@ -298,9 +307,9 @@ func interpretSegment(recs []record, repair bool) (segScan, int64, error) {
 	sc.headerOK = true
 	sc.seq = sc.header.Segment
 
-	// A promised checkpoint that is absent (torn and truncated at an
-	// earlier open) or invalid leaves sc.ckpt nil: the ladder falls back
-	// past it.
+	// A promised checkpoint that is absent (an older build truncated a
+	// torn one and appended on) or invalid leaves sc.ckpt nil: the ladder
+	// falls back past it.
 	i := 1
 	if sc.header.Checkpoint && len(recs) > 1 {
 		l1, ok1 := journalLine{}, false
@@ -313,15 +322,9 @@ func interpretSegment(recs []record, repair bool) (segScan, int64, error) {
 			i = 2
 		case ok1:
 			// A valid non-checkpoint record where the checkpoint was
-			// promised: the torn checkpoint was truncated at an earlier
-			// open and appends continued: events start at record 1.
+			// promised: events start at record 1.
 		default:
 			i, sc.badCkpt = 2, true
-			if repair && len(recs) == 2 {
-				// The corrupt checkpoint is the torn tail itself.
-				truncateAt = recs[1].off
-				return sc, truncateAt, nil
-			}
 		}
 	}
 
@@ -368,7 +371,6 @@ type Journal struct {
 	seg    int            // active segment sequence number
 	header *journalHeader // genesis configuration; nil until known
 	valid  int64          // validated length of the active segment at open
-	torn   []byte         // a genesis segment's bytes with no header whole (recover)
 
 	appended        bool
 	events          int64 // events since genesis folded into the log
@@ -401,28 +403,26 @@ func OpenJournal(path string) (*Journal, error) {
 
 // OpenJournalFS opens (or creates) the journal at path on the given
 // filesystem — tests and the disk-fault soak inject a vfs.Faulty here.
-// It validates the active segment, truncates a torn tail left by a
-// crash, and self-heals the crash windows of a checkpoint rotation
-// (a missing or torn new active segment becomes a continuation
-// segment). Interior corruption followed by valid records is refused
-// rather than truncated, and so is a file without a valid header, but
-// for a header a crash tore in the very first write: Scheduler.SetJournal
-// writes it again when the torn bytes begin the header it writes.
+// It settles a segment publication a crash interrupted (see publish),
+// validates the active segment and truncates a torn tail of event
+// records left by a crash. Interior corruption followed by valid
+// records is refused rather than truncated, and so is an active segment
+// that is not whole (see recover).
 func OpenJournalFS(fsys vfs.FS, path string) (*Journal, error) {
-	f, err := fsys.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
-	if err != nil {
-		return nil, fmt.Errorf("rms: journal: %w", err)
-	}
-	j := &Journal{
-		fs: fsys, path: path, f: f, w: bufio.NewWriter(f),
-		checkpointEvery: DefaultSnapshotEvery, keep: -1,
-	}
+	j := &Journal{fs: fsys, path: path, checkpointEvery: DefaultSnapshotEvery, keep: -1}
 	if err := j.recover(); err != nil {
-		f.Close()
+		if j.f != nil {
+			j.f.Close()
+		}
 		return nil, err
 	}
 	return j, nil
 }
+
+// sideSuffix names the side file, path + sideSuffix, that a segment is
+// written whole to before publish renames it to path. It parses as no
+// segment number.
+const sideSuffix = ".next"
 
 // segPath returns the file name of rotated segment seq.
 func (j *Journal) segPath(seq int) string {
@@ -432,26 +432,35 @@ func (j *Journal) segPath(seq int) string {
 // rotatedSegments lists the rotated segment sequence numbers, sorted
 // ascending.
 func (j *Journal) rotatedSegments() ([]int, error) {
+	seqs, _, _, err := j.listing()
+	return seqs, err
+}
+
+// listing reads the journal's directory: the rotated segment sequence
+// numbers, sorted ascending, and whether the active segment and the side
+// file exist.
+func (j *Journal) listing() (seqs []int, active, side bool, err error) {
 	dir := filepath.Dir(j.path)
-	base := filepath.Base(j.path) + "."
+	base := filepath.Base(j.path)
 	entries, err := j.fs.ReadDir(dir)
 	if err != nil {
-		return nil, fmt.Errorf("rms: journal: %w", err)
+		return nil, false, false, fmt.Errorf("rms: journal: %w", err)
 	}
-	var seqs []int
 	for _, e := range entries {
 		name := e.Name()
-		if !strings.HasPrefix(name, base) {
-			continue
+		switch {
+		case name == base:
+			active = true
+		case name == base+sideSuffix:
+			side = true
+		case strings.HasPrefix(name, base+"."):
+			if seq, err := strconv.Atoi(name[len(base)+1:]); err == nil && seq >= 0 {
+				seqs = append(seqs, seq)
+			}
 		}
-		seq, err := strconv.Atoi(name[len(base):])
-		if err != nil || seq < 0 {
-			continue
-		}
-		seqs = append(seqs, seq)
 	}
 	sort.Ints(seqs)
-	return seqs, nil
+	return seqs, active, side, nil
 }
 
 // readSegment scans one rotated segment file.
@@ -478,66 +487,57 @@ func (j *Journal) readSegment(seq int) (segScan, error) {
 	return sc, nil
 }
 
-// recover validates the active segment, truncates a torn tail, repairs
-// rotation crash windows and reconstructs the event accounting.
+// recover settles an interrupted publication, opens and validates the
+// active segment, truncates a torn tail and reconstructs the event
+// accounting. A side file beside the active segment never became a
+// segment: it is removed. One without it was synced before the rotation
+// that wrote it renamed the sealed segment away: it is renamed in. An
+// active segment that is empty or missing beside rotated segments, or
+// has no valid header or a torn checkpoint, was left by an older build
+// that published segments in place and crashed mid-rotation: it is
+// refused (errMidRotation).
 func (j *Journal) recover() error {
-	rot, err := j.rotatedSegments()
+	rot, active, side, err := j.listing()
 	if err != nil {
 		return err
 	}
-	if _, err := j.f.Seek(0, io.SeekStart); err != nil {
+	switch {
+	case side && active:
+		err = j.fs.Remove(j.path + sideSuffix)
+	case side:
+		err, active = j.fs.Rename(j.path+sideSuffix, j.path), true
+	}
+	if err != nil {
 		return fmt.Errorf("rms: journal: %w", err)
 	}
+	if !active && len(rot) > 0 {
+		return j.errMidRotation(rot)
+	}
+	if j.f, err = j.fs.OpenFile(j.path, os.O_RDWR|os.O_CREATE, 0o644); err != nil {
+		return fmt.Errorf("rms: journal: %w", err)
+	}
+	j.w = bufio.NewWriter(j.f)
 	data, err := io.ReadAll(j.f)
 	if err != nil {
 		return fmt.Errorf("rms: journal: %w", err)
 	}
+	if len(data) == 0 && len(rot) == 0 {
+		return nil // a fresh journal: SetJournal writes its header
+	}
 	recs := splitRecords(data)
-
-	// No valid header at the front?
-	headerValid := false
-	if len(recs) > 0 && recs[0].terminated {
-		if l, ok := decodeRecord(recs[0].data); ok && l.Header != nil {
-			headerValid = true
-		}
-	}
-	if !headerValid {
-		if len(rot) == 0 {
-			if bytes.IndexByte(data, '\n') >= 0 {
-				// Not ours (foreign file, unsupported format) — refuse
-				// rather than destroy it by truncating.
-				return errNoHeader(j.path)
-			}
-			// A fresh, empty journal, or what a crash inside the very
-			// first write left: a byte prefix of a header, no record
-			// whole. The header is written by SetJournal, which starts
-			// over only if these bytes begin the header it writes.
-			j.seg, j.torn = 0, data
-			return nil
-		}
-		// Rotated segments exist, so this journal was mid-rotation when
-		// it died: the new active segment is missing or its first write
-		// was torn. Any valid record in the debris would mean we are
-		// about to discard acknowledged data — refuse then.
-		for _, r := range recs {
-			if !r.terminated {
-				continue
-			}
-			if _, ok := decodeRecord(r.data); ok {
-				return fmt.Errorf("rms: journal %s: active segment has valid records but no valid header — refusing to repair over them", j.path)
-			}
-		}
-		return j.startContinuation(rot)
-	}
-
 	sc, truncateAt, err := interpretSegment(recs, true)
-	if err != nil {
+	switch {
+	case err != nil:
 		return err
-	}
-	if sc.header.Version != journalVersion {
+	case !sc.headerOK && len(rot) == 0:
+		// Not ours (foreign file, unsupported format) — refuse rather
+		// than destroy it.
+		return fmt.Errorf("rms: journal %s: no valid header; not a dynpd journal (delete it to start fresh)", j.path)
+	case !sc.headerOK || sc.badCkpt && !recs[1].terminated:
+		return j.errMidRotation(rot)
+	case sc.header.Version != journalVersion:
 		return fmt.Errorf("rms: journal %s: format version %d, want %d (move the old journal aside to start fresh)", j.path, sc.header.Version, journalVersion)
-	}
-	if len(rot) > 0 && sc.header.Segment <= rot[len(rot)-1] {
+	case len(rot) > 0 && sc.header.Segment <= rot[len(rot)-1]:
 		return fmt.Errorf("rms: journal %s: active segment %d is not newer than rotated segment %d", j.path, sc.header.Segment, rot[len(rot)-1])
 	}
 	j.seg = sc.header.Segment
@@ -565,48 +565,14 @@ func (j *Journal) recover() error {
 	return nil
 }
 
-// startContinuation creates a fresh header-only active segment after a
-// crash mid-rotation, copying the genesis configuration from the newest
-// readable rotated segment. The segment carries no checkpoint; the
-// recovery ladder falls back to the previous one.
-func (j *Journal) startContinuation(rot []int) error {
-	var h journalHeader
-	found := false
-	for i := len(rot) - 1; i >= 0 && !found; i-- {
-		if ss, err := j.readSegment(rot[i]); err == nil && ss.headerOK {
-			h = ss.header
-			found = true
-		}
+// errMidRotation refuses an active segment an older build left
+// incomplete when it crashed mid-rotation, and names the manual fix.
+func (j *Journal) errMidRotation(rot []int) error {
+	newest := j.path + ".<N>"
+	if len(rot) > 0 {
+		newest = j.segPath(rot[len(rot)-1])
 	}
-	if !found {
-		return fmt.Errorf("rms: journal %s: cannot repair after crashed rotation: no rotated segment has a readable header", j.path)
-	}
-	h.Segment = rot[len(rot)-1] + 1
-	h.Checkpoint = false
-	if err := j.f.Truncate(0); err != nil {
-		return fmt.Errorf("rms: journal truncate: %w", err)
-	}
-	if _, err := j.f.Seek(0, io.SeekStart); err != nil {
-		return fmt.Errorf("rms: journal: %w", err)
-	}
-	line, err := encodeRecord(&journalLine{Header: &h})
-	if err != nil {
-		return fmt.Errorf("rms: journal encode: %w", err)
-	}
-	if _, err := j.w.Write(line); err != nil {
-		return fmt.Errorf("rms: journal write: %w", err)
-	}
-	if err := j.w.Flush(); err != nil {
-		return fmt.Errorf("rms: journal flush: %w", err)
-	}
-	if err := j.f.Sync(); err != nil {
-		return fmt.Errorf("rms: journal sync: %w", err)
-	}
-	j.seg = h.Segment
-	j.header = &h
-	j.valid = int64(len(line))
-	j.findLadder(&segScan{seq: j.seg, header: h, headerOK: true, clean: true}, rot)
-	return nil
+	return fmt.Errorf("rms: journal %s: the active segment is missing, empty or torn, as a crash mid-rotation of an older build leaves it; move the newest rotated segment, %s, back to %s to restart from before that rotation", j.path, newest, j.path)
 }
 
 // findLadder walks down from the active segment to the rung recovery
@@ -715,10 +681,8 @@ func (j *Journal) fresh() bool {
 	return j.valid == 0 && !j.appended
 }
 
-// writeHeader records the scheduler configuration as the genesis
-// segment's first record. A genesis header a crash tore (see recover) is
-// overwritten when it is a byte prefix of this one; any other bytes are
-// not this daemon's journal, and it refuses them.
+// writeHeader publishes the genesis segment, the scheduler configuration
+// as its one record.
 func (j *Journal) writeHeader(h journalHeader) error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
@@ -727,28 +691,11 @@ func (j *Journal) writeHeader(h journalHeader) error {
 	if err != nil {
 		return j.fail(fmt.Errorf("rms: journal encode: %w", err))
 	}
-	if len(j.torn) > 0 {
-		if !bytes.HasPrefix(line, j.torn) {
-			return errNoHeader(j.path)
-		}
-		if err := j.f.Truncate(0); err != nil {
-			return j.fail(fmt.Errorf("rms: journal truncate: %w", err))
-		}
-		if _, err := j.f.Seek(0, io.SeekStart); err != nil {
-			return j.fail(fmt.Errorf("rms: journal: %w", err))
-		}
-		j.torn = nil
-	}
-	if err := j.writeRecord(line); err != nil {
+	if err := j.publish(j.seg, false, line); err != nil {
 		return err
 	}
 	j.header = &h
 	return nil
-}
-
-// errNoHeader refuses a file that is not a dynpd journal.
-func errNoHeader(path string) error {
-	return fmt.Errorf("rms: journal %s: no valid header; not a dynpd journal (delete it to start fresh)", path)
 }
 
 // Append records one event and flushes it to the operating system
@@ -803,64 +750,35 @@ func (j *Journal) maybeCheckpoint(s *Scheduler) {
 	j.rotateLocked(&cs, s.doneLog)
 }
 
-// rotateLocked seals the active segment and opens its successor headed
-// by the given checkpoint, whose finished history done holds encoded (see
-// checkpointRecord). Any failure is sticky. Callers hold j.mu.
+// rotateLocked seals the active segment and publishes its successor
+// headed by the given checkpoint, whose finished history done holds
+// encoded (see checkpointRecord). Any failure is sticky. Callers hold
+// j.mu.
 func (j *Journal) rotateLocked(cs *checkpointState, done []byte) {
-	fail := func(stage string, err error) {
-		j.fail(fmt.Errorf("rms: journal %s: %w", stage, err))
-	}
 	// Seal: everything the clients were acknowledged for must be durable
 	// before the old segment becomes immutable.
 	if err := j.w.Flush(); err != nil {
-		fail("flush", err)
+		j.fail(fmt.Errorf("rms: journal flush: %w", err))
 		return
 	}
 	if err := j.f.Sync(); err != nil {
-		fail("sync", err)
+		j.fail(fmt.Errorf("rms: journal sync: %w", err))
 		return
 	}
-	if err := j.f.Close(); err != nil {
-		fail("close", err)
-		return
-	}
-	if err := j.fs.Rename(j.path, j.segPath(j.seg)); err != nil {
-		fail("rotate", err)
-		return
-	}
-	nf, err := j.fs.OpenFile(j.path, os.O_RDWR|os.O_CREATE|os.O_TRUNC, 0o644)
-	if err != nil {
-		fail("rotate", err)
-		return
-	}
-	j.f = nf
-	j.w = bufio.NewWriter(nf)
-	j.seg++
 	h := *j.header
-	h.Segment = j.seg
+	h.Segment = j.seg + 1
 	h.Checkpoint = true
 	hl, err := encodeRecord(&journalLine{Header: &h})
 	if err != nil {
-		fail("encode", err)
+		j.fail(fmt.Errorf("rms: journal encode: %w", err))
 		return
 	}
 	cl, err := checkpointRecord(cs, done)
 	if err != nil {
-		fail("encode", err)
+		j.fail(fmt.Errorf("rms: journal encode: %w", err))
 		return
 	}
-	for _, b := range append([][]byte{hl}, cl...) {
-		if _, err := j.w.Write(b); err != nil {
-			fail("write", err)
-			return
-		}
-	}
-	if err := j.w.Flush(); err != nil {
-		fail("flush", err)
-		return
-	}
-	if err := j.f.Sync(); err != nil {
-		fail("sync", err)
+	if j.publish(h.Segment, true, append([][]byte{hl}, cl...)...) != nil {
 		return
 	}
 	j.sinceCheckpoint = 0
@@ -869,6 +787,64 @@ func (j *Journal) rotateLocked(cs *checkpointState, done []byte) {
 		// retention bound.
 		j.compactLocked()
 	}
+}
+
+// publish makes segment seg, whose records recs holds, the active
+// segment, whole or not at all: it writes recs to the side file and
+// fsyncs it, renames the active segment, if it is sealed, to its rotated
+// name, then the side file to path, and reopens it for appends. A crash
+// before the side file is renamed in leaves the journal as it was, and
+// one between the renames leaves a whole side file with no active
+// segment; recover settles both. Any failure is sticky. Callers hold
+// j.mu.
+func (j *Journal) publish(seg int, sealed bool, recs ...[]byte) error {
+	fail := func(stage string, err error) error {
+		return j.fail(fmt.Errorf("rms: journal %s: %w", stage, err))
+	}
+	side := j.path + sideSuffix
+	f, err := j.fs.OpenFile(side, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
+	if err != nil {
+		return fail("create", err)
+	}
+	w, size := bufio.NewWriter(f), int64(0)
+	for _, b := range recs {
+		w.Write(b) // a write error stays in w for Flush to return
+		size += int64(len(b))
+	}
+	if err := w.Flush(); err != nil {
+		f.Close()
+		return fail("write", err)
+	}
+	if err := f.Sync(); err != nil {
+		f.Close()
+		return fail("sync", err)
+	}
+	if err := f.Close(); err != nil {
+		return fail("close", err)
+	}
+	if err := j.f.Close(); err != nil {
+		return fail("close", err)
+	}
+	if sealed {
+		if err := j.fs.Rename(j.path, j.segPath(j.seg)); err != nil {
+			return fail("rotate", err)
+		}
+	}
+	if err := j.fs.Rename(side, j.path); err != nil {
+		return fail("rotate", err)
+	}
+	nf, err := j.fs.OpenFile(j.path, os.O_RDWR, 0)
+	if err != nil {
+		return fail("rotate", err)
+	}
+	j.f, j.w = nf, bufio.NewWriter(nf)
+	if _, err := nf.Seek(size, io.SeekStart); err != nil {
+		return fail("rotate", err)
+	}
+	j.seg = seg
+	j.appended = true
+	j.ladder = nil
+	return nil
 }
 
 // compactLocked deletes all but the newest j.keep rotated segments. Every

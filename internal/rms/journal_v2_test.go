@@ -1,7 +1,7 @@
 // Tests for the version-2 journal: the recovery ladder over corrupt
 // checkpoints, compaction, and the sticky-error policy under injected
-// disk faults. Crashes, and the continuation segment a crashed rotation
-// leaves, are the crash enumeration's (crash_test.go).
+// disk faults. Crashes, rotations' included, are the crash
+// enumeration's (crash_test.go).
 package rms
 
 import (
@@ -252,24 +252,43 @@ func TestJournalAutoCompact(t *testing.T) {
 }
 
 // TestJournalStickyFsync is the regression test for the swallowed
-// checkpoint fsync: a failed sync — during a checkpoint rotation or an
-// explicit Sync — must permanently fail the journal, and with it every
-// further mutation, instead of being silently ignored.
+// checkpoint fsync: a failed sync — of the genesis header, during a
+// checkpoint rotation or an explicit Sync — must permanently fail the
+// journal, and with it every further mutation, instead of being silently
+// ignored.
 func TestJournalStickyFsync(t *testing.T) {
 	faulty := vfs.NewFaulty(vfs.OS, vfs.FaultConfig{Seed: 1, SyncFail: 1})
 	path := filepath.Join(t.TempDir(), "events.journal")
-	j, err := OpenJournalFS(faulty, path)
+	open := func(fsys vfs.FS) (*Scheduler, *Journal, error) {
+		j, err := OpenJournalFS(fsys, path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s, err := New(8, newDynP(), 0)
+		if err == nil {
+			_, err = j.Replay(s)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s, j, s.SetJournal(j)
+	}
+	// The genesis header is published only once synced.
+	if _, j, err := open(faulty); err == nil || !strings.Contains(err.Error(), "sync") || j.Err() == nil {
+		t.Fatalf("the genesis header's failed sync attached with %v, sticky %v", err, j.Err())
+	} else {
+		j.Close()
+	}
+	if _, j, err := open(vfs.OS); err != nil {
+		t.Fatal(err)
+	} else {
+		j.Close()
+	}
+	s, j, err := open(faulty)
 	if err != nil {
 		t.Fatal(err)
 	}
 	j.SetSnapshotEvery(3)
-	s, err := New(8, newDynP(), 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := s.SetJournal(j); err != nil {
-		t.Fatal(err)
-	}
 	if s.JournalErr() != nil {
 		t.Fatalf("journal failed before any sync: %v", s.JournalErr())
 	}

@@ -186,7 +186,8 @@ type streamEnd struct {
 // returns equal Job's. A restart closes the journal (checkpointing every
 // third op, or sixteen times over a longer stream) and replays it into a
 // fresh Scheduler with a fresh lockstep
-// driver, repairing nothing on the way (no truncate in the memFS log),
+// driver, repairing nothing on the way (no truncate, remove or rename in
+// the memFS log),
 // which must land on the pre-crash fingerprint, checkpoint image
 // (plan, driver state and counts included) and naive active policy and
 // decider state; the stream
@@ -223,11 +224,14 @@ func runDeliverLockstep(t testing.TB, ds daemonStream, ops []streamOp) streamEnd
 	open := func(genesis bool) *Scheduler {
 		var drv sim.Driver
 		drv, live, ref = ds.newDriver(&end.lanes)
-		mark := len(end.fs.log)
+		mark, fresh := len(end.fs.log), len(end.fs.files) == 0
 		s, j, _ = openJournaled(t, ds.capacity, drv, end.fs, genesis, every)
-		// The journal was closed cleanly: opening it repairs nothing.
-		if k := slices.IndexFunc(end.fs.log[mark:], func(op fsOp) bool { return op.kind == "truncate" }); k >= 0 {
-			t.Fatalf("a clean restart truncated %s", end.fs.log[mark+k].name)
+		// The journal was closed cleanly: opening it repairs nothing, and
+		// only a fresh one's header is published.
+		if k := slices.IndexFunc(end.fs.log[mark:], func(op fsOp) bool {
+			return op.kind == "truncate" || op.kind == "remove" || op.kind == "rename" && !fresh
+		}); k >= 0 {
+			t.Fatalf("a clean restart repaired %s: %s", end.fs.log[mark+k].name, end.fs.log[mark+k].kind)
 		}
 		if err := s.EnableQuotes(twinMaker); err != nil {
 			t.Fatal(err)

@@ -15,26 +15,42 @@ import (
 func FuzzJournalRecover(f *testing.F) {
 	// The seeds are segments of a seeded stream's journal (journalStream),
 	// each alone as the active segment: the genesis segment, and the
-	// checkpoint-headed one after it.
+	// checkpoint-headed one after it; then the genesis segment beside
+	// what a crash in the next rotation leaves in the side file: all of
+	// it, and its checkpoint torn.
 	fs := journalStream(f, 0).fs
 	genesis := fs.files[segmentName(fs, 0)]
-	f.Add(genesis)
-	f.Add(fs.files[segmentName(fs, 1)])
-	f.Add(genesis[:len(genesis)-11])            // torn tail
-	f.Add([]byte{})                             // empty file
-	f.Add([]byte("not a journal\n"))            // foreign file
-	f.Add([]byte("00000000 {\"header\":{}}\n")) // bad CRC on a header
-	header, err := encodeRecord(&journalLine{Header: &journalHeader{Version: journalVersion,
-		Capacity: plantest.Capacity, Scheduler: newDynP().Name()}})
-	if err != nil {
-		f.Fatal(err)
-	}
-	f.Fuzz(func(t *testing.T, data []byte) {
-		j, err := OpenJournalFS(&memFS{files: map[string][]byte{journalPath: data}}, journalPath)
+	f.Add(genesis, []byte(nil))
+	f.Add(fs.files[segmentName(fs, 1)], []byte(nil))
+	f.Add(genesis[:len(genesis)-11], []byte(nil))            // torn tail
+	f.Add([]byte{}, []byte(nil))                             // empty file
+	f.Add([]byte("not a journal\n"), []byte(nil))            // foreign file
+	f.Add([]byte("00000000 {\"header\":{}}\n"), []byte(nil)) // bad CRC on a header
+	next := lines(fs.files[segmentName(fs, 1)])
+	side := append(bytes.Join(next[:2], []byte("\n")), '\n')
+	f.Add(genesis, side)
+	f.Add(genesis, side[:len(side)/2])
+	f.Fuzz(func(t *testing.T, data, side []byte) {
+		files := map[string][]byte{journalPath: data}
+		if len(side) > 0 {
+			files[journalPath+sideSuffix] = side
+		}
+		mem := &memFS{files: files}
+		j, err := OpenJournalFS(mem, journalPath)
 		if err != nil {
 			return // clean refusal is a correct outcome
 		}
 		defer j.Close()
+		// A side file beside the active segment never became a segment,
+		// and only a whole header begins one.
+		if _, ok := mem.files[journalPath+sideSuffix]; ok {
+			t.Fatal("recovery left the side file beside the active segment")
+		}
+		if recs := splitRecords(data); len(recs) > 0 {
+			if l, ok := decodeRecord(recs[0].data); !recs[0].terminated || !ok || l.Header == nil {
+				t.Fatalf("an active segment with no whole header opened: %q", data)
+			}
+		}
 		s, err := New(plantest.Capacity, newDynP(), 0)
 		if err != nil {
 			t.Fatal(err)
@@ -61,14 +77,9 @@ func FuzzJournalRecover(f *testing.F) {
 
 		// A journal that recovered must also accept new appends: attach it
 		// and submit. Only a journal-layer failure is a bug; the file
-		// system underneath never fails. The one refusal is of bytes with
-		// no record whole that do not begin this daemon's genesis header:
-		// they are not what a crash in its first write leaves.
-		torn := !bytes.Contains(data, []byte("\n")) && !bytes.HasPrefix(header, data)
-		if err := s.SetJournal(j); (err != nil) != torn {
+		// system underneath never fails.
+		if err := s.SetJournal(j); err != nil {
 			t.Fatalf("a recovered journal attached with %v", err)
-		} else if torn {
-			return
 		}
 		if _, err := s.Submit(1, 10); err != nil {
 			t.Fatalf("submit after recovery: %v", err)

@@ -20,8 +20,8 @@
 // external event in an optional crash-safe write-ahead journal (see
 // journal.go) whose replay rebuilds identical state after a daemon
 // crash. Processors can fail and be restored at run time (Fail/Restore),
-// with a configurable victim policy deciding which running jobs die when
-// the machine shrinks under them.
+// killing the last started running jobs first when the machine shrinks
+// under them.
 package rms
 
 import (
@@ -48,7 +48,7 @@ const (
 	StateRunning
 	StateCompleted
 	StateKilled // estimate expired; the RMS terminated the job
-	StateFailed // processors failed under the job; the victim policy terminated it
+	StateFailed // processors failed under the job; killed, the last started first
 )
 
 var stateNames = [...]string{"waiting", "running", "completed", "killed", "failed"}
@@ -80,23 +80,6 @@ type JobInfo struct {
 	Finished     int64 // meaningful once completed/killed/failed
 }
 
-// VictimPolicy orders the running jobs for termination when a capacity
-// failure leaves the machine oversubscribed: victims are killed from the
-// front of the returned slice until the remaining jobs fit the effective
-// capacity. The input slice is a copy; the policy may reorder it freely.
-type VictimPolicy = engine.VictimPolicy
-
-// Victim orderings for capacity failures (see internal/engine).
-var (
-	// VictimLastStarted kills the most recently started jobs first (ties
-	// broken by higher ID first), minimising the amount of finished work
-	// a capacity failure destroys. It is the default.
-	VictimLastStarted VictimPolicy = engine.VictimLastStarted
-	// VictimWidestFirst kills the widest jobs first (ties broken by
-	// later start, then higher ID), freeing the most processors per kill.
-	VictimWidestFirst VictimPolicy = engine.VictimWidestFirst
-)
-
 // Scheduler is an online planning-based RMS core. Create with New; all
 // methods are safe for concurrent use.
 //
@@ -113,9 +96,6 @@ type Scheduler struct {
 	eng    *engine.Engine
 	driver sim.Driver
 	nextID job.ID
-	// began is set by the first event applied or checkpoint restored;
-	// from then on the victim policy is fixed (SetVictimPolicy).
-	began bool
 
 	done []JobInfo // completed, killed and failed jobs, in finish order
 	agg  reportAgg // running Report aggregates over done, in finish order
@@ -328,23 +308,6 @@ func (s *Scheduler) checkState(id job.ID, want JobState) error {
 // mode never returns an error. Callers hold the lock.
 func (s *Scheduler) replan() { _ = s.eng.Replan() }
 
-// SetVictimPolicy sets the policy that picks which running jobs die when
-// a capacity failure oversubscribes the machine; nil keeps the default
-// (VictimLastStarted). The journal records no policy, so a replay kills
-// the jobs the live scheduler killed only if both held the same policy
-// from the start: SetVictimPolicy refuses a scheduler that has taken an
-// event, restored a checkpoint or journals. Set it, like the driver,
-// before Replay and SetJournal, on every scheduler of the journal.
-func (s *Scheduler) SetVictimPolicy(p VictimPolicy) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.began || s.jp.Load() != nil {
-		return fmt.Errorf("rms: the victim policy is set before the first event and before SetJournal")
-	}
-	s.eng.SetVictimPolicy(p)
-	return nil
-}
-
 // AddObserver attaches an observer to the scheduling engine: it receives
 // every transition (submissions, starts, completions, kills, capacity
 // changes and one EventPlan per scheduling event) as structured
@@ -448,7 +411,6 @@ func (s *Scheduler) apply(ev *Event) (*image, error) {
 			return nil, fmt.Errorf("rms: journal: %w", err)
 		}
 	}
-	s.began = true
 	if err := s.change(ev); err != nil {
 		return s.publish(), err
 	}
@@ -592,8 +554,8 @@ func (s *Scheduler) Cancel(id job.ID) error {
 
 // Fail takes procs processors out of service at the current time — a
 // node crash or a drain for maintenance. Running jobs that no longer fit
-// the remaining capacity are terminated (state StateFailed) in the order
-// chosen by the victim policy; waiting jobs wider than the remaining
+// the remaining capacity are terminated (state StateFailed), the last
+// started first; waiting jobs wider than the remaining
 // capacity stay queued with planned start NeverStart; everything else is
 // replanned against the shrunken machine.
 func (s *Scheduler) Fail(procs int) error {

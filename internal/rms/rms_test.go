@@ -30,36 +30,6 @@ func TestNewValidation(t *testing.T) {
 	}
 }
 
-func TestSubmitStartsImmediatelyOnIdleMachine(t *testing.T) {
-	s := newFCFS(t, 8)
-	info, err := s.Submit(4, 100)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if info.State != StateRunning || info.Started != 0 {
-		t.Fatalf("job = %+v, want running at 0", info)
-	}
-	st := s.Status()
-	if st.UsedProcs != 4 || len(st.Running) != 1 || len(st.Waiting) != 0 {
-		t.Fatalf("status = %+v", st)
-	}
-}
-
-func TestQueueingAndPlannedStart(t *testing.T) {
-	s := newFCFS(t, 4)
-	a, _ := s.Submit(4, 100)
-	b, err := s.Submit(4, 50)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a.State != StateRunning {
-		t.Fatalf("a = %+v", a)
-	}
-	if b.State != StateWaiting || b.PlannedStart != 100 {
-		t.Fatalf("b = %+v, want waiting with planned start 100", b)
-	}
-}
-
 func TestCancel(t *testing.T) {
 	s := newFCFS(t, 4)
 	a, _ := s.Submit(4, 100)
@@ -72,63 +42,6 @@ func TestCancel(t *testing.T) {
 	}
 	if err := s.Cancel(a.ID); err == nil {
 		t.Error("cancelling a running job accepted")
-	}
-}
-
-func TestBackfillingOnline(t *testing.T) {
-	// 8 processors. a: width 6 runs [0, 100). b: width 8 waits for 100.
-	// c: width 2, est 50 backfills immediately.
-	s := newFCFS(t, 8)
-	s.Submit(6, 100)
-	b, _ := s.Submit(8, 100)
-	c, _ := s.Submit(2, 50)
-	ci, _ := s.Job(c.ID)
-	if ci.State != StateRunning || ci.Started != 0 {
-		t.Fatalf("c = %+v, want backfilled at 0", ci)
-	}
-	bi, _ := s.Job(b.ID)
-	if bi.State != StateWaiting || bi.PlannedStart != 100 {
-		t.Fatalf("b = %+v", bi)
-	}
-}
-
-func TestDynPDriverOnline(t *testing.T) {
-	d := sim.NewDynP(core.Preferred{Policy: policy.SJF})
-	s, err := New(8, d, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// A long and a short job behind a blocker: SJF should order the
-	// short one first once the blocker frees the machine.
-	s.Submit(8, 100)            // blocker
-	long, _ := s.Submit(8, 500) // submitted first
-	short, _ := s.Submit(8, 10) // shorter, submitted second
-	li, _ := s.Job(long.ID)
-	si, _ := s.Job(short.ID)
-	if !(si.PlannedStart < li.PlannedStart) {
-		t.Fatalf("SJF ordering violated: short %d, long %d", si.PlannedStart, li.PlannedStart)
-	}
-	if st := s.Status(); st.ActivePolicy != "SJF" {
-		t.Fatalf("active policy = %v", st.ActivePolicy)
-	}
-}
-
-func TestFinishedLog(t *testing.T) {
-	s := newFCFS(t, 4)
-	a, _ := s.Submit(2, 100)
-	s.Advance(10)
-	s.Complete(a.ID)
-	b, _ := s.Submit(2, 20)
-	s.Advance(50) // b killed at 30
-	done := s.Finished()
-	if len(done) != 2 {
-		t.Fatalf("finished = %+v", done)
-	}
-	if done[0].ID != a.ID || done[0].State != StateCompleted {
-		t.Fatalf("first = %+v", done[0])
-	}
-	if done[1].ID != b.ID || done[1].State != StateKilled || done[1].Finished != 30 {
-		t.Fatalf("second = %+v", done[1])
 	}
 }
 

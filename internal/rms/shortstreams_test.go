@@ -164,7 +164,7 @@ func enumerate(t *testing.T, ds daemonStream, depth int) (states, streams int) {
 // checks a stream, under FCFS, SJF and dynP/advanced: by the small-scope
 // hypothesis, most defects show on some small instance. Under FCFS the
 // daemon is also killed inside every op that writes the journal
-// (crashOp), recovery's own writes included, and under dynP/advanced
+// (crashOp), recovery included, and under dynP/advanced
 // inside every op that cuts a checkpoint, from the sync that seals its
 // segment on, where the tuner's decision state is written. The crash
 // points must include every kind each can reach.
@@ -176,13 +176,13 @@ func TestShortStreamsLockstep(t *testing.T) {
 	}{
 		{"FCFS", func(t *testing.T) daemonStream {
 			return staticStream(t, smallCapacity, policy.FCFS)
-		}, []string{"rotation", "torn event", "torn checkpoint", "recovery"}},
+		}, []string{"rotation", "between renames", "torn event", "torn checkpoint", "recovery"}},
 		{"SJF", func(t *testing.T) daemonStream {
 			return staticStream(t, smallCapacity, policy.SJF)
 		}, nil},
 		{"dynP/advanced", func(t *testing.T) daemonStream {
 			return tunerStream(t, smallCapacity, func() core.Decider { return core.Advanced{} })
-		}, []string{"rotation", "torn checkpoint"}},
+		}, []string{"rotation", "between renames", "torn checkpoint"}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			t.Parallel()

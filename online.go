@@ -32,9 +32,6 @@ type (
 	// OnlineJournal is the write-ahead event journal that makes an
 	// online scheduler crash-safe (see dynpd -journal).
 	OnlineJournal = rms.Journal
-	// VictimPolicy orders running jobs for termination when processor
-	// failures shrink the machine below the running set's footprint.
-	VictimPolicy = rms.VictimPolicy
 	// OnlineEventTrace is a ring-buffer engine observer: attach one to
 	// an OnlineScheduler with AddObserver to serve the daemon's "trace"
 	// op and the planning latencies of its "metrics" op. It only
@@ -86,16 +83,6 @@ const (
 // NeverStart is the planned-start sentinel of a waiting job that cannot
 // run until failed processors are restored.
 const NeverStart = rms.NeverStart
-
-// Victim orderings for capacity failures.
-var (
-	// VictimLastStarted (the default) kills the most recently started
-	// jobs first, preserving the longest-running work.
-	VictimLastStarted VictimPolicy = rms.VictimLastStarted
-	// VictimWidestFirst kills the widest jobs first, minimising the
-	// number of jobs lost.
-	VictimWidestFirst VictimPolicy = rms.VictimWidestFirst
-)
 
 // OpenOnlineJournal opens (or creates) a write-ahead journal, repairing
 // a torn tail after a crash. Replay it into a fresh scheduler (restoring

@@ -6,7 +6,11 @@
 // and this package is its single implementation: machine state
 // (capacity, failed processors), running/waiting bookkeeping, the
 // apply-events→replan→launch cycle, finish/cancel/kill transitions and
-// invariant checks.
+// invariant checks. The waiting queue and the running set are two
+// slices, in submission and in start order, and they are the only
+// record of where a job is: a lookup scans the slice that holds it and a
+// removal splices it out, which walks the entries behind it anyway
+// (DESIGN §9).
 //
 // The engine is parameterised by its front end in two places:
 //
@@ -111,13 +115,11 @@ type Engine struct {
 	hooks    Hooks
 	obs      []Observer
 
-	waiting    []*job.Job // submission order
-	waitingIdx map[job.ID]int
-	running    []plan.Running // start order
-	runningIdx map[job.ID]int
-	used       int // processors in use
-	plan       *plan.Schedule
-	counts     Counts // transitions made, ever, by kind
+	waiting []*job.Job     // submission order
+	running []plan.Running // start order
+	used    int            // processors in use
+	plan    *plan.Schedule
+	counts  Counts // transitions made, ever, by kind
 
 	strict bool // launch capacity violations are errors, not skips
 	verify bool // verify every schedule against the machine state
@@ -147,13 +149,7 @@ func WithObserver(o Observer) Option { return func(e *Engine) { e.AddObserver(o)
 // New returns an engine for a machine with the given capacity, planning
 // with the given driver, with the clock at start.
 func New(capacity int, driver Driver, start int64, opts ...Option) *Engine {
-	e := &Engine{
-		capacity:   capacity,
-		driver:     driver,
-		now:        start,
-		waitingIdx: make(map[job.ID]int),
-		runningIdx: make(map[job.ID]int),
-	}
+	e := &Engine{capacity: capacity, driver: driver, now: start}
 	for _, o := range opts {
 		o(e)
 	}
@@ -200,15 +196,22 @@ func (e *Engine) Running() []plan.Running { return e.running }
 func (e *Engine) Schedule() *plan.Schedule { return e.plan }
 
 // IsWaiting reports whether the job is in the waiting queue.
-func (e *Engine) IsWaiting(id job.ID) bool {
-	_, ok := e.waitingIdx[id]
-	return ok
-}
+func (e *Engine) IsWaiting(id job.ID) bool { return e.waitingAt(id) >= 0 }
 
 // IsRunning reports whether the job is on the machine.
-func (e *Engine) IsRunning(id job.ID) bool {
-	_, ok := e.runningIdx[id]
-	return ok
+func (e *Engine) IsRunning(id job.ID) bool { return e.runningAt(id) >= 0 }
+
+// waitingAt returns the job's position in the waiting queue, -1 if it is
+// not waiting. The queue is its own index: a removal splices the slice,
+// which walks the entries behind the job anyway (DESIGN §9).
+func (e *Engine) waitingAt(id job.ID) int {
+	return slices.IndexFunc(e.waiting, func(j *job.Job) bool { return j.ID == id })
+}
+
+// runningAt returns the job's position in the running set, -1 if it is
+// not running.
+func (e *Engine) runningAt(id job.ID) int {
+	return slices.IndexFunc(e.running, func(r plan.Running) bool { return r.Job.ID == id })
 }
 
 // JumpTo moves the clock without firing any estimate expiry — the
@@ -225,7 +228,6 @@ func (e *Engine) JumpTo(t int64) {
 // Submit appends a job to the waiting queue. It does not replan; fronts
 // batch same-instant submissions and replan once.
 func (e *Engine) Submit(j *job.Job) {
-	e.waitingIdx[j.ID] = len(e.waiting)
 	e.waiting = append(e.waiting, j)
 	e.emit(Event{Kind: EventSubmit, Job: j, Procs: j.Width})
 }
@@ -244,22 +246,24 @@ func (e *Engine) CancelWaiting(id job.ID) bool {
 // Finish moves a running job off the machine, freeing its processors.
 // It reports false when the job is not running.
 func (e *Engine) Finish(id job.ID, st FinishState) bool {
-	i, ok := e.runningIdx[id]
-	if !ok {
+	i := e.runningAt(id)
+	if i < 0 {
 		return false
 	}
+	e.finishAt(i, st)
+	return true
+}
+
+// finishAt moves the running job at position i off the machine,
+// preserving the start order of the rest.
+func (e *Engine) finishAt(i int, st FinishState) {
 	r := e.running[i]
-	e.running = append(e.running[:i], e.running[i+1:]...)
-	delete(e.runningIdx, id)
-	for k := i; k < len(e.running); k++ {
-		e.runningIdx[e.running[k].Job.ID] = k
-	}
+	e.running = slices.Delete(e.running, i, i+1)
 	e.used -= r.Job.Width
 	if e.hooks.Finished != nil {
 		e.hooks.Finished(r, st, e.now)
 	}
 	e.emit(Event{Kind: finishEventKind(st), Job: r.Job, Procs: r.Job.Width})
-	return true
 }
 
 // FailProcs takes n processors out of service and terminates running
@@ -279,13 +283,15 @@ func (e *Engine) RestoreProcs(n int) {
 }
 
 // killVictims terminates running jobs, the last started first
-// (VictimLastStarted), until the rest fit the effective capacity.
+// (victimLastStarted), until the rest fit the effective capacity. The
+// victims go in their own order, not the running set's, so it walks a
+// sorted copy; only a processor failure gets here.
 func (e *Engine) killVictims() {
 	eff := e.Effective()
 	if e.used <= eff {
 		return
 	}
-	for _, r := range VictimLastStarted(append([]plan.Running(nil), e.running...)) {
+	for _, r := range victimLastStarted(slices.Clone(e.running)) {
 		if e.used <= eff {
 			break
 		}
@@ -295,14 +301,17 @@ func (e *Engine) killVictims() {
 
 // KillExpired terminates running jobs whose estimates expired at the
 // current time — the guarantee that makes planning sound — and reports
-// whether any were found. It does not replan.
+// whether any were found, finishing them in start order as it walks the
+// running set in place. It does not replan.
 func (e *Engine) KillExpired() bool {
 	killed := false
-	for _, r := range append([]plan.Running(nil), e.running...) {
-		if r.EstimatedEnd() <= e.now {
-			e.Finish(r.Job.ID, FinishKilled)
-			killed = true
+	for i := 0; i < len(e.running); {
+		if e.running[i].EstimatedEnd() > e.now {
+			i++
+			continue
 		}
+		e.finishAt(i, FinishKilled)
+		killed = true
 	}
 	return killed
 }
@@ -370,7 +379,8 @@ func (e *Engine) launchDue() error {
 			continue
 		}
 		j := entry.Job
-		if !e.IsWaiting(j.ID) {
+		i := e.waitingAt(j.ID)
+		if i < 0 {
 			// A rogue driver may plan a job twice or one not waiting.
 			continue
 		}
@@ -381,8 +391,7 @@ func (e *Engine) launchDue() error {
 			}
 			continue
 		}
-		e.removeWaiting(j.ID)
-		e.runningIdx[j.ID] = len(e.running)
+		e.waiting = slices.Delete(e.waiting, i, i+1)
 		e.running = append(e.running, plan.Running{Job: j, Start: e.now})
 		e.used += j.Width
 		if e.hooks.Started != nil {
@@ -431,25 +440,23 @@ func (e *Engine) NextExpiry() (int64, bool) {
 }
 
 // removeWaiting splices a job out of the waiting queue, preserving
-// submission order, and reindexes the entries behind it.
+// submission order.
 func (e *Engine) removeWaiting(id job.ID) (*job.Job, bool) {
-	i, ok := e.waitingIdx[id]
-	if !ok {
+	i := e.waitingAt(id)
+	if i < 0 {
 		return nil, false
 	}
 	j := e.waiting[i]
-	e.waiting = append(e.waiting[:i], e.waiting[i+1:]...)
-	delete(e.waitingIdx, id)
-	for k := i; k < len(e.waiting); k++ {
-		e.waitingIdx[e.waiting[k].ID] = k
-	}
+	e.waiting = slices.Delete(e.waiting, i, i+1)
 	return j, true
 }
 
-// CheckInvariants verifies the engine's internal consistency: index maps
-// match the queues, the running set fits the effective capacity, no job
-// is both waiting and running, and the plan in force has not been
-// superseded by its driver. A healthy engine always returns nil.
+// CheckInvariants verifies the engine's internal consistency: the queue
+// is in submission order, no job is listed twice or both waiting and
+// running, the running set fits the effective capacity, and the plan in
+// force has not been superseded by its driver. A healthy engine always
+// returns nil. It scans the queues once per job, which is quadratic: it
+// is for tests and the chaos harness, not for the event loop.
 func (e *Engine) CheckInvariants() error {
 	if e.plan != nil && e.plan.Released() {
 		return fmt.Errorf("engine: the plan in force (t=%d, %v) was superseded", e.plan.Now, e.plan.Policy)
@@ -457,24 +464,21 @@ func (e *Engine) CheckInvariants() error {
 	if e.failed < 0 || e.failed > e.capacity {
 		return fmt.Errorf("engine: %d failed processors out of [0, %d]", e.failed, e.capacity)
 	}
-	if len(e.waitingIdx) != len(e.waiting) {
-		return fmt.Errorf("engine: waiting index has %d entries for %d jobs", len(e.waitingIdx), len(e.waiting))
-	}
 	for i, w := range e.waiting {
-		if got, ok := e.waitingIdx[w.ID]; !ok || got != i {
-			return fmt.Errorf("engine: waiting job %d at position %d indexed at %d", w.ID, i, got)
-		}
 		if i > 0 && w.Submit < e.waiting[i-1].Submit {
 			return fmt.Errorf("engine: waiting job %d (submitted t=%d) queued behind a later submission", w.ID, w.Submit)
 		}
-	}
-	if len(e.runningIdx) != len(e.running) {
-		return fmt.Errorf("engine: running index has %d entries for %d jobs", len(e.runningIdx), len(e.running))
+		if e.waitingAt(w.ID) != i {
+			return fmt.Errorf("engine: job %d waiting twice", w.ID)
+		}
+		if e.IsRunning(w.ID) {
+			return fmt.Errorf("engine: job %d both waiting and running", w.ID)
+		}
 	}
 	used := 0
 	for i, r := range e.running {
-		if got, ok := e.runningIdx[r.Job.ID]; !ok || got != i {
-			return fmt.Errorf("engine: running job %d at position %d indexed at %d", r.Job.ID, i, got)
+		if e.runningAt(r.Job.ID) != i {
+			return fmt.Errorf("engine: job %d running twice", r.Job.ID)
 		}
 		used += r.Job.Width
 	}
@@ -483,11 +487,6 @@ func (e *Engine) CheckInvariants() error {
 	}
 	if used > e.Effective() {
 		return fmt.Errorf("engine: %d processors in use exceed effective capacity %d", used, e.Effective())
-	}
-	for _, w := range e.waiting {
-		if e.IsRunning(w.ID) {
-			return fmt.Errorf("engine: job %d both waiting and running", w.ID)
-		}
 	}
 	return nil
 }

@@ -107,6 +107,77 @@ func TestKillExpired(t *testing.T) {
 	}
 }
 
+// TestKillExpiredInStartOrder: KillExpired walks the running set in
+// place, so neighbours that expire together must each be killed, in
+// start order, and the survivors keep theirs.
+func TestKillExpiredInStartOrder(t *testing.T) {
+	var killed []job.ID
+	eng := engine.New(8, fcfs(), 0, engine.WithHooks(engine.Hooks{
+		Finished: func(r plan.Running, _ engine.FinishState, _ int64) { killed = append(killed, r.Job.ID) },
+	}))
+	for i, est := range []int64{10, 10, 30, 10, 20, 10} {
+		eng.Submit(mkJob(job.ID(i+1), 0, 1, est))
+	}
+	if err := eng.Replan(); err != nil {
+		t.Fatal(err)
+	}
+	eng.JumpTo(10)
+	if !eng.KillExpired() {
+		t.Fatal("expired jobs not killed")
+	}
+	if fmt.Sprint(killed) != "[1 2 4 6]" {
+		t.Fatalf("killed %v, want [1 2 4 6]", killed)
+	}
+	var left []job.ID
+	for _, r := range eng.Running() {
+		left = append(left, r.Job.ID)
+	}
+	if fmt.Sprint(left) != "[3 5]" || eng.Used() != 2 {
+		t.Fatalf("running %v on %d processors, want [3 5] on 2", left, eng.Used())
+	}
+	if err := eng.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestEventLoopAllocs is the engine's allocation gate: once its queues
+// have grown, a cycle of submissions, a replan that leaves one job
+// waiting, a completion, a cancellation and the expiries of the rest
+// allocates nothing. The queues are the only record of where a job is,
+// and KillExpired walks the running set in place.
+func TestEventLoopAllocs(t *testing.T) {
+	eng := engine.New(8, fcfs(), 0)
+	eng.Submit(mkJob(1, 0, 2, 1<<40)) // runs throughout
+	batch := []*job.Job{mkJob(2, 0, 2, 10), mkJob(3, 0, 2, 10), mkJob(4, 0, 2, 10), mkJob(5, 0, 2, 10), mkJob(6, 0, 8, 10)}
+	cycle := func() {
+		now := eng.Now()
+		for _, j := range batch {
+			eng.Submit(j)
+		}
+		if err := eng.Replan(); err != nil { // 2, 3, 4 start; 5 and 6 wait
+			t.Fatal(err)
+		}
+		eng.CancelWaiting(6)
+		eng.JumpTo(now + 5)
+		eng.Finish(3, engine.FinishCompleted)
+		if err := eng.Replan(); err != nil { // 5 starts
+			t.Fatal(err)
+		}
+		if err := eng.AdvanceTo(now+15, false); err != nil { // 2 and 4 expire, then 5
+			t.Fatal(err)
+		}
+		eng.JumpTo(now + 15)
+		if len(eng.Running()) != 1 || len(eng.Waiting()) != 0 {
+			t.Fatalf("at t=%d: %d running, %d waiting, want 1 and 0", eng.Now(), len(eng.Running()), len(eng.Waiting()))
+		}
+	}
+	cycle()
+	cycle()
+	if avg := testing.AllocsPerRun(200, cycle); avg > 0 {
+		t.Errorf("an event-loop cycle allocates %.2f objects, want 0", avg)
+	}
+}
+
 func TestJumpToBackwardsPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {

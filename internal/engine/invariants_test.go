@@ -3,7 +3,9 @@ package engine
 // White-box tests: corrupt the engine's internal state directly and
 // check that CheckInvariants catches each class of damage. The rms
 // package used to carry these against its own bookkeeping; with the
-// state moved here, the corruption coverage moves with it.
+// state moved here, the corruption coverage moves with it. The two
+// queues are the only record of where a job is, so a job listed twice is
+// found by scanning them.
 
 import (
 	"strings"
@@ -19,7 +21,6 @@ func seeded() *Engine {
 	e := New(4, nil, 0)
 	for i, w := range []int{2, 1} {
 		j := &job.Job{ID: job.ID(i + 1), Width: w, Estimate: 100, Runtime: 100}
-		e.runningIdx[j.ID] = len(e.running)
 		e.running = append(e.running, plan.Running{Job: j, Start: 0})
 		e.used += w
 	}
@@ -41,24 +42,20 @@ func TestCheckInvariantsDetectsCorruption(t *testing.T) {
 	}{
 		{"negative failed", func(e *Engine) { e.failed = -1 }, "failed processors"},
 		{"failed beyond capacity", func(e *Engine) { e.failed = 5 }, "failed processors"},
-		{"waiting index dropped", func(e *Engine) { delete(e.waitingIdx, 3) }, "waiting index"},
-		{"waiting index stale", func(e *Engine) { e.waitingIdx[3] = 7 }, "indexed at"},
-		{"running index dropped", func(e *Engine) { delete(e.runningIdx, 1) }, "running index"},
-		{"running index swapped", func(e *Engine) { e.runningIdx[1], e.runningIdx[2] = 1, 0 }, "indexed at"},
 		{"used count drifted", func(e *Engine) { e.used = 1 }, "recorded in use"},
 		{"oversubscribed", func(e *Engine) { e.failed = 3 }, "exceed effective capacity"},
 		{"duplicate running entry", func(e *Engine) {
 			e.running = append(e.running, e.running[0])
-			e.runningIdx[e.running[0].Job.ID] = 2
-		}, "running index"},
+		}, "running twice"},
+		{"duplicate waiting entry", func(e *Engine) {
+			e.waiting = append(e.waiting, e.waiting[0])
+		}, "waiting twice"},
 		{"plan recycled under the engine", func(e *Engine) {
 			e.plan = &plan.Schedule{}
 			e.plan.Release()
 		}, "superseded"},
 		{"waiting and running", func(e *Engine) {
-			j := e.running[1].Job
-			e.waitingIdx[j.ID] = len(e.waiting)
-			e.waiting = append(e.waiting, j)
+			e.waiting = append(e.waiting, e.running[1].Job)
 		}, "both waiting and running"},
 	}
 	for _, tc := range cases {
@@ -95,8 +92,13 @@ func TestRemoveWaitingPreservesOrderAndIndex(t *testing.T) {
 		if e.waiting[i].ID != id {
 			t.Fatalf("queue[%d] = %d, want %d (submission order lost)", i, e.waiting[i].ID, id)
 		}
-		if e.waitingIdx[id] != i {
-			t.Fatalf("index[%d] = %d, want %d", id, e.waitingIdx[id], i)
+		if e.waitingAt(id) != i {
+			t.Fatalf("waitingAt(%d) = %d, want %d", id, e.waitingAt(id), i)
+		}
+	}
+	for _, id := range []job.ID{1, 3} {
+		if e.IsWaiting(id) {
+			t.Fatalf("removed job %d still waiting", id)
 		}
 	}
 	if err := e.CheckInvariants(); err != nil {
@@ -108,7 +110,6 @@ func TestFinishPreservesStartOrderAndIndex(t *testing.T) {
 	e := New(8, nil, 0)
 	for i := 1; i <= 4; i++ {
 		j := &job.Job{ID: job.ID(i), Width: 1, Estimate: 100, Runtime: 100}
-		e.runningIdx[j.ID] = len(e.running)
 		e.running = append(e.running, plan.Running{Job: j, Start: int64(i)})
 		e.used++
 	}
@@ -120,14 +121,29 @@ func TestFinishPreservesStartOrderAndIndex(t *testing.T) {
 		if e.running[i].Job.ID != id {
 			t.Fatalf("running[%d] = %d, want %d (start order lost)", i, e.running[i].Job.ID, id)
 		}
-		if e.runningIdx[id] != i {
-			t.Fatalf("index[%d] = %d, want %d", id, e.runningIdx[id], i)
+		if e.runningAt(id) != i {
+			t.Fatalf("runningAt(%d) = %d, want %d", id, e.runningAt(id), i)
 		}
+	}
+	if e.IsRunning(2) {
+		t.Fatal("finished job 2 still running")
 	}
 	if e.used != 3 {
 		t.Fatalf("used = %d, want 3", e.used)
 	}
 	if err := e.CheckInvariants(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestVictimLastStarted: a processor failure kills the last started
+// first, and of jobs started together the higher ID first.
+func TestVictimLastStarted(t *testing.T) {
+	mk := func(id job.ID, width int, start int64) plan.Running {
+		return plan.Running{Job: &job.Job{ID: id, Width: width, Estimate: 100, Runtime: 100}, Start: start}
+	}
+	last := victimLastStarted([]plan.Running{mk(1, 2, 0), mk(2, 6, 5), mk(3, 2, 5)})
+	if last[0].Job.ID != 3 || last[1].Job.ID != 2 || last[2].Job.ID != 1 {
+		t.Errorf("victimLastStarted order = %v, %v, %v", last[0].Job.ID, last[1].Job.ID, last[2].Job.ID)
 	}
 }

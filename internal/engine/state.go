@@ -49,28 +49,20 @@ func (e *Engine) RestoreState(st State) error {
 // still: what it remembers of earlier plans must not depend on the
 // engine's history (a core.Lane works out what changed from the queue it
 // is handed).
+//
+// Reset does not look for a job listed twice: every state it is handed
+// was made by an engine (a quote twin's fork, a simulation's split, a
+// checkpoint restore), and a checkpoint read from disk is refused for a
+// duplicate before it gets here (rms.restoreCheckpoint).
 func (e *Engine) Reset(st State) error {
 	if st.Failed < 0 || st.Failed > e.capacity {
 		return fmt.Errorf("engine: restored state fails %d of %d processors", st.Failed, e.capacity)
 	}
 	e.now, e.failed, e.counts, e.plan, e.used = st.Now, st.Failed, st.Counts, st.Plan, 0
 	e.waiting, e.running = append(e.waiting[:0], st.Waiting...), append(e.running[:0], st.Running...)
-	clear(e.waitingIdx)
-	clear(e.runningIdx)
-	for i, j := range e.waiting {
-		if _, dup := e.waitingIdx[j.ID]; dup {
-			return fmt.Errorf("engine: restored job %d waiting twice", j.ID)
-		}
-		e.waitingIdx[j.ID] = i
-	}
-	for i, r := range e.running {
-		if _, dup := e.runningIdx[r.Job.ID]; dup || e.IsWaiting(r.Job.ID) {
-			return fmt.Errorf("engine: restored job %d placed twice", r.Job.ID)
-		}
-		e.runningIdx[r.Job.ID] = i
+	for _, r := range e.running {
 		e.used += r.Job.Width
 	}
-	// What CheckInvariants checks beyond the indexes just built.
 	for i := 1; i < len(e.waiting); i++ {
 		if e.waiting[i].Submit < e.waiting[i-1].Submit {
 			return fmt.Errorf("engine: restored job %d (submitted t=%d) queued behind a later submission", e.waiting[i].ID, e.waiting[i].Submit)

@@ -88,22 +88,15 @@ func appendRequest(b []byte, r *Request) []byte {
 	return append(b, '}')
 }
 
-// eventRequest is ev as a Request. An Event's fields are a Request's
-// under the same tags and in the same order, less n and count, which a
-// request built from an event leaves zero and so omits: both encode to
-// the same bytes.
-func eventRequest(ev *Event) Request {
-	return Request{Op: ev.Op, Width: ev.Width, Estimate: ev.Estimate, ID: ev.ID, To: ev.To,
-		Procs: ev.Procs, Completions: ev.Completions, Subs: ev.Subs}
-}
-
 // appendEventRecord appends ev's journal record, framed as
 // encodeRecord(&journalLine{Event: ev}) frames it: checksum, space,
-// payload, newline.
-func appendEventRecord(b []byte, ev *Event) []byte {
+// payload, newline. No journaled op reads n or count; the record leaves
+// them out.
+func appendEventRecord(b []byte, ev *Request) []byte {
 	at := len(b)
 	b = append(b, "00000000 "...) // the checksum's place, filled in below
-	r := eventRequest(ev)
+	r := *ev
+	r.N, r.Count = 0, 0
 	b = appendRequest(append(b, `{"event":`...), &r)
 	b = append(b, '}')
 	var sum [9]byte
@@ -256,14 +249,12 @@ func parseResponse(b []byte, r *Response) bool {
 }
 
 // parseEventRecord reads the canonical payload of a journal event record.
-func parseEventRecord(b []byte) (*Event, bool) {
+func parseEventRecord(b []byte) (*Request, bool) {
 	p := parser{b: b}
-	var ev *Event
+	var ev *Request
 	p.object(eventRecordKeys, func(int) {
-		var r Request
-		p.request(&r)
-		ev = &Event{Op: r.Op, Width: r.Width, Estimate: r.Estimate, ID: r.ID, To: r.To,
-			Procs: r.Procs, Completions: r.Completions, Subs: r.Subs}
+		ev = new(Request)
+		p.request(ev)
 	})
 	return ev, p.done() && ev != nil
 }

@@ -379,9 +379,10 @@ func FuzzWireCodec(f *testing.F) {
 		st := Status{Now: g.int(), ActivePolicy: g.str(), Scheduler: g.str(), Waiting: genList(g, g.jobInfo)}
 		check("status", appendStatus(nil, &st), &st)
 
-		ev := Event{Op: req.Op, Width: req.Width, Estimate: req.Estimate, ID: req.ID, To: req.To,
-			Procs: req.Procs, Completions: req.Completions, Subs: req.Subs}
-		rec := appendEventRecord([]byte("prefix"), &ev)
+		// The record of a request is that of the request less n and count.
+		ev := req
+		ev.N, ev.Count = 0, 0
+		rec := appendEventRecord([]byte("prefix"), &req)
 		want, err := encodeRecord(&journalLine{Event: &ev})
 		if err != nil {
 			t.Fatal(err)
@@ -410,7 +411,7 @@ func FuzzWireCodec(f *testing.F) {
 // status, two lists and two strings), and a deliver request or a journal
 // event record costs one allocation per list over the same line without
 // lists: none for the request, whose op is a listed name, and one, the
-// Event, for the record.
+// event's Request, for the record.
 func TestWireDecodeAllocs(t *testing.T) {
 	_, line := statusResponse(t)
 	var resp Response
@@ -432,7 +433,7 @@ func TestWireDecodeAllocs(t *testing.T) {
 			r.Subs = append(r.Subs, Submission{Width: 1 + i%8, Estimate: int64(60 + i)})
 		}
 		line := appendRequest(nil, &r)
-		rec := appendEventRecord(nil, &Event{Op: r.Op, To: r.To, Completions: r.Completions, Subs: r.Subs})
+		rec := appendEventRecord(nil, &r)
 		payload := rec[9 : len(rec)-1]
 		var into Request
 		req = testing.AllocsPerRun(100, func() {
@@ -450,7 +451,7 @@ func TestWireDecodeAllocs(t *testing.T) {
 	}
 	req0, ev0 := decodes(0)
 	if req0 != 0 || ev0 != 1 {
-		t.Errorf("a deliver request without lists decodes in %.0f allocations and its journal event in %.0f, want 0 (the op is a listed name) and 1 (the Event)",
+		t.Errorf("a deliver request without lists decodes in %.0f allocations and its journal event in %.0f, want 0 (the op is a listed name) and 1 (the event's Request)",
 			req0, ev0)
 	}
 	for _, n := range []int{1, 3, 300} {

@@ -4,7 +4,6 @@ import (
 	"strings"
 	"testing"
 
-	"dynp/internal/engine"
 	"dynp/internal/job"
 	"dynp/internal/plan"
 	"dynp/internal/policy"
@@ -144,17 +143,6 @@ func TestDeliverDuplicateCompletionRejected(t *testing.T) {
 	// The same completion delivered once still works.
 	if _, err := s.Deliver(10, []job.ID{a.ID}, nil); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestVictimOrderFunctions(t *testing.T) {
-	mk := func(id job.ID, width int, start int64) plan.Running {
-		return plan.Running{Job: &job.Job{ID: id, Width: width, Estimate: 100, Runtime: 100}, Start: start}
-	}
-	in := []plan.Running{mk(1, 2, 0), mk(2, 6, 5), mk(3, 2, 5)}
-	last := engine.VictimLastStarted(append([]plan.Running(nil), in...))
-	if last[0].Job.ID != 3 || last[1].Job.ID != 2 || last[2].Job.ID != 1 {
-		t.Errorf("VictimLastStarted order = %v, %v, %v", last[0].Job.ID, last[1].Job.ID, last[2].Job.ID)
 	}
 }
 

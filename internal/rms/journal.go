@@ -95,19 +95,6 @@ const (
 var opNames = [...]string{opSubmit, opDone, opCancel, opTick, opDeliver, opFail, opRestore,
 	"job", "status", "finished", "report", "quote", "policies", "deciders", "trace", "metrics", "health", "ready"}
 
-// Event is one external scheduler event: everything that can change
-// scheduler state besides the deterministic consequences of time.
-type Event struct {
-	Op          string       `json:"op"`
-	Width       int          `json:"width,omitempty"`
-	Estimate    int64        `json:"estimate,omitempty"`
-	ID          int64        `json:"id,omitempty"`
-	To          int64        `json:"to,omitempty"`
-	Procs       int          `json:"procs,omitempty"`
-	Completions []int64      `json:"completions,omitempty"`
-	Subs        []Submission `json:"subs,omitempty"`
-}
-
 // journalHeader pins the scheduler configuration a journal belongs to
 // and identifies the segment. Checkpoint promises that the segment's
 // second record is a checkpoint — the recovery ladder relies on the
@@ -142,7 +129,7 @@ type checkpointState struct {
 // journalLine is the JSON payload of one record: exactly one field set.
 type journalLine struct {
 	Header     *journalHeader   `json:"header,omitempty"`
-	Event      *Event           `json:"event,omitempty"`
+	Event      *Request         `json:"event,omitempty"` // a journaled op, n and count zero
 	Checkpoint *checkpointState `json:"checkpoint,omitempty"`
 }
 
@@ -275,7 +262,7 @@ type segScan struct {
 	headerOK bool
 	ckpt     *checkpointState // valid head checkpoint, if any
 	badCkpt  bool             // the header promises a checkpoint, and record 1 is there but invalid
-	events   []Event          // valid events after the head, in order
+	events   []Request        // valid events after the head, in order
 	clean    bool             // the events region is fully valid to the end of the file
 }
 
@@ -546,12 +533,9 @@ func (j *Journal) recover() error {
 
 	end := int64(len(data))
 	if truncateAt >= 0 {
-		end = truncateAt
-		// Re-interpret the repaired prefix so the cached scan matches the
-		// file contents exactly.
-		if sc2, _, err2 := interpretSegment(splitRecords(data[:end]), false); err2 == nil {
-			sc = sc2
-		}
+		// The scan stopped at the torn tail: what it found is the whole
+		// of the repaired prefix, which is clean.
+		end, sc.clean = truncateAt, true
 		if err := j.f.Truncate(end); err != nil {
 			return fmt.Errorf("rms: journal truncate: %w", err)
 		}
@@ -702,7 +686,7 @@ func (j *Journal) writeHeader(h journalHeader) error {
 // before returning, so a subsequent process crash cannot lose it. After
 // any write error the journal turns itself off permanently (every
 // further Append fails): a journal with a hole must not keep growing.
-func (j *Journal) Append(ev Event) error {
+func (j *Journal) Append(ev Request) error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	j.rec = appendEventRecord(j.rec[:0], &ev)

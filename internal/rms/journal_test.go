@@ -180,6 +180,52 @@ func TestJournalGenesisReplayDetectsTampering(t *testing.T) {
 	}
 }
 
+// TestJournalRefusesDuplicateJobs: a checkpoint rewritten (with a valid
+// checksum) to list a job twice — a running job again as waiting, or a
+// finished job twice — is refused by replay. The engine takes the queues
+// it is handed as they are, so this check, made as the checkpoint is
+// restored, is the only one on a job listed twice in what is read from
+// disk.
+func TestJournalRefusesDuplicateJobs(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		patch func(t *testing.T, cs *checkpointState)
+	}{
+		{"running job also waiting", func(t *testing.T, cs *checkpointState) {
+			if len(cs.Running) == 0 {
+				t.Fatal("the checkpoint holds no running job")
+			}
+			// In submission order, so that nothing but the duplicate is wrong.
+			dup := cs.Running[0]
+			dup.State, dup.Started = StateWaiting, 0
+			at := slices.IndexFunc(cs.Waiting, func(w JobInfo) bool { return w.Submitted > dup.Submitted })
+			if at < 0 {
+				at = len(cs.Waiting)
+			}
+			cs.Waiting = slices.Insert(cs.Waiting, at, dup)
+		}},
+		{"finished job twice", func(t *testing.T, cs *checkpointState) {
+			if len(cs.Done) == 0 {
+				t.Fatal("the checkpoint holds no finished job")
+			}
+			cs.Done = append(cs.Done, cs.Done[len(cs.Done)-1])
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			fs := journalStream(t, 3).fs
+			patchRecord(t, fs, journalPath, 1, func(l *journalLine) {
+				if l.Checkpoint == nil {
+					t.Fatal("the active segment opens with no checkpoint")
+				}
+				tc.patch(t, l.Checkpoint)
+			})
+			if _, _, _, err := replayStream(fs, false); err == nil || !strings.Contains(err.Error(), "twice") {
+				t.Fatalf("journal with a patched checkpoint replayed: %v, want a job listed twice", err)
+			}
+		})
+	}
+}
+
 // TestJournalHeaderGuards: a journal replays only into a virgin scheduler
 // of the capacity and driver that wrote it, and a file without a valid
 // header is not a journal: opening refuses it and leaves it whole.
@@ -223,7 +269,7 @@ func TestJournalAppendAfterReplayGuard(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := j.Append(Event{Op: opTick, To: 1 << 40}); err != nil {
+	if err := j.Append(Request{Op: opTick, To: 1 << 40}); err != nil {
 		t.Fatal(err)
 	}
 	fresh, _ := New(plantest.Capacity, newDynP(), 0)
@@ -258,7 +304,7 @@ func TestJournalWriteErrorFailsOperations(t *testing.T) {
 	if got := daemonState(t, s); got != end.state {
 		t.Errorf("state mutated despite the journal failure:\n%v\nthe stream left\n%v", got, end.state)
 	}
-	if err := s.jp.Load().Append(Event{Op: opTick, To: 1 << 40}); err == nil || s.JournalErr() == nil {
+	if err := s.jp.Load().Append(Request{Op: opTick, To: 1 << 40}); err == nil || s.JournalErr() == nil {
 		t.Errorf("append after a write error: %v, journal error %v", err, s.JournalErr())
 	}
 }

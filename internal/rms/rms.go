@@ -399,7 +399,7 @@ var errUnknownOp = errors.New("rms: unknown op")
 // refuses it identically, and it publishes the moved clock, but cuts no
 // checkpoint. On a journal write error the event is not applied: the
 // journal is the authority after a crash.
-func (s *Scheduler) apply(ev *Event) (*image, error) {
+func (s *Scheduler) apply(ev *Request) (*image, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if err := s.check(ev); err != nil {
@@ -427,7 +427,7 @@ func (s *Scheduler) apply(ev *Event) (*image, error) {
 // batch's completions and submissions are checked after its clock move
 // (see change), against the state at its instant. Callers hold the
 // scheduling lock.
-func (s *Scheduler) check(ev *Event) error {
+func (s *Scheduler) check(ev *Request) error {
 	now, failed, capacity := s.eng.Now(), s.eng.FailedProcs(), s.eng.Capacity()
 	switch ev.Op {
 	case opSubmit:
@@ -470,7 +470,7 @@ func (s *Scheduler) check(ev *Event) error {
 // its completions first (a job completing exactly at its estimate counts
 // as completed, not killed), then the expiries at its instant, then its
 // submissions. Callers hold the scheduling lock.
-func (s *Scheduler) change(ev *Event) error {
+func (s *Scheduler) change(ev *Request) error {
 	switch ev.Op {
 	case opSubmit:
 		s.submit(ev.Width, ev.Estimate)
@@ -517,7 +517,7 @@ func (s *Scheduler) submit(width int, estimate int64) {
 // processors currently up is accepted and queued (planned start
 // NeverStart) until enough capacity is restored.
 func (s *Scheduler) Submit(width int, estimate int64) (JobInfo, error) {
-	img, err := s.apply(&Event{Op: opSubmit, Width: width, Estimate: estimate})
+	img, err := s.apply(&Request{Op: opSubmit, Width: width, Estimate: estimate})
 	if err != nil {
 		return JobInfo{}, err
 	}
@@ -539,7 +539,7 @@ func checkShape(width int, estimate int64, capacity, effective int) error {
 
 // Complete reports that a running job finished at the current time.
 func (s *Scheduler) Complete(id job.ID) (JobInfo, error) {
-	img, err := s.apply(&Event{Op: opDone, ID: int64(id)})
+	img, err := s.apply(&Request{Op: opDone, ID: int64(id)})
 	if err != nil {
 		return JobInfo{}, err
 	}
@@ -548,7 +548,7 @@ func (s *Scheduler) Complete(id job.ID) (JobInfo, error) {
 
 // Cancel removes a waiting job from the queue.
 func (s *Scheduler) Cancel(id job.ID) error {
-	_, err := s.apply(&Event{Op: opCancel, ID: int64(id)})
+	_, err := s.apply(&Request{Op: opCancel, ID: int64(id)})
 	return err
 }
 
@@ -559,7 +559,7 @@ func (s *Scheduler) Cancel(id job.ID) error {
 // capacity stay queued with planned start NeverStart; everything else is
 // replanned against the shrunken machine.
 func (s *Scheduler) Fail(procs int) error {
-	_, err := s.apply(&Event{Op: opFail, Procs: procs})
+	_, err := s.apply(&Request{Op: opFail, Procs: procs})
 	return err
 }
 
@@ -567,7 +567,7 @@ func (s *Scheduler) Fail(procs int) error {
 // current time and replans: unplaceable jobs get real planned starts
 // again, and waiting work may begin immediately.
 func (s *Scheduler) Restore(procs int) error {
-	_, err := s.apply(&Event{Op: opRestore, Procs: procs})
+	_, err := s.apply(&Request{Op: opRestore, Procs: procs})
 	return err
 }
 
@@ -578,7 +578,7 @@ func (s *Scheduler) Restore(procs int) error {
 // Advancing to the current time is journaled as nothing, which keeps a
 // real-time ticker from flooding the journal.
 func (s *Scheduler) Advance(to int64) error {
-	_, err := s.apply(&Event{Op: opTick, To: to})
+	_, err := s.apply(&Request{Op: opTick, To: to})
 	return err
 }
 
@@ -605,7 +605,7 @@ func (s *Scheduler) Deliver(t int64, completions []job.ID, subs []Submission) ([
 	for i, id := range completions {
 		ids[i] = int64(id)
 	}
-	img, err := s.apply(&Event{Op: opDeliver, To: t, Completions: ids, Subs: subs})
+	img, err := s.apply(&Request{Op: opDeliver, To: t, Completions: ids, Subs: subs})
 	if err != nil {
 		return nil, err
 	}

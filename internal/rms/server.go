@@ -160,7 +160,10 @@ func (sv *Server) healthInfo(img *image) HealthInfo {
 	return h
 }
 
-// Request is one protocol request.
+// Request is one protocol request. A request of a journaled op is also
+// the scheduler event the journal records and replays: everything that
+// can change scheduler state besides the deterministic consequences of
+// time. No journaled op reads n or count, and its record leaves them out.
 type Request struct {
 	Op          string       `json:"op"`
 	Width       int          `json:"width,omitempty"`
@@ -288,8 +291,7 @@ func (sv *Server) handle(req Request, degraded bool) Response {
 		if !sv.AllowTick && (req.Op == opTick || req.Op == opDeliver) {
 			return fail(fmt.Errorf("rms: %s disabled (real-time mode)", req.Op))
 		}
-		img, err := sv.sched.apply(&Event{Op: req.Op, Width: req.Width, Estimate: req.Estimate, ID: req.ID,
-			To: req.To, Procs: req.Procs, Completions: req.Completions, Subs: req.Subs})
+		img, err := sv.sched.apply(&req)
 		if err != nil {
 			return fail(err)
 		}

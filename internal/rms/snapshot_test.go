@@ -296,7 +296,7 @@ func TestRejectedRequestsPublishNothing(t *testing.T) {
 			{"restore too many", func() error { return s.Restore(3) }, Request{Op: opRestore, Procs: 3}},
 			{"advance backwards", func() error { return s.Advance(99) }, Request{Op: opTick, To: 99}},
 			{"deliver before clock", func() error { _, err := s.Deliver(99, nil, nil); return err }, Request{Op: opDeliver, To: 99}},
-			{"unknown op", func() error { _, err := s.apply(&Event{Op: "status"}); return err }, Request{Op: "stat"}},
+			{"unknown op", func() error { _, err := s.apply(&Request{Op: "status"}); return err }, Request{Op: "stat"}},
 			{"quotes for another", func() error {
 				return s.EnableQuotes(func() sim.Driver { return &sim.Static{Policy: policy.SJF} })
 			}, Request{Op: "quote", Width: 9, Estimate: 10}}, // on the wire, a quote too wide

@@ -58,13 +58,14 @@ bench:
 
 # One-iteration pass over the self-tuning benchmarks, the rms hot-path
 # ones (Deliver, StatusCodec, Quote), the engine's event loop
-# (EngineEventLoop) and the trace models' generator setup (Calibrate),
+# (EngineEventLoop), the simulator's event loop over a static and a dynP
+# driver (Simulate) and the trace models' generator setup (Calibrate),
 # allocations printed; CI uploads the output
 # as an artifact for trajectory tracking. A -bench pattern that matches
 # nothing exits 0, so the target fails when a name in it ran no benchmark.
 bench-smoke:
-	$(GO) test -bench='SelfTuner|Deliver|StatusCodec|Quote|Checkpoint|EngineEventLoop|Calibrate' -benchmem -benchtime=1x ./... | tee bench-smoke.txt
-	@for b in SelfTuner Deliver StatusCodec Quote Checkpoint EngineEventLoop Calibrate; do \
+	$(GO) test -bench='SelfTuner|Deliver|StatusCodec|Quote|Checkpoint|EngineEventLoop|Simulate|Calibrate' -benchmem -benchtime=1x ./... | tee bench-smoke.txt
+	@for b in SelfTuner Deliver StatusCodec Quote Checkpoint EngineEventLoop Simulate Calibrate; do \
 		grep -q "^Benchmark.*$$b" bench-smoke.txt || { echo "bench-smoke: -bench=$$b matched no benchmark"; exit 1; }; \
 	done
 

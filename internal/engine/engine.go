@@ -15,21 +15,22 @@
 // The engine is parameterised by its front end in two places:
 //
 //   - the Clock. The engine owns the current time but never advances it
-//     on its own. The simulator jumps it to each event instant (JumpTo)
-//     and injects completions itself, because actual run times are known
-//     in advance; the online RMS sweeps it forward (AdvanceTo), letting
-//     the engine fire its one automatic action, an estimate running out,
-//     at each instant on the way: the kill is a scheduling event, and
-//     starts happen only there.
+//     on its own, and its one automatic action is a running job's run
+//     time running out (NextEnd, FinishEnded). The simulator jumps the
+//     clock to each event instant (JumpTo) and finishes the jobs that end
+//     there as completed: actual run times are known in advance. The
+//     online RMS gives every job its estimate as run time and sweeps the
+//     clock forward (AdvanceTo), killing at each end on the way: the kill
+//     is a scheduling event, and starts happen only there.
 //   - the Driver, the planning interface of internal/sim: a static
 //     policy, the self-tuning dynP scheduler, or EASY backfilling.
 //
 // Hooks let the front end act on the engine's transitions as they
-// happen (the simulator queues each launch's completion event, the RMS
-// records each finished job in its history). The engine counts every
-// transition by kind (Counts), observed or not, and Observers receive a
-// structured event stream (see observer.go) for tracing; they only
-// watch, and nothing that decides or is restored reads what they see.
+// happen (the simulator and the RMS record each finished job). The
+// engine counts every transition by kind (Counts), observed or not, and
+// Observers receive a structured event stream (see observer.go) for
+// tracing; they only watch, and nothing that decides or is restored
+// reads what they see.
 // The engine is not safe for concurrent use; the RMS serialises access
 // with its own mutex.
 package engine
@@ -79,7 +80,7 @@ type Driver interface {
 // is handed (policy.Views.Sync).
 //
 // Deprecated: the engine never calls it. It stays while
-// benchmark/trace.go names it (ROADMAP.md, item 1(a)).
+// benchmark/trace.go names it (ROADMAP.md, item 2(a)).
 type QueueTracker interface {
 	NoteSubmit(j *job.Job)
 	NoteRemove(j *job.Job)
@@ -91,7 +92,7 @@ type FinishState int
 // The ways a running job ends.
 const (
 	FinishCompleted FinishState = iota // the outside world reported completion
-	FinishKilled                       // its estimate expired; the RMS terminated it
+	FinishKilled                       // its run time, the estimate online, ran out; the RMS terminated it
 	FinishFailed                       // processors failed under it; killed, the last started first
 )
 
@@ -214,10 +215,10 @@ func (e *Engine) runningAt(id job.ID) int {
 	return slices.IndexFunc(e.running, func(r plan.Running) bool { return r.Job.ID == id })
 }
 
-// JumpTo moves the clock without firing any estimate expiry — the
-// virtual-clock mode of the simulator, which knows every completion in
-// advance and injects the transitions itself. It panics when asked to
-// move time backwards, which can only be a front-end bug.
+// JumpTo moves the clock without finishing any job — the virtual-clock
+// mode of the simulator, which finishes the jobs ending at each instant
+// itself (FinishEnded). It panics when asked to move time backwards,
+// which can only be a front-end bug.
 func (e *Engine) JumpTo(t int64) {
 	if t < e.now {
 		panic(fmt.Sprintf("engine: clock moved backwards from %d to %d", e.now, t))
@@ -299,21 +300,17 @@ func (e *Engine) killVictims() {
 	}
 }
 
-// KillExpired terminates running jobs whose estimates expired at the
-// current time — the guarantee that makes planning sound — and reports
-// whether any were found, finishing them in start order as it walks the
-// running set in place. It does not replan.
-func (e *Engine) KillExpired() bool {
-	killed := false
+// FinishEnded finishes, as st, every running job whose run time has run
+// out at the current time, in start order, walking the running set in
+// place. It does not replan.
+func (e *Engine) FinishEnded(st FinishState) {
 	for i := 0; i < len(e.running); {
-		if e.running[i].EstimatedEnd() > e.now {
+		if r := e.running[i]; r.Start+r.Job.Runtime > e.now {
 			i++
 			continue
 		}
-		e.finishAt(i, FinishKilled)
-		killed = true
+		e.finishAt(i, st)
 	}
-	return killed
 }
 
 // Replan is one scheduling event: recompute the full schedule against
@@ -402,39 +399,40 @@ func (e *Engine) launchDue() error {
 	return nil
 }
 
-// AdvanceTo processes the machine's one automatic action, an estimate
+// AdvanceTo processes the machine's one automatic action, a run time
 // running out, up to time to — strictly before it when exclusive is set,
 // so a front end can batch its own events at to before the shared
-// replanning step. Each such instant is one step: the expired jobs are
-// killed, and the kill is a scheduling event (Replan). A driver that
-// places every job at its earliest hole plans no start before the next
-// expiry (DESIGN §9), so no plan entry needs a timer of its own. The
-// clock is left at the last expiry's instant; the caller moves it the
-// rest of the way with JumpTo.
+// replanning step. Each such instant is one step: the ended jobs are
+// killed, and the kill is a scheduling event (Replan). Online a job's run
+// time is its estimate, and a driver that places every job at its
+// earliest hole plans no start before the next estimated end (DESIGN §9),
+// so no plan entry needs a timer of its own. The clock is left at the
+// last end's instant; the caller moves it the rest of the way with
+// JumpTo.
 func (e *Engine) AdvanceTo(to int64, exclusive bool) error {
 	for {
-		next, ok := e.NextExpiry()
+		next, ok := e.NextEnd()
 		if !ok || next > to || (exclusive && next == to) {
 			return nil
 		}
 		e.now = next
-		e.KillExpired()
+		e.FinishEnded(FinishKilled)
 		if err := e.Replan(); err != nil {
 			return err
 		}
 	}
 }
 
-// NextExpiry returns the earliest estimated end among the running jobs,
-// never before the current time: the next instant at which the machine
-// acts on its own. It reports false when nothing runs.
-func (e *Engine) NextExpiry() (int64, bool) {
+// NextEnd returns the earliest end, start plus run time, among the
+// running jobs, never before the current time: the next instant at which
+// the machine acts on its own. It reports false when nothing runs.
+func (e *Engine) NextEnd() (int64, bool) {
 	if len(e.running) == 0 {
 		return 0, false
 	}
-	next := e.running[0].EstimatedEnd()
+	next := e.running[0].Start + e.running[0].Job.Runtime
 	for _, r := range e.running[1:] {
-		next = min(next, r.EstimatedEnd())
+		next = min(next, r.Start+r.Job.Runtime)
 	}
 	return max(next, e.now), true
 }

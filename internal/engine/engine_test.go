@@ -85,32 +85,40 @@ func TestCancelWaiting(t *testing.T) {
 	}
 }
 
-func TestKillExpired(t *testing.T) {
+// TestFinishEnded: a job ends when its run time runs out, not its
+// estimate, and leaves as the state FinishEnded is given.
+func TestFinishEnded(t *testing.T) {
 	var st []engine.FinishState
 	eng := engine.New(2, fcfs(), 0, engine.WithHooks(engine.Hooks{
 		Finished: func(_ plan.Running, s engine.FinishState, now int64) { st = append(st, s) },
 	}))
-	eng.Submit(mkJob(1, 0, 2, 10))
+	eng.Submit(&job.Job{ID: 1, Width: 1, Estimate: 10, Runtime: 6})
+	eng.Submit(mkJob(2, 0, 1, 10))
 	if err := eng.Replan(); err != nil {
 		t.Fatal(err)
 	}
-	eng.JumpTo(9)
-	if eng.KillExpired() {
-		t.Fatal("killed before the estimate expired")
+	if next, ok := eng.NextEnd(); !ok || next != 6 {
+		t.Fatalf("next end %d, %v; want 6", next, ok)
+	}
+	eng.JumpTo(5)
+	if eng.FinishEnded(engine.FinishCompleted); len(st) != 0 {
+		t.Fatal("finished before the run time ran out")
+	}
+	eng.JumpTo(6)
+	if eng.FinishEnded(engine.FinishCompleted); eng.IsRunning(1) || !eng.IsRunning(2) {
+		t.Fatal("job 1 not finished at its run time, or job 2 before its own")
 	}
 	eng.JumpTo(10)
-	if !eng.KillExpired() {
-		t.Fatal("expired job not killed")
-	}
-	if len(st) != 1 || st[0] != engine.FinishKilled {
+	eng.FinishEnded(engine.FinishKilled)
+	if fmt.Sprint(st) != fmt.Sprint([]engine.FinishState{engine.FinishCompleted, engine.FinishKilled}) {
 		t.Fatalf("finish states = %v", st)
 	}
 }
 
-// TestKillExpiredInStartOrder: KillExpired walks the running set in
-// place, so neighbours that expire together must each be killed, in
+// TestFinishEndedInStartOrder: FinishEnded walks the running set in
+// place, so neighbours that end together must each be finished, in
 // start order, and the survivors keep theirs.
-func TestKillExpiredInStartOrder(t *testing.T) {
+func TestFinishEndedInStartOrder(t *testing.T) {
 	var killed []job.ID
 	eng := engine.New(8, fcfs(), 0, engine.WithHooks(engine.Hooks{
 		Finished: func(r plan.Running, _ engine.FinishState, _ int64) { killed = append(killed, r.Job.ID) },
@@ -122,9 +130,7 @@ func TestKillExpiredInStartOrder(t *testing.T) {
 		t.Fatal(err)
 	}
 	eng.JumpTo(10)
-	if !eng.KillExpired() {
-		t.Fatal("expired jobs not killed")
-	}
+	eng.FinishEnded(engine.FinishKilled)
 	if fmt.Sprint(killed) != "[1 2 4 6]" {
 		t.Fatalf("killed %v, want [1 2 4 6]", killed)
 	}
@@ -142,9 +148,9 @@ func TestKillExpiredInStartOrder(t *testing.T) {
 
 // TestEventLoopAllocs is the engine's allocation gate: once its queues
 // have grown, a cycle of submissions, a replan that leaves one job
-// waiting, a completion, a cancellation and the expiries of the rest
+// waiting, a completion, a cancellation and the ends of the rest
 // allocates nothing. The queues are the only record of where a job is,
-// and KillExpired walks the running set in place.
+// and FinishEnded walks the running set in place.
 func TestEventLoopAllocs(t *testing.T) {
 	eng := engine.New(8, fcfs(), 0)
 	eng.Submit(mkJob(1, 0, 2, 1<<40)) // runs throughout
@@ -163,7 +169,7 @@ func TestEventLoopAllocs(t *testing.T) {
 		if err := eng.Replan(); err != nil { // 5 starts
 			t.Fatal(err)
 		}
-		if err := eng.AdvanceTo(now+15, false); err != nil { // 2 and 4 expire, then 5
+		if err := eng.AdvanceTo(now+15, false); err != nil { // 2 and 4 end, then 5
 			t.Fatal(err)
 		}
 		eng.JumpTo(now + 15)
@@ -209,7 +215,7 @@ func TestAdvanceToFiresKillsAndStarts(t *testing.T) {
 	if eng.Used() != 0 || len(eng.Waiting()) != 0 {
 		t.Fatalf("machine not drained: used %d, waiting %d", eng.Used(), len(eng.Waiting()))
 	}
-	if _, ok := eng.NextExpiry(); ok {
+	if _, ok := eng.NextEnd(); ok {
 		t.Fatal("drained machine still has pending actions")
 	}
 }
@@ -273,9 +279,9 @@ func advanceLog(t *testing.T, d engine.Driver, width2 int) string {
 	return strings.Join(log, ", ")
 }
 
-// TestAdvanceToIgnoresPlannedStartsBetweenExpiries: an estimate running
+// TestAdvanceToIgnoresPlannedStartsBetweenExpiries: a run time running
 // out is the machine's only automatic action. Job 2 is planned at 3,
-// where no estimate runs out, so it starts at job 1's kill at 10, the
+// where no run time runs out, so it starts at job 1's kill at 10, the
 // next scheduling event, and not at 3.
 func TestAdvanceToIgnoresPlannedStartsBetweenExpiries(t *testing.T) {
 	got := advanceLog(t, lateDriver{at: 3}, 1)
@@ -288,7 +294,7 @@ func TestAdvanceToIgnoresPlannedStartsBetweenExpiries(t *testing.T) {
 
 // TestAdvanceToPassesAnEntryThatDoesNotFit: a due-now entry that does not
 // fit is skipped, and AdvanceTo neither replans nor starts anything until
-// the next expiry, where the job starts.
+// the next end, where the job starts.
 func TestAdvanceToPassesAnEntryThatDoesNotFit(t *testing.T) {
 	got := advanceLog(t, nowDriver{}, 3)
 	want := "submit 1@0, submit 2@0, start 1@0, plan@0, " +
@@ -442,7 +448,7 @@ func TestEventKindNames(t *testing.T) {
 	}
 }
 
-// BenchmarkEngineEventLoop drives the full submit→replan→launch→expire
+// BenchmarkEngineEventLoop drives the full submit→replan→launch→end
 // cycle through the engine for a 10k-job workload, the scale of the
 // paper's full traces, measuring the shared event-loop bookkeeping with
 // the real availability-profile planner.
@@ -472,7 +478,7 @@ func BenchmarkEngineEventLoop(b *testing.B) {
 				b.Fatal(err)
 			}
 			eng.JumpTo(now)
-			eng.KillExpired()
+			eng.FinishEnded(engine.FinishKilled)
 			for ; i < len(jobs) && jobs[i].Submit == now; i++ {
 				eng.Submit(jobs[i])
 			}

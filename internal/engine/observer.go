@@ -18,7 +18,7 @@ const (
 	EventSubmit       EventKind = iota // a job entered the waiting queue
 	EventStart                         // a waiting job launched
 	EventFinish                        // a running job completed
-	EventKill                          // a running job's estimate expired; the RMS terminated it
+	EventKill                          // a running job's run time, the estimate online, ran out; the RMS terminated it
 	EventJobFail                       // processors failed under a running job; killed, the last started first
 	EventCancel                        // a waiting job was withdrawn
 	EventProcsFail                     // processors left service

@@ -1,8 +1,12 @@
-// Package eventq implements the pending-event set of the discrete event
-// simulator: a binary min-heap ordered by event time, then by an explicit
-// priority class, then by insertion order. The insertion-order tie-break
-// makes simulations deterministic — two events scheduled for the same time
-// and class are always dispatched first-scheduled-first.
+// Package eventq implements a deterministic pending-event set: a binary
+// min-heap ordered by event time, then by an explicit priority class,
+// then by insertion order, so two events scheduled for the same time and
+// class are always dispatched first-scheduled-first.
+//
+// Deprecated: the simulator keeps no event queue; the engine's running
+// set, in start order, is its completion queue (engine.NextEnd,
+// engine.FinishEnded). The package stays while benchmark/trace.go
+// replays the queue the simulator used to keep (ROADMAP.md, item 2(a)).
 package eventq
 
 // Queue is a deterministic discrete event queue. The zero value is an
@@ -58,10 +62,8 @@ func (q *Queue[T]) PopIf(time int64) (ev Event[T], ok bool) {
 // Reserve grows the queue's storage so at least n more events can be
 // pushed without reallocating.
 //
-// Deprecated: a queue grows to its working size in a few pushes; the
-// simulator keeps only the running jobs' completions in one and reserves
-// nothing. It stays while benchmark/trace.go calls it (ROADMAP.md, item
-// 1(a)).
+// Deprecated: a queue grows to its working size in a few pushes. It
+// stays while benchmark/trace.go calls it (ROADMAP.md, item 2(a)).
 func (q *Queue[T]) Reserve(n int) {
 	if cap(q.heap)-len(q.heap) >= n {
 		return
@@ -69,13 +71,6 @@ func (q *Queue[T]) Reserve(n int) {
 	heap := make([]entry[T], len(q.heap), len(q.heap)+n)
 	copy(heap, q.heap)
 	q.heap = heap
-}
-
-// Clone returns an independent copy of the queue: its heap, with the
-// same spare capacity, and its insertion counter. The copy and the queue
-// then dispatch alike, ties included, as long as they are pushed alike.
-func (q *Queue[T]) Clone() Queue[T] {
-	return Queue[T]{heap: append(make([]entry[T], 0, cap(q.heap)), q.heap...), seq: q.seq}
 }
 
 // Pop removes and returns the next event. ok is false when the queue is

@@ -77,12 +77,6 @@ func (f FairSize) Name() string { return f.name }
 // String implements fmt.Stringer.
 func (f FairSize) String() string { return f.name }
 
-// Alpha returns the fairness weight in processors.
-func (f FairSize) Alpha() float64 { return f.alpha }
-
-// Robust returns the size-quantization base.
-func (f FairSize) Robust() float64 { return f.robust }
-
 // key computes the virtual-time ordering key. Deterministic: a pure
 // float function of the job's immutable fields and the policy's
 // parameters, so every comparison of the same pair agrees everywhere

@@ -248,15 +248,17 @@ func parseResponse(b []byte, r *Response) bool {
 	return p.done()
 }
 
-// parseEventRecord reads the canonical payload of a journal event record.
-func parseEventRecord(b []byte) (*Request, bool) {
+// parseEventRecord reads the canonical payload of a journal event record
+// into a zero ev. False means the input is not a canonical event record
+// and ev holds a partial read.
+func parseEventRecord(b []byte, ev *Request) bool {
 	p := parser{b: b}
-	var ev *Request
+	found := false
 	p.object(eventRecordKeys, func(int) {
-		ev = new(Request)
+		found = true
 		p.request(ev)
 	})
-	return ev, p.done() && ev != nil
+	return p.done() && found
 }
 
 // parser reads the canonical form into fresh values. Any departure from

@@ -158,12 +158,12 @@ func TestWireFastPath(t *testing.T) {
 				continue // a header or a checkpoint
 			}
 			events++
-			ev, ok := parseEventRecord(payload)
-			if !ok {
+			var ev Request
+			if !parseEventRecord(payload, &ev) {
 				t.Fatalf("journal event handed off: %s", payload)
 			}
-			if !reflect.DeepEqual(*ev, *ref.Event) {
-				t.Fatalf("journal event %s: parsed %+v, encoding/json %+v", payload, *ev, *ref.Event)
+			if !reflect.DeepEqual(ev, *ref.Event) {
+				t.Fatalf("journal event %s: parsed %+v, encoding/json %+v", payload, ev, *ref.Event)
 			}
 		}
 	}
@@ -315,10 +315,11 @@ func checkDecode(t *testing.T, line []byte, canonical bool) {
 		t.Fatalf("response %q: decoded %+v (%v), encoding/json %+v (%v)", line, respDec, err, respRef, respErr)
 	}
 
-	ev, evOK := parseEventRecord(line)
+	var ev Request
+	evOK := parseEventRecord(line, &ev)
 	var rec journalLine
 	recErr := json.Unmarshal(line, &rec)
-	if evOK && (recErr != nil || rec.Header != nil || rec.Checkpoint != nil || rec.Event == nil || !reflect.DeepEqual(*ev, *rec.Event)) {
+	if evOK && (recErr != nil || rec.Header != nil || rec.Checkpoint != nil || rec.Event == nil || !reflect.DeepEqual(ev, *rec.Event)) {
 		t.Fatalf("event record %q: parsed %+v, encoding/json %+v (%v)", line, ev, rec, recErr)
 	}
 	if canonical && !reqOK && !respOK && !evOK {
@@ -410,8 +411,8 @@ func FuzzWireCodec(f *testing.F) {
 // 40-job status response decodes in six allocations (the response, its
 // status, two lists and two strings), and a deliver request or a journal
 // event record costs one allocation per list over the same line without
-// lists: none for the request, whose op is a listed name, and one, the
-// event's Request, for the record.
+// lists, which costs none: the op is a listed name, and the record is
+// parsed into a value of the caller's.
 func TestWireDecodeAllocs(t *testing.T) {
 	_, line := statusResponse(t)
 	var resp Response
@@ -443,15 +444,16 @@ func TestWireDecodeAllocs(t *testing.T) {
 			}
 		})
 		ev = testing.AllocsPerRun(100, func() {
-			if _, ok := parseEventRecord(payload); !ok {
+			into = Request{}
+			if !parseEventRecord(payload, &into) {
 				t.Fatalf("journal event handed off: %s", payload)
 			}
 		})
 		return req, ev
 	}
 	req0, ev0 := decodes(0)
-	if req0 != 0 || ev0 != 1 {
-		t.Errorf("a deliver request without lists decodes in %.0f allocations and its journal event in %.0f, want 0 (the op is a listed name) and 1 (the event's Request)",
+	if req0 != 0 || ev0 != 0 {
+		t.Errorf("a deliver request without lists decodes in %.0f allocations and its journal event in %.0f, want 0 and 0 (the op is a listed name, the event a value of the caller's)",
 			req0, ev0)
 	}
 	for _, n := range []int{1, 3, 300} {

@@ -147,3 +147,29 @@ func TestDeliverDuplicateCompletionRejected(t *testing.T) {
 }
 
 var _ sim.Driver = rogueDriver{}
+
+// TestCheckInvariantsHoldsRunTimeToEstimate: online a job's run time is
+// its estimate, the instant at which the engine kills it, so a live job
+// whose run time differs, waiting or running, is a broken invariant.
+func TestCheckInvariantsHoldsRunTimeToEstimate(t *testing.T) {
+	s, err := New(4, &sim.Static{Policy: policy.FCFS}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Submit(1, 100); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	s.eng.Submit(&job.Job{ID: 99, Width: 1, Estimate: 100, Runtime: 60})
+	if err := s.CheckInvariants(); err == nil || !strings.Contains(err.Error(), "waiting job 99") {
+		t.Errorf("a waiting job running 60 s on an estimate of 100 s: %v", err)
+	}
+	if err := s.eng.Replan(); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.CheckInvariants(); err == nil || !strings.Contains(err.Error(), "running job 99") {
+		t.Errorf("a running job running 60 s on an estimate of 100 s: %v", err)
+	}
+}

@@ -195,23 +195,33 @@ func appendChecksum(buf []byte, crc uint32) []byte {
 	return append(hex.AppendEncode(buf, sum[:]), ' ')
 }
 
-// decodeRecord validates and decodes one record line (without its
-// newline): checksum intact, payload well-formed, exactly one field.
-func decodeRecord(b []byte) (journalLine, bool) {
-	var l journalLine
+// recordPayload checks one record line (without its newline) for an
+// intact checksum and returns its payload.
+func recordPayload(b []byte) ([]byte, bool) {
 	if len(b) < 10 || b[8] != ' ' {
-		return l, false
+		return nil, false
 	}
 	sum, err := hex.DecodeString(string(b[:8]))
 	if err != nil {
-		return l, false
+		return nil, false
 	}
 	payload := b[9:]
 	crc := crc32.Checksum(payload, crcTable)
 	if sum[0] != byte(crc>>24) || sum[1] != byte(crc>>16) || sum[2] != byte(crc>>8) || sum[3] != byte(crc) {
+		return nil, false
+	}
+	return payload, true
+}
+
+// decodeRecord validates and decodes one record line (without its
+// newline): checksum intact, payload well-formed, exactly one field.
+func decodeRecord(b []byte) (journalLine, bool) {
+	var l journalLine
+	payload, ok := recordPayload(b)
+	if !ok {
 		return l, false
 	}
-	if ev, ok := parseEventRecord(payload); ok {
+	if ev := new(Request); parseEventRecord(payload, ev) {
 		return journalLine{Event: ev}, true
 	}
 	if err := json.Unmarshal(payload, &l); err != nil {
@@ -228,6 +238,20 @@ func decodeRecord(b []byte) (journalLine, bool) {
 		set++
 	}
 	return l, set == 1
+}
+
+// decodeEvent decodes an event record line into a zero ev, as decodeRecord
+// would, and reports whether it is one. A canonical record allocates
+// nothing but its lists: replay reads every event through it.
+func decodeEvent(b []byte, ev *Request) bool {
+	if payload, ok := recordPayload(b); ok && parseEventRecord(payload, ev) {
+		return true
+	}
+	l, ok := decodeRecord(b)
+	if ok && l.Event != nil {
+		*ev = *l.Event
+	}
+	return ok && l.Event != nil
 }
 
 // record is one raw line of a segment file.
@@ -317,15 +341,12 @@ func interpretSegment(recs []record, repair bool) (segScan, int64, error) {
 
 	firstBad := -1
 	for ; i < len(recs); i++ {
-		le, oke := journalLine{}, false
-		if recs[i].terminated {
-			le, oke = decodeRecord(recs[i].data)
-		}
-		if !oke || le.Event == nil {
+		sc.events = append(sc.events, Request{})
+		if !recs[i].terminated || !decodeEvent(recs[i].data, &sc.events[len(sc.events)-1]) {
+			sc.events = sc.events[:len(sc.events)-1]
 			firstBad = i
 			break
 		}
-		sc.events = append(sc.events, *le.Event)
 	}
 	if firstBad >= 0 {
 		sc.clean = false

@@ -308,3 +308,76 @@ func TestJournalWriteErrorFailsOperations(t *testing.T) {
 		t.Errorf("append after a write error: %v, journal error %v", err, s.JournalErr())
 	}
 }
+
+// TestJournalActiveSegmentStates holds recovery to each state an active
+// segment can be found in beside rotated segments. A segment removed,
+// without a valid header, or cut inside its checkpoint record is what an
+// older build that published segments in place left when it crashed
+// mid-rotation: opening refuses it, names the newest rotated segment to
+// move back, and leaves every file's bytes as they were. A segment whose
+// checkpoint record is gone but whose events are intact is a journal:
+// its events follow the header, and Replay and ReplayGenesis both
+// rebuild the state the stream left.
+func TestJournalActiveSegmentStates(t *testing.T) {
+	end := journalStream(t, 7)
+	recs := lines(end.fs.files[journalPath])
+	if len(recs) < 3 {
+		t.Fatalf("the active segment holds %d records, want a checkpoint and an event behind its header", len(recs))
+	}
+	if l, ok := decodeRecord(recs[1]); !ok || l.Checkpoint == nil {
+		t.Fatal("record 1 of the active segment is no checkpoint")
+	}
+	rot := 0
+	for name := range end.fs.files {
+		var seq int
+		if _, err := fmt.Sscanf(name, journalPath+".%d", &seq); err == nil {
+			rot = max(rot, seq)
+		}
+	}
+	newest := fmt.Sprintf("%s.%d", journalPath, rot)
+	head := len(recs[0]) + 1 // the header record and its newline
+	for _, tc := range []struct {
+		name   string
+		change func(files map[string][]byte)
+		refuse bool
+	}{
+		{"removed", func(files map[string][]byte) { delete(files, journalPath) }, true},
+		{"no valid header", func(files map[string][]byte) {
+			files[journalPath] = append(bytes.Repeat([]byte("x"), len(recs[0])), files[journalPath][len(recs[0]):]...)
+		}, true},
+		{"cut inside its checkpoint", func(files map[string][]byte) {
+			files[journalPath] = files[journalPath][:head+len(recs[1])/2]
+		}, true},
+		{"checkpoint deleted, events kept", func(files map[string][]byte) {
+			files[journalPath] = append(bytes.Join(append([][]byte{recs[0]}, recs[2:]...), []byte("\n")), '\n')
+		}, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			fs := &memFS{files: maps.Clone(end.fs.files)}
+			tc.change(fs.files)
+			if !tc.refuse {
+				for _, genesis := range []bool{false, true} {
+					s, _, _, err := replayStream(&memFS{files: maps.Clone(fs.files)}, genesis)
+					if err != nil {
+						t.Fatalf("replay (genesis %v): %v", genesis, err)
+					}
+					if got := daemonState(t, s); got != end.state {
+						t.Errorf("replay (genesis %v) diverges\nlive: %v\ngot:  %v", genesis, end.state, got)
+					}
+				}
+				return
+			}
+			want := fs.key()
+			_, err := OpenJournalFS(fs, journalPath)
+			if err == nil {
+				t.Fatal("the journal opened")
+			}
+			if !strings.Contains(err.Error(), newest+",") {
+				t.Errorf("the refusal %q does not name the newest rotated segment, %s", err, newest)
+			}
+			if fs.key() != want {
+				t.Error("the refused open changed the files")
+			}
+		})
+	}
+}

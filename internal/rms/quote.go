@@ -218,12 +218,12 @@ func (tw *twin) run(img *image, width int, estimate int64, count int) ([]Quote, 
 		}
 	}
 
-	// Run forward one expiry at a time, the daemon's own forward rule,
+	// Run forward one end at a time, the daemon's own forward rule,
 	// until every hypothetical started or nothing runs (the rest never
 	// start). The loop ends: each pass kills at least one job, and only
 	// the twin's finite queue can start.
 	for tw.started < count {
-		next, ok := tw.eng.NextExpiry()
+		next, ok := tw.eng.NextEnd()
 		if !ok {
 			break
 		}

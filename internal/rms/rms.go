@@ -490,7 +490,7 @@ func (s *Scheduler) change(ev *Request) error {
 		for _, id := range ev.Completions {
 			s.eng.Finish(job.ID(id), engine.FinishCompleted)
 		}
-		s.eng.KillExpired()
+		s.eng.FinishEnded(engine.FinishKilled)
 		for _, sub := range ev.Subs {
 			s.submit(sub.Width, sub.Estimate)
 		}
@@ -503,8 +503,9 @@ func (s *Scheduler) change(ev *Request) error {
 }
 
 // submit enters a job at the current time under the next ID. The actual
-// run time is unknown online; the planner never reads it, but the job
-// model requires validity. Callers hold the scheduling lock.
+// run time is unknown online, so the job's run time is its estimate: the
+// planner never reads it, and the engine kills the job when it runs out.
+// Callers hold the scheduling lock.
 func (s *Scheduler) submit(width int, estimate int64) {
 	s.nextID++
 	s.eng.Submit(&job.Job{ID: s.nextID, Submit: s.eng.Now(), Width: width,
@@ -721,15 +722,26 @@ func (s *Scheduler) jobIn(img *image, id job.ID) (JobInfo, error) {
 func (s *Scheduler) Finished() []JobInfo { return slices.Clone(s.img.Load().Done) }
 
 // CheckInvariants verifies the scheduler's internal consistency: the
-// engine's machine state is coherent (see engine.CheckInvariants). A
-// live job's state is the engine's alone, so there is no second copy to
-// reconcile. It exists for tests and the chaos harness; a healthy
+// engine's machine state is coherent (see engine.CheckInvariants), and
+// every live job's run time is its estimate, the instant at which the
+// engine kills it. A live job's state is the engine's alone, so there is
+// no second copy to reconcile. It exists for tests and the chaos harness; a healthy
 // scheduler always returns nil.
 func (s *Scheduler) CheckInvariants() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if err := s.eng.CheckInvariants(); err != nil {
 		return fmt.Errorf("rms: %w", err)
+	}
+	for _, j := range s.eng.Waiting() {
+		if j.Runtime != j.Estimate {
+			return fmt.Errorf("rms: waiting job %d runs %d s on an estimate of %d s", j.ID, j.Runtime, j.Estimate)
+		}
+	}
+	for _, r := range s.eng.Running() {
+		if r.Job.Runtime != r.Job.Estimate {
+			return fmt.Errorf("rms: running job %d runs %d s on an estimate of %d s", r.Job.ID, r.Job.Runtime, r.Job.Estimate)
+		}
 	}
 	return nil
 }

@@ -68,13 +68,15 @@ func TestTunerRebuildAllocs(t *testing.T) {
 }
 
 // TestRunBytesPerJob gates the heap a whole simulation allocates per
-// job: 1,000 LANL jobs under the SJF-preferred dynP. The completions carry
-// what the harness needs of a job (its start rides on its finish event),
-// submissions are read off the set in place, and a decision allocates
-// nothing, so little more than the records is left. Measured at 79.3–79.4
-// bytes per job, 82.1 under -race. With every submission pushed into the
-// event queue and a fresh score slice per decision it was 205–209; with
-// per-job start and finished maps in the trajectory as well, 279–282.
+// job: 1,000 LANL jobs under the SJF-preferred dynP. The engine's running
+// set is the only record of a running job's start and end, submissions are
+// read off the set in place, and a decision allocates nothing, so little
+// more than the records is left. Measured at 68.5 bytes per job, 71.2
+// under -race (go1.24.0); with the running jobs kept a second time in a
+// completion heap it was 71.3, 73.9 under -race. With every submission
+// pushed into that heap and a fresh score slice per decision it was
+// 205–209; with per-job start and finished maps in the trajectory as
+// well, 279–282.
 func TestRunBytesPerJob(t *testing.T) {
 	sets, err := workload.LANL.GenerateSets(1, 1000, 1)
 	if err != nil {

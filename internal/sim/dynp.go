@@ -54,13 +54,13 @@ func (d *DynP) ActivePolicy() policy.Policy { return d.Tuner.Active() }
 // Plan is handed.
 //
 // Deprecated: drop the call. It stays while benchmark/trace.go calls it
-// (ROADMAP.md, item 1(a)).
+// (ROADMAP.md, item 2(a)).
 func (d *DynP) NoteSubmit(*job.Job) {}
 
 // NoteRemove does nothing, like NoteSubmit.
 //
 // Deprecated: drop the call. It stays while benchmark/trace.go calls it
-// (ROADMAP.md, item 1(a)).
+// (ROADMAP.md, item 2(a)).
 func (d *DynP) NoteRemove(*job.Job) {}
 
 // TunerState implements core.Tuned: the tuner's decision state as a

@@ -20,11 +20,11 @@ import (
 // scheduling event one lane builds the candidate schedules, and each
 // driver scores them and decides with its own tuner state
 // (core.SelfTuner.Choose). While every choice launches the same (see
-// sameLaunch), the drivers share one engine and one event queue. Where
-// their launches differ, the trajectory splits before launching: each
-// part continues from a copy of the machine state, the pending
-// completions, the position in the submissions and the records so far,
-// launching its own schedule.
+// sameLaunch), the drivers share one engine. Where their launches differ,
+// the trajectory splits before launching: each part continues from a
+// copy of the machine state, whose running set in start order carries the
+// pending completions, the position in the submissions and the records
+// so far, launching its own schedule.
 // Every decision therefore sees exactly the inputs it would see alone.
 func RunGroup(set *job.Set, drivers []Driver) ([]*Result, error) {
 	if err := set.Validate(); err != nil {
@@ -205,8 +205,7 @@ func launches(dst []*job.Job, s *plan.Schedule, now int64) []*job.Job {
 // split parts the members of a trajectory whose group launched nothing
 // because their choices differ, by the jobs each choice starts. The
 // first part goes on here; every other part gets a copy of the engine's
-// state, the completion queue, the submission cursor and the records,
-// and is appended to work.
+// state, the submission cursor and the records, and is appended to work.
 // Each part then replans at the current instant, launching its schedule.
 func (t *trajectory) split(work *[]*trajectory) error {
 	g := t.group
@@ -227,14 +226,12 @@ func (t *trajectory) split(work *[]*trajectory) error {
 
 	for p := 1; p < len(parts); p++ {
 		f := &trajectory{
-			set:      t.set,
-			next:     t.next,
-			events:   t.events.Clone(),
-			records:  append(make([]Record, 0, len(t.set.Jobs)), t.records...),
-			makespan: t.makespan,
-			last:     t.last,
-			members:  pick(t.members, parts[p]),
-			resume:   true,
+			set:     t.set,
+			next:    t.next,
+			records: append(make([]Record, 0, len(t.set.Jobs)), t.records...),
+			last:    t.last,
+			members: pick(t.members, parts[p]),
+			resume:  true,
 		}
 		f.group = newGroup(f.members)
 		launch := *ss[reps[p]]

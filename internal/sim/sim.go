@@ -17,13 +17,14 @@
 // The scheduling mechanics — machine state, replan-and-launch, finish
 // transitions — live in internal/engine, shared with the online RMS
 // (internal/rms). Run is a thin virtual-clock harness over that engine:
-// it reads submissions off the job set in order and keeps the running
-// jobs' completions in a queue, jumps the engine's clock to each
-// instant, applies the instant's events, and triggers one shared
-// replanning step. RunGroup drives the same event loop for several
-// drivers at once, sharing one engine among drivers over the same
-// candidate policies for as long as they launch the same jobs
-// (group.go).
+// it reads submissions off the job set in order, jumps the engine's clock
+// to each instant — the next submission or the engine's next end, a
+// running job's start plus its run time (engine.NextEnd) — applies the
+// instant's events, and triggers one shared replanning step. The
+// engine's running set is the only record of when a running job ends.
+// RunGroup drives the same event loop for several drivers at once,
+// sharing one engine among drivers over the same candidate policies for
+// as long as they launch the same jobs (group.go).
 package sim
 
 import (
@@ -31,7 +32,6 @@ import (
 
 	"dynp/internal/core"
 	"dynp/internal/engine"
-	"dynp/internal/eventq"
 	"dynp/internal/job"
 	"dynp/internal/plan"
 	"dynp/internal/policy"
@@ -91,22 +91,15 @@ type Result struct {
 	Set       *job.Set
 	Scheduler string
 	Records   []Record // in completion order
-	Makespan  int64    // last completion time
+	Makespan  int64    // last completion time, the last event's instant
 	First     int64    // first submission time
 	Events    int      // scheduling events processed
 
 	// PolicyTime maps each policy to the simulated time it was active,
-	// weighted by the span between scheduling events; the tail from the
-	// last scheduling event to the makespan is attributed to the policy
-	// active then, so the spans always sum to Makespan - First. For
-	// static drivers it contains a single entry.
+	// weighted by the span between scheduling events. The last event is
+	// the last completion, so the spans always sum to Makespan - First.
+	// For static drivers it contains a single entry.
 	PolicyTime map[policy.Policy]int64
-}
-
-// event is a queued completion: the job and the instant it started.
-type event struct {
-	job   *job.Job
-	start int64
 }
 
 // runConfig collects the per-run options.
@@ -178,20 +171,17 @@ type member struct {
 }
 
 // trajectory is one history of the machine: an engine, the submissions
-// still to come, the running jobs' completions and the records of the
-// jobs finished so far. Every member's launches have been the same along
-// it; a group splits it where they differ (group.go), handing each part
-// a copy.
+// still to come and the records of the jobs finished so far. Every
+// member's launches have been the same along it; a group splits it where
+// they differ (group.go), handing each part a copy.
 type trajectory struct {
-	set      *job.Set
-	eng      *engine.Engine
-	next     int                 // set.Jobs[next:] are still to be submitted
-	events   eventq.Queue[event] // completions of the running jobs
-	records  []Record            // in completion order
-	makespan int64
-	last     int64 // the previous scheduling event's instant
-	members  []member
-	group    *group // the engine's driver when it plans for a group, else nil
+	set     *job.Set
+	eng     *engine.Engine
+	next    int      // set.Jobs[next:] are still to be submitted
+	records []Record // in completion order
+	last    int64    // the previous scheduling event's instant
+	members []member
+	group   *group // the engine's driver when it plans for a group, else nil
 
 	// resume marks a trajectory split at the current instant: its
 	// events are applied, its replan is still to come.
@@ -212,15 +202,14 @@ func newTrajectory(set *job.Set, members []member, driver Driver, cfg runConfig)
 	return t
 }
 
-// engineOptions configures the trajectory's engine: the engine launches
-// jobs, and the harness turns every launch into the completion event the
-// virtual clock already knows about.
+// engineOptions configures the trajectory's engine: launches are
+// strict, and every job that leaves the machine is recorded.
 func (t *trajectory) engineOptions(cfg runConfig) []engine.Option {
 	opts := []engine.Option{
 		engine.WithStrictLaunch(),
 		engine.WithHooks(engine.Hooks{
-			Started: func(j *job.Job, now int64) {
-				t.events.Push(now+j.Runtime, 0, event{j, now})
+			Finished: func(r plan.Running, _ engine.FinishState, now int64) {
+				t.records = append(t.records, Record{Job: r.Job, Start: r.Start, Finish: now})
 			},
 		}),
 	}
@@ -249,7 +238,7 @@ func simulate(t *trajectory) error {
 // group's members launch differently it splits, continuing with one part
 // and appending the others to work.
 func (t *trajectory) run(work *[]*trajectory) error {
-	for t.resume || t.events.Len() > 0 || t.next < len(t.set.Jobs) {
+	for t.resume || len(t.eng.Running()) > 0 || t.next < len(t.set.Jobs) {
 		if !t.resume {
 			t.advance(t.nextInstant())
 		}
@@ -271,22 +260,13 @@ func (t *trajectory) run(work *[]*trajectory) error {
 		}
 	}
 
-	// The last completion is itself a scheduling event, so this tail span
-	// is empty today: the makespan only advances on finish events, every
-	// finish is processed by an iteration above, and that iteration's
-	// span attribution already reaches now == makespan. The guard is kept
-	// so PolicyTime stays total by construction should the loop ever end
-	// before the makespan; TestPolicyTimeSpansTotal asserts the totality
-	// invariant either way.
-	if t.makespan > t.last {
-		t.attribute(t.makespan)
-	}
-
 	if len(t.records) != len(t.set.Jobs) {
 		return fmt.Errorf("sim: %d of %d jobs completed", len(t.records), len(t.set.Jobs))
 	}
+	// The last event of a run is a completion, so the makespan is its
+	// instant, which the span attribution has already reached.
 	for i, m := range t.members {
-		m.res.Records, m.res.Makespan = t.records, t.makespan
+		m.res.Records, m.res.Makespan = t.records, t.last
 		if i > 0 {
 			m.res.Records = append(make([]Record, 0, len(t.records)), t.records...)
 		}
@@ -298,13 +278,13 @@ func (t *trajectory) run(work *[]*trajectory) error {
 // next submission and the next completion. The caller guarantees there
 // is one.
 func (t *trajectory) nextInstant() int64 {
-	head, ok := t.events.Peek()
+	end, ok := t.eng.NextEnd()
 	if t.next < len(t.set.Jobs) {
-		if sub := t.set.Jobs[t.next].Submit; !ok || sub < head.Time {
+		if sub := t.set.Jobs[t.next].Submit; !ok || sub < end {
 			return sub
 		}
 	}
-	return head.Time
+	return end
 }
 
 // advance moves the trajectory to the instant now and applies every
@@ -317,20 +297,7 @@ func (t *trajectory) advance(now int64) {
 		t.attribute(now)
 	}
 	t.eng.JumpTo(now)
-	for ev, ok := t.events.PopIf(now); ok; ev, ok = t.events.PopIf(now) {
-		j := ev.Payload.job
-		if !t.eng.Finish(j.ID, engine.FinishCompleted) {
-			panic(fmt.Sprintf("sim: finish event for %s which is not running", j))
-		}
-		t.records = append(t.records, Record{
-			Job:    j,
-			Start:  ev.Payload.start,
-			Finish: now,
-		})
-		if now > t.makespan {
-			t.makespan = now
-		}
-	}
+	t.eng.FinishEnded(engine.FinishCompleted)
 	for ; t.next < len(t.set.Jobs) && t.set.Jobs[t.next].Submit == now; t.next++ {
 		t.eng.Submit(t.set.Jobs[t.next])
 	}

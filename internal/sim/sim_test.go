@@ -144,13 +144,10 @@ func TestPolicyTimeAccounting(t *testing.T) {
 // driver — including the self-tuning ones, whose active policy changes
 // mid-run — the per-policy spans must sum exactly to Makespan - First.
 //
-// This is the regression gate for Run's tail guard: on every real
-// workload the last event is a completion, Makespan only advances on
-// completions, and the completing iteration's span attribution already
-// reaches the makespan — so the guard itself is dead code and totality
-// holds by construction. The test asserts the invariant the guard
-// backstops, so a future loop restructure that CAN end before the
-// makespan (making the guard live) is still covered.
+// The last event of a run is a completion, so Run reads the makespan off
+// the last event's instant, which the span attribution reaches at every
+// event: totality holds by construction. A loop that could end before
+// its last completion fails here.
 func TestPolicyTimeSpansTotal(t *testing.T) {
 	drivers := []func() Driver{
 		func() Driver { return &Static{Policy: policy.FCFS} },

@@ -54,9 +54,10 @@ func BenchmarkOnlineLifecycle(b *testing.B) {
 // BenchmarkCheckpoint measures what a journal checkpoint costs under the
 // scheduling lock — capture the state, frame the record — at 1k, 10k and
 // 50k finished jobs, one more finishing per checkpoint as in a running
-// daemon. "spliced" is the journal's path (the history log encodes each
-// finished job once); "encoded" encodes the whole record afresh, as
-// encodeRecord does. A full 512-event trace ring is attached, as dynpd
+// daemon. "journal" is the journal's one path: appendCheckpointRecord
+// into a reused buffer, splicing the history log, which encodes each
+// finished job once. "json" is the reference: json.Marshal of the whole
+// record afresh. A full 512-event trace ring is attached, as dynpd
 // attaches one by default.
 func BenchmarkCheckpoint(b *testing.B) {
 	finished := func(i int) JobInfo {
@@ -64,12 +65,8 @@ func BenchmarkCheckpoint(b *testing.B) {
 			Submitted: int64(i) * 10, State: StateCompleted, Started: int64(i)*10 + 60, Finished: int64(i)*10 + 1200}
 	}
 	for _, n := range []int{1_000, 10_000, 50_000} {
-		for _, spliced := range []bool{true, false} {
-			name := fmt.Sprintf("encoded/done=%dk", n/1000)
-			if spliced {
-				name = fmt.Sprintf("spliced/done=%dk", n/1000)
-			}
-			b.Run(name, func(b *testing.B) {
+		for _, path := range []string{"journal", "json"} {
+			b.Run(fmt.Sprintf("%s/done=%dk", path, n/1000), func(b *testing.B) {
 				s, err := New(64, sim.NewDynP(core.Preferred{Policy: policy.SJF}), 0)
 				if err != nil {
 					b.Fatal(err)
@@ -96,6 +93,7 @@ func BenchmarkCheckpoint(b *testing.B) {
 					b.Fatal(err)
 				}
 				logged := len(s.doneLog)
+				var rec []byte
 				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
@@ -106,15 +104,13 @@ func BenchmarkCheckpoint(b *testing.B) {
 					if err != nil {
 						b.Fatal(err)
 					}
-					if spliced {
-						_, err = checkpointRecord(&cs, s.doneLog)
+					if path == "journal" {
+						rec = appendCheckpointRecord(rec[:0], &cs, s.doneLog)
 					} else {
-						_, err = encodeRecord(&journalLine{Checkpoint: &cs})
-					}
-					if err != nil {
-						b.Fatal(err)
+						rec = marshalRecord(b, &journalLine{Checkpoint: &cs})
 					}
 				}
+				codecSink = rec
 			})
 		}
 	}

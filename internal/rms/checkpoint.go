@@ -11,7 +11,6 @@ package rms
 
 import (
 	"cmp"
-	"encoding/json"
 	"fmt"
 	"slices"
 
@@ -28,8 +27,8 @@ import (
 // only a checkpoint carries — the event count, that decision state's
 // bytes, the transition counts by name. The finished history is shared,
 // not copied: cs.Done is the image's alias, and s.doneLog is brought up
-// to the same length, ready for checkpointRecord to splice. Callers hold
-// the scheduling lock.
+// to the same length, ready for appendCheckpointRecord to splice. Callers
+// hold the scheduling lock.
 func (s *Scheduler) captureCheckpointLocked(events int64) (checkpointState, error) {
 	img := s.imageLocked(true)
 	if img.driverErr != nil {
@@ -135,7 +134,7 @@ func (s *Scheduler) restoreCheckpoint(cs *checkpointState) error {
 	var tuner *core.TunerState
 	if len(cs.Driver) > 0 {
 		tuner = new(core.TunerState)
-		if err := json.Unmarshal(cs.Driver, tuner); err != nil {
+		if err := tuner.UnmarshalJSON(cs.Driver); err != nil {
 			return fmt.Errorf("rms: checkpoint restore: driver state: %w", err)
 		}
 	}

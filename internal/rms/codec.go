@@ -1,6 +1,6 @@
 // The wire codec: the JSON bytes of dynpd's hot messages — Request,
-// Response with its JobInfo, Status and Quote payloads — and of the
-// journal's event records, without reflection.
+// Response with its JobInfo, Status and Quote payloads — and of every
+// journal record, without reflection.
 //
 // encoding/json stays the reference. The appenders reproduce
 // json.Marshal's output byte for byte; a string with anything to escape
@@ -8,11 +8,12 @@
 // a Response (report, trace, metrics, health, policies, deciders). The
 // parser reads the canonical form the appenders emit: keys exactly as
 // tagged and in declaration order, no whitespace, strings without
-// escapes, integers without fraction or exponent. On anything else it
-// hands the whole input to encoding/json, which then decides the value
-// and words every error, so a client that writes its JSON differently
-// sees the protocol it always did. FuzzWireCodec holds both directions
-// to encoding/json.
+// escapes, integers without fraction or exponent. On a message that
+// departs from it, it hands the whole input to encoding/json, which then
+// decides the value and words every error, so a client that writes its
+// JSON differently sees the protocol it always did. A journal record that
+// departs from it is invalid. FuzzWireCodec holds both directions to
+// encoding/json.
 package rms
 
 import (
@@ -20,6 +21,7 @@ import (
 	"encoding/json"
 	"hash/crc32"
 	"math"
+	"slices"
 	"strconv"
 	"unicode/utf8"
 
@@ -88,17 +90,74 @@ func appendRequest(b []byte, r *Request) []byte {
 	return append(b, '}')
 }
 
-// appendEventRecord appends ev's journal record, framed as
-// encodeRecord(&journalLine{Event: ev}) frames it: checksum, space,
-// payload, newline. No journaled op reads n or count; the record leaves
-// them out.
+// appendEventRecord appends ev's journal record: checksum, space,
+// payload, newline, the payload json.Marshal's of journalLine{Event: ev}.
+// No journaled op reads n or count; the record leaves them out.
 func appendEventRecord(b []byte, ev *Request) []byte {
 	at := len(b)
-	b = append(b, "00000000 "...) // the checksum's place, filled in below
 	r := *ev
 	r.N, r.Count = 0, 0
-	b = appendRequest(append(b, `{"event":`...), &r)
-	b = append(b, '}')
+	b = appendRequest(append(b, "00000000 {\"event\":"...), &r)
+	return sealRecord(append(b, '}'), at)
+}
+
+// appendHeaderRecord appends h's journal record, framed as
+// appendEventRecord frames an event's.
+func appendHeaderRecord(b []byte, h *journalHeader) []byte {
+	at := len(b)
+	b = appendInt(b, "00000000 {\"header\":{\"version\":", int64(h.Version))
+	b = appendInt(b, `,"capacity":`, int64(h.Capacity))
+	b = appendString(append(b, `,"scheduler":`...), h.Scheduler)
+	b = appendInt(b, `,"start":`, h.Start)
+	b = appendInt(b, `,"segment":`, int64(h.Segment))
+	if h.Checkpoint {
+		b = append(b, `,"checkpoint":true`...)
+	}
+	return sealRecord(append(b, "}}"...), at)
+}
+
+// appendCheckpointRecord appends cs's journal record, framed as
+// appendEventRecord frames an event's, without encoding the finished
+// history again: done, the JSON of cs.Done's jobs comma-joined (the
+// scheduler's doneLog), is spliced in as it is, and so is cs.Driver, the
+// tuner's own json.Marshal output.
+func appendCheckpointRecord(b []byte, cs *checkpointState, done []byte) []byte {
+	at := len(b)
+	b = appendInt(b, "00000000 {\"checkpoint\":{\"events\":", cs.Events)
+	b = appendInt(b, `,"now":`, cs.Now)
+	b = appendInt(b, `,"next_id":`, cs.NextID)
+	b = appendInt(b, `,"failed":`, int64(cs.Failed))
+	if len(cs.Waiting) > 0 {
+		b = appendJobInfos(append(b, `,"waiting":`...), cs.Waiting)
+	}
+	if len(cs.Running) > 0 {
+		b = appendJobInfos(append(b, `,"running":`...), cs.Running)
+	}
+	if len(done) > 0 {
+		b = append(append(append(b, `,"done":[`...), done...), ']')
+	}
+	if len(cs.Driver) > 0 {
+		b = append(append(b, `,"driver":`...), cs.Driver...)
+	}
+	if len(cs.Transitions) > 0 {
+		sep, names := byte('{'), make([]string, 0, len(cs.Transitions))
+		for name := range cs.Transitions {
+			names = append(names, name)
+		}
+		slices.Sort(names) // json.Marshal's order
+		b = append(b, `,"transitions":`...)
+		for _, name := range names {
+			b = strconv.AppendInt(append(appendString(append(b, sep), name), ':'), cs.Transitions[name], 10)
+			sep = ','
+		}
+		b = append(b, '}')
+	}
+	return sealRecord(append(b, "}}"...), at)
+}
+
+// sealRecord completes the record begun at b[at:], a checksum's place
+// and its payload: it fills in the payload's checksum and ends the line.
+func sealRecord(b []byte, at int) []byte {
 	var sum [9]byte
 	copy(b[at:], appendChecksum(sum[:0], crc32.Checksum(b[at+9:], crcTable)))
 	return append(b, '\n')
@@ -248,17 +307,29 @@ func parseResponse(b []byte, r *Response) bool {
 	return p.done()
 }
 
-// parseEventRecord reads the canonical payload of a journal event record
-// into a zero ev. False means the input is not a canonical event record
-// and ev holds a partial read.
-func parseEventRecord(b []byte, ev *Request) bool {
+// parseRecord reads the canonical payload of a journal record into l, zero
+// but for an Event to read an event into. False means the input is not
+// one, or sets other than one of l's fields, and l holds a partial read.
+func parseRecord(b []byte, l *journalLine) bool {
 	p := parser{b: b}
-	found := false
-	p.object(eventRecordKeys, func(int) {
-		found = true
-		p.request(ev)
+	set := 0
+	p.object(recordKeys, func(k int) {
+		set++
+		switch k {
+		case 0:
+			l.Header = new(journalHeader)
+			p.header(l.Header)
+		case 1:
+			if l.Event == nil {
+				l.Event = new(Request)
+			}
+			p.request(l.Event)
+		case 2:
+			l.Checkpoint = new(checkpointState)
+			p.checkpoint(l.Checkpoint)
+		}
 	})
-	return p.done() && found
+	return p.done() && set == 1
 }
 
 // parser reads the canonical form into fresh values. Any departure from
@@ -513,13 +584,15 @@ func (p *parser) skip() {
 }
 
 var (
-	requestKeys     = fields("op", "width", "estimate", "id", "to", "procs", "n", "count", "completions", "subs")
-	submissionKeys  = fields("width", "estimate")
-	eventRecordKeys = fields("event")
-	jobInfoKeys     = fields("ID", "Width", "Estimate", "Submitted", "State", "PlannedStart", "Started", "Finished")
-	statusKeys      = fields("Now", "Capacity", "FailedProcs", "UsedProcs", "ActivePolicy", "Scheduler", "Waiting", "Running", "Finished")
-	quoteKeys       = fields("width", "estimate", "start", "finish", "wait")
-	responseKeys    = fields("ok", "error", "busy", "job", "jobs", "status", "finished", "report", "trace", "metrics", "health", "policies", "deciders", "quotes", "now")
+	requestKeys    = fields("op", "width", "estimate", "id", "to", "procs", "n", "count", "completions", "subs")
+	submissionKeys = fields("width", "estimate")
+	recordKeys     = fields("header", "event", "checkpoint")
+	headerKeys     = fields("version", "capacity", "scheduler", "start", "segment", "checkpoint")
+	checkpointKeys = fields("events", "now", "next_id", "failed", "waiting", "running", "done", "driver", "transitions")
+	jobInfoKeys    = fields("ID", "Width", "Estimate", "Submitted", "State", "PlannedStart", "Started", "Finished")
+	statusKeys     = fields("Now", "Capacity", "FailedProcs", "UsedProcs", "ActivePolicy", "Scheduler", "Waiting", "Running", "Finished")
+	quoteKeys      = fields("width", "estimate", "start", "finish", "wait")
+	responseKeys   = fields("ok", "error", "busy", "job", "jobs", "status", "finished", "report", "trace", "metrics", "health", "policies", "deciders", "quotes", "now")
 )
 
 func (p *parser) request(r *Request) {
@@ -660,6 +733,52 @@ func (p *parser) response(r *Response) {
 			r.Quotes = list(p, p.quote)
 		case 14:
 			r.Now = p.int64()
+		}
+	})
+}
+
+// header reads a journal header. The scheduler's name goes through
+// encoding/json: a registered policy or decider may name it anything.
+func (p *parser) header(h *journalHeader) {
+	p.object(headerKeys, func(k int) {
+		switch k {
+		case 0:
+			h.Version = p.int()
+		case 1:
+			h.Capacity = p.int()
+		case 2:
+			p.rare(&h.Scheduler)
+		case 3:
+			h.Start = p.int64()
+		case 4:
+			h.Segment = p.int()
+		case 5:
+			h.Checkpoint = p.bool()
+		}
+	})
+}
+
+func (p *parser) checkpoint(cs *checkpointState) {
+	p.object(checkpointKeys, func(k int) {
+		switch k {
+		case 0:
+			cs.Events = p.int64()
+		case 1:
+			cs.Now = p.int64()
+		case 2:
+			cs.NextID = p.int64()
+		case 3:
+			cs.Failed = p.int()
+		case 4:
+			cs.Waiting = list(p, p.jobInfo)
+		case 5:
+			cs.Running = list(p, p.jobInfo)
+		case 6:
+			cs.Done = list(p, p.jobInfo)
+		case 7:
+			p.rare(&cs.Driver)
+		case 8:
+			p.rare(&cs.Transitions)
 		}
 	})
 }

@@ -125,9 +125,7 @@ func TestWireFastPath(t *testing.T) {
 		var records [][]byte
 		segments, _ := end.fs.ReadDir(".")
 		for _, seg := range segments {
-			for _, rec := range lines(end.fs.files[seg.Name()]) {
-				records = append(records, rec[9:]) // past the checksum
-			}
+			records = append(records, lines(end.fs.files[seg.Name()])...)
 		}
 		for _, line := range lines(ds.wire.in.Bytes()) {
 			requests++
@@ -149,21 +147,20 @@ func TestWireFastPath(t *testing.T) {
 				t.Fatalf("response %s: parsed %+v, encoding/json %+v (%v)", line, fast, ref, err)
 			}
 		}
-		for _, payload := range records {
+		for _, rec := range records {
 			var ref journalLine
-			if err := json.Unmarshal(payload, &ref); err != nil {
-				t.Fatalf("journal record %s: %v", payload, err)
+			if err := json.Unmarshal(rec[9:], &ref); err != nil { // past the checksum
+				t.Fatalf("journal record %s: %v", rec, err)
 			}
-			if ref.Event == nil {
-				continue // a header or a checkpoint
+			got, ok := decodeRecord(rec)
+			if !ok {
+				t.Fatalf("journal record does not read: %s", rec)
 			}
-			events++
-			var ev Request
-			if !parseEventRecord(payload, &ev) {
-				t.Fatalf("journal event handed off: %s", payload)
+			if !reflect.DeepEqual(got, ref) {
+				t.Fatalf("journal record %s: read %+v, encoding/json %+v", rec, got, ref)
 			}
-			if !reflect.DeepEqual(ev, *ref.Event) {
-				t.Fatalf("journal event %s: parsed %+v, encoding/json %+v", payload, ev, *ref.Event)
+			if ref.Event != nil {
+				events++
 			}
 		}
 	}
@@ -247,6 +244,26 @@ func (g *wireGen) jobInfo() JobInfo {
 		State: JobState(g.int()), PlannedStart: g.int(), Started: g.int(), Finished: g.int()}
 }
 
+// checkpoint builds a checkpoint state: its driver state is JSON as the
+// tuner writes it, and its transition counts are keyed by any string.
+func (g *wireGen) checkpoint(t *testing.T) checkpointState {
+	cs := checkpointState{Events: g.int(), Now: g.int(), NextID: g.int(), Failed: int(g.int()),
+		Waiting: genList(g, g.jobInfo), Running: genList(g, g.jobInfo), Done: genList(g, g.jobInfo)}
+	if g.next()%2 == 0 {
+		var err error
+		if cs.Driver, err = json.Marshal(map[string]any{"active": g.str(), "cases": map[string]int64{g.str(): g.int()}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := g.n(); n >= 0 {
+		cs.Transitions = make(map[string]int64)
+		for range n {
+			cs.Transitions[g.str()] = g.int()
+		}
+	}
+	return cs
+}
+
 func (g *wireGen) request() Request {
 	return Request{Op: g.str(), Width: int(g.int()), Estimate: g.int(), ID: g.int(), To: g.int(),
 		Procs: int(g.int()), N: int(g.int()), Count: int(g.int()),
@@ -316,7 +333,8 @@ func checkDecode(t *testing.T, line []byte, canonical bool) {
 	}
 
 	var ev Request
-	evOK := parseEventRecord(line, &ev)
+	l := journalLine{Event: &ev}
+	evOK := parseRecord(line, &l) && l.Header == nil && l.Checkpoint == nil
 	var rec journalLine
 	recErr := json.Unmarshal(line, &rec)
 	if evOK && (recErr != nil || rec.Header != nil || rec.Checkpoint != nil || rec.Event == nil || !reflect.DeepEqual(ev, *rec.Event)) {
@@ -335,6 +353,52 @@ func checkDecode(t *testing.T, line []byte, canonical bool) {
 	}
 }
 
+// checkRecord holds rec, the journal's record of l, to json.Marshal's
+// framing of l, and its reading back to json.Unmarshal's: decodeRecord
+// reads what json.Unmarshal reads, and that appends to rec again unless
+// json.Marshal replaced invalid UTF-8 in l. An event whose op needed
+// escaping is the one record the codec does not read: every journaled op
+// is a listed name.
+func checkRecord(t *testing.T, rec []byte, l *journalLine) {
+	t.Helper()
+	if want := marshalRecord(t, l); !bytes.Equal(rec, want) {
+		t.Fatalf("journal record:\n appended %s\n  marshal %s", rec, want)
+	}
+	got, ok := decodeRecord(rec[:len(rec)-1])
+	if !ok {
+		if l.Event == nil || !bytes.ContainsRune(rec, '\\') {
+			t.Fatalf("journal record %s does not read back", rec)
+		}
+		return
+	}
+	var ref journalLine
+	if err := json.Unmarshal(rec[9:len(rec)-1], &ref); err != nil || !reflect.DeepEqual(got, ref) {
+		t.Fatalf("journal record %s:\n read %+v\n json %+v (%v)", rec, got, ref, err)
+	}
+	if again := appendRecord(nil, &got); !bytes.Equal(again, rec) && !bytes.Contains(rec, []byte(`\ufffd`)) {
+		t.Fatalf("journal record %s reads back as %+v, which appends as %s", rec, got, again)
+	}
+}
+
+// appendRecord appends l's record as the journal does, a checkpoint's
+// history log made from its Done list.
+func appendRecord(b []byte, l *journalLine) []byte {
+	switch {
+	case l.Header != nil:
+		return appendHeaderRecord(b, l.Header)
+	case l.Event != nil:
+		return appendEventRecord(b, l.Event)
+	}
+	var done []byte
+	for i := range l.Checkpoint.Done {
+		if i > 0 {
+			done = append(done, ',')
+		}
+		done = appendJobInfo(done, &l.Checkpoint.Done[i])
+	}
+	return appendCheckpointRecord(b, l.Checkpoint, done)
+}
+
 // roomy reports whether s has capacity beyond its length.
 func roomy[T any](s []T) bool { return cap(s) != len(s) }
 
@@ -344,7 +408,8 @@ func roomy[T any](s []T) bool { return cap(s) != len(s) }
 // values built from the input — strings with <>&, quotes, control bytes,
 // invalid UTF-8 and U+2028 among them — every appender's bytes are
 // json.Marshal's, and read back without the hand-off unless a string in
-// them needed escaping.
+// them needed escaping. Every journal record — header, event, checkpoint —
+// is json.Marshal's framed, and reads back (checkRecord).
 func FuzzWireCodec(f *testing.F) {
 	for _, line := range nonCanonical {
 		f.Add([]byte(line), "", int64(0), int64(0))
@@ -380,22 +445,23 @@ func FuzzWireCodec(f *testing.F) {
 		st := Status{Now: g.int(), ActivePolicy: g.str(), Scheduler: g.str(), Waiting: genList(g, g.jobInfo)}
 		check("status", appendStatus(nil, &st), &st)
 
-		// The record of a request is that of the request less n and count.
+		// Each record is appended behind bytes already in the buffer. The
+		// record of a request is that of the request less n and count.
 		ev := req
 		ev.N, ev.Count = 0, 0
-		rec := appendEventRecord([]byte("prefix"), &req)
-		want, err := encodeRecord(&journalLine{Event: &ev})
-		if err != nil {
-			t.Fatal(err)
+		h := journalHeader{Version: int(g.int()), Capacity: int(g.int()), Scheduler: g.str(), Start: g.int(),
+			Segment: int(g.int()), Checkpoint: g.next()%2 == 0}
+		cs := g.checkpoint(t)
+		rec := appendEventRecord([]byte("prefix"), &req)[len("prefix"):]
+		checkRecord(t, rec, &journalLine{Event: &ev})
+		checkDecode(t, rec[9:len(rec)-1], !bytes.ContainsRune(rec, '\\'))
+		for _, l := range []journalLine{{Header: &h}, {Checkpoint: &cs}} {
+			checkRecord(t, appendRecord([]byte("prefix"), &l)[len("prefix"):], &l)
 		}
-		if !bytes.Equal(rec[len("prefix"):], want) {
-			t.Fatalf("event record:\n appended %s\n  encoded %s", rec[len("prefix"):], want)
-		}
-		checkDecode(t, want[9:len(want)-1], !bytes.ContainsRune(want, '\\'))
 
 		resp := g.response()
 		got, gotErr := appendResponse(nil, &resp)
-		want, wantErr := json.Marshal(&resp)
+		_, wantErr := json.Marshal(&resp)
 		if (gotErr != nil) != (wantErr != nil) {
 			t.Fatalf("response: append error %v, json.Marshal error %v", gotErr, wantErr)
 		}
@@ -435,7 +501,7 @@ func TestWireDecodeAllocs(t *testing.T) {
 		}
 		line := appendRequest(nil, &r)
 		rec := appendEventRecord(nil, &r)
-		payload := rec[9 : len(rec)-1]
+		rec = rec[:len(rec)-1]
 		var into Request
 		req = testing.AllocsPerRun(100, func() {
 			into = Request{}
@@ -445,8 +511,8 @@ func TestWireDecodeAllocs(t *testing.T) {
 		})
 		ev = testing.AllocsPerRun(100, func() {
 			into = Request{}
-			if !parseEventRecord(payload, &into) {
-				t.Fatalf("journal event handed off: %s", payload)
+			if !decodeEvent(rec, &into) {
+				t.Fatalf("journal event does not read: %s", rec)
 			}
 		})
 		return req, ev

@@ -2,8 +2,6 @@ package rms
 
 import (
 	"encoding/json"
-	"os"
-	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
@@ -77,8 +75,9 @@ func planNsZeroed(evs []TraceEvent) []TraceEvent {
 
 // TestReplayGenesisRefusesTamperedCounts rewrites a journaled checkpoint,
 // with a valid checksum, so that one transition count or one decision
-// case count is off by one. The genesis audit rebuilds the counts from
-// the events and must refuse the checkpoint.
+// case count is off by one, or the transition counts or the decision case
+// counts are gone. The genesis audit rebuilds the counts from the events
+// and must refuse the checkpoint.
 func TestReplayGenesisRefusesTamperedCounts(t *testing.T) {
 	for _, tc := range []struct {
 		name  string
@@ -86,26 +85,15 @@ func TestReplayGenesisRefusesTamperedCounts(t *testing.T) {
 	}{
 		{"transition", func(cs *checkpointState) { cs.Transitions["submit"]++ }},
 		{"case", func(cs *checkpointState) {
-			var st map[string]json.RawMessage
-			var cases map[string]int
-			if err := json.Unmarshal(cs.Driver, &st); err != nil {
-				t.Fatal(err)
-			}
-			if err := json.Unmarshal(st["cases"], &cases); err != nil || len(cases) == 0 {
-				t.Fatalf("no case counts to alter in %s (%v)", cs.Driver, err)
-			}
-			for label := range cases {
-				cases[label]++
-				break
-			}
-			var err error
-			if st["cases"], err = json.Marshal(cases); err != nil {
-				t.Fatal(err)
-			}
-			if cs.Driver, err = json.Marshal(st); err != nil {
-				t.Fatal(err)
-			}
+			patchCases(t, cs, func(cases map[string]int) {
+				for label := range cases {
+					cases[label]++
+					break
+				}
+			})
 		}},
+		{"dropped transitions", func(cs *checkpointState) { cs.Transitions = nil }},
+		{"dropped cases", func(cs *checkpointState) { patchCases(t, cs, nil) }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			fs := journalStream(t, 8).fs
@@ -116,101 +104,37 @@ func TestReplayGenesisRefusesTamperedCounts(t *testing.T) {
 				tc.patch(l.Checkpoint)
 			})
 			if _, _, _, err := replayStream(fs, true); err == nil || !strings.Contains(err.Error(), "diverges") {
-				t.Fatalf("genesis replay of a checkpoint with a tampered %s count: %v, want a divergence", tc.name, err)
+				t.Fatalf("genesis replay of a checkpoint tampered with (%s): %v, want a divergence", tc.name, err)
 			}
 		})
 	}
 }
 
-// TestReplayRestoresObserverCheckpoint replays a journal written by a
-// build that checkpointed the event trace's state in an "observers"
-// field (testdata/observers-journal: 40 random events on 8 processors,
-// SJF-preferred dynP, a checkpoint every 8 events, a 64-event trace
-// attached). The field is ignored: the restored scheduler answers as one
-// that replayed the fixture from genesis — an audit that verifies each
-// of its checkpoints but for the counts they do not carry — and its
-// counts start from zero at the newest checkpoint, which carries none. Each of the
-// fixture's checkpoints also carries the plan record this build no longer
-// writes, the plan in force by job ID: a scheduler restored from one
-// plans each waiting job at the start the record gives it, off the
-// waiting jobs' own planned starts.
-func TestReplayRestoresObserverCheckpoint(t *testing.T) {
-	src := filepath.Join("testdata", "observers-journal")
-	entries, err := os.ReadDir(src)
-	if err != nil {
+// patchCases has patch change the Table 1 case counts in cs's driver
+// state, or with a nil patch deletes them.
+func patchCases(t *testing.T, cs *checkpointState, patch func(cases map[string]int)) {
+	t.Helper()
+	var st map[string]json.RawMessage
+	var cases map[string]int
+	if err := json.Unmarshal(cs.Driver, &st); err != nil {
 		t.Fatal(err)
 	}
-	fixture := &memFS{files: map[string][]byte{}}
-	for _, e := range entries {
-		data, err := os.ReadFile(filepath.Join(src, e.Name()))
+	if err := json.Unmarshal(st["cases"], &cases); err != nil || len(cases) == 0 {
+		t.Fatalf("no case counts to alter in %s (%v)", cs.Driver, err)
+	}
+	if patch == nil {
+		delete(st, "cases")
+	} else {
+		patch(cases)
+		b, err := json.Marshal(cases)
 		if err != nil {
 			t.Fatal(err)
 		}
-		fixture.files[e.Name()] = data
+		st["cases"] = b
 	}
-	if !strings.Contains(string(fixture.files[journalPath]), `"observers":[{"key":"trace"`) {
-		t.Fatal("the fixture's newest checkpoint carries no observer state")
-	}
-
-	s, err := New(8, newDynP(), 0)
+	b, err := json.Marshal(st)
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.AddObserver(NewEventTrace(64))
-	jr, err := OpenJournalFS(fixture, journalPath)
-	if err == nil {
-		_, err = jr.Replay(s)
-	}
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, _, _, err := replayJournal(8, newDynP(), fixture, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got, w := fingerprint(t, s), fingerprint(t, want); got != w {
-		t.Fatalf("restored from the observer checkpoint\n got %s\nwant %s", got, w)
-	}
-
-	checked := 0
-	for name, data := range fixture.files {
-		for _, line := range strings.Split(strings.TrimSuffix(string(data), "\n"), "\n") {
-			l, ok := decodeRecord([]byte(line))
-			if !ok || l.Checkpoint == nil {
-				continue
-			}
-			var old struct {
-				Checkpoint struct {
-					Plan *struct{ Entries []struct{ ID, Start int64 } }
-				}
-			}
-			if err := json.Unmarshal([]byte(line[9:]), &old); err != nil || old.Checkpoint.Plan == nil {
-				t.Fatalf("%s: checkpoint without a plan record: %v", name, err)
-			}
-			planned := make(map[int64]int64)
-			for _, pe := range old.Checkpoint.Plan.Entries {
-				planned[pe.ID] = pe.Start
-			}
-			r, err := New(8, newDynP(), 0)
-			if err == nil {
-				err = r.restoreCheckpoint(l.Checkpoint)
-			}
-			if err != nil {
-				t.Fatalf("%s: %v", name, err)
-			}
-			for _, w := range r.Status().Waiting {
-				start, ok := planned[int64(w.ID)]
-				if !ok {
-					start = NeverStart
-				}
-				if w.PlannedStart != start {
-					t.Errorf("%s: job %d restored with planned start %d, its plan record says %d", name, w.ID, w.PlannedStart, start)
-				}
-				checked++
-			}
-		}
-	}
-	if checked == 0 {
-		t.Fatal("no checkpoint of the fixture has a waiting job")
-	}
+	cs.Driver = b
 }

@@ -2,14 +2,15 @@
 // journal with periodic checkpoint-restore points, segment rotation and
 // per-record checksums.
 //
-// On-disk format (version 2). A journal is a family of files: the
+// On-disk format (version 3). A journal is a family of files: the
 // active segment at `path` plus zero or more rotated segments at
 // `path.<seq>`. Every record is one line of the form
 //
 //	crc32c-hex(8) SP json LF
 //
 // where the checksum covers the JSON payload, so any torn, flipped or
-// truncated record is detected instead of parsed. The first record of
+// truncated record is detected instead of parsed; the wire codec
+// (codec.go) writes and reads every record. The first record of
 // every segment is a header pinning the scheduler configuration and the
 // segment's sequence number; segment 0 is the genesis segment. Event
 // records are written and flushed *before* the event mutates scheduler
@@ -69,9 +70,9 @@ import (
 )
 
 // journalVersion identifies the on-disk format. Version 2 added record
-// checksums, segment rotation and restorable checkpoints; version 1
-// files are refused (their records carry no checksums to trust).
-const journalVersion = 2
+// checksums, segment rotation and restorable checkpoints; version 3 drops
+// the fields older builds wrote into checkpoints. Older files are refused.
+const journalVersion = 3
 
 // DefaultSnapshotEvery is the default number of events between
 // checkpoints (and therefore segment rotations) in the journal.
@@ -135,59 +136,6 @@ type journalLine struct {
 
 var crcTable = crc32.MakeTable(crc32.Castagnoli)
 
-// encodeRecord frames one journal line: checksum, space, payload,
-// newline.
-func encodeRecord(l *journalLine) ([]byte, error) {
-	payload, err := json.Marshal(l)
-	if err != nil {
-		return nil, err
-	}
-	buf := appendChecksum(make([]byte, 0, len(payload)+10), crc32.Checksum(payload, crcTable))
-	buf = append(buf, payload...)
-	buf = append(buf, '\n')
-	return buf, nil
-}
-
-// checkpointRecord frames cs as encodeRecord(&journalLine{Checkpoint: cs})
-// does, byte for byte, without encoding the finished history again: done
-// holds the JSON of cs.Done's jobs, comma-joined (the scheduler's doneLog),
-// and is spliced between the encoded head of the checkpoint (events up to
-// running) and its tail (driver and transitions). The record comes
-// back in pieces, to be written in order.
-func checkpointRecord(cs *checkpointState, done []byte) ([][]byte, error) {
-	if (len(cs.Done) > 0) != (len(done) > 0) {
-		return nil, fmt.Errorf("checkpoint holds %d finished jobs, history log %d bytes", len(cs.Done), len(done))
-	}
-	// Every field after running is omitempty, so the head alone encodes as
-	// the full record's prefix, and the record without its history as that
-	// prefix followed by the tail.
-	head, rest := *cs, *cs
-	head.Done, head.Driver, head.Transitions = nil, nil, nil
-	rest.Done = nil
-	h, err := json.Marshal(&head)
-	if err != nil {
-		return nil, err
-	}
-	r, err := json.Marshal(&rest)
-	if err != nil {
-		return nil, err
-	}
-	cut := len(h) - 1 // before the head's closing brace
-	if !bytes.HasPrefix(r, h[:cut]) {
-		return nil, fmt.Errorf("checkpoint head does not prefix its record")
-	}
-	payload := [][]byte{[]byte(`{"checkpoint":`), r[:cut]}
-	if len(done) > 0 {
-		payload = append(payload, []byte(`,"done":[`), done, []byte(`]`))
-	}
-	payload = append(payload, r[cut:], []byte(`}`))
-	crc := uint32(0)
-	for _, p := range payload {
-		crc = crc32.Update(crc, crcTable, p)
-	}
-	return append(append([][]byte{appendChecksum(nil, crc)}, payload...), []byte("\n")), nil
-}
-
 // appendChecksum appends a record's checksum field: the payload's
 // CRC32C as eight hex digits, then a space.
 func appendChecksum(buf []byte, crc uint32) []byte {
@@ -201,8 +149,8 @@ func recordPayload(b []byte) ([]byte, bool) {
 	if len(b) < 10 || b[8] != ' ' {
 		return nil, false
 	}
-	sum, err := hex.DecodeString(string(b[:8]))
-	if err != nil {
+	var sum [4]byte
+	if _, err := hex.Decode(sum[:], b[:8]); err != nil {
 		return nil, false
 	}
 	payload := b[9:]
@@ -214,44 +162,22 @@ func recordPayload(b []byte) ([]byte, bool) {
 }
 
 // decodeRecord validates and decodes one record line (without its
-// newline): checksum intact, payload well-formed, exactly one field.
+// newline): checksum intact, payload canonical, exactly one field.
 func decodeRecord(b []byte) (journalLine, bool) {
 	var l journalLine
-	payload, ok := recordPayload(b)
-	if !ok {
-		return l, false
+	if payload, ok := recordPayload(b); ok && parseRecord(payload, &l) {
+		return l, true
 	}
-	if ev := new(Request); parseEventRecord(payload, ev) {
-		return journalLine{Event: ev}, true
-	}
-	if err := json.Unmarshal(payload, &l); err != nil {
-		return l, false
-	}
-	set := 0
-	if l.Header != nil {
-		set++
-	}
-	if l.Event != nil {
-		set++
-	}
-	if l.Checkpoint != nil {
-		set++
-	}
-	return l, set == 1
+	return l, false
 }
 
 // decodeEvent decodes an event record line into a zero ev, as decodeRecord
-// would, and reports whether it is one. A canonical record allocates
-// nothing but its lists: replay reads every event through it.
+// would, and reports whether it is one. It allocates nothing but the
+// event's lists: replay reads every event through it.
 func decodeEvent(b []byte, ev *Request) bool {
-	if payload, ok := recordPayload(b); ok && parseEventRecord(payload, ev) {
-		return true
-	}
-	l, ok := decodeRecord(b)
-	if ok && l.Event != nil {
-		*ev = *l.Event
-	}
-	return ok && l.Event != nil
+	l := journalLine{Event: ev}
+	payload, ok := recordPayload(b)
+	return ok && parseRecord(payload, &l) && l.Header == nil && l.Checkpoint == nil
 }
 
 // record is one raw line of a segment file.
@@ -394,7 +320,7 @@ type Journal struct {
 	// drops the ladder, which no longer matches the file.
 	ladder    []*segScan
 	ladderErr error
-	rec       []byte // the event record being appended, reused append after append
+	rec       []byte // the record being written, reused record after record
 
 	// err is the sticky failure; once set the journal refuses further
 	// appends. Set under mu (see fail) but read without it (see Err), so
@@ -692,11 +618,8 @@ func (j *Journal) writeHeader(h journalHeader) error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	h.Segment = j.seg
-	line, err := encodeRecord(&journalLine{Header: &h})
-	if err != nil {
-		return j.fail(fmt.Errorf("rms: journal encode: %w", err))
-	}
-	if err := j.publish(j.seg, false, line); err != nil {
+	j.rec = appendHeaderRecord(j.rec[:0], &h)
+	if err := j.publish(j.seg, false, j.rec); err != nil {
 		return err
 	}
 	j.header = &h
@@ -757,8 +680,8 @@ func (j *Journal) maybeCheckpoint(s *Scheduler) {
 
 // rotateLocked seals the active segment and publishes its successor
 // headed by the given checkpoint, whose finished history done holds
-// encoded (see checkpointRecord). Any failure is sticky. Callers hold
-// j.mu.
+// encoded (see appendCheckpointRecord). Any failure is sticky. Callers
+// hold j.mu.
 func (j *Journal) rotateLocked(cs *checkpointState, done []byte) {
 	// Seal: everything the clients were acknowledged for must be durable
 	// before the old segment becomes immutable.
@@ -773,17 +696,8 @@ func (j *Journal) rotateLocked(cs *checkpointState, done []byte) {
 	h := *j.header
 	h.Segment = j.seg + 1
 	h.Checkpoint = true
-	hl, err := encodeRecord(&journalLine{Header: &h})
-	if err != nil {
-		j.fail(fmt.Errorf("rms: journal encode: %w", err))
-		return
-	}
-	cl, err := checkpointRecord(cs, done)
-	if err != nil {
-		j.fail(fmt.Errorf("rms: journal encode: %w", err))
-		return
-	}
-	if j.publish(h.Segment, true, append([][]byte{hl}, cl...)...) != nil {
+	j.rec = appendCheckpointRecord(appendHeaderRecord(j.rec[:0], &h), cs, done)
+	if j.publish(h.Segment, true, j.rec) != nil {
 		return
 	}
 	j.sinceCheckpoint = 0
@@ -802,7 +716,7 @@ func (j *Journal) rotateLocked(cs *checkpointState, done []byte) {
 // one between the renames leaves a whole side file with no active
 // segment; recover settles both. Any failure is sticky. Callers hold
 // j.mu.
-func (j *Journal) publish(seg int, sealed bool, recs ...[]byte) error {
+func (j *Journal) publish(seg int, sealed bool, recs []byte) error {
 	fail := func(stage string, err error) error {
 		return j.fail(fmt.Errorf("rms: journal %s: %w", stage, err))
 	}
@@ -811,11 +725,8 @@ func (j *Journal) publish(seg int, sealed bool, recs ...[]byte) error {
 	if err != nil {
 		return fail("create", err)
 	}
-	w, size := bufio.NewWriter(f), int64(0)
-	for _, b := range recs {
-		w.Write(b) // a write error stays in w for Flush to return
-		size += int64(len(b))
-	}
+	w := bufio.NewWriter(f)
+	w.Write(recs) // a write error stays in w for Flush to return
 	if err := w.Flush(); err != nil {
 		f.Close()
 		return fail("write", err)
@@ -843,7 +754,7 @@ func (j *Journal) publish(seg int, sealed bool, recs ...[]byte) error {
 		return fail("rotate", err)
 	}
 	j.f, j.w = nf, bufio.NewWriter(nf)
-	if _, err := nf.Seek(size, io.SeekStart); err != nil {
+	if _, err := nf.Seek(int64(len(recs)), io.SeekStart); err != nil {
 		return fail("rotate", err)
 	}
 	j.seg = seg

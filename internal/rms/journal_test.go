@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"hash/crc32"
 	"maps"
 	"slices"
 	"strings"
@@ -80,11 +81,18 @@ func patchRecord(t *testing.T, fs *memFS, name string, n int, patch func(l *jour
 		t.Fatalf("%s: record %d does not decode", name, n)
 	}
 	patch(&l)
-	rec, err := encodeRecord(&l)
+	setRecord(t, fs, name, n, bytes.TrimSuffix(marshalRecord(t, &l), []byte("\n")))
+}
+
+// marshalRecord frames l as the journal frames a record, its payload
+// json.Marshal's: the reference every appended record is held to.
+func marshalRecord(t testing.TB, l *journalLine) []byte {
+	t.Helper()
+	payload, err := json.Marshal(l)
 	if err != nil {
 		t.Fatal(err)
 	}
-	setRecord(t, fs, name, n, bytes.TrimSuffix(rec, []byte("\n")))
+	return append(append(appendChecksum(nil, crc32.Checksum(payload, crcTable)), payload...), '\n')
 }
 
 // fingerprint summarises externally visible scheduler state as JSON.
@@ -227,8 +235,10 @@ func TestJournalRefusesDuplicateJobs(t *testing.T) {
 }
 
 // TestJournalHeaderGuards: a journal replays only into a virgin scheduler
-// of the capacity and driver that wrote it, and a file without a valid
-// header is not a journal: opening refuses it and leaves it whole.
+// of the capacity and driver that wrote it, a file without a valid header
+// is not a journal, and a journal of an older format version is refused
+// with the manual fix: opening refuses both and leaves the files whole.
+// The genesis audit refuses a journal whose headers disagree on it.
 func TestJournalHeaderGuards(t *testing.T) {
 	fs := journalStream(t, 4).fs
 	wide, _ := New(2*plantest.Capacity, newDynP(), 0)
@@ -261,6 +271,27 @@ func TestJournalHeaderGuards(t *testing.T) {
 	}
 	if !bytes.Equal(nohdr.files[journalPath], foreign) {
 		t.Errorf("foreign file was changed to %q", nohdr.files[journalPath])
+	}
+
+	// A version 2 build wrote the same records but for the version in
+	// every segment's header, the genesis segment's included.
+	v2 := &memFS{files: maps.Clone(fs.files)}
+	for name := range v2.files {
+		patchRecord(t, v2, name, 0, func(l *journalLine) { l.Header.Version = 2 })
+	}
+	want := v2.key()
+	if _, err := OpenJournalFS(v2, journalPath); err == nil || !strings.Contains(err.Error(), "format version 2, want 3 (move the old journal aside") {
+		t.Errorf("a version 2 journal opened with %v, want the move-aside refusal", err)
+	}
+	if v2.key() != want {
+		t.Error("a refused open of a version 2 journal changed the files")
+	}
+	// The genesis header alone rewritten: the journal opens on its active
+	// segment, but the genesis audit reads every header.
+	g2 := &memFS{files: maps.Clone(fs.files)}
+	patchRecord(t, g2, segmentName(g2, 0), 0, func(l *journalLine) { l.Header.Version = 2 })
+	if _, _, _, err := replayStream(g2, true); err == nil || !strings.Contains(err.Error(), "disagrees with genesis") {
+		t.Errorf("genesis replay of a journal with a version 2 genesis header: %v, want a refusal", err)
 	}
 }
 

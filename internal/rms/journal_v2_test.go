@@ -1,4 +1,4 @@
-// Tests for the version-2 journal: the recovery ladder over corrupt
+// Tests for the checkpointed journal: the recovery ladder over corrupt
 // checkpoints, compaction, and the sticky-error policy under injected
 // disk faults. Crashes, rotations' included, are the crash
 // enumeration's (crash_test.go).
@@ -16,33 +16,27 @@ import (
 	"dynp/internal/vfs"
 )
 
-// TestCheckpointRecordBytes pins the spliced checkpoint record to the
+// TestCheckpointRecordBytes pins the appended checkpoint record to the
 // format: for states with and without each part of a checkpoint, for a
 // scheduler restored from a checkpoint (empty history log, full
 // history) and for one restored by a ladder fallback, the record
-// checkpointRecord frames must be byte for byte encodeRecord's, on disk as
-// in memory, so journals move freely between versions that frame either
-// way.
+// appendCheckpointRecord writes, its history spliced from the log, must be
+// byte for byte json.Marshal's framed, on disk as in memory, and must
+// read back (checkRecord).
 func TestCheckpointRecordBytes(t *testing.T) {
 	check := func(t *testing.T, s *Scheduler) {
 		t.Helper()
 		s.mu.Lock()
 		cs, err := s.captureCheckpointLocked(42)
-		var pieces [][]byte
+		var got []byte
 		if err == nil {
-			pieces, err = checkpointRecord(&cs, s.doneLog)
+			got = appendCheckpointRecord(nil, &cs, s.doneLog)
 		}
 		s.mu.Unlock()
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := encodeRecord(&journalLine{Checkpoint: &cs})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := bytes.Join(pieces, nil); !bytes.Equal(got, want) {
-			t.Fatalf("spliced checkpoint record differs from encodeRecord's\nspliced: %s\nencoded: %s", got, want)
-		}
+		checkRecord(t, got, &journalLine{Checkpoint: &cs})
 	}
 	// checkDisk re-encodes the newest checkpoint record of the journal on
 	// fs: decoding and encoding again must give back the same bytes.
@@ -56,8 +50,8 @@ func TestCheckpointRecordBytes(t *testing.T) {
 		if !ok || l.Checkpoint == nil {
 			t.Fatal("active segment's second record is not a valid checkpoint")
 		}
-		if want, err := encodeRecord(&l); err != nil || !bytes.Equal(append(recs[1], '\n'), want) {
-			t.Fatalf("checkpoint record on disk is not encodeRecord's (%v)\ndisk:    %s\nencoded: %s", err, recs[1], want)
+		if want := marshalRecord(t, &l); !bytes.Equal(append(recs[1], '\n'), want) {
+			t.Fatalf("checkpoint record on disk is not json.Marshal's\ndisk:    %s\nmarshal: %s", recs[1], want)
 		}
 	}
 	submit := func(t *testing.T, s *Scheduler, width int, estimate int64) {

@@ -2,7 +2,6 @@ package rms
 
 import (
 	"bytes"
-	"encoding/json"
 	"fmt"
 	"hash"
 	"io"
@@ -565,19 +564,15 @@ func daemonState(t testing.TB, s *Scheduler) [2]string {
 }
 
 // checkpointImage is what a checkpoint of s would hold — plan and
-// driver state included — as JSON.
+// driver state included — as its journal record.
 func checkpointImage(t testing.TB, s *Scheduler) string {
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	cs, err := s.captureCheckpointLocked(0)
-	s.mu.Unlock()
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := json.Marshal(&cs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return string(b)
+	return string(appendCheckpointRecord(nil, &cs, s.doneLog))
 }
 
 // wireTap carries a stream's requests through a Client over net.Pipe to

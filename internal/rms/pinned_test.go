@@ -25,11 +25,11 @@ func TestDaemonStreamsPinned(t *testing.T) {
 		decider        func() core.Decider // nil for a static SJF driver
 		reads, journal uint64
 	}{
-		{"static SJF", nil, 0x6513f4aa5c2c391f, 0x2088b9b47046b363},
-		{"simple", func() core.Decider { return core.Simple{} }, 0x4d715c5ae0d73f2f, 0xa7c280d16d8bcde7},
-		{"advanced", func() core.Decider { return core.Advanced{} }, 0x457e494c468857e2, 0x9c120c6719f6f36e},
-		{"SJF-preferred", func() core.Decider { return core.Preferred{Policy: policy.SJF} }, 0xa33763ef68c05419, 0xba778152c2ab358c},
-		{"adaptive", func() core.Decider { return adaptive.Must(policy.SJF, 4, 2) }, 0xc3f3ba7739c194c9, 0x37b0322e0c3884ee},
+		{"static SJF", nil, 0x6513f4aa5c2c391f, 0xcaa764982f864c96},
+		{"simple", func() core.Decider { return core.Simple{} }, 0x4d715c5ae0d73f2f, 0xf040b81f0ccb1d7a},
+		{"advanced", func() core.Decider { return core.Advanced{} }, 0x457e494c468857e2, 0xe1c3e6065839b99e},
+		{"SJF-preferred", func() core.Decider { return core.Preferred{Policy: policy.SJF} }, 0xa33763ef68c05419, 0x15e25194503f58f},
+		{"adaptive", func() core.Decider { return adaptive.Must(policy.SJF, 4, 2) }, 0xc3f3ba7739c194c9, 0x45a60d52ab7d2a},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			t.Parallel()
